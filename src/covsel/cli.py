@@ -1,15 +1,13 @@
 """Command line interface: select | simulate | regress | rates.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
-Every command that takes --seed produces byte-identical JSON across runs
-and worker counts; wall-clock timing is therefore reported on stderr, not
-inside the JSON payload.
+Every command that takes --seed produces byte-identical JSON across runs;
+wall-clock timing is therefore reported on stderr, not inside the JSON
+payload.
 """
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 import time
 from typing import List, Optional
@@ -100,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--d", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--records", action="store_true", help="include per-replicate decisions")
     p.add_argument("--json", help="write confusion tables as JSON here")
     p.set_defaults(func=_cmd_simulate)
@@ -136,7 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fixed true covariance, rows separated by ';' (truth A only), "
         "e.g. '1,0.5;0.5,1'",
     )
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", help="write the study CSV here (default stdout)")
     p.add_argument("--json", help="write the study (with slope) as JSON here")
     p.set_defaults(func=_cmd_rates)
@@ -161,13 +157,6 @@ def _write_json(path: Optional[str], doc: dict) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("COVSEL_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +210,8 @@ def _cmd_select(args) -> int:
 def _cmd_simulate(args) -> int:
     scheme = {"oracle": "oracle", "eb": "empirical-bayes", "vs-mclust": "vs-mclust"}[args.table]
     criteria = ("bic", "pcbic", "evidence")
-    tables = []
-    jobs = []
-    for beta_inv in args.beta_inv:
-        config = SimConfig(
+    configs = [
+        SimConfig(
             d=args.d,
             beta_inverse=beta_inv,
             n_values=tuple(args.n),
@@ -233,29 +220,18 @@ def _cmd_simulate(args) -> int:
             criteria=criteria,
             seed=args.seed,
         )
-        for n in config.n_values:
-            jobs.append((config, n))
-
-    def run_block(job):
-        config, n = job
-        cells = [run_cell(config, truth, n) for truth in TRUTH_ORDER]
-        return confusion_table(cells), cells
-
-    workers = _threads(args)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, jobs))
-    else:
-        results = [run_block(job) for job in jobs]
-
+        for beta_inv in args.beta_inv
+    ]
     doc_tables = []
-    for (config, n), (table, cells) in zip(jobs, results):
-        tables.append(table)
-        print(render_confusion_markdown(table))
-        entry = table.to_jsonable()
-        if args.records:
-            entry["records"] = {cell.truth: cell.selected for cell in cells}
-        doc_tables.append(entry)
+    for config in configs:
+        for n in config.n_values:
+            cells = [run_cell(config, truth, n) for truth in TRUTH_ORDER]
+            table = confusion_table(cells)
+            print(render_confusion_markdown(table))
+            entry = table.to_jsonable()
+            if args.records:
+                entry["records"] = {cell.truth: cell.selected for cell in cells}
+            doc_tables.append(entry)
     if args.json:
         _write_json(args.json, {"manifest": _manifest(args, "simulate"), "tables": doc_tables})
     return 0

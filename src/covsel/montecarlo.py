@@ -3,11 +3,12 @@
 The protocol per replicate: draw one half-precision from the true
 structure's prior, generate an n-row Gaussian sample from it, score all
 three structures under each criterion, and record which structure each
-criterion selected. Hyperparameters for scoring come from one of three
-schemes: the generating ones plus their matched projections ("oracle"),
-method-of-moments estimates from the replicate's own data
-("empirical-bayes"), or the mclust default regularization
-("mclust-default"). Criterion differences are tested with McNemar's
+criterion selected. A cell draws all its replicates first and then
+scores their stack of scatter matrices at once. Hyperparameters for
+scoring come from one of three schemes: the generating ones plus their
+matched projections ("oracle"), method-of-moments estimates from the
+replicate's own data ("empirical-bayes"), or the mclust default
+regularization ("mclust-default"). Criterion differences are tested with McNemar's
 procedure on the paired decisions.
 """
 
@@ -15,25 +16,25 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import bdtr
 
 from .data import Dataset, SuffStats
-from .errors import ConfigError
+from .errors import ConfigError, CovselError
 from .precision import DiagPrecision, FullPrecision, HalfPrecision
 from .priors import (
     GammaHyper,
     GammaVecHyper,
     Hyper,
-    HyperTriple,
     WishartHyper,
     empirical_bayes,
     matched_family,
     mclust_default,
     sample_half_precision,
     shape_for_sample_size,
+    stack_hypers,
 )
 from .specialfn import chi_square_sf, cholesky_pd
-from .structures import select_structure
+from .structures import best_structures, fit_stack
 
 __all__ = [
     "SimConfig",
@@ -54,8 +55,14 @@ TRUTH_ORDER = ("A", "D", "C")
 
 SCHEMES = ("oracle", "empirical-bayes", "mclust-default", "vs-mclust")
 
-# labels used for the combined empirical-Bayes vs mclust comparison
-_VS_MCLUST_LABELS = ("mc-bic", "mc-pcbic", "mc-evidence", "evidence")
+# labels used for the combined empirical-Bayes vs mclust comparison, each
+# with the hyperparameter scheme and the criterion it ranks by
+_VS_MCLUST_PLAN = {
+    "mc-bic": ("mclust-default", "bic"),
+    "mc-pcbic": ("mclust-default", "pcbic"),
+    "mc-evidence": ("mclust-default", "evidence"),
+    "evidence": ("empirical-bayes", "evidence"),
+}
 
 
 def gaussian_rows(theta: HalfPrecision, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -130,8 +137,11 @@ class SimConfig:
             )
 
     @property
-    def labels(self) -> Tuple[str, ...]:
-        return _VS_MCLUST_LABELS if self.scheme == "vs-mclust" else self.criteria
+    def plan(self) -> Dict[str, Tuple[str, str]]:
+        """label -> (hyperparameter scheme, criterion)."""
+        if self.scheme == "vs-mclust":
+            return dict(_VS_MCLUST_PLAN)
+        return {lab: (self.scheme, lab) for lab in self.criteria}
 
 
 @dataclass(frozen=True)
@@ -157,24 +167,53 @@ def _rep_rng(config: SimConfig, truth: str, n: int, rep: int) -> np.random.Gener
 def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
     """Run all replicates of one (truth, n) cell. Deterministic given the
     seed; generation consumes the same RNG draws in every scheme, so cells
-    run under different schemes with equal seeds are paired."""
+    run under different schemes with equal seeds are paired.
+
+    Every replicate is drawn first. Each hyperparameter scheme then fits
+    the whole stack of scatters once, and every criterion label is ranked
+    from those shared fits. A replicate whose hyperparameters cannot be
+    built, or for which some label has no structure left, counts as a
+    failure; only CovselError counts, anything else propagates.
+    """
     gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
-    oracle_family = matched_family(gen)
-    labels = config.labels
-    selected: Dict[str, List[Optional[str]]] = {lab: [None] * config.reps for lab in labels}
-    failures = 0
+    scatters = np.empty((config.reps, config.d, config.d))
     for rep in range(config.reps):
-        rng = _rep_rng(config, truth, n, rep)
-        data = generate_instance(gen, n, rng)
-        s = data.rows.T @ data.rows
-        stats = SuffStats(n=n, d=config.d, s=(s + s.T) / 2)
+        rows = generate_instance(gen, n, _rep_rng(config, truth, n, rep)).rows
+        s = rows.T @ rows
+        scatters[rep] = (s + s.T) / 2
+
+    plan = config.plan
+    schemes = {scheme for scheme, _ in plan.values()}
+    builders = {
+        "empirical-bayes": lambda stats: empirical_bayes(stats, config.prior_sample_size),
+        "mclust-default": mclust_default,
+    }
+    per_rep = {scheme: [] for scheme in schemes - {"oracle"}}  # triples of the `ok` replicates
+    ok = []
+    for rep in range(config.reps):
         try:
-            per_label = _score_replicate(config, oracle_family, stats)
-        except Exception:  # noqa: BLE001 - degenerate replicate, count and move on
-            failures += 1
+            stats = SuffStats(n=n, d=config.d, s=scatters[rep]) if per_rep else None
+            triples = {scheme: builders[scheme](stats) for scheme in per_rep}
+        except CovselError:
             continue
-        for lab, choice in per_label.items():
-            selected[lab][rep] = choice
+        ok.append(rep)
+        for scheme, triple in triples.items():
+            per_rep[scheme].append(triple)
+
+    selected: Dict[str, List[Optional[str]]] = {lab: [None] * config.reps for lab in plan}
+    failures = config.reps - len(ok)
+    if ok:
+        hypers = {scheme: stack_hypers(triples) for scheme, triples in per_rep.items()}
+        if "oracle" in schemes:
+            hypers["oracle"] = matched_family(gen)
+        fits = {scheme: fit_stack(scatters[ok], n, hypers[scheme]) for scheme in schemes}
+        choices = [best_structures(fits[scheme], crit) for scheme, crit in plan.values()]
+        for rep, picks in zip(ok, zip(*choices)):
+            if None in picks:
+                failures += 1
+                continue
+            for lab, choice in zip(plan, picks):
+                selected[lab][rep] = choice
     return CellDecisions(
         truth=truth,
         n=n,
@@ -184,35 +223,6 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
         selected=selected,
         failures=failures,
     )
-
-
-def _score_replicate(
-    config: SimConfig, oracle_family: HyperTriple, stats: SuffStats
-) -> Dict[str, Optional[str]]:
-    if config.scheme == "oracle":
-        triples = {lab: oracle_family for lab in config.criteria}
-        crits = {lab: lab for lab in config.criteria}
-    elif config.scheme == "empirical-bayes":
-        eb = empirical_bayes(stats, config.prior_sample_size)
-        triples = {lab: eb for lab in config.criteria}
-        crits = {lab: lab for lab in config.criteria}
-    elif config.scheme == "mclust-default":
-        mc = mclust_default(stats)
-        triples = {lab: mc for lab in config.criteria}
-        crits = {lab: lab for lab in config.criteria}
-    else:  # vs-mclust: mclust-regularized BIC/pcBIC/evidence against EB evidence
-        eb = empirical_bayes(stats, config.prior_sample_size)
-        mc = mclust_default(stats)
-        triples = {"mc-bic": mc, "mc-pcbic": mc, "mc-evidence": mc, "evidence": eb}
-        crits = {
-            "mc-bic": "bic",
-            "mc-pcbic": "pcbic",
-            "mc-evidence": "evidence",
-            "evidence": "evidence",
-        }
-    return {
-        lab: select_structure(stats, triples[lab], crits[lab]).best.structure for lab in triples
-    }
 
 
 @dataclass(frozen=True)
@@ -241,7 +251,7 @@ def mcnemar(b: int, c: int, method: str = "auto") -> McNemarResult:
     if method == "auto":
         method = "exact" if total < 25 else "chi2"
     if method == "exact":
-        p = min(1.0, 2.0 * float(binom.cdf(min(b, c), total, 0.5)))
+        p = min(1.0, 2.0 * float(bdtr(min(b, c), total, 0.5)))
         return McNemarResult(b=b, c=c, statistic=float(statistic), p_value=p, method="exact")
     if method == "chi2":
         p = chi_square_sf(statistic, 1)

@@ -12,10 +12,14 @@ One prior family per covariance structure:
 All three are exponential-family conjugate priors; the shared "prior
 sample size" m below makes their information content comparable across
 structures and drives the matching maps between them.
+
+A hyperparameterization may also carry a stack of rates, one per
+replicate along a leading axis (see `stack_hypers`); the batched scoring
+kernel in `structures` broadcasts such rates against its scatters.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,6 +27,7 @@ from scipy.special import gammaln
 from .data import SuffStats
 from .errors import (
     ConfigError,
+    CovselError,
     DegenerateScatterError,
     DimensionMismatchError,
     EmptyDatasetError,
@@ -48,6 +53,7 @@ __all__ = [
     "prior_sample_size",
     "shape_for_sample_size",
     "log_normalizer",
+    "log_normalizer_at",
     "conjugate_update",
     "match_down",
     "match_up",
@@ -55,6 +61,7 @@ __all__ = [
     "kl_objective",
     "empirical_bayes",
     "mclust_default",
+    "stack_hypers",
     "sample_half_precision",
     "log_prior_density",
     "hyper_to_jsonable",
@@ -64,7 +71,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WishartHyper:
-    """Shape alpha and d x d positive definite rate matrix (structure A)."""
+    """Shape alpha and d x d positive definite rate matrix (structure A).
+
+    The rate may be a stack (r, d, d) of per-replicate rates.
+    """
 
     alpha: float
     rate: np.ndarray
@@ -74,7 +84,7 @@ class WishartHyper:
     def __post_init__(self):
         rate = symmetrize(self.rate)
         cholesky_pd(rate)
-        d = rate.shape[0]
+        d = rate.shape[-1]
         if self.alpha <= (d - 1) / 2:
             raise SupportError(
                 f"Wishart shape must exceed (d-1)/2 = {(d - 1) / 2}, got {self.alpha}"
@@ -84,12 +94,15 @@ class WishartHyper:
 
     @property
     def dim(self) -> int:
-        return self.rate.shape[0]
+        return self.rate.shape[-1]
 
 
 @dataclass(frozen=True)
 class GammaVecHyper:
-    """Common shape alpha with per-axis rates beta_j (structure D)."""
+    """Common shape alpha with per-axis rates beta_j (structure D).
+
+    The rate may be a stack (r, d) of per-replicate rate vectors.
+    """
 
     alpha: float
     rate: np.ndarray
@@ -98,7 +111,7 @@ class GammaVecHyper:
 
     def __post_init__(self):
         rate = np.atleast_1d(np.asarray(self.rate, dtype=float))
-        if rate.ndim != 1 or rate.size == 0:
+        if rate.ndim > 2 or rate.size == 0:
             raise ValueError("rate must be a nonempty vector")
         if self.alpha <= 0 or np.any(rate <= 0) or not np.all(np.isfinite(rate)):
             raise SupportError("gamma shapes and rates must be positive and finite")
@@ -107,7 +120,7 @@ class GammaVecHyper:
 
     @property
     def dim(self) -> int:
-        return self.rate.size
+        return self.rate.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -115,7 +128,8 @@ class GammaHyper:
     """Shape alpha and rate beta for the common precision (structure C).
 
     Carries its dimension explicitly: the gamma prior itself is
-    one-dimensional but the Gaussian model it regularizes is not.
+    one-dimensional but the Gaussian model it regularizes is not. The
+    rate may be a vector (r,) of per-replicate rates.
     """
 
     alpha: float
@@ -125,12 +139,18 @@ class GammaHyper:
     structure = "C"
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.rate <= 0 or not np.isfinite(self.rate):
+        if isinstance(self.rate, np.ndarray) and self.rate.ndim:
+            rate = np.asarray(self.rate, dtype=float)
+            bad_rate = np.any(rate <= 0) or not np.all(np.isfinite(rate))
+        else:
+            rate = float(self.rate)
+            bad_rate = rate <= 0 or not np.isfinite(rate)
+        if self.alpha <= 0 or bad_rate:
             raise SupportError("gamma shape and rate must be positive and finite")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", rate)
 
 
 Hyper = Union[WishartHyper, GammaVecHyper, GammaHyper]
@@ -180,7 +200,7 @@ def shape_for_sample_size(structure: str, m: float, d: int) -> float:
     raise ValueError(f"unknown structure {structure!r}")
 
 
-def log_normalizer(h: Hyper) -> float:
+def log_normalizer(h: Hyper):
     """log of the prior's normalizing constant H(tau, m).
 
     A: alpha*log|B| - log Gamma_d(alpha)
@@ -188,13 +208,28 @@ def log_normalizer(h: Hyper) -> float:
     C: alpha*log beta - log Gamma(alpha)
 
     Evidences are ratios of these constants, so everything downstream
-    works purely off this function and the conjugate update.
+    works purely off this function and the conjugate update. Stacked
+    rates give one value per replicate.
     """
     if isinstance(h, WishartHyper):
-        return h.alpha * chol_log_det(h.rate) - log_mv_gamma(h.dim, h.alpha)
-    if isinstance(h, GammaVecHyper):
-        return float(h.alpha * np.log(h.rate).sum() - h.dim * gammaln(h.alpha))
-    return float(h.alpha * np.log(h.rate) - gammaln(h.alpha))
+        log_rate = chol_log_det(h.rate)
+    elif isinstance(h, GammaVecHyper):
+        log_rate = np.log(h.rate).sum(axis=-1)
+    else:
+        log_rate = np.log(h.rate)
+    return log_normalizer_at(h.structure, h.alpha, log_rate, h.dim)
+
+
+def log_normalizer_at(structure: str, alpha: float, log_rate, d: int):
+    """`log_normalizer` from the shape and the log-determinant of the rate
+    (log|B|, sum_j log beta_j or log beta); `log_rate` may be an array."""
+    if structure == "A":
+        value = alpha * log_rate - log_mv_gamma(d, alpha)
+    elif structure == "D":
+        value = alpha * log_rate - d * gammaln(alpha)
+    else:
+        value = alpha * log_rate - gammaln(alpha)
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def conjugate_update(h: Hyper, stats: SuffStats) -> Hyper:
@@ -352,7 +387,7 @@ def empirical_bayes(stats: SuffStats, m: float = 2.0) -> HyperTriple:
     b = (2 * alpha_a - d - 1) * stats.s / stats.n
     try:
         wish = WishartHyper(alpha_a, b)
-    except Exception as exc:
+    except CovselError as exc:
         raise DegenerateScatterError(
             f"scatter matrix is singular at n={stats.n}, d={d}: {exc}"
         ) from exc
@@ -376,7 +411,7 @@ def mclust_default(stats: SuffStats) -> HyperTriple:
     alpha = (d + 2) / 2
     try:
         wish = WishartHyper(alpha, 2 * stats.s / stats.n)
-    except Exception as exc:
+    except CovselError as exc:
         raise DegenerateScatterError(
             f"scatter matrix is singular at n={stats.n}, d={d}: {exc}"
         ) from exc
@@ -384,6 +419,21 @@ def mclust_default(stats: SuffStats) -> HyperTriple:
         raise DegenerateScatterError("scatter trace must be strictly positive")
     rate = 2 * stats.s_total / (stats.n * d)
     return HyperTriple(wish, GammaVecHyper(alpha, np.full(d, rate)), GammaHyper(alpha, rate, d))
+
+
+def stack_hypers(triples: Sequence[HyperTriple]) -> HyperTriple:
+    """One triple whose rates stack those of `triples` along a leading
+    replicate axis. The triples must share their shapes alpha, as the
+    empirical-Bayes and mclust triples of one (n, d) do."""
+    first = triples[0]
+    for triple in triples:
+        if any(h.alpha != h0.alpha for h, h0 in zip(triple, first)):
+            raise ConfigError("stacked hyperparameters must share their shapes")
+    return HyperTriple(
+        WishartHyper(first.a.alpha, np.stack([t.a.rate for t in triples])),
+        GammaVecHyper(first.d.alpha, np.stack([t.d.rate for t in triples])),
+        GammaHyper(first.c.alpha, np.array([t.c.rate for t in triples]), first.c.dim),
+    )
 
 
 def sample_half_precision(h: Hyper, rng: np.random.Generator) -> HalfPrecision:

@@ -48,20 +48,22 @@ def symmetrize(s: np.ndarray, rtol: float = _SYM_RTOL) -> np.ndarray:
 
     CSV round-trips and accumulated sums break exact symmetry; anything
     beyond `rtol` relative asymmetry is treated as a user error rather
-    than silently averaged away.
+    than silently averaged away. A stack (..., d, d) is checked against
+    the scale of its largest entry.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("matrix entries must be finite")
+    st = s.swapaxes(-1, -2)
     scale = max(float(np.abs(s).max()), 1.0)
-    gap = float(np.abs(s - s.T).max())
+    gap = float(np.abs(s - st).max())
     if gap > rtol * scale:
         raise AsymmetricMatrixError(
             f"matrix is asymmetric beyond relative tolerance {rtol} (gap {gap / scale:.3e})"
         )
-    return (s + s.T) / 2
+    return (s + st) / 2
 
 
 def cholesky_pd(s: np.ndarray) -> np.ndarray:
@@ -78,10 +80,14 @@ def cholesky_pd(s: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
 
 
-def chol_log_det(s: np.ndarray) -> float:
-    """log |S| for symmetric positive definite S, via Cholesky."""
+def chol_log_det(s: np.ndarray):
+    """log |S| for symmetric positive definite S, via Cholesky.
+
+    A stack (r, d, d) gives an array of r values.
+    """
     L = cholesky_pd(s)
-    return float(2.0 * np.log(np.diag(L)).sum())
+    ld = 2.0 * np.log(L.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    return float(ld) if ld.ndim == 0 else ld
 
 
 def hadamard_half_log_ratio(v: np.ndarray) -> float:

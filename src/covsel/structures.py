@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .data import SuffStats
 from .errors import (
     ConfigError,
+    CovselError,
     DimensionMismatchError,
     NonRegularPriorError,
     NotPositiveDefiniteError,
@@ -36,13 +36,15 @@ from .priors import (
     WishartHyper,
     conjugate_update,
     log_normalizer,
+    log_normalizer_at,
     log_prior_density,
     sample_wishart_batch,
 )
-from .specialfn import LOG_PI, chol_log_det, cholesky_pd, log_mv_gamma
+from .specialfn import LOG_PI, chol_log_det, log_mv_gamma
 
 __all__ = [
     "FitReport",
+    "StackFit",
     "SelectionResult",
     "param_count",
     "log_likelihood",
@@ -51,13 +53,22 @@ __all__ = [
     "log_evidence_flat",
     "flexibility",
     "log_partition_hessian_logdet",
+    "fit_stack",
     "criteria",
+    "simplest_best",
+    "best_structures",
     "evidence_oracle",
     "select_structure",
     "CRITERIA",
 ]
 
 CRITERIA = ("evidence", "bic", "pcbic", "kic")
+
+# the field of FitReport and StackFit that holds each criterion's value
+_CRITERION_FIELD = {"evidence": "log_evidence", "bic": "bic", "pcbic": "pc_bic", "kic": "kic"}
+
+# tie order of structure selection: the simplest structure first
+SIMPLEST_FIRST = ("C", "D", "A")
 
 # relative tolerance under which two criterion values count as tied;
 # ties go to the simpler structure (C before D before A)
@@ -99,29 +110,7 @@ def map_estimate(h: Hyper, stats: SuffStats) -> HalfPrecision:
     Raises NonRegularPriorError when the mode multiplier is non-positive
     (non-regular prior and too little data).
     """
-    post = conjugate_update(h, stats)
-    d = stats.d
-    if isinstance(post, WishartHyper):
-        mult = post.alpha - (d + 1) / 2
-        if mult <= 0:
-            raise NonRegularPriorError(
-                f"posterior mode undefined: shape {post.alpha} <= (d+1)/2"
-            )
-        try:
-            c = cholesky_pd(post.rate)
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(f"s + B is singular: {exc}") from exc
-        inv = np.linalg.inv(c)
-        return FullPrecision(mult * (inv.T @ inv))
-    if isinstance(post, GammaVecHyper):
-        if post.alpha <= 1:
-            raise NonRegularPriorError(
-                f"posterior mode undefined: gamma shape {post.alpha} <= 1"
-            )
-        return DiagPrecision((post.alpha - 1) / post.rate)
-    if post.alpha <= 1:
-        raise NonRegularPriorError(f"posterior mode undefined: gamma shape {post.alpha} <= 1")
-    return IsoPrecision((post.alpha - 1) / post.rate, d)
+    return criteria(h, stats).map
 
 
 def log_evidence(h: Hyper, stats: SuffStats) -> float:
@@ -178,61 +167,28 @@ def flexibility(h: Hyper, stats: SuffStats, theta: HalfPrecision) -> float:
 def log_partition_hessian_logdet(theta: HalfPrecision) -> float:
     """log |d^2 A / d theta^2| of the per-observation log-partition at theta.
 
-    A(H) = -(1/2) log|H| in each structure's own coordinates. Diagonal and
-    isotropic cases are closed-form; the full case uses central finite
-    differences of the analytic gradient over the (diagonal,
-    upper-triangle) coordinates.
+    A(H) = -(1/2) log|H| in each structure's own coordinates, and the
+    log-determinant of its Hessian depends on H only through log|H|:
+
+    * C (coordinate eta): log(d / (2 eta^2)) = log(d/2) - (2/d) log|H|;
+    * D (coordinates eta_j): -sum_j log(2 eta_j^2) = -d log 2 - 2 log|H|;
+    * A (coordinates: the diagonal and the upper triangle of H, each
+      symmetric pair moving together): the Hessian is
+      (1/2) D^T (X kron X) D with X = H^{-1} and D the duplication matrix.
+      With |D^T (X kron X) D| = 2^{d(d-1)/2} |X|^{d+1} (Magnus and
+      Neudecker, Matrix Differential Calculus) and the factor 1/2 on each
+      of the d(d+1)/2 coordinates, log|Hess| = -d log 2 - (d+1) log|H|.
     """
-    if isinstance(theta, IsoPrecision):
-        return float(np.log(theta.dim / (2 * theta.value**2)))
-    if isinstance(theta, DiagPrecision):
-        return float(-np.log(2 * theta.diag**2).sum())
-    return _full_hessian_logdet(theta.matrix)
+    return float(_hessian_logdet(theta.structure, theta.dim, theta.log_det()))
 
 
-def _pack_full(hm: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    d = hm.shape[0]
-    iu, ju = np.triu_indices(d, k=1)
-    coords = np.concatenate([np.diag(hm), hm[iu, ju]])
-    return coords, iu, ju
-
-
-def _unpack_full(coords: np.ndarray, d: int, iu, ju) -> np.ndarray:
-    hm = np.zeros((d, d))
-    hm[np.arange(d), np.arange(d)] = coords[:d]
-    hm[iu, ju] = coords[d:]
-    hm[ju, iu] = coords[d:]
-    return hm
-
-
-def _grad_full(hm: np.ndarray, iu, ju) -> np.ndarray:
-    # gradient of -(1/2) log|H|: -(1/2) (H^-1)_jj on diagonal coordinates,
-    # -(H^-1)_ij on off-diagonal ones (both symmetric entries move together)
-    hinv = np.linalg.inv(hm)
-    d = hm.shape[0]
-    return np.concatenate([-0.5 * np.diag(hinv), -hinv[iu, ju]])
-
-
-def _full_hessian_logdet(hm: np.ndarray) -> float:
-    d = hm.shape[0]
-    coords, iu, ju = _pack_full(hm)
-    k = coords.size
-    scale = max(float(np.abs(coords).max()), 1e-8)
-    hess = np.empty((k, k))
-    for idx in range(k):
-        step = 1e-5 * max(abs(coords[idx]), scale)
-        up = coords.copy()
-        up[idx] += step
-        dn = coords.copy()
-        dn[idx] -= step
-        gu = _grad_full(_unpack_full(up, d, iu, ju), iu, ju)
-        gd = _grad_full(_unpack_full(dn, d, iu, ju), iu, ju)
-        hess[idx] = (gu - gd) / (2 * step)
-    hess = (hess + hess.T) / 2
-    sign, logdet = np.linalg.slogdet(hess)
-    if sign <= 0:
-        raise NotPositiveDefiniteError("log-partition Hessian is not positive definite")
-    return float(logdet)
+def _hessian_logdet(structure: str, d: int, log_det_h):
+    """`log_partition_hessian_logdet` from log|H|; works on arrays."""
+    if structure == "C":
+        return math.log(d / 2) - 2 / d * log_det_h
+    if structure == "D":
+        return -d * math.log(2) - 2 * log_det_h
+    return -d * math.log(2) - (d + 1) * log_det_h
 
 
 @dataclass(frozen=True)
@@ -250,12 +206,7 @@ class FitReport:
     k: int
 
     def criterion_value(self, criterion: str) -> Optional[float]:
-        return {
-            "evidence": self.log_evidence,
-            "bic": self.bic,
-            "pcbic": self.pc_bic,
-            "kic": self.kic,
-        }[criterion]
+        return getattr(self, _CRITERION_FIELD[criterion])
 
     def to_jsonable(self) -> dict:
         if isinstance(self.map, FullPrecision):
@@ -277,40 +228,228 @@ class FitReport:
         }
 
 
+@dataclass(frozen=True)
+class StackFit:
+    """One structure's closed-form fit of every replicate in a stack.
+
+    Arrays have a leading replicate axis of length r; `map` is (r, d, d)
+    for A, (r, d) for D and (r,) for C. BIC, pcBIC and KIC are None at
+    n = 0, where log n is undefined. A replicate that could not be fit
+    has NaN entries, False in `valid`, and the reason in `errors`.
+    """
+
+    structure: str
+    dim: int
+    k: int
+    map: np.ndarray
+    log_lik: np.ndarray
+    log_evidence: np.ndarray
+    flexibility: np.ndarray
+    log_prior: np.ndarray
+    bic: Optional[np.ndarray]
+    pc_bic: Optional[np.ndarray]
+    kic: Optional[np.ndarray]
+    valid: np.ndarray
+    errors: Dict[int, CovselError]
+
+    def values(self, criterion: str) -> Optional[np.ndarray]:
+        return getattr(self, _CRITERION_FIELD[criterion])
+
+    def report(self, i: int) -> FitReport:
+        """Replicate i as a FitReport; raises the reason it could not be fit."""
+        if i in self.errors:
+            raise self.errors[i]
+        if self.structure == "A":
+            theta = FullPrecision(self.map[i])
+        elif self.structure == "D":
+            theta = DiagPrecision(self.map[i])
+        else:
+            theta = IsoPrecision(float(self.map[i]), self.dim)
+
+        def at(values):
+            return None if values is None else float(values[i])
+
+        return FitReport(
+            structure=self.structure,
+            map=theta,
+            log_lik_at_map=at(self.log_lik),
+            log_evidence=at(self.log_evidence),
+            flexibility_at_map=at(self.flexibility),
+            bic=at(self.bic),
+            pc_bic=at(self.pc_bic),
+            kic=at(self.kic),
+            k=self.k,
+        )
+
+
+def fit_stack(s: np.ndarray, n: int, hypers: HyperTriple) -> Dict[str, StackFit]:
+    """Fit all three structures to a stack of scatter matrices at once.
+
+    `s` is (r, d, d), each a symmetric scatter of n observations. The
+    rates of `hypers` are either shared by every replicate or stacked
+    along a leading axis of length r (see `priors.stack_hypers`).
+    Returns one StackFit per structure, in SIMPLEST_FIRST order.
+    """
+    return {structure: _fit(hypers.for_structure(structure), s, n) for structure in SIMPLEST_FIRST}
+
+
+def _fit(h: Hyper, s: np.ndarray, n: int) -> StackFit:
+    r, d = s.shape[0], s.shape[-1]
+    structure = h.structure
+    if h.dim != d:
+        return _unfit(
+            h, r, d, n, DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {d}")
+        )
+    # the conjugate update, on the structure's own statistic of s
+    if structure == "A":
+        stat, axes, power = s, (-2, -1), (d + 1) / 2
+    elif structure == "D":
+        stat, axes, power = np.diagonal(s, axis1=-2, axis2=-1), (-1,), 1.0
+    else:
+        stat, axes, power = np.trace(s, axis1=-2, axis2=-1), (), 1.0
+    alpha_post = h.alpha + n * (d if structure == "C" else 1) / 2
+    rate_post = h.rate + stat
+    mult = alpha_post - power
+    if mult <= 0:
+        shape = "shape" if structure == "A" else "gamma shape"
+        bound = "(d+1)/2" if structure == "A" else "1"
+        return _unfit(
+            h, r, d, n,
+            NonRegularPriorError(f"posterior mode undefined: {shape} {alpha_post} <= {bound}"),
+        )
+    # the mode, and log_base: log|H| for A and D, log eta for C (the
+    # log of what the densities raise to alpha - power)
+    errors: Dict[int, CovselError] = {}
+    if structure == "A":
+        chol, errors = _cholesky_stack(rate_post)
+        log_rate_post = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+        inv = np.linalg.inv(chol)
+        theta = mult * np.einsum("rki,rkj->rij", inv, inv)
+        log_base = d * math.log(mult) - log_rate_post
+    else:
+        theta = mult / rate_post
+        log_rate_post = np.log(rate_post).sum(axis=axes)
+        log_base = np.log(theta).sum(axis=axes)
+    log_det_h = d * log_base if structure == "C" else log_base
+
+    def dot(rate):
+        return (theta * rate).sum(axis=axes)
+
+    base = -n * d / 2 * LOG_PI
+    lz_prior = log_normalizer(h)
+    lz_post = log_normalizer_at(structure, alpha_post, log_rate_post, d)
+    log_prior = lz_prior + (h.alpha - power) * log_base - dot(h.rate)
+    log_post = lz_post + (alpha_post - power) * log_base - dot(rate_post)
+    log_lik = n / 2 * log_det_h + base - dot(stat) if n else np.zeros(r)
+    k = param_count(structure, d)
+    out = {
+        "log_lik": log_lik,
+        "log_evidence": base + lz_prior - lz_post,
+        "flexibility": log_post - log_prior,
+        "log_prior": log_prior,
+    }
+    if n >= 1:
+        # Kashyap criterion: the Laplace approximation to the log evidence,
+        # log L + log prior - (1/2) log |n * Hess A / (2 pi)| at the MAP.
+        # Its penalty equals the flexibility in the large-n limit.
+        penalty = k / 2 * math.log(n)
+        out["bic"] = log_lik - penalty
+        out["pc_bic"] = log_lik + log_prior - penalty
+        out["kic"] = (
+            out["pc_bic"]
+            - 0.5 * _hessian_logdet(structure, d, log_det_h)
+            + k / 2 * math.log(2 * math.pi)
+        )
+    else:
+        out["bic"] = out["pc_bic"] = out["kic"] = None
+    valid = np.ones(r, dtype=bool)
+    if errors:
+        valid[list(errors)] = False
+        theta[~valid] = np.nan
+        for v in out.values():
+            if v is not None:
+                v[~valid] = np.nan
+    return StackFit(structure=structure, dim=d, k=k, map=theta, valid=valid, errors=errors, **out)
+
+
+def _unfit(h: Hyper, r: int, d: int, n: int, error: CovselError) -> StackFit:
+    """A StackFit in which no replicate could be fit, all for one reason."""
+
+    def nan(defined=True):
+        return np.full(r, np.nan) if defined else None
+
+    shape = {"A": (r, d, d), "D": (r, d), "C": (r,)}[h.structure]
+    return StackFit(
+        structure=h.structure,
+        dim=d,
+        k=param_count(h.structure, d),
+        map=np.full(shape, np.nan),
+        log_lik=nan(),
+        log_evidence=nan(),
+        flexibility=nan(),
+        log_prior=nan(),
+        bic=nan(n >= 1),
+        pc_bic=nan(n >= 1),
+        kic=nan(n >= 1),
+        valid=np.zeros(r, dtype=bool),
+        errors=dict.fromkeys(range(r), error),
+    )
+
+
+def _cholesky_stack(m: np.ndarray) -> Tuple[np.ndarray, Dict[int, CovselError]]:
+    """Lower Cholesky factors of a stack of symmetric matrices.
+
+    A matrix that is not positive definite gets an identity factor and
+    an entry in the returned errors, so it fails alone, not the stack.
+    """
+    try:
+        return np.linalg.cholesky(m), {}
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.empty_like(m)
+    errors: Dict[int, CovselError] = {}
+    for i, mi in enumerate(m):
+        try:
+            chol[i] = np.linalg.cholesky(mi)
+        except np.linalg.LinAlgError as exc:
+            chol[i] = np.eye(m.shape[-1])
+            errors[i] = NotPositiveDefiniteError(f"s + B is singular: {exc}")
+    return chol, errors
+
+
 def criteria(h: Hyper, stats: SuffStats) -> FitReport:
     """Fit one structure: MAP, evidence, flexibility and all criteria.
 
     BIC, prior-corrected BIC and the Kashyap criterion are undefined at
     n = 0 (log 0) and reported as missing; at n = 1 the log n term is 0.
+    A batch of one through the kernel behind `fit_stack`.
     """
-    theta = map_estimate(h, stats)
-    structure = h.structure
-    k = param_count(structure, stats.d)
-    ll = log_likelihood(theta, stats)
-    log_evi = log_evidence(h, stats)
-    flex = flexibility(h, stats, theta)
-    if stats.n >= 1:
-        log_n = math.log(stats.n)
-        lp = log_prior_density(h, theta)
-        bic = ll - k / 2 * log_n
-        pc_bic = ll + lp - k / 2 * log_n
-        # Kashyap criterion: the Laplace approximation to the log evidence,
-        # log L + log prior - (1/2) log |n * Hess A / (2 pi)| at the MAP.
-        # Its penalty equals the flexibility in the large-n limit.
-        kic = pc_bic - 0.5 * log_partition_hessian_logdet(theta) + k / 2 * math.log(2 * math.pi)
-    else:
-        bic = pc_bic = kic = None
-    return FitReport(
-        structure=structure,
-        map=theta,
-        log_lik_at_map=ll,
-        log_evidence=log_evi,
-        flexibility_at_map=flex,
-        bic=bic,
-        pc_bic=pc_bic,
-        kic=kic,
-        k=k,
-    )
+    return _fit(h, stats.s[None], stats.n).report(0)
+
+
+def simplest_best(values: np.ndarray) -> np.ndarray:
+    """Each row's choice among structures in SIMPLEST_FIRST column order.
+
+    Among the structures whose value is at least the row's best minus
+    the tie tolerance (relative 1e-9), the simplest wins. NaN marks a
+    structure that is not in the running; a row with none gets -1.
+    """
+    masked = np.where(np.isnan(values), -np.inf, values)
+    best = masked.max(axis=1, keepdims=True)
+    tol = _TIE_RTOL * np.maximum(1.0, np.abs(best))
+    pick = np.argmax(masked >= best - tol, axis=1)
+    pick[np.isneginf(best[:, 0])] = -1
+    return pick
+
+
+def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[str]]:
+    """Each replicate's selected structure under `criterion`; None where no
+    structure could be fit or the criterion is undefined."""
+    cols = []
+    for structure in SIMPLEST_FIRST:
+        values = fits[structure].values(criterion)
+        cols.append(np.full(fits[structure].valid.shape, np.nan) if values is None else values)
+    return [SIMPLEST_FIRST[j] if j >= 0 else None for j in simplest_best(np.stack(cols, axis=1))]
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +496,8 @@ def _param_dim(h: Hyper) -> int:
 
 
 def _evidence_quadrature(h: Hyper, stats: SuffStats) -> Tuple[float, float]:
+    from scipy import integrate  # the package needs scipy.integrate only here
+
     p = _param_dim(h)
     if p > 2:
         raise ConfigError(f"quadrature oracle supports parameter dimension <= 2, got {p}")
@@ -476,37 +617,34 @@ class SelectionResult:
 def select_structure(
     stats: SuffStats, hypers: HyperTriple, criterion: str = "evidence"
 ) -> SelectionResult:
-    """Fit all three structures and rank them by the chosen criterion.
+    """Fit all three structures once and rank them by the chosen criterion.
 
-    Ties (within relative 1e-9) go to the simpler structure, C before D
-    before A. Structures whose fit raises are excluded and reported in
-    `skipped` with the error message.
+    Ranking repeats the rule of `simplest_best`: ties (within relative
+    1e-9 of the best remaining value) go to the simpler structure, C
+    before D before A. Structures that cannot be fit are excluded and
+    reported in `skipped` with the reason.
     """
     if criterion not in CRITERIA:
         raise ConfigError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    reports = []
+    reports: Dict[str, FitReport] = {}
     skipped: Dict[str, str] = {}
-    for structure in ("C", "D", "A"):  # simplest first: stable tie order
+    for structure, fit in fit_stack(stats.s[None], stats.n, hypers).items():
         try:
-            rep = criteria(hypers.for_structure(structure), stats)
-        except Exception as exc:  # noqa: BLE001 - diagnostic, not control flow
+            rep = fit.report(0)
+        except CovselError as exc:
             skipped[structure] = f"{type(exc).__name__}: {exc}"
             continue
         if rep.criterion_value(criterion) is None:
             skipped[structure] = f"criterion {criterion} undefined at n={stats.n}"
             continue
-        reports.append(rep)
+        reports[structure] = rep
     if not reports:
         raise ConfigError(f"no structure could be fit: {skipped}")
-    vals = [rep.criterion_value(criterion) for rep in reports]
-    vmax = max(vals)
-    tol = _TIE_RTOL * max(1.0, abs(vmax))
-
-    def sort_key(item):
-        idx, rep = item
-        # quantize to the tie tolerance so near-equal values compare equal,
-        # then fall back to simplicity order (C, D, A = insertion order)
-        return (-round(rep.criterion_value(criterion) / tol), idx)
-
-    ranked = [rep for _, rep in sorted(enumerate(reports), key=sort_key)]
+    values = np.array(
+        [[reports[s].criterion_value(criterion) if s in reports else np.nan for s in SIMPLEST_FIRST]]
+    )
+    ranked = []
+    while (j := simplest_best(values)[0]) >= 0:
+        ranked.append(reports[SIMPLEST_FIRST[j]])
+        values[0, j] = np.nan
     return SelectionResult(criterion=criterion, ranked=ranked, skipped=skipped)

@@ -142,18 +142,14 @@ class TestSimulate:
             "simulate", "--table", "oracle", "--beta-inv", "2", "--n", "5",
             "--reps", "5", "--d", "2", "--seed", "3",
         ]
-        out1, out2, out3 = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         # identical invocations give byte-identical output files
         assert run(args + ["--json", str(out1)]) == 0
         assert run(args + ["--json", str(out2)]) == 0
         assert out1.read_bytes().replace(b"a.json", b"x") == out2.read_bytes().replace(
             b"b.json", b"x"
         )
-        # worker count does not change the results
-        assert run(args + ["--json", str(out3), "--threads", "3"]) == 0
-        doc1 = json.loads(out1.read_text())
-        doc3 = json.loads(out3.read_text())
-        assert doc1["tables"] == doc3["tables"]
+        assert json.loads(out1.read_text())["tables"] == json.loads(out2.read_text())["tables"]
 
 
 class TestRegress:

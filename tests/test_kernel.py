@@ -1,0 +1,361 @@
+"""The batched scoring kernel (`fit_stack`) against independent oracles.
+
+The oracles are the scalar formulas the kernel replaced: the per-structure
+posterior mode, the criteria assembled from the scalar likelihood,
+evidence, flexibility and prior density, and a central-difference
+log-partition Hessian. They are kept here, not in the package, so that
+the kernel is the package's only implementation.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import binom
+
+import covsel.montecarlo as montecarlo
+from covsel.data import SuffStats
+from covsel.errors import ConfigError, NonRegularPriorError, NotPositiveDefiniteError
+from covsel.montecarlo import SimConfig, mcnemar, run_cell
+from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
+from covsel.priors import (
+    GammaHyper,
+    GammaVecHyper,
+    HyperTriple,
+    WishartHyper,
+    conjugate_update,
+    empirical_bayes,
+    log_prior_density,
+    matched_family,
+    sample_half_precision,
+    stack_hypers,
+)
+from covsel.specialfn import cholesky_pd
+from covsel.structures import (
+    SIMPLEST_FIRST,
+    best_structures,
+    criteria,
+    fit_stack,
+    flexibility,
+    log_evidence,
+    log_likelihood,
+    log_partition_hessian_logdet,
+    param_count,
+    select_structure,
+    simplest_best,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the scalar formulas the kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def _pack_full(hm):
+    d = hm.shape[0]
+    iu, ju = np.triu_indices(d, k=1)
+    return np.concatenate([np.diag(hm), hm[iu, ju]]), iu, ju
+
+
+def _unpack_full(coords, d, iu, ju):
+    hm = np.zeros((d, d))
+    hm[np.arange(d), np.arange(d)] = coords[:d]
+    hm[iu, ju] = coords[d:]
+    hm[ju, iu] = coords[d:]
+    return hm
+
+
+def _grad_full(hm, iu, ju):
+    # gradient of -(1/2) log|H|: -(1/2) (H^-1)_jj on diagonal coordinates,
+    # -(H^-1)_ij on off-diagonal ones (both symmetric entries move together)
+    hinv = np.linalg.inv(hm)
+    return np.concatenate([-0.5 * np.diag(hinv), -hinv[iu, ju]])
+
+
+def finite_difference_hessian_logdet(hm):
+    """Central differences of the analytic gradient over the (diagonal,
+    upper-triangle) coordinates: k = d(d+1)/2 gradient pairs."""
+    d = hm.shape[0]
+    coords, iu, ju = _pack_full(hm)
+    k = coords.size
+    scale = max(float(np.abs(coords).max()), 1e-8)
+    hess = np.empty((k, k))
+    for idx in range(k):
+        step = 1e-5 * max(abs(coords[idx]), scale)
+        up = coords.copy()
+        up[idx] += step
+        dn = coords.copy()
+        dn[idx] -= step
+        gu = _grad_full(_unpack_full(up, d, iu, ju), iu, ju)
+        gd = _grad_full(_unpack_full(dn, d, iu, ju), iu, ju)
+        hess[idx] = (gu - gd) / (2 * step)
+    sign, logdet = np.linalg.slogdet((hess + hess.T) / 2)
+    assert sign > 0
+    return float(logdet)
+
+
+def explicit_hessian_logdet(hm):
+    """The k x k Hessian written out entry by entry, (1/2) tr(X E_a X E_b)
+    with X = H^-1 and E_a the symmetric unit matrix of coordinate a."""
+    d = hm.shape[0]
+    x = np.linalg.inv(hm)
+    units = []
+    for i, j in [(i, i) for i in range(d)] + list(zip(*np.triu_indices(d, k=1))):
+        e = np.zeros((d, d))
+        e[i, j] = e[j, i] = 1.0
+        units.append(x @ e)
+    hess = np.array([[0.5 * np.trace(a @ b) for b in units] for a in units])
+    sign, logdet = np.linalg.slogdet(hess)
+    assert sign > 0
+    return float(logdet)
+
+
+def scalar_map(h, stats):
+    """Posterior mode from the conjugate update, one structure at a time."""
+    post = conjugate_update(h, stats)
+    d = stats.d
+    if isinstance(post, WishartHyper):
+        mult = post.alpha - (d + 1) / 2
+        if mult <= 0:
+            raise NonRegularPriorError("no mode")
+        inv = np.linalg.inv(cholesky_pd(post.rate))
+        return FullPrecision(mult * (inv.T @ inv))
+    if post.alpha <= 1:
+        raise NonRegularPriorError("no mode")
+    if isinstance(post, GammaVecHyper):
+        return DiagPrecision((post.alpha - 1) / post.rate)
+    return IsoPrecision((post.alpha - 1) / post.rate, d)
+
+
+def scalar_criteria(h, stats):
+    """MAP, likelihood, evidence, flexibility, prior density and the BIC
+    family from the scalar closed forms; the A Hessian written out."""
+    theta = scalar_map(h, stats)
+    k = param_count(h.structure, stats.d)
+    ll = log_likelihood(theta, stats)
+    lp = log_prior_density(h, theta)
+    out = {
+        "log_lik": ll,
+        "log_evidence": log_evidence(h, stats),
+        "flexibility": flexibility(h, stats, theta),
+        "log_prior": lp,
+    }
+    if stats.n >= 1:
+        log_n = math.log(stats.n)
+        hess = (
+            explicit_hessian_logdet(theta.matrix)
+            if isinstance(theta, FullPrecision)
+            else log_partition_hessian_logdet(theta)
+        )
+        out["bic"] = ll - k / 2 * log_n
+        out["pc_bic"] = ll + lp - k / 2 * log_n
+        out["kic"] = out["pc_bic"] - 0.5 * hess + k / 2 * math.log(2 * math.pi)
+    return theta, out
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+
+def random_shapes(rng, d):
+    return rng.uniform((d + 1) / 2 + 0.2, 6.0), rng.uniform(1.1, 5.0), rng.uniform(1.1, 8.0)
+
+
+def random_triple(rng, d, shapes=None):
+    alpha_a, alpha_d, alpha_c = random_shapes(rng, d) if shapes is None else shapes
+    g = rng.standard_normal((d, d + 2))
+    return HyperTriple(
+        WishartHyper(alpha_a, g @ g.T / (d + 2) + 0.1 * np.eye(d)),
+        GammaVecHyper(alpha_d, rng.uniform(0.3, 3.0, size=d)),
+        GammaHyper(alpha_c, rng.uniform(0.3, 3.0), d),
+    )
+
+
+def random_scatters(rng, r, n, d, near_singular):
+    """r scatters of n rows; n <= d gives singular ones, `near_singular`
+    shrinks one axis by 1e-6."""
+    scale = np.ones(d)
+    if near_singular:
+        scale[-1] = 1e-6
+    rows = rng.standard_normal((r, n, d)) * scale
+    s = np.einsum("rni,rnj->rij", rows, rows)
+    return (s + np.swapaxes(s, 1, 2)) / 2
+
+
+cases = st.builds(
+    lambda seed, d, n, r, near: (np.random.default_rng(seed), d, n, r, near),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    n=st.integers(0, 12),
+    r=st.integers(1, 5),
+    near=st.booleans(),
+)
+
+
+def close(got, want, rtol):
+    return abs(got - want) <= rtol * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+
+class TestClosedFormHessian:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_finite_differences(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(3):
+            g = rng.standard_normal((d, d + 4))
+            hm = g @ g.T / (d + 4) + 0.5 * np.eye(d)
+            got = log_partition_hessian_logdet(FullPrecision(hm))
+            assert close(got, finite_difference_hessian_logdet(hm), 1e-6)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), spread=st.floats(0.0, 1.5))
+    def test_matches_explicit_hessian(self, seed, d, spread):
+        # condition numbers of H up to 1e3: the written-out Hessian's is
+        # the square of that, and it loses digits beyond
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        hm = (q * 10.0 ** rng.uniform(-spread, spread, size=d)) @ q.T
+        got = log_partition_hessian_logdet(FullPrecision((hm + hm.T) / 2))
+        assert close(got, explicit_hessian_logdet(hm), 1e-8)
+
+
+class TestKernelAgainstScalarFormulas:
+    @PROPERTY
+    @given(case=cases, stacked=st.booleans())
+    def test_every_output(self, case, stacked):
+        rng, d, n, r, near = case
+        s = random_scatters(rng, r, n, d, near)
+        shapes = random_shapes(rng, d)
+        triples = [random_triple(rng, d, shapes) for _ in range(r)] if stacked else None
+        hypers = stack_hypers(triples) if stacked else random_triple(rng, d)
+        fits = fit_stack(s, n, hypers)
+        for i in range(r):
+            stats = SuffStats(n=n, d=d, s=s[i])
+            for structure, fit in fits.items():
+                h = (triples[i] if stacked else hypers).for_structure(structure)
+                theta, want = scalar_criteria(h, stats)
+                assert fit.valid[i]
+                np.testing.assert_allclose(
+                    fit.map[i], getattr(theta, {"A": "matrix", "D": "diag", "C": "value"}[structure]),
+                    rtol=1e-10, atol=0,
+                )
+                for key, value in want.items():
+                    assert close(float(getattr(fit, key)[i]), value, 1e-10), (structure, key)
+                if n == 0:
+                    assert fit.bic is None and fit.pc_bic is None and fit.kic is None
+
+    @PROPERTY
+    @given(case=cases)
+    def test_evidence_identity_at_random_theta(self, case):
+        rng, d, n, r, near = case
+        s = random_scatters(rng, r, n, d, near)
+        hypers = random_triple(rng, d)
+        fits = fit_stack(s, n, hypers)
+        for structure, fit in fits.items():
+            h = hypers.for_structure(structure)
+            for i in range(r):
+                stats = SuffStats(n=n, d=d, s=s[i])
+                theta = sample_half_precision(h, rng)
+                resid = fit.log_evidence[i] - (
+                    log_likelihood(theta, stats) - flexibility(h, stats, theta)
+                )
+                assert abs(resid) <= 1e-8 * max(1.0, abs(fit.log_evidence[i]))
+
+    def test_batch_equals_batches_of_one(self):
+        rng = np.random.default_rng(7)
+        d, n = 4, 6
+        s = random_scatters(rng, 8, n, d, False)
+        triples = [empirical_bayes(SuffStats(n=n, d=d, s=si)) for si in s]
+        fits = fit_stack(s, n, stack_hypers(triples))
+        for i, triple in enumerate(triples):
+            stats = SuffStats(n=n, d=d, s=s[i])
+            for structure in SIMPLEST_FIRST:
+                one = criteria(triple.for_structure(structure), stats)
+                many = fits[structure].report(i)
+                for key in ("log_lik_at_map", "log_evidence", "flexibility_at_map", "bic", "kic"):
+                    assert close(getattr(many, key), getattr(one, key), 1e-12)
+
+
+class TestFailuresStayPerReplicate:
+    def test_one_indefinite_posterior_rate_fails_alone(self):
+        rng = np.random.default_rng(8)
+        s = random_scatters(rng, 4, 5, 2, False)
+        s[2] = [[1.0, 3.0], [3.0, 1.0]]  # B + s = [[2, 3], [3, 2]] is indefinite
+        fam = matched_family(WishartHyper(2.5, np.eye(2)))
+        fits = fit_stack(s, 5, fam)
+        assert fits["A"].valid.tolist() == [True, True, False, True]
+        assert isinstance(fits["A"].errors[2], NotPositiveDefiniteError)
+        assert np.isnan(fits["A"].log_evidence[2]) and np.isnan(fits["A"].map[2]).all()
+        for i in (0, 1, 3):
+            solo = fit_stack(s[i : i + 1], 5, fam)["A"]
+            assert fits["A"].log_evidence[i] == solo.log_evidence[0]
+        with pytest.raises(NotPositiveDefiniteError):
+            fits["A"].report(2)
+        # the replicate is still ranked among the structures that could be fit
+        assert best_structures(fits, "evidence")[2] in ("C", "D")
+
+    def test_non_regular_prior_marks_every_replicate(self):
+        # m = 0 for D and C: no posterior mode at n = 0
+        hypers = HyperTriple(
+            WishartHyper(3.0, np.eye(2)), GammaVecHyper(1.0, np.ones(2)), GammaHyper(1.0, 2.0, 2)
+        )
+        fits = fit_stack(np.zeros((3, 2, 2)), 0, hypers)
+        assert not fits["D"].valid.any() and not fits["C"].valid.any()
+        assert isinstance(fits["D"].errors[1], NonRegularPriorError)
+        assert best_structures(fits, "evidence") == ["A", "A", "A"]
+
+    @pytest.mark.parametrize(
+        "name, scheme", [("fit_stack", "oracle"), ("empirical_bayes", "empirical-bayes")]
+    )
+    def test_type_error_in_scoring_propagates_from_run_cell(self, monkeypatch, name, scheme):
+        def broken(*args, **kwargs):
+            raise TypeError("programming error")
+
+        monkeypatch.setattr(montecarlo, name, broken)
+        with pytest.raises(TypeError):
+            run_cell(SimConfig(d=2, n_values=(4,), reps=3, seed=1, scheme=scheme), "C", 4)
+
+
+class TestTieBreak:
+    def test_simplest_wins_across_an_old_bin_edge(self):
+        # values below 1 in size have tolerance 1e-9; C and A sit 0.02 of it
+        # apart, on either side of the edge of the old round(v / tol) bins,
+        # which ranked A first
+        tol = 1e-9
+        c_val, a_val = (123456 + 0.49) * tol, (123456 + 0.51) * tol
+        assert round(a_val / tol) != round(c_val / tol)
+        values = np.array([[c_val, -1.0, a_val]])
+        assert simplest_best(values).tolist() == [0]
+
+    def test_full_ranking_uses_the_same_rule(self):
+        rng = np.random.default_rng(9)
+        d, n = 1, 10
+        stats = SuffStats(n=n, d=d, s=random_scatters(rng, 1, n, d, False)[0])
+        ranked = select_structure(stats, matched_family(GammaHyper(2.0, 1.0, 1)), "evidence").ranked
+        # at d = 1 the three evidences coincide: simplicity orders all three
+        assert [rep.structure for rep in ranked] == ["C", "D", "A"]
+
+
+class TestStackHypers:
+    def test_rejects_different_shapes(self):
+        a = empirical_bayes(SuffStats(n=3, d=2, s=np.eye(2)), m=2.0)
+        b = empirical_bayes(SuffStats(n=3, d=2, s=np.eye(2)), m=3.0)
+        with pytest.raises(ConfigError):
+            stack_hypers([a, b])
+
+
+class TestMcNemarExactPath:
+    def test_matches_binomial_cdf(self):
+        for total in range(1, 120):
+            for b in range(total + 1):
+                want = min(1.0, 2.0 * float(binom.cdf(min(b, total - b), total, 0.5)))
+                got = mcnemar(b, total - b, method="exact").p_value
+                assert abs(got - want) <= 1e-11 * want
