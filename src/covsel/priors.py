@@ -18,7 +18,7 @@ replicate along a leading axis (see `stack_hypers`); the batched scoring
 kernel in `structures` broadcasts such rates against its scatters.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -78,12 +78,14 @@ class WishartHyper:
 
     alpha: float
     rate: np.ndarray
+    # log|B|, from the Cholesky factor that checks B is positive definite
+    log_det_rate: Union[float, np.ndarray] = field(init=False, repr=False, compare=False)
 
     structure = "A"
 
     def __post_init__(self):
         rate = symmetrize(self.rate)
-        cholesky_pd(rate)
+        object.__setattr__(self, "log_det_rate", chol_log_det(rate))
         d = rate.shape[-1]
         if self.alpha <= (d - 1) / 2:
             raise SupportError(
@@ -212,7 +214,7 @@ def log_normalizer(h: Hyper):
     rates give one value per replicate.
     """
     if isinstance(h, WishartHyper):
-        log_rate = chol_log_det(h.rate)
+        log_rate = h.log_det_rate
     elif isinstance(h, GammaVecHyper):
         log_rate = np.log(h.rate).sum(axis=-1)
     else:

@@ -14,18 +14,25 @@ structure evidence evaluated at the effective scatter
 
 so covariate selection and variance-structure selection run off the same
 closed forms as the no-covariate case.
+
+In Gram form, with G = [X Y]^T [X Y] and A = X^T X + Lambda,
+
+    R = Y^T Y + nu Lambda nu^T - gamma_hat A gamma_hat^T.
+
+Everything here is computed from G, formed once per dataset; a covariate
+subset slices it, so scoring a subset costs nothing that grows with n.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .data import SuffStats
-from .errors import ConfigError, DimensionMismatchError, NonRegularPriorError
-from .precision import DiagPrecision, FullPrecision, HalfPrecision, IsoPrecision
+from .errors import ConfigError, DimensionMismatchError, EmptyDatasetError
+from .precision import HalfPrecision
 from .priors import (
     GammaHyper,
     GammaVecHyper,
@@ -35,12 +42,22 @@ from .priors import (
     log_prior_density,
 )
 from .specialfn import LOG_PI, chol_log_det, cholesky_pd, symmetrize
-from .structures import FitReport, log_evidence, param_count
+from .structures import (
+    SIMPLEST_FIRST,
+    FitReport,
+    fit_structure,
+    log_evidence,
+    log_likelihood,
+    param_count,
+    simplest_best,
+)
 
 __all__ = [
     "RegressionData",
+    "GramStats",
     "RegressionHyper",
     "RegressionFit",
+    "EffectiveStats",
     "fit_coefficients",
     "residual_stats",
     "effective_stats",
@@ -55,11 +72,39 @@ __all__ = [
     "LambdaPathRow",
 ]
 
+# the criteria defined for the regression model; the Kashyap criterion is not
+REGRESSION_CRITERIA = ("evidence", "bic", "pcbic")
+
 
 @dataclass(frozen=True)
-class RegressionData:
-    """Paired response matrix y (n x d1) and covariate matrix x (n x d2)."""
+class GramStats:
+    """Sufficient statistics of regression data: the row count n and the
+    Gram matrix [X Y]^T [X Y], the d2 covariate columns first."""
 
+    n: int
+    d2: int
+    gram: np.ndarray
+
+    @property
+    def d1(self) -> int:
+        return self.gram.shape[0] - self.d2
+
+    def subset(self, idx: Sequence[int]) -> "GramStats":
+        """The statistics of covariate columns `idx`, in that order, and every response."""
+        keep = [*idx, *range(self.d2, self.gram.shape[0])]
+        return GramStats(self.n, len(idx), self.gram[np.ix_(keep, keep)])
+
+
+@dataclass(frozen=True)
+class RegressionData(GramStats):
+    """Paired response matrix y (n x d1) and covariate matrix x (n x d2).
+
+    Its Gram statistics are formed on construction, so the data serves
+    wherever the statistics do."""
+
+    n: int = field(init=False)
+    d2: int = field(init=False)
+    gram: np.ndarray = field(init=False, repr=False)
     y: np.ndarray
     x: np.ndarray
 
@@ -75,20 +120,13 @@ class RegressionData:
             )
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise ValueError("regression data must be finite")
+        z = np.hstack([x, y])
+        gram = z.T @ z
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def d1(self) -> int:
-        return self.y.shape[1]
-
-    @property
-    def d2(self) -> int:
-        return self.x.shape[1]
+        object.__setattr__(self, "n", y.shape[0])
+        object.__setattr__(self, "d2", x.shape[1])
+        object.__setattr__(self, "gram", (gram + gram.T) / 2)
 
 
 @dataclass(frozen=True)
@@ -128,8 +166,18 @@ class RegressionHyper:
     def d2(self) -> int:
         return self.nu.shape[1]
 
+    def subset(self, idx: Sequence[int]) -> "RegressionHyper":
+        """The prior of covariate columns `idx`, in that order. A principal
+        submatrix of a positive definite Lambda is positive definite, so
+        the slice skips the constructor's checks."""
+        sub = object.__new__(RegressionHyper)
+        object.__setattr__(sub, "nu", self.nu[:, list(idx)])
+        object.__setattr__(sub, "lam", self.lam[np.ix_(idx, idx)])
+        object.__setattr__(sub, "cov", self.cov)
+        return sub
 
-def fit_coefficients(data: RegressionData, nu: np.ndarray, lam: np.ndarray) -> np.ndarray:
+
+def fit_coefficients(data: GramStats, nu: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Regularized least-squares coefficients.
 
     gamma_hat = (Y^T X + nu Lambda)(X^T X + Lambda)^{-1}; reduces to nu
@@ -137,68 +185,88 @@ def fit_coefficients(data: RegressionData, nu: np.ndarray, lam: np.ndarray) -> n
     definite.
     """
     nu = np.atleast_2d(np.asarray(nu, dtype=float))
-    if data.d2 == 0:
-        return np.zeros((data.d1, 0))
-    lam = np.asarray(lam, dtype=float)
-    gram = data.x.T @ data.x + lam
-    rhs = data.y.T @ data.x + nu @ lam
-    return np.linalg.solve(gram.T, rhs.T).T
+    # the coefficients do not depend on the structure prior on H
+    return effective_stats(data, RegressionHyper(nu, lam, GammaHyper(1.0, 1.0, len(nu)))).gamma_hat
 
 
-def residual_stats(data: RegressionData, gamma_hat: np.ndarray) -> SuffStats:
-    """Sufficient statistics of the fitted residuals eps_i = y_i - gamma x_i."""
-    eps = data.y - data.x @ np.atleast_2d(gamma_hat).T if data.d2 else data.y
-    s = eps.T @ eps
-    return SuffStats(n=data.n, d=data.d1, s=(s + s.T) / 2)
+def residual_stats(data: GramStats, gamma: np.ndarray) -> SuffStats:
+    """Sufficient statistics of the residuals eps_i = y_i - gamma x_i.
+
+    Their scatter is E^T G E with E = [-gamma^T; I], since [X Y] E = Y - X gamma^T.
+    """
+    e = np.vstack([-np.atleast_2d(gamma).T, np.eye(data.d1)])
+    q = e.T @ data.gram @ e
+    return SuffStats(n=data.n, d=data.d1, s=(q + q.T) / 2)
 
 
-def effective_stats(data: RegressionData, rh: RegressionHyper) -> Tuple[np.ndarray, SuffStats]:
+class EffectiveStats(NamedTuple):
+    """What one covariate subset and one (nu, Lambda) give every structure."""
+
+    gamma_hat: np.ndarray  # the coefficients' posterior mean, d1 x d2
+    stats: SuffStats  # the effective scatter R
+    residuals: SuffStats  # the raw residual scatter at gamma_hat, Q = R - shrink
+    shrink: np.ndarray  # (gamma_hat - nu) Lambda (gamma_hat - nu)^T
+    log_det_lam: float  # log|Lambda|
+    log_det_post_lam: float  # log|X^T X + Lambda|
+
+
+def effective_stats(data: GramStats, rh: RegressionHyper) -> EffectiveStats:
     """Coefficient estimate and the effective residual scatter R.
 
     R adds the prior-shrinkage penalty (gamma_hat - nu) Lambda (...)^T to
     the raw residual scatter; it is exactly the rate update each structure
-    evidence sees.
+    evidence sees. From the Gram blocks, with A = X^T X + Lambda,
+    b = X^T Y + Lambda nu^T and C the Cholesky factor of A:
+    gamma_hat^T = A^{-1} b and R = Y^T Y + nu Lambda nu^T - W^T W with
+    W = C^{-1} b, the trailing Schur block of the augmented matrix
+    [[A, b], [b^T, Y^T Y + nu Lambda nu^T]]. C also gives log|A|.
     """
-    _check_shapes(data, rh)
-    gamma_hat = fit_coefficients(data, rh.nu, rh.lam)
-    res = residual_stats(data, gamma_hat)
-    if data.d2:
-        dev = gamma_hat - rh.nu
-        r = res.s + dev @ rh.lam @ dev.T
-    else:
-        r = res.s
-    return gamma_hat, SuffStats(n=data.n, d=data.d1, s=(r + r.T) / 2)
+    if rh.d1 != data.d1 or rh.d2 != data.d2:
+        raise DimensionMismatchError(
+            f"hyper shapes (d1={rh.d1}, d2={rh.d2}) do not match data "
+            f"(d1={data.d1}, d2={data.d2})"
+        )
+    p, nu, lam = data.d2, rh.nu, rh.lam
+    lam_nu = lam @ nu.T
+    r = data.gram[p:, p:] + nu @ lam_nu
+    gamma_hat, log_det_lam, log_det_post_lam = np.zeros((data.d1, 0)), 0.0, 0.0
+    if p:
+        c = cholesky_pd(data.gram[:p, :p] + lam)
+        w = np.linalg.solve(c, data.gram[:p, p:] + lam_nu)
+        r = r - w.T @ w
+        gamma_hat = np.linalg.solve(c.T, w).T
+        log_det_lam = chol_log_det(lam)
+        log_det_post_lam = 2.0 * float(np.log(np.diag(c)).sum())
+    dev = gamma_hat - nu
+    shrink = dev @ lam @ dev.T
+    r, shrink = (r + r.T) / 2, (shrink + shrink.T) / 2
+    return EffectiveStats(
+        gamma_hat=gamma_hat,
+        stats=SuffStats(n=data.n, d=data.d1, s=r),
+        residuals=SuffStats(n=data.n, d=data.d1, s=r - shrink),
+        shrink=shrink,
+        log_det_lam=log_det_lam,
+        log_det_post_lam=log_det_post_lam,
+    )
 
 
-def log_evidence_regression(data: RegressionData, rh: RegressionHyper) -> float:
+def log_evidence_regression(data: GramStats, rh: RegressionHyper) -> float:
     """Exact log marginal likelihood of the regression model.
 
     The covariate factor (d1/2) log(|Lambda| / |X^T X + Lambda|) plus the
     plain structure evidence at the effective scatter. With d2 = 0 this
     is exactly the no-covariate structure evidence of y.
     """
-    _, eff = effective_stats(data, rh)
-    if data.d2:
-        lam_factor = data.d1 / 2 * (
-            chol_log_det(rh.lam) - chol_log_det(data.x.T @ data.x + rh.lam)
-        )
-    else:
-        lam_factor = 0.0
-    return float(lam_factor + log_evidence(rh.cov, eff))
+    eff = effective_stats(data, rh)
+    lam_factor = rh.d1 / 2 * (eff.log_det_lam - eff.log_det_post_lam)
+    return float(lam_factor + log_evidence(rh.cov, eff.stats))
 
 
-def log_likelihood_regression(
-    data: RegressionData, gamma: np.ndarray, theta: HalfPrecision
-) -> float:
+def log_likelihood_regression(data: GramStats, gamma: np.ndarray, theta: HalfPrecision) -> float:
     """Joint log-likelihood at coefficients gamma and half-precision theta."""
     if theta.dim != data.d1:
         raise DimensionMismatchError("theta dimension must equal the response dimension")
-    eps = data.y - data.x @ np.atleast_2d(gamma).T if data.d2 else data.y
-    q = eps.T @ eps
-    n, d1 = data.n, data.d1
-    if n == 0:
-        return 0.0
-    return float(n / 2 * theta.log_det() - n * d1 / 2 * LOG_PI - theta.scatter_product(q))
+    return log_likelihood(theta, residual_stats(data, gamma))
 
 
 def _log_matrix_normal(gamma, nu, lam, theta) -> float:
@@ -219,15 +287,8 @@ def log_joint_prior(rh: RegressionHyper, gamma: np.ndarray, theta: HalfPrecision
     return _log_matrix_normal(gamma, rh.nu, rh.lam, theta) + log_prior_density(rh.cov, theta)
 
 
-def posterior_hyper(data: RegressionData, rh: RegressionHyper) -> RegressionHyper:
-    """The conjugate posterior in the same hyperparameter family."""
-    gamma_hat, eff = effective_stats(data, rh)
-    lam_post = data.x.T @ data.x + rh.lam if data.d2 else rh.lam
-    return RegressionHyper(nu=gamma_hat, lam=lam_post, cov=conjugate_update(rh.cov, eff))
-
-
 def joint_flexibility(
-    data: RegressionData, rh: RegressionHyper, gamma: np.ndarray, theta: HalfPrecision
+    data: GramStats, rh: RegressionHyper, gamma: np.ndarray, theta: HalfPrecision
 ) -> float:
     """log joint posterior minus log joint prior at (gamma, theta).
 
@@ -235,36 +296,63 @@ def joint_flexibility(
     joint_flexibility at every (gamma, theta), the regression version of
     the evidence identity.
     """
-    post = posterior_hyper(data, rh)
+    eff = effective_stats(data, rh)
+    # the conjugate posterior, in the same hyperparameter family
+    post = RegressionHyper(
+        eff.gamma_hat, data.gram[: data.d2, : data.d2] + rh.lam, conjugate_update(rh.cov, eff.stats)
+    )
     return log_joint_prior(post, gamma, theta) - log_joint_prior(rh, gamma, theta)
 
 
-def joint_map(data: RegressionData, rh: RegressionHyper) -> Tuple[np.ndarray, HalfPrecision]:
+def joint_map(data: GramStats, rh: RegressionHyper) -> Tuple[np.ndarray, HalfPrecision]:
     """Joint posterior mode over (gamma, H).
 
     gamma maximizes at gamma_hat for every positive definite H; profiling
     it out tilts the H-marginal by |H|^{d2/2}, shifting the mode's shape
-    relative to the H-only problem.
+    relative to the H-only problem. Raises NonRegularPriorError where
+    the mode does not exist.
     """
-    gamma_hat, eff = effective_stats(data, rh)
-    post = conjugate_update(rh.cov, eff)
-    d1, d2, n = data.d1, data.d2, data.n
-    if isinstance(post, WishartHyper):
-        mult = post.alpha + d2 / 2 - (d1 + 1) / 2
-        if mult <= 0:
-            raise NonRegularPriorError("joint posterior mode undefined for structure A")
-        c = cholesky_pd(post.rate)
-        inv = np.linalg.inv(c)
-        return gamma_hat, FullPrecision(mult * (inv.T @ inv))
-    if isinstance(post, GammaVecHyper):
-        shape = post.alpha + d2 / 2
-        if shape <= 1:
-            raise NonRegularPriorError("joint posterior mode undefined for structure D")
-        return gamma_hat, DiagPrecision((shape - 1) / post.rate)
-    shape = post.alpha + d1 * d2 / 2
-    if shape <= 1:
-        raise NonRegularPriorError("joint posterior mode undefined for structure C")
-    return gamma_hat, IsoPrecision((shape - 1) / post.rate, d1)
+    eff = effective_stats(data, rh)
+    return eff.gamma_hat, _report(rh.cov.structure, rh, eff).map
+
+
+def _report(structure: str, rh: RegressionHyper, eff: EffectiveStats) -> FitReport:
+    """One structure's fit: the kernel's fit of H at the effective scatter,
+    plus the coefficient block: the covariate factor in the evidence, and
+    the matrix-normal densities at gamma_hat, under the prior (mean nu)
+    and the posterior (mean gamma_hat), in the log prior and flexibility."""
+    n, d1, d2 = eff.stats.n, rh.d1, rh.d2
+    fit = fit_structure(rh.cov, eff.stats.s[None], n, coef_cols=d2)
+    rep = fit.report(0)
+    theta = rep.map
+    quad = theta.scatter_product(eff.shrink)
+    lam_factor = d1 / 2 * (eff.log_det_lam - eff.log_det_post_lam)
+    ll = log_likelihood(theta, eff.residuals)
+    coef_prior = d1 / 2 * eff.log_det_lam + d2 / 2 * theta.log_det() - quad
+    lp = float(fit.log_prior[0]) - d1 * d2 / 2 * LOG_PI + coef_prior
+    k = param_count(structure, d1) + d1 * d2
+    bic = pc_bic = None
+    if n >= 1:
+        penalty = k / 2 * math.log(n)
+        bic, pc_bic = ll - penalty, ll + lp - penalty
+    return replace(
+        rep,
+        structure=structure,
+        log_lik_at_map=ll,
+        log_evidence=rep.log_evidence + lam_factor,
+        flexibility_at_map=rep.flexibility_at_map - lam_factor + quad,
+        bic=bic,
+        pc_bic=pc_bic,
+        kic=None,
+        k=k,
+    )
+
+
+def _check_criterion(criterion: str) -> None:
+    if criterion not in REGRESSION_CRITERIA:
+        raise ConfigError(
+            f"criterion {criterion!r} is undefined for regression; use one of {REGRESSION_CRITERIA}"
+        )
 
 
 @dataclass(frozen=True)
@@ -277,13 +365,20 @@ class RegressionFit:
     reports: Dict[str, FitReport]
 
     def best(self, criterion: str = "evidence") -> Tuple[str, float]:
-        vals = {
-            s: rep.criterion_value(criterion)
-            for s, rep in self.reports.items()
-            if rep.criterion_value(criterion) is not None
-        }
-        structure = max(sorted(vals), key=lambda s: vals[s])
-        return structure, vals[structure]
+        """The selected structure and its value; among values within the
+        tie tolerance of the best, the simplest structure wins."""
+        _check_criterion(criterion)
+        values = np.array(
+            [self.reports[s].criterion_value(criterion) if s in self.reports else None
+             for s in SIMPLEST_FIRST],
+            dtype=float,  # None, for an absent structure or an undefined value, becomes NaN
+        )
+        j = simplest_best(values[None])[0]
+        if j < 0:
+            raise EmptyDatasetError(
+                f"criterion {criterion} has no value (BIC-type criteria need n >= 1)"
+            )
+        return SIMPLEST_FIRST[j], float(values[j])
 
     def to_jsonable(self) -> dict:
         return {
@@ -292,44 +387,25 @@ class RegressionFit:
         }
 
 
-def fit_regression(data: RegressionData, hypers: Dict[str, RegressionHyper], subset=()) -> RegressionFit:
+def fit_regression(data: GramStats, hypers: Dict[str, RegressionHyper], subset=()) -> RegressionFit:
     """Fit every provided structure's regression model on the same data.
 
-    The coefficient estimate is shared across structures (it does not
-    depend on the variance structure); criteria use the joint MAP, with
-    k = structure parameters + d1*d2 coefficients. The Kashyap criterion
-    is not defined here and reported as missing.
+    The coefficient estimate and the effective scatter depend only on
+    (nu, Lambda), not on the variance structure, so they are computed
+    once per distinct (nu, Lambda) and shared. Criteria use the joint
+    MAP, with k = structure parameters + d1*d2 coefficients. The Kashyap
+    criterion is not defined here and reported as missing.
     """
-    reports = {}
-    gammas = {}
-    residuals = None
+    shared: Dict[tuple, EffectiveStats] = {}
+    reports, gammas, eff = {}, {}, None
     for structure, rh in hypers.items():
-        gamma_hat, eff = effective_stats(data, rh)
-        theta = joint_map(data, rh)[1]
-        ll = log_likelihood_regression(data, gamma_hat, theta)
-        log_evi = log_evidence_regression(data, rh)
-        flex = joint_flexibility(data, rh, gamma_hat, theta)
-        k = param_count(structure, data.d1) + data.d1 * data.d2
-        if data.n >= 1:
-            log_n = math.log(data.n)
-            lp = log_joint_prior(rh, gamma_hat, theta)
-            bic = ll - k / 2 * log_n
-            pc_bic = ll + lp - k / 2 * log_n
-        else:
-            bic = pc_bic = None
-        reports[structure] = FitReport(
-            structure=structure,
-            map=theta,
-            log_lik_at_map=ll,
-            log_evidence=log_evi,
-            flexibility_at_map=flex,
-            bic=bic,
-            pc_bic=pc_bic,
-            kic=None,
-            k=k,
-        )
-        gammas[structure] = gamma_hat
-        residuals = residual_stats(data, gamma_hat)
+        key = (rh.nu.shape, rh.nu.tobytes(), rh.lam.tobytes())
+        if key not in shared:
+            shared[key] = effective_stats(data, rh)
+        eff = shared[key]
+        reports[structure] = _report(structure, rh, eff)
+        gammas[structure] = eff.gamma_hat
+    residuals = eff.residuals if eff else None
     return RegressionFit(subset=tuple(subset), gamma_hats=gammas, residuals=residuals, reports=reports)
 
 
@@ -357,7 +433,7 @@ def standard_hypers(
 
 
 def enumerate_covariates(
-    data: RegressionData,
+    data: GramStats,
     hypers: Dict[str, RegressionHyper],
     names: Optional[Sequence[str]] = None,
     include_empty: bool = False,
@@ -366,11 +442,13 @@ def enumerate_covariates(
 ) -> List[RegressionFit]:
     """Fit every covariate subset, slicing nu and Lambda to the subset.
 
+    Each subset's statistics are a slice of the data's Gram matrix.
     Subsets are identified by canonical (sorted) column labels so the
     output is invariant to the order candidates are supplied in. Sorted
     by the best value of `criterion` across structures, descending.
     """
     d2 = data.d2
+    _check_criterion(criterion)
     if d2 > max_candidates:
         raise ConfigError(f"{d2} candidate columns exceed the cap of {max_candidates}")
     labels = tuple(names) if names is not None else tuple(range(d2))
@@ -380,17 +458,9 @@ def enumerate_covariates(
     sizes = range(0 if include_empty else 1, d2 + 1)
     for size in sizes:
         for idx in combinations(range(d2), size):
-            sliced = {
-                s: RegressionHyper(
-                    nu=rh.nu[:, list(idx)],
-                    lam=rh.lam[np.ix_(idx, idx)],
-                    cov=rh.cov,
-                )
-                for s, rh in hypers.items()
-            }
-            sub = RegressionData(data.y, data.x[:, list(idx)])
+            sliced = {s: rh.subset(idx) for s, rh in hypers.items()}
             subset = tuple(sorted(labels[i] for i in idx) if names else idx)
-            fits.append(fit_regression(sub, sliced, subset=subset))
+            fits.append(fit_regression(data.subset(idx), sliced, subset=subset))
     fits.sort(key=lambda f: -f.best(criterion)[1])
     return fits
 
@@ -415,21 +485,23 @@ class LambdaPathRow:
         }
 
 
-def lambda_path(data: RegressionData, lambdas: Sequence[float]) -> List[LambdaPathRow]:
+def lambda_path(data: GramStats, lambdas: Sequence[float]) -> List[LambdaPathRow]:
     """Penalty curves for the single-hyperparameter ridge prior family.
 
     For each lambda the prior is eta ~ gamma(1, lambda^2/2) on the
     residual half-precision and gamma | eta ~ N(0, I / (lambda^2 eta)),
     i.e. nu = 0 and Lambda = (lambda^2/2) I in this package's convention
     (the conditional coefficient covariance is Lambda^{-1} / (2 eta)).
-    Requires a univariate response. Values of lambda below 1/2 are
-    flagged non-regular, where the flexibility curve is known to turn
-    upward.
+    Requires a univariate response and at least one observation. Values
+    of lambda below 1/2 are flagged non-regular, where the flexibility
+    curve is known to turn upward.
     """
     if data.d1 != 1:
         raise ConfigError("lambda_path requires a univariate response (d1 = 1)")
     if any(l <= 0 for l in lambdas):
         raise ConfigError("lambda grid must be strictly positive")
+    if data.n == 0:
+        raise EmptyDatasetError("lambda_path requires at least one observation")
     rows = []
     for lam in lambdas:
         lam = float(lam)
@@ -438,29 +510,17 @@ def lambda_path(data: RegressionData, lambdas: Sequence[float]) -> List[LambdaPa
             lam=(lam**2 / 2) * np.eye(data.d2),
             cov=GammaHyper(1.0, lam**2 / 2, 1),
         )
-        gamma_hat, theta = joint_map(data, rh)
-        ll = log_likelihood_regression(data, gamma_hat, theta)
-        log_evi = log_evidence_regression(data, rh)
-        flex = ll - log_evi
-        k = 1 + data.d2
-        log_n = math.log(data.n)
-        lp = log_joint_prior(rh, gamma_hat, theta)
+        rep = fit_regression(data, {"C": rh}).reports["C"]
+        bic_penalty = rep.k / 2 * math.log(data.n)
         rows.append(
             LambdaPathRow(
                 lam=lam,
-                log_evidence=float(log_evi),
-                flexibility=float(flex),
-                bic_penalty=float(k / 2 * log_n),
-                pcbic_penalty=float(k / 2 * log_n - lp),
+                log_evidence=float(rep.log_evidence),
+                flexibility=float(rep.flexibility_at_map),
+                bic_penalty=float(bic_penalty),
+                # pcBIC - BIC is the log joint prior at the MAP
+                pcbic_penalty=float(bic_penalty - (rep.pc_bic - rep.bic)),
                 non_regular=lam < 0.5,
             )
         )
     return rows
-
-
-def _check_shapes(data: RegressionData, rh: RegressionHyper) -> None:
-    if rh.d1 != data.d1 or rh.d2 != data.d2:
-        raise DimensionMismatchError(
-            f"hyper shapes (d1={rh.d1}, d2={rh.d2}) do not match data "
-            f"(d1={data.d1}, d2={data.d2})"
-        )

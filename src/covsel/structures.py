@@ -54,6 +54,7 @@ __all__ = [
     "flexibility",
     "log_partition_hessian_logdet",
     "fit_stack",
+    "fit_structure",
     "criteria",
     "simplest_best",
     "best_structures",
@@ -290,10 +291,22 @@ def fit_stack(s: np.ndarray, n: int, hypers: HyperTriple) -> Dict[str, StackFit]
     along a leading axis of length r (see `priors.stack_hypers`).
     Returns one StackFit per structure, in SIMPLEST_FIRST order.
     """
-    return {structure: _fit(hypers.for_structure(structure), s, n) for structure in SIMPLEST_FIRST}
+    return {
+        structure: fit_structure(hypers.for_structure(structure), s, n)
+        for structure in SIMPLEST_FIRST
+    }
 
 
-def _fit(h: Hyper, s: np.ndarray, n: int) -> StackFit:
+def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackFit:
+    """Fit one structure to a stack of scatters: the kernel behind
+    `fit_stack` and `criteria`.
+
+    `coef_cols` is the number of covariate columns of a regression model
+    whose coefficients are profiled out of the joint posterior mode (see
+    `regression.joint_map`): they tilt the posterior of H by
+    |H|^{coef_cols/2}, which moves the mode as coef_cols observations
+    with zero scatter would. The mode is the only output it changes.
+    """
     r, d = s.shape[0], s.shape[-1]
     structure = h.structure
     if h.dim != d:
@@ -307,15 +320,16 @@ def _fit(h: Hyper, s: np.ndarray, n: int) -> StackFit:
         stat, axes, power = np.diagonal(s, axis1=-2, axis2=-1), (-1,), 1.0
     else:
         stat, axes, power = np.trace(s, axis1=-2, axis2=-1), (), 1.0
-    alpha_post = h.alpha + n * (d if structure == "C" else 1) / 2
+    per_obs = (d if structure == "C" else 1) / 2
+    alpha_post = h.alpha + n * per_obs
     rate_post = h.rate + stat
-    mult = alpha_post - power
+    mult = alpha_post + coef_cols * per_obs - power
     if mult <= 0:
         shape = "shape" if structure == "A" else "gamma shape"
         bound = "(d+1)/2" if structure == "A" else "1"
         return _unfit(
             h, r, d, n,
-            NonRegularPriorError(f"posterior mode undefined: {shape} {alpha_post} <= {bound}"),
+            NonRegularPriorError(f"posterior mode undefined: {shape} {mult + power} <= {bound}"),
         )
     # the mode, and log_base: log|H| for A and D, log eta for C (the
     # log of what the densities raise to alpha - power)
@@ -424,7 +438,7 @@ def criteria(h: Hyper, stats: SuffStats) -> FitReport:
     n = 0 (log 0) and reported as missing; at n = 1 the log n term is 0.
     A batch of one through the kernel behind `fit_stack`.
     """
-    return _fit(h, stats.s[None], stats.n).report(0)
+    return fit_structure(h, stats.s[None], stats.n).report(0)
 
 
 def simplest_best(values: np.ndarray) -> np.ndarray:

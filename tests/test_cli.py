@@ -214,6 +214,23 @@ class TestRegress:
         assert rc == 0
         assert "| intercept, x |" in capsys.readouterr().out
 
+    def test_enumerate_with_kic_exits_2(self, capsys):
+        rc = run(
+            [
+                "regress",
+                IRIS,
+                "--response",
+                "sepal_width",
+                "--covariates",
+                "petal_width",
+                "--enumerate",
+                "--criterion",
+                "kic",
+            ]
+        )
+        assert rc == 2
+        assert "undefined for regression" in capsys.readouterr().err
+
     def test_lambda_zero_exits_2(self):
         rc = run(
             [

@@ -205,6 +205,59 @@ def close(got, want, rtol):
 # ---------------------------------------------------------------------------
 
 
+class TestInvariance:
+    """fit_stack's evidence and criteria under changes of coordinates that
+    leave the model unchanged."""
+
+    FIELDS = ("log_evidence", "log_lik", "flexibility", "log_prior", "bic", "pc_bic", "kic")
+
+    def assert_same(self, got, want, structures):
+        for structure in structures:
+            assert np.array_equal(got[structure].valid, want[structure].valid)
+            for key in self.FIELDS:
+                g, w = getattr(got[structure], key), getattr(want[structure], key)
+                if w is None:
+                    assert g is None
+                    continue
+                for gi, wi in zip(g, w):
+                    assert close(float(gi), float(wi), 1e-9), (structure, key)
+
+    @PROPERTY
+    @given(case=cases)
+    def test_coordinate_permutation(self, case):
+        # permuting the coordinates of the scatters and of the rates together
+        rng, d, n, r, near = case
+        s = random_scatters(rng, r, n, d, near)
+        hypers = random_triple(rng, d)
+        perm = rng.permutation(d)
+        permuted = HyperTriple(
+            WishartHyper(hypers.a.alpha, hypers.a.rate[np.ix_(perm, perm)]),
+            GammaVecHyper(hypers.d.alpha, hypers.d.rate[perm]),
+            hypers.c,
+        )
+        got = fit_stack(s[:, perm][:, :, perm], n, permuted)
+        self.assert_same(got, fit_stack(s, n, hypers), SIMPLEST_FIRST)
+
+    @PROPERTY
+    @given(case=cases)
+    def test_rotation_for_full_and_isotropic_structures(self, case):
+        # with B proportional to I, A and C see the scatter only through
+        # rotation-invariant functions; D does not
+        rng, d, n, r, near = case
+        s = random_scatters(rng, r, n, d, near)
+        shapes = random_shapes(rng, d)
+        b = rng.uniform(0.3, 3.0)
+        hypers = HyperTriple(
+            WishartHyper(shapes[0], b * np.eye(d)),
+            GammaVecHyper(shapes[1], np.full(d, b)),
+            GammaHyper(shapes[2], rng.uniform(0.3, 3.0), d),
+        )
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        rotated = np.einsum("ij,rjk,lk->ril", q, s, q)
+        rotated = (rotated + np.swapaxes(rotated, 1, 2)) / 2
+        self.assert_same(fit_stack(rotated, n, hypers), fit_stack(s, n, hypers), ("A", "C"))
+
+
 class TestClosedFormHessian:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_matches_finite_differences(self, d):

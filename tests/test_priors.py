@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats as sps
 
 from covsel.data import Dataset, SuffStats, suff_stats
@@ -28,6 +29,7 @@ from covsel.priors import (
     mclust_default,
     prior_sample_size,
     sample_half_precision,
+    shape_for_sample_size,
 )
 
 
@@ -128,6 +130,34 @@ class TestMatching:
         assert prior_sample_size(match_up(gv, "A")).m == pytest.approx(
             prior_sample_size(gv).m
         )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 6),
+        structure=st.sampled_from(["A", "D", "C"]),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_sample_size_preserved_in_every_direction(self, seed, d, structure, frac):
+        # m from just above the smallest valid value (-2/d, for C) to 6,
+        # so non-regular priors (m <= 0) are included
+        rng = np.random.default_rng(seed)
+        m = -1.9 / d + frac * (6.0 + 1.9 / d)
+        alpha = shape_for_sample_size(structure, m, d)
+        g = rng.standard_normal((d, d + 2))
+        h = {
+            "A": lambda: WishartHyper(alpha, g @ g.T / (d + 2) + 0.1 * np.eye(d)),
+            "D": lambda: GammaVecHyper(alpha, rng.uniform(0.3, 3.0, size=d)),
+            "C": lambda: GammaHyper(alpha, rng.uniform(0.3, 3.0), d),
+        }[structure]()
+        assert prior_sample_size(h).m == pytest.approx(m, rel=1e-12, abs=1e-12)
+        order = "CDA"
+        for target in order[: order.index(structure)]:
+            assert prior_sample_size(match_down(h, target)).m == pytest.approx(m, abs=1e-12)
+        for target in order[order.index(structure) + 1 :]:
+            assert prior_sample_size(match_up(h, target)).m == pytest.approx(m, abs=1e-12)
+        for member in matched_family(h):
+            assert prior_sample_size(member).m == pytest.approx(m, abs=1e-12)
 
     def test_direction_enforced(self):
         with pytest.raises(ConfigError):

@@ -1,12 +1,37 @@
+"""Conjugate multivariate regression.
+
+The package computes everything from the Gram matrix of [X Y]. The
+n-row implementation it replaced (coefficients, residual and effective
+scatters, joint mode, evidence and flexibility on the raw rows) is kept
+here as an oracle, so that the Gram path is the package's only one.
+"""
+
 import math
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import covsel.regression as regression
 from covsel.data import SuffStats
-from covsel.errors import ConfigError, DimensionMismatchError
-from covsel.priors import GammaHyper, GammaVecHyper, WishartHyper, sample_half_precision
+from covsel.errors import (
+    ConfigError,
+    CovselError,
+    DimensionMismatchError,
+    EmptyDatasetError,
+    NonRegularPriorError,
+)
+from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
+from covsel.priors import (
+    GammaHyper,
+    GammaVecHyper,
+    WishartHyper,
+    conjugate_update,
+    sample_half_precision,
+)
 from covsel.regression import (
     RegressionData,
     RegressionHyper,
@@ -22,7 +47,153 @@ from covsel.regression import (
     residual_stats,
     standard_hypers,
 )
-from covsel.structures import log_evidence
+from covsel.specialfn import LOG_PI, chol_log_det, cholesky_pd
+from covsel.structures import log_evidence, param_count
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the n-row implementation the Gram statistics replaced
+# ---------------------------------------------------------------------------
+
+
+def rows_fit_coefficients(data, nu, lam):
+    if data.d2 == 0:
+        return np.zeros((data.d1, 0))
+    gram = data.x.T @ data.x + lam
+    rhs = data.y.T @ data.x + nu @ lam
+    return np.linalg.solve(gram.T, rhs.T).T
+
+
+def rows_residual_stats(data, gamma_hat):
+    eps = data.y - data.x @ np.atleast_2d(gamma_hat).T if data.d2 else data.y
+    s = eps.T @ eps
+    return SuffStats(n=data.n, d=data.d1, s=(s + s.T) / 2)
+
+
+def rows_effective_stats(data, rh):
+    gamma_hat = rows_fit_coefficients(data, rh.nu, rh.lam)
+    r = rows_residual_stats(data, gamma_hat).s
+    if data.d2:
+        dev = gamma_hat - rh.nu
+        r = r + dev @ rh.lam @ dev.T
+    return gamma_hat, SuffStats(n=data.n, d=data.d1, s=(r + r.T) / 2)
+
+
+def rows_log_likelihood(data, gamma, theta):
+    n, d1 = data.n, data.d1
+    if n == 0:
+        return 0.0
+    q = rows_residual_stats(data, gamma).s
+    return float(n / 2 * theta.log_det() - n * d1 / 2 * LOG_PI - theta.scatter_product(q))
+
+
+def rows_log_evidence(data, rh):
+    _, eff = rows_effective_stats(data, rh)
+    lam_factor = 0.0
+    if data.d2:
+        lam_factor = data.d1 / 2 * (
+            chol_log_det(rh.lam) - chol_log_det(data.x.T @ data.x + rh.lam)
+        )
+    return float(lam_factor + log_evidence(rh.cov, eff))
+
+
+def rows_joint_flexibility(data, rh, gamma, theta):
+    gamma_hat, eff = rows_effective_stats(data, rh)
+    lam_post = data.x.T @ data.x + rh.lam if data.d2 else rh.lam
+    post = RegressionHyper(nu=gamma_hat, lam=lam_post, cov=conjugate_update(rh.cov, eff))
+    return log_joint_prior(post, gamma, theta) - log_joint_prior(rh, gamma, theta)
+
+
+def rows_joint_map(data, rh):
+    gamma_hat, eff = rows_effective_stats(data, rh)
+    post = conjugate_update(rh.cov, eff)
+    d1, d2 = data.d1, data.d2
+    if isinstance(post, WishartHyper):
+        mult = post.alpha + d2 / 2 - (d1 + 1) / 2
+        if mult <= 0:
+            raise NonRegularPriorError("joint posterior mode undefined for structure A")
+        inv = np.linalg.inv(cholesky_pd(post.rate))
+        return gamma_hat, FullPrecision(mult * (inv.T @ inv))
+    if isinstance(post, GammaVecHyper):
+        shape = post.alpha + d2 / 2
+        if shape <= 1:
+            raise NonRegularPriorError("joint posterior mode undefined for structure D")
+        return gamma_hat, DiagPrecision((shape - 1) / post.rate)
+    shape = post.alpha + d1 * d2 / 2
+    if shape <= 1:
+        raise NonRegularPriorError("joint posterior mode undefined for structure C")
+    return gamma_hat, IsoPrecision((shape - 1) / post.rate, d1)
+
+
+def rows_fit_regression(data, hypers):
+    """{structure: (gamma_hat, map, report fields)}, or the CovselError raised."""
+    out = {}
+    for structure, rh in hypers.items():
+        try:
+            gamma_hat, theta = rows_joint_map(data, rh)
+        except CovselError as exc:
+            out[structure] = exc
+            continue
+        ll = rows_log_likelihood(data, gamma_hat, theta)
+        k = param_count(structure, data.d1) + data.d1 * data.d2
+        fields = {
+            "log_lik_at_map": ll,
+            "log_evidence": rows_log_evidence(data, rh),
+            "flexibility_at_map": rows_joint_flexibility(data, rh, gamma_hat, theta),
+            "bic": None,
+            "pc_bic": None,
+            "kic": None,
+            "k": k,
+        }
+        if data.n >= 1:
+            lp = log_joint_prior(rh, gamma_hat, theta)
+            fields["bic"] = ll - k / 2 * math.log(data.n)
+            fields["pc_bic"] = ll + lp - k / 2 * math.log(data.n)
+        out[structure] = (gamma_hat, theta, fields)
+    return out
+
+
+def close(got, want, rtol=1e-9):
+    return abs(got - want) <= rtol * max(1.0, abs(want))
+
+
+def map_array(theta):
+    field = {"A": "matrix", "D": "diag", "C": "value"}[theta.structure]
+    return np.atleast_1d(getattr(theta, field))
+
+
+def random_case(seed, n, d1, d2, collinear, exact):
+    """Data and standard hypers with a random shape and rate, a non-zero
+    nu and a non-identity Lambda. `collinear` makes the last covariate
+    column the first plus 1e-6 noise; `exact` makes the responses a
+    1e-6-noise fit with nu at the true coefficients, so R is tiny."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d2))
+    if collinear and d2 >= 2:
+        x[:, -1] = x[:, 0] + 1e-6 * rng.standard_normal(n)
+    gamma = rng.standard_normal((d1, d2))
+    noise = 1e-6 if exact else rng.uniform(0.2, 2.0)
+    y = x @ gamma.T + noise * rng.standard_normal((n, d1))
+    g = rng.standard_normal((d2, d2 + 2))
+    lam = g @ g.T / (d2 + 2) + 0.2 * np.eye(d2)
+    nu = gamma + 1e-7 * rng.standard_normal((d1, d2)) if exact else rng.standard_normal((d1, d2))
+    # shapes at or below (d1 + 1)/2 make some joint modes undefined at small n
+    alpha = rng.uniform((d1 - 1) / 2 + 0.05, 5.0)
+    hypers = standard_hypers(d1, d2, alpha=alpha, beta=rng.uniform(0.05, 3.0), nu=nu, lam=lam)
+    return rng, RegressionData(y, x), hypers
+
+
+regression_cases = st.builds(
+    random_case,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 12),
+    d1=st.integers(1, 3),
+    d2=st.integers(0, 4),
+    collinear=st.booleans(),
+    exact=st.booleans(),
+)
 
 
 def toy_data(rng, n=20, d1=2, d2=3, noise=0.5):
@@ -58,7 +229,9 @@ class TestResidualStats:
         gamma = np.array([[1.0, -2.0], [0.5, 3.0]])
         data = RegressionData(x @ gamma.T, x)
         st = residual_stats(data, gamma)
-        np.testing.assert_allclose(st.s, np.zeros((2, 2)), atol=1e-20)
+        # the scatter comes from the Gram matrix, so it is zero to the
+        # rounding of Gram-scale sums
+        np.testing.assert_allclose(st.s, np.zeros((2, 2)), atol=1e-13 * np.abs(data.gram).max())
 
     def test_scalar_residual(self):
         data = RegressionData([[2.0]], [[1.0]])
@@ -274,6 +447,11 @@ class TestLambdaPath:
         with pytest.raises(ConfigError):
             lambda_path(data, [0.0, 1.0])
 
+    def test_empty_dataset(self):
+        data = RegressionData(np.empty((0, 1)), np.empty((0, 2)))
+        with pytest.raises(EmptyDatasetError):
+            lambda_path(data, [1.0])
+
     def test_univariate_response_required(self):
         rng = np.random.default_rng(15)
         data = toy_data(rng, n=10, d1=2, d2=2)
@@ -309,3 +487,190 @@ class TestValidation:
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             RegressionData(np.zeros((4, 2)), np.zeros((5, 1)))
+
+
+def rows_enumerate(data, hypers, include_empty):
+    """[(subset, rows_fit_regression of the subset)], sorted by the best
+    log evidence, descending, as the n-row enumeration was."""
+    out = []
+    for size in range(0 if include_empty else 1, data.d2 + 1):
+        for idx in combinations(range(data.d2), size):
+            cols = list(idx)
+            sub = RegressionData(data.y, data.x[:, cols])
+            sliced = {
+                s: RegressionHyper(rh.nu[:, cols], rh.lam[np.ix_(cols, cols)], rh.cov)
+                for s, rh in hypers.items()
+            }
+            out.append((idx, rows_fit_regression(sub, sliced)))
+    return out
+
+
+def first_error(want):
+    return next((w for w in want.values() if isinstance(w, CovselError)), None)
+
+
+def assert_fit_matches(fit, want):
+    """Every FitReport field, the MAP and the coefficients to 1e-9
+    relative (absolute below magnitude 1)."""
+    for structure, (gamma_hat, theta, fields) in want.items():
+        rep = fit.reports[structure]
+        assert rep.structure == structure
+        np.testing.assert_allclose(fit.gamma_hats[structure], gamma_hat, rtol=1e-9, atol=1e-9)
+        got_map, want_map = map_array(rep.map), map_array(theta)
+        assert np.abs(got_map - want_map).max() <= 1e-9 * np.abs(want_map).max(), structure
+        for key, value in fields.items():
+            got = getattr(rep, key)
+            if value is None:
+                assert got is None, (structure, key)
+            else:
+                assert close(got, value), (structure, key, got, value)
+
+
+class TestGramPathAgainstRows:
+    @PROPERTY
+    @given(case=regression_cases)
+    def test_every_report_field_and_map(self, case):
+        _, data, hypers = case
+        want = rows_fit_regression(data, hypers)
+        error = first_error(want)
+        if error is not None:
+            with pytest.raises(type(error)):
+                fit_regression(data, hypers)
+            return
+        fit = fit_regression(data, hypers)
+        assert_fit_matches(fit, want)
+        gamma_hat = want["C"][0]
+        q = rows_residual_stats(data, gamma_hat).s
+        assert fit.residuals.n == data.n
+        assert np.abs(fit.residuals.s - q).max() <= 1e-9 * max(1.0, np.abs(q).max())
+        q_at_gamma = residual_stats(data, gamma_hat).s
+        assert np.abs(q_at_gamma - q).max() <= 1e-9 * max(1.0, np.abs(data.gram).max())
+
+    @PROPERTY
+    @given(case=regression_cases, include_empty=st.booleans())
+    def test_enumeration_order_and_values(self, case, include_empty):
+        _, data, hypers = case
+        want = rows_enumerate(data, hypers, include_empty)
+        error = next((e for _, w in want for e in [first_error(w)] if e is not None), None)
+        if error is not None:
+            with pytest.raises(type(error)):
+                enumerate_covariates(data, hypers, include_empty=include_empty)
+            return
+        fits = enumerate_covariates(data, hypers, include_empty=include_empty)
+        best = {idx: max(f["log_evidence"] for _, _, f in w.values()) for idx, w in want}
+        order = [idx for idx, _ in sorted(want, key=lambda item: -best[item[0]])]
+        if data.n >= 1:
+            assert [f.subset for f in fits] == order
+        else:
+            # every evidence is 0 up to rounding; ties may fall either way
+            assert sorted(f.subset for f in fits) == sorted(order)
+        by_subset = dict(want)
+        for fit in fits:
+            assert_fit_matches(fit, by_subset[fit.subset])
+
+    def test_iris_enumeration(self, iris_regression):
+        y, x, names = iris_regression
+        data = RegressionData(y, x)
+        hypers = standard_hypers(2, 3)
+        fits = enumerate_covariates(data, hypers, names=names)
+        want = {
+            tuple(sorted(names[i] for i in idx)): w
+            for idx, w in rows_enumerate(data, hypers, False)
+        }
+        for fit in fits:
+            assert_fit_matches(fit, want[fit.subset])
+
+
+class TestEvidenceIdentityOnGram:
+    @PROPERTY
+    @given(case=regression_cases)
+    def test_at_random_coefficients_and_precision(self, case):
+        rng, data, hypers = case
+        for rh in hypers.values():
+            log_evi = log_evidence_regression(data, rh)
+            assert close(log_evi, rows_log_evidence(data, rh))
+            for _ in range(3):
+                gamma = rng.standard_normal((data.d1, data.d2))
+                theta = sample_half_precision(rh.cov, rng)
+                ll = log_likelihood_regression(data, gamma, theta)
+                assert close(ll, rows_log_likelihood(data, gamma, theta), 1e-8)
+                rhs = ll - joint_flexibility(data, rh, gamma, theta)
+                assert close(rhs, log_evi, 1e-8)
+
+
+class TestSharedStatistics:
+    def test_one_effective_stats_call_per_distinct_prior(self, monkeypatch):
+        calls = []
+        original = regression.effective_stats
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(regression, "effective_stats", counted)
+        data = toy_data(np.random.default_rng(30), n=15, d1=2, d2=3)
+        hypers = standard_hypers(2, 3)
+        fit_regression(data, hypers)
+        assert len(calls) == 1
+        hypers["D"] = RegressionHyper(hypers["D"].nu, 2.0 * np.eye(3), hypers["D"].cov)
+        fit = fit_regression(data, hypers)
+        assert len(calls) == 3
+        assert fit.reports["D"].log_evidence == pytest.approx(
+            log_evidence_regression(data, hypers["D"]), abs=1e-9
+        )
+
+    def test_subset_statistics_are_slices_of_the_gram_matrix(self):
+        data = toy_data(np.random.default_rng(31), n=40, d1=2, d2=4)
+        got = data.subset((3, 0))
+        want = RegressionData(data.y, data.x[:, [3, 0]])
+        assert (got.n, got.d1, got.d2) == (40, 2, 2)
+        np.testing.assert_allclose(got.gram, want.gram, rtol=1e-12, atol=1e-12)
+
+    def test_prior_subset_is_the_sliced_prior(self):
+        rng = np.random.default_rng(32)
+        g = rng.standard_normal((4, 6))
+        rh = RegressionHyper(rng.standard_normal((2, 4)), g @ g.T, GammaHyper(2.0, 1.0, 2))
+        sub = rh.subset((3, 1))
+        want = RegressionHyper(rh.nu[:, [3, 1]], rh.lam[np.ix_([3, 1], [3, 1])], rh.cov)
+        np.testing.assert_array_equal(sub.nu, want.nu)
+        np.testing.assert_array_equal(sub.lam, want.lam)
+        assert sub.cov is rh.cov
+
+
+class TestBestStructure:
+    def test_kic_is_undefined_for_regression(self):
+        fit = fit_regression(toy_data(np.random.default_rng(33)), standard_hypers(2, 3))
+        with pytest.raises(ConfigError, match="undefined"):
+            fit.best("kic")
+
+    def test_enumeration_rejects_kic_before_fitting(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("fit_regression ran")
+
+        monkeypatch.setattr(regression, "fit_regression", fail)
+        data = toy_data(np.random.default_rng(34))
+        with pytest.raises(ConfigError):
+            enumerate_covariates(data, standard_hypers(2, 3), criterion="kic")
+
+    def test_bic_at_n_zero_has_no_value(self):
+        data = RegressionData(np.empty((0, 2)), np.empty((0, 3)))
+        fit = fit_regression(data, standard_hypers(2, 3))
+        with pytest.raises(EmptyDatasetError):
+            fit.best("bic")
+        with pytest.raises(EmptyDatasetError):
+            enumerate_covariates(data, standard_hypers(2, 3), criterion="bic")
+
+    def test_values_within_tolerance_go_to_the_simplest_structure(self):
+        fit = fit_regression(toy_data(np.random.default_rng(35)), standard_hypers(2, 3))
+        near = {"A": 100.0 + 2e-8, "D": 100.0 + 1e-8, "C": 100.0}  # within 1e-9 relative
+        reports = {s: replace(r, log_evidence=near[s]) for s, r in fit.reports.items()}
+        assert replace(fit, reports=reports).best("evidence") == ("C", 100.0)
+        near["D"] = 101.0
+        reports = {s: replace(r, log_evidence=near[s]) for s, r in fit.reports.items()}
+        assert replace(fit, reports=reports).best("evidence") == ("D", 101.0)
+
+    def test_tie_at_n_zero_goes_to_the_simplest_structure(self):
+        data = RegressionData(np.empty((0, 2)), np.empty((0, 3)))
+        fit = fit_regression(data, standard_hypers(2, 3))
+        assert {rep.log_evidence for rep in fit.reports.values()} == {0.0}
+        assert fit.best("evidence") == ("C", 0.0)
