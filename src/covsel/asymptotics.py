@@ -17,7 +17,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .data import SuffStats
 from .errors import ConfigError
 from .precision import HalfPrecision
 from .priors import (
@@ -31,8 +30,8 @@ from .priors import (
 )
 from .specialfn import amgm_half_log_ratio, hadamard_half_log_ratio
 from .structures import (
-    criteria,
-    log_evidence,
+    StackFit,
+    fit_structure,
     log_partition_hessian_logdet,
     param_count,
 )
@@ -197,30 +196,22 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
     """Estimate the divergence rate of log(E_full / E_nested) by simulation.
 
     Deterministic given the seed: each (n, replicate) uses its own derived
-    RNG stream, so results do not depend on evaluation order.
+    RNG stream, so results do not depend on evaluation order. The
+    replicates of each n are scored as one stack.
     """
-    from .montecarlo import gaussian_rows  # local import; no cycle at module load
-
     full, nested = _split_pair(config.pair)
     family = matched_family(config.hyper)
     h_full = family.for_structure(full)
     h_nested = family.for_structure(nested)
     nested_true = config.truth == nested
-    d = config.hyper.dim
-
-    target = _study_target(config, full, nested, d)
+    target = _study_target(config, nested)
 
     means = []
     rows = []
     for n in config.n_grid:
-        vals = np.empty(config.reps)
-        for rep in range(config.reps):
-            rng = np.random.default_rng(np.random.SeedSequence((config.seed, int(n), rep)))
-            theta = config.fixed_theta or sample_half_precision(config.hyper, rng)
-            x = gaussian_rows(theta, n, rng)
-            s = x.T @ x
-            stats = SuffStats(n=n, d=d, s=(s + s.T) / 2)
-            vals[rep] = log_evidence(h_full, stats) - log_evidence(h_nested, stats)
+        s = _draw_scatters(config.seed, n, config.reps, config.hyper, config.fixed_theta)
+        full_fit, nested_fit = (fit_structure(h, s, n) for h in (h_full, h_nested))
+        vals = _defined(full_fit, "log_evidence") - _defined(nested_fit, "log_evidence")
         scale = np.log(n) if nested_true else float(n)
         scaled = vals / scale
         rows.append(
@@ -234,9 +225,8 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
 
     slope = None
     if len(config.n_grid) > 1:
-        xreg = np.log(np.asarray(config.n_grid, dtype=float)) if nested_true else np.asarray(
-            config.n_grid, dtype=float
-        )
+        grid = np.asarray(config.n_grid, dtype=float)
+        xreg = np.log(grid) if nested_true else grid
         xc = xreg - xreg.mean()
         slope = float(xc @ (np.asarray(means) - np.mean(means)) / (xc @ xc))
     return RateStudyResult(
@@ -249,9 +239,9 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
     )
 
 
-def _study_target(config: RateStudyConfig, full: str, nested: str, d: int) -> float:
+def _study_target(config: RateStudyConfig, nested: str) -> float:
     if config.truth == nested:
-        return log_rate_constant(config.pair, d)
+        return log_rate_constant(config.pair, config.hyper.dim)
     if config.fixed_theta is not None:
         sigma = np.linalg.inv(2 * config.fixed_theta.as_matrix())
         v = np.diag(sigma) if config.pair == "D-vs-C" else sigma
@@ -265,6 +255,32 @@ def _study_target(config: RateStudyConfig, full: str, nested: str, d: int) -> fl
             return linear_rate_constant(config.pair, vdiag)
         return linear_rate_constant(config.pair, np.diag(vdiag))
     raise ConfigError("full-true study with an isotropic truth has a zero rate by construction")
+
+
+def _draw_scatters(
+    seed: int, n: int, reps: int, hyper: Hyper, theta: Optional[HalfPrecision]
+) -> np.ndarray:
+    """(reps, d, d) scatters of n rows; replicate rep draws its half-precision
+    (from `hyper` unless `theta` is fixed) and rows from stream (seed, n, rep)."""
+    from .montecarlo import gaussian_rows  # local import; no cycle at module load
+
+    s = np.empty((reps, hyper.dim, hyper.dim))
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, int(n), rep)))
+        x = gaussian_rows(theta or sample_half_precision(hyper, rng), n, rng)
+        xx = x.T @ x
+        s[rep] = (xx + xx.T) / 2
+    return s
+
+
+def _defined(fit: StackFit, field: str) -> np.ndarray:
+    """One field of a stack fit; raises the error of the first replicate
+    where it is undefined, so that no study averages NaN."""
+    values = getattr(fit, field)
+    undefined = np.flatnonzero(np.isnan(values))
+    if undefined.size:
+        raise fit.errors[undefined[0]]
+    return values
 
 
 @dataclass(frozen=True)
@@ -288,23 +304,13 @@ def flexibility_gap_study(
     subtraction from the log-likelihood gives the Kashyap criterion; the
     two converge together.
     """
-    from .montecarlo import gaussian_rows
-
     gap = flexibility_bic_gap(h, theta0)
     k = param_count(theta0.structure, theta0.dim)
-    d = theta0.dim
     rows = []
     for n in n_grid:
-        flex_term = np.empty(reps)
-        kic_err = np.empty(reps)
-        for rep in range(reps):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, int(n), rep)))
-            x = gaussian_rows(theta0, n, rng)
-            s = x.T @ x
-            stats = SuffStats(n=n, d=d, s=(s + s.T) / 2)
-            rep_fit = criteria(h, stats)
-            flex_term[rep] = rep_fit.flexibility_at_map - k / 2 * np.log(n)
-            kic_err[rep] = abs(rep_fit.kic - rep_fit.log_evidence)
+        fit = fit_structure(h, _draw_scatters(seed, n, reps, h, theta0), n)
+        flex_term = _defined(fit, "flexibility") - k / 2 * np.log(n)
+        kic_err = np.abs(fit.kic - fit.log_evidence)
         rows.append(
             GapStudyRow(
                 n=int(n),

@@ -45,9 +45,11 @@ from .regression import (
     lambda_path,
     standard_hypers,
 )
-from .structures import CRITERIA, select_structure
+from .structures import CRITERIA, SIMPLEST_FIRST, select_structure
 
-_CONFIG_ERRORS = (ConfigError, CsvParseError, EmptyDatasetError, FileNotFoundError, ValueError)
+_CONFIG_ERRORS = (
+    ConfigError, CsvParseError, EmptyDatasetError, FileNotFoundError, UnicodeDecodeError
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -150,13 +152,29 @@ def _manifest(args, command: str) -> dict:
     }
 
 
-def _write_json(path: Optional[str], doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _write_text(path: Optional[str], text: str) -> None:
+    """Write text and a newline to `path`, or to stdout when there is none."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _write_json(path: Optional[str], doc: dict) -> None:
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _read_json(path: str) -> dict:
+    """A JSON object from a file; ConfigError if it cannot be read as one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +191,11 @@ def _cmd_select(args) -> int:
     elif source == "mclust":
         hypers = mclust_default(stats)
     elif source.startswith("file:"):
-        with open(source[5:], encoding="utf-8") as fh:
-            doc = json.load(fh)
-        hypers = HyperTriple(
-            hyper_from_jsonable(doc["A"]),
-            hyper_from_jsonable(doc["D"]),
-            hyper_from_jsonable(doc["C"]),
-        )
+        doc = _read_json(source[5:])
+        missing = [structure for structure in "ADC" if structure not in doc]
+        if missing:
+            raise ConfigError(f"{source[5:]} has no hyperparameters for structure(s) {missing}")
+        hypers = HyperTriple(*(hyper_from_jsonable(doc[structure]) for structure in "ADC"))
     else:
         raise ConfigError(f"unknown hyper source {source!r}")
     result = select_structure(stats, hypers, args.criterion)
@@ -240,14 +256,14 @@ def _cmd_simulate(args) -> int:
 def _load_regression_hypers(args, d1: int, d2: int):
     if not args.hyper:
         return standard_hypers(d1, d2)
-    with open(args.hyper, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    nu = np.asarray(doc["nu"], dtype=float) if "nu" in doc else None
-    lam = np.asarray(doc["lambda"], dtype=float) if "lambda" in doc else None
-    return standard_hypers(
-        d1, d2, alpha=float(doc.get("alpha", 2.0)), beta=float(doc.get("beta", 1.0)),
-        nu=nu, lam=lam,
-    )
+    doc = _read_json(args.hyper)
+    try:
+        nu = np.asarray(doc["nu"], dtype=float) if "nu" in doc else None
+        lam = np.asarray(doc["lambda"], dtype=float) if "lambda" in doc else None
+        alpha, beta = float(doc.get("alpha", 2.0)), float(doc.get("beta", 1.0))
+        return standard_hypers(d1, d2, alpha=alpha, beta=beta, nu=nu, lam=lam)
+    except (TypeError, ValueError) as exc:  # a non-numeric or non-finite entry
+        raise ConfigError(f"malformed --hyper file {args.hyper}: {exc}") from exc
 
 
 def _cmd_regress(args) -> int:
@@ -279,12 +295,7 @@ def _cmd_regress(args) -> int:
                 f"{r.lam},{r.log_evidence!r},{r.flexibility!r},{r.bic_penalty!r},"
                 f"{r.pcbic_penalty!r},{int(r.non_regular)}"
             )
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write_text(args.out, "\n".join(lines))
         if args.json:
             _write_json(
                 args.json,
@@ -304,7 +315,7 @@ def _cmd_regress(args) -> int:
     print("|---|---|---|---|")
     for fit in fits:
         label = ", ".join(str(sname) for sname in fit.subset) or "(none)"
-        for structure in ("C", "D", "A"):
+        for structure in SIMPLEST_FIRST:
             rep = fit.reports[structure]
             print(
                 f"| {label} | {structure} | {rep.log_evidence:.1f} | {_fmt(rep.pc_bic)} |"
@@ -320,12 +331,14 @@ def _cmd_regress(args) -> int:
     return 0
 
 
-def _parse_sigma(text: str) -> np.ndarray:
-    rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-    sigma = np.asarray(rows, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ConfigError("--fixed-sigma must be a square matrix")
-    return sigma
+def _fixed_theta(text: str) -> FullPrecision:
+    """The half-precision (2 Sigma)^{-1} of the --fixed-sigma matrix."""
+    try:
+        sigma = np.asarray([[float(v) for v in row.split(",")] for row in text.split(";")])
+        FullPrecision(sigma)  # square, finite, symmetric and positive definite
+    except (ValueError, CovselError) as exc:  # ValueError: non-numeric, ragged or not square
+        raise ConfigError(f"--fixed-sigma is not a positive definite matrix: {exc}") from exc
+    return FullPrecision(0.5 * np.linalg.inv(sigma))
 
 
 def _cmd_rates(args) -> int:
@@ -334,9 +347,8 @@ def _cmd_rates(args) -> int:
     if args.fixed_sigma:
         if args.truth != "A":
             raise ConfigError("--fixed-sigma is only meaningful with --truth A")
-        sigma = _parse_sigma(args.fixed_sigma)
-        d = sigma.shape[0]
-        fixed_theta = FullPrecision(0.5 * np.linalg.inv(sigma))
+        fixed_theta = _fixed_theta(args.fixed_sigma)
+        d = fixed_theta.dim
     config = RateStudyConfig(
         pair=args.pair,
         truth=args.truth,
@@ -353,12 +365,7 @@ def _cmd_rates(args) -> int:
             f"{row.n},{row.scaled_mean!r},{row.se!r},{result.target!r},"
             f"{result.pair},{result.truth}"
         )
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_text(args.out, "\n".join(lines))
     if result.slope is not None:
         print(f"slope = {result.slope:.4f} (target {result.target:.4f})", file=sys.stderr)
     if args.json:

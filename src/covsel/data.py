@@ -5,6 +5,7 @@ its diagonal and trace is all any evidence computation in this package needs.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -130,13 +131,16 @@ def load_csv(path, has_header: bool = True, columns: Optional[Sequence] = None) 
             )
         for j, cell in enumerate(row):
             try:
-                data[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise CsvParseError(
-                    f"row {i + 1}, column {j + 1}: not a number: {cell!r}",
+                    f"row {i + 1}, column {j + 1}: not a finite number: {cell!r}",
                     row=i + 1,
                     column=j + 1,
-                ) from None
+                )
+            data[i, j] = value
     ds = Dataset(data, header)
     if columns is not None:
         ds = ds.select(columns)

@@ -86,8 +86,8 @@ def oracle_hyper(truth: str, d: int, beta_inverse: float, m: float = 2.0) -> Hyp
     beta = 1 / beta_inverse, so the three hyperparameterizations project
     onto one another under the matching maps.
     """
-    if beta_inverse <= 0:
-        raise ConfigError("beta_inverse must be positive")
+    if beta_inverse <= 0 or d < 1:
+        raise ConfigError(f"need beta_inverse > 0 and d >= 1, got {beta_inverse} and d={d}")
     beta = 1.0 / beta_inverse
     alpha = shape_for_sample_size(truth, m, d)
     if truth == "A":

@@ -181,7 +181,8 @@ def prior_sample_size(h: Hyper, d: Optional[int] = None) -> PriorSampleSize:
     Flagged non-regular when m <= 0 (posterior mode may not exist for
     small n).
     """
-    _check_hyper_dim(h, d)
+    if d is not None and d != h.dim:
+        raise DimensionMismatchError(f"hyper dimension {h.dim} != requested d={d}")
     if isinstance(h, WishartHyper):
         m = 2 * h.alpha - (h.dim + 1)
     elif isinstance(h, GammaVecHyper):
@@ -240,10 +241,8 @@ def conjugate_update(h: Hyper, stats: SuffStats) -> Hyper:
     A: (alpha + n/2, B + s);  D: (alpha + n/2, beta_j + s_jj);
     C: (alpha + n*d/2, beta + tr s).
     """
-    if _hyper_dim(h) != stats.d:
-        raise DimensionMismatchError(
-            f"hyper dimension {_hyper_dim(h)} != data dimension {stats.d}"
-        )
+    if h.dim != stats.d:
+        raise DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {stats.d}")
     if isinstance(h, WishartHyper):
         return WishartHyper(h.alpha + stats.n / 2, h.rate + stats.s)
     if isinstance(h, GammaVecHyper):
@@ -269,7 +268,7 @@ def match_down(h: Hyper, target: str) -> Hyper:
         raise ValueError(f"unknown structure {target!r}")
     if _ORDER[target] >= _ORDER[h.structure]:
         raise ConfigError(f"{target} is not strictly simpler than {h.structure}")
-    d = _hyper_dim(h)
+    d = h.dim
     m = prior_sample_size(h).m
     alpha = shape_for_sample_size(target, m, d)
     if isinstance(h, WishartHyper):
@@ -286,7 +285,7 @@ def match_up(h: Hyper, target: str = "A") -> Hyper:
         raise ValueError(f"unknown structure {target!r}")
     if _ORDER[target] <= _ORDER[h.structure]:
         raise ConfigError(f"{target} is not strictly richer than {h.structure}")
-    d = _hyper_dim(h)
+    d = h.dim
     m = prior_sample_size(h).m
     alpha = shape_for_sample_size(target, m, d)
     if isinstance(h, GammaVecHyper):
@@ -326,8 +325,8 @@ def kl_objective(
         raise ConfigError(
             f"nested structure {nested.structure} must be strictly below {full.structure}"
         )
-    d = _hyper_dim(full)
-    if _hyper_dim(nested) != d:
+    d = full.dim
+    if nested.dim != d:
         raise DimensionMismatchError("full and nested hypers have different dimensions")
 
     if isinstance(nested, GammaHyper):
@@ -494,10 +493,8 @@ def log_prior_density(h: Hyper, theta: HalfPrecision) -> float:
     into its support); the D and C priors require theta to actually lie in
     their support.
     """
-    if _hyper_dim(h) != theta.dim:
-        raise DimensionMismatchError(
-            f"hyper dimension {_hyper_dim(h)} != parameter dimension {theta.dim}"
-        )
+    if h.dim != theta.dim:
+        raise DimensionMismatchError(f"hyper dimension {h.dim} != parameter dimension {theta.dim}")
     if isinstance(h, WishartHyper):
         d = h.dim
         return float(
@@ -524,25 +521,17 @@ def hyper_to_jsonable(h: Hyper) -> dict:
 
 
 def hyper_from_jsonable(doc: dict) -> Hyper:
+    """Inverse of `hyper_to_jsonable`; ConfigError for a malformed document."""
     try:
         structure = doc["structure"]
         alpha = float(doc["alpha"])
         rate = doc["rate"]
-    except (KeyError, TypeError) as exc:
+        if structure == "A":
+            return WishartHyper(alpha, np.asarray(rate, dtype=float))
+        if structure == "D":
+            return GammaVecHyper(alpha, np.asarray(rate, dtype=float))
+        if structure == "C":
+            return GammaHyper(alpha, float(rate), int(doc.get("dim", 1)))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed hyperparameter document: {exc}") from exc
-    if structure == "A":
-        return WishartHyper(alpha, np.asarray(rate, dtype=float))
-    if structure == "D":
-        return GammaVecHyper(alpha, np.asarray(rate, dtype=float))
-    if structure == "C":
-        return GammaHyper(alpha, float(rate), int(doc.get("dim", 1)))
     raise ConfigError(f"unknown structure {structure!r}")
-
-
-def _hyper_dim(h: Hyper) -> int:
-    return h.dim
-
-
-def _check_hyper_dim(h: Hyper, d: Optional[int]) -> None:
-    if d is not None and d != h.dim:
-        raise DimensionMismatchError(f"hyper dimension {h.dim} != requested d={d}")

@@ -146,8 +146,8 @@ class RegressionHyper:
             lam = lam.reshape(0, 0)
         if nu.size == 0:
             nu = nu.reshape(self.cov.dim, 0)
-        if lam.shape[0] != lam.shape[1]:
-            raise DimensionMismatchError("Lambda must be square")
+        if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
+            raise DimensionMismatchError("Lambda must be a square matrix")
         if nu.shape[1] != lam.shape[0]:
             raise DimensionMismatchError("nu column count must match Lambda")
         if nu.shape[0] != self.cov.dim:

@@ -14,7 +14,7 @@ floating-point accuracy by construction.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .precision import DiagPrecision, FullPrecision, HalfPrecision, IsoPrecision
 from .priors import (
-    GammaHyper,
     GammaVecHyper,
     Hyper,
     HyperTriple,
@@ -115,15 +114,15 @@ def map_estimate(h: Hyper, stats: SuffStats) -> HalfPrecision:
 
 
 def log_evidence(h: Hyper, stats: SuffStats) -> float:
-    """Exact log marginal likelihood.
+    """Exact log marginal likelihood, also where the posterior has no mode.
 
-    Computed as base measure plus the log-ratio of prior to posterior
-    normalizing constants; identical to the per-structure closed forms.
+    A batch of one through `fit_structure`; raises the reason where the
+    evidence is undefined.
     """
-    post = conjugate_update(h, stats)
-    return float(
-        -stats.n * stats.d / 2 * LOG_PI + log_normalizer(h) - log_normalizer(post)
-    )
+    fit = fit_structure(h, stats.s[None], stats.n)
+    if np.isnan(fit.log_evidence[0]):
+        raise fit.errors[0]
+    return float(fit.log_evidence[0])
 
 
 def log_evidence_flat(structure: str, stats: SuffStats) -> float:
@@ -236,7 +235,9 @@ class StackFit:
     Arrays have a leading replicate axis of length r; `map` is (r, d, d)
     for A, (r, d) for D and (r,) for C. BIC, pcBIC and KIC are None at
     n = 0, where log n is undefined. A replicate that could not be fit
-    has NaN entries, False in `valid`, and the reason in `errors`.
+    has False in `valid`, the reason in `errors`, and NaN entries, except
+    in `log_evidence`: the evidence is defined without a mode, so it is
+    filled wherever the posterior is proper, even for a non-regular prior.
     """
 
     structure: str
@@ -299,7 +300,7 @@ def fit_stack(s: np.ndarray, n: int, hypers: HyperTriple) -> Dict[str, StackFit]
 
 def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackFit:
     """Fit one structure to a stack of scatters: the kernel behind
-    `fit_stack` and `criteria`.
+    `fit_stack`, `criteria` and `log_evidence`.
 
     `coef_cols` is the number of covariate columns of a regression model
     whose coefficients are profiled out of the joint posterior mode (see
@@ -324,41 +325,45 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     alpha_post = h.alpha + n * per_obs
     rate_post = h.rate + stat
     mult = alpha_post + coef_cols * per_obs - power
-    if mult <= 0:
-        shape = "shape" if structure == "A" else "gamma shape"
-        bound = "(d+1)/2" if structure == "A" else "1"
-        return _unfit(
-            h, r, d, n,
-            NonRegularPriorError(f"posterior mode undefined: {shape} {mult + power} <= {bound}"),
-        )
-    # the mode, and log_base: log|H| for A and D, log eta for C (the
-    # log of what the densities raise to alpha - power)
+    # the evidence needs a proper posterior (a positive definite rate), not a mode
     errors: Dict[int, CovselError] = {}
     if structure == "A":
         chol, errors = _cholesky_stack(rate_post)
         log_rate_post = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    else:
+        log_rate_post = np.log(rate_post).sum(axis=axes)
+    base = -n * d / 2 * LOG_PI
+    lz_prior = log_normalizer(h)
+    lz_post = log_normalizer_at(structure, alpha_post, log_rate_post, d)
+    log_evidence = base + lz_prior - lz_post
+    if mult <= 0:
+        shape = "shape" if structure == "A" else "gamma shape"
+        bound = "(d+1)/2" if structure == "A" else "1"
+        error = NonRegularPriorError(f"posterior mode undefined: {shape} {mult + power} <= {bound}")
+        log_evidence[list(errors)] = np.nan
+        fit = _unfit(h, r, d, n, error)
+        return replace(fit, log_evidence=log_evidence, errors={**fit.errors, **errors})
+    # the mode, and log_base: log|H| for A and D, log eta for C (the
+    # log of what the densities raise to alpha - power)
+    if structure == "A":
         inv = np.linalg.inv(chol)
         theta = mult * np.einsum("rki,rkj->rij", inv, inv)
         log_base = d * math.log(mult) - log_rate_post
     else:
         theta = mult / rate_post
-        log_rate_post = np.log(rate_post).sum(axis=axes)
         log_base = np.log(theta).sum(axis=axes)
     log_det_h = d * log_base if structure == "C" else log_base
 
     def dot(rate):
         return (theta * rate).sum(axis=axes)
 
-    base = -n * d / 2 * LOG_PI
-    lz_prior = log_normalizer(h)
-    lz_post = log_normalizer_at(structure, alpha_post, log_rate_post, d)
     log_prior = lz_prior + (h.alpha - power) * log_base - dot(h.rate)
     log_post = lz_post + (alpha_post - power) * log_base - dot(rate_post)
     log_lik = n / 2 * log_det_h + base - dot(stat) if n else np.zeros(r)
     k = param_count(structure, d)
     out = {
         "log_lik": log_lik,
-        "log_evidence": base + lz_prior - lz_post,
+        "log_evidence": log_evidence,
         "flexibility": log_post - log_prior,
         "log_prior": log_prior,
     }
@@ -462,7 +467,7 @@ def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[
     cols = []
     for structure in SIMPLEST_FIRST:
         values = fits[structure].values(criterion)
-        cols.append(np.full(fits[structure].valid.shape, np.nan) if values is None else values)
+        cols.append(np.where(fits[structure].valid, np.nan if values is None else values, np.nan))
     return [SIMPLEST_FIRST[j] if j >= 0 else None for j in simplest_best(np.stack(cols, axis=1))]
 
 
@@ -501,18 +506,10 @@ def evidence_oracle(
     raise ConfigError(f"unknown oracle method {method!r}")
 
 
-def _param_dim(h: Hyper) -> int:
-    if isinstance(h, WishartHyper):
-        return h.dim * (h.dim + 1) // 2
-    if isinstance(h, GammaVecHyper):
-        return h.dim
-    return 1
-
-
 def _evidence_quadrature(h: Hyper, stats: SuffStats) -> Tuple[float, float]:
     from scipy import integrate  # the package needs scipy.integrate only here
 
-    p = _param_dim(h)
+    p = param_count(h.structure, h.dim)
     if p > 2:
         raise ConfigError(f"quadrature oracle supports parameter dimension <= 2, got {p}")
     n, d = stats.n, stats.d
@@ -522,10 +519,7 @@ def _evidence_quadrature(h: Hyper, stats: SuffStats) -> Tuple[float, float]:
         # structures A and D at d = 1 are gamma priors in disguise, with the
         # same (shape, rate, likelihood-exponent) ingredients as structure C
         a = h.alpha
-        b = float(h.rate) if isinstance(h, GammaHyper) else float(np.ravel(h.rate)[0])
-        b_post = (
-            float(post.rate) if isinstance(post, GammaHyper) else float(np.ravel(post.rate)[0])
-        )
+        b, b_post = (float(np.ravel(prior.rate)[0]) for prior in (h, post))
         center = post.alpha / b_post
         lik = lambda eta: n * d / 2 * np.log(eta) - eta * stats.s_total
 

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import covsel.asymptotics as asymptotics
 from covsel.asymptotics import (
+    GapStudyRow,
     RateStudyConfig,
+    RateStudyRow,
     flexibility_bic_gap,
     flexibility_gap_study,
     linear_rate_constant,
@@ -13,10 +16,76 @@ from covsel.asymptotics import (
     second_moment_diag,
     second_moment_matrix,
 )
-from covsel.errors import ConfigError
+from covsel.data import SuffStats
+from covsel.errors import ConfigError, NotPositiveDefiniteError
 from covsel.montecarlo import gaussian_rows, oracle_hyper
-from covsel.precision import FullPrecision, IsoPrecision
-from covsel.priors import GammaHyper, GammaVecHyper, WishartHyper, sample_half_precision
+from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
+from covsel.priors import (
+    GammaHyper,
+    GammaVecHyper,
+    WishartHyper,
+    matched_family,
+    sample_half_precision,
+)
+from covsel.structures import criteria, log_evidence, param_count
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-replicate loops the stacked studies replaced
+# ---------------------------------------------------------------------------
+
+
+def _replicate_stats(seed, n, rep, theta, hyper):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, int(n), rep)))
+    x = gaussian_rows(theta or sample_half_precision(hyper, rng), n, rng)
+    s = x.T @ x
+    return SuffStats(n=n, d=hyper.dim, s=(s + s.T) / 2)
+
+
+def per_replicate_rate_study(config):
+    """(rows, slope) of `rate_study`, two scalar evidences per replicate."""
+    full, nested = config.pair.split("-vs-")
+    family = matched_family(config.hyper)
+    nested_true = config.truth == nested
+    rows, means = [], []
+    for n in config.n_grid:
+        vals = np.empty(config.reps)
+        for rep in range(config.reps):
+            stats = _replicate_stats(config.seed, n, rep, config.fixed_theta, config.hyper)
+            vals[rep] = log_evidence(family.for_structure(full), stats) - log_evidence(
+                family.for_structure(nested), stats
+            )
+        scaled = vals / (np.log(n) if nested_true else float(n))
+        se = float(scaled.std(ddof=1) / np.sqrt(config.reps)) if config.reps > 1 else 0.0
+        rows.append(RateStudyRow(n=int(n), scaled_mean=float(scaled.mean()), se=se))
+        means.append(float(vals.mean()))
+    grid = np.asarray(config.n_grid, dtype=float)
+    xreg = np.log(grid) if nested_true else grid
+    xc = xreg - xreg.mean()
+    slope = float(xc @ (np.asarray(means) - np.mean(means)) / (xc @ xc)) if len(grid) > 1 else None
+    return rows, slope
+
+
+def per_replicate_gap_study(h, theta0, n_grid, reps, seed):
+    """`flexibility_gap_study` with one scalar `criteria` call per replicate."""
+    gap = flexibility_bic_gap(h, theta0)
+    k = param_count(theta0.structure, theta0.dim)
+    rows = []
+    for n in n_grid:
+        flex_term, kic_err = np.empty(reps), np.empty(reps)
+        for rep in range(reps):
+            fit = criteria(h, _replicate_stats(seed, n, rep, theta0, h))
+            flex_term[rep] = fit.flexibility_at_map - k / 2 * np.log(n)
+            kic_err[rep] = abs(fit.kic - fit.log_evidence)
+        rows.append(
+            GapStudyRow(
+                n=int(n),
+                mean_gap_error=float(np.abs(flex_term - gap).mean()),
+                mean_flex_minus_bic_penalty=float(flex_term.mean()),
+                mean_abs_flex_minus_kic_penalty=float(kic_err.mean()),
+            )
+        )
+    return rows
 
 
 class TestLogRateConstant:
@@ -133,8 +202,58 @@ class TestGapStudy:
         assert kic_errs == sorted(kic_errs, reverse=True)
         assert kic_errs[-1] < 0.05
 
+    @pytest.mark.parametrize(
+        "h, theta0",
+        [
+            (GammaHyper(2.0, 1.0, 1), IsoPrecision(1.0, 1)),
+            (GammaVecHyper(3.0, np.array([1.0, 2.0, 0.5])), DiagPrecision(np.array([0.5, 1, 2]))),
+            (WishartHyper(4.0, np.eye(3)), FullPrecision(np.eye(3) + 0.3)),
+        ],
+    )
+    def test_equals_per_replicate_criteria(self, h, theta0):
+        args = (h, theta0, (3, 20, 150), 7, 11)
+        assert flexibility_gap_study(*args) == per_replicate_gap_study(*args)
+
 
 class TestRateStudy:
+    @pytest.mark.parametrize(
+        "pair, truth, hyper, fixed_theta, n_grid",
+        [
+            # nested true
+            ("A-vs-C", "C", oracle_hyper("C", 4, 2.0), None, (2, 5, 30)),
+            # full true at a fixed half-precision
+            ("A-vs-D", "A", oracle_hyper("A", 2, 2.0), FullPrecision(np.eye(2) + 0.4), (2, 5, 30)),
+            # D against C, full true, from the prior
+            ("D-vs-C", "D", oracle_hyper("D", 3, 2.0), None, (2, 5, 30)),
+            # m = -1.5 at d = 1: at n = 1 neither posterior has a mode, but
+            # both have an evidence
+            ("A-vs-C", "A", WishartHyper(0.25, np.eye(1)), FullPrecision(np.eye(1)), (1, 5, 30)),
+        ],
+    )
+    def test_equals_per_replicate_evidences(self, pair, truth, hyper, fixed_theta, n_grid):
+        config = RateStudyConfig(
+            pair=pair, truth=truth, hyper=hyper, n_grid=n_grid, reps=9, seed=4,
+            fixed_theta=fixed_theta,
+        )
+        result = rate_study(config)
+        assert (result.rows, result.slope) == per_replicate_rate_study(config)
+
+    def test_failed_replicate_raises(self, monkeypatch):
+        kernel = asymptotics.fit_structure
+
+        def indefinite_second_scatter(h, s, n):
+            # B + s of replicate 1 is not positive definite for structure A
+            s = s.copy()
+            s[1] = [[1.0, 3.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+            return kernel(h, s, n)
+
+        monkeypatch.setattr(asymptotics, "fit_structure", indefinite_second_scatter)
+        config = RateStudyConfig(
+            pair="A-vs-C", truth="C", hyper=oracle_hyper("C", 3, 2.0), n_grid=(10,), reps=3, seed=0
+        )
+        with pytest.raises(NotPositiveDefiniteError):
+            rate_study(config)
+
     def test_d1_full_vs_diag_is_identically_zero(self):
         config = RateStudyConfig(
             pair="A-vs-D",

@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import covsel.cli as cli
 from covsel.cli import main
 
 IRIS = str(resources.files("covsel") / "datasets" / "iris_setosa.csv")
@@ -89,6 +90,45 @@ class TestSelect:
             ]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "cannot read JSON"),
+            ('["A", "D", "C"]', "expected a JSON object"),
+            (json.dumps({"A": {"structure": "A", "alpha": 4.0, "rate": [[1.0]]}}), "['D', 'C']"),
+            (
+                json.dumps({s: {"structure": s, "alpha": 4.0, "rate": "x"} for s in "ADC"}),
+                "malformed hyperparameter document",
+            ),
+        ],
+    )
+    def test_bad_hyper_file_exits_2(self, tmp_path, capsys, text, message):
+        hp = tmp_path / "hyper.json"
+        hp.write_text(text)
+        assert run(["select", IRIS, "--hyper-source", f"file:{hp}"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"x,y\n1,2\nnan,1\n3,1\n", "row 2, column 1: not a finite number: 'nan'"),
+            (b"x,y\n1,2\n\xff,1\n", "can't decode byte 0xff"),
+        ],
+    )
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert run(["select", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_value_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("programming error")
+
+        monkeypatch.setattr(cli, "select_structure", broken)
+        with pytest.raises(ValueError, match="programming error"):
+            run(["select", IRIS])
 
 
 class TestSimulate:
@@ -231,6 +271,23 @@ class TestRegress:
         assert rc == 2
         assert "undefined for regression" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "cannot read JSON"),
+            ("[1, 2]", "expected a JSON object"),
+            ('{"alpha": "two"}', "malformed --hyper file"),
+            ('{"lambda": [["a"]]}', "malformed --hyper file"),
+            ('{"lambda": [[NaN]]}', "malformed --hyper file"),
+        ],
+    )
+    def test_bad_hyper_file_exits_2(self, tmp_path, capsys, text, message):
+        hp = tmp_path / "hyper.json"
+        hp.write_text(text)
+        argv = ["regress", IRIS, "--response", "sepal_width", "--covariates", "petal_width"]
+        assert run(argv + ["--hyper", str(hp)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_lambda_zero_exits_2(self):
         rc = run(
             [
@@ -292,6 +349,18 @@ class TestRates:
     def test_unknown_pair_exits_2(self):
         rc = run(["rates", "--pair", "B-vs-C", "--n-grid", "10", "--reps", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("truth", ["A", "D", "C"])
+    def test_zero_dimension_exits_2(self, capsys, truth):
+        assert run(["rates", "--truth", truth, "--d", "0", "--n-grid", "10", "--reps", "2"]) == 2
+        assert "d >= 1" in capsys.readouterr().err
+
+    # ragged, non-numeric, not square, non-finite, not positive definite
+    @pytest.mark.parametrize("sigma", ["1,0.5;0.5", "1,a;a,1", "1,0.5", "1,0;0,nan", "1,2;2,1"])
+    def test_bad_fixed_sigma_exits_2(self, capsys, sigma):
+        argv = ["rates", "--pair", "A-vs-D", "--truth", "A", "--n-grid", "10", "--reps", "2"]
+        assert run(argv + ["--fixed-sigma", sigma]) == 2
+        assert "--fixed-sigma is not a positive definite matrix" in capsys.readouterr().err
 
     def test_fixed_sigma(self, tmp_path):
         js = tmp_path / "r.json"

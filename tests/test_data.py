@@ -29,6 +29,12 @@ class TestLoadCsv:
         assert err.value.row == 1
         assert err.value.column == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_location(self, csv_file, cell):
+        with pytest.raises(CsvParseError) as err:
+            load_csv(csv_file(f"x,y\n1,2\n3,{cell}\n"))
+        assert (err.value.row, err.value.column) == (2, 2)
+
     def test_column_subset_by_name(self, csv_file):
         ds = load_csv(csv_file("x,y\n1,0\n0,1\n"), columns=["y"])
         assert (ds.n, ds.d) == (2, 1)

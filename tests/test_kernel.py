@@ -1,9 +1,10 @@
 """The batched scoring kernel (`fit_stack`) against independent oracles.
 
 The oracles are the scalar formulas the kernel replaced: the per-structure
-posterior mode, the criteria assembled from the scalar likelihood,
-evidence, flexibility and prior density, and a central-difference
-log-partition Hessian. They are kept here, not in the package, so that
+posterior mode, the evidence as a ratio of prior to posterior normalizing
+constants, the criteria assembled from the scalar likelihood, evidence,
+flexibility and prior density, and a central-difference log-partition
+Hessian. They are kept here, not in the package, so that
 the kernel is the package's only implementation.
 """
 
@@ -26,12 +27,13 @@ from covsel.priors import (
     WishartHyper,
     conjugate_update,
     empirical_bayes,
+    log_normalizer,
     log_prior_density,
     matched_family,
     sample_half_precision,
     stack_hypers,
 )
-from covsel.specialfn import cholesky_pd
+from covsel.specialfn import LOG_PI, cholesky_pd
 from covsel.structures import (
     SIMPLEST_FIRST,
     best_structures,
@@ -130,6 +132,13 @@ def scalar_map(h, stats):
     return IsoPrecision((post.alpha - 1) / post.rate, d)
 
 
+def scalar_log_evidence(h, stats):
+    """Base measure plus the log-ratio of the prior's and the conjugate
+    posterior's normalizing constants."""
+    post = conjugate_update(h, stats)
+    return float(-stats.n * stats.d / 2 * LOG_PI + log_normalizer(h) - log_normalizer(post))
+
+
 def scalar_criteria(h, stats):
     """MAP, likelihood, evidence, flexibility, prior density and the BIC
     family from the scalar closed forms; the A Hessian written out."""
@@ -139,7 +148,7 @@ def scalar_criteria(h, stats):
     lp = log_prior_density(h, theta)
     out = {
         "log_lik": ll,
-        "log_evidence": log_evidence(h, stats),
+        "log_evidence": scalar_log_evidence(h, stats),
         "flexibility": flexibility(h, stats, theta),
         "log_prior": lp,
     }
@@ -352,6 +361,8 @@ class TestFailuresStayPerReplicate:
             assert fits["A"].log_evidence[i] == solo.log_evidence[0]
         with pytest.raises(NotPositiveDefiniteError):
             fits["A"].report(2)
+        with pytest.raises(NotPositiveDefiniteError):
+            log_evidence(fam.a, SuffStats(n=5, d=2, s=s[2]))
         # the replicate is still ranked among the structures that could be fit
         assert best_structures(fits, "evidence")[2] in ("C", "D")
 
@@ -364,6 +375,51 @@ class TestFailuresStayPerReplicate:
         assert not fits["D"].valid.any() and not fits["C"].valid.any()
         assert isinstance(fits["D"].errors[1], NonRegularPriorError)
         assert best_structures(fits, "evidence") == ["A", "A", "A"]
+
+    def test_non_regular_prior_keeps_its_evidence(self):
+        # m = 2 * 1.2 - 4 < 0: at n = 1 the posterior of A is proper but has
+        # no mode. D and C fit the data badly, so A has the largest evidence.
+        hypers = HyperTriple(
+            WishartHyper(1.2, np.eye(3)),
+            GammaVecHyper(2.0, np.full(3, 50.0)),
+            GammaHyper(2.0, 150.0, 3),
+        )
+        s = random_scatters(np.random.default_rng(10), 4, 1, 3, False)
+        fits = fit_stack(s, 1, hypers)
+        a = fits["A"]
+        assert not a.valid.any()
+        assert all(isinstance(error, NonRegularPriorError) for error in a.errors.values())
+        for field in ("map", "log_lik", "flexibility", "log_prior", "bic", "pc_bic", "kic"):
+            assert np.isnan(getattr(a, field)).all(), field
+        for i in range(4):
+            stats = SuffStats(n=1, d=3, s=s[i])
+            want = scalar_log_evidence(hypers.a, stats)
+            assert a.log_evidence[i] == log_evidence(hypers.a, stats) == want
+            result = select_structure(stats, hypers, "evidence")
+            assert result.skipped["A"].startswith("NonRegularPriorError")
+            assert [rep.structure for rep in result.ranked] == ["D", "C"]
+        assert (a.log_evidence > np.maximum(fits["D"].log_evidence, fits["C"].log_evidence)).all()
+        assert best_structures(fits, "evidence") == ["D"] * 4
+        # an improper posterior has no evidence either
+        s[3] = [[1.0, 3.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # B + s is indefinite
+        a = fit_stack(s, 1, hypers)["A"]
+        assert np.isnan(a.log_evidence[3]) and isinstance(a.errors[3], NotPositiveDefiniteError)
+        with pytest.raises(NotPositiveDefiniteError):
+            log_evidence(hypers.a, SuffStats(n=1, d=3, s=s[3]))
+
+    @PROPERTY
+    @given(case=cases)
+    def test_evidence_is_the_scalar_formula_exactly(self, case):
+        # shapes down to the edge of each prior's support, regular or not
+        rng, d, n, r, near = case
+        s = random_scatters(rng, r, n, d, near)
+        shapes = (
+            rng.uniform((d - 1) / 2 + 0.05, 6.0), rng.uniform(0.05, 5.0), rng.uniform(0.05, 8.0)
+        )
+        for h in random_triple(rng, d, shapes):
+            for i in range(r):
+                stats = SuffStats(n=n, d=d, s=s[i])
+                assert log_evidence(h, stats) == scalar_log_evidence(h, stats)
 
     @pytest.mark.parametrize(
         "name, scheme", [("fit_stack", "oracle"), ("empirical_bayes", "empirical-bayes")]

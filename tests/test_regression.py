@@ -30,6 +30,7 @@ from covsel.priors import (
     GammaVecHyper,
     WishartHyper,
     conjugate_update,
+    log_normalizer,
     sample_half_precision,
 )
 from covsel.regression import (
@@ -96,7 +97,10 @@ def rows_log_evidence(data, rh):
         lam_factor = data.d1 / 2 * (
             chol_log_det(rh.lam) - chol_log_det(data.x.T @ data.x + rh.lam)
         )
-    return float(lam_factor + log_evidence(rh.cov, eff))
+    # the structure evidence as the ratio of prior to posterior normalizers
+    post = conjugate_update(rh.cov, eff)
+    evidence = -eff.n * eff.d / 2 * LOG_PI + log_normalizer(rh.cov) - log_normalizer(post)
+    return float(lam_factor + evidence)
 
 
 def rows_joint_flexibility(data, rh, gamma, theta):
@@ -487,6 +491,10 @@ class TestValidation:
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             RegressionData(np.zeros((4, 2)), np.zeros((5, 1)))
+
+    def test_lambda_must_be_a_matrix(self):
+        with pytest.raises(DimensionMismatchError):
+            RegressionHyper(np.zeros((1, 1)), np.array([2.0]), GammaHyper(2.0, 1.0, 1))
 
 
 def rows_enumerate(data, hypers, include_empty):
