@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError
+from .montecarlo import draw_scatters
 from .precision import HalfPrecision
 from .priors import (
     GammaVecHyper,
@@ -26,7 +27,6 @@ from .priors import (
     log_prior_density,
     matched_family,
     prior_sample_size,
-    sample_half_precision,
 )
 from .specialfn import amgm_half_log_ratio, hadamard_half_log_ratio
 from .structures import (
@@ -158,6 +158,8 @@ class RateStudyConfig:
             raise ConfigError("n_grid must be nonempty positive integers")
         if list(self.n_grid) != sorted(self.n_grid):
             raise ConfigError("n_grid must be increasing")
+        if self.truth == nested and self.n_grid[0] < 2:
+            raise ConfigError("a nested-true study scales by log n and needs n >= 2")
         if self.fixed_theta is not None and self.fixed_theta.dim != self.hyper.dim:
             raise ConfigError("fixed_theta dimension does not match hyper")
 
@@ -209,7 +211,8 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
     means = []
     rows = []
     for n in config.n_grid:
-        s = _draw_scatters(config.seed, n, config.reps, config.hyper, config.fixed_theta)
+        rngs = _streams(config.seed, n, config.reps)
+        s = draw_scatters(config.hyper, n, rngs, config.fixed_theta)
         full_fit, nested_fit = (fit_structure(h, s, n) for h in (h_full, h_nested))
         vals = _defined(full_fit, "log_evidence") - _defined(nested_fit, "log_evidence")
         scale = np.log(n) if nested_true else float(n)
@@ -257,20 +260,9 @@ def _study_target(config: RateStudyConfig, nested: str) -> float:
     raise ConfigError("full-true study with an isotropic truth has a zero rate by construction")
 
 
-def _draw_scatters(
-    seed: int, n: int, reps: int, hyper: Hyper, theta: Optional[HalfPrecision]
-) -> np.ndarray:
-    """(reps, d, d) scatters of n rows; replicate rep draws its half-precision
-    (from `hyper` unless `theta` is fixed) and rows from stream (seed, n, rep)."""
-    from .montecarlo import gaussian_rows  # local import; no cycle at module load
-
-    s = np.empty((reps, hyper.dim, hyper.dim))
-    for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, int(n), rep)))
-        x = gaussian_rows(theta or sample_half_precision(hyper, rng), n, rng)
-        xx = x.T @ x
-        s[rep] = (xx + xx.T) / 2
-    return s
+def _streams(seed: int, n: int, reps: int) -> List[np.random.Generator]:
+    """One generator per replicate, from stream (seed, n, rep)."""
+    return [np.random.default_rng(np.random.SeedSequence((seed, n, rep))) for rep in range(reps)]
 
 
 def _defined(fit: StackFit, field: str) -> np.ndarray:
@@ -308,7 +300,7 @@ def flexibility_gap_study(
     k = param_count(theta0.structure, theta0.dim)
     rows = []
     for n in n_grid:
-        fit = fit_structure(h, _draw_scatters(seed, n, reps, h, theta0), n)
+        fit = fit_structure(h, draw_scatters(h, n, _streams(seed, n, reps), theta0), n)
         flex_term = _defined(fit, "flexibility") - k / 2 * np.log(n)
         kic_err = np.abs(fit.kic - fit.log_evidence)
         rows.append(

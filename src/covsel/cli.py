@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import List, Optional
 
 import numpy as np
@@ -47,9 +48,7 @@ from .regression import (
 )
 from .structures import CRITERIA, SIMPLEST_FIRST, select_structure
 
-_CONFIG_ERRORS = (
-    ConfigError, CsvParseError, EmptyDatasetError, FileNotFoundError, UnicodeDecodeError
-)
+_CONFIG_ERRORS = (ConfigError, CsvParseError, EmptyDatasetError)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -152,10 +151,19 @@ def _manifest(args, command: str) -> dict:
     }
 
 
+@contextmanager
+def _path_errors(path: str):
+    """A path the CLI cannot open, read, write or decode is a ConfigError."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot use {path}: {exc}") from exc
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     """Write text and a newline to `path`, or to stdout when there is none."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _path_errors(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -168,9 +176,9 @@ def _write_json(path: Optional[str], doc: dict) -> None:
 def _read_json(path: str) -> dict:
     """A JSON object from a file; ConfigError if it cannot be read as one."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _path_errors(path), open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+    except ValueError as exc:  # not JSON
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")
@@ -181,7 +189,8 @@ def _read_json(path: str) -> dict:
 
 
 def _cmd_select(args) -> int:
-    data = load_csv(args.data, has_header=not args.no_header, columns=args.columns)
+    with _path_errors(args.data):
+        data = load_csv(args.data, has_header=not args.no_header, columns=args.columns)
     if args.center:
         data = center_columns(data)
     stats = suff_stats(data)
@@ -267,13 +276,13 @@ def _load_regression_hypers(args, d1: int, d2: int):
 
 
 def _cmd_regress(args) -> int:
-    full = load_csv(args.data, has_header=not args.no_header)
+    with _path_errors(args.data):
+        full = load_csv(args.data, has_header=not args.no_header)
     y = full.select(args.response)
-    cov_source = (
-        load_csv(args.covariates_file, has_header=not args.no_header)
-        if args.covariates_file
-        else full
-    )
+    cov_source = full
+    if args.covariates_file:
+        with _path_errors(args.covariates_file):
+            cov_source = load_csv(args.covariates_file, has_header=not args.no_header)
     names = list(args.covariates)
     if args.covariates:
         x = cov_source.select(args.covariates).rows

@@ -46,6 +46,7 @@ __all__ = [
     "gaussian_rows",
     "oracle_hyper",
     "generate_instance",
+    "draw_scatters",
     "run_cell",
     "mcnemar",
     "confusion_table",
@@ -103,6 +104,17 @@ def generate_instance(h: Hyper, n: int, rng: np.random.Generator) -> Dataset:
     """Draw a half-precision from the prior, then n Gaussian rows from it."""
     theta = sample_half_precision(h, rng)
     return Dataset(gaussian_rows(theta, n, rng))
+
+
+def draw_scatters(h: Hyper, n: int, rngs: Sequence, theta: Optional[HalfPrecision] = None):
+    """(r, d, d) symmetric scatters x^T x of n rows, one per generator in
+    `rngs`: each draws a half-precision from the prior `h` (unless `theta`
+    is fixed), then the rows x from N(0, (2 theta)^{-1})."""
+    s = np.empty((len(rngs), h.dim, h.dim))
+    for i, rng in enumerate(rngs):
+        x = gaussian_rows(sample_half_precision(h, rng) if theta is None else theta, n, rng)
+        s[i] = x.T @ x
+    return (s + s.swapaxes(-1, -2)) / 2
 
 
 @dataclass(frozen=True)
@@ -176,11 +188,8 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
     failure; only CovselError counts, anything else propagates.
     """
     gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
-    scatters = np.empty((config.reps, config.d, config.d))
-    for rep in range(config.reps):
-        rows = generate_instance(gen, n, _rep_rng(config, truth, n, rep)).rows
-        s = rows.T @ rows
-        scatters[rep] = (s + s.T) / 2
+    rngs = [_rep_rng(config, truth, n, rep) for rep in range(config.reps)]
+    scatters = draw_scatters(gen, n, rngs)
 
     plan = config.plan
     schemes = {scheme for scheme, _ in plan.values()}

@@ -62,6 +62,7 @@ __all__ = [
     "empirical_bayes",
     "mclust_default",
     "stack_hypers",
+    "sample_prior",
     "sample_half_precision",
     "log_prior_density",
     "hyper_to_jsonable",
@@ -329,8 +330,8 @@ def kl_objective(
     if nested.dim != d:
         raise DimensionMismatchError("full and nested hypers have different dimensions")
 
+    eta = sample_prior(nested, n_samples, rng)
     if isinstance(nested, GammaHyper):
-        eta = rng.gamma(nested.alpha, 1.0 / nested.rate, size=n_samples)
         log_n = (
             log_normalizer(nested)
             + (nested.alpha - 1) * np.log(eta)
@@ -349,7 +350,6 @@ def kl_objective(
                 - np.trace(full.rate) * eta
             )
     else:  # nested D inside full A
-        eta = rng.gamma(nested.alpha, 1.0, size=(n_samples, d)) / nested.rate
         log_eta = np.log(eta)
         log_n = (
             log_normalizer(nested)
@@ -437,53 +437,43 @@ def stack_hypers(triples: Sequence[HyperTriple]) -> HyperTriple:
     )
 
 
-def sample_half_precision(h: Hyper, rng: np.random.Generator) -> HalfPrecision:
-    """Draw one half-precision from the prior.
-
-    Structure A uses the Bartlett decomposition of the equivalent standard
-    Wishart (df = 2*alpha, scale (2B)^{-1}); D and C are plain gamma draws.
-    """
+def sample_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
+    """`size` half-precisions from the prior: (size, d, d) for A, (size, d)
+    for D and (size,) for C. A is Bartlett (`sample_wishart_batch`), D and
+    C are gamma draws. The rate must be one rate, not a stack of them."""
+    if np.ndim(h.rate) != {"A": 2, "D": 1, "C": 0}[h.structure]:
+        raise DimensionMismatchError(f"cannot sample a stacked rate of shape {np.shape(h.rate)}")
     if isinstance(h, WishartHyper):
-        return FullPrecision(_sample_wishart(h, rng))
+        return sample_wishart_batch(h, size, rng)
     if isinstance(h, GammaVecHyper):
-        return DiagPrecision(rng.gamma(h.alpha, 1.0, size=h.dim) / h.rate)
-    return IsoPrecision(float(rng.gamma(h.alpha, 1.0 / h.rate)), h.dim)
+        return rng.gamma(h.alpha, 1.0, size=(size, h.dim)) / h.rate
+    return rng.gamma(h.alpha, 1.0 / h.rate, size=size)
 
 
-def wishart_factor(h: WishartHyper) -> np.ndarray:
-    """F with F F^T = (2B)^{-1}, the scale of the equivalent standard Wishart."""
-    c = cholesky_pd(2 * h.rate)
-    return np.linalg.inv(c).T
-
-
-def _sample_wishart(h: WishartHyper, rng: np.random.Generator) -> np.ndarray:
-    d, nu = h.dim, 2 * h.alpha
-    if nu <= d - 1:
-        raise SupportError(f"Wishart sampling needs 2*alpha > d-1, got 2*alpha = {nu}")
-    f = wishart_factor(h)
-    a = np.zeros((d, d))
-    for j in range(d):
-        a[j, j] = np.sqrt(rng.chisquare(nu - j))
-        for i in range(j + 1, d):
-            a[i, j] = rng.standard_normal()
-    fa = f @ a
-    return fa @ fa.T
+def sample_half_precision(h: Hyper, rng: np.random.Generator) -> HalfPrecision:
+    """Draw one half-precision from the prior: a batch of one of `sample_prior`."""
+    draw = sample_prior(h, 1, rng)[0]
+    if isinstance(h, WishartHyper):
+        return FullPrecision(draw)
+    if isinstance(h, GammaVecHyper):
+        return DiagPrecision(draw)
+    return IsoPrecision(float(draw), h.dim)
 
 
 def sample_wishart_batch(h: WishartHyper, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized Bartlett sampler; returns (size, d, d)."""
+    """Bartlett sampler of the standard Wishart with df = 2*alpha and scale
+    F F^T = (2B)^{-1}; returns (size, d, d). Column j draws its chi-square,
+    then the normals below its diagonal, so a batch of one consumes the
+    stream as a scalar loop over the lower triangle, column by column."""
     d, nu = h.dim, 2 * h.alpha
     if nu <= d - 1:
         raise SupportError(f"Wishart sampling needs 2*alpha > d-1, got 2*alpha = {nu}")
-    f = wishart_factor(h)
     a = np.zeros((size, d, d))
     for j in range(d):
         a[:, j, j] = np.sqrt(rng.chisquare(nu - j, size=size))
-    ii, jj = np.tril_indices(d, k=-1)
-    if ii.size:
-        a[:, ii, jj] = rng.standard_normal(size=(size, ii.size))
-    fa = np.einsum("ij,njk->nik", f, a)
-    return np.einsum("nik,njk->nij", fa, fa)
+        a[:, j + 1 :, j] = rng.standard_normal(size=(size, d - 1 - j))
+    fa = np.linalg.inv(cholesky_pd(2 * h.rate)).T @ a  # F @ a
+    return fa @ fa.swapaxes(-1, -2)
 
 
 def log_prior_density(h: Hyper, theta: HalfPrecision) -> float:

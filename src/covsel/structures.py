@@ -37,7 +37,7 @@ from .priors import (
     log_normalizer,
     log_normalizer_at,
     log_prior_density,
-    sample_wishart_batch,
+    sample_prior,
 )
 from .specialfn import LOG_PI, chol_log_det, log_mv_gamma
 
@@ -589,19 +589,17 @@ def _evidence_prior_mc(
     done = 0
     while done < budget:
         m = min(chunk, budget - done)
+        eta = sample_prior(h, m, rng)
         if isinstance(h, WishartHyper):
-            w = sample_wishart_batch(h, m, rng)
-            sign, logdet = np.linalg.slogdet(w)
+            sign, logdet = np.linalg.slogdet(eta)
             lls[done : done + m] = (
-                n / 2 * logdet + base - np.einsum("nij,ij->n", w, stats.s)
+                n / 2 * logdet + base - np.einsum("nij,ij->n", eta, stats.s)
             )
         elif isinstance(h, GammaVecHyper):
-            eta = rng.gamma(h.alpha, 1.0, size=(m, d)) / h.rate
             lls[done : done + m] = (
                 n / 2 * np.log(eta).sum(axis=1) + base - eta @ stats.s_diag
             )
         else:
-            eta = rng.gamma(h.alpha, 1.0 / h.rate, size=m)
             lls[done : done + m] = n * d / 2 * np.log(eta) + base - eta * stats.s_total
         done += m
     top = lls.max()

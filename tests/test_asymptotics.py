@@ -330,3 +330,16 @@ class TestRateStudy:
                 reps=1,
                 seed=0,
             )
+
+    @pytest.mark.parametrize("pair, truth", [("A-vs-C", "C"), ("A-vs-D", "D"), ("D-vs-C", "C")])
+    def test_nested_true_needs_n_at_least_2(self, pair, truth):
+        # the statistic is scaled by log n, and log 1 = 0
+        with pytest.raises(ConfigError, match="n >= 2"):
+            RateStudyConfig(
+                pair=pair,
+                truth=truth,
+                hyper=oracle_hyper(truth, 3, 2.0),
+                n_grid=(1, 10),
+                reps=5,
+                seed=0,
+            )

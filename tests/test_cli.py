@@ -350,6 +350,11 @@ class TestRates:
         rc = run(["rates", "--pair", "B-vs-C", "--n-grid", "10", "--reps", "1"])
         assert rc == 2
 
+    def test_nested_true_n1_exits_2(self, capsys):
+        argv = ["rates", "--truth", "C", "--d", "3", "--n-grid", "1", "10", "--reps", "5"]
+        assert run(argv) == 2
+        assert "n >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("truth", ["A", "D", "C"])
     def test_zero_dimension_exits_2(self, capsys, truth):
         assert run(["rates", "--truth", truth, "--d", "0", "--n-grid", "10", "--reps", "2"]) == 2
@@ -374,6 +379,22 @@ class TestRates:
         assert rc == 0
         doc = json.loads(js.read_text())
         assert doc["study"]["target"] == pytest.approx(0.5 * np.log(4 / 3))
+
+
+class TestPaths:
+    # a directory where a file is expected raises IsADirectoryError, not FileNotFoundError
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "DIR"],
+            ["regress", IRIS, "--response", "sepal_length", "--covariates-file", "DIR"],
+            ["simulate", "--n", "5", "--reps", "1", "--d", "2", "--json", "DIR"],
+        ],
+    )
+    def test_directory_exits_2(self, tmp_path, capsys, argv):
+        assert run([str(tmp_path) if arg == "DIR" else arg for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
 
 
 class TestEntryPoint:

@@ -9,7 +9,9 @@ from covsel.montecarlo import (
     CellDecisions,
     SimConfig,
     TRUTH_ORDER,
+    _rep_rng,
     confusion_table,
+    draw_scatters,
     generate_instance,
     mcnemar,
     oracle_hyper,
@@ -100,6 +102,21 @@ class TestGenerateInstance:
         mean = acc.mean(axis=0)
         se = acc.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(mean - second_moment_matrix(h)) < 3 * se)
+
+
+class TestDrawScatters:
+    @pytest.mark.parametrize("truth", TRUTH_ORDER)
+    def test_equals_per_replicate_generate_instance(self, truth):
+        """The per-replicate loop `run_cell` ran before, kept as the oracle."""
+        config = SimConfig(d=3, n_values=(4,), reps=20, seed=11)
+        h = oracle_hyper(truth, config.d, config.beta_inverse)
+        expected = np.empty((config.reps, config.d, config.d))
+        for rep in range(config.reps):
+            rows = generate_instance(h, 4, _rep_rng(config, truth, 4, rep)).rows
+            s = rows.T @ rows
+            expected[rep] = (s + s.T) / 2
+        rngs = [_rep_rng(config, truth, 4, rep) for rep in range(config.reps)]
+        np.testing.assert_array_equal(draw_scatters(h, 4, rngs), expected)
 
 
 class TestRunCell:

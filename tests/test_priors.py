@@ -29,7 +29,9 @@ from covsel.priors import (
     mclust_default,
     prior_sample_size,
     sample_half_precision,
+    sample_prior,
     shape_for_sample_size,
+    stack_hypers,
 )
 
 
@@ -277,6 +279,69 @@ class TestSampler:
         sample_half_precision(h, np.random.default_rng(0))
         with pytest.raises(SupportError):
             WishartHyper(0.9, np.eye(3))
+
+
+def bartlett_loop(h, rng):
+    """The element-by-element Bartlett sampler that `sample_wishart_batch`
+    replaced, kept as its oracle: one scalar draw at a time, column by
+    column, the chi-square first."""
+    d, nu = h.dim, 2 * h.alpha
+    a = np.zeros((d, d))
+    for j in range(d):
+        a[j, j] = np.sqrt(rng.chisquare(nu - j))
+        for i in range(j + 1, d):
+            a[i, j] = rng.standard_normal()
+    fa = np.linalg.inv(np.linalg.cholesky(2 * h.rate)).T @ a
+    return fa @ fa.T
+
+
+class TestSamplerOracles:
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("excess", [0.05, 0.25, 0.5, 3.0])  # alpha - (d-1)/2
+    def test_bartlett_loop_bit_identical(self, d, excess):
+        g = np.random.default_rng(d).standard_normal((d, d + 2))
+        h = WishartHyper((d - 1) / 2 + excess, g @ g.T / d + 0.3 * np.eye(d))
+        old, new = np.random.default_rng(30), np.random.default_rng(30)
+        for _ in range(50):
+            # nearer the boundary, draws are often numerically singular and
+            # FullPrecision rejects them; there the raw batch of one is compared
+            if excess < 0.25:
+                draw = sample_prior(h, 1, new)[0]
+            else:
+                draw = sample_half_precision(h, new).matrix
+            np.testing.assert_array_equal(draw, bartlett_loop(h, old))
+        assert new.bit_generator.state == old.bit_generator.state
+
+    def test_gamma_draws_match_scalar(self):
+        hd, hc = GammaVecHyper(2.5, np.array([0.5, 1.0, 2.0])), GammaHyper(6.0, 1.5, 3)
+        old, new = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(20):
+            np.testing.assert_array_equal(
+                sample_half_precision(hd, new).diag, old.gamma(hd.alpha, 1.0, size=3) / hd.rate
+            )
+            assert sample_half_precision(hc, new).value == float(old.gamma(hc.alpha, 1 / hc.rate))
+        expected_d = np.stack([old.gamma(hd.alpha, 1.0, size=3) / hd.rate for _ in range(40)])
+        np.testing.assert_array_equal(sample_prior(hd, 40, new), expected_d)
+        expected_c = np.array([old.gamma(hc.alpha, 1 / hc.rate) for _ in range(40)])
+        np.testing.assert_array_equal(sample_prior(hc, 40, new), expected_c)
+        assert new.bit_generator.state == old.bit_generator.state
+
+    def test_batch_shapes(self):
+        rng = np.random.default_rng(32)
+        family = matched_family(WishartHyper(4.0, np.eye(3)))
+        shapes = [sample_prior(h, 7, rng).shape for h in family]
+        assert shapes == [(7, 3, 3), (7, 3), (7,)]
+
+    @pytest.mark.parametrize("structure", ["A", "D", "C"])
+    def test_stacked_rate_rejected(self, structure):
+        stacked = stack_hypers(
+            [matched_family(WishartHyper(4.0, b * np.eye(3))) for b in (1.0, 2.0)]
+        ).for_structure(structure)
+        rng = np.random.default_rng(33)
+        with pytest.raises(DimensionMismatchError, match="stacked rate"):
+            sample_half_precision(stacked, rng)
+        with pytest.raises(DimensionMismatchError, match="stacked rate"):
+            sample_prior(stacked, 4, rng)
 
 
 class TestLogPriorDensity:
