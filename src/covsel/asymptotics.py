@@ -212,7 +212,7 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
     rows = []
     for n in config.n_grid:
         rngs = _streams(config.seed, n, config.reps)
-        s = draw_scatters(config.hyper, n, rngs, config.fixed_theta)
+        s = _draw(config.hyper, n, rngs, config.fixed_theta)
         full_fit, nested_fit = (fit_structure(h, s, n) for h in (h_full, h_nested))
         vals = _defined(full_fit, "log_evidence") - _defined(nested_fit, "log_evidence")
         scale = np.log(n) if nested_true else float(n)
@@ -265,6 +265,15 @@ def _streams(seed: int, n: int, reps: int) -> List[np.random.Generator]:
     return [np.random.default_rng(np.random.SeedSequence((seed, n, rep))) for rep in range(reps)]
 
 
+def _draw(h: Hyper, n: int, rngs: List, theta: Optional[HalfPrecision]) -> np.ndarray:
+    """`draw_scatters`, raising the first stream's error: a study averages
+    every replicate, so one that cannot be drawn fails the study."""
+    s, errors = draw_scatters(h, n, rngs, theta)
+    if errors:
+        raise errors[min(errors)]
+    return s
+
+
 def _defined(fit: StackFit, field: str) -> np.ndarray:
     """One field of a stack fit; raises the error of the first replicate
     where it is undefined, so that no study averages NaN."""
@@ -300,7 +309,7 @@ def flexibility_gap_study(
     k = param_count(theta0.structure, theta0.dim)
     rows = []
     for n in n_grid:
-        fit = fit_structure(h, draw_scatters(h, n, _streams(seed, n, reps), theta0), n)
+        fit = fit_structure(h, _draw(h, n, _streams(seed, n, reps), theta0), n)
         flex_term = _defined(fit, "flexibility") - k / 2 * np.log(n)
         kic_err = np.abs(fit.kic - fit.log_evidence)
         rows.append(

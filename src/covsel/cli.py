@@ -200,11 +200,18 @@ def _cmd_select(args) -> int:
     elif source == "mclust":
         hypers = mclust_default(stats)
     elif source.startswith("file:"):
-        doc = _read_json(source[5:])
+        path = source[5:]
+        doc = _read_json(path)
         missing = [structure for structure in "ADC" if structure not in doc]
         if missing:
-            raise ConfigError(f"{source[5:]} has no hyperparameters for structure(s) {missing}")
+            raise ConfigError(f"{path} has no hyperparameters for structure(s) {missing}")
         hypers = HyperTriple(*(hyper_from_jsonable(doc[structure]) for structure in "ADC"))
+        for structure, h in zip("ADC", hypers):
+            if (h.structure, h.dim) != (structure, stats.d):
+                raise ConfigError(
+                    f"{path}: entry {structure!r} is a structure-{h.structure} prior of "
+                    f"dimension {h.dim}; the data need structure {structure}, d = {stats.d}"
+                )
     else:
         raise ConfigError(f"unknown hyper source {source!r}")
     result = select_structure(stats, hypers, args.criterion)
@@ -270,9 +277,14 @@ def _load_regression_hypers(args, d1: int, d2: int):
         nu = np.asarray(doc["nu"], dtype=float) if "nu" in doc else None
         lam = np.asarray(doc["lambda"], dtype=float) if "lambda" in doc else None
         alpha, beta = float(doc.get("alpha", 2.0)), float(doc.get("beta", 1.0))
-        return standard_hypers(d1, d2, alpha=alpha, beta=beta, nu=nu, lam=lam)
-    except (TypeError, ValueError) as exc:  # a non-numeric or non-finite entry
+        hypers = standard_hypers(d1, d2, alpha=alpha, beta=beta, nu=nu, lam=lam)
+    # TypeError and ValueError: a non-numeric or non-finite entry; CovselError:
+    # mismatched shapes, or a value outside the prior's support
+    except (TypeError, ValueError, CovselError) as exc:
         raise ConfigError(f"malformed --hyper file {args.hyper}: {exc}") from exc
+    if hypers["C"].d2 != d2:
+        raise ConfigError(f"--hyper file {args.hyper}: nu and lambda need {d2} covariate columns")
+    return hypers
 
 
 def _cmd_regress(args) -> int:
@@ -283,6 +295,10 @@ def _cmd_regress(args) -> int:
     if args.covariates_file:
         with _path_errors(args.covariates_file):
             cov_source = load_csv(args.covariates_file, has_header=not args.no_header)
+        if cov_source.n != y.n:
+            raise ConfigError(
+                f"{args.covariates_file} has {cov_source.n} rows but {args.data} has {y.n}"
+            )
     names = list(args.covariates)
     if args.covariates:
         x = cov_source.select(args.covariates).rows

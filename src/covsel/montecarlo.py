@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import bdtr
 
 from .data import Dataset, SuffStats
-from .errors import ConfigError, CovselError
+from .errors import ConfigError, CovselError, SupportError
 from .precision import DiagPrecision, FullPrecision, HalfPrecision
 from .priors import (
     GammaHyper,
@@ -106,15 +106,34 @@ def generate_instance(h: Hyper, n: int, rng: np.random.Generator) -> Dataset:
     return Dataset(gaussian_rows(theta, n, rng))
 
 
-def draw_scatters(h: Hyper, n: int, rngs: Sequence, theta: Optional[HalfPrecision] = None):
+def draw_scatters(
+    h: Hyper, n: int, rngs: Sequence, theta: Optional[HalfPrecision] = None
+) -> Tuple[np.ndarray, Dict[int, CovselError]]:
     """(r, d, d) symmetric scatters x^T x of n rows, one per generator in
     `rngs`: each draws a half-precision from the prior `h` (unless `theta`
-    is fixed), then the rows x from N(0, (2 theta)^{-1})."""
-    s = np.empty((len(rngs), h.dim, h.dim))
-    for i, rng in enumerate(rngs):
-        x = gaussian_rows(sample_half_precision(h, rng) if theta is None else theta, n, rng)
-        s[i] = x.T @ x
-    return (s + s.swapaxes(-1, -2)) / 2
+    is fixed), then the rows x from N(0, (2 theta)^{-1}).
+
+    A stream whose draw fails gets a NaN scatter and an entry in the
+    returned errors, so it fails alone, not the stack. A draw fails where
+    the prior's draw is too close to singular to be a half-precision, or so
+    close to zero that the scatter of its rows overflows.
+    """
+    s = np.full((len(rngs), h.dim, h.dim), np.nan)
+    errors: Dict[int, CovselError] = {}
+    # an overflowing scatter (inf, or NaN from inf - inf) becomes an error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, rng in enumerate(rngs):
+            try:
+                x = gaussian_rows(sample_half_precision(h, rng) if theta is None else theta, n, rng)
+            except CovselError as exc:
+                errors[i] = exc
+                continue
+            s[i] = x.T @ x
+        s = (s + s.swapaxes(-1, -2)) / 2
+    for i in np.flatnonzero(~np.isfinite(s).all(axis=(-2, -1))):
+        errors.setdefault(int(i), SupportError("the scatter of a drawn half-precision overflows"))
+        s[i] = np.nan
+    return s, errors
 
 
 @dataclass(frozen=True)
@@ -183,13 +202,14 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
 
     Every replicate is drawn first. Each hyperparameter scheme then fits
     the whole stack of scatters once, and every criterion label is ranked
-    from those shared fits. A replicate whose hyperparameters cannot be
-    built, or for which some label has no structure left, counts as a
-    failure; only CovselError counts, anything else propagates.
+    from those shared fits. A replicate that cannot be drawn, whose
+    hyperparameters cannot be built, or for which some label has no
+    structure left, counts as a failure; only CovselError counts, anything
+    else propagates.
     """
     gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
     rngs = [_rep_rng(config, truth, n, rep) for rep in range(config.reps)]
-    scatters = draw_scatters(gen, n, rngs)
+    scatters, undrawn = draw_scatters(gen, n, rngs)
 
     plan = config.plan
     schemes = {scheme for scheme, _ in plan.values()}
@@ -200,6 +220,8 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
     per_rep = {scheme: [] for scheme in schemes - {"oracle"}}  # triples of the `ok` replicates
     ok = []
     for rep in range(config.reps):
+        if rep in undrawn:
+            continue
         try:
             stats = SuffStats(n=n, d=config.d, s=scatters[rep]) if per_rep else None
             triples = {scheme: builders[scheme](stats) for scheme in per_rep}

@@ -511,7 +511,8 @@ def hyper_to_jsonable(h: Hyper) -> dict:
 
 
 def hyper_from_jsonable(doc: dict) -> Hyper:
-    """Inverse of `hyper_to_jsonable`; ConfigError for a malformed document."""
+    """Inverse of `hyper_to_jsonable`; ConfigError for a malformed document,
+    including one whose values lie outside the prior's support."""
     try:
         structure = doc["structure"]
         alpha = float(doc["alpha"])
@@ -522,6 +523,6 @@ def hyper_from_jsonable(doc: dict) -> Hyper:
             return GammaVecHyper(alpha, np.asarray(rate, dtype=float))
         if structure == "C":
             return GammaHyper(alpha, float(rate), int(doc.get("dim", 1)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, CovselError) as exc:
         raise ConfigError(f"malformed hyperparameter document: {exc}") from exc
     raise ConfigError(f"unknown structure {structure!r}")

@@ -25,7 +25,7 @@ subset slices it, so scoring a subset costs nothing that grows with n.
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +45,7 @@ from .specialfn import LOG_PI, chol_log_det, cholesky_pd, symmetrize
 from .structures import (
     SIMPLEST_FIRST,
     FitReport,
+    StackFit,
     fit_structure,
     log_evidence,
     log_likelihood,
@@ -54,7 +55,6 @@ from .structures import (
 
 __all__ = [
     "RegressionData",
-    "GramStats",
     "RegressionHyper",
     "RegressionFit",
     "EffectiveStats",
@@ -75,38 +75,23 @@ __all__ = [
 # the criteria defined for the regression model; the Kashyap criterion is not
 REGRESSION_CRITERIA = ("evidence", "bic", "pcbic")
 
-
-@dataclass(frozen=True)
-class GramStats:
-    """Sufficient statistics of regression data: the row count n and the
-    Gram matrix [X Y]^T [X Y], the d2 covariate columns first."""
-
-    n: int
-    d2: int
-    gram: np.ndarray
-
-    @property
-    def d1(self) -> int:
-        return self.gram.shape[0] - self.d2
-
-    def subset(self, idx: Sequence[int]) -> "GramStats":
-        """The statistics of covariate columns `idx`, in that order, and every response."""
-        keep = [*idx, *range(self.d2, self.gram.shape[0])]
-        return GramStats(self.n, len(idx), self.gram[np.ix_(keep, keep)])
+# the most covariate subsets scored as one stack: at the cap of 20 candidates
+# one size has 184 756 subsets, whose gathered blocks would take 100s of MB
+_MAX_STACK = 1024
 
 
 @dataclass(frozen=True)
-class RegressionData(GramStats):
-    """Paired response matrix y (n x d1) and covariate matrix x (n x d2).
+class RegressionData:
+    """Paired response matrix y (n x d1) and covariate matrix x (n x d2),
+    with their sufficient statistics: the row count n and the Gram matrix
+    [X Y]^T [X Y], the d2 covariate columns first, formed on construction."""
 
-    Its Gram statistics are formed on construction, so the data serves
-    wherever the statistics do."""
-
-    n: int = field(init=False)
-    d2: int = field(init=False)
-    gram: np.ndarray = field(init=False, repr=False)
     y: np.ndarray
     x: np.ndarray
+    n: int = field(init=False)
+    d1: int = field(init=False)
+    d2: int = field(init=False)
+    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
@@ -125,6 +110,7 @@ class RegressionData(GramStats):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "n", y.shape[0])
+        object.__setattr__(self, "d1", y.shape[1])
         object.__setattr__(self, "d2", x.shape[1])
         object.__setattr__(self, "gram", (gram + gram.T) / 2)
 
@@ -138,6 +124,8 @@ class RegressionHyper:
     nu: np.ndarray
     lam: np.ndarray
     cov: Hyper
+    d1: int = field(init=False)
+    d2: int = field(init=False)
 
     def __post_init__(self):
         nu = np.atleast_2d(np.asarray(self.nu, dtype=float))
@@ -152,32 +140,15 @@ class RegressionHyper:
             raise DimensionMismatchError("nu column count must match Lambda")
         if nu.shape[0] != self.cov.dim:
             raise DimensionMismatchError("nu row count must match the residual prior dimension")
-        if lam.shape[0] > 0:
-            lam = symmetrize(lam)
-            cholesky_pd(lam)
+        lam = symmetrize(lam)
+        cholesky_pd(lam)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "lam", lam)
-
-    @property
-    def d1(self) -> int:
-        return self.nu.shape[0]
-
-    @property
-    def d2(self) -> int:
-        return self.nu.shape[1]
-
-    def subset(self, idx: Sequence[int]) -> "RegressionHyper":
-        """The prior of covariate columns `idx`, in that order. A principal
-        submatrix of a positive definite Lambda is positive definite, so
-        the slice skips the constructor's checks."""
-        sub = object.__new__(RegressionHyper)
-        object.__setattr__(sub, "nu", self.nu[:, list(idx)])
-        object.__setattr__(sub, "lam", self.lam[np.ix_(idx, idx)])
-        object.__setattr__(sub, "cov", self.cov)
-        return sub
+        object.__setattr__(self, "d1", nu.shape[0])
+        object.__setattr__(self, "d2", nu.shape[1])
 
 
-def fit_coefficients(data: GramStats, nu: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def fit_coefficients(data: RegressionData, nu: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Regularized least-squares coefficients.
 
     gamma_hat = (Y^T X + nu Lambda)(X^T X + Lambda)^{-1}; reduces to nu
@@ -186,10 +157,10 @@ def fit_coefficients(data: GramStats, nu: np.ndarray, lam: np.ndarray) -> np.nda
     """
     nu = np.atleast_2d(np.asarray(nu, dtype=float))
     # the coefficients do not depend on the structure prior on H
-    return effective_stats(data, RegressionHyper(nu, lam, GammaHyper(1.0, 1.0, len(nu)))).gamma_hat
+    return effective_stats(data, RegressionHyper(nu, lam, GammaHyper(1.0, 1.0, len(nu)))).gamma_hat[0]
 
 
-def residual_stats(data: GramStats, gamma: np.ndarray) -> SuffStats:
+def residual_stats(data: RegressionData, gamma: np.ndarray) -> SuffStats:
     """Sufficient statistics of the residuals eps_i = y_i - gamma x_i.
 
     Their scatter is E^T G E with E = [-gamma^T; I], since [X Y] E = Y - X gamma^T.
@@ -200,18 +171,20 @@ def residual_stats(data: GramStats, gamma: np.ndarray) -> SuffStats:
 
 
 class EffectiveStats(NamedTuple):
-    """What one covariate subset and one (nu, Lambda) give every structure."""
+    """What a stack of r covariate subsets of size k and one (nu, Lambda)
+    give every structure, one entry per subset along the leading axis."""
 
-    gamma_hat: np.ndarray  # the coefficients' posterior mean, d1 x d2
-    stats: SuffStats  # the effective scatter R
-    residuals: SuffStats  # the raw residual scatter at gamma_hat, Q = R - shrink
-    shrink: np.ndarray  # (gamma_hat - nu) Lambda (gamma_hat - nu)^T
-    log_det_lam: float  # log|Lambda|
-    log_det_post_lam: float  # log|X^T X + Lambda|
+    gamma_hat: np.ndarray  # the coefficients' posterior means, (r, d1, k)
+    scatter: np.ndarray  # the effective scatters R, (r, d1, d1)
+    shrink: np.ndarray  # (gamma_hat - nu) Lambda (gamma_hat - nu)^T, (r, d1, d1)
+    log_det_lam: np.ndarray  # log|Lambda|, (r,)
+    log_det_post_lam: np.ndarray  # log|X^T X + Lambda|, (r,)
 
 
-def effective_stats(data: GramStats, rh: RegressionHyper) -> EffectiveStats:
-    """Coefficient estimate and the effective residual scatter R.
+def effective_stats(data: RegressionData, rh: RegressionHyper, subsets=None) -> EffectiveStats:
+    """Coefficient estimates and effective residual scatters R of a stack
+    of covariate subsets: `subsets` is an (r, k) array of column indices,
+    by default the one subset of every column.
 
     R adds the prior-shrinkage penalty (gamma_hat - nu) Lambda (...)^T to
     the raw residual scatter; it is exactly the rate update each structure
@@ -219,38 +192,36 @@ def effective_stats(data: GramStats, rh: RegressionHyper) -> EffectiveStats:
     b = X^T Y + Lambda nu^T and C the Cholesky factor of A:
     gamma_hat^T = A^{-1} b and R = Y^T Y + nu Lambda nu^T - W^T W with
     W = C^{-1} b, the trailing Schur block of the augmented matrix
-    [[A, b], [b^T, Y^T Y + nu Lambda nu^T]]. C also gives log|A|.
+    [[A, b], [b^T, Y^T Y + nu Lambda nu^T]]. C also gives log|A|. Each
+    block is gathered from the one Gram matrix and factored as a stack;
+    k = 0 (no covariates) runs through the same (r, 0, 0) stacks.
     """
     if rh.d1 != data.d1 or rh.d2 != data.d2:
         raise DimensionMismatchError(
             f"hyper shapes (d1={rh.d1}, d2={rh.d2}) do not match data "
             f"(d1={data.d1}, d2={data.d2})"
         )
-    p, nu, lam = data.d2, rh.nu, rh.lam
-    lam_nu = lam @ nu.T
-    r = data.gram[p:, p:] + nu @ lam_nu
-    gamma_hat, log_det_lam, log_det_post_lam = np.zeros((data.d1, 0)), 0.0, 0.0
-    if p:
-        c = cholesky_pd(data.gram[:p, :p] + lam)
-        w = np.linalg.solve(c, data.gram[:p, p:] + lam_nu)
-        r = r - w.T @ w
-        gamma_hat = np.linalg.solve(c.T, w).T
-        log_det_lam = chol_log_det(lam)
-        log_det_post_lam = 2.0 * float(np.log(np.diag(c)).sum())
+    idx = np.arange(data.d2)[None] if subsets is None else subsets
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    nu, lam = rh.nu[:, idx].swapaxes(0, 1), rh.lam[rows, cols]
+    lam_nu = lam @ nu.swapaxes(-1, -2)
+    r = data.gram[data.d2 :, data.d2 :] + nu @ lam_nu
+    c = cholesky_pd(data.gram[rows, cols] + lam)
+    w = np.linalg.solve(c, data.gram[idx, data.d2 :] + lam_nu)
+    r = r - w.swapaxes(-1, -2) @ w
+    gamma_hat = np.linalg.solve(c.swapaxes(-1, -2), w).swapaxes(-1, -2)
     dev = gamma_hat - nu
-    shrink = dev @ lam @ dev.T
-    r, shrink = (r + r.T) / 2, (shrink + shrink.T) / 2
+    shrink = dev @ lam @ dev.swapaxes(-1, -2)
     return EffectiveStats(
         gamma_hat=gamma_hat,
-        stats=SuffStats(n=data.n, d=data.d1, s=r),
-        residuals=SuffStats(n=data.n, d=data.d1, s=r - shrink),
-        shrink=shrink,
-        log_det_lam=log_det_lam,
-        log_det_post_lam=log_det_post_lam,
+        scatter=(r + r.swapaxes(-1, -2)) / 2,
+        shrink=(shrink + shrink.swapaxes(-1, -2)) / 2,
+        log_det_lam=chol_log_det(lam),
+        log_det_post_lam=2.0 * np.log(np.diagonal(c, axis1=-2, axis2=-1)).sum(axis=-1),
     )
 
 
-def log_evidence_regression(data: GramStats, rh: RegressionHyper) -> float:
+def log_evidence_regression(data: RegressionData, rh: RegressionHyper) -> float:
     """Exact log marginal likelihood of the regression model.
 
     The covariate factor (d1/2) log(|Lambda| / |X^T X + Lambda|) plus the
@@ -258,11 +229,11 @@ def log_evidence_regression(data: GramStats, rh: RegressionHyper) -> float:
     is exactly the no-covariate structure evidence of y.
     """
     eff = effective_stats(data, rh)
-    lam_factor = rh.d1 / 2 * (eff.log_det_lam - eff.log_det_post_lam)
-    return float(lam_factor + log_evidence(rh.cov, eff.stats))
+    lam_factor = rh.d1 / 2 * (eff.log_det_lam[0] - eff.log_det_post_lam[0])
+    return float(lam_factor + log_evidence(rh.cov, SuffStats(data.n, data.d1, eff.scatter[0])))
 
 
-def log_likelihood_regression(data: GramStats, gamma: np.ndarray, theta: HalfPrecision) -> float:
+def log_likelihood_regression(data: RegressionData, gamma: np.ndarray, theta: HalfPrecision) -> float:
     """Joint log-likelihood at coefficients gamma and half-precision theta."""
     if theta.dim != data.d1:
         raise DimensionMismatchError("theta dimension must equal the response dimension")
@@ -273,8 +244,6 @@ def _log_matrix_normal(gamma, nu, lam, theta) -> float:
     # conditional coefficient density: pi^{-d1 d2/2} |Lambda|^{d1/2} |H|^{d2/2}
     # exp(-tr(H (g - nu) Lambda (g - nu)^T))
     d1, d2 = nu.shape
-    if d2 == 0:
-        return 0.0
     dev = np.atleast_2d(gamma) - nu
     quad = theta.scatter_product(dev @ lam @ dev.T)
     return float(
@@ -288,7 +257,7 @@ def log_joint_prior(rh: RegressionHyper, gamma: np.ndarray, theta: HalfPrecision
 
 
 def joint_flexibility(
-    data: GramStats, rh: RegressionHyper, gamma: np.ndarray, theta: HalfPrecision
+    data: RegressionData, rh: RegressionHyper, gamma: np.ndarray, theta: HalfPrecision
 ) -> float:
     """log joint posterior minus log joint prior at (gamma, theta).
 
@@ -299,12 +268,14 @@ def joint_flexibility(
     eff = effective_stats(data, rh)
     # the conjugate posterior, in the same hyperparameter family
     post = RegressionHyper(
-        eff.gamma_hat, data.gram[: data.d2, : data.d2] + rh.lam, conjugate_update(rh.cov, eff.stats)
+        eff.gamma_hat[0],
+        data.gram[: data.d2, : data.d2] + rh.lam,
+        conjugate_update(rh.cov, SuffStats(data.n, data.d1, eff.scatter[0])),
     )
     return log_joint_prior(post, gamma, theta) - log_joint_prior(rh, gamma, theta)
 
 
-def joint_map(data: GramStats, rh: RegressionHyper) -> Tuple[np.ndarray, HalfPrecision]:
+def joint_map(data: RegressionData, rh: RegressionHyper) -> Tuple[np.ndarray, HalfPrecision]:
     """Joint posterior mode over (gamma, H).
 
     gamma maximizes at gamma_hat for every positive definite H; profiling
@@ -312,35 +283,36 @@ def joint_map(data: GramStats, rh: RegressionHyper) -> Tuple[np.ndarray, HalfPre
     relative to the H-only problem. Raises NonRegularPriorError where
     the mode does not exist.
     """
-    eff = effective_stats(data, rh)
-    return eff.gamma_hat, _report(rh.cov.structure, rh, eff).map
+    structure = rh.cov.structure
+    fit = fit_regression(data, {structure: rh})
+    return fit.gamma_hats[structure], fit.reports[structure].map
 
 
-def _report(structure: str, rh: RegressionHyper, eff: EffectiveStats) -> FitReport:
-    """One structure's fit: the kernel's fit of H at the effective scatter,
-    plus the coefficient block: the covariate factor in the evidence, and
-    the matrix-normal densities at gamma_hat, under the prior (mean nu)
-    and the posterior (mean gamma_hat), in the log prior and flexibility."""
-    n, d1, d2 = eff.stats.n, rh.d1, rh.d2
-    fit = fit_structure(rh.cov, eff.stats.s[None], n, coef_cols=d2)
-    rep = fit.report(0)
-    theta = rep.map
-    quad = theta.scatter_product(eff.shrink)
+def _regression_fit(structure: str, rh: RegressionHyper, eff: EffectiveStats, n: int) -> StackFit:
+    """One structure's fit to a stack of subsets: the kernel's fit of H at each
+    effective scatter, plus the coefficient block: the covariate factor in the
+    evidence, and the matrix-normal densities at gamma_hat, under the prior (mean
+    nu) and the posterior (mean gamma_hat), in the log prior and flexibility."""
+    d1, d2 = eff.gamma_hat.shape[1:]
+    fit = fit_structure(rh.cov, eff.scatter, n, coef_cols=d2)
+    quad = fit.scatter_product(eff.shrink)
     lam_factor = d1 / 2 * (eff.log_det_lam - eff.log_det_post_lam)
-    ll = log_likelihood(theta, eff.residuals)
-    coef_prior = d1 / 2 * eff.log_det_lam + d2 / 2 * theta.log_det() - quad
-    lp = float(fit.log_prior[0]) - d1 * d2 / 2 * LOG_PI + coef_prior
+    # the kernel's log-likelihood is at R; at the raw residuals R - shrink it gains tr(H shrink)
+    ll = fit.log_lik + quad if n else fit.log_lik
+    coef_prior = d1 / 2 * eff.log_det_lam + d2 / 2 * fit.log_det_map - quad
+    lp = fit.log_prior - d1 * d2 / 2 * LOG_PI + coef_prior
     k = param_count(structure, d1) + d1 * d2
     bic = pc_bic = None
     if n >= 1:
         penalty = k / 2 * math.log(n)
         bic, pc_bic = ll - penalty, ll + lp - penalty
     return replace(
-        rep,
+        fit,
         structure=structure,
-        log_lik_at_map=ll,
-        log_evidence=rep.log_evidence + lam_factor,
-        flexibility_at_map=rep.flexibility_at_map - lam_factor + quad,
+        log_lik=ll,
+        log_evidence=fit.log_evidence + lam_factor,
+        flexibility=fit.flexibility - lam_factor + quad,
+        log_prior=lp,
         bic=bic,
         pc_bic=pc_bic,
         kic=None,
@@ -361,7 +333,6 @@ class RegressionFit:
 
     subset: Tuple
     gamma_hats: Dict[str, np.ndarray]
-    residuals: SuffStats
     reports: Dict[str, FitReport]
 
     def best(self, criterion: str = "evidence") -> Tuple[str, float]:
@@ -387,26 +358,41 @@ class RegressionFit:
         }
 
 
-def fit_regression(data: GramStats, hypers: Dict[str, RegressionHyper], subset=()) -> RegressionFit:
-    """Fit every provided structure's regression model on the same data.
+def fit_regression(data: RegressionData, hypers: Dict[str, RegressionHyper], subset=()) -> RegressionFit:
+    """Fit every provided structure's regression model on the same data:
+    a batch of one of the covariate-subset scorer, with every column."""
+    return _fit_subsets(data, hypers, None, [tuple(subset)])[0]
+
+
+def _fit_subsets(
+    data: RegressionData, hypers: Dict[str, RegressionHyper], subsets, labels: Sequence[Tuple]
+) -> List[RegressionFit]:
+    """Fit every provided structure's regression model to a stack of
+    covariate subsets of one size (see `effective_stats`), named `labels`.
 
     The coefficient estimate and the effective scatter depend only on
     (nu, Lambda), not on the variance structure, so they are computed
     once per distinct (nu, Lambda) and shared. Criteria use the joint
     MAP, with k = structure parameters + d1*d2 coefficients. The Kashyap
-    criterion is not defined here and reported as missing.
+    criterion is not defined here and reported as missing. A subset that
+    a structure cannot fit raises the reason, in subset order.
     """
     shared: Dict[tuple, EffectiveStats] = {}
-    reports, gammas, eff = {}, {}, None
+    fits, effs = {}, {}
     for structure, rh in hypers.items():
         key = (rh.nu.shape, rh.nu.tobytes(), rh.lam.tobytes())
         if key not in shared:
-            shared[key] = effective_stats(data, rh)
-        eff = shared[key]
-        reports[structure] = _report(structure, rh, eff)
-        gammas[structure] = eff.gamma_hat
-    residuals = eff.residuals if eff else None
-    return RegressionFit(subset=tuple(subset), gamma_hats=gammas, residuals=residuals, reports=reports)
+            shared[key] = effective_stats(data, rh, subsets)
+        effs[structure] = eff = shared[key]
+        fits[structure] = _regression_fit(structure, rh, eff, data.n)
+    return [
+        RegressionFit(
+            subset=label,
+            gamma_hats={s: eff.gamma_hat[i] for s, eff in effs.items()},
+            reports={s: fit.report(i) for s, fit in fits.items()},
+        )
+        for i, label in enumerate(labels)
+    ]
 
 
 def standard_hypers(
@@ -433,7 +419,7 @@ def standard_hypers(
 
 
 def enumerate_covariates(
-    data: GramStats,
+    data: RegressionData,
     hypers: Dict[str, RegressionHyper],
     names: Optional[Sequence[str]] = None,
     include_empty: bool = False,
@@ -442,7 +428,8 @@ def enumerate_covariates(
 ) -> List[RegressionFit]:
     """Fit every covariate subset, slicing nu and Lambda to the subset.
 
-    Each subset's statistics are a slice of the data's Gram matrix.
+    Each subset's statistics are a slice of the data's Gram matrix; the
+    subsets of one size are scored as stacks of at most _MAX_STACK.
     Subsets are identified by canonical (sorted) column labels so the
     output is invariant to the order candidates are supplied in. Sorted
     by the best value of `criterion` across structures, descending.
@@ -455,12 +442,11 @@ def enumerate_covariates(
     if len(labels) != d2:
         raise ConfigError("names length must match the covariate count")
     fits = []
-    sizes = range(0 if include_empty else 1, d2 + 1)
-    for size in sizes:
-        for idx in combinations(range(d2), size):
-            sliced = {s: rh.subset(idx) for s, rh in hypers.items()}
-            subset = tuple(sorted(labels[i] for i in idx) if names else idx)
-            fits.append(fit_regression(data.subset(idx), sliced, subset=subset))
+    for size in range(0 if include_empty else 1, d2 + 1):
+        combos = combinations(range(d2), size)
+        while block := list(islice(combos, _MAX_STACK)):
+            subsets = [tuple(sorted(labels[i] for i in idx) if names else idx) for idx in block]
+            fits += _fit_subsets(data, hypers, np.array(block, dtype=int), subsets)
     fits.sort(key=lambda f: -f.best(criterion)[1])
     return fits
 
@@ -485,7 +471,7 @@ class LambdaPathRow:
         }
 
 
-def lambda_path(data: GramStats, lambdas: Sequence[float]) -> List[LambdaPathRow]:
+def lambda_path(data: RegressionData, lambdas: Sequence[float]) -> List[LambdaPathRow]:
     """Penalty curves for the single-hyperparameter ridge prior family.
 
     For each lambda the prior is eta ~ gamma(1, lambda^2/2) on the

@@ -57,8 +57,8 @@ def symmetrize(s: np.ndarray, rtol: float = _SYM_RTOL) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise ValueError("matrix entries must be finite")
     st = s.swapaxes(-1, -2)
-    scale = max(float(np.abs(s).max()), 1.0)
-    gap = float(np.abs(s - st).max())
+    scale = max(float(np.abs(s).max(initial=0.0)), 1.0)  # initial: a stack of 0 x 0 is empty
+    gap = float(np.abs(s - st).max(initial=0.0))
     if gap > rtol * scale:
         raise AsymmetricMatrixError(
             f"matrix is asymmetric beyond relative tolerance {rtol} (gap {gap / scale:.3e})"

@@ -67,6 +67,14 @@ CRITERIA = ("evidence", "bic", "pcbic", "kic")
 # the field of FitReport and StackFit that holds each criterion's value
 _CRITERION_FIELD = {"evidence": "log_evidence", "bic": "bic", "pcbic": "pc_bic", "kic": "kic"}
 
+# each structure's statistic of a stack of scatters s (s for A, its diagonal for D,
+# its trace for C) and the axes over which its product with H sums to tr(H s)
+_STATISTIC = {
+    "A": (lambda s: s, (-2, -1)),
+    "D": (lambda s: np.diagonal(s, axis1=-2, axis2=-1), (-1,)),
+    "C": (lambda s: np.trace(s, axis1=-2, axis2=-1), ()),
+}
+
 # tie order of structure selection: the simplest structure first
 SIMPLEST_FIRST = ("C", "D", "A")
 
@@ -244,6 +252,7 @@ class StackFit:
     dim: int
     k: int
     map: np.ndarray
+    log_det_map: np.ndarray  # log|H| at the MAP
     log_lik: np.ndarray
     log_evidence: np.ndarray
     flexibility: np.ndarray
@@ -256,6 +265,11 @@ class StackFit:
 
     def values(self, criterion: str) -> Optional[np.ndarray]:
         return getattr(self, _CRITERION_FIELD[criterion])
+
+    def scatter_product(self, s: np.ndarray) -> np.ndarray:
+        """tr(H s) at each replicate's MAP, for a stack s of r scatters."""
+        statistic, axes = _STATISTIC[self.structure]
+        return (self.map * statistic(s)).sum(axis=axes)
 
     def report(self, i: int) -> FitReport:
         """Replicate i as a FitReport; raises the reason it could not be fit."""
@@ -315,12 +329,9 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
             h, r, d, n, DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {d}")
         )
     # the conjugate update, on the structure's own statistic of s
-    if structure == "A":
-        stat, axes, power = s, (-2, -1), (d + 1) / 2
-    elif structure == "D":
-        stat, axes, power = np.diagonal(s, axis1=-2, axis2=-1), (-1,), 1.0
-    else:
-        stat, axes, power = np.trace(s, axis1=-2, axis2=-1), (), 1.0
+    statistic, axes = _STATISTIC[structure]
+    stat = statistic(s)
+    power = (d + 1) / 2 if structure == "A" else 1.0
     per_obs = (d if structure == "C" else 1) / 2
     alpha_post = h.alpha + n * per_obs
     rate_post = h.rate + stat
@@ -362,6 +373,7 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     log_lik = n / 2 * log_det_h + base - dot(stat) if n else np.zeros(r)
     k = param_count(structure, d)
     out = {
+        "log_det_map": log_det_h,
         "log_lik": log_lik,
         "log_evidence": log_evidence,
         "flexibility": log_post - log_prior,
@@ -403,6 +415,7 @@ def _unfit(h: Hyper, r: int, d: int, n: int, error: CovselError) -> StackFit:
         dim=d,
         k=param_count(h.structure, d),
         map=np.full(shape, np.nan),
+        log_det_map=nan(),
         log_lik=nan(),
         log_evidence=nan(),
         flexibility=nan(),

@@ -17,7 +17,7 @@ from covsel.asymptotics import (
     second_moment_matrix,
 )
 from covsel.data import SuffStats
-from covsel.errors import ConfigError, NotPositiveDefiniteError
+from covsel.errors import ConfigError, NotPositiveDefiniteError, SupportError
 from covsel.montecarlo import gaussian_rows, oracle_hyper
 from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
 from covsel.priors import (
@@ -253,6 +253,17 @@ class TestRateStudy:
         )
         with pytest.raises(NotPositiveDefiniteError):
             rate_study(config)
+
+    def test_undrawable_replicate_raises(self):
+        # shape 0.005: some prior draws are outside the support or too small
+        # for the scatter of their rows to be finite
+        config = RateStudyConfig(
+            pair="D-vs-C", truth="C", hyper=GammaHyper(0.005, 0.5, 2), n_grid=(10,), reps=200, seed=0
+        )
+        with pytest.raises(SupportError):
+            rate_study(config)
+        with pytest.raises(SupportError, match="overflows"):
+            flexibility_gap_study(GammaHyper(2.0, 1.0, 2), IsoPrecision(1e-320, 2), (10,), 3, 0)
 
     def test_d1_full_vs_diag_is_identically_zero(self):
         config = RateStudyConfig(

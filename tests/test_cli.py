@@ -110,6 +110,32 @@ class TestSelect:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "structure, entry, message",
+        [
+            # an A entry tagged D would make D appear twice and A not at all
+            ("A", {"structure": "D", "alpha": 2.0, "rate": [0.5, 0.5]}, "structure-D prior"),
+            # a C entry of the wrong dimension would be skipped as unfit
+            ("C", {"structure": "C", "alpha": 6.0, "rate": 1.0, "dim": 3}, "dimension 3"),
+            # outside the prior's support
+            ("A", {"structure": "A", "alpha": -1, "rate": [[0.5, 0], [0, 0.5]]}, "Wishart shape"),
+            ("D", {"structure": "D", "alpha": 2.0, "rate": [0.5, -1.0]}, "positive and finite"),
+        ],
+    )
+    def test_invalid_hyper_file_entry_exits_2(self, tmp_path, capsys, structure, entry, message):
+        hyper = {
+            "A": {"structure": "A", "alpha": 4.0, "rate": [[0.5, 0.0], [0.0, 0.5]]},
+            "D": {"structure": "D", "alpha": 2.0, "rate": [0.5, 0.5]},
+            "C": {"structure": "C", "alpha": 6.0, "rate": 1.0, "dim": 2},
+            structure: entry,
+        }
+        hp = tmp_path / "hyper.json"
+        hp.write_text(json.dumps(hyper))
+        argv = ["select", IRIS, "--columns", "petal_length", "petal_width"]
+        assert run(argv + ["--hyper-source", f"file:{hp}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
         "content, message",
         [
             (b"x,y\n1,2\nnan,1\n3,1\n", "row 2, column 1: not a finite number: 'nan'"),
@@ -287,6 +313,32 @@ class TestRegress:
         argv = ["regress", IRIS, "--response", "sepal_width", "--covariates", "petal_width"]
         assert run(argv + ["--hyper", str(hp)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"nu": [[1.0, 2.0]]}, "nu row count"),  # one row for two responses
+            ({"lambda": [[1.0, 2.0], [2.0, 1.0]]}, "not positive definite"),
+            ({"alpha": -1}, "Wishart shape"),
+            ({"nu": [[0.0], [0.0]], "lambda": [[1.0]]}, "need 2 covariate columns"),
+        ],
+    )
+    def test_hyper_outside_the_model_exits_2(self, tmp_path, capsys, doc, message):
+        hp = tmp_path / "hyper.json"
+        hp.write_text(json.dumps(doc))
+        argv = ["regress", IRIS, "--response", "sepal_width", "sepal_length"]
+        argv += ["--covariates", "petal_width", "petal_length", "--hyper", str(hp)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_covariates_file_row_count_mismatch_exits_2(self, tmp_path, capsys):
+        covs = tmp_path / "covs.csv"
+        covs.write_text("x\n" + "\n".join(str(v) for v in range(19)))
+        argv = ["regress", IRIS, "--response", "sepal_width", "--covariates-file", str(covs)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "has 19 rows but" in err
 
     def test_lambda_zero_exits_2(self):
         rc = run(

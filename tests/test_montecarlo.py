@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covsel.asymptotics import second_moment_matrix
-from covsel.errors import ConfigError
+from covsel.errors import ConfigError, SupportError
 from covsel.montecarlo import (
     CellDecisions,
     SimConfig,
@@ -116,10 +116,39 @@ class TestDrawScatters:
             s = rows.T @ rows
             expected[rep] = (s + s.T) / 2
         rngs = [_rep_rng(config, truth, 4, rep) for rep in range(config.reps)]
-        np.testing.assert_array_equal(draw_scatters(h, 4, rngs), expected)
+        scatters, errors = draw_scatters(h, 4, rngs)
+        assert errors == {}
+        np.testing.assert_array_equal(scatters, expected)
+
+    def test_a_failed_draw_fails_alone(self):
+        # shape 0.005: some gamma draws underflow to 0, outside the support,
+        # and one is so small that the scatter of its rows overflows
+        config = SimConfig(d=1, prior_sample_size=-1.99, n_values=(5,), reps=300, seed=0)
+        h = oracle_hyper("D", 1, config.beta_inverse, config.prior_sample_size)
+        scatters, errors = draw_scatters(h, 5, [_rep_rng(config, "D", 5, r) for r in range(300)])
+        messages = {str(exc) for exc in errors.values()}
+        assert all(isinstance(exc, SupportError) for exc in errors.values())
+        assert any("overflows" in m for m in messages) and any("positive" in m for m in messages)
+        assert np.isnan(scatters[list(errors)]).all()
+        ok = [r for r in range(300) if r not in errors]
+        alone, none = draw_scatters(h, 5, [_rep_rng(config, "D", 5, r) for r in ok])
+        assert none == {}
+        np.testing.assert_array_equal(alone, scatters[ok])
 
 
 class TestRunCell:
+    def test_undrawable_replicates_count_as_failures(self):
+        config = SimConfig(d=1, prior_sample_size=-1.99, n_values=(5,), reps=3000, seed=0)
+        for truth in TRUTH_ORDER:
+            h = oracle_hyper(truth, 1, config.beta_inverse, config.prior_sample_size)
+            rngs = [_rep_rng(config, truth, 5, rep) for rep in range(config.reps)]
+            _, errors = draw_scatters(h, 5, rngs)
+            cell = run_cell(config, truth, 5)
+            assert errors and cell.failures >= len(errors)
+            for picks in cell.selected.values():
+                assert all(picks[rep] is None for rep in errors)
+                assert sum(p is not None for p in picks) == config.reps - cell.failures
+
     def test_single_rep_deterministic(self):
         config = SimConfig(d=3, n_values=(5,), reps=1, seed=7, criteria=("evidence",))
         cell1 = run_cell(config, "C", 5)

@@ -1,9 +1,13 @@
 """Conjugate multivariate regression.
 
-The package computes everything from the Gram matrix of [X Y]. The
-n-row implementation it replaced (coefficients, residual and effective
-scatters, joint mode, evidence and flexibility on the raw rows) is kept
-here as an oracle, so that the Gram path is the package's only one.
+The package computes everything from the Gram matrix of [X Y] and scores
+the covariate subsets of one size as one stack. Two implementations it
+replaced are kept here as oracles, so that the stacked Gram path is the
+package's only one: the n-row implementation (coefficients, residual and
+effective scatters, joint mode, evidence and flexibility on the raw
+rows), and the per-subset Gram path, which sliced the Gram matrix and
+the prior for one subset at a time and finished each structure's report
+with scalar half-precision arithmetic.
 """
 
 import math
@@ -35,7 +39,9 @@ from covsel.priors import (
 )
 from covsel.regression import (
     RegressionData,
+    RegressionFit,
     RegressionHyper,
+    effective_stats,
     enumerate_covariates,
     fit_coefficients,
     fit_regression,
@@ -49,7 +55,7 @@ from covsel.regression import (
     standard_hypers,
 )
 from covsel.specialfn import LOG_PI, chol_log_det, cholesky_pd
-from covsel.structures import log_evidence, param_count
+from covsel.structures import fit_structure, log_evidence, log_likelihood, param_count
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -549,10 +555,9 @@ class TestGramPathAgainstRows:
         assert_fit_matches(fit, want)
         gamma_hat = want["C"][0]
         q = rows_residual_stats(data, gamma_hat).s
-        assert fit.residuals.n == data.n
-        assert np.abs(fit.residuals.s - q).max() <= 1e-9 * max(1.0, np.abs(q).max())
-        q_at_gamma = residual_stats(data, gamma_hat).s
-        assert np.abs(q_at_gamma - q).max() <= 1e-9 * max(1.0, np.abs(data.gram).max())
+        q_at_gamma = residual_stats(data, gamma_hat)
+        assert q_at_gamma.n == data.n
+        assert np.abs(q_at_gamma.s - q).max() <= 1e-9 * max(1.0, np.abs(data.gram).max())
 
     @PROPERTY
     @given(case=regression_cases, include_empty=st.booleans())
@@ -606,6 +611,138 @@ class TestEvidenceIdentityOnGram:
                 assert close(rhs, log_evi, 1e-8)
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the per-subset Gram path the stacked scorer replaced
+# ---------------------------------------------------------------------------
+
+
+def subset_effective_stats(data, rh, idx):
+    """(gamma_hat, R, shrink, log|Lambda|, log|X^T X + Lambda|) of covariate
+    columns `idx`, from the Gram matrix and the prior sliced to them."""
+    cols = list(idx)
+    keep = [*cols, *range(data.d2, data.gram.shape[0])]
+    gram, p = data.gram[np.ix_(keep, keep)], len(cols)
+    nu, lam = rh.nu[:, cols], rh.lam[np.ix_(cols, cols)]
+    lam_nu = lam @ nu.T
+    r = gram[p:, p:] + nu @ lam_nu
+    gamma_hat, log_det_lam, log_det_post_lam = np.zeros((data.d1, 0)), 0.0, 0.0
+    if p:
+        c = cholesky_pd(gram[:p, :p] + lam)
+        w = np.linalg.solve(c, gram[:p, p:] + lam_nu)
+        r = r - w.T @ w
+        gamma_hat = np.linalg.solve(c.T, w).T
+        log_det_lam = chol_log_det(lam)
+        log_det_post_lam = 2.0 * float(np.log(np.diag(c)).sum())
+    dev = gamma_hat - nu
+    shrink = dev @ lam @ dev.T
+    return gamma_hat, (r + r.T) / 2, (shrink + shrink.T) / 2, log_det_lam, log_det_post_lam
+
+
+def subset_report(structure, rh, n, eff):
+    """One structure's report: a batch of one through the kernel, then the
+    coefficient block in scalar half-precision arithmetic."""
+    gamma_hat, r, shrink, log_det_lam, log_det_post_lam = eff
+    d1, d2 = gamma_hat.shape
+    fit = fit_structure(rh.cov, r[None], n, coef_cols=d2)
+    rep = fit.report(0)
+    theta = rep.map
+    quad = theta.scatter_product(shrink)
+    lam_factor = d1 / 2 * (log_det_lam - log_det_post_lam)
+    ll = log_likelihood(theta, SuffStats(n=n, d=d1, s=r - shrink))
+    coef_prior = d1 / 2 * log_det_lam + d2 / 2 * theta.log_det() - quad
+    lp = fit.log_prior[0] - d1 * d2 / 2 * LOG_PI + coef_prior
+    k = param_count(structure, d1) + d1 * d2
+    bic = pc_bic = None
+    if n >= 1:
+        bic, pc_bic = ll - k / 2 * math.log(n), ll + lp - k / 2 * math.log(n)
+    return replace(
+        rep,
+        structure=structure,
+        log_lik_at_map=ll,
+        log_evidence=rep.log_evidence + lam_factor,
+        flexibility_at_map=rep.flexibility_at_map - lam_factor + quad,
+        bic=bic,
+        pc_bic=pc_bic,
+        kic=None,
+        k=k,
+    )
+
+
+def subset_enumerate(data, hypers, include_empty, criterion="evidence"):
+    """Every subset's RegressionFit, one subset and one structure at a
+    time, with each (nu, Lambda)'s effective statistics shared."""
+    fits = []
+    for size in range(0 if include_empty else 1, data.d2 + 1):
+        for idx in combinations(range(data.d2), size):
+            shared, gammas, reports = {}, {}, {}
+            for structure, rh in hypers.items():
+                key = (rh.nu.tobytes(), rh.lam.tobytes())
+                if key not in shared:
+                    shared[key] = subset_effective_stats(data, rh, idx)
+                gammas[structure] = shared[key][0]
+                reports[structure] = subset_report(structure, rh, data.n, shared[key])
+            fits.append(RegressionFit(subset=idx, gamma_hats=gammas, reports=reports))
+    fits.sort(key=lambda f: -f.best(criterion)[1])
+    return fits
+
+
+def assert_same_fits(got, want, rtol=1e-12):
+    """Equal subsets, structures, k and every value to `rtol` relative
+    (absolute below magnitude 1)."""
+    assert [f.subset for f in got] == [f.subset for f in want]
+    for g, w in zip(got, want):
+        assert g.gamma_hats.keys() == w.gamma_hats.keys() == g.reports.keys()
+        for s, rep in w.reports.items():
+            pairs = [
+                (g.gamma_hats[s], w.gamma_hats[s]),
+                (map_array(g.reports[s].map), map_array(rep.map)),
+            ]
+            for field in ("log_lik_at_map", "log_evidence", "flexibility_at_map", "bic", "pc_bic"):
+                value = getattr(rep, field)
+                assert (getattr(g.reports[s], field) is None) == (value is None), (s, field)
+                if value is not None:
+                    pairs.append((getattr(g.reports[s], field), value))
+            assert (g.reports[s].structure, g.reports[s].k, g.reports[s].kic) == (s, rep.k, None)
+            for a, b in pairs:
+                assert np.all(np.abs(np.subtract(a, b)) <= rtol * np.maximum(1.0, np.abs(b))), (
+                    g.subset, s, a, b
+                )
+
+
+class TestStackedPathAgainstPerSubset:
+    @PROPERTY
+    @given(
+        case=regression_cases,
+        include_empty=st.booleans(),
+        criterion=st.sampled_from(["evidence", "pcbic"]),
+    )
+    def test_enumeration_matches_per_subset_path(self, case, include_empty, criterion):
+        _, data, hypers = case
+        if criterion == "pcbic" and data.n == 0:
+            criterion = "evidence"  # pcBIC has no value at n = 0
+        try:
+            want = subset_enumerate(data, hypers, include_empty, criterion)
+        except CovselError as exc:
+            with pytest.raises(type(exc)):
+                enumerate_covariates(data, hypers, include_empty=include_empty, criterion=criterion)
+            return
+        got = enumerate_covariates(data, hypers, include_empty=include_empty, criterion=criterion)
+        if data.n == 0:
+            # every evidence is 0 up to rounding; ties may fall either way
+            got = sorted(got, key=lambda f: f.subset)
+            want = sorted(want, key=lambda f: f.subset)
+        assert_same_fits(got, want)
+
+    def test_regress_enum_shaped_data(self):
+        # many rows, three responses and ten candidates, as the benchmark's input
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((2000, 10))
+        y = x[:, :3] @ rng.standard_normal((3, 3)) + rng.standard_normal((2000, 3))
+        data = RegressionData(y, x)
+        hypers = standard_hypers(3, 10)
+        assert_same_fits(enumerate_covariates(data, hypers), subset_enumerate(data, hypers, False))
+
+
 class TestSharedStatistics:
     def test_one_effective_stats_call_per_distinct_prior(self, monkeypatch):
         calls = []
@@ -627,22 +764,52 @@ class TestSharedStatistics:
             log_evidence_regression(data, hypers["D"]), abs=1e-9
         )
 
-    def test_subset_statistics_are_slices_of_the_gram_matrix(self):
-        data = toy_data(np.random.default_rng(31), n=40, d1=2, d2=4)
-        got = data.subset((3, 0))
-        want = RegressionData(data.y, data.x[:, [3, 0]])
-        assert (got.n, got.d1, got.d2) == (40, 2, 2)
-        np.testing.assert_allclose(got.gram, want.gram, rtol=1e-12, atol=1e-12)
+    def test_each_size_and_chunk_computes_statistics_once_per_distinct_prior(self, monkeypatch):
+        calls = []
+        original = regression.effective_stats
 
-    def test_prior_subset_is_the_sliced_prior(self):
-        rng = np.random.default_rng(32)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        data = toy_data(np.random.default_rng(36), n=15, d1=2, d2=5)
+        hypers = standard_hypers(2, 5)
+        hypers["D"] = RegressionHyper(hypers["D"].nu, 2.0 * np.eye(5), hypers["D"].cov)
+        whole = enumerate_covariates(data, hypers, include_empty=True)
+        monkeypatch.setattr(regression, "effective_stats", counted)
+        monkeypatch.setattr(regression, "_MAX_STACK", 4)
+        chunked = enumerate_covariates(data, hypers, include_empty=True)
+        # sizes 0..5 have 1, 5, 10, 10, 5, 1 subsets: 1, 2, 3, 3, 2, 1 chunks of
+        # at most 4, each scored once for each of two distinct (nu, Lambda)
+        assert len(calls) == 2 * 12
+        assert all(len(args[2]) <= 4 for args in calls)
+        assert_same_fits(chunked, whole, rtol=0.0)
+
+    def test_stacked_statistics_are_those_of_the_restricted_data_and_prior(self):
+        rng = np.random.default_rng(31)
+        data = toy_data(rng, n=40, d1=2, d2=4)
         g = rng.standard_normal((4, 6))
         rh = RegressionHyper(rng.standard_normal((2, 4)), g @ g.T, GammaHyper(2.0, 1.0, 2))
-        sub = rh.subset((3, 1))
-        want = RegressionHyper(rh.nu[:, [3, 1]], rh.lam[np.ix_([3, 1], [3, 1])], rh.cov)
-        np.testing.assert_array_equal(sub.nu, want.nu)
-        np.testing.assert_array_equal(sub.lam, want.lam)
-        assert sub.cov is rh.cov
+        subsets = np.array([[3, 0], [1, 2], [2, 1]])
+        stacked = effective_stats(data, rh, subsets)
+        for i, cols in enumerate(subsets):
+            sub = RegressionData(data.y, data.x[:, cols])
+            sub_rh = RegressionHyper(rh.nu[:, cols], rh.lam[np.ix_(cols, cols)], rh.cov)
+            alone = effective_stats(sub, sub_rh)
+            for got, want in zip(stacked, alone):
+                np.testing.assert_allclose(got[i], want[0], rtol=1e-12, atol=1e-12)
+
+    def test_empty_subset_is_a_stack_of_zero_columns(self):
+        rng = np.random.default_rng(32)
+        data = toy_data(rng, n=9, d1=3, d2=2)
+        rh = standard_hypers(3, 2)["A"]
+        eff = effective_stats(data, rh, np.zeros((2, 0), dtype=int))
+        assert eff.gamma_hat.shape == (2, 3, 0)
+        np.testing.assert_array_equal(eff.log_det_lam, [0.0, 0.0])
+        np.testing.assert_array_equal(eff.log_det_post_lam, [0.0, 0.0])
+        for r in eff.scatter:
+            np.testing.assert_allclose(r, data.y.T @ data.y, rtol=1e-12)
+        np.testing.assert_array_equal(eff.shrink, np.zeros((2, 3, 3)))
 
 
 class TestBestStructure:
@@ -653,9 +820,10 @@ class TestBestStructure:
 
     def test_enumeration_rejects_kic_before_fitting(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("fit_regression ran")
+            raise AssertionError("a fit ran")
 
-        monkeypatch.setattr(regression, "fit_regression", fail)
+        for name in ("effective_stats", "fit_structure", "_fit_subsets", "fit_regression"):
+            monkeypatch.setattr(regression, name, fail)
         data = toy_data(np.random.default_rng(34))
         with pytest.raises(ConfigError):
             enumerate_covariates(data, standard_hypers(2, 3), criterion="kic")
