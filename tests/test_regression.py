@@ -785,6 +785,35 @@ class TestSharedStatistics:
         assert all(len(args[2]) <= 4 for args in calls)
         assert_same_fits(chunked, whole, rtol=0.0)
 
+    def test_subset_statistics_are_slices_of_the_gram_matrix(self):
+        rng = np.random.default_rng(31)
+        data = toy_data(rng, n=40, d1=2, d2=4)
+        cols = [3, 0]
+        want = RegressionData(data.y, data.x[:, cols])
+        assert (want.n, want.d1, want.d2) == (40, 2, 2)
+        z = cols + [data.d2 + j for j in range(data.d1)]
+        np.testing.assert_allclose(data.gram[np.ix_(z, z)], want.gram, rtol=1e-12, atol=1e-12)
+        # an identity prior slices to an identity prior, so only the data side differs
+        rh = RegressionHyper(np.zeros((2, 4)), np.eye(4), GammaHyper(2.0, 1.0, 2))
+        sub_rh = RegressionHyper(np.zeros((2, 2)), np.eye(2), rh.cov)
+        stacked = effective_stats(data, rh, np.array([cols]))
+        for got, alone in zip(stacked, effective_stats(want, sub_rh)):
+            np.testing.assert_allclose(got, alone, rtol=1e-12, atol=1e-12)
+
+    def test_prior_subset_is_the_sliced_prior(self):
+        rng = np.random.default_rng(32)
+        g = rng.standard_normal((4, 6))
+        rh = RegressionHyper(rng.standard_normal((2, 4)), g @ g.T, GammaHyper(2.0, 1.0, 2))
+        # with no rows the statistics are those of the prior alone
+        data = RegressionData(np.empty((0, 2)), np.empty((0, 4)))
+        cols = [3, 1]
+        eff = effective_stats(data, rh, np.array([cols]))
+        want = RegressionHyper(rh.nu[:, cols], rh.lam[np.ix_(cols, cols)], rh.cov)
+        np.testing.assert_allclose(eff.gamma_hat[0], want.nu, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(eff.log_det_lam[0], np.linalg.slogdet(want.lam)[1], rtol=1e-12)
+        np.testing.assert_allclose(eff.log_det_post_lam[0], eff.log_det_lam[0], rtol=1e-12)
+        np.testing.assert_allclose(eff.shrink[0], np.zeros((2, 2)), atol=1e-12)
+
     def test_stacked_statistics_are_those_of_the_restricted_data_and_prior(self):
         rng = np.random.default_rng(31)
         data = toy_data(rng, n=40, d1=2, d2=4)
