@@ -17,9 +17,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
-from .montecarlo import draw_scatters
-from .precision import HalfPrecision
+from .errors import ConfigError, SupportError
+from .precision import HalfPrecision, as_diag_vector, as_iso_scalar
 from .priors import (
     GammaVecHyper,
     Hyper,
@@ -27,8 +26,10 @@ from .priors import (
     log_prior_density,
     matched_family,
     prior_sample_size,
+    sample_prior,
+    sample_wishart_batch,
 )
-from .specialfn import amgm_half_log_ratio, hadamard_half_log_ratio
+from .specialfn import amgm_half_log_ratio, cholesky_stack, hadamard_half_log_ratio
 from .structures import (
     StackFit,
     fit_structure,
@@ -152,16 +153,32 @@ class RateStudyConfig:
             raise ConfigError(f"truth {self.truth!r} is not part of pair {self.pair!r}")
         if self.truth != self.hyper.structure:
             raise ConfigError("hyper structure must match the truth structure")
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
-        if len(self.n_grid) == 0 or any(n < 1 for n in self.n_grid):
-            raise ConfigError("n_grid must be nonempty positive integers")
-        if list(self.n_grid) != sorted(self.n_grid):
-            raise ConfigError("n_grid must be increasing")
-        if self.truth == nested and self.n_grid[0] < 2:
-            raise ConfigError("a nested-true study scales by log n and needs n >= 2")
-        if self.fixed_theta is not None and self.fixed_theta.dim != self.hyper.dim:
-            raise ConfigError("fixed_theta dimension does not match hyper")
+        _check_design(self.n_grid, self.reps, self.hyper.dim, log_scaled=self.truth == nested)
+        if self.fixed_theta is not None:
+            if self.fixed_theta.dim != self.hyper.dim:
+                raise ConfigError("fixed_theta dimension does not match hyper")
+            try:
+                _as_structure(self.truth, self.fixed_theta)
+            except SupportError as exc:
+                raise ConfigError(f"fixed_theta is not of the truth's structure: {exc}") from exc
+
+
+def _check_design(n_grid: Tuple[int, ...], reps: int, d: int, log_scaled: bool = False) -> None:
+    """The replicate count and n grid of a study: n >= d, because the
+    scatters are drawn as Wishart stacks (see `_draw`), and n >= 2 when the
+    statistic is scaled by log n."""
+    if reps < 1:
+        raise ConfigError("reps must be >= 1")
+    if len(n_grid) == 0 or any(n < 1 for n in n_grid):
+        raise ConfigError("n_grid must be nonempty positive integers")
+    if list(n_grid) != sorted(n_grid):
+        raise ConfigError("n_grid must be increasing")
+    if log_scaled and n_grid[0] < 2:
+        raise ConfigError("a nested-true study scales by log n and needs n >= 2")
+    if n_grid[0] < d:
+        raise ConfigError(
+            f"a study draws Wishart scatters, which need n >= d = {d}; got n = {n_grid[0]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -197,9 +214,9 @@ class RateStudyResult:
 def rate_study(config: RateStudyConfig) -> RateStudyResult:
     """Estimate the divergence rate of log(E_full / E_nested) by simulation.
 
-    Deterministic given the seed: each (n, replicate) uses its own derived
-    RNG stream, so results do not depend on evaluation order. The
-    replicates of each n are scored as one stack.
+    Deterministic given the seed: each n draws its replicates from its own
+    derived RNG stream (see `_draw`), so a row does not depend on the rest
+    of the grid. The replicates of each n are scored as one stack.
     """
     full, nested = _split_pair(config.pair)
     family = matched_family(config.hyper)
@@ -211,8 +228,7 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
     means = []
     rows = []
     for n in config.n_grid:
-        rngs = _streams(config.seed, n, config.reps)
-        s = _draw(config.hyper, n, rngs, config.fixed_theta)
+        s = _draw(config.hyper, n, config.reps, config.seed, config.fixed_theta)
         full_fit, nested_fit = (fit_structure(h, s, n) for h in (h_full, h_nested))
         vals = _defined(full_fit, "log_evidence") - _defined(nested_fit, "log_evidence")
         scale = np.log(n) if nested_true else float(n)
@@ -260,15 +276,55 @@ def _study_target(config: RateStudyConfig, nested: str) -> float:
     raise ConfigError("full-true study with an isotropic truth has a zero rate by construction")
 
 
-def _streams(seed: int, n: int, reps: int) -> List[np.random.Generator]:
-    """One generator per replicate, from stream (seed, n, rep)."""
-    return [np.random.default_rng(np.random.SeedSequence((seed, n, rep))) for rep in range(reps)]
+def _as_structure(structure: str, theta: HalfPrecision) -> np.ndarray:
+    """theta in the form `sample_prior` draws for `structure`: the matrix
+    (A), the diagonal (D) or the scalar (C). SupportError if theta does not
+    have that structure."""
+    if structure == "A":
+        return theta.as_matrix()
+    return as_diag_vector(theta) if structure == "D" else np.asarray(as_iso_scalar(theta))
 
 
-def _draw(h: Hyper, n: int, rngs: List, theta: Optional[HalfPrecision]) -> np.ndarray:
-    """`draw_scatters`, raising the first stream's error: a study averages
-    every replicate, so one that cannot be drawn fails the study."""
-    s, errors = draw_scatters(h, n, rngs, theta)
+def _draw(h: Hyper, n: int, reps: int, seed: int, theta: Optional[HalfPrecision]) -> np.ndarray:
+    """(reps, d, d) scatters x^T x of n rows x from N(0, (2 theta)^{-1}),
+    with theta drawn from the prior `h` per replicate unless it is fixed.
+
+    The rows are never drawn. Given theta, their scatter is Wishart with
+    n degrees of freedom and scale (2 theta)^{-1}, that is C^{-T} W C^{-1}
+    for 2 theta = C C^T and a standard Wishart W (Bartlett, so n >= d);
+    for D and C this scales W elementwise by 1/sqrt(2 eta_i * 2 eta_j).
+    One stream per (seed, n) draws the theta stack first, then W.
+
+    A study averages every replicate, so the lowest-index replicate that
+    cannot be drawn fails the study with its error: a prior draw that is
+    not a half-precision, or one whose scatter overflows.
+    """
+    d, structure = h.dim, h.structure
+    rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+    if theta is None:
+        draws = sample_prior(h, reps, rng)
+    else:
+        value = _as_structure(structure, theta)
+        draws = np.broadcast_to(value, (reps, *value.shape))
+    w = sample_wishart_batch(WishartHyper(n / 2, np.eye(d) / 2), reps, rng)
+    # an overflowing scatter (inf, or NaN from inf - inf) becomes an error below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if structure == "A":
+            chol, errors = cholesky_stack(2 * draws, "a drawn half-precision")
+            inv = np.linalg.inv(chol)
+            s = inv.swapaxes(-1, -2) @ w @ inv
+            s = (s + s.swapaxes(-1, -2)) / 2
+        else:
+            eta = draws if structure == "D" else draws[:, None]
+            bad = np.flatnonzero(~(np.isfinite(eta) & (eta > 0)).all(axis=-1))
+            errors = {
+                int(i): SupportError("a drawn half-precision must be positive and finite")
+                for i in bad
+            }
+            r = 1 / np.sqrt(2 * eta)
+            s = w * r[:, :, None] * r[:, None, :]
+    for i in np.flatnonzero(~np.isfinite(s).all(axis=(-2, -1))):
+        errors.setdefault(int(i), SupportError("the scatter of a drawn half-precision overflows"))
     if errors:
         raise errors[min(errors)]
     return s
@@ -305,11 +361,17 @@ def flexibility_gap_study(
     subtraction from the log-likelihood gives the Kashyap criterion; the
     two converge together.
     """
+    if theta0.structure != h.structure or theta0.dim != h.dim:
+        raise ConfigError(
+            f"theta0 must be a structure-{h.structure} half-precision of dimension {h.dim}, "
+            f"got structure {theta0.structure} of dimension {theta0.dim}"
+        )
+    _check_design(n_grid, reps, h.dim)
     gap = flexibility_bic_gap(h, theta0)
     k = param_count(theta0.structure, theta0.dim)
     rows = []
     for n in n_grid:
-        fit = fit_structure(h, _draw(h, n, _streams(seed, n, reps), theta0), n)
+        fit = fit_structure(h, _draw(h, n, reps, seed, theta0), n)
         flex_term = _defined(fit, "flexibility") - k / 2 * np.log(n)
         kic_err = np.abs(fit.kic - fit.log_evidence)
         rows.append(

@@ -106,12 +106,10 @@ def generate_instance(h: Hyper, n: int, rng: np.random.Generator) -> Dataset:
     return Dataset(gaussian_rows(theta, n, rng))
 
 
-def draw_scatters(
-    h: Hyper, n: int, rngs: Sequence, theta: Optional[HalfPrecision] = None
-) -> Tuple[np.ndarray, Dict[int, CovselError]]:
+def draw_scatters(h: Hyper, n: int, rngs: Sequence) -> Tuple[np.ndarray, Dict[int, CovselError]]:
     """(r, d, d) symmetric scatters x^T x of n rows, one per generator in
-    `rngs`: each draws a half-precision from the prior `h` (unless `theta`
-    is fixed), then the rows x from N(0, (2 theta)^{-1}).
+    `rngs`: each draws a half-precision theta from the prior `h`, then the
+    rows x from N(0, (2 theta)^{-1}).
 
     A stream whose draw fails gets a NaN scatter and an entry in the
     returned errors, so it fails alone, not the stack. A draw fails where
@@ -124,7 +122,7 @@ def draw_scatters(
     with np.errstate(over="ignore", invalid="ignore"):
         for i, rng in enumerate(rngs):
             try:
-                x = gaussian_rows(sample_half_precision(h, rng) if theta is None else theta, n, rng)
+                x = gaussian_rows(sample_half_precision(h, rng), n, rng)
             except CovselError as exc:
                 errors[i] = exc
                 continue

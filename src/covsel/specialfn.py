@@ -6,16 +6,19 @@ definite matrices, so these are kept in log space throughout; the raw
 gamma function is never formed.
 """
 
+from typing import Dict, Tuple
+
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .errors import AsymmetricMatrixError, NotPositiveDefiniteError
+from .errors import AsymmetricMatrixError, CovselError, NotPositiveDefiniteError
 
 __all__ = [
     "log_mv_gamma",
     "symmetrize",
     "chol_log_det",
     "cholesky_pd",
+    "cholesky_stack",
     "hadamard_half_log_ratio",
     "amgm_half_log_ratio",
     "chi_square_sf",
@@ -78,6 +81,29 @@ def cholesky_pd(s: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+
+
+def cholesky_stack(
+    m: np.ndarray, what: str = "matrix"
+) -> Tuple[np.ndarray, Dict[int, CovselError]]:
+    """Lower Cholesky factors of a stack of symmetric matrices.
+
+    A matrix that is not positive definite gets an identity factor and
+    an entry in the returned errors, so it fails alone, not the stack.
+    """
+    try:
+        return np.linalg.cholesky(m), {}
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.empty_like(m)
+    errors: Dict[int, CovselError] = {}
+    for i, mi in enumerate(m):
+        try:
+            chol[i] = np.linalg.cholesky(mi)
+        except np.linalg.LinAlgError as exc:
+            chol[i] = np.eye(m.shape[-1])
+            errors[i] = NotPositiveDefiniteError(f"{what} is not positive definite: {exc}")
+    return chol, errors
 
 
 def chol_log_det(s: np.ndarray):

@@ -39,7 +39,7 @@ from .priors import (
     log_prior_density,
     sample_prior,
 )
-from .specialfn import LOG_PI, chol_log_det, log_mv_gamma
+from .specialfn import LOG_PI, chol_log_det, cholesky_stack, log_mv_gamma
 
 __all__ = [
     "FitReport",
@@ -339,7 +339,7 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     # the evidence needs a proper posterior (a positive definite rate), not a mode
     errors: Dict[int, CovselError] = {}
     if structure == "A":
-        chol, errors = _cholesky_stack(rate_post)
+        chol, errors = cholesky_stack(rate_post, "s + B")
         log_rate_post = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     else:
         log_rate_post = np.log(rate_post).sum(axis=axes)
@@ -426,27 +426,6 @@ def _unfit(h: Hyper, r: int, d: int, n: int, error: CovselError) -> StackFit:
         valid=np.zeros(r, dtype=bool),
         errors=dict.fromkeys(range(r), error),
     )
-
-
-def _cholesky_stack(m: np.ndarray) -> Tuple[np.ndarray, Dict[int, CovselError]]:
-    """Lower Cholesky factors of a stack of symmetric matrices.
-
-    A matrix that is not positive definite gets an identity factor and
-    an entry in the returned errors, so it fails alone, not the stack.
-    """
-    try:
-        return np.linalg.cholesky(m), {}
-    except np.linalg.LinAlgError:
-        pass
-    chol = np.empty_like(m)
-    errors: Dict[int, CovselError] = {}
-    for i, mi in enumerate(m):
-        try:
-            chol[i] = np.linalg.cholesky(mi)
-        except np.linalg.LinAlgError as exc:
-            chol[i] = np.eye(m.shape[-1])
-            errors[i] = NotPositiveDefiniteError(f"s + B is singular: {exc}")
-    return chol, errors
 
 
 def criteria(h: Hyper, stats: SuffStats) -> FitReport:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import covsel.asymptotics as asymptotics
+import covsel.montecarlo as montecarlo
+import covsel.priors as priors
 from covsel.asymptotics import (
     GapStudyRow,
     RateStudyConfig,
@@ -17,7 +20,7 @@ from covsel.asymptotics import (
     second_moment_matrix,
 )
 from covsel.data import SuffStats
-from covsel.errors import ConfigError, NotPositiveDefiniteError, SupportError
+from covsel.errors import ConfigError, CovselError, NotPositiveDefiniteError, SupportError
 from covsel.montecarlo import gaussian_rows, oracle_hyper
 from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
 from covsel.priors import (
@@ -26,32 +29,55 @@ from covsel.priors import (
     WishartHyper,
     matched_family,
     sample_half_precision,
+    sample_prior,
 )
-from covsel.structures import criteria, log_evidence, param_count
+from covsel.structures import criteria, fit_structure, log_evidence, param_count
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the per-replicate loops the stacked studies replaced
+# Oracles: the row sampler the Wishart stacks replaced, and the
+# per-replicate scoring loops the stacked studies replaced
 # ---------------------------------------------------------------------------
 
 
-def _replicate_stats(seed, n, rep, theta, hyper):
-    rng = np.random.default_rng(np.random.SeedSequence((seed, int(n), rep)))
-    x = gaussian_rows(theta or sample_half_precision(hyper, rng), n, rng)
-    s = x.T @ x
-    return SuffStats(n=n, d=hyper.dim, s=(s + s.T) / 2)
+def row_scatters(h, n, reps, seed, theta=None):
+    """(scatters, covariances) of `reps` replicates drawn row by row: per
+    stream (seed, n, rep), a half-precision from the prior `h` (unless
+    `theta` is fixed), then n rows from N(0, (2 theta)^{-1})."""
+    s, sigma = np.empty((reps, h.dim, h.dim)), np.empty((reps, h.dim, h.dim))
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, int(n), rep)))
+        t = theta or sample_half_precision(h, rng)
+        x = gaussian_rows(t, n, rng)
+        s[rep] = x.T @ x
+        sigma[rep] = np.linalg.inv(2 * t.as_matrix())
+    return s, sigma
+
+
+def wishart_covariances(h, n, reps, seed, theta=None):
+    """The covariances (2 theta)^{-1} behind `asymptotics._draw`'s stack,
+    replayed from its stream: the theta stack is drawn first."""
+    if theta is not None:
+        return np.broadcast_to(np.linalg.inv(2 * theta.as_matrix()), (reps, h.dim, h.dim))
+    draws = sample_prior(h, reps, np.random.default_rng(np.random.SeedSequence((seed, int(n)))))
+    if h.structure == "A":
+        return np.linalg.inv(2 * draws)
+    eta = draws if h.structure == "D" else np.repeat(draws[:, None], h.dim, axis=1)
+    return np.einsum("ri,ij->rij", 1 / (2 * eta), np.eye(h.dim))
 
 
 def per_replicate_rate_study(config):
-    """(rows, slope) of `rate_study`, two scalar evidences per replicate."""
+    """(rows, slope) of `rate_study`, two scalar evidences per replicate of
+    the stack `_draw` gives."""
     full, nested = config.pair.split("-vs-")
     family = matched_family(config.hyper)
     nested_true = config.truth == nested
     rows, means = [], []
     for n in config.n_grid:
+        s = asymptotics._draw(config.hyper, n, config.reps, config.seed, config.fixed_theta)
         vals = np.empty(config.reps)
         for rep in range(config.reps):
-            stats = _replicate_stats(config.seed, n, rep, config.fixed_theta, config.hyper)
+            stats = SuffStats(n=n, d=config.hyper.dim, s=s[rep])
             vals[rep] = log_evidence(family.for_structure(full), stats) - log_evidence(
                 family.for_structure(nested), stats
             )
@@ -67,14 +93,16 @@ def per_replicate_rate_study(config):
 
 
 def per_replicate_gap_study(h, theta0, n_grid, reps, seed):
-    """`flexibility_gap_study` with one scalar `criteria` call per replicate."""
+    """`flexibility_gap_study` with one scalar `criteria` call per replicate
+    of the stack `_draw` gives."""
     gap = flexibility_bic_gap(h, theta0)
     k = param_count(theta0.structure, theta0.dim)
     rows = []
     for n in n_grid:
+        s = asymptotics._draw(h, n, reps, seed, theta0)
         flex_term, kic_err = np.empty(reps), np.empty(reps)
         for rep in range(reps):
-            fit = criteria(h, _replicate_stats(seed, n, rep, theta0, h))
+            fit = criteria(h, SuffStats(n=n, d=h.dim, s=s[rep]))
             flex_term[rep] = fit.flexibility_at_map - k / 2 * np.log(n)
             kic_err[rep] = abs(fit.kic - fit.log_evidence)
         rows.append(
@@ -214,17 +242,36 @@ class TestGapStudy:
         args = (h, theta0, (3, 20, 150), 7, 11)
         assert flexibility_gap_study(*args) == per_replicate_gap_study(*args)
 
+    @pytest.mark.parametrize(
+        "h, theta0, n_grid, reps",
+        [
+            # theta0 of another structure, or another dimension, than h
+            (GammaHyper(2.0, 1.0, 2), FullPrecision(np.eye(2)), (10,), 3),
+            (GammaVecHyper(2.0, np.ones(2)), IsoPrecision(1.0, 2), (10,), 3),
+            (GammaHyper(2.0, 1.0, 2), IsoPrecision(1.0, 3), (10,), 3),
+            # no replicates, n = 0, an empty or unsorted grid, n < d
+            (GammaHyper(2.0, 1.0, 1), IsoPrecision(1.0, 1), (10,), 0),
+            (GammaHyper(2.0, 1.0, 1), IsoPrecision(1.0, 1), (0, 10), 3),
+            (GammaHyper(2.0, 1.0, 1), IsoPrecision(1.0, 1), (), 3),
+            (GammaHyper(2.0, 1.0, 1), IsoPrecision(1.0, 1), (20, 10), 3),
+            (WishartHyper(4.0, np.eye(3)), FullPrecision(np.eye(3)), (2, 10), 3),
+        ],
+    )
+    def test_rejects_invalid_inputs(self, h, theta0, n_grid, reps):
+        with pytest.raises(ConfigError):
+            flexibility_gap_study(h, theta0, n_grid, reps, 0)
+
 
 class TestRateStudy:
     @pytest.mark.parametrize(
         "pair, truth, hyper, fixed_theta, n_grid",
         [
             # nested true
-            ("A-vs-C", "C", oracle_hyper("C", 4, 2.0), None, (2, 5, 30)),
+            ("A-vs-C", "C", oracle_hyper("C", 4, 2.0), None, (4, 5, 30)),
             # full true at a fixed half-precision
             ("A-vs-D", "A", oracle_hyper("A", 2, 2.0), FullPrecision(np.eye(2) + 0.4), (2, 5, 30)),
             # D against C, full true, from the prior
-            ("D-vs-C", "D", oracle_hyper("D", 3, 2.0), None, (2, 5, 30)),
+            ("D-vs-C", "D", oracle_hyper("D", 3, 2.0), None, (3, 5, 30)),
             # m = -1.5 at d = 1: at n = 1 neither posterior has a mode, but
             # both have an evidence
             ("A-vs-C", "A", WishartHyper(0.25, np.eye(1)), FullPrecision(np.eye(1)), (1, 5, 30)),
@@ -354,3 +401,169 @@ class TestRateStudy:
                 reps=5,
                 seed=0,
             )
+
+    @pytest.mark.parametrize("d, n_grid", [(3, (2, 10)), (5, (4, 100))])
+    def test_n_below_d_rejected(self, d, n_grid):
+        # the scatters are Wishart stacks drawn by Bartlett, which needs n >= d
+        with pytest.raises(ConfigError, match="n >= d"):
+            RateStudyConfig(
+                pair="A-vs-C", truth="A", hyper=oracle_hyper("A", d, 2.0), n_grid=n_grid, reps=5,
+                seed=0,
+            )
+
+    @pytest.mark.parametrize(
+        "pair, truth, fixed_theta",
+        [
+            ("A-vs-D", "D", FullPrecision(np.array([[1.0, 0.4], [0.4, 1.0]]))),
+            ("A-vs-C", "C", FullPrecision(np.array([[1.0, 0.4], [0.4, 1.0]]))),
+            ("D-vs-C", "C", DiagPrecision(np.array([1.0, 2.0]))),
+        ],
+    )
+    def test_fixed_theta_outside_the_truth_structure_rejected(self, pair, truth, fixed_theta):
+        with pytest.raises(ConfigError, match="structure"):
+            RateStudyConfig(
+                pair=pair, truth=truth, hyper=oracle_hyper(truth, 2, 2.0), n_grid=(10,), reps=5,
+                seed=0, fixed_theta=fixed_theta,
+            )
+
+    def test_fixed_theta_of_the_truth_structure_in_another_form(self):
+        # a diagonal FullPrecision is a structure-D half-precision
+        kwargs = dict(pair="A-vs-D", truth="D", hyper=oracle_hyper("D", 2, 2.0), n_grid=(10, 50),
+                      reps=5, seed=0)
+        as_full = RateStudyConfig(**kwargs, fixed_theta=FullPrecision(np.diag([0.5, 2.0])))
+        as_diag = RateStudyConfig(**kwargs, fixed_theta=DiagPrecision(np.array([0.5, 2.0])))
+        assert rate_study(as_full) == rate_study(as_diag)
+
+    @pytest.mark.parametrize(
+        "h, draws, half_precision",
+        [
+            # replicate 1 is indefinite, negative or zero
+            (WishartHyper(4.0, np.eye(2)), [np.eye(2), [[1.0, 2.0], [2.0, 1.0]]], FullPrecision),
+            (GammaVecHyper(2.0, np.ones(2)), [[1.0, 1.0], [1.0, -1.0]], DiagPrecision),
+            (GammaHyper(2.0, 1.0, 2), [1.0, 0.0], lambda eta: IsoPrecision(eta, 2)),
+        ],
+    )
+    def test_undrawable_prior_draw_fails_as_sample_half_precision_would(
+        self, monkeypatch, h, draws, half_precision
+    ):
+        draws = np.array(draws)
+        with pytest.raises(CovselError) as rejected:
+            half_precision(draws[1])
+        monkeypatch.setattr(asymptotics, "sample_prior", lambda h, size, rng: draws)
+        with pytest.raises(type(rejected.value)):
+            asymptotics._draw(h, 10, 2, 0, None)
+
+    @pytest.mark.parametrize(
+        "eta, message",
+        [
+            # replicate 0 overflows, replicate 1 is outside the support
+            ([1e-320, 0.0, 1.0], "overflows"),
+            ([0.0, 1e-320, 1.0], "positive and finite"),
+        ],
+    )
+    def test_lowest_failing_replicate_raises(self, monkeypatch, eta, message):
+        monkeypatch.setattr(asymptotics, "sample_prior", lambda h, size, rng: np.array(eta))
+        with pytest.raises(SupportError, match=message):
+            asymptotics._draw(GammaHyper(2.0, 1.0, 2), 10, 3, 0, None)
+
+    def test_rates_far_beyond_the_default_grid(self):
+        # Bounds fixed before the first run: the nested-true slope within 5%
+        # of -(k - l)/2 = -7 on n = 10^2 ... 10^6, and the full-true scaled
+        # mean at n = 10^6 within 1% of (1/2) log(4/3).
+        nested = RateStudyConfig(
+            pair="A-vs-C", truth="C", hyper=oracle_hyper("C", 5, 2.0),
+            n_grid=(100, 1000, 10_000, 100_000, 1_000_000), reps=200, seed=108,
+        )
+        slope = rate_study(nested).slope
+        assert abs(slope + 7.0) <= 0.05 * 7.0, slope
+        sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
+        full = RateStudyConfig(
+            pair="A-vs-D", truth="A", hyper=oracle_hyper("A", 2, 2.0), n_grid=(1_000_000,),
+            reps=200, seed=108, fixed_theta=FullPrecision(0.5 * np.linalg.inv(sigma)),
+        )
+        target = 0.5 * math.log(4 / 3)
+        got = rate_study(full).rows[0].scaled_mean
+        assert abs(got - target) <= 0.01 * target, got
+
+    def test_studies_never_draw_rows(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a study drew rows")
+
+        for name in ("gaussian_rows", "draw_scatters"):
+            monkeypatch.setattr(montecarlo, name, forbidden)
+        monkeypatch.setattr(priors, "sample_half_precision", forbidden)
+        for truth, fixed in (("C", None), ("A", FullPrecision(np.eye(3) + 0.3))):
+            config = RateStudyConfig(
+                pair="A-vs-C", truth=truth, hyper=oracle_hyper(truth, 3, 2.0), n_grid=(10, 100),
+                reps=20, seed=0, fixed_theta=fixed,
+            )
+            assert len(rate_study(config).rows) == 2
+        h = GammaVecHyper(3.0, np.array([1.0, 2.0, 0.5]))
+        rows = flexibility_gap_study(h, DiagPrecision(np.array([0.5, 1, 2])), (10, 100), 20, 0)
+        assert len(rows) == 2
+
+
+class TestWishartScatters:
+    """The Wishart stacks of `_draw` against the row sampler they replaced.
+
+    Seeds and bounds were fixed before the first run. Per replicate,
+    z_ij = (S_ij - n Sigma_ij) / sqrt(n (Sigma_ij^2 + Sigma_ii Sigma_jj))
+    has mean 0 and variance 1 given Sigma; over 3 000 replicates the mean
+    of z and of z^2 - 1 must lie within 4.5 standard errors of 0, for
+    each entry i <= j. The row sampler passes the same check, which shows
+    that the check holds for the law the stacks must reproduce. The log
+    evidence ratios of 2 000 replicates of each sampler must pass a
+    two-sample KS test at p > 0.001, at n = d and n = 100.
+    """
+
+    Z = 4.5
+    CASES = [
+        (WishartHyper(4.0, np.array([[1.0, 0.3, 0.1], [0.3, 0.8, -0.2], [0.1, -0.2, 0.6]])), None),
+        (WishartHyper(4.0, np.eye(3)), FullPrecision(np.eye(3) + 0.3)),
+        (GammaVecHyper(3.0, np.array([1.0, 2.0, 0.5])), None),
+        (GammaVecHyper(3.0, np.array([1.0, 2.0, 0.5])), DiagPrecision(np.array([0.5, 1, 2]))),
+        (GammaHyper(3.0, 2.0, 3), None),
+        (GammaHyper(3.0, 2.0, 3), IsoPrecision(0.7, 3)),
+    ]
+
+    @pytest.mark.parametrize("sampler", ["wishart", "rows"])
+    @pytest.mark.parametrize("n", [3, 40])
+    @pytest.mark.parametrize("h, theta", CASES)
+    def test_first_and_second_moments(self, h, theta, n, sampler):
+        reps, seed = 3000, 21
+        if sampler == "wishart":
+            s = asymptotics._draw(h, n, reps, seed, theta)
+            sigma = wishart_covariances(h, n, reps, seed, theta)
+        else:
+            s, sigma = row_scatters(h, n, reps, seed, theta)
+        diag = np.diagonal(sigma, axis1=-2, axis2=-1)
+        var = n * (sigma**2 + diag[:, :, None] * diag[:, None, :])
+        z = (s - n * sigma) / np.sqrt(var)
+        upper = np.triu_indices(h.dim)
+        z = z[:, upper[0], upper[1]]
+        assert np.all(np.abs(z.mean(axis=0)) <= self.Z / math.sqrt(reps)), z.mean(axis=0)
+        z2 = z**2
+        se2 = z2.std(axis=0, ddof=1) / math.sqrt(reps)
+        assert np.all(np.abs(z2.mean(axis=0) - 1) <= self.Z * se2), z2.mean(axis=0)
+
+    @pytest.mark.parametrize("large_n", [False, True])
+    @pytest.mark.parametrize(
+        "pair, truth, hyper, theta",
+        [
+            ("A-vs-C", "C", oracle_hyper("C", 4, 2.0), None),
+            ("A-vs-D", "A", oracle_hyper("A", 3, 2.0), FullPrecision(np.eye(3) + 0.3)),
+            ("D-vs-C", "D", oracle_hyper("D", 3, 2.0), None),
+        ],
+    )
+    def test_log_evidence_ratio_matches_row_sampler(self, pair, truth, hyper, theta, large_n):
+        reps, n = 2000, 100 if large_n else hyper.dim
+        family = matched_family(hyper)
+        full, nested = pair.split("-vs-")
+
+        def log_ratio(s):
+            fits = [fit_structure(family.for_structure(x), s, n) for x in (full, nested)]
+            return fits[0].log_evidence - fits[1].log_evidence
+
+        stacked = log_ratio(asymptotics._draw(hyper, n, reps, 31, theta))
+        rows = log_ratio(row_scatters(hyper, n, reps, 32, theta)[0])
+        assert ks_2samp(stacked, rows).pvalue > 1e-3

@@ -407,6 +407,11 @@ class TestRates:
         assert run(argv) == 2
         assert "n >= 2" in capsys.readouterr().err
 
+    def test_n_below_d_exits_2(self, capsys):
+        # the study draws Wishart scatters, which need n >= d
+        assert run(["rates", "--truth", "A", "--d", "5", "--n-grid", "3", "10"]) == 2
+        assert "n >= d" in capsys.readouterr().err
+
     @pytest.mark.parametrize("truth", ["A", "D", "C"])
     def test_zero_dimension_exits_2(self, capsys, truth):
         assert run(["rates", "--truth", truth, "--d", "0", "--n-grid", "10", "--reps", "2"]) == 2
