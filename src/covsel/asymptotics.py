@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, SupportError
-from .precision import HalfPrecision, as_diag_vector, as_iso_scalar
+from .precision import HalfPrecision, as_array
 from .priors import (
     GammaVecHyper,
     Hyper,
@@ -158,7 +158,7 @@ class RateStudyConfig:
             if self.fixed_theta.dim != self.hyper.dim:
                 raise ConfigError("fixed_theta dimension does not match hyper")
             try:
-                _as_structure(self.truth, self.fixed_theta)
+                as_array(self.fixed_theta, self.truth)
             except SupportError as exc:
                 raise ConfigError(f"fixed_theta is not of the truth's structure: {exc}") from exc
 
@@ -276,15 +276,6 @@ def _study_target(config: RateStudyConfig, nested: str) -> float:
     raise ConfigError("full-true study with an isotropic truth has a zero rate by construction")
 
 
-def _as_structure(structure: str, theta: HalfPrecision) -> np.ndarray:
-    """theta in the form `sample_prior` draws for `structure`: the matrix
-    (A), the diagonal (D) or the scalar (C). SupportError if theta does not
-    have that structure."""
-    if structure == "A":
-        return theta.as_matrix()
-    return as_diag_vector(theta) if structure == "D" else np.asarray(as_iso_scalar(theta))
-
-
 def _draw(h: Hyper, n: int, reps: int, seed: int, theta: Optional[HalfPrecision]) -> np.ndarray:
     """(reps, d, d) scatters x^T x of n rows x from N(0, (2 theta)^{-1}),
     with theta drawn from the prior `h` per replicate unless it is fixed.
@@ -304,8 +295,8 @@ def _draw(h: Hyper, n: int, reps: int, seed: int, theta: Optional[HalfPrecision]
     if theta is None:
         draws = sample_prior(h, reps, rng)
     else:
-        value = _as_structure(structure, theta)
-        draws = np.broadcast_to(value, (reps, *value.shape))
+        value = as_array(theta, structure)
+        draws = np.broadcast_to(value, (reps, *np.shape(value)))
     w = sample_wishart_batch(WishartHyper(n / 2, np.eye(d) / 2), reps, rng)
     # an overflowing scatter (inf, or NaN from inf - inf) becomes an error below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

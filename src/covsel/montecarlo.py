@@ -142,7 +142,6 @@ class SimConfig:
     beta_inverse: float = 2.0
     n_values: Tuple[int, ...] = (5, 6, 7, 8, 9, 10)
     reps: int = 1000
-    truths: Tuple[str, ...] = TRUTH_ORDER
     scheme: str = "oracle"
     criteria: Tuple[str, ...] = ("evidence", "pcbic")
     seed: int = 0
@@ -157,9 +156,6 @@ class SimConfig:
             raise ConfigError("beta_inverse must be positive")
         if any(n < 1 for n in self.n_values):
             raise ConfigError("n values must be >= 1")
-        for t in self.truths:
-            if t not in TRUTH_ORDER:
-                raise ConfigError(f"unknown truth {t!r}")
         if self.scheme in ("empirical-bayes", "vs-mclust") and min(self.n_values) < self.d:
             raise ConfigError(
                 "empirical-Bayes schemes need n >= d for a positive definite scatter"

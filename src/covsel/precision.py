@@ -3,7 +3,9 @@
 Three shapes are supported, mirroring the three covariance structures:
 a full positive definite matrix (structure A), a positive diagonal
 (structure D), and a positive scalar multiple of the identity (structure C).
-Diag and Iso embed losslessly into Full.
+Diag and Iso embed losslessly into Full. Inside covsel a half-precision
+travels in its structure's array form; `as_array` and `from_array` are
+the one conversion to and from it.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,8 @@ __all__ = [
     "IsoPrecision",
     "HalfPrecision",
     "STRUCTURES",
+    "as_array",
+    "from_array",
 ]
 
 STRUCTURES = ("A", "D", "C")
@@ -116,23 +120,28 @@ class IsoPrecision:
 HalfPrecision = Union[FullPrecision, DiagPrecision, IsoPrecision]
 
 
-def as_diag_vector(theta: HalfPrecision) -> np.ndarray:
-    """View theta as a diagonal vector; SupportError if it is not diagonal."""
-    if isinstance(theta, DiagPrecision):
-        return theta.diag
-    if isinstance(theta, IsoPrecision):
-        return np.full(theta.dim, theta.value)
-    off = theta.matrix - np.diag(np.diag(theta.matrix))
-    if np.abs(off).max() > _ISO_RTOL * max(1.0, np.abs(theta.matrix).max()):
+def as_array(theta: HalfPrecision, structure: str):
+    """theta in `structure`'s array form: the matrix (A), the diagonal
+    vector (D) or the scalar (C). SupportError if theta does not have that
+    structure."""
+    m = theta.as_matrix()
+    if structure == "A":
+        return m
+    diag = np.diag(m).copy()
+    if np.abs(m - np.diag(diag)).max() > _ISO_RTOL * max(1.0, np.abs(m).max()):
         raise SupportError("half-precision is not diagonal")
-    return np.diag(theta.matrix).copy()
-
-
-def as_iso_scalar(theta: HalfPrecision) -> float:
-    """View theta as a scalar multiple of I; SupportError otherwise."""
-    if isinstance(theta, IsoPrecision):
-        return theta.value
-    diag = as_diag_vector(theta)
+    if structure == "D":
+        return diag
     if np.abs(diag - diag[0]).max() > _ISO_RTOL * max(1.0, abs(float(diag[0]))):
         raise SupportError("half-precision is not a multiple of the identity")
     return float(diag[0])
+
+
+def from_array(structure: str, value, dim: int) -> HalfPrecision:
+    """The half-precision of `structure` whose array form is `value`; the
+    inverse of `as_array`. `dim` is needed only for C's scalar."""
+    if structure == "A":
+        return FullPrecision(value)
+    if structure == "D":
+        return DiagPrecision(value)
+    return IsoPrecision(float(value), dim)

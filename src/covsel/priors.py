@@ -33,14 +33,7 @@ from .errors import (
     EmptyDatasetError,
     SupportError,
 )
-from .precision import (
-    DiagPrecision,
-    FullPrecision,
-    HalfPrecision,
-    IsoPrecision,
-    as_diag_vector,
-    as_iso_scalar,
-)
+from .precision import HalfPrecision, as_array, from_array
 from .specialfn import chol_log_det, cholesky_pd, log_mv_gamma, symmetrize
 
 __all__ = [
@@ -452,12 +445,7 @@ def sample_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_half_precision(h: Hyper, rng: np.random.Generator) -> HalfPrecision:
     """Draw one half-precision from the prior: a batch of one of `sample_prior`."""
-    draw = sample_prior(h, 1, rng)[0]
-    if isinstance(h, WishartHyper):
-        return FullPrecision(draw)
-    if isinstance(h, GammaVecHyper):
-        return DiagPrecision(draw)
-    return IsoPrecision(float(draw), h.dim)
+    return from_array(h.structure, sample_prior(h, 1, rng)[0], h.dim)
 
 
 def sample_wishart_batch(h: WishartHyper, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -493,11 +481,11 @@ def log_prior_density(h: Hyper, theta: HalfPrecision) -> float:
             - theta.scatter_product(h.rate)
         )
     if isinstance(h, GammaVecHyper):
-        eta = as_diag_vector(theta)
+        eta = as_array(theta, "D")
         return float(
             log_normalizer(h) + (h.alpha - 1) * np.log(eta).sum() - h.rate @ eta
         )
-    eta = as_iso_scalar(theta)
+    eta = as_array(theta, "C")
     return float(log_normalizer(h) + (h.alpha - 1) * np.log(eta) - h.rate * eta)
 
 

@@ -47,7 +47,6 @@ from .structures import (
     FitReport,
     StackFit,
     fit_structure,
-    log_evidence,
     log_likelihood,
     param_count,
     simplest_best,
@@ -226,11 +225,14 @@ def log_evidence_regression(data: RegressionData, rh: RegressionHyper) -> float:
 
     The covariate factor (d1/2) log(|Lambda| / |X^T X + Lambda|) plus the
     plain structure evidence at the effective scatter. With d2 = 0 this
-    is exactly the no-covariate structure evidence of y.
+    is exactly the no-covariate structure evidence of y. A batch of one
+    through the covariate-subset scorer; raises the reason where the
+    evidence is undefined.
     """
-    eff = effective_stats(data, rh)
-    lam_factor = rh.d1 / 2 * (eff.log_det_lam[0] - eff.log_det_post_lam[0])
-    return float(lam_factor + log_evidence(rh.cov, SuffStats(data.n, data.d1, eff.scatter[0])))
+    fit = _regression_fit(rh.cov.structure, rh, effective_stats(data, rh), data.n)
+    if np.isnan(fit.log_evidence[0]):
+        raise fit.errors[0]
+    return float(fit.log_evidence[0])
 
 
 def log_likelihood_regression(data: RegressionData, gamma: np.ndarray, theta: HalfPrecision) -> float:

@@ -46,11 +46,11 @@ def log_mv_gamma(d: int, a: float) -> float:
     return float(d * (d - 1) / 4 * LOG_PI + gammaln(a + (1 - j) / 2).sum())
 
 
-def symmetrize(s: np.ndarray, rtol: float = _SYM_RTOL) -> np.ndarray:
-    """Return (S + S^T)/2, rejecting inputs that are not symmetric to rtol.
+def symmetrize(s: np.ndarray) -> np.ndarray:
+    """Return (S + S^T)/2, rejecting inputs that are not symmetric to 1e-8.
 
     CSV round-trips and accumulated sums break exact symmetry; anything
-    beyond `rtol` relative asymmetry is treated as a user error rather
+    beyond that relative asymmetry is treated as a user error rather
     than silently averaged away. A stack (..., d, d) is checked against
     the scale of its largest entry.
     """
@@ -62,9 +62,9 @@ def symmetrize(s: np.ndarray, rtol: float = _SYM_RTOL) -> np.ndarray:
     st = s.swapaxes(-1, -2)
     scale = max(float(np.abs(s).max(initial=0.0)), 1.0)  # initial: a stack of 0 x 0 is empty
     gap = float(np.abs(s - st).max(initial=0.0))
-    if gap > rtol * scale:
+    if gap > _SYM_RTOL * scale:
         raise AsymmetricMatrixError(
-            f"matrix is asymmetric beyond relative tolerance {rtol} (gap {gap / scale:.3e})"
+            f"matrix is asymmetric beyond relative tolerance {_SYM_RTOL} (gap {gap / scale:.3e})"
         )
     return (s + st) / 2
 

@@ -26,8 +26,9 @@ from .errors import (
     DimensionMismatchError,
     NonRegularPriorError,
     NotPositiveDefiniteError,
+    SupportError,
 )
-from .precision import DiagPrecision, FullPrecision, HalfPrecision, IsoPrecision
+from .precision import HalfPrecision, from_array
 from .priors import (
     GammaVecHyper,
     Hyper,
@@ -201,10 +202,12 @@ def _hessian_logdet(structure: str, d: int, log_det_h):
 
 @dataclass(frozen=True)
 class FitReport:
-    """Everything a single structure's fit produces."""
+    """Everything a single structure's fit produces. The MAP is kept in
+    the structure's array form, as the kernel formed it (see `StackFit`)."""
 
     structure: str
-    map: HalfPrecision
+    map_array: np.ndarray
+    dim: int
     log_lik_at_map: float
     log_evidence: float
     flexibility_at_map: float
@@ -213,19 +216,18 @@ class FitReport:
     kic: Optional[float]
     k: int
 
+    @property
+    def map(self) -> HalfPrecision:
+        """The MAP as a half-precision, built on request."""
+        return from_array(self.structure, self.map_array, self.dim)
+
     def criterion_value(self, criterion: str) -> Optional[float]:
         return getattr(self, _CRITERION_FIELD[criterion])
 
     def to_jsonable(self) -> dict:
-        if isinstance(self.map, FullPrecision):
-            map_doc = self.map.matrix.tolist()
-        elif isinstance(self.map, DiagPrecision):
-            map_doc = self.map.diag.tolist()
-        else:
-            map_doc = self.map.value
         return {
             "structure": self.structure,
-            "map": map_doc,
+            "map": np.asarray(self.map_array).tolist(),
             "log_lik_at_map": self.log_lik_at_map,
             "log_evidence": self.log_evidence,
             "flexibility_at_map": self.flexibility_at_map,
@@ -275,19 +277,14 @@ class StackFit:
         """Replicate i as a FitReport; raises the reason it could not be fit."""
         if i in self.errors:
             raise self.errors[i]
-        if self.structure == "A":
-            theta = FullPrecision(self.map[i])
-        elif self.structure == "D":
-            theta = DiagPrecision(self.map[i])
-        else:
-            theta = IsoPrecision(float(self.map[i]), self.dim)
 
         def at(values):
             return None if values is None else float(values[i])
 
         return FitReport(
             structure=self.structure,
-            map=theta,
+            map_array=self.map[i],
+            dim=self.dim,
             log_lik_at_map=at(self.log_lik),
             log_evidence=at(self.log_evidence),
             flexibility_at_map=at(self.flexibility),
@@ -347,21 +344,29 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     lz_prior = log_normalizer(h)
     lz_post = log_normalizer_at(structure, alpha_post, log_rate_post, d)
     log_evidence = base + lz_prior - lz_post
+    log_evidence[list(errors)] = np.nan
     if mult <= 0:
         shape = "shape" if structure == "A" else "gamma shape"
         bound = "(d+1)/2" if structure == "A" else "1"
         error = NonRegularPriorError(f"posterior mode undefined: {shape} {mult + power} <= {bound}")
-        log_evidence[list(errors)] = np.nan
         fit = _unfit(h, r, d, n, error)
         return replace(fit, log_evidence=log_evidence, errors={**fit.errors, **errors})
-    # the mode, and log_base: log|H| for A and D, log eta for C (the
-    # log of what the densities raise to alpha - power)
+    # the mode; it overflows where the posterior rate is too close to singular
+    with np.errstate(over="ignore", invalid="ignore"):
+        if structure == "A":
+            inv = np.linalg.inv(chol)
+            theta = mult * np.einsum("rki,rkj->rij", inv, inv)
+        else:
+            theta = mult / rate_post
+    for i in np.flatnonzero(~np.isfinite(theta).all(axis=axes)):
+        reason = "posterior mode is not finite: the posterior rate is too close to singular"
+        errors.setdefault(int(i), SupportError(reason))
+        theta[i] = 1.0  # a finite stand-in, masked below
+    # log_base: log|H| for A and D, log eta for C (the log of what the
+    # densities raise to alpha - power)
     if structure == "A":
-        inv = np.linalg.inv(chol)
-        theta = mult * np.einsum("rki,rkj->rij", inv, inv)
         log_base = d * math.log(mult) - log_rate_post
     else:
-        theta = mult / rate_post
         log_base = np.log(theta).sum(axis=axes)
     log_det_h = d * log_base if structure == "C" else log_base
 
@@ -397,8 +402,8 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     if errors:
         valid[list(errors)] = False
         theta[~valid] = np.nan
-        for v in out.values():
-            if v is not None:
+        for key, v in out.items():
+            if v is not None and key != "log_evidence":  # defined without a mode
                 v[~valid] = np.nan
     return StackFit(structure=structure, dim=d, k=k, map=theta, valid=valid, errors=errors, **out)
 

@@ -148,6 +148,26 @@ class TestSelect:
         assert run(["select", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_overflowing_mode_skips_the_structure(self, tmp_path, capsys):
+        # all-zero rows and a Wishart rate of 1e-310 I: the rate is accepted,
+        # but the posterior mode (alpha - 3/2) (B + s)^{-1} overflows
+        path = tmp_path / "zeros.csv"
+        path.write_text("a,b\n" + "0,0\n" * 5)
+        hyper = {
+            "A": {"structure": "A", "alpha": 2.0, "rate": [[1e-310, 0.0], [0.0, 1e-310]]},
+            "D": {"structure": "D", "alpha": 2.0, "rate": [1.0, 1.0]},
+            "C": {"structure": "C", "alpha": 2.0, "rate": 1.0, "dim": 2},
+        }
+        hp = tmp_path / "hyper.json"
+        hp.write_text(json.dumps(hyper))
+        out = tmp_path / "r.json"
+        # a RuntimeWarning would fail the test (pytest's filterwarnings)
+        assert run(["select", str(path), "--hyper-source", f"file:{hp}", "--json", str(out)]) == 0
+        assert "skipped A: SupportError: posterior mode is not finite" in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert [rep["structure"] for rep in doc["ranked"]] == ["C", "D"]
+        assert list(doc["skipped"]) == ["A"]
+
     def test_value_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("programming error")

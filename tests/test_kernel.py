@@ -17,9 +17,9 @@ from scipy.stats import binom
 
 import covsel.montecarlo as montecarlo
 from covsel.data import SuffStats
-from covsel.errors import ConfigError, NonRegularPriorError, NotPositiveDefiniteError
+from covsel.errors import ConfigError, NonRegularPriorError, NotPositiveDefiniteError, SupportError
 from covsel.montecarlo import SimConfig, mcnemar, run_cell
-from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
+from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision, as_array
 from covsel.priors import (
     GammaHyper,
     GammaVecHyper,
@@ -192,6 +192,14 @@ def random_scatters(rng, r, n, d, near_singular):
         scale[-1] = 1e-6
     rows = rng.standard_normal((r, n, d)) * scale
     s = np.einsum("rni,rnj->rij", rows, rows)
+    return (s + np.swapaxes(s, 1, 2)) / 2
+
+
+def ill_conditioned_scatters(rng, r, d, spread):
+    """r positive definite scatters whose eigenvalues span 10^-spread to
+    10^spread, in random directions."""
+    q, _ = np.linalg.qr(rng.standard_normal((r, d, d)))
+    s = (q * 10.0 ** rng.uniform(-spread, spread, size=(r, 1, d))) @ q.swapaxes(1, 2)
     return (s + np.swapaxes(s, 1, 2)) / 2
 
 
@@ -431,6 +439,61 @@ class TestFailuresStayPerReplicate:
         monkeypatch.setattr(montecarlo, name, broken)
         with pytest.raises(TypeError):
             run_cell(SimConfig(d=2, n_values=(4,), reps=3, seed=1, scheme=scheme), "C", 4)
+
+
+class TestReports:
+    """`StackFit.report` hands on the kernel's MAP array without checking it
+    again; the half-precision a caller builds from it must still be valid."""
+
+    @PROPERTY
+    @given(case=cases, stacked=st.booleans(), spread=st.floats(0.0, 8.0))
+    def test_every_valid_map_builds_its_half_precision(self, case, stacked, spread):
+        rng, d, n, r, near = case
+        s = random_scatters(rng, r, n, d, near) + ill_conditioned_scatters(rng, r, d, spread)
+        shapes = random_shapes(rng, d)
+        hypers = (
+            stack_hypers([random_triple(rng, d, shapes) for _ in range(r)])
+            if stacked
+            else random_triple(rng, d)
+        )
+        for structure, fit in fit_stack(s, n, hypers).items():
+            for i in np.flatnonzero(fit.valid):
+                rep = fit.report(i)
+                theta = rep.map  # FullPrecision symmetrizes and factors here
+                assert (theta.structure, theta.dim) == (structure, d)
+                # the kernel's A mode is exactly symmetric, so nothing changes
+                np.testing.assert_array_equal(as_array(theta, structure), fit.map[i])
+                assert rep.to_jsonable()["map"] == np.asarray(as_array(theta, structure)).tolist()
+
+
+class TestNonFiniteMode:
+    """A rate the prior accepts can be so close to singular that the mode
+    overflows; that replicate fails alone, with its evidence kept."""
+
+    @pytest.mark.parametrize("structure", SIMPLEST_FIRST)
+    def test_overflowing_mode_fails_its_replicate(self, structure):
+        tiny = 1e-310
+        hypers = HyperTriple(
+            WishartHyper(2.0, tiny * np.eye(2)),
+            GammaVecHyper(2.0, np.array([tiny, 1.0])),
+            GammaHyper(2.0, tiny, 2),
+        )
+        s = np.stack([np.zeros((2, 2)), np.eye(2)])
+        # a RuntimeWarning would fail the test (pytest's filterwarnings)
+        fit = fit_stack(s, 5, hypers)[structure]
+        assert fit.valid.tolist() == [False, True]
+        assert isinstance(fit.errors[0], SupportError)
+        assert "posterior mode is not finite" in str(fit.errors[0])
+        for field in ("map", "log_det_map", "log_lik", "flexibility", "log_prior", "bic", "kic"):
+            assert np.isnan(getattr(fit, field)[0]).all(), field
+            assert np.isfinite(getattr(fit, field)[1]).all(), field
+        h = hypers.for_structure(structure)
+        for i in range(2):
+            stats = SuffStats(n=5, d=2, s=s[i])
+            assert fit.log_evidence[i] == log_evidence(h, stats) == scalar_log_evidence(h, stats)
+        with pytest.raises(SupportError):
+            fit.report(0)
+        assert fit.report(1).map.structure == structure
 
 
 class TestTieBreak:
