@@ -30,12 +30,7 @@ from .priors import (
     sample_wishart_batch,
 )
 from .specialfn import amgm_half_log_ratio, cholesky_stack, hadamard_half_log_ratio
-from .structures import (
-    StackFit,
-    fit_structure,
-    log_partition_hessian_logdet,
-    param_count,
-)
+from .structures import fit_structure, log_partition_hessian_logdet, param_count
 
 __all__ = [
     "PAIRS",
@@ -230,7 +225,7 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
     for n in config.n_grid:
         s = _draw(config.hyper, n, config.reps, config.seed, config.fixed_theta)
         full_fit, nested_fit = (fit_structure(h, s, n) for h in (h_full, h_nested))
-        vals = _defined(full_fit, "log_evidence") - _defined(nested_fit, "log_evidence")
+        vals = full_fit.defined("log_evidence") - nested_fit.defined("log_evidence")
         scale = np.log(n) if nested_true else float(n)
         scaled = vals / scale
         rows.append(
@@ -321,16 +316,6 @@ def _draw(h: Hyper, n: int, reps: int, seed: int, theta: Optional[HalfPrecision]
     return s
 
 
-def _defined(fit: StackFit, field: str) -> np.ndarray:
-    """One field of a stack fit; raises the error of the first replicate
-    where it is undefined, so that no study averages NaN."""
-    values = getattr(fit, field)
-    undefined = np.flatnonzero(np.isnan(values))
-    if undefined.size:
-        raise fit.errors[undefined[0]]
-    return values
-
-
 @dataclass(frozen=True)
 class GapStudyRow:
     n: int
@@ -363,7 +348,7 @@ def flexibility_gap_study(
     rows = []
     for n in n_grid:
         fit = fit_structure(h, _draw(h, n, reps, seed, theta0), n)
-        flex_term = _defined(fit, "flexibility") - k / 2 * np.log(n)
+        flex_term = fit.defined("flexibility") - k / 2 * np.log(n)
         kic_err = np.abs(fit.kic - fit.log_evidence)
         rows.append(
             GapStudyRow(

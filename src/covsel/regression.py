@@ -46,6 +46,7 @@ from .structures import (
     SIMPLEST_FIRST,
     FitReport,
     StackFit,
+    criterion_matrix,
     fit_structure,
     log_likelihood,
     param_count,
@@ -229,10 +230,7 @@ def log_evidence_regression(data: RegressionData, rh: RegressionHyper) -> float:
     through the covariate-subset scorer; raises the reason where the
     evidence is undefined.
     """
-    fit = _regression_fit(rh.cov.structure, rh, effective_stats(data, rh), data.n)
-    if np.isnan(fit.log_evidence[0]):
-        raise fit.errors[0]
-    return float(fit.log_evidence[0])
+    return float(_regression_fit(rh, effective_stats(data, rh), data.n).defined("log_evidence")[0])
 
 
 def log_likelihood_regression(data: RegressionData, gamma: np.ndarray, theta: HalfPrecision) -> float:
@@ -290,9 +288,9 @@ def joint_map(data: RegressionData, rh: RegressionHyper) -> Tuple[np.ndarray, Ha
     return fit.gamma_hats[structure], fit.reports[structure].map
 
 
-def _regression_fit(structure: str, rh: RegressionHyper, eff: EffectiveStats, n: int) -> StackFit:
-    """One structure's fit to a stack of subsets: the kernel's fit of H at each
-    effective scatter, plus the coefficient block: the covariate factor in the
+def _regression_fit(rh: RegressionHyper, eff: EffectiveStats, n: int) -> StackFit:
+    """The fit of `rh.cov`'s structure to a stack of subsets: the kernel's fit of H
+    at each effective scatter, plus the coefficient block: the covariate factor in the
     evidence, and the matrix-normal densities at gamma_hat, under the prior (mean
     nu) and the posterior (mean gamma_hat), in the log prior and flexibility."""
     d1, d2 = eff.gamma_hat.shape[1:]
@@ -303,14 +301,13 @@ def _regression_fit(structure: str, rh: RegressionHyper, eff: EffectiveStats, n:
     ll = fit.log_lik + quad if n else fit.log_lik
     coef_prior = d1 / 2 * eff.log_det_lam + d2 / 2 * fit.log_det_map - quad
     lp = fit.log_prior - d1 * d2 / 2 * LOG_PI + coef_prior
-    k = param_count(structure, d1) + d1 * d2
+    k = param_count(rh.cov.structure, d1) + d1 * d2
     bic = pc_bic = None
     if n >= 1:
         penalty = k / 2 * math.log(n)
         bic, pc_bic = ll - penalty, ll + lp - penalty
     return replace(
         fit,
-        structure=structure,
         log_lik=ll,
         log_evidence=fit.log_evidence + lam_factor,
         flexibility=fit.flexibility - lam_factor + quad,
@@ -329,6 +326,17 @@ def _check_criterion(criterion: str) -> None:
         )
 
 
+def _simplest_best_values(values: np.ndarray, criterion: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's choice (see `simplest_best`) of an (r, 3) criterion matrix
+    in SIMPLEST_FIRST column order, and its value; raises where a row has none."""
+    j = simplest_best(values)
+    if (j < 0).any():
+        raise EmptyDatasetError(
+            f"criterion {criterion} has no value (BIC-type criteria need n >= 1)"
+        )
+    return j, values[np.arange(len(j)), j]
+
+
 @dataclass(frozen=True)
 class RegressionFit:
     """Per-structure reports for one covariate subset."""
@@ -342,16 +350,12 @@ class RegressionFit:
         tie tolerance of the best, the simplest structure wins."""
         _check_criterion(criterion)
         values = np.array(
-            [self.reports[s].criterion_value(criterion) if s in self.reports else None
-             for s in SIMPLEST_FIRST],
+            [[self.reports[s].criterion_value(criterion) if s in self.reports else None
+              for s in SIMPLEST_FIRST]],
             dtype=float,  # None, for an absent structure or an undefined value, becomes NaN
         )
-        j = simplest_best(values[None])[0]
-        if j < 0:
-            raise EmptyDatasetError(
-                f"criterion {criterion} has no value (BIC-type criteria need n >= 1)"
-            )
-        return SIMPLEST_FIRST[j], float(values[j])
+        j, best = _simplest_best_values(values, criterion)
+        return SIMPLEST_FIRST[j[0]], float(best[0])
 
     def to_jsonable(self) -> dict:
         return {
@@ -363,30 +367,34 @@ class RegressionFit:
 def fit_regression(data: RegressionData, hypers: Dict[str, RegressionHyper], subset=()) -> RegressionFit:
     """Fit every provided structure's regression model on the same data:
     a batch of one of the covariate-subset scorer, with every column."""
-    return _fit_subsets(data, hypers, None, [tuple(subset)])[0]
+    return _fit_subsets(data, hypers, None, [tuple(subset)])[0][0]
 
 
 def _fit_subsets(
     data: RegressionData, hypers: Dict[str, RegressionHyper], subsets, labels: Sequence[Tuple]
-) -> List[RegressionFit]:
+) -> Tuple[List[RegressionFit], Dict[str, StackFit]]:
     """Fit every provided structure's regression model to a stack of
-    covariate subsets of one size (see `effective_stats`), named `labels`.
+    covariate subsets of one size (see `effective_stats`), named `labels`;
+    returns their RegressionFits and each structure's StackFit.
 
     The coefficient estimate and the effective scatter depend only on
     (nu, Lambda), not on the variance structure, so they are computed
     once per distinct (nu, Lambda) and shared. Criteria use the joint
     MAP, with k = structure parameters + d1*d2 coefficients. The Kashyap
     criterion is not defined here and reported as missing. A subset that
-    a structure cannot fit raises the reason, in subset order.
+    a structure cannot fit raises the reason, in subset order. A prior
+    filed under another structure's key raises ConfigError.
     """
     shared: Dict[tuple, EffectiveStats] = {}
     fits, effs = {}, {}
     for structure, rh in hypers.items():
+        if structure != rh.cov.structure:
+            raise ConfigError(f"key {structure!r} holds a structure-{rh.cov.structure} prior")
         key = (rh.nu.shape, rh.nu.tobytes(), rh.lam.tobytes())
         if key not in shared:
             shared[key] = effective_stats(data, rh, subsets)
         effs[structure] = eff = shared[key]
-        fits[structure] = _regression_fit(structure, rh, eff, data.n)
+        fits[structure] = _regression_fit(rh, eff, data.n)
     return [
         RegressionFit(
             subset=label,
@@ -394,7 +402,7 @@ def _fit_subsets(
             reports={s: fit.report(i) for s, fit in fits.items()},
         )
         for i, label in enumerate(labels)
-    ]
+    ], fits
 
 
 def standard_hypers(
@@ -443,14 +451,18 @@ def enumerate_covariates(
     labels = tuple(names) if names is not None else tuple(range(d2))
     if len(labels) != d2:
         raise ConfigError("names length must match the covariate count")
-    fits = []
+    fits, values = [], []
     for size in range(0 if include_empty else 1, d2 + 1):
         combos = combinations(range(d2), size)
         while block := list(islice(combos, _MAX_STACK)):
             subsets = [tuple(sorted(labels[i] for i in idx) if names else idx) for idx in block]
-            fits += _fit_subsets(data, hypers, np.array(block, dtype=int), subsets)
-    fits.sort(key=lambda f: -f.best(criterion)[1])
-    return fits
+            stack, structure_fits = _fit_subsets(data, hypers, np.array(block, dtype=int), subsets)
+            fits += stack
+            values.append(criterion_matrix(structure_fits, criterion, len(block)))
+    if not fits:
+        return fits
+    _, best = _simplest_best_values(np.concatenate(values), criterion)
+    return [fits[i] for i in np.argsort(-best, kind="stable")]
 
 
 @dataclass(frozen=True)

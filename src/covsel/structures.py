@@ -14,7 +14,7 @@ floating-point accuracy by construction.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,8 +39,9 @@ from .priors import (
     log_normalizer_at,
     log_prior_density,
     sample_prior,
+    shape_for_sample_size,
 )
-from .specialfn import LOG_PI, chol_log_det, cholesky_stack, log_mv_gamma
+from .specialfn import LOG_PI, chol_log_det, cholesky_stack
 
 __all__ = [
     "FitReport",
@@ -128,38 +129,35 @@ def log_evidence(h: Hyper, stats: SuffStats) -> float:
     A batch of one through `fit_structure`; raises the reason where the
     evidence is undefined.
     """
-    fit = fit_structure(h, stats.s[None], stats.n)
-    if np.isnan(fit.log_evidence[0]):
-        raise fit.errors[0]
-    return float(fit.log_evidence[0])
+    return float(fit_structure(h, stats.s[None], stats.n).defined("log_evidence")[0])
 
 
 def log_evidence_flat(structure: str, stats: SuffStats) -> float:
     """Log evidence under the improper flat prior on the half-precision.
 
     Scale-arbitrary (the flat prior has no normalization), so this is
-    excluded from structure selection and exposed separately. Structures
-    C and D need n >= 1; structure A additionally needs n > d so that the
-    normalizing constant of the would-be posterior is finite.
+    excluded from structure selection and exposed separately. The flat
+    prior is the conjugate family with zero rate, so the evidence is the
+    data's base term minus the log normalizer of the would-be posterior,
+    whose prior sample size is n. Structures C and D need n >= 1 and a
+    positive statistic; structure A additionally needs n > d so that the
+    normalizer is finite.
     """
     n, d = stats.n, stats.d
     if n < 1:
         raise ConfigError("flat-prior evidence requires n >= 1")
-    base = -n * d / 2 * LOG_PI
-    if structure == "C":
-        alpha = (n * d + 2) / 2
-        return float(base + math.lgamma(alpha) - alpha * np.log(stats.s_total))
-    if structure == "D":
-        alpha = (n + 2) / 2
-        if np.any(stats.s_diag <= 0):
-            raise NotPositiveDefiniteError("flat-prior evidence needs positive s_jj")
-        return float(base + d * math.lgamma(alpha) - alpha * np.log(stats.s_diag).sum())
+    alpha = shape_for_sample_size(structure, n, d)
     if structure == "A":
         if n <= d:
             raise ConfigError(f"flat-prior evidence for structure A requires n > d = {d}")
-        alpha = (n + d + 1) / 2
-        return float(base + log_mv_gamma(d, alpha) - alpha * chol_log_det(stats.s))
-    raise ValueError(f"unknown structure {structure!r}")
+        log_stat = chol_log_det(stats.s)
+    else:
+        stat = stats.s_diag if structure == "D" else stats.s_total
+        if np.any(stat <= 0):
+            what = "s_jj" if structure == "D" else "tr s"
+            raise NotPositiveDefiniteError(f"flat-prior evidence needs positive {what}")
+        log_stat = np.log(stat).sum()
+    return float(-n * d / 2 * LOG_PI - log_normalizer_at(structure, alpha, log_stat, d))
 
 
 def flexibility(h: Hyper, stats: SuffStats, theta: HalfPrecision) -> float:
@@ -248,6 +246,7 @@ class StackFit:
     has False in `valid`, the reason in `errors`, and NaN entries, except
     in `log_evidence`: the evidence is defined without a mode, so it is
     filled wherever the posterior is proper, even for a non-regular prior.
+    `report` and `defined` are where a failure surfaces, as its error.
     """
 
     structure: str
@@ -267,6 +266,15 @@ class StackFit:
 
     def values(self, criterion: str) -> Optional[np.ndarray]:
         return getattr(self, _CRITERION_FIELD[criterion])
+
+    def defined(self, field: str) -> np.ndarray:
+        """A field with one value per replicate, such as `log_evidence`;
+        raises the error of the first replicate where it is NaN."""
+        values = getattr(self, field)
+        undefined = np.flatnonzero(np.isnan(values))
+        if undefined.size:
+            raise self.errors[int(undefined[0])]
+        return values
 
     def scatter_product(self, s: np.ndarray) -> np.ndarray:
         """tr(H s) at each replicate's MAP, for a stack s of r scatters."""
@@ -318,13 +326,16 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     `regression.joint_map`): they tilt the posterior of H by
     |H|^{coef_cols/2}, which moves the mode as coef_cols observations
     with zero scatter would. The mode is the only output it changes.
+
+    A replicate that cannot be fit gets its reason in `errors`: an improper
+    posterior, a non-regular prior (every replicate) or an overflowing mode,
+    in that precedence; its outputs come from finite stand-ins and are blanked
+    in one final mask. A hyper of another dimension raises DimensionMismatchError.
     """
     r, d = s.shape[0], s.shape[-1]
     structure = h.structure
     if h.dim != d:
-        return _unfit(
-            h, r, d, n, DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {d}")
-        )
+        raise DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {d}")
     # the conjugate update, on the structure's own statistic of s
     statistic, axes = _STATISTIC[structure]
     stat = statistic(s)
@@ -340,17 +351,17 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
         log_rate_post = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     else:
         log_rate_post = np.log(rate_post).sum(axis=axes)
+    improper = list(errors)
     base = -n * d / 2 * LOG_PI
     lz_prior = log_normalizer(h)
     lz_post = log_normalizer_at(structure, alpha_post, log_rate_post, d)
     log_evidence = base + lz_prior - lz_post
-    log_evidence[list(errors)] = np.nan
     if mult <= 0:
         shape = "shape" if structure == "A" else "gamma shape"
         bound = "(d+1)/2" if structure == "A" else "1"
         error = NonRegularPriorError(f"posterior mode undefined: {shape} {mult + power} <= {bound}")
-        fit = _unfit(h, r, d, n, error)
-        return replace(fit, log_evidence=log_evidence, errors={**fit.errors, **errors})
+        errors = {i: errors.get(i, error) for i in range(r)}
+        mult = 1.0  # a finite stand-in, masked below
     # the mode; it overflows where the posterior rate is too close to singular
     with np.errstate(over="ignore", invalid="ignore"):
         if structure == "A":
@@ -378,6 +389,7 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     log_lik = n / 2 * log_det_h + base - dot(stat) if n else np.zeros(r)
     k = param_count(structure, d)
     out = {
+        "map": theta,
         "log_det_map": log_det_h,
         "log_lik": log_lik,
         "log_evidence": log_evidence,
@@ -398,39 +410,15 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
         )
     else:
         out["bic"] = out["pc_bic"] = out["kic"] = None
+    # the one masking step: a failed replicate keeps only its evidence,
+    # which is defined without a mode wherever the posterior is proper
     valid = np.ones(r, dtype=bool)
-    if errors:
-        valid[list(errors)] = False
-        theta[~valid] = np.nan
-        for key, v in out.items():
-            if v is not None and key != "log_evidence":  # defined without a mode
-                v[~valid] = np.nan
-    return StackFit(structure=structure, dim=d, k=k, map=theta, valid=valid, errors=errors, **out)
-
-
-def _unfit(h: Hyper, r: int, d: int, n: int, error: CovselError) -> StackFit:
-    """A StackFit in which no replicate could be fit, all for one reason."""
-
-    def nan(defined=True):
-        return np.full(r, np.nan) if defined else None
-
-    shape = {"A": (r, d, d), "D": (r, d), "C": (r,)}[h.structure]
-    return StackFit(
-        structure=h.structure,
-        dim=d,
-        k=param_count(h.structure, d),
-        map=np.full(shape, np.nan),
-        log_det_map=nan(),
-        log_lik=nan(),
-        log_evidence=nan(),
-        flexibility=nan(),
-        log_prior=nan(),
-        bic=nan(n >= 1),
-        pc_bic=nan(n >= 1),
-        kic=nan(n >= 1),
-        valid=np.zeros(r, dtype=bool),
-        errors=dict.fromkeys(range(r), error),
-    )
+    valid[list(errors)] = False
+    log_evidence[improper] = np.nan
+    for key, v in out.items():
+        if v is not None and key != "log_evidence":
+            v[~valid] = np.nan
+    return StackFit(structure=structure, dim=d, k=k, valid=valid, errors=errors, **out)
 
 
 def criteria(h: Hyper, stats: SuffStats) -> FitReport:
@@ -458,14 +446,22 @@ def simplest_best(values: np.ndarray) -> np.ndarray:
     return pick
 
 
+def criterion_matrix(fits: Dict[str, StackFit], criterion: str, r: int) -> np.ndarray:
+    """The (r, 3) values of `criterion` in SIMPLEST_FIRST columns: NaN where a
+    structure is absent, a replicate failed or the criterion is undefined."""
+    cols = []
+    for structure in SIMPLEST_FIRST:
+        fit = fits.get(structure)
+        values = None if fit is None else fit.values(criterion)
+        cols.append(np.full(r, np.nan) if values is None else np.where(fit.valid, values, np.nan))
+    return np.stack(cols, axis=1)
+
+
 def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[str]]:
     """Each replicate's selected structure under `criterion`; None where no
     structure could be fit or the criterion is undefined."""
-    cols = []
-    for structure in SIMPLEST_FIRST:
-        values = fits[structure].values(criterion)
-        cols.append(np.where(fits[structure].valid, np.nan if values is None else values, np.nan))
-    return [SIMPLEST_FIRST[j] if j >= 0 else None for j in simplest_best(np.stack(cols, axis=1))]
+    picks = simplest_best(criterion_matrix(fits, criterion, len(fits["C"].valid)))
+    return [SIMPLEST_FIRST[j] if j >= 0 else None for j in picks]
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +621,8 @@ def select_structure(
     Ranking repeats the rule of `simplest_best`: ties (within relative
     1e-9 of the best remaining value) go to the simpler structure, C
     before D before A. Structures that cannot be fit are excluded and
-    reported in `skipped` with the reason.
+    reported in `skipped` with the reason; a hyper of another dimension
+    than the data's raises DimensionMismatchError.
     """
     if criterion not in CRITERIA:
         raise ConfigError(f"criterion must be one of {CRITERIA}, got {criterion!r}")

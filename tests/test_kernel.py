@@ -17,7 +17,13 @@ from scipy.stats import binom
 
 import covsel.montecarlo as montecarlo
 from covsel.data import SuffStats
-from covsel.errors import ConfigError, NonRegularPriorError, NotPositiveDefiniteError, SupportError
+from covsel.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NonRegularPriorError,
+    NotPositiveDefiniteError,
+    SupportError,
+)
 from covsel.montecarlo import SimConfig, mcnemar, run_cell
 from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision, as_array
 from covsel.priors import (
@@ -39,6 +45,7 @@ from covsel.structures import (
     best_structures,
     criteria,
     fit_stack,
+    fit_structure,
     flexibility,
     log_evidence,
     log_likelihood,
@@ -494,6 +501,37 @@ class TestNonFiniteMode:
         with pytest.raises(SupportError):
             fit.report(0)
         assert fit.report(1).map.structure == structure
+
+
+class TestOneFailurePath:
+    """Failures are marked in the kernel's one final mask and surfaced by
+    `StackFit.report` and `StackFit.defined`."""
+
+    @pytest.mark.parametrize("structure", SIMPLEST_FIRST)
+    def test_hyper_of_another_dimension_raises(self, structure):
+        hypers = matched_family(WishartHyper(3.0, np.eye(3)))
+        with pytest.raises(DimensionMismatchError):
+            fit_structure(hypers.for_structure(structure), np.stack([np.eye(2)] * 2), 5)
+        with pytest.raises(DimensionMismatchError):
+            select_structure(SuffStats(n=5, d=2, s=np.eye(2)), hypers, "evidence")
+
+    def test_defined_raises_the_lowest_undefined_replicates_error(self):
+        # replicate 1's mode overflows (its evidence stays defined) and
+        # replicate 2's posterior rate is indefinite (no evidence either)
+        s = np.stack([np.eye(2), np.zeros((2, 2)), [[1.0, 3.0], [3.0, 1.0]], np.eye(2)])
+        fit = fit_structure(WishartHyper(2.0, 1e-310 * np.eye(2)), s, 5)
+        assert fit.valid.tolist() == [True, False, False, True]
+        for field, i, kind in (
+            ("flexibility", 1, SupportError),
+            ("kic", 1, SupportError),
+            ("log_evidence", 2, NotPositiveDefiniteError),
+        ):
+            with pytest.raises(kind) as caught:
+                fit.defined(field)
+            assert caught.value is fit.errors[i]
+        whole = fit_structure(WishartHyper(2.0, 1e-310 * np.eye(2)), s[[0, 3]], 5)
+        for field in ("log_evidence", "flexibility", "log_lik", "bic", "pc_bic", "kic"):
+            assert whole.defined(field) is getattr(whole, field)
 
 
 class TestTieBreak:

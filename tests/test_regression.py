@@ -502,6 +502,16 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             RegressionHyper(np.zeros((1, 1)), np.array([2.0]), GammaHyper(2.0, 1.0, 1))
 
+    def test_prior_filed_under_another_structure_key(self):
+        # scored under the key's label, C's evidence would be reported as A's
+        data = toy_data(np.random.default_rng(37), d2=2)
+        h = standard_hypers(2, 2)
+        swapped = {"A": h["C"], "C": h["A"], "D": h["D"]}
+        with pytest.raises(ConfigError, match="key 'A' holds a structure-C prior"):
+            fit_regression(data, swapped)
+        with pytest.raises(ConfigError):
+            enumerate_covariates(data, swapped)
+
 
 def rows_enumerate(data, hypers, include_empty):
     """[(subset, rows_fit_regression of the subset)], sorted by the best
@@ -856,6 +866,27 @@ class TestBestStructure:
         data = toy_data(np.random.default_rng(34))
         with pytest.raises(ConfigError):
             enumerate_covariates(data, standard_hypers(2, 3), criterion="kic")
+
+    def test_enumeration_ranks_every_subset_with_one_call(self, monkeypatch):
+        shapes = []
+        original = regression.simplest_best
+
+        def counted(values):
+            shapes.append(values.shape)
+            return original(values)
+
+        data = toy_data(np.random.default_rng(38), n=15, d1=2, d2=5)
+        monkeypatch.setattr(regression, "_MAX_STACK", 4)
+        monkeypatch.setattr(regression, "simplest_best", counted)
+        fits = enumerate_covariates(data, standard_hypers(2, 5), include_empty=True)
+        assert shapes == [(32, 3)]
+        best = [fit.best("evidence")[1] for fit in fits]
+        assert best == sorted(best, reverse=True)
+
+    def test_no_candidates_and_no_empty_subset_gives_no_fits(self):
+        data = RegressionData(np.random.default_rng(39).standard_normal((15, 2)), np.empty((15, 0)))
+        assert enumerate_covariates(data, standard_hypers(2, 0)) == []
+        assert len(enumerate_covariates(data, standard_hypers(2, 0), include_empty=True)) == 1
 
     def test_bic_at_n_zero_has_no_value(self):
         data = RegressionData(np.empty((0, 2)), np.empty((0, 3)))

@@ -5,9 +5,10 @@ import pytest
 from scipy.special import gammaln
 
 from covsel.data import Dataset, SuffStats, suff_stats
-from covsel.errors import ConfigError, NonRegularPriorError
+from covsel.errors import ConfigError, NonRegularPriorError, NotPositiveDefiniteError
 from covsel.montecarlo import gaussian_rows
 from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
+from covsel.specialfn import LOG_PI, chol_log_det, log_mv_gamma
 from covsel.priors import (
     GammaHyper,
     GammaVecHyper,
@@ -347,7 +348,44 @@ class TestEvidenceOracles:
         assert evidence_oracle(GammaHyper(2.0, 1.0, 1), stats, "quadrature") == (0.0, 0.0)
 
 
+def closed_form_log_evidence_flat(structure, stats):
+    """The flat-prior evidence as the three closed forms the package
+    replaced with the log normalizer of the would-be posterior: the base
+    term, the log-gamma term and -alpha times the log statistic."""
+    n, d = stats.n, stats.d
+    base = -n * d / 2 * LOG_PI
+    if structure == "C":
+        alpha = (n * d + 2) / 2
+        return [base, math.lgamma(alpha), -alpha * np.log(stats.s_total)]
+    if structure == "D":
+        alpha = (n + 2) / 2
+        return [base, d * math.lgamma(alpha), -alpha * np.log(stats.s_diag).sum()]
+    alpha = (n + d + 1) / 2
+    return [base, log_mv_gamma(d, alpha), -alpha * chol_log_det(stats.s)]
+
+
 class TestFlatPrior:
+    def test_matches_the_closed_forms(self):
+        # 1e-13 relative to the terms' magnitudes, which can cancel to a value near 0
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            d = int(rng.integers(1, 7))
+            n = int(rng.integers(d + 1, 80))
+            scale = 10.0 ** rng.uniform(-6, 6)
+            stats = suff_stats(Dataset(scale * rng.standard_normal((n, d))))
+            # C and D at n <= d too
+            small = SuffStats(n=int(rng.integers(1, d + 1)), d=d, s=stats.s)
+            for structure, case in [(s, stats) for s in "ADC"] + [(s, small) for s in "DC"]:
+                terms = closed_form_log_evidence_flat(structure, case)
+                got = log_evidence_flat(structure, case)
+                assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms)), (structure, case.n, d)
+
+    @pytest.mark.parametrize("structure", ["A", "D", "C"])
+    def test_zero_scatter_raises(self, structure):
+        # a RuntimeWarning from log(0) would fail the test (pytest's filterwarnings)
+        with pytest.raises(NotPositiveDefiniteError):
+            log_evidence_flat(structure, SuffStats(n=3, d=2, s=np.zeros((2, 2))))
+
     def test_iso_matches_likelihood_integral(self):
         rng = np.random.default_rng(17)
         stats = suff_stats(Dataset(rng.standard_normal((5, 1))))
