@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import bdtr
 
-from .data import Dataset, SuffStats
+from .data import Dataset
 from .errors import ConfigError, CovselError, SupportError
 from .precision import DiagPrecision, FullPrecision, HalfPrecision
 from .priors import (
@@ -26,12 +26,10 @@ from .priors import (
     GammaVecHyper,
     Hyper,
     WishartHyper,
-    empirical_bayes,
     matched_family,
-    mclust_default,
+    moment_hypers,
     sample_half_precision,
     shape_for_sample_size,
-    stack_hypers,
 )
 from .specialfn import chi_square_sf, cholesky_pd
 from .structures import best_structures, fit_stack
@@ -160,6 +158,8 @@ class SimConfig:
             raise ConfigError(
                 "empirical-Bayes schemes need n >= d for a positive definite scatter"
             )
+        if self.scheme in ("empirical-bayes", "vs-mclust") and self.prior_sample_size <= 0:
+            raise ConfigError("empirical-Bayes schemes need a prior sample size m > 0")
 
     @property
     def plan(self) -> Dict[str, Tuple[str, str]]:
@@ -194,51 +194,41 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
     seed; generation consumes the same RNG draws in every scheme, so cells
     run under different schemes with equal seeds are paired.
 
-    Every replicate is drawn first. Each hyperparameter scheme then fits
-    the whole stack of scatters once, and every criterion label is ranked
-    from those shared fits. A replicate that cannot be drawn, whose
-    hyperparameters cannot be built, or for which some label has no
-    structure left, counts as a failure; only CovselError counts, anything
-    else propagates.
+    Every replicate is drawn first. Each hyperparameter scheme then builds
+    its hyperparameters for the whole stack of scatters at once and fits
+    the stack once, and every criterion label is ranked from those shared
+    fits. A replicate that cannot be drawn, whose hyperparameters cannot
+    be built, or for which some label has no structure left, counts as a
+    failure; only CovselError counts, anything else propagates.
     """
     gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
     rngs = [_rep_rng(config, truth, n, rep) for rep in range(config.reps)]
-    scatters, undrawn = draw_scatters(gen, n, rngs)
+    scatters, failed = draw_scatters(gen, n, rngs)
+    drawn = [rep for rep in range(config.reps) if rep not in failed]
 
     plan = config.plan
     schemes = {scheme for scheme, _ in plan.values()}
-    builders = {
-        "empirical-bayes": lambda stats: empirical_bayes(stats, config.prior_sample_size),
-        "mclust-default": mclust_default,
-    }
-    per_rep = {scheme: [] for scheme in schemes - {"oracle"}}  # triples of the `ok` replicates
-    ok = []
-    for rep in range(config.reps):
-        if rep in undrawn:
-            continue
-        try:
-            stats = SuffStats(n=n, d=config.d, s=scatters[rep]) if per_rep else None
-            triples = {scheme: builders[scheme](stats) for scheme in per_rep}
-        except CovselError:
-            continue
-        ok.append(rep)
-        for scheme, triple in triples.items():
-            per_rep[scheme].append(triple)
-
-    selected: Dict[str, List[Optional[str]]] = {lab: [None] * config.reps for lab in plan}
-    failures = config.reps - len(ok)
-    if ok:
-        hypers = {scheme: stack_hypers(triples) for scheme, triples in per_rep.items()}
+    choices = []
+    if drawn:  # an empty stack has no rates to build hyperparameters from
+        s, hypers = scatters[drawn], {}
+        for scheme in schemes - {"oracle"}:
+            hypers[scheme], errors = moment_hypers(scheme, s, n, config.prior_sample_size)
+            failed.update((drawn[i], exc) for i, exc in errors.items())
         if "oracle" in schemes:
             hypers["oracle"] = matched_family(gen)
-        fits = {scheme: fit_stack(scatters[ok], n, hypers[scheme]) for scheme in schemes}
+        fits = {scheme: fit_stack(s, n, hypers[scheme]) for scheme in schemes}
         choices = [best_structures(fits[scheme], crit) for scheme, crit in plan.values()]
-        for rep, picks in zip(ok, zip(*choices)):
-            if None in picks:
-                failures += 1
-                continue
-            for lab, choice in zip(plan, picks):
-                selected[lab][rep] = choice
+
+    selected: Dict[str, List[Optional[str]]] = {lab: [None] * config.reps for lab in plan}
+    failures = len(failed)
+    for rep, picks in zip(drawn, zip(*choices)):
+        if rep in failed:
+            continue
+        if None in picks:
+            failures += 1
+            continue
+        for lab, choice in zip(plan, picks):
+            selected[lab][rep] = choice
     return CellDecisions(
         truth=truth,
         n=n,

@@ -14,12 +14,12 @@ sample size" m below makes their information content comparable across
 structures and drives the matching maps between them.
 
 A hyperparameterization may also carry a stack of rates, one per
-replicate along a leading axis (see `stack_hypers`); the batched scoring
+replicate along a leading axis (see `moment_hypers`); the batched scoring
 kernel in `structures` broadcasts such rates against its scatters.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -34,7 +34,7 @@ from .errors import (
     SupportError,
 )
 from .precision import HalfPrecision, as_array, from_array
-from .specialfn import chol_log_det, cholesky_pd, log_mv_gamma, symmetrize
+from .specialfn import chol_log_det, cholesky_pd, cholesky_stack, log_mv_gamma, symmetrize
 
 __all__ = [
     "WishartHyper",
@@ -54,7 +54,7 @@ __all__ = [
     "kl_objective",
     "empirical_bayes",
     "mclust_default",
-    "stack_hypers",
+    "moment_hypers",
     "sample_prior",
     "sample_half_precision",
     "log_prior_density",
@@ -360,74 +360,82 @@ def kl_objective(
     return est, se
 
 
-def empirical_bayes(stats: SuffStats, m: float = 2.0) -> HyperTriple:
-    """Method-of-moments rates with the prior sample size m treated as known.
+def moment_hypers(
+    scheme: str, s: np.ndarray, n: int, m: float = 2.0
+) -> Tuple[HyperTriple, Dict[int, DegenerateScatterError]]:
+    """Hyperparameters from the moments of each scatter of an (r, d, d)
+    stack, as one triple whose rates stack along the leading axis.
 
-    Shapes are fixed by m per structure; rates solve the marginal
-    second-moment equations:
+    'empirical-bayes' treats the prior sample size m as known: the shapes
+    are fixed by m per structure, and the rates solve the marginal
+    second-moment equations
 
         B_hat   = (2*alpha_A - d - 1) * s / n      (= m * s / n)
         beta_j  = (2*alpha_D - 2) * s_jj / n
         beta_C  = (2*alpha_C - 2) * tr(s) / (n d)
 
-    Requires n >= 1 and a positive definite scatter for the Wishart rate.
+    'mclust-default' is the default regularization of the mclust R
+    package, translated: all shapes are (d+2)/2, the Wishart rate is 2s/n
+    and the gamma rates are the common 2*tr(s)/(n*d) for every axis (m is
+    not used). Its structure-D shape is prior sample size m = d, not 1.
+
+    A replicate whose Wishart rate is not positive definite, or whose
+    gamma rates are not positive, gets unit rates and a
+    DegenerateScatterError in the returned errors, so it fails alone.
     """
-    if stats.n < 1:
-        raise EmptyDatasetError("empirical Bayes requires at least one observation")
-    d = stats.d
-    alpha_a = shape_for_sample_size("A", m, d)
-    alpha_d = shape_for_sample_size("D", m, d)
-    alpha_c = shape_for_sample_size("C", m, d)
-    b = (2 * alpha_a - d - 1) * stats.s / stats.n
-    try:
-        wish = WishartHyper(alpha_a, b)
-    except CovselError as exc:
-        raise DegenerateScatterError(
-            f"scatter matrix is singular at n={stats.n}, d={d}: {exc}"
-        ) from exc
-    if np.any(stats.s_diag <= 0) or stats.s_total <= 0:
-        raise DegenerateScatterError("scatter diagonal must be strictly positive")
-    gvec = GammaVecHyper(alpha_d, (2 * alpha_d - 2) * stats.s_diag / stats.n)
-    gam = GammaHyper(alpha_c, (2 * alpha_c - 2) * stats.s_total / (stats.n * d), d)
-    return HyperTriple(wish, gvec, gam)
+    if scheme not in ("empirical-bayes", "mclust-default"):
+        raise ConfigError(f"unknown hyperparameter scheme {scheme!r}")
+    name = {"empirical-bayes": "empirical Bayes", "mclust-default": "mclust default"}[scheme]
+    if n < 1:
+        raise EmptyDatasetError(f"{name} requires at least one observation")
+    if scheme == "empirical-bayes" and m <= 0:
+        raise ConfigError(f"empirical Bayes needs a prior sample size m > 0, got {m}")
+    s = symmetrize(s)
+    d = s.shape[-1]
+    s_diag = np.diagonal(s, axis1=-2, axis2=-1)
+    s_total = s_diag.sum(axis=-1)
+    if scheme == "empirical-bayes":
+        alpha_a, alpha_d, alpha_c = (shape_for_sample_size(x, m, d) for x in "ADC")
+        b = (2 * alpha_a - d - 1) * s / n
+        rate_d = (2 * alpha_d - 2) * s_diag / n
+        rate_c = (2 * alpha_c - 2) * s_total / (n * d)
+        gamma_error = "scatter diagonal must be strictly positive"
+    else:
+        alpha_a = alpha_d = alpha_c = (d + 2) / 2
+        b = 2 * s / n
+        rate_c = 2 * s_total / (n * d)
+        rate_d = np.repeat(rate_c[:, None], d, axis=1)
+        gamma_error = "scatter trace must be strictly positive"
+    errors = {
+        i: DegenerateScatterError(f"scatter matrix is singular at n={n}, d={d}: {exc}")
+        for i, exc in cholesky_stack(b)[1].items()
+    }
+    for i in np.flatnonzero(~((rate_d > 0).all(axis=-1) & (rate_c > 0))):
+        errors.setdefault(int(i), DegenerateScatterError(gamma_error))
+    failed = list(errors)
+    b[failed], rate_d[failed], rate_c[failed] = np.eye(d), 1.0, 1.0
+    a, vec = WishartHyper(alpha_a, b), GammaVecHyper(alpha_d, rate_d)
+    return HyperTriple(a, vec, GammaHyper(alpha_c, rate_c, d)), errors
+
+
+def _batch_of_one(scheme: str, stats: SuffStats, m: float = 2.0) -> HyperTriple:
+    (a, vec, c), errors = moment_hypers(scheme, stats.s[None], stats.n, m)
+    if errors:
+        raise errors[0]
+    a, vec = WishartHyper(a.alpha, a.rate[0]), GammaVecHyper(vec.alpha, vec.rate[0])
+    return HyperTriple(a, vec, GammaHyper(c.alpha, c.rate[0], c.dim))
+
+
+def empirical_bayes(stats: SuffStats, m: float = 2.0) -> HyperTriple:
+    """Method-of-moments rates with the prior sample size m > 0 treated as
+    known: a batch of one of `moment_hypers`, raising its error."""
+    return _batch_of_one("empirical-bayes", stats, m)
 
 
 def mclust_default(stats: SuffStats) -> HyperTriple:
-    """The default regularization of the mclust R package, translated.
-
-    All shapes are (d+2)/2; the Wishart rate is 2s/n and the gamma rates
-    are the common 2*tr(s)/(n*d) for every axis. Note the structure-D
-    shape corresponds to prior sample size m = d here, not m = 1.
-    """
-    if stats.n < 1:
-        raise EmptyDatasetError("mclust default requires at least one observation")
-    d = stats.d
-    alpha = (d + 2) / 2
-    try:
-        wish = WishartHyper(alpha, 2 * stats.s / stats.n)
-    except CovselError as exc:
-        raise DegenerateScatterError(
-            f"scatter matrix is singular at n={stats.n}, d={d}: {exc}"
-        ) from exc
-    if stats.s_total <= 0:
-        raise DegenerateScatterError("scatter trace must be strictly positive")
-    rate = 2 * stats.s_total / (stats.n * d)
-    return HyperTriple(wish, GammaVecHyper(alpha, np.full(d, rate)), GammaHyper(alpha, rate, d))
-
-
-def stack_hypers(triples: Sequence[HyperTriple]) -> HyperTriple:
-    """One triple whose rates stack those of `triples` along a leading
-    replicate axis. The triples must share their shapes alpha, as the
-    empirical-Bayes and mclust triples of one (n, d) do."""
-    first = triples[0]
-    for triple in triples:
-        if any(h.alpha != h0.alpha for h, h0 in zip(triple, first)):
-            raise ConfigError("stacked hyperparameters must share their shapes")
-    return HyperTriple(
-        WishartHyper(first.a.alpha, np.stack([t.a.rate for t in triples])),
-        GammaVecHyper(first.d.alpha, np.stack([t.d.rate for t in triples])),
-        GammaHyper(first.c.alpha, np.array([t.c.rate for t in triples]), first.c.dim),
-    )
+    """The default regularization of the mclust R package: a batch of one
+    of `moment_hypers`, raising its error."""
+    return _batch_of_one("mclust-default", stats)
 
 
 def sample_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -308,7 +308,7 @@ def fit_stack(s: np.ndarray, n: int, hypers: HyperTriple) -> Dict[str, StackFit]
 
     `s` is (r, d, d), each a symmetric scatter of n observations. The
     rates of `hypers` are either shared by every replicate or stacked
-    along a leading axis of length r (see `priors.stack_hypers`).
+    along a leading axis of length r (see `priors.moment_hypers`).
     Returns one StackFit per structure, in SIMPLEST_FIRST order.
     """
     return {

@@ -18,7 +18,6 @@ from scipy.stats import binom
 import covsel.montecarlo as montecarlo
 from covsel.data import SuffStats
 from covsel.errors import (
-    ConfigError,
     DimensionMismatchError,
     NonRegularPriorError,
     NotPositiveDefiniteError,
@@ -37,7 +36,6 @@ from covsel.priors import (
     log_prior_density,
     matched_family,
     sample_half_precision,
-    stack_hypers,
 )
 from covsel.specialfn import LOG_PI, cholesky_pd
 from covsel.structures import (
@@ -54,6 +52,8 @@ from covsel.structures import (
     select_structure,
     simplest_best,
 )
+
+from conftest import stack_hypers
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -437,7 +437,7 @@ class TestFailuresStayPerReplicate:
                 assert log_evidence(h, stats) == scalar_log_evidence(h, stats)
 
     @pytest.mark.parametrize(
-        "name, scheme", [("fit_stack", "oracle"), ("empirical_bayes", "empirical-bayes")]
+        "name, scheme", [("fit_stack", "oracle"), ("moment_hypers", "empirical-bayes")]
     )
     def test_type_error_in_scoring_propagates_from_run_cell(self, monkeypatch, name, scheme):
         def broken(*args, **kwargs):
@@ -552,14 +552,6 @@ class TestTieBreak:
         ranked = select_structure(stats, matched_family(GammaHyper(2.0, 1.0, 1)), "evidence").ranked
         # at d = 1 the three evidences coincide: simplicity orders all three
         assert [rep.structure for rep in ranked] == ["C", "D", "A"]
-
-
-class TestStackHypers:
-    def test_rejects_different_shapes(self):
-        a = empirical_bayes(SuffStats(n=3, d=2, s=np.eye(2)), m=2.0)
-        b = empirical_bayes(SuffStats(n=3, d=2, s=np.eye(2)), m=3.0)
-        with pytest.raises(ConfigError):
-            stack_hypers([a, b])
 
 
 class TestMcNemarExactPath:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import covsel.montecarlo as montecarlo
 from covsel.asymptotics import second_moment_matrix
+from covsel.data import SuffStats
 from covsel.errors import ConfigError, SupportError
 from covsel.montecarlo import (
     CellDecisions,
@@ -18,7 +20,8 @@ from covsel.montecarlo import (
     render_confusion_markdown,
     run_cell,
 )
-from covsel.priors import WishartHyper
+from covsel.priors import WishartHyper, empirical_bayes, mclust_default
+from covsel.structures import best_structures, fit_stack
 
 
 class TestMcNemar:
@@ -174,6 +177,14 @@ class TestRunCell:
         with pytest.raises(ConfigError):
             SimConfig(d=5, n_values=(3,), scheme="empirical-bayes")
 
+    @pytest.mark.parametrize("scheme", ["empirical-bayes", "vs-mclust"])
+    @pytest.mark.parametrize("m", [0, -1.5])
+    def test_eb_scheme_requires_a_positive_prior_sample_size(self, scheme, m):
+        # m * s / n is never positive definite: every replicate would fail.
+        # The config is rejected as it is made, before any cell runs.
+        with pytest.raises(ConfigError, match="prior sample size"):
+            SimConfig(d=5, n_values=(6,), reps=20, scheme=scheme, prior_sample_size=m)
+
     def test_row_sums(self):
         config = SimConfig(d=2, n_values=(4,), reps=40, seed=5)
         cells = [run_cell(config, t, 4) for t in TRUTH_ORDER]
@@ -234,6 +245,63 @@ class TestConfusionTable:
         )
         text = render_confusion_markdown(confusion_table(cells))
         assert "evidence" in text and "| A |" in text
+
+
+class TestUnbuildableHypers:
+    """Replicates whose empirical-Bayes or mclust hyperparameters cannot be
+    built fail alone; every other replicate is ranked as a batch of one."""
+
+    BAD = (2, 7, 11)
+
+    @staticmethod
+    def spoiled(s):
+        s = s.copy()
+        s[2] = 0.0  # scaling keeps these zeros exact, so Cholesky meets a zero pivot
+        s[7, 0, :] = s[7, :, 0] = 0.0
+        s[11, 1, :] = s[11, :, 1] = 0.0
+        return s
+
+    @pytest.mark.parametrize("scheme", ["empirical-bayes", "vs-mclust"])
+    def test_failures_are_exactly_the_unbuildable_replicates(self, monkeypatch, scheme):
+        config = SimConfig(
+            d=3, n_values=(5,), reps=14, seed=4, scheme=scheme, prior_sample_size=1.7
+        )
+        draw = montecarlo.draw_scatters
+        drawn = []
+
+        def patched(h, n, rngs):
+            s, errors = draw(h, n, rngs)
+            assert errors == {}
+            drawn.append(self.spoiled(s))
+            return drawn[-1], errors
+
+        monkeypatch.setattr(montecarlo, "draw_scatters", patched)
+        cell = run_cell(config, "D", 5)
+        assert cell.failures == len(self.BAD)
+        for picks in cell.selected.values():
+            assert [rep for rep, pick in enumerate(picks) if pick is None] == list(self.BAD)
+        (s,) = drawn
+        for rep in sorted(set(range(config.reps)) - set(self.BAD)):
+            stats = SuffStats(n=5, d=3, s=s[rep])
+            for label, (hyper_scheme, criterion) in config.plan.items():
+                if hyper_scheme == "empirical-bayes":
+                    triple = empirical_bayes(stats, config.prior_sample_size)
+                else:
+                    triple = mclust_default(stats)
+                fits = fit_stack(s[rep : rep + 1], 5, triple)
+                assert cell.selected[label][rep] == best_structures(fits, criterion)[0]
+
+    @pytest.mark.parametrize("scheme", ["oracle", "empirical-bayes", "vs-mclust"])
+    def test_no_replicate_drawn(self, monkeypatch, scheme):
+        def undrawn(h, n, rngs):
+            errors = {rep: SupportError("undrawable") for rep in range(len(rngs))}
+            return np.full((len(rngs), h.dim, h.dim), np.nan), errors
+
+        monkeypatch.setattr(montecarlo, "draw_scatters", undrawn)
+        config = SimConfig(d=3, n_values=(5,), reps=6, seed=4, scheme=scheme)
+        cell = run_cell(config, "A", 5)
+        assert cell.failures == config.reps
+        assert all(pick is None for picks in cell.selected.values() for pick in picks)
 
 
 @pytest.mark.slow

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats as sps
 
 from covsel.data import Dataset, SuffStats, suff_stats
+import covsel.priors as priors
 from covsel.errors import (
     ConfigError,
+    CovselError,
     DegenerateScatterError,
     DimensionMismatchError,
     EmptyDatasetError,
@@ -15,6 +17,7 @@ from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
 from covsel.priors import (
     GammaHyper,
     GammaVecHyper,
+    HyperTriple,
     WishartHyper,
     conjugate_update,
     empirical_bayes,
@@ -27,12 +30,14 @@ from covsel.priors import (
     match_up,
     matched_family,
     mclust_default,
+    moment_hypers,
     prior_sample_size,
     sample_half_precision,
     sample_prior,
     shape_for_sample_size,
-    stack_hypers,
 )
+
+from conftest import stack_hypers
 
 
 def random_stats(rng, n, d):
@@ -229,6 +234,165 @@ class TestEmpiricalBayes:
         triple = empirical_bayes(st)
         assert triple.a.rate[0, 0] == pytest.approx(triple.d.rate[0])
         assert triple.d.rate[0] == pytest.approx(triple.c.rate)
+
+
+def scalar_empirical_bayes(stats, m=2.0):
+    """The per-replicate empirical-Bayes builder `moment_hypers` replaced,
+    kept as its oracle."""
+    if stats.n < 1:
+        raise EmptyDatasetError("empirical Bayes requires at least one observation")
+    d = stats.d
+    alpha_a = shape_for_sample_size("A", m, d)
+    alpha_d = shape_for_sample_size("D", m, d)
+    alpha_c = shape_for_sample_size("C", m, d)
+    b = (2 * alpha_a - d - 1) * stats.s / stats.n
+    try:
+        wish = WishartHyper(alpha_a, b)
+    except CovselError as exc:
+        raise DegenerateScatterError(
+            f"scatter matrix is singular at n={stats.n}, d={d}: {exc}"
+        ) from exc
+    if np.any(stats.s_diag <= 0) or stats.s_total <= 0:
+        raise DegenerateScatterError("scatter diagonal must be strictly positive")
+    gvec = GammaVecHyper(alpha_d, (2 * alpha_d - 2) * stats.s_diag / stats.n)
+    gam = GammaHyper(alpha_c, (2 * alpha_c - 2) * stats.s_total / (stats.n * d), d)
+    return HyperTriple(wish, gvec, gam)
+
+
+def scalar_mclust_default(stats):
+    """The per-replicate mclust builder `moment_hypers` replaced, kept as
+    its oracle."""
+    if stats.n < 1:
+        raise EmptyDatasetError("mclust default requires at least one observation")
+    d = stats.d
+    alpha = (d + 2) / 2
+    try:
+        wish = WishartHyper(alpha, 2 * stats.s / stats.n)
+    except CovselError as exc:
+        raise DegenerateScatterError(
+            f"scatter matrix is singular at n={stats.n}, d={d}: {exc}"
+        ) from exc
+    if stats.s_total <= 0:
+        raise DegenerateScatterError("scatter trace must be strictly positive")
+    rate = 2 * stats.s_total / (stats.n * d)
+    return HyperTriple(wish, GammaVecHyper(alpha, np.full(d, rate)), GammaHyper(alpha, rate, d))
+
+
+def scatter_stack(rng, n, d):
+    """Scatters of n rows with column scales spread over six decades, and
+    rank-deficient members: the scatters of no rows and of fewer than d
+    rows, one with a zero row and column, and an integer rank-one product."""
+    scales = 10.0 ** rng.uniform(-3, 3, size=d)
+    rows = [n] * 5 + [0, int(rng.integers(1, d)) if d > 1 else 0]
+    s = []
+    for k in rows:
+        x = rng.standard_normal((k, d)) * scales
+        s.append(x.T @ x)
+    zero_col = s[0].copy()
+    j = int(rng.integers(d))
+    zero_col[j, :] = zero_col[:, j] = 0.0
+    v = rng.integers(-3, 4, size=d).astype(float)
+    s = np.stack(s + [zero_col, np.outer(v, v)])
+    return s[rng.permutation(len(s))]
+
+
+class TestMomentHypers:
+    """The stacked builder against the per-replicate builders it replaced."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_the_scalar_builders_bit_for_bit(self, d):
+        rng = np.random.default_rng(40 + d)
+        for n in range(d, 13):
+            s = scatter_stack(rng, n, d)
+            for m in (0.3, 1.7, 2, 5.5):
+                for scheme, oracle in (
+                    ("empirical-bayes", lambda stats: scalar_empirical_bayes(stats, m)),
+                    ("mclust-default", scalar_mclust_default),
+                ):
+                    triple, errors = moment_hypers(scheme, s, n, m)
+                    for i in range(len(s)):
+                        stats = SuffStats(n=n, d=d, s=s[i])
+                        try:
+                            want = oracle(stats)
+                        except DegenerateScatterError as exc:
+                            assert type(errors[i]) is DegenerateScatterError
+                            assert str(errors[i]) == str(exc)
+                            continue
+                        assert i not in errors
+                        a, vec, c = triple
+                        np.testing.assert_array_equal(
+                            [a.alpha, vec.alpha, c.alpha], [h.alpha for h in want]
+                        )
+                        np.testing.assert_array_equal(a.rate[i], want.a.rate)
+                        np.testing.assert_array_equal(a.log_det_rate[i], want.a.log_det_rate)
+                        np.testing.assert_array_equal(vec.rate[i], want.d.rate)
+                        np.testing.assert_array_equal(c.rate[i], want.c.rate)
+                        assert c.dim == want.c.dim == d
+                    assert errors, "every stack holds rank-deficient members"
+                    assert np.isfinite(triple.a.log_det_rate).all()
+
+    def test_scalar_builders_are_the_oracles_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for d in (1, 3, 6):
+            for stats in (random_stats(rng, d, d), random_stats(rng, 12, d)):
+                for m in (0.3, 1.7, 2, 5.5):
+                    got = (*empirical_bayes(stats, m), *mclust_default(stats))
+                    want = (*scalar_empirical_bayes(stats, m), *scalar_mclust_default(stats))
+                    for g, w in zip(got, want):
+                        assert (type(g), g.alpha, g.dim) == (type(w), w.alpha, w.dim)
+                        np.testing.assert_array_equal(g.rate, w.rate)
+                    for g, w in zip(got[::3], want[::3]):  # the two Wishart rates
+                        assert g.log_det_rate == w.log_det_rate
+                    assert type(got[2].rate) is type(got[5].rate) is float
+        singular = SuffStats(n=3, d=3, s=np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
+        for build, oracle in (
+            (empirical_bayes, scalar_empirical_bayes),
+            (mclust_default, scalar_mclust_default),
+        ):
+            with pytest.raises(DegenerateScatterError) as want:
+                oracle(singular)
+            with pytest.raises(DegenerateScatterError) as got:
+                build(singular)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "scheme, diagonals, failed, message",
+        [
+            ("empirical-bayes", [1, (2, -1), -1, 2], [1, 2], "scatter diagonal must be"),
+            ("mclust-default", [1, -1, 2, (-2, 1)], [1, 3], "scatter trace must be"),
+        ],
+    )
+    def test_non_positive_gamma_rates_fail_alone(
+        self, monkeypatch, scheme, diagonals, failed, message
+    ):
+        # a positive definite Wishart rate already gives positive gamma
+        # rates, so the second check only acts once the first is skipped
+        monkeypatch.setattr(priors, "cholesky_stack", lambda b: (None, {}))
+        s = np.stack([np.diag(np.broadcast_to(v, 2).astype(float)) for v in diagonals])
+        triple, errors = moment_hypers(scheme, s, 4)
+        assert sorted(errors) == failed
+        assert all(type(exc) is DegenerateScatterError for exc in errors.values())
+        assert all(str(exc) == message + " strictly positive" for exc in errors.values())
+        np.testing.assert_array_equal(triple.a.rate[failed], np.stack([np.eye(2)] * len(failed)))
+        np.testing.assert_array_equal(triple.d.rate[failed], 1.0)
+        np.testing.assert_array_equal(triple.c.rate[failed], 1.0)
+
+    @pytest.mark.parametrize("m", [0, 0.0, -1.5])
+    def test_non_positive_prior_sample_size_is_a_config_error(self, m):
+        stats = SuffStats(n=6, d=5, s=np.eye(5))
+        with pytest.raises(ConfigError, match="prior sample size"):
+            empirical_bayes(stats, m=m)
+        with pytest.raises(ConfigError, match="prior sample size"):
+            moment_hypers("empirical-bayes", np.stack([np.eye(5)] * 3), 6, m)
+        # the mclust rates do not use m
+        assert moment_hypers("mclust-default", np.stack([np.eye(5)] * 3), 6, m)[1] == {}
+
+    def test_rejects_an_unknown_scheme_and_no_observations(self):
+        with pytest.raises(ConfigError):
+            moment_hypers("oracle", np.stack([np.eye(2)]), 3)
+        for scheme in ("empirical-bayes", "mclust-default"):
+            with pytest.raises(EmptyDatasetError):
+                moment_hypers(scheme, np.zeros((2, 2, 2)), 0)
 
 
 class TestMclustDefault:
