@@ -29,7 +29,8 @@ from .priors import (
     sample_prior,
     sample_wishart_batch,
 )
-from .specialfn import amgm_half_log_ratio, cholesky_stack, hadamard_half_log_ratio
+from .montecarlo import scatters_from
+from .specialfn import amgm_half_log_ratio, hadamard_half_log_ratio
 from .structures import fit_structure, log_partition_hessian_logdet, param_count
 
 __all__ = [
@@ -276,14 +277,11 @@ def _draw(h: Hyper, n: int, reps: int, seed: int, theta: Optional[HalfPrecision]
     with theta drawn from the prior `h` per replicate unless it is fixed.
 
     The rows are never drawn. Given theta, their scatter is Wishart with
-    n degrees of freedom and scale (2 theta)^{-1}, that is C^{-T} W C^{-1}
-    for 2 theta = C C^T and a standard Wishart W (Bartlett, so n >= d);
-    for D and C this scales W elementwise by 1/sqrt(2 eta_i * 2 eta_j).
-    One stream per (seed, n) draws the theta stack first, then W.
-
-    A study averages every replicate, so the lowest-index replicate that
-    cannot be drawn fails the study with its error: a prior draw that is
-    not a half-precision, or one whose scatter overflows.
+    n degrees of freedom, so one stream per (seed, n) draws the theta
+    stack, then a standard Wishart stack W (Bartlett, so n >= d), and
+    `scatters_from` turns W into the scatters. A study averages every
+    replicate, so the lowest-index replicate that cannot be drawn fails
+    the study with its error.
     """
     d, structure = h.dim, h.structure
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
@@ -293,24 +291,7 @@ def _draw(h: Hyper, n: int, reps: int, seed: int, theta: Optional[HalfPrecision]
         value = as_array(theta, structure)
         draws = np.broadcast_to(value, (reps, *np.shape(value)))
     w = sample_wishart_batch(WishartHyper(n / 2, np.eye(d) / 2), reps, rng)
-    # an overflowing scatter (inf, or NaN from inf - inf) becomes an error below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if structure == "A":
-            chol, errors = cholesky_stack(2 * draws, "a drawn half-precision")
-            inv = np.linalg.inv(chol)
-            s = inv.swapaxes(-1, -2) @ w @ inv
-            s = (s + s.swapaxes(-1, -2)) / 2
-        else:
-            eta = draws if structure == "D" else draws[:, None]
-            bad = np.flatnonzero(~(np.isfinite(eta) & (eta > 0)).all(axis=-1))
-            errors = {
-                int(i): SupportError("a drawn half-precision must be positive and finite")
-                for i in bad
-            }
-            r = 1 / np.sqrt(2 * eta)
-            s = w * r[:, :, None] * r[:, None, :]
-    for i in np.flatnonzero(~np.isfinite(s).all(axis=(-2, -1))):
-        errors.setdefault(int(i), SupportError("the scatter of a drawn half-precision overflows"))
+    s, errors = scatters_from(structure, draws, w)
     if errors:
         raise errors[min(errors)]
     return s

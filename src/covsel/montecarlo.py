@@ -29,9 +29,10 @@ from .priors import (
     matched_family,
     moment_hypers,
     sample_half_precision,
+    sample_prior,
     shape_for_sample_size,
 )
-from .specialfn import chi_square_sf, cholesky_pd
+from .specialfn import chi_square_sf, cholesky_pd, cholesky_stack
 from .structures import best_structures, fit_stack
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "gaussian_rows",
     "oracle_hyper",
     "generate_instance",
+    "scatters_from",
     "draw_scatters",
     "run_cell",
     "mcnemar",
@@ -104,32 +106,47 @@ def generate_instance(h: Hyper, n: int, rng: np.random.Generator) -> Dataset:
     return Dataset(gaussian_rows(theta, n, rng))
 
 
-def draw_scatters(h: Hyper, n: int, rngs: Sequence) -> Tuple[np.ndarray, Dict[int, CovselError]]:
-    """(r, d, d) symmetric scatters x^T x of n rows, one per generator in
-    `rngs`: each draws a half-precision theta from the prior `h`, then the
-    rows x from N(0, (2 theta)^{-1}).
+def scatters_from(
+    structure: str, draws: np.ndarray, w: np.ndarray
+) -> Tuple[np.ndarray, Dict[int, CovselError]]:
+    """(r, d, d) scatters x^T x of rows x from N(0, (2 theta)^{-1}), given
+    a stack of half-precisions `draws` in `structure`'s array form and a
+    standard-Wishart stack W, the law of z^T z for the rows' normals z.
 
-    A stream whose draw fails gets a NaN scatter and an entry in the
-    returned errors, so it fails alone, not the stack. A draw fails where
-    the prior's draw is too close to singular to be a half-precision, or so
-    close to zero that the scatter of its rows overflows.
+    The scatter is C^{-T} W C^{-1} for 2 theta = C C^T; for D and C this
+    scales W elementwise by 1/sqrt(2 eta_i * 2 eta_j). A replicate fails
+    alone, with a NaN scatter and an entry in the returned errors, where
+    its draw is not a half-precision or its scatter overflows.
     """
-    s = np.full((len(rngs), h.dim, h.dim), np.nan)
-    errors: Dict[int, CovselError] = {}
     # an overflowing scatter (inf, or NaN from inf - inf) becomes an error below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, rng in enumerate(rngs):
-            try:
-                x = gaussian_rows(sample_half_precision(h, rng), n, rng)
-            except CovselError as exc:
-                errors[i] = exc
-                continue
-            s[i] = x.T @ x
-        s = (s + s.swapaxes(-1, -2)) / 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if structure == "A":
+            chol, errors = cholesky_stack(2 * draws, "a drawn half-precision")
+            inv = np.linalg.inv(chol)
+            s = inv.swapaxes(-1, -2) @ w @ inv
+            s = (s + s.swapaxes(-1, -2)) / 2
+        else:
+            eta = draws if structure == "D" else draws[:, None]
+            bad = ~(np.isfinite(eta) & (eta > 0)).all(axis=-1)
+            msg = "a drawn half-precision must be positive and finite"
+            errors = {int(i): SupportError(msg) for i in np.flatnonzero(bad)}
+            r = 1 / np.sqrt(2 * eta)
+            s = w * r[:, :, None] * r[:, None, :]
     for i in np.flatnonzero(~np.isfinite(s).all(axis=(-2, -1))):
         errors.setdefault(int(i), SupportError("the scatter of a drawn half-precision overflows"))
-        s[i] = np.nan
+    s[list(errors)] = np.nan
     return s, errors
+
+
+def draw_scatters(h: Hyper, n: int, rngs: Sequence) -> Tuple[np.ndarray, Dict[int, CovselError]]:
+    """`scatters_from` with one stream per replicate: each generator in
+    `rngs` draws theta from the prior `h`, then n rows z of standard normals."""
+    draws, w = [], np.empty((len(rngs), h.dim, h.dim))
+    for i, rng in enumerate(rngs):
+        draws.append(sample_prior(h, 1, rng)[0])
+        z = rng.standard_normal((n, h.dim))
+        w[i] = z.T @ z
+    return scatters_from(h.structure, np.array(draws), w)
 
 
 @dataclass(frozen=True)
@@ -152,8 +169,8 @@ class SimConfig:
             raise ConfigError("reps and d must be >= 1")
         if self.beta_inverse <= 0:
             raise ConfigError("beta_inverse must be positive")
-        if any(n < 1 for n in self.n_values):
-            raise ConfigError("n values must be >= 1")
+        if not self.n_values or any(n < 1 for n in self.n_values):
+            raise ConfigError("need at least one n value, and n values must be >= 1")
         if self.scheme in ("empirical-bayes", "vs-mclust") and min(self.n_values) < self.d:
             raise ConfigError(
                 "empirical-Bayes schemes need n >= d for a positive definite scatter"

@@ -114,7 +114,8 @@ class TestSelect:
         [
             # an A entry tagged D would make D appear twice and A not at all
             ("A", {"structure": "D", "alpha": 2.0, "rate": [0.5, 0.5]}, "structure-D prior"),
-            # a C entry of the wrong dimension would be skipped as unfit
+            # a C entry of the wrong dimension would raise DimensionMismatchError
+            # when scored; the CLI rejects it first
             ("C", {"structure": "C", "alpha": 6.0, "rate": 1.0, "dim": 3}, "dimension 3"),
             # outside the prior's support
             ("A", {"structure": "A", "alpha": -1, "rate": [[0.5, 0], [0, 0.5]]}, "Wishart shape"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import covsel.montecarlo as montecarlo
+import covsel.priors as priors
 from covsel.asymptotics import second_moment_matrix
 from covsel.data import SuffStats
 from covsel.errors import ConfigError, SupportError
@@ -20,8 +21,8 @@ from covsel.montecarlo import (
     render_confusion_markdown,
     run_cell,
 )
-from covsel.priors import WishartHyper, empirical_bayes, mclust_default
-from covsel.structures import best_structures, fit_stack
+from covsel.priors import WishartHyper, empirical_bayes, matched_family, mclust_default
+from covsel.structures import CRITERIA, best_structures, fit_stack
 
 
 class TestMcNemar:
@@ -109,19 +110,30 @@ class TestGenerateInstance:
 
 class TestDrawScatters:
     @pytest.mark.parametrize("truth", TRUTH_ORDER)
-    def test_equals_per_replicate_generate_instance(self, truth):
-        """The per-replicate loop `run_cell` ran before, kept as the oracle."""
-        config = SimConfig(d=3, n_values=(4,), reps=20, seed=11)
+    @pytest.mark.parametrize(
+        "d, n", [(1, 1), (1, 4), (3, 2), (3, 3), (3, 4), (5, 2), (5, 5), (5, 9)]
+    )
+    def test_equals_per_replicate_generate_instance(self, truth, d, n):
+        """The per-replicate loop `run_cell` ran before, kept as the oracle.
+        The scatters whiten z^T z instead of each row, so they agree to
+        rounding and make the same picks."""
+        config = SimConfig(d=d, n_values=(n,), reps=20, seed=11)
         h = oracle_hyper(truth, config.d, config.beta_inverse)
         expected = np.empty((config.reps, config.d, config.d))
         for rep in range(config.reps):
-            rows = generate_instance(h, 4, _rep_rng(config, truth, 4, rep)).rows
+            rows = generate_instance(h, n, _rep_rng(config, truth, n, rep)).rows
             s = rows.T @ rows
             expected[rep] = (s + s.T) / 2
-        rngs = [_rep_rng(config, truth, 4, rep) for rep in range(config.reps)]
-        scatters, errors = draw_scatters(h, 4, rngs)
+        rngs = [_rep_rng(config, truth, n, rep) for rep in range(config.reps)]
+        scatters, errors = draw_scatters(h, n, rngs)
         assert errors == {}
-        np.testing.assert_array_equal(scatters, expected)
+        largest = np.abs(expected).max(axis=(-2, -1))
+        assert np.all(np.abs(scatters - expected).max(axis=(-2, -1)) <= 1e-14 * largest)
+        family = matched_family(h)
+        for crit in CRITERIA:
+            assert best_structures(fit_stack(scatters, n, family), crit) == best_structures(
+                fit_stack(expected, n, family), crit
+            )
 
     def test_a_failed_draw_fails_alone(self):
         # shape 0.005: some gamma draws underflow to 0, outside the support,
@@ -172,6 +184,25 @@ class TestRunCell:
             cell = run_cell(config, truth, 6)
             assert cell.selected["evidence"] == cell.selected["pcbic"]
             assert set(cell.selected["evidence"]) == {"C"}
+
+    @pytest.mark.parametrize("scheme", montecarlo.SCHEMES)
+    def test_empty_n_values_rejected(self, scheme):
+        with pytest.raises(ConfigError, match="at least one n"):
+            SimConfig(n_values=(), scheme=scheme)
+
+    @pytest.mark.parametrize("scheme, n", [("oracle", 2), ("vs-mclust", 4)])
+    def test_cells_never_draw_rows(self, monkeypatch, scheme, n):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cell drew rows")
+
+        monkeypatch.setattr(montecarlo, "gaussian_rows", forbidden)
+        for module in (montecarlo, priors):
+            monkeypatch.setattr(module, "sample_half_precision", forbidden)
+        config = SimConfig(d=3, n_values=(n,), reps=20, seed=1, scheme=scheme)
+        for truth in TRUTH_ORDER:
+            cell = run_cell(config, truth, n)
+            assert cell.failures == 0
+            assert all(p in TRUTH_ORDER for picks in cell.selected.values() for p in picks)
 
     def test_eb_scheme_requires_n_at_least_d(self):
         with pytest.raises(ConfigError):
