@@ -33,7 +33,7 @@ from .priors import (
     shape_for_sample_size,
 )
 from .specialfn import chi_square_sf, cholesky_pd, cholesky_stack
-from .structures import best_structures, fit_stack
+from .structures import CRITERIA, best_structures, fit_stack
 
 __all__ = [
     "SimConfig",
@@ -165,6 +165,8 @@ class SimConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if not set(self.criteria) <= set(CRITERIA):
+            raise ConfigError(f"criteria must be among {CRITERIA}, got {self.criteria!r}")
         if self.reps < 1 or self.d < 1:
             raise ConfigError("reps and d must be >= 1")
         if self.beta_inverse <= 0:

@@ -9,17 +9,17 @@ One prior family per covariance structure:
 * structure D: product of d independent gamma(alpha, beta_j) priors.
 * structure C: a single gamma(alpha, beta) prior on the common precision.
 
-All three are exponential-family conjugate priors; the shared "prior
-sample size" m below makes their information content comparable across
-structures and drives the matching maps between them.
+All three are exponential-family conjugate priors, each described by
+`family`; the shared "prior sample size" m below makes their information
+content comparable across structures and drives the matching maps.
 
 A hyperparameterization may also carry a stack of rates, one per
 replicate along a leading axis (see `moment_hypers`); the batched scoring
 kernel in `structures` broadcasts such rates against its scatters.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -42,6 +42,7 @@ __all__ = [
     "GammaHyper",
     "Hyper",
     "HyperTriple",
+    "family",
     "PriorSampleSize",
     "prior_sample_size",
     "shape_for_sample_size",
@@ -143,8 +144,8 @@ class GammaHyper:
             bad_rate = rate <= 0 or not np.isfinite(rate)
         if self.alpha <= 0 or bad_rate:
             raise SupportError("gamma shape and rate must be positive and finite")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "rate", rate)
 
@@ -163,13 +164,40 @@ class HyperTriple(NamedTuple):
         return {"A": self.a, "D": self.d, "C": self.c}[structure]
 
 
+class Family(NamedTuple):
+    """The facts a structure's conjugate-family formulas follow from.
+
+    `statistic` maps a stack of scatters s to s (A), its diagonal (D) or
+    its trace (C), whose product with the array form x of H, summed over
+    `axes`, is tr(H s). The density is proportional to
+    |x|^(alpha - power) exp(-<rate, x>), where |x| is the determinant for A
+    and D and x itself for C; each observation adds `per_obs` to the shape.
+    """
+
+    statistic: Callable[[np.ndarray], np.ndarray]
+    axes: Tuple[int, ...]
+    power: float
+    per_obs: float
+
+
+def family(structure: str, d: int) -> Family:
+    """The conjugate family of `structure` in dimension d."""
+    if structure == "A":
+        return Family(lambda s: s, (-2, -1), (d + 1) / 2, 0.5)
+    if structure == "D":
+        return Family(lambda s: np.diagonal(s, axis1=-2, axis2=-1), (-1,), 1.0, 0.5)
+    if structure == "C":
+        return Family(lambda s: np.trace(s, axis1=-2, axis2=-1), (), 1.0, d / 2)
+    raise ValueError(f"unknown structure {structure!r}")
+
+
 class PriorSampleSize(NamedTuple):
     m: float
     non_regular: bool
 
 
 def prior_sample_size(h: Hyper, d: Optional[int] = None) -> PriorSampleSize:
-    """Prior sample size m of a hyperparameterization.
+    """Prior sample size m = (alpha - power) / per_obs (see `family`).
 
     A: m = 2*alpha - (d+1);  D: m = 2*alpha - 2;  C: m = (2*alpha - 2)/d.
     Flagged non-regular when m <= 0 (posterior mode may not exist for
@@ -177,24 +205,15 @@ def prior_sample_size(h: Hyper, d: Optional[int] = None) -> PriorSampleSize:
     """
     if d is not None and d != h.dim:
         raise DimensionMismatchError(f"hyper dimension {h.dim} != requested d={d}")
-    if isinstance(h, WishartHyper):
-        m = 2 * h.alpha - (h.dim + 1)
-    elif isinstance(h, GammaVecHyper):
-        m = 2 * h.alpha - 2
-    else:
-        m = (2 * h.alpha - 2) / h.dim
+    _, _, power, per_obs = family(h.structure, h.dim)
+    m = (h.alpha - power) / per_obs
     return PriorSampleSize(m=float(m), non_regular=m <= 0)
 
 
 def shape_for_sample_size(structure: str, m: float, d: int) -> float:
-    """Inverse of prior_sample_size: the shape alpha giving sample size m."""
-    if structure == "A":
-        return (m + d + 1) / 2
-    if structure == "D":
-        return (m + 2) / 2
-    if structure == "C":
-        return (m * d + 2) / 2
-    raise ValueError(f"unknown structure {structure!r}")
+    """Inverse of prior_sample_size: alpha = power + m * per_obs."""
+    _, _, power, per_obs = family(structure, d)
+    return power + m * per_obs
 
 
 def log_normalizer(h: Hyper):
@@ -208,12 +227,10 @@ def log_normalizer(h: Hyper):
     works purely off this function and the conjugate update. Stacked
     rates give one value per replicate.
     """
-    if isinstance(h, WishartHyper):
+    if h.structure == "A":
         log_rate = h.log_det_rate
-    elif isinstance(h, GammaVecHyper):
-        log_rate = np.log(h.rate).sum(axis=-1)
     else:
-        log_rate = np.log(h.rate)
+        log_rate = np.log(h.rate).sum(axis=family(h.structure, h.dim).axes)
     return log_normalizer_at(h.structure, h.alpha, log_rate, h.dim)
 
 
@@ -237,23 +254,48 @@ def conjugate_update(h: Hyper, stats: SuffStats) -> Hyper:
     """
     if h.dim != stats.d:
         raise DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {stats.d}")
-    if isinstance(h, WishartHyper):
-        return WishartHyper(h.alpha + stats.n / 2, h.rate + stats.s)
-    if isinstance(h, GammaVecHyper):
-        return GammaVecHyper(h.alpha + stats.n / 2, h.rate + stats.s_diag)
-    return GammaHyper(h.alpha + stats.n * stats.d / 2, h.rate + stats.s_total, h.dim)
+    statistic, _, _, per_obs = family(h.structure, h.dim)
+    return replace(h, alpha=h.alpha + stats.n * per_obs, rate=h.rate + statistic(stats.s))
 
 
 # ---------------------------------------------------------------------------
 # Hyperparameter matching between nested structures.
 #
-# Nesting order is C < D < A. Projecting down applies the nesting map to the
-# prior's sufficient-statistic estimate (diag / trace aggregation); embedding
-# up applies its pseudo-inverse. Both directions preserve the prior sample
-# size m, which pins the target shape via shape_for_sample_size.
+# Nesting order is C < D < A. One rule serves both directions: write the
+# rate as a d x d matrix (B, diag beta, or (beta/d) I) and take the target's
+# statistic of it (the matrix, its diagonal, or its trace). Down, that is the
+# nesting map's aggregation; up, its pseudo-inverse. The prior sample size m
+# is preserved, which pins the target shape via shape_for_sample_size.
 # ---------------------------------------------------------------------------
 
 _ORDER = {"C": 0, "D": 1, "A": 2}
+
+
+def _hyper(structure: str, alpha: float, rate, d: int) -> Hyper:
+    """The prior of `structure` with shape alpha and a rate in its array form."""
+    if structure == "A":
+        return WishartHyper(alpha, rate)
+    if structure == "D":
+        return GammaVecHyper(alpha, np.array(rate, dtype=float))  # not a view of another rate
+    return GammaHyper(alpha, rate, d)
+
+
+def _as_matrices(structure: str, x, d: int) -> np.ndarray:
+    """A stack of `structure`'s array forms as matrices: x, diag(x) or x I."""
+    if structure == "A":
+        return x
+    if structure == "D":
+        return x[..., None] * np.eye(d)
+    return np.multiply.outer(x, np.eye(d))
+
+
+def _match(h: Hyper, target: str) -> Hyper:
+    """The matching rule (see above) from h to `target`."""
+    d = h.dim
+    # C's rate beta as a matrix is (beta/d) I, the isotropic one whose trace is beta
+    b = _as_matrices(h.structure, h.rate / d if h.structure == "C" else h.rate, d)
+    alpha = shape_for_sample_size(target, prior_sample_size(h).m, d)
+    return _hyper(target, alpha, family(target, d).statistic(b), d)
 
 
 def match_down(h: Hyper, target: str) -> Hyper:
@@ -262,15 +304,7 @@ def match_down(h: Hyper, target: str) -> Hyper:
         raise ValueError(f"unknown structure {target!r}")
     if _ORDER[target] >= _ORDER[h.structure]:
         raise ConfigError(f"{target} is not strictly simpler than {h.structure}")
-    d = h.dim
-    m = prior_sample_size(h).m
-    alpha = shape_for_sample_size(target, m, d)
-    if isinstance(h, WishartHyper):
-        if target == "D":
-            return GammaVecHyper(alpha, np.diag(h.rate).copy())
-        return GammaHyper(alpha, float(np.trace(h.rate)), d)
-    # D -> C
-    return GammaHyper(alpha, float(h.rate.sum()), d)
+    return _match(h, target)
 
 
 def match_up(h: Hyper, target: str = "A") -> Hyper:
@@ -279,24 +313,12 @@ def match_up(h: Hyper, target: str = "A") -> Hyper:
         raise ValueError(f"unknown structure {target!r}")
     if _ORDER[target] <= _ORDER[h.structure]:
         raise ConfigError(f"{target} is not strictly richer than {h.structure}")
-    d = h.dim
-    m = prior_sample_size(h).m
-    alpha = shape_for_sample_size(target, m, d)
-    if isinstance(h, GammaVecHyper):
-        return WishartHyper(alpha, np.diag(h.rate))
-    if target == "A":
-        return WishartHyper(alpha, (h.rate / d) * np.eye(d))
-    # C -> D
-    return GammaVecHyper(alpha, np.full(d, h.rate / d))
+    return _match(h, target)
 
 
 def matched_family(h: Hyper) -> HyperTriple:
     """The full (A, D, C) family matched to h, h included."""
-    if isinstance(h, WishartHyper):
-        return HyperTriple(h, match_down(h, "D"), match_down(h, "C"))
-    if isinstance(h, GammaVecHyper):
-        return HyperTriple(match_up(h, "A"), h, match_down(h, "C"))
-    return HyperTriple(match_up(h, "A"), match_up(h, "D"), h)
+    return HyperTriple(*(h if s == h.structure else _match(h, s) for s in "ADC"))
 
 
 def kl_objective(
@@ -324,37 +346,9 @@ def kl_objective(
         raise DimensionMismatchError("full and nested hypers have different dimensions")
 
     eta = sample_prior(nested, n_samples, rng)
-    if isinstance(nested, GammaHyper):
-        log_n = (
-            log_normalizer(nested)
-            + (nested.alpha - 1) * np.log(eta)
-            - nested.rate * eta
-        )
-        if isinstance(full, GammaVecHyper):
-            log_f = (
-                log_normalizer(full)
-                + d * (full.alpha - 1) * np.log(eta)
-                - full.rate.sum() * eta
-            )
-        else:
-            log_f = (
-                log_normalizer(full)
-                + (full.alpha - (d + 1) / 2) * d * np.log(eta)
-                - np.trace(full.rate) * eta
-            )
-    else:  # nested D inside full A
-        log_eta = np.log(eta)
-        log_n = (
-            log_normalizer(nested)
-            + (nested.alpha - 1) * log_eta.sum(axis=1)
-            - eta @ nested.rate
-        )
-        log_f = (
-            log_normalizer(full)
-            + (full.alpha - (d + 1) / 2) * log_eta.sum(axis=1)
-            - eta @ np.diag(full.rate)
-        )
-    diffs = log_n - log_f
+    # the draws embedded into the full structure's array form
+    embedded = family(full.structure, d).statistic(_as_matrices(nested.structure, eta, d))
+    diffs = _log_density(nested, eta) - _log_density(full, embedded)
     est = float(diffs.mean())
     se = float(diffs.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else float("inf")
     return est, se
@@ -419,11 +413,10 @@ def moment_hypers(
 
 
 def _batch_of_one(scheme: str, stats: SuffStats, m: float = 2.0) -> HyperTriple:
-    (a, vec, c), errors = moment_hypers(scheme, stats.s[None], stats.n, m)
+    triple, errors = moment_hypers(scheme, stats.s[None], stats.n, m)
     if errors:
         raise errors[0]
-    a, vec = WishartHyper(a.alpha, a.rate[0]), GammaVecHyper(vec.alpha, vec.rate[0])
-    return HyperTriple(a, vec, GammaHyper(c.alpha, c.rate[0], c.dim))
+    return HyperTriple(*(_hyper(h.structure, h.alpha, h.rate[0], h.dim) for h in triple))
 
 
 def empirical_bayes(stats: SuffStats, m: float = 2.0) -> HyperTriple:
@@ -442,7 +435,7 @@ def sample_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
     """`size` half-precisions from the prior: (size, d, d) for A, (size, d)
     for D and (size,) for C. A is Bartlett (`sample_wishart_batch`), D and
     C are gamma draws. The rate must be one rate, not a stack of them."""
-    if np.ndim(h.rate) != {"A": 2, "D": 1, "C": 0}[h.structure]:
+    if np.ndim(h.rate) != len(family(h.structure, h.dim).axes):
         raise DimensionMismatchError(f"cannot sample a stacked rate of shape {np.shape(h.rate)}")
     if isinstance(h, WishartHyper):
         return sample_wishart_batch(h, size, rng)
@@ -481,44 +474,42 @@ def log_prior_density(h: Hyper, theta: HalfPrecision) -> float:
     """
     if h.dim != theta.dim:
         raise DimensionMismatchError(f"hyper dimension {h.dim} != parameter dimension {theta.dim}")
-    if isinstance(h, WishartHyper):
-        d = h.dim
-        return float(
-            log_normalizer(h)
-            + (h.alpha - (d + 1) / 2) * theta.log_det()
-            - theta.scatter_product(h.rate)
-        )
-    if isinstance(h, GammaVecHyper):
-        eta = as_array(theta, "D")
-        return float(
-            log_normalizer(h) + (h.alpha - 1) * np.log(eta).sum() - h.rate @ eta
-        )
-    eta = as_array(theta, "C")
-    return float(log_normalizer(h) + (h.alpha - 1) * np.log(eta) - h.rate * eta)
+    return float(_log_density(h, np.asarray(as_array(theta, h.structure))[None])[0])
+
+
+def _log_density(h: Hyper, x: np.ndarray) -> np.ndarray:
+    """Log prior density at a stack x of half-precisions in h's array form:
+    log_normalizer(h) + (alpha - power) log|x| - <rate, x>, where log|x| is
+    log|H| for A and D and log eta for C (see `family`)."""
+    _, axes, power, _ = family(h.structure, h.dim)
+    if h.structure == "A":
+        log_base = np.linalg.slogdet(x)[1]
+    else:
+        log_base = np.log(x).sum(axis=axes)
+    return log_normalizer(h) + (h.alpha - power) * log_base - (x * h.rate).sum(axis=axes)
 
 
 def hyper_to_jsonable(h: Hyper) -> dict:
-    """JSON-ready dict: structure tag, shape, rate (matrix rows / vector / scalar)."""
-    if isinstance(h, WishartHyper):
-        return {"structure": "A", "alpha": h.alpha, "rate": h.rate.tolist()}
-    if isinstance(h, GammaVecHyper):
-        return {"structure": "D", "alpha": h.alpha, "rate": h.rate.tolist()}
-    return {"structure": "C", "alpha": h.alpha, "rate": h.rate, "dim": h.dim}
+    """JSON-ready dict: structure tag, shape, rate (matrix rows / vector /
+    scalar) and, for C, the dimension."""
+    doc = {"structure": h.structure, "alpha": h.alpha, "rate": np.asarray(h.rate).tolist()}
+    if h.structure == "C":
+        doc["dim"] = h.dim
+    return doc
 
 
 def hyper_from_jsonable(doc: dict) -> Hyper:
     """Inverse of `hyper_to_jsonable`; ConfigError for a malformed document,
-    including one whose values lie outside the prior's support."""
+    including one whose values lie outside the prior's support, whose rate
+    is a stack of rates or whose dimension is not an integer."""
     try:
         structure = doc["structure"]
         alpha = float(doc["alpha"])
-        rate = doc["rate"]
-        if structure == "A":
-            return WishartHyper(alpha, np.asarray(rate, dtype=float))
-        if structure == "D":
-            return GammaVecHyper(alpha, np.asarray(rate, dtype=float))
-        if structure == "C":
-            return GammaHyper(alpha, float(rate), int(doc.get("dim", 1)))
+        rate = np.asarray(doc["rate"], dtype=float)
+        ndim = len(family(structure, 1).axes)  # the axes do not depend on d
+        if rate.ndim != ndim:
+            raise ValueError(f"a structure-{structure} rate needs ndim {ndim}, not {rate.shape}")
+        d = doc.get("dim", 1) if structure == "C" else rate.shape[-1]
+        return _hyper(structure, alpha, rate, d)
     except (KeyError, TypeError, ValueError, CovselError) as exc:
         raise ConfigError(f"malformed hyperparameter document: {exc}") from exc
-    raise ConfigError(f"unknown structure {structure!r}")

@@ -35,6 +35,7 @@ from .priors import (
     HyperTriple,
     WishartHyper,
     conjugate_update,
+    family,
     log_normalizer,
     log_normalizer_at,
     log_prior_density,
@@ -68,14 +69,6 @@ CRITERIA = ("evidence", "bic", "pcbic", "kic")
 
 # the field of FitReport and StackFit that holds each criterion's value
 _CRITERION_FIELD = {"evidence": "log_evidence", "bic": "bic", "pcbic": "pc_bic", "kic": "kic"}
-
-# each structure's statistic of a stack of scatters s (s for A, its diagonal for D,
-# its trace for C) and the axes over which its product with H sums to tr(H s)
-_STATISTIC = {
-    "A": (lambda s: s, (-2, -1)),
-    "D": (lambda s: np.diagonal(s, axis1=-2, axis2=-1), (-1,)),
-    "C": (lambda s: np.trace(s, axis1=-2, axis2=-1), ()),
-}
 
 # tie order of structure selection: the simplest structure first
 SIMPLEST_FIRST = ("C", "D", "A")
@@ -152,10 +145,10 @@ def log_evidence_flat(structure: str, stats: SuffStats) -> float:
             raise ConfigError(f"flat-prior evidence for structure A requires n > d = {d}")
         log_stat = chol_log_det(stats.s)
     else:
-        stat = stats.s_diag if structure == "D" else stats.s_total
+        stat = family(structure, d).statistic(stats.s)
         if np.any(stat <= 0):
-            what = "s_jj" if structure == "D" else "tr s"
-            raise NotPositiveDefiniteError(f"flat-prior evidence needs positive {what}")
+            what = f"structure-{structure} statistic of s"
+            raise NotPositiveDefiniteError(f"flat-prior evidence needs a positive {what}")
         log_stat = np.log(stat).sum()
     return float(-n * d / 2 * LOG_PI - log_normalizer_at(structure, alpha, log_stat, d))
 
@@ -278,7 +271,7 @@ class StackFit:
 
     def scatter_product(self, s: np.ndarray) -> np.ndarray:
         """tr(H s) at each replicate's MAP, for a stack s of r scatters."""
-        statistic, axes = _STATISTIC[self.structure]
+        statistic, axes, _, _ = family(self.structure, self.dim)
         return (self.map * statistic(s)).sum(axis=axes)
 
     def report(self, i: int) -> FitReport:
@@ -337,10 +330,8 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     if h.dim != d:
         raise DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {d}")
     # the conjugate update, on the structure's own statistic of s
-    statistic, axes = _STATISTIC[structure]
+    statistic, axes, power, per_obs = family(structure, d)
     stat = statistic(s)
-    power = (d + 1) / 2 if structure == "A" else 1.0
-    per_obs = (d if structure == "C" else 1) / 2
     alpha_post = h.alpha + n * per_obs
     rate_post = h.rate + stat
     mult = alpha_post + coef_cols * per_obs - power

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +122,10 @@ class TestSelect:
             # outside the prior's support
             ("A", {"structure": "A", "alpha": -1, "rate": [[0.5, 0], [0, 0.5]]}, "Wishart shape"),
             ("D", {"structure": "D", "alpha": 2.0, "rate": [0.5, -1.0]}, "positive and finite"),
+            # a stack of rates, or a fractional dimension, is not one prior
+            ("A", {"structure": "A", "alpha": 4.0, "rate": [[[0.5, 0], [0, 0.5]]] * 2}, "ndim 2"),
+            ("D", {"structure": "D", "alpha": 2.0, "rate": [[0.5, 0.5]] * 3}, "ndim 1"),
+            ("C", {"structure": "C", "alpha": 6.0, "rate": 1.0, "dim": 2.7}, "integer"),
         ],
     )
     def test_invalid_hyper_file_entry_exits_2(self, tmp_path, capsys, structure, entry, message):
@@ -477,10 +483,14 @@ class TestPaths:
 
 class TestEntryPoint:
     def test_console_script(self):
+        # the child imports the covsel under test, installed or not
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "covsel.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "covsel" in proc.stdout

@@ -190,6 +190,12 @@ class TestRunCell:
         with pytest.raises(ConfigError, match="at least one n"):
             SimConfig(n_values=(), scheme=scheme)
 
+    @pytest.mark.parametrize("criteria", [("evidnce",), ("evidence", "aic")])
+    def test_unknown_criterion_rejected(self, criteria):
+        # run_cell would otherwise fail later with a bare KeyError
+        with pytest.raises(ConfigError, match="criteria must be among"):
+            SimConfig(criteria=criteria)
+
     @pytest.mark.parametrize("scheme, n", [("oracle", 2), ("vs-mclust", 4)])
     def test_cells_never_draw_rows(self, monkeypatch, scheme, n):
         def forbidden(*args, **kwargs):

@@ -13,7 +13,7 @@ from covsel.errors import (
     EmptyDatasetError,
     SupportError,
 )
-from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
+from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision, as_array
 from covsel.priors import (
     GammaHyper,
     GammaVecHyper,
@@ -557,6 +557,28 @@ class TestSerialization:
         np.testing.assert_allclose(np.asarray(back.rate), np.asarray(h.rate))
         assert back.dim == h.dim
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"structure": "A", "alpha": 4.0, "rate": [np.eye(2).tolist()] * 3}, "ndim 2"),
+            ({"structure": "A", "alpha": 4.0, "rate": [1.0, 2.0]}, "ndim 2"),
+            ({"structure": "D", "alpha": 2.0, "rate": [[1.0, 2.0]] * 3}, "ndim 1"),
+            ({"structure": "C", "alpha": 2.0, "rate": [1.0, 2.0], "dim": 2}, "ndim 0"),
+            ({"structure": "C", "alpha": 2.0, "rate": 1.0, "dim": 2.7}, "integer"),
+            ({"structure": "B", "alpha": 2.0, "rate": 1.0}, "unknown structure"),
+        ],
+    )
+    def test_rejects_stacked_rates_fractional_dims_and_unknown_structures(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            hyper_from_jsonable(doc)
+
+
+class TestGammaHyper:
+    @pytest.mark.parametrize("dim", [0, 2.7, 2.0, "2"])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            GammaHyper(2.0, 1.0, dim)
+
 
 class TestMatchedFamily:
     def test_family_consistency(self):
@@ -567,3 +589,174 @@ class TestMatchedFamily:
         m = prior_sample_size(c).m
         for h in fam:
             assert prior_sample_size(h).m == pytest.approx(m)
+
+
+# ---------------------------------------------------------------------------
+# The per-structure formulas that `priors.family` replaced, kept as oracles.
+# ---------------------------------------------------------------------------
+
+
+def branch_prior_sample_size(h):
+    if isinstance(h, WishartHyper):
+        return 2 * h.alpha - (h.dim + 1)
+    if isinstance(h, GammaVecHyper):
+        return 2 * h.alpha - 2
+    return (2 * h.alpha - 2) / h.dim
+
+
+def branch_shape_for_sample_size(structure, m, d):
+    if structure == "A":
+        return (m + d + 1) / 2
+    if structure == "D":
+        return (m + 2) / 2
+    return (m * d + 2) / 2
+
+
+def branch_match_down(h, target):
+    d = h.dim
+    alpha = branch_shape_for_sample_size(target, branch_prior_sample_size(h), d)
+    if isinstance(h, WishartHyper):
+        if target == "D":
+            return GammaVecHyper(alpha, np.diag(h.rate).copy())
+        return GammaHyper(alpha, float(np.trace(h.rate)), d)
+    return GammaHyper(alpha, float(h.rate.sum()), d)
+
+
+def branch_match_up(h, target):
+    d = h.dim
+    alpha = branch_shape_for_sample_size(target, branch_prior_sample_size(h), d)
+    if isinstance(h, GammaVecHyper):
+        return WishartHyper(alpha, np.diag(h.rate))
+    if target == "A":
+        return WishartHyper(alpha, (h.rate / d) * np.eye(d))
+    return GammaVecHyper(alpha, np.full(d, h.rate / d))
+
+
+def branch_match(h, target):
+    if "CDA".index(target) < "CDA".index(h.structure):
+        return branch_match_down(h, target)
+    return branch_match_up(h, target)
+
+
+def branch_log_prior_density(h, theta):
+    if isinstance(h, WishartHyper):
+        d = h.dim
+        return float(
+            log_normalizer(h)
+            + (h.alpha - (d + 1) / 2) * theta.log_det()
+            - theta.scatter_product(h.rate)
+        )
+    if isinstance(h, GammaVecHyper):
+        eta = as_array(theta, "D")
+        return float(log_normalizer(h) + (h.alpha - 1) * np.log(eta).sum() - h.rate @ eta)
+    eta = as_array(theta, "C")
+    return float(log_normalizer(h) + (h.alpha - 1) * np.log(eta) - h.rate * eta)
+
+
+def branch_kl_objective(full, nested, n_samples, rng):
+    """kl_objective's hand-expanded densities, one per nesting."""
+    d = full.dim
+    eta = sample_prior(nested, n_samples, rng)
+    if isinstance(nested, GammaHyper):
+        log_n = log_normalizer(nested) + (nested.alpha - 1) * np.log(eta) - nested.rate * eta
+        if isinstance(full, GammaVecHyper):
+            log_f = (
+                log_normalizer(full) + d * (full.alpha - 1) * np.log(eta) - full.rate.sum() * eta
+            )
+        else:
+            log_f = (
+                log_normalizer(full)
+                + (full.alpha - (d + 1) / 2) * d * np.log(eta)
+                - np.trace(full.rate) * eta
+            )
+    else:
+        log_eta = np.log(eta)
+        log_n = (
+            log_normalizer(nested) + (nested.alpha - 1) * log_eta.sum(axis=1) - eta @ nested.rate
+        )
+        log_f = (
+            log_normalizer(full)
+            + (full.alpha - (d + 1) / 2) * log_eta.sum(axis=1)
+            - eta @ np.diag(full.rate)
+        )
+    diffs = log_n - log_f
+    return float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(n_samples))
+
+
+def random_hyper(rng, structure, d, m):
+    alpha = branch_shape_for_sample_size(structure, m, d)
+    if structure == "A":
+        g = rng.standard_normal((d, d + 2))
+        return WishartHyper(alpha, g @ g.T / (d + 2))
+    if structure == "D":
+        return GammaVecHyper(alpha, rng.uniform(0.2, 3.0, size=d))
+    return GammaHyper(alpha, float(rng.uniform(0.2, 3.0)), d)
+
+
+def assert_same_hyper(got, want):
+    assert type(got) is type(want)
+    assert got.alpha == want.alpha and got.dim == want.dim
+    assert np.array_equal(np.asarray(got.rate), np.asarray(want.rate))
+
+
+class TestFamilyOracles:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_shapes_and_sample_sizes_exact_at_m2(self, d):
+        rng = np.random.default_rng(d)
+        for structure in "ADC":
+            alpha = shape_for_sample_size(structure, 2.0, d)
+            assert alpha == branch_shape_for_sample_size(structure, 2.0, d)
+            h = random_hyper(rng, structure, d, 2.0)
+            assert prior_sample_size(h).m == branch_prior_sample_size(h) == 2.0
+
+    def test_shapes_and_sample_sizes_elsewhere(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            d, m = int(rng.integers(1, 9)), float(rng.uniform(-1.9, 40.0))
+            for structure in "ADC":
+                alpha = shape_for_sample_size(structure, m, d)
+                want = branch_shape_for_sample_size(structure, m, d)
+                assert abs(alpha - want) <= 1e-12 * abs(want)
+                h = random_hyper(rng, structure, d, max(m, 0.5))
+                want = branch_prior_sample_size(h)
+                assert abs(prior_sample_size(h).m - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matching_exact_at_m2(self, d):
+        rng = np.random.default_rng(100 + d)
+        for source in "ADC":
+            h = random_hyper(rng, source, d, 2.0)
+            for target in "ADC".replace(source, ""):
+                match = match_down if "CDA".index(target) < "CDA".index(source) else match_up
+                assert_same_hyper(match(h, target), branch_match(h, target))
+            for got, structure in zip(matched_family(h), "ADC"):
+                assert_same_hyper(got, h if structure == source else branch_match(h, structure))
+
+    @pytest.mark.parametrize("full, nested", [("D", "C"), ("A", "C"), ("A", "D")])
+    def test_kl_objective_matches_the_expanded_densities(self, full, nested):
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 3, 5):
+            hf = random_hyper(rng, full, d, 3.0)
+            hn = random_hyper(rng, nested, d, 1.5)
+            got = kl_objective(hf, hn, 2_000, np.random.default_rng(d))
+            want = branch_kl_objective(hf, hn, 2_000, np.random.default_rng(d))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * abs(w), (full, nested, d)
+
+    def test_log_prior_density_matches_the_branches(self):
+        rng = np.random.default_rng(41)
+        for d in range(1, 7):
+            eta = rng.uniform(0.2, 2.0, size=d)
+            g = rng.standard_normal((d, d + 1))
+            thetas = {
+                "A": FullPrecision(g @ g.T / (d + 1) + 0.1 * np.eye(d)),
+                "D": DiagPrecision(eta),
+                "C": IsoPrecision(float(eta[0]), d),
+            }
+            # each prior at its own structure and at the simpler ones it embeds
+            for structure, supported in (("A", "ADC"), ("D", "DC"), ("C", "C")):
+                h = random_hyper(rng, structure, d, 2.5)
+                for s in supported:
+                    got = log_prior_density(h, thetas[s])
+                    want = branch_log_prior_density(h, thetas[s])
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (structure, s, d)
