@@ -44,15 +44,10 @@ from .priors import (
     matched_family,
     mclust_default,
     prior_sample_size,
+    rate_matrix,
     sample_half_precision,
 )
-from .specialfn import (
-    amgm_half_log_ratio,
-    chi_square_sf,
-    chol_log_det,
-    hadamard_half_log_ratio,
-    log_mv_gamma,
-)
+from .specialfn import chi_square_sf, chol_log_det, log_mv_gamma
 from .structures import (
     FitReport,
     SelectionResult,
@@ -72,7 +67,6 @@ from .asymptotics import (
     linear_rate_constant,
     log_rate_constant,
     rate_study,
-    second_moment_diag,
     second_moment_matrix,
 )
 from .montecarlo import (

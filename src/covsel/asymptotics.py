@@ -4,12 +4,12 @@ empirical convergence studies.
 When the nested structure is true, the log evidence ratio
 log(E_full / E_nested) drifts to -infinity like -(k - l)/2 * log n, where
 k and l are the structures' parameter counts. When the full structure is
-true it grows linearly in n, with a slope given by a Hadamard or AM/GM
-log-ratio of the limiting second moment of the data. Both regimes are
-verified here by simulation: `rate_study` reports the pointwise scaled
-statistic and a least-squares slope of the mean log ratio against the
-appropriate regressor (the slope converges faster because the O_p(1)
-intercept is absorbed).
+true it grows linearly in n, with slope 1/2 log(|P_nested V| / |P_full V|)
+in the limiting second moment V of the data (`linear_rate_constant`).
+Both regimes are verified here by simulation: `rate_study` reports the
+pointwise scaled statistic and a least-squares slope of the mean log
+ratio against the appropriate regressor (the slope converges faster
+because the O_p(1) intercept is absorbed).
 """
 
 from dataclasses import dataclass
@@ -20,17 +20,17 @@ import numpy as np
 from .errors import ConfigError, SupportError
 from .precision import HalfPrecision, as_array
 from .priors import (
-    GammaVecHyper,
     Hyper,
     WishartHyper,
     log_prior_density,
     matched_family,
     prior_sample_size,
+    rate_matrix,
     sample_prior,
     sample_wishart_batch,
 )
 from .montecarlo import scatters_from
-from .specialfn import amgm_half_log_ratio, hadamard_half_log_ratio
+from .specialfn import chol_log_det
 from .structures import fit_structure, log_partition_hessian_logdet, param_count
 
 __all__ = [
@@ -38,12 +38,12 @@ __all__ = [
     "log_rate_constant",
     "linear_rate_constant",
     "second_moment_matrix",
-    "second_moment_diag",
     "flexibility_bic_gap",
     "RateStudyConfig",
     "RateStudyRow",
     "RateStudyResult",
     "rate_study",
+    "GapStudyRow",
     "flexibility_gap_study",
 ]
 
@@ -65,48 +65,46 @@ def log_rate_constant(pair: str, d: int) -> float:
 
 
 def linear_rate_constant(pair: str, v: np.ndarray) -> float:
-    """The n-slope of the evidence ratio when the full structure is true.
+    """The n-slope 1/2 (log|P_nested(v)| - log|P_full(v)|) of the evidence
+    ratio when the full structure is true.
 
-    `v` is the limiting second moment E[X X^T] of an observation: a matrix
-    for the A pairs, a positive vector of per-axis second moments for
-    D-vs-C. The constant is scale-invariant in v, nonnegative, and zero
-    exactly when v already satisfies the nested structure.
+    `v` is the limiting second moment E[X X^T] of an observation (D-vs-C
+    also takes its diagonal as a vector), and P_S(v) is v, its diagonal or
+    (tr v / d) I: Hadamard's ratio for A-vs-D, AM/GM ratios for the C pairs.
+    The constant is scale-invariant in v, nonnegative, and zero exactly
+    when v already satisfies the nested structure.
     """
     full, nested = _split_pair(pair)
     v = np.asarray(v, dtype=float)
-    if full == "A":
-        if v.ndim != 2:
-            raise ConfigError("A pairs need the full second-moment matrix")
-        return hadamard_half_log_ratio(v) if nested == "D" else amgm_half_log_ratio(v)
-    # D-vs-C: AM/GM ratio of the per-axis second moments
-    v = np.ravel(v)
-    if np.any(v <= 0):
+    if v.ndim == 1 and full == "D":
+        v = np.diag(v)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ConfigError(f"{pair} needs a square second-moment matrix, got shape {v.shape}")
+    log_full = _log_det_part(full, v)
+    return float(0.5 * (_log_det_part(nested, v) - log_full))
+
+
+def _log_det_part(structure: str, v: np.ndarray) -> float:
+    """log|P_S(v)|: log|v|, sum_j log v_jj, or d log(tr v / d)."""
+    if structure == "A":
+        return chol_log_det(v)
+    diag = np.diagonal(v)
+    if np.any(diag <= 0):
         raise ConfigError("per-axis second moments must be positive")
-    d = v.size
-    return float(d / 2 * (np.log(v.mean()) - np.log(v).mean()))
+    return np.log(diag).sum() if structure == "D" else diag.size * np.log(diag.mean())
 
 
-def second_moment_matrix(h: WishartHyper) -> np.ndarray:
-    """Closed-form marginal second moment E[X X^T] under a structure-A prior.
+def second_moment_matrix(h: Hyper) -> np.ndarray:
+    """Closed-form marginal second moment E[X X^T] under h's prior.
 
-    X | H ~ N(0, (2H)^{-1}) with H Wishart(shape alpha, rate B) gives
-    E[X X^T] = E[(2H)^{-1}] = B / (2 alpha - (d+1)), finite iff the prior
-    sample size 2 alpha - (d+1) is positive. (Only the shape of this
-    matrix enters the rate constants; they are scale-invariant.)
+    X | H ~ N(0, (2H)^{-1}) gives E[X X^T] = E[(2H)^{-1}] = rate_matrix(h) / m,
+    finite iff the prior sample size m is positive (B / (2 alpha - (d+1))
+    for A). Only its shape enters the rate constants; they are scale-invariant.
     """
     m = prior_sample_size(h).m
     if m <= 0:
-        raise ConfigError("second moment requires prior sample size 2a-(d+1) > 0")
-    return h.rate / m
-
-
-def second_moment_diag(h: GammaVecHyper) -> np.ndarray:
-    """Per-axis marginal second moments under a structure-D prior:
-    E[X_j^2] = E[1/(2 eta_j)] = beta_j / (2 alpha - 2)."""
-    m = prior_sample_size(h).m
-    if m <= 0:
-        raise ConfigError("second moment requires prior sample size 2a-2 > 0")
-    return h.rate / m
+        raise ConfigError(f"second moment requires a positive prior sample size, got m = {m}")
+    return rate_matrix(h) / m
 
 
 def flexibility_bic_gap(h: Hyper, theta0: HalfPrecision) -> float:
@@ -149,7 +147,7 @@ class RateStudyConfig:
             raise ConfigError(f"truth {self.truth!r} is not part of pair {self.pair!r}")
         if self.truth != self.hyper.structure:
             raise ConfigError("hyper structure must match the truth structure")
-        _check_design(self.n_grid, self.reps, self.hyper.dim, log_scaled=self.truth == nested)
+        _check_design(self.n_grid, self.reps, self.seed, self.hyper.dim, self.truth == nested)
         if self.fixed_theta is not None:
             if self.fixed_theta.dim != self.hyper.dim:
                 raise ConfigError("fixed_theta dimension does not match hyper")
@@ -159,10 +157,11 @@ class RateStudyConfig:
                 raise ConfigError(f"fixed_theta is not of the truth's structure: {exc}") from exc
 
 
-def _check_design(n_grid: Tuple[int, ...], reps: int, d: int, log_scaled: bool = False) -> None:
-    """The replicate count and n grid of a study: n >= d, because the
-    scatters are drawn as Wishart stacks (see `_draw`), and n >= 2 when the
-    statistic is scaled by log n."""
+def _check_design(n_grid: Tuple[int, ...], reps: int, seed: int, d: int, log_scaled=False) -> None:
+    """A study's reps, seed and n grid: integers, with n >= d (the scatters
+    are drawn as Wishart stacks, see `_draw`) and n >= 2 when scaled by log n."""
+    if not all(isinstance(v, (int, np.integer)) for v in (reps, seed, *n_grid)):
+        raise ConfigError("reps, seed and the n grid must be integers")
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     if len(n_grid) == 0 or any(n < 1 for n in n_grid):
@@ -215,9 +214,8 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
     of the grid. The replicates of each n are scored as one stack.
     """
     full, nested = _split_pair(config.pair)
-    family = matched_family(config.hyper)
-    h_full = family.for_structure(full)
-    h_nested = family.for_structure(nested)
+    triple = matched_family(config.hyper)
+    h_full, h_nested = (triple.for_structure(s) for s in (full, nested))
     nested_true = config.truth == nested
     target = _study_target(config, nested)
 
@@ -257,19 +255,9 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
 def _study_target(config: RateStudyConfig, nested: str) -> float:
     if config.truth == nested:
         return log_rate_constant(config.pair, config.hyper.dim)
-    if config.fixed_theta is not None:
-        sigma = np.linalg.inv(2 * config.fixed_theta.as_matrix())
-        v = np.diag(sigma) if config.pair == "D-vs-C" else sigma
-        return linear_rate_constant(config.pair, v)
-    if isinstance(config.hyper, WishartHyper):
-        v = second_moment_matrix(config.hyper)
-        return linear_rate_constant(config.pair, v)
-    if isinstance(config.hyper, GammaVecHyper):
-        vdiag = second_moment_diag(config.hyper)
-        if config.pair == "D-vs-C":
-            return linear_rate_constant(config.pair, vdiag)
-        return linear_rate_constant(config.pair, np.diag(vdiag))
-    raise ConfigError("full-true study with an isotropic truth has a zero rate by construction")
+    if config.fixed_theta is None:
+        return linear_rate_constant(config.pair, second_moment_matrix(config.hyper))
+    return linear_rate_constant(config.pair, np.linalg.inv(2 * config.fixed_theta.as_matrix()))
 
 
 def _draw(h: Hyper, n: int, reps: int, seed: int, theta: Optional[HalfPrecision]) -> np.ndarray:
@@ -323,7 +311,7 @@ def flexibility_gap_study(
             f"theta0 must be a structure-{h.structure} half-precision of dimension {h.dim}, "
             f"got structure {theta0.structure} of dimension {theta0.dim}"
         )
-    _check_design(n_grid, reps, h.dim)
+    _check_design(n_grid, reps, seed, h.dim)
     gap = flexibility_bic_gap(h, theta0)
     k = param_count(theta0.structure, theta0.dim)
     rows = []

@@ -41,6 +41,7 @@ __all__ = [
     "ConfusionMatrix",
     "ConfusionTable",
     "McNemarResult",
+    "PairedComparison",
     "TRUTH_ORDER",
     "gaussian_rows",
     "oracle_hyper",
@@ -50,6 +51,7 @@ __all__ = [
     "run_cell",
     "mcnemar",
     "confusion_table",
+    "render_confusion_markdown",
 ]
 
 TRUTH_ORDER = ("A", "D", "C")
@@ -167,6 +169,9 @@ class SimConfig:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not set(self.criteria) <= set(CRITERIA):
             raise ConfigError(f"criteria must be among {CRITERIA}, got {self.criteria!r}")
+        sizes = (self.d, self.reps, self.seed, *self.n_values)
+        if not all(isinstance(v, (int, np.integer)) for v in sizes):
+            raise ConfigError("d, reps, seed and the n values must be integers")
         if self.reps < 1 or self.d < 1:
             raise ConfigError("reps and d must be >= 1")
         if self.beta_inverse <= 0:

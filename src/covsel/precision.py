@@ -21,12 +21,9 @@ __all__ = [
     "DiagPrecision",
     "IsoPrecision",
     "HalfPrecision",
-    "STRUCTURES",
     "as_array",
     "from_array",
 ]
-
-STRUCTURES = ("A", "D", "C")
 
 _ISO_RTOL = 1e-12
 

@@ -42,6 +42,7 @@ __all__ = [
     "GammaHyper",
     "Hyper",
     "HyperTriple",
+    "Family",
     "family",
     "PriorSampleSize",
     "prior_sample_size",
@@ -52,12 +53,14 @@ __all__ = [
     "match_down",
     "match_up",
     "matched_family",
+    "rate_matrix",
     "kl_objective",
     "empirical_bayes",
     "mclust_default",
     "moment_hypers",
     "sample_prior",
     "sample_half_precision",
+    "sample_wishart_batch",
     "log_prior_density",
     "hyper_to_jsonable",
     "hyper_from_jsonable",
@@ -262,10 +265,11 @@ def conjugate_update(h: Hyper, stats: SuffStats) -> Hyper:
 # Hyperparameter matching between nested structures.
 #
 # Nesting order is C < D < A. One rule serves both directions: write the
-# rate as a d x d matrix (B, diag beta, or (beta/d) I) and take the target's
-# statistic of it (the matrix, its diagonal, or its trace). Down, that is the
-# nesting map's aggregation; up, its pseudo-inverse. The prior sample size m
-# is preserved, which pins the target shape via shape_for_sample_size.
+# rate as a d x d matrix (`rate_matrix`: B, diag beta, or (beta/d) I) and
+# take the target's statistic of it (the matrix, its diagonal, or its
+# trace). Down, that is the nesting map's aggregation; up, its
+# pseudo-inverse. The prior sample size m is preserved, which pins the
+# target shape via shape_for_sample_size.
 # ---------------------------------------------------------------------------
 
 _ORDER = {"C": 0, "D": 1, "A": 2}
@@ -289,13 +293,17 @@ def _as_matrices(structure: str, x, d: int) -> np.ndarray:
     return np.multiply.outer(x, np.eye(d))
 
 
+def rate_matrix(h: Hyper) -> np.ndarray:
+    """h's rate written as a d x d matrix: B, diag(beta), or (beta/d) I, the
+    isotropic matrix whose trace is beta. A stacked rate gives a stack."""
+    return _as_matrices(h.structure, h.rate / h.dim if h.structure == "C" else h.rate, h.dim)
+
+
 def _match(h: Hyper, target: str) -> Hyper:
     """The matching rule (see above) from h to `target`."""
     d = h.dim
-    # C's rate beta as a matrix is (beta/d) I, the isotropic one whose trace is beta
-    b = _as_matrices(h.structure, h.rate / d if h.structure == "C" else h.rate, d)
     alpha = shape_for_sample_size(target, prior_sample_size(h).m, d)
-    return _hyper(target, alpha, family(target, d).statistic(b), d)
+    return _hyper(target, alpha, family(target, d).statistic(rate_matrix(h)), d)
 
 
 def match_down(h: Hyper, target: str) -> Hyper:

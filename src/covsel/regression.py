@@ -70,6 +70,7 @@ __all__ = [
     "enumerate_covariates",
     "lambda_path",
     "LambdaPathRow",
+    "standard_hypers",
 ]
 
 # the criteria defined for the regression model; the Kashyap criterion is not

@@ -19,8 +19,6 @@ __all__ = [
     "chol_log_det",
     "cholesky_pd",
     "cholesky_stack",
-    "hadamard_half_log_ratio",
-    "amgm_half_log_ratio",
     "chi_square_sf",
 ]
 
@@ -114,28 +112,6 @@ def chol_log_det(s: np.ndarray):
     L = cholesky_pd(s)
     ld = 2.0 * np.log(L.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     return float(ld) if ld.ndim == 0 else ld
-
-
-def hadamard_half_log_ratio(v: np.ndarray) -> float:
-    """(1/2) * log( prod_j V_jj / |V| ) for positive definite V.
-
-    Nonnegative by Hadamard's inequality, zero iff V is diagonal.
-    """
-    v = np.asarray(v, dtype=float)
-    ld = chol_log_det(v)
-    return float(0.5 * (np.log(np.diag(v)).sum() - ld))
-
-
-def amgm_half_log_ratio(v: np.ndarray) -> float:
-    """(d/2) * log( (tr V / d) / |V|^(1/d) ) for positive definite V.
-
-    The log-ratio of arithmetic to geometric mean of the eigenvalues,
-    scaled by d/2; nonnegative, zero iff V is a multiple of the identity.
-    """
-    v = np.asarray(v, dtype=float)
-    d = v.shape[0]
-    ld = chol_log_det(v)
-    return float(d / 2 * (np.log(np.trace(v) / d) - ld / d))
 
 
 def chi_square_sf(x: float, dof: int) -> float:

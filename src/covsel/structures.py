@@ -58,6 +58,7 @@ __all__ = [
     "fit_stack",
     "fit_structure",
     "criteria",
+    "criterion_matrix",
     "simplest_best",
     "best_structures",
     "evidence_oracle",

@@ -16,11 +16,17 @@ from covsel.asymptotics import (
     linear_rate_constant,
     log_rate_constant,
     rate_study,
-    second_moment_diag,
     second_moment_matrix,
 )
+from covsel.cli import _fixed_theta
 from covsel.data import SuffStats
-from covsel.errors import ConfigError, CovselError, NotPositiveDefiniteError, SupportError
+from covsel.errors import (
+    AsymmetricMatrixError,
+    ConfigError,
+    CovselError,
+    NotPositiveDefiniteError,
+    SupportError,
+)
 from covsel.montecarlo import gaussian_rows, oracle_hyper
 from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
 from covsel.priors import (
@@ -28,9 +34,11 @@ from covsel.priors import (
     GammaVecHyper,
     WishartHyper,
     matched_family,
+    prior_sample_size,
     sample_half_precision,
     sample_prior,
 )
+from covsel.specialfn import chol_log_det
 from covsel.structures import criteria, fit_structure, log_evidence, param_count
 
 
@@ -116,6 +124,72 @@ def per_replicate_gap_study(h, theta0, n_grid, reps, seed):
     return rows
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the per-pair rate formulas, the structure-D second moment and
+# the target chain that one formula and `second_moment_matrix` replaced
+# ---------------------------------------------------------------------------
+
+
+def hadamard_half_log_ratio(v):
+    """(1/2) log(prod_j V_jj / |V|): the A-vs-D constant."""
+    v = np.asarray(v, dtype=float)
+    ld = chol_log_det(v)
+    return float(0.5 * (np.log(np.diag(v)).sum() - ld))
+
+
+def amgm_half_log_ratio(v):
+    """(d/2) log((tr V / d) / |V|^(1/d)): the A-vs-C constant."""
+    v = np.asarray(v, dtype=float)
+    d = v.shape[0]
+    ld = chol_log_det(v)
+    return float(d / 2 * (np.log(np.trace(v) / d) - ld / d))
+
+
+def amgm_vector_ratio(v):
+    """(d/2) log(mean v / geometric mean v) of the per-axis second moments
+    v: the D-vs-C constant."""
+    v = np.ravel(np.asarray(v, dtype=float))
+    if np.any(v <= 0):
+        raise ConfigError("per-axis second moments must be positive")
+    d = v.size
+    return float(d / 2 * (np.log(v.mean()) - np.log(v).mean()))
+
+
+def second_moment_diag(h):
+    """Per-axis second moments beta_j / (2 alpha - 2) under a structure-D prior."""
+    m = prior_sample_size(h).m
+    if m <= 0:
+        raise ConfigError("second moment requires prior sample size 2a-2 > 0")
+    return h.rate / m
+
+
+def chain_study_target(config):
+    """`rate_study`'s target, by pair and by the type of the truth's hyper."""
+    nested = config.pair.split("-vs-")[1]
+    if config.truth == nested:
+        return log_rate_constant(config.pair, config.hyper.dim)
+    ratio = {"A-vs-D": hadamard_half_log_ratio, "A-vs-C": amgm_half_log_ratio}
+    if config.fixed_theta is not None:
+        sigma = np.linalg.inv(2 * config.fixed_theta.as_matrix())
+        if config.pair == "D-vs-C":
+            return amgm_vector_ratio(np.diag(sigma))
+        return ratio[config.pair](sigma)
+    if isinstance(config.hyper, WishartHyper):
+        return ratio[config.pair](config.hyper.rate / prior_sample_size(config.hyper).m)
+    if isinstance(config.hyper, GammaVecHyper):
+        vdiag = second_moment_diag(config.hyper)
+        if config.pair == "D-vs-C":
+            return amgm_vector_ratio(vdiag)
+        return ratio[config.pair](np.diag(vdiag))
+    raise ConfigError("full-true study with an isotropic truth has a zero rate by construction")
+
+
+def random_pd(rng, d, dof=None):
+    # Wishart-style sample: G G^T with a couple extra degrees of freedom
+    g = rng.standard_normal((d, (dof or d) + 2))
+    return g @ g.T / (d + 2)
+
+
 class TestLogRateConstant:
     def test_full_vs_iso_d5(self):
         assert log_rate_constant("A-vs-C", 5) == -7.0
@@ -155,6 +229,80 @@ class TestLinearRateConstant:
         assert abs(linear_rate_constant("A-vs-D", np.diag([1.0, 3.0]))) < 1e-12
         assert abs(linear_rate_constant("A-vs-C", 2.5 * np.eye(3))) < 1e-12
 
+    def test_hadamard_identity_and_diagonal(self):
+        assert linear_rate_constant("A-vs-D", np.eye(3)) == 0.0
+        assert abs(linear_rate_constant("A-vs-D", np.diag([2.0, 3.0, 5.0]))) <= 1e-12
+
+    def test_hadamard_hand_value(self):
+        v = np.array([[1.0, 0.5], [0.5, 1.0]])  # det = 3/4
+        assert linear_rate_constant("A-vs-D", v) == pytest.approx(0.5 * math.log(4 / 3), abs=1e-12)
+        assert linear_rate_constant("A-vs-D", v) == pytest.approx(0.14384, abs=1e-5)
+
+    def test_amgm_scalar_identity(self):
+        for c in (0.1, 1.0, 7.5):
+            assert abs(linear_rate_constant("A-vs-C", c * np.eye(4))) <= 1e-12
+
+    def test_amgm_hand_values(self):
+        assert linear_rate_constant("A-vs-C", np.diag([1.0, 4.0])) == pytest.approx(
+            math.log(2.5 / 2.0), abs=1e-12
+        )
+        v = np.array([[1.0, 0.5], [0.5, 1.0]])
+        # tr/d = 1, |V|^(1/2) = sqrt(3)/2
+        assert linear_rate_constant("A-vs-C", v) == pytest.approx(
+            math.log(1 / math.sqrt(0.75)), abs=1e-12
+        )
+
+    def test_nonnegative_on_random_pd(self):
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            d = int(rng.integers(1, 6))
+            v = random_pd(rng, d)
+            assert linear_rate_constant("A-vs-D", v) >= -1e-12
+            assert linear_rate_constant("A-vs-C", v) >= -1e-12
+            assert linear_rate_constant("D-vs-C", v) >= -1e-12
+
+    def test_equals_the_per_pair_formulas(self):
+        # A-vs-D keeps Hadamard's arithmetic exactly; the C pairs reorder
+        # the AM/GM arithmetic and may differ in the last bits
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            v = random_pd(rng, int(rng.integers(1, 7)))
+            assert linear_rate_constant("A-vs-D", v) == hadamard_half_log_ratio(v)
+            for pair, old in (
+                ("A-vs-C", amgm_half_log_ratio(v)),
+                ("D-vs-C", amgm_vector_ratio(np.diag(v))),
+            ):
+                assert abs(linear_rate_constant(pair, v) - old) <= 1e-15 * max(1.0, abs(old))
+            assert linear_rate_constant("D-vs-C", np.diag(v)) == linear_rate_constant("D-vs-C", v)
+
+    @pytest.mark.parametrize("v", [[[1.0, 0.5], [0.5, 1.0]], np.eye(3)])
+    def test_d_vs_c_reads_the_diagonal_of_a_matrix(self, v):
+        # a constant diagonal: the D-vs-C rate is 0 whatever lies off it
+        assert linear_rate_constant("D-vs-C", v) == 0.0
+
+    @pytest.mark.parametrize(
+        "pair, v, error",
+        [
+            # A pairs need the matrix, not the per-axis moments
+            ("A-vs-D", np.ones(3), ConfigError),
+            ("A-vs-C", np.ones(3), ConfigError),
+            # a non-positive per-axis moment, as a vector or on a diagonal
+            ("D-vs-C", np.array([1.0, 0.0, 2.0]), ConfigError),
+            ("D-vs-C", np.diag([1.0, -1.0]), ConfigError),
+            # neither a vector nor a square matrix
+            ("D-vs-C", np.ones((2, 3)), ConfigError),
+            ("D-vs-C", np.ones((2, 2, 2)), ConfigError),
+            ("A-vs-D", np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefiniteError),
+            # indefinite with a negative diagonal: the factorization fails first
+            ("A-vs-C", np.array([[-1.0, 0.0], [0.0, 1.0]]), NotPositiveDefiniteError),
+            ("A-vs-D", np.array([[1.0, 0.5], [0.0, 1.0]]), AsymmetricMatrixError),
+            ("A-vs-B", np.eye(2), ConfigError),
+        ],
+    )
+    def test_rejects(self, pair, v, error):
+        with pytest.raises(error):
+            linear_rate_constant(pair, v)
+
 
 class TestSecondMoment:
     def test_closed_form_wishart(self):
@@ -164,7 +312,21 @@ class TestSecondMoment:
 
     def test_closed_form_diag(self):
         h = GammaVecHyper(2.0, np.array([1.0, 4.0]))
-        np.testing.assert_allclose(second_moment_diag(h), h.rate / 2.0)
+        np.testing.assert_allclose(np.diag(second_moment_matrix(h)), h.rate / 2.0)
+
+    def test_closed_form_iso(self):
+        # beta / (2 alpha - 2) per axis: 2 / 4 at alpha = 3
+        h = GammaHyper(3.0, 2.0, 3)
+        np.testing.assert_allclose(second_moment_matrix(h), 0.5 * np.eye(3), rtol=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_diag_equals_the_per_axis_formula(self, d):
+        rng = np.random.default_rng(d)
+        for alpha in (1.1, 2.0, 3.7):
+            h = GammaVecHyper(alpha, rng.uniform(0.1, 5.0, size=d))
+            v = second_moment_matrix(h)
+            assert np.array_equal(np.diag(v), second_moment_diag(h))
+            assert np.array_equal(v, np.diag(np.diag(v)))
 
     def test_mc_pipeline_matches_closed_form(self):
         # draw H from the prior, one observation per draw, pool the scatter
@@ -190,11 +352,19 @@ class TestSecondMoment:
             theta = sample_half_precision(h, rng)
             sq[i] = gaussian_rows(theta, 1, rng)[0] ** 2
         se = sq.std(axis=0, ddof=1) / math.sqrt(reps)
-        assert np.all(np.abs(sq.mean(axis=0) - second_moment_diag(h)) < 3 * se)
+        assert np.all(np.abs(sq.mean(axis=0) - np.diag(second_moment_matrix(h))) < 3 * se)
 
-    def test_regularity_required(self):
-        with pytest.raises(ConfigError):
-            second_moment_matrix(WishartHyper(3.0, np.eye(5)))  # m = 0
+    @pytest.mark.parametrize(
+        "h",
+        [
+            WishartHyper(3.0, np.eye(5)),  # m = 2 alpha - (d+1) = 0
+            GammaVecHyper(1.0, np.ones(3)),  # m = 2 alpha - 2 = 0
+            GammaHyper(0.5, 1.0, 2),  # m = (2 alpha - 2) / d < 0
+        ],
+    )
+    def test_regularity_required(self, h):
+        with pytest.raises(ConfigError, match="prior sample size"):
+            second_moment_matrix(h)
 
 
 class TestFlexibilityBicGap:
@@ -388,6 +558,68 @@ class TestRateStudy:
                 reps=1,
                 seed=0,
             )
+
+    def test_target_equals_the_chain(self):
+        # from the CLI's generating hypers at its default beta_inverse, and
+        # from its --fixed-sigma matrices
+        configs = []
+        for d in range(1, 9):
+            for pair, truth in [
+                ("A-vs-D", "A"), ("A-vs-D", "D"), ("A-vs-C", "A"), ("A-vs-C", "C"),
+                ("D-vs-C", "D"), ("D-vs-C", "C"),
+            ]:
+                hyper = oracle_hyper(truth, d, 2.0)
+                configs.append(
+                    RateStudyConfig(pair, truth, hyper, n_grid=(max(d, 2),), reps=1, seed=0)
+                )
+        for sigma in [
+            "2,0.6,0.3,0,0;0.6,1.5,0.4,0.2,0;0.3,0.4,1,0.3,0.1;0,0.2,0.3,0.8,0.2;0,0,0.1,0.2,0.5",
+            "1,0.5;0.5,1",
+            "3",
+        ]:
+            theta = _fixed_theta(sigma)
+            for pair in ("A-vs-D", "A-vs-C"):
+                hyper = oracle_hyper("A", theta.dim, 2.0)
+                configs.append(RateStudyConfig(pair, "A", hyper, (5,), 1, 0, fixed_theta=theta))
+        for config in configs:
+            nested = config.pair.split("-vs-")[1]
+            assert asymptotics._study_target(config, nested) == chain_study_target(config)
+
+    @pytest.mark.parametrize("beta_inverse", [0.1, 0.3, 1.0, 3.7, 10.0])
+    def test_target_near_the_chain_at_other_scales(self, beta_inverse):
+        # the A and D generating hypers are isotropic, so both targets are
+        # rounding noise about 0 and may differ in the last bits
+        for d in range(1, 9):
+            for pair, truth in [("A-vs-D", "A"), ("A-vs-C", "A"), ("D-vs-C", "D")]:
+                hyper = oracle_hyper(truth, d, beta_inverse)
+                config = RateStudyConfig(pair, truth, hyper, (max(d, 2),), 1, 0)
+                old = chain_study_target(config)
+                assert abs(asymptotics._study_target(config, pair[-1]) - old) <= 1e-15
+                assert abs(old) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "field, value", [("reps", 2.5), ("n_grid", (100.5,)), ("n_grid", (10, 20.0)), ("seed", 1.5)]
+    )
+    def test_non_integral_design_rejected(self, field, value):
+        # rate_study would otherwise fail with a bare TypeError
+        kwargs = dict(pair="A-vs-C", truth="C", hyper=oracle_hyper("C", 3, 2.0), n_grid=(10,),
+                      reps=2, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match="integers"):
+            RateStudyConfig(**kwargs)
+        if field != "n_grid":
+            h, theta0 = GammaHyper(2.0, 1.0, 1), IsoPrecision(1.0, 1)
+            design = {"n_grid": (10,), "reps": 2, "seed": 0, field: value}
+            with pytest.raises(ConfigError, match="integers"):
+                flexibility_gap_study(h, theta0, **design)
+
+    def test_numpy_integers_accepted(self):
+        kwargs = dict(pair="A-vs-C", truth="C", hyper=oracle_hyper("C", 3, 2.0))
+        plain = RateStudyConfig(**kwargs, n_grid=(10, 20), reps=3, seed=1)
+        numpy = RateStudyConfig(
+            **kwargs, n_grid=tuple(np.array([10, 20])), reps=np.int32(3), seed=np.uint8(1)
+        )
+        assert rate_study(numpy) == rate_study(plain)
 
     @pytest.mark.parametrize("pair, truth", [("A-vs-C", "C"), ("A-vs-D", "D"), ("D-vs-C", "C")])
     def test_nested_true_needs_n_at_least_2(self, pair, truth):

@@ -190,6 +190,24 @@ class TestRunCell:
         with pytest.raises(ConfigError, match="at least one n"):
             SimConfig(n_values=(), scheme=scheme)
 
+    @pytest.mark.parametrize(
+        "field, value", [("d", 3.0), ("reps", 2.5), ("n_values", (5.5,)), ("seed", 1.5)]
+    )
+    def test_non_integral_sizes_rejected(self, field, value):
+        # run_cell would otherwise fail with a bare TypeError or ValueError
+        kwargs = dict(d=3, n_values=(5,), reps=2, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match="integers"):
+            SimConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        plain = SimConfig(d=3, n_values=(5,), reps=4, seed=1)
+        numpy = SimConfig(
+            d=np.int64(3), n_values=(np.int32(5),), reps=np.int64(4), seed=np.uint8(1)
+        )
+        for truth in TRUTH_ORDER:
+            assert run_cell(numpy, truth, numpy.n_values[0]) == run_cell(plain, truth, 5)
+
     @pytest.mark.parametrize("criteria", [("evidnce",), ("evidence", "aic")])
     def test_unknown_criterion_rejected(self, criteria):
         # run_cell would otherwise fail later with a bare KeyError

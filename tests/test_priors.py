@@ -32,6 +32,7 @@ from covsel.priors import (
     mclust_default,
     moment_hypers,
     prior_sample_size,
+    rate_matrix,
     sample_half_precision,
     sample_prior,
     shape_for_sample_size,
@@ -165,6 +166,30 @@ class TestMatching:
             assert prior_sample_size(match_up(h, target)).m == pytest.approx(m, abs=1e-12)
         for member in matched_family(h):
             assert prior_sample_size(member).m == pytest.approx(m, abs=1e-12)
+
+    def test_rate_matrix(self):
+        b = np.array([[2.0, 0.3], [0.3, 1.0]])
+        assert np.array_equal(rate_matrix(WishartHyper(3.0, b)), b)
+        assert np.array_equal(rate_matrix(GammaVecHyper(2.0, [0.5, 3.0])), np.diag([0.5, 3.0]))
+        # the isotropic matrix whose trace is beta
+        assert np.array_equal(rate_matrix(GammaHyper(2.0, 3.0, 2)), 1.5 * np.eye(2))
+        # a stacked rate gives a stack of matrices
+        stacked = rate_matrix(GammaHyper(2.0, np.array([2.0, 4.0]), 2))
+        assert np.array_equal(stacked, np.array([np.eye(2), 2 * np.eye(2)]))
+        stacked = rate_matrix(GammaVecHyper(2.0, np.array([[1.0, 2.0], [3.0, 4.0]])))
+        assert np.array_equal(stacked, np.array([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]))
+
+    def test_matching_takes_the_statistic_of_the_rate_matrix(self):
+        for h in (
+            WishartHyper(3.0, np.array([[2.0, 0.3], [0.3, 1.0]])),
+            GammaVecHyper(2.0, [0.5, 3.0]),
+            GammaHyper(2.0, 3.0, 2),
+        ):
+            b = rate_matrix(h)
+            triple = matched_family(h)
+            assert np.array_equal(triple.a.rate, b)
+            assert np.array_equal(triple.d.rate, np.diag(b))
+            assert triple.c.rate == np.trace(b)
 
     def test_direction_enforced(self):
         with pytest.raises(ConfigError):

@@ -5,14 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from covsel.errors import AsymmetricMatrixError, NotPositiveDefiniteError
-from covsel.specialfn import (
-    amgm_half_log_ratio,
-    chi_square_sf,
-    chol_log_det,
-    hadamard_half_log_ratio,
-    log_mv_gamma,
-    symmetrize,
-)
+from covsel.specialfn import chi_square_sf, chol_log_det, log_mv_gamma, symmetrize
 
 
 def random_pd(rng, d, dof=None):
@@ -87,37 +80,6 @@ class TestCholLogDet:
         s = np.array([[2.0, 0.3], [0.3 + 1e-12, 1.0]])
         out = symmetrize(s)
         np.testing.assert_allclose(out, out.T)
-
-
-class TestLogRatios:
-    def test_hadamard_identity_and_diagonal(self):
-        assert hadamard_half_log_ratio(np.eye(3)) == 0.0
-        assert abs(hadamard_half_log_ratio(np.diag([2.0, 3.0, 5.0]))) <= 1e-12
-
-    def test_hadamard_hand_value(self):
-        v = np.array([[1.0, 0.5], [0.5, 1.0]])  # det = 3/4
-        assert hadamard_half_log_ratio(v) == pytest.approx(0.5 * math.log(4 / 3), abs=1e-12)
-        assert hadamard_half_log_ratio(v) == pytest.approx(0.14384, abs=1e-5)
-
-    def test_amgm_scalar_identity(self):
-        for c in (0.1, 1.0, 7.5):
-            assert abs(amgm_half_log_ratio(c * np.eye(4))) <= 1e-12
-
-    def test_amgm_hand_values(self):
-        assert amgm_half_log_ratio(np.diag([1.0, 4.0])) == pytest.approx(
-            math.log(2.5 / 2.0), abs=1e-12
-        )
-        v = np.array([[1.0, 0.5], [0.5, 1.0]])
-        # tr/d = 1, |V|^(1/2) = sqrt(3)/2
-        assert amgm_half_log_ratio(v) == pytest.approx(math.log(1 / math.sqrt(0.75)), abs=1e-12)
-
-    def test_nonnegative_on_random_pd(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            d = int(rng.integers(1, 6))
-            v = random_pd(rng, d)
-            assert hadamard_half_log_ratio(v) >= -1e-12
-            assert amgm_half_log_ratio(v) >= -1e-12
 
 
 class TestChiSquareSf:
