@@ -47,12 +47,11 @@ from .priors import (
     rate_matrix,
     sample_half_precision,
 )
-from .specialfn import chi_square_sf, chol_log_det, log_mv_gamma
+from .specialfn import chol_log_det, log_mv_gamma
 from .structures import (
     FitReport,
     SelectionResult,
     criteria,
-    evidence_oracle,
     flexibility,
     log_evidence,
     log_evidence_flat,

@@ -12,11 +12,11 @@ regularization ("mclust-default"). Criterion differences are tested with McNemar
 procedure on the paired decisions.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import bdtr
 
 from .data import Dataset
 from .errors import ConfigError, CovselError, SupportError
@@ -32,7 +32,7 @@ from .priors import (
     sample_prior,
     shape_for_sample_size,
 )
-from .specialfn import chi_square_sf, cholesky_pd, cholesky_stack
+from .specialfn import cholesky_pd, cholesky_stack
 from .structures import CRITERIA, best_structures, fit_stack
 
 __all__ = [
@@ -118,7 +118,8 @@ def scatters_from(
     The scatter is C^{-T} W C^{-1} for 2 theta = C C^T; for D and C this
     scales W elementwise by 1/sqrt(2 eta_i * 2 eta_j). A replicate fails
     alone, with a NaN scatter and an entry in the returned errors, where
-    its draw is not a half-precision or its scatter overflows.
+    its draw is not a half-precision or its scatter overflows. A stack of
+    one draw broadcasts over the stack W.
     """
     # an overflowing scatter (inf, or NaN from inf - inf) becomes an error below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -133,7 +134,7 @@ def scatters_from(
             msg = "a drawn half-precision must be positive and finite"
             errors = {int(i): SupportError(msg) for i in np.flatnonzero(bad)}
             r = 1 / np.sqrt(2 * eta)
-            s = w * r[:, :, None] * r[:, None, :]
+            s = w * (r[:, :, None] * r[:, None, :])  # r_i r_j first keeps s symmetric
     for i in np.flatnonzero(~np.isfinite(s).all(axis=(-2, -1))):
         errors.setdefault(int(i), SupportError("the scatter of a drawn half-precision overflows"))
     s[list(errors)] = np.nan
@@ -290,10 +291,18 @@ def mcnemar(b: int, c: int, method: str = "auto") -> McNemarResult:
     if method == "auto":
         method = "exact" if total < 25 else "chi2"
     if method == "exact":
-        p = min(1.0, 2.0 * float(bdtr(min(b, c), total, 0.5)))
+        # the binomial(t, 1/2) tail in Python integers (numpy's would wrap),
+        # by C(t, i) = C(t, i - 1) (t - i + 1) / i
+        t = int(total)
+        term = tail = 1
+        for i in range(1, int(min(b, c)) + 1):
+            term = term * (t - i + 1) // i
+            tail += term
+        p = min(1.0, 2 * tail / 2**t)
         return McNemarResult(b=b, c=c, statistic=float(statistic), p_value=p, method="exact")
     if method == "chi2":
-        p = chi_square_sf(statistic, 1)
+        # the upper tail of a chi-square with one degree of freedom
+        p = math.erfc(math.sqrt(statistic / 2))
         return McNemarResult(
             b=b, c=c, statistic=float(statistic), p_value=p, method="continuity-corrected"
         )

@@ -18,11 +18,11 @@ replicate along a leading axis (see `moment_hypers`); the batched scoring
 kernel in `structures` broadcasts such rates against its scatters.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import SuffStats
 from .errors import (
@@ -243,9 +243,9 @@ def log_normalizer_at(structure: str, alpha: float, log_rate, d: int):
     if structure == "A":
         value = alpha * log_rate - log_mv_gamma(d, alpha)
     elif structure == "D":
-        value = alpha * log_rate - d * gammaln(alpha)
+        value = alpha * log_rate - d * math.lgamma(alpha)
     else:
-        value = alpha * log_rate - gammaln(alpha)
+        value = alpha * log_rate - math.lgamma(alpha)
     return value if isinstance(value, np.ndarray) else float(value)
 
 

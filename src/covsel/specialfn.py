@@ -6,10 +6,10 @@ definite matrices, so these are kept in log space throughout; the raw
 gamma function is never formed.
 """
 
+import math
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .errors import AsymmetricMatrixError, CovselError, NotPositiveDefiniteError
 
@@ -19,7 +19,6 @@ __all__ = [
     "chol_log_det",
     "cholesky_pd",
     "cholesky_stack",
-    "chi_square_sf",
 ]
 
 LOG_PI = float(np.log(np.pi))
@@ -40,8 +39,7 @@ def log_mv_gamma(d: int, a: float) -> float:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if a <= (d - 1) / 2:
         raise ValueError(f"log_mv_gamma requires a > (d-1)/2 = {(d - 1) / 2}, got a = {a}")
-    j = np.arange(1, d + 1)
-    return float(d * (d - 1) / 4 * LOG_PI + gammaln(a + (1 - j) / 2).sum())
+    return d * (d - 1) / 4 * LOG_PI + sum(math.lgamma(a + (1 - j) / 2) for j in range(1, d + 1))
 
 
 def symmetrize(s: np.ndarray) -> np.ndarray:
@@ -112,15 +110,3 @@ def chol_log_det(s: np.ndarray):
     L = cholesky_pd(s)
     ld = 2.0 * np.log(L.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     return float(ld) if ld.ndim == 0 else ld
-
-
-def chi_square_sf(x: float, dof: int) -> float:
-    """Upper tail P(X > x) of a chi-square with `dof` degrees of freedom.
-
-    Clamped to [0, 1]; negative x is treated as 0.
-    """
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    x = max(float(x), 0.0)
-    p = float(gammaincc(dof / 2, x / 2))
-    return min(max(p, 0.0), 1.0)

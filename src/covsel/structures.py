@@ -15,7 +15,7 @@ floating-point accuracy by construction.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -30,16 +30,13 @@ from .errors import (
 )
 from .precision import HalfPrecision, from_array
 from .priors import (
-    GammaVecHyper,
     Hyper,
     HyperTriple,
-    WishartHyper,
     conjugate_update,
     family,
     log_normalizer,
     log_normalizer_at,
     log_prior_density,
-    sample_prior,
     shape_for_sample_size,
 )
 from .specialfn import LOG_PI, chol_log_det, cholesky_stack
@@ -61,7 +58,6 @@ __all__ = [
     "criterion_matrix",
     "simplest_best",
     "best_structures",
-    "evidence_oracle",
     "select_structure",
     "CRITERIA",
 ]
@@ -454,144 +450,6 @@ def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[
     structure could be fit or the criterion is undefined."""
     picks = simplest_best(criterion_matrix(fits, criterion, len(fits["C"].valid)))
     return [SIMPLEST_FIRST[j] if j >= 0 else None for j in picks]
-
-
-# ---------------------------------------------------------------------------
-# Independent evidence oracles: adaptive quadrature of the likelihood times
-# the prior for parameter dimension <= 2, and plain prior Monte Carlo for
-# d <= 4. Used by the test suite to validate the closed forms; they share no
-# code path with log_evidence.
-# ---------------------------------------------------------------------------
-
-
-def evidence_oracle(
-    h: Hyper,
-    stats: SuffStats,
-    method: str = "quadrature",
-    budget: int = 100_000,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[float, float]:
-    """Numerically estimate log evidence; returns (estimate, error_bound).
-
-    `quadrature` integrates exp(log L + log prior) on a log-transformed
-    grid (error bound from the integrator); `prior-mc` averages the
-    likelihood over `budget` prior draws (error bound is one standard
-    error of the log estimate).
-    """
-    if stats.n == 0:
-        return 0.0, 0.0
-    if method == "quadrature":
-        return _evidence_quadrature(h, stats)
-    if method == "prior-mc":
-        if rng is None:
-            raise ConfigError("prior-mc oracle needs an rng")
-        if stats.d > 4:
-            raise ConfigError("prior-mc oracle supports d <= 4")
-        return _evidence_prior_mc(h, stats, budget, rng)
-    raise ConfigError(f"unknown oracle method {method!r}")
-
-
-def _evidence_quadrature(h: Hyper, stats: SuffStats) -> Tuple[float, float]:
-    from scipy import integrate  # the package needs scipy.integrate only here
-
-    p = param_count(h.structure, h.dim)
-    if p > 2:
-        raise ConfigError(f"quadrature oracle supports parameter dimension <= 2, got {p}")
-    n, d = stats.n, stats.d
-    post = conjugate_update(h, stats)
-
-    if p == 1:
-        # structures A and D at d = 1 are gamma priors in disguise, with the
-        # same (shape, rate, likelihood-exponent) ingredients as structure C
-        a = h.alpha
-        b, b_post = (float(np.ravel(prior.rate)[0]) for prior in (h, post))
-        center = post.alpha / b_post
-        lik = lambda eta: n * d / 2 * np.log(eta) - eta * stats.s_total
-
-        def log_g(t):
-            eta = np.exp(t)
-            # + t from the Jacobian of eta = exp(t)
-            return (
-                lik(eta)
-                + a * np.log(b)
-                - math.lgamma(a)
-                + (a - 1) * np.log(eta)
-                - b * eta
-                - n * d / 2 * LOG_PI
-                + t
-            )
-
-        shift = log_g(np.log(center))
-        val, err = integrate.quad(
-            lambda t: np.exp(log_g(t) - shift), -60, 60, epsabs=1e-13, epsrel=1e-12, limit=400
-        )
-        return float(shift + np.log(val)), float(err / max(val, 1e-300))
-
-    # p == 2: diagonal structure at d = 2
-    assert isinstance(h, GammaVecHyper) and h.dim == 2
-    a = h.alpha
-    b1, b2 = map(float, h.rate)
-    s1, s2 = map(float, stats.s_diag)
-    c1 = float(post.alpha / post.rate[0])
-    c2 = float(post.alpha / post.rate[1])
-
-    def log_g(t1, t2):
-        e1, e2 = np.exp(t1), np.exp(t2)
-        return (
-            n / 2 * (np.log(e1) + np.log(e2))
-            - e1 * s1
-            - e2 * s2
-            - n * d / 2 * LOG_PI
-            + a * (np.log(b1) + np.log(b2))
-            - 2 * math.lgamma(a)
-            + (a - 1) * (np.log(e1) + np.log(e2))
-            - b1 * e1
-            - b2 * e2
-            + t1
-            + t2
-        )
-
-    shift = log_g(np.log(c1), np.log(c2))
-    val, err = integrate.dblquad(
-        lambda t2, t1: np.exp(log_g(t1, t2) - shift),
-        -40,
-        40,
-        -40,
-        40,
-        epsabs=1e-12,
-        epsrel=1e-10,
-    )
-    return float(shift + np.log(val)), float(err / max(val, 1e-300))
-
-
-def _evidence_prior_mc(
-    h: Hyper, stats: SuffStats, budget: int, rng: np.random.Generator
-) -> Tuple[float, float]:
-    n, d = stats.n, stats.d
-    base = -n * d / 2 * LOG_PI
-    lls = np.empty(budget)
-    chunk = 200_000
-    done = 0
-    while done < budget:
-        m = min(chunk, budget - done)
-        eta = sample_prior(h, m, rng)
-        if isinstance(h, WishartHyper):
-            sign, logdet = np.linalg.slogdet(eta)
-            lls[done : done + m] = (
-                n / 2 * logdet + base - np.einsum("nij,ij->n", eta, stats.s)
-            )
-        elif isinstance(h, GammaVecHyper):
-            lls[done : done + m] = (
-                n / 2 * np.log(eta).sum(axis=1) + base - eta @ stats.s_diag
-            )
-        else:
-            lls[done : done + m] = n * d / 2 * np.log(eta) + base - eta * stats.s_total
-        done += m
-    top = lls.max()
-    w = np.exp(lls - top)
-    mean = w.mean()
-    se = w.std(ddof=1) / np.sqrt(budget)
-    return float(top + np.log(mean)), float(se / mean)
 
 
 @dataclass(frozen=True)

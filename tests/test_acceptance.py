@@ -55,11 +55,12 @@ from covsel.priors import (
 from covsel.regression import RegressionData, enumerate_covariates, standard_hypers
 from covsel.structures import (
     criteria,
-    evidence_oracle,
     flexibility,
     log_evidence,
     log_likelihood,
 )
+
+from conftest import evidence_oracle
 
 
 def report(cid, ok, detail):

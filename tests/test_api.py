@@ -3,7 +3,11 @@ resolves, and every public function and class the module defines is listed."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +49,26 @@ def test_one_rate_formula():
     ]:
         assert not hasattr(module, name) and not hasattr(covsel, name)
     assert "rate_matrix" in priors.__all__ and covsel.rate_matrix is priors.rate_matrix
+
+
+def test_special_functions_and_oracles_removed():
+    # the chi-square tail lives in mcnemar; the evidence oracles are test helpers
+    from covsel import specialfn, structures
+
+    for module in (covsel, specialfn, structures):
+        for name in ("chi_square_sf", "evidence_oracle"):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_no_scipy_at_import():
+    # numpy is the only runtime dependency
+    code = (
+        "import sys, covsel, covsel.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(covsel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"

@@ -82,7 +82,7 @@ def per_replicate_rate_study(config):
     nested_true = config.truth == nested
     rows, means = [], []
     for n in config.n_grid:
-        s = asymptotics._draw(config.hyper, n, config.reps, config.seed, config.fixed_theta)
+        s = asymptotics._draw(config.hyper, n, config.reps, config.seed, config.fixed_theta)[0]
         vals = np.empty(config.reps)
         for rep in range(config.reps):
             stats = SuffStats(n=n, d=config.hyper.dim, s=s[rep])
@@ -107,7 +107,7 @@ def per_replicate_gap_study(h, theta0, n_grid, reps, seed):
     k = param_count(theta0.structure, theta0.dim)
     rows = []
     for n in n_grid:
-        s = asymptotics._draw(h, n, reps, seed, theta0)
+        s = asymptotics._draw(h, n, reps, seed, theta0)[0]
         flex_term, kic_err = np.empty(reps), np.empty(reps)
         for rep in range(reps):
             fit = criteria(h, SuffStats(n=n, d=h.dim, s=s[rep]))
@@ -164,24 +164,14 @@ def second_moment_diag(h):
 
 
 def chain_study_target(config):
-    """`rate_study`'s target, by pair and by the type of the truth's hyper."""
+    """`rate_study`'s target for a nested-true or a fixed-theta study, by pair."""
     nested = config.pair.split("-vs-")[1]
     if config.truth == nested:
         return log_rate_constant(config.pair, config.hyper.dim)
-    ratio = {"A-vs-D": hadamard_half_log_ratio, "A-vs-C": amgm_half_log_ratio}
-    if config.fixed_theta is not None:
-        sigma = np.linalg.inv(2 * config.fixed_theta.as_matrix())
-        if config.pair == "D-vs-C":
-            return amgm_vector_ratio(np.diag(sigma))
-        return ratio[config.pair](sigma)
-    if isinstance(config.hyper, WishartHyper):
-        return ratio[config.pair](config.hyper.rate / prior_sample_size(config.hyper).m)
-    if isinstance(config.hyper, GammaVecHyper):
-        vdiag = second_moment_diag(config.hyper)
-        if config.pair == "D-vs-C":
-            return amgm_vector_ratio(vdiag)
-        return ratio[config.pair](np.diag(vdiag))
-    raise ConfigError("full-true study with an isotropic truth has a zero rate by construction")
+    sigma = np.linalg.inv(2 * config.fixed_theta.as_matrix())
+    if config.pair == "D-vs-C":
+        return amgm_vector_ratio(np.diag(sigma))
+    return {"A-vs-D": hadamard_half_log_ratio, "A-vs-C": amgm_half_log_ratio}[config.pair](sigma)
 
 
 def random_pd(rng, d, dof=None):
@@ -275,6 +265,17 @@ class TestLinearRateConstant:
                 assert abs(linear_rate_constant(pair, v) - old) <= 1e-15 * max(1.0, abs(old))
             assert linear_rate_constant("D-vs-C", np.diag(v)) == linear_rate_constant("D-vs-C", v)
 
+    @pytest.mark.parametrize("pair", ["A-vs-D", "A-vs-C", "D-vs-C"])
+    @pytest.mark.parametrize("shape", [(7,), (2, 3)])
+    def test_stack_gives_one_value_per_matrix(self, pair, shape):
+        rng = np.random.default_rng(13)
+        for d in (1, 2, 5):
+            v = np.array([random_pd(rng, d) for _ in range(np.prod(shape))]).reshape(*shape, d, d)
+            got = linear_rate_constant(pair, v)
+            want = np.array([linear_rate_constant(pair, m) for m in v.reshape(-1, d, d)])
+            assert got.shape == shape
+            np.testing.assert_allclose(got.ravel(), want, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("v", [[[1.0, 0.5], [0.5, 1.0]], np.eye(3)])
     def test_d_vs_c_reads_the_diagonal_of_a_matrix(self, v):
         # a constant diagonal: the D-vs-C rate is 0 whatever lies off it
@@ -289,9 +290,9 @@ class TestLinearRateConstant:
             # a non-positive per-axis moment, as a vector or on a diagonal
             ("D-vs-C", np.array([1.0, 0.0, 2.0]), ConfigError),
             ("D-vs-C", np.diag([1.0, -1.0]), ConfigError),
-            # neither a vector nor a square matrix
+            # neither a vector nor square matrices
             ("D-vs-C", np.ones((2, 3)), ConfigError),
-            ("D-vs-C", np.ones((2, 2, 2)), ConfigError),
+            ("D-vs-C", np.ones((2, 2, 3)), ConfigError),
             ("A-vs-D", np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefiniteError),
             # indefinite with a negative diagonal: the factorization fails first
             ("A-vs-C", np.array([[-1.0, 0.0], [0.0, 1.0]]), NotPositiveDefiniteError),
@@ -559,43 +560,75 @@ class TestRateStudy:
                 seed=0,
             )
 
+    FIXED_SIGMAS = [
+        "2,0.6,0.3,0,0;0.6,1.5,0.4,0.2,0;0.3,0.4,1,0.3,0.1;0,0.2,0.3,0.8,0.2;0,0,0.1,0.2,0.5",
+        "1,0.5;0.5,1",
+        "3",
+    ]
+
+    @staticmethod
+    def nested_true_configs(beta_inverse):
+        return [
+            RateStudyConfig(pair, truth, oracle_hyper(truth, d, beta_inverse), (max(d, 2),), 1, 0)
+            for d in range(1, 9)
+            for pair, truth in [("A-vs-D", "D"), ("A-vs-C", "C"), ("D-vs-C", "C")]
+        ]
+
     def test_target_equals_the_chain(self):
-        # from the CLI's generating hypers at its default beta_inverse, and
-        # from its --fixed-sigma matrices
-        configs = []
-        for d in range(1, 9):
-            for pair, truth in [
-                ("A-vs-D", "A"), ("A-vs-D", "D"), ("A-vs-C", "A"), ("A-vs-C", "C"),
-                ("D-vs-C", "D"), ("D-vs-C", "C"),
-            ]:
-                hyper = oracle_hyper(truth, d, 2.0)
-                configs.append(
-                    RateStudyConfig(pair, truth, hyper, n_grid=(max(d, 2),), reps=1, seed=0)
-                )
-        for sigma in [
-            "2,0.6,0.3,0,0;0.6,1.5,0.4,0.2,0;0.3,0.4,1,0.3,0.1;0,0.2,0.3,0.8,0.2;0,0,0.1,0.2,0.5",
-            "1,0.5;0.5,1",
-            "3",
-        ]:
-            theta = _fixed_theta(sigma)
-            for pair in ("A-vs-D", "A-vs-C"):
-                hyper = oracle_hyper("A", theta.dim, 2.0)
-                configs.append(RateStudyConfig(pair, "A", hyper, (5,), 1, 0, fixed_theta=theta))
-        for config in configs:
-            nested = config.pair.split("-vs-")[1]
-            assert asymptotics._study_target(config, nested) == chain_study_target(config)
+        # nested true, from the CLI's generating hypers at its default beta_inverse
+        for config in self.nested_true_configs(2.0):
+            assert rate_study(config).target == chain_study_target(config)
 
     @pytest.mark.parametrize("beta_inverse", [0.1, 0.3, 1.0, 3.7, 10.0])
     def test_target_near_the_chain_at_other_scales(self, beta_inverse):
-        # the A and D generating hypers are isotropic, so both targets are
-        # rounding noise about 0 and may differ in the last bits
-        for d in range(1, 9):
-            for pair, truth in [("A-vs-D", "A"), ("A-vs-C", "A"), ("D-vs-C", "D")]:
-                hyper = oracle_hyper(truth, d, beta_inverse)
-                config = RateStudyConfig(pair, truth, hyper, (max(d, 2),), 1, 0)
+        # nested true, the target is -(k - l)/2 at every scale; at a fixed
+        # theta of the CLI's --fixed-sigma matrices scaled by beta_inverse,
+        # the scale-invariant target is the chain's up to rounding
+        for config in self.nested_true_configs(beta_inverse):
+            assert rate_study(config).target == chain_study_target(config)
+        for sigma in self.FIXED_SIGMAS:
+            theta = FullPrecision(_fixed_theta(sigma).as_matrix() / beta_inverse)
+            for pair in ("A-vs-D", "A-vs-C"):
+                hyper = oracle_hyper("A", theta.dim, beta_inverse)
+                config = RateStudyConfig(pair, "A", hyper, (5, 50), 3, 0, fixed_theta=theta)
                 old = chain_study_target(config)
-                assert abs(asymptotics._study_target(config, pair[-1]) - old) <= 1e-15
-                assert abs(old) <= 1e-14
+                assert abs(rate_study(config).target - old) <= 1e-12 * max(1.0, abs(old))
+
+    @pytest.mark.parametrize("pair, truth", [("A-vs-D", "A"), ("A-vs-C", "A"), ("D-vs-C", "D")])
+    @pytest.mark.parametrize("d, beta_inverse", [(2, 2.0), (3, 0.5), (4, 2.0), (5, 3.7)])
+    def test_full_true_target_is_the_mean_rate_of_the_draws(self, pair, truth, d, beta_inverse):
+        # theta from the prior: each (seed, n) stream draws the theta stack
+        # first, and the target is the mean of each draw's own rate at
+        # V = (2 theta)^{-1}
+        hyper = oracle_hyper(truth, d, beta_inverse)
+        n_grid, reps, seed = (d, 10 * d, 100 * d), 7, 3
+        result = rate_study(RateStudyConfig(pair, truth, hyper, n_grid, reps, seed))
+        rates = []
+        for n in n_grid:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+            for theta in sample_prior(hyper, reps, rng):
+                v = np.linalg.inv(2 * theta) if truth == "A" else 1 / (2 * theta)
+                rates.append(linear_rate_constant(pair, v))
+        want = float(np.mean(rates))
+        assert want > 0.01
+        assert abs(result.target - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize(
+        "pair, truth, theta",
+        [
+            ("A-vs-D", "A", _fixed_theta(FIXED_SIGMAS[0])),
+            ("A-vs-C", "A", _fixed_theta(FIXED_SIGMAS[0])),
+            ("A-vs-C", "A", _fixed_theta(FIXED_SIGMAS[1])),
+            ("A-vs-D", "A", _fixed_theta(FIXED_SIGMAS[2])),
+            ("D-vs-C", "D", DiagPrecision(np.array([0.5, 1.0, 2.0, 0.3]))),
+        ],
+    )
+    def test_fixed_theta_target_is_the_chain(self, pair, truth, theta):
+        # a fixed theta is every draw: the mean of its rate is its rate
+        hyper = oracle_hyper(truth, theta.dim, 2.0)
+        config = RateStudyConfig(pair, truth, hyper, (5, 50, 500), 4, 1, fixed_theta=theta)
+        old = chain_study_target(config)
+        assert abs(rate_study(config).target - old) <= 1e-12 * max(1.0, abs(old))
 
     @pytest.mark.parametrize(
         "field, value", [("reps", 2.5), ("n_grid", (100.5,)), ("n_grid", (10, 20.0)), ("seed", 1.5)]
@@ -764,7 +797,7 @@ class TestWishartScatters:
     def test_first_and_second_moments(self, h, theta, n, sampler):
         reps, seed = 3000, 21
         if sampler == "wishart":
-            s = asymptotics._draw(h, n, reps, seed, theta)
+            s = asymptotics._draw(h, n, reps, seed, theta)[0]
             sigma = wishart_covariances(h, n, reps, seed, theta)
         else:
             s, sigma = row_scatters(h, n, reps, seed, theta)
@@ -777,6 +810,12 @@ class TestWishartScatters:
         z2 = z**2
         se2 = z2.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(z2.mean(axis=0) - 1) <= self.Z * se2), z2.mean(axis=0)
+
+    @pytest.mark.parametrize("h", [oracle_hyper(s, 5, 2.0) for s in ("A", "D", "C")])
+    def test_scatters_exactly_symmetric(self, h):
+        # the D scatter scales W by r_i r_j, formed before W's entry
+        s = asymptotics._draw(h, 100, 2000, 1, None)[0]
+        assert np.array_equal(s, s.swapaxes(-1, -2))
 
     @pytest.mark.parametrize("large_n", [False, True])
     @pytest.mark.parametrize(
@@ -796,6 +835,6 @@ class TestWishartScatters:
             fits = [fit_structure(family.for_structure(x), s, n) for x in (full, nested)]
             return fits[0].log_evidence - fits[1].log_evidence
 
-        stacked = log_ratio(asymptotics._draw(hyper, n, reps, 31, theta))
+        stacked = log_ratio(asymptotics._draw(hyper, n, reps, 31, theta)[0])
         rows = log_ratio(row_scatters(hyper, n, reps, 32, theta)[0])
         assert ks_2samp(stacked, rows).pvalue > 1e-3

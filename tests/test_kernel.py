@@ -561,3 +561,13 @@ class TestMcNemarExactPath:
                 want = min(1.0, 2.0 * float(binom.cdf(min(b, total - b), total, 0.5)))
                 got = mcnemar(b, total - b, method="exact").p_value
                 assert abs(got - want) <= 1e-11 * want
+
+    @pytest.mark.parametrize("total", [500, 2000, 10_000])
+    def test_matches_binomial_cdf_at_large_totals(self, total):
+        # b at 0 to 8 standard deviations below total / 2: p from 1 down to 1e-15
+        sd = math.sqrt(total) / 2
+        for k in (0, 1, 2, 3, 5, 8):
+            b = int(total / 2 - k * sd)
+            want = min(1.0, 2.0 * float(binom.cdf(b, total, 0.5)))
+            got = mcnemar(b, total - b, method="exact").p_value
+            assert abs(got - want) <= 1e-11 * want

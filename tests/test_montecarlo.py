@@ -58,6 +58,59 @@ class TestMcNemar:
             mcnemar(-1, 2)
 
 
+class TestMcNemarChiSquareTail:
+    """The continuity-corrected p is the upper tail of a chi-square with one
+    degree of freedom at the corrected statistic (|b - c| - 1)^2 / (b + c)."""
+
+    def test_at_zero(self):
+        for b, c in [(13, 12), (5, 5), (40, 41), (0, 1)]:
+            res = mcnemar(b, c, method="chi2")
+            assert res.statistic == 0.0 and res.p_value == 1.0
+
+    def test_one_dof_normal_tail(self):
+        # P(chi2_1 > x) = 2 (1 - Phi(sqrt(x))), here at x = 9^2 / 20 = 4.05
+        res = mcnemar(5, 15, method="chi2")
+        x = 4.05
+        expected = 2 * (1 - 0.5 * (1 + math.erf(math.sqrt(x) / math.sqrt(2))))
+        assert res.p_value == pytest.approx(expected, abs=1e-10)
+        assert res.p_value == pytest.approx(0.04417, abs=1e-4)
+
+    def test_standard_quantile(self):
+        # 289^2 / 21 742 is within 1e-7 of the 95% quantile 3.841459
+        res = mcnemar(10_726, 11_016, method="chi2")
+        assert res.statistic == pytest.approx(3.841459, abs=1e-6)
+        assert res.p_value == pytest.approx(0.05, abs=1e-6)
+
+    def test_matches_scipy_chi2_tail(self):
+        from scipy.stats import chi2
+
+        for total in range(25, 3000, 13):
+            for b in range(0, total + 1, max(1, total // 40)):
+                res = mcnemar(b, total - b, method="chi2")
+                want = float(chi2.sf(res.statistic, 1))
+                # scipy flushes the subnormal tail to 0
+                assert abs(res.p_value - want) <= 1e-12 * want + np.finfo(float).tiny
+
+    def test_accuracy_against_quadrature(self):
+        # independent oracle: numerically integrate the one-dof density tail
+        from scipy.integrate import quad
+
+        def dens(t):
+            return math.exp(-t / 2) / math.sqrt(2 * math.pi * t)
+
+        for b, c in [(5, 15), (10, 30), (20, 28), (3, 40), (100, 130), (60, 20)]:
+            res = mcnemar(b, c, method="chi2")
+            assert res.statistic > 0
+            val, _ = quad(dens, res.statistic, np.inf, epsabs=1e-12, epsrel=1e-12)
+            assert res.p_value == pytest.approx(val, abs=1e-8)
+
+    def test_far_tail_underflows_to_zero(self):
+        assert mcnemar(0, 2000, method="chi2").p_value == 0.0
+        for total in range(25, 400, 7):
+            for b in range(0, total + 1, 3):
+                assert 0.0 <= mcnemar(b, total - b, method="chi2").p_value <= 1.0
+
+
 class TestOracleHyper:
     def test_matched_protocol_shapes(self):
         a = oracle_hyper("A", 5, 2.0)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from covsel.errors import AsymmetricMatrixError, NotPositiveDefiniteError
-from covsel.specialfn import chi_square_sf, chol_log_det, log_mv_gamma, symmetrize
+from covsel.specialfn import chol_log_det, log_mv_gamma, symmetrize
 
 
 def random_pd(rng, d, dof=None):
@@ -81,41 +81,3 @@ class TestCholLogDet:
         out = symmetrize(s)
         np.testing.assert_allclose(out, out.T)
 
-
-class TestChiSquareSf:
-    def test_at_zero(self):
-        assert chi_square_sf(0.0, 1) == 1.0
-
-    def test_one_dof_normal_tail(self):
-        # P(chi2_1 > x) = 2 (1 - Phi(sqrt(x)))
-        x = 4.05
-        expected = 2 * (1 - 0.5 * (1 + math.erf(math.sqrt(x) / math.sqrt(2))))
-        assert chi_square_sf(x, 1) == pytest.approx(expected, abs=1e-10)
-        assert chi_square_sf(x, 1) == pytest.approx(0.04417, abs=1e-4)
-
-    def test_standard_quantile(self):
-        assert chi_square_sf(3.841459, 1) == pytest.approx(0.05, abs=1e-6)
-
-    def test_two_dof_closed_form(self):
-        for x in (0.1, 1.0, 5.0, 20.0):
-            assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2), abs=1e-12)
-
-    def test_accuracy_against_quadrature(self):
-        # independent oracle: numerically integrate the density tail
-        from scipy.integrate import quad
-
-        for dof in range(1, 11):
-            for x in (0.5, 2.0, 7.0):
-                def dens(t):
-                    return (
-                        t ** (dof / 2 - 1)
-                        * math.exp(-t / 2)
-                        / (2 ** (dof / 2) * math.exp(gammaln(dof / 2)))
-                    )
-
-                val, _ = quad(dens, x, np.inf, epsabs=1e-12, epsrel=1e-12)
-                assert chi_square_sf(x, dof) == pytest.approx(val, abs=1e-8)
-
-    def test_clamping(self):
-        assert chi_square_sf(-1.0, 1) == 1.0
-        assert chi_square_sf(1e9, 3) == 0.0

@@ -20,7 +20,6 @@ from covsel.priors import (
 )
 from covsel.structures import (
     criteria,
-    evidence_oracle,
     flexibility,
     log_evidence,
     log_evidence_flat,
@@ -30,6 +29,8 @@ from covsel.structures import (
     param_count,
     select_structure,
 )
+
+from conftest import evidence_oracle
 
 
 def random_case(rng, d=None, n=None):
