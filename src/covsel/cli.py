@@ -169,8 +169,73 @@ def _write_text(path: Optional[str], text: str) -> None:
         print(text)
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+# looked up by exact type, so True is "true", not the int 1; a subclass such
+# as np.float64 takes the isinstance branches of `_json_chunks` instead
+_JSON_SCALARS = {
+    str: _json_str,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_chunks(o, pad: str, out: list) -> None:
+    """Append the text of `o` to `out` as json.dumps(o, indent=2,
+    sort_keys=True) writes it; `pad` is a newline and o's own indent."""
+    scalar = _JSON_SCALARS.get(type(o))
+    if scalar is not None:
+        out.append(scalar(o))
+    elif isinstance(o, (list, tuple, dict)) and o:
+        child = pad + "  "
+        lead, sep = child, "," + child  # before the first item, then the rest
+        if isinstance(o, dict):
+            out.append("{")
+            for key, value in sorted(o.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out.append(f"{lead}{_json_str(key)}: ")
+                _json_chunks(value, child, out)
+                lead = sep
+            out.append(pad + "}")
+        else:
+            out.append("[")
+            for value in o:
+                out.append(lead)
+                _json_chunks(value, child, out)
+                lead = sep
+            out.append(pad + "]")
+    elif isinstance(o, (list, tuple, dict)):
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, str):  # subclasses of the exact types, in json's order
+        out.append(_json_str(o))
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, without the
+    stdlib's pure-Python indent encoder; TypeError for a non-str key."""
+    out: list = []
+    _json_chunks(doc, "\n", out)
+    return "".join(out)
+
+
 def _write_json(path: Optional[str], doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True))
+    _write_text(path, _json_text(doc))
 
 
 def _read_json(path: str) -> dict:
@@ -336,15 +401,15 @@ def _cmd_regress(args) -> int:
         fits = enumerate_covariates(data, hypers, names=names or None, criterion=args.criterion)
     else:
         fits = [fit_regression(data, hypers, subset=tuple(names or range(data.d2)))]
-    print("| covariates | structure | log evidence | pcBIC |")
-    print("|---|---|---|---|")
+    lines = ["| covariates | structure | log evidence | pcBIC |", "|---|---|---|---|"]
     for fit in fits:
         label = ", ".join(str(sname) for sname in fit.subset) or "(none)"
         for structure in SIMPLEST_FIRST:
             rep = fit.reports[structure]
-            print(
+            lines.append(
                 f"| {label} | {structure} | {rep.log_evidence:.1f} | {_fmt(rep.pc_bic)} |"
             )
+    _write_text(None, "\n".join(lines))
     if args.json:
         _write_json(
             args.json,

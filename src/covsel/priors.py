@@ -20,6 +20,7 @@ kernel in `structures` broadcasts such rates against its scatters.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -95,6 +96,12 @@ class WishartHyper:
     @property
     def dim(self) -> int:
         return self.rate.shape[-1]
+
+    @cached_property
+    def _bartlett_scale(self) -> np.ndarray:
+        """F = L^{-T}, L the Cholesky factor of 2B, so F F^T = (2B)^{-1}:
+        factored once per hyper, on its first `sample_wishart_batch`."""
+        return np.linalg.inv(cholesky_pd(2 * self.rate)).T
 
 
 @dataclass(frozen=True)
@@ -469,7 +476,7 @@ def sample_wishart_batch(h: WishartHyper, size: int, rng: np.random.Generator) -
     for j in range(d):
         a[:, j, j] = np.sqrt(rng.chisquare(nu - j, size=size))
         a[:, j + 1 :, j] = rng.standard_normal(size=(size, d - 1 - j))
-    fa = np.linalg.inv(cholesky_pd(2 * h.rate)).T @ a  # F @ a
+    fa = h._bartlett_scale @ a
     return fa @ fa.swapaxes(-1, -2)
 
 

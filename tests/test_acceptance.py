@@ -24,6 +24,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from covsel.asymptotics import (
     RateStudyConfig,
     flexibility_bic_gap,
@@ -374,6 +375,7 @@ class TestC9SamplerMoments:
             f"{elapsed:.0f}s"
         )
 
+    @pytest.mark.slow
     def test_c9b_marginal_second_moment_stated_constant(self):
         """The marginal second moment E[X X^T] is B / (2 alpha - (d+1)).
 

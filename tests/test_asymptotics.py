@@ -329,6 +329,7 @@ class TestSecondMoment:
             assert np.array_equal(np.diag(v), second_moment_diag(h))
             assert np.array_equal(v, np.diag(np.diag(v)))
 
+    @pytest.mark.slow
     def test_mc_pipeline_matches_closed_form(self):
         # draw H from the prior, one observation per draw, pool the scatter
         rng = np.random.default_rng(1)

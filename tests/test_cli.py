@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import covsel.cli as cli
 from covsel.cli import main
@@ -479,6 +480,79 @@ class TestPaths:
         assert run([str(tmp_path) if arg == "DIR" else arg for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(tmp_path) in err
+
+
+class _Int(int):
+    pass
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 1.7976931348623157e308, 1 / 3]
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.integers().map(_Int),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\"\\/\b\f\n\r\t\x7f", "\u00e9\u2028\uffff", "\U0001f600\U0010ffff"]),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """The CLI's JSON writer is json.dumps(doc, indent=2, sort_keys=True)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(doc=_TREES)
+    def test_matches_the_stdlib_byte_for_byte(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{1, 2}, np.int64(3), np.bool_(True), object(), [1.0, np.int64(1)], {"a": {"b": {1}}}],
+    )
+    def test_type_error_where_the_stdlib_raises_one(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+    @pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{None: 1}]}, {1.5: 0, 2.5: 1}])
+    def test_non_str_key_is_a_type_error(self, doc):
+        json.dumps(doc, indent=2, sort_keys=True)  # the stdlib coerces the key
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli._json_text(doc)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", IRIS, "--hyper-source", "mclust", "--criterion", "kic"],
+            ["simulate", "--table", "vs-mclust", "--n", "3", "6", "--reps", "3", "--d", "2",
+             "--records"],
+            ["rates", "--pair", "A-vs-C", "--truth", "C", "--d", "2", "--reps", "5",
+             "--n-grid", "20", "40"],
+            ["regress", IRIS, "--response", "sepal_width", "--covariates", "sepal_length",
+             "petal_length", "petal_width", "--enumerate"],
+            ["regress", IRIS, "--response", "sepal_width", "--covariates", "petal_width",
+             "--intercept", "--lambda-path", "0.3", "1.0"],
+        ],
+        ids=["select", "simulate", "rates", "regress-enumerate", "regress-lambda-path"],
+    )
+    def test_every_command_writes_the_stdlib_format(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        assert run(argv + ["--json", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestEntryPoint:

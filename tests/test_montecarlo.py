@@ -148,6 +148,7 @@ class TestGenerateInstance:
         off = ~np.eye(4, dtype=bool)
         assert np.all(np.abs(pooled[off]) < 3 * se[off])
 
+    @pytest.mark.slow
     def test_pooled_second_moment_full_truth(self):
         rng = np.random.default_rng(1)
         h = WishartHyper(4.0, np.array([[1.0, 0.3], [0.3, 2.0]]))

@@ -531,6 +531,20 @@ class TestSamplerOracles:
             sample_half_precision(stacked, rng)
         with pytest.raises(DimensionMismatchError, match="stacked rate"):
             sample_prior(stacked, 4, rng)
+        assert "_bartlett_scale" not in vars(stacked)  # never factored
+
+    def test_wishart_rate_factored_once_per_hyper(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return np.linalg.cholesky(m)
+
+        monkeypatch.setattr(priors, "cholesky_pd", counting)
+        h, rng = WishartHyper(4.0, np.eye(3)), np.random.default_rng(34)
+        for size in (1, 5, 2):
+            sample_prior(h, size, rng)
+        assert len(calls) == 1
 
 
 class TestLogPriorDensity:

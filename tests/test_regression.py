@@ -569,6 +569,7 @@ class TestGramPathAgainstRows:
         assert q_at_gamma.n == data.n
         assert np.abs(q_at_gamma.s - q).max() <= 1e-9 * max(1.0, np.abs(data.gram).max())
 
+    @pytest.mark.slow
     @PROPERTY
     @given(case=regression_cases, include_empty=st.booleans())
     def test_enumeration_order_and_values(self, case, include_empty):

@@ -93,6 +93,7 @@ class TestMapEstimate:
             theta.matrix, (4.0 - 1.5) * np.linalg.inv(h.rate), atol=1e-12
         )
 
+    @pytest.mark.slow
     def test_worked_gamma_case_against_grid_search(self):
         h = GammaHyper(2.0, 1.0, 1)
         stats = SuffStats(n=1, d=1, s=[[1.0]])
