@@ -113,7 +113,7 @@ def load_csv(path, has_header: bool = True, columns: Optional[Sequence] = None) 
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row and not all(c.strip() == "" for c in row)]
+        rows = [row for row in reader if any(map(str.strip, row))]  # no blank rows
     header = None
     if has_header:
         if not rows:
@@ -123,10 +123,23 @@ def load_csv(path, has_header: bool = True, columns: Optional[Sequence] = None) 
     width = len(header) if header is not None else (len(rows[0]) if rows else 0)
     if width == 0:
         raise CsvParseError("no columns found")
-    data = np.empty((len(rows), width))
+    try:  # one float pass per row; only a file with a fault is scanned cell by cell
+        data = np.array([list(map(float, row)) for row in rows]).reshape(len(rows), width)
+    except ValueError:  # a cell that is not a number, or rows of another width
+        data = None
+    if data is None or not np.isfinite(data).all():
+        raise _first_fault(rows, width)
+    ds = Dataset(data, header)
+    if columns is not None:
+        ds = ds.select(columns)
+    return ds
+
+
+def _first_fault(rows, width) -> CsvParseError:
+    """The error of the first wrong-width row or non-finite cell, in reading order."""
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise CsvParseError(
+            return CsvParseError(
                 f"row {i + 1} has {len(row)} fields, expected {width}", row=i + 1
             )
         for j, cell in enumerate(row):
@@ -135,16 +148,11 @@ def load_csv(path, has_header: bool = True, columns: Optional[Sequence] = None) 
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise CsvParseError(
+                return CsvParseError(
                     f"row {i + 1}, column {j + 1}: not a finite number: {cell!r}",
                     row=i + 1,
                     column=j + 1,
                 )
-            data[i, j] = value
-    ds = Dataset(data, header)
-    if columns is not None:
-        ds = ds.select(columns)
-    return ds
 
 
 def _resolve_columns(columns, names, width):

@@ -48,14 +48,6 @@ class FullPrecision:
     def as_matrix(self) -> np.ndarray:
         return self.matrix
 
-    def log_det(self) -> float:
-        sign, ld = np.linalg.slogdet(self.matrix)
-        return float(ld)
-
-    def scatter_product(self, s: np.ndarray) -> float:
-        """tr(H s) for a d x d scatter matrix s."""
-        return float(np.sum(self.matrix * s))
-
 
 @dataclass(frozen=True)
 class DiagPrecision:
@@ -80,12 +72,6 @@ class DiagPrecision:
     def as_matrix(self) -> np.ndarray:
         return np.diag(self.diag)
 
-    def log_det(self) -> float:
-        return float(np.log(self.diag).sum())
-
-    def scatter_product(self, s: np.ndarray) -> float:
-        return float(self.diag @ np.diag(s))
-
 
 @dataclass(frozen=True)
 class IsoPrecision:
@@ -100,18 +86,12 @@ class IsoPrecision:
         v = float(self.value)
         if not np.isfinite(v) or v <= 0:
             raise SupportError("isotropic half-precision must be positive and finite")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
         object.__setattr__(self, "value", v)
 
     def as_matrix(self) -> np.ndarray:
         return self.value * np.eye(self.dim)
-
-    def log_det(self) -> float:
-        return self.dim * float(np.log(self.value))
-
-    def scatter_product(self, s: np.ndarray) -> float:
-        return self.value * float(np.trace(s))
 
 
 HalfPrecision = Union[FullPrecision, DiagPrecision, IsoPrecision]

@@ -237,10 +237,7 @@ def log_normalizer(h: Hyper):
     works purely off this function and the conjugate update. Stacked
     rates give one value per replicate.
     """
-    if h.structure == "A":
-        log_rate = h.log_det_rate
-    else:
-        log_rate = np.log(h.rate).sum(axis=family(h.structure, h.dim).axes)
+    log_rate = h.log_det_rate if h.structure == "A" else _log_det(h.structure, h.rate)
     return log_normalizer_at(h.structure, h.alpha, log_rate, h.dim)
 
 
@@ -492,16 +489,29 @@ def log_prior_density(h: Hyper, theta: HalfPrecision) -> float:
     return float(_log_density(h, np.asarray(as_array(theta, h.structure))[None])[0])
 
 
+def _log_det(structure: str, x):
+    """log|x| of a stack x in `structure`'s array form, a half-precision or
+    a rate: the log-determinant for A and D, log x itself for C (see `family`)."""
+    if structure == "A":
+        return np.linalg.slogdet(x)[1]
+    return np.log(x).sum(axis=family(structure, 1).axes)  # the axes do not depend on d
+
+
+def _dot(axes: Tuple[int, ...], x, a):
+    """<a, x> over a family's `axes`: tr(H s) for H's array form x and s's statistic a."""
+    return (x * a).sum(axis=axes)
+
+
+def _log_density_at(fam: Family, lz, alpha, rate, x, log_x):
+    """The log density lz + (alpha - power) log|x| - <rate, x> of a prior with log
+    normalizer lz, at a stack x of half-precisions in array form; log_x = `_log_det`(x)."""
+    return lz + (alpha - fam.power) * log_x - _dot(fam.axes, x, rate)
+
+
 def _log_density(h: Hyper, x: np.ndarray) -> np.ndarray:
-    """Log prior density at a stack x of half-precisions in h's array form:
-    log_normalizer(h) + (alpha - power) log|x| - <rate, x>, where log|x| is
-    log|H| for A and D and log eta for C (see `family`)."""
-    _, axes, power, _ = family(h.structure, h.dim)
-    if h.structure == "A":
-        log_base = np.linalg.slogdet(x)[1]
-    else:
-        log_base = np.log(x).sum(axis=axes)
-    return log_normalizer(h) + (h.alpha - power) * log_base - (x * h.rate).sum(axis=axes)
+    """Log density of the prior h at a stack x of half-precisions in h's array form."""
+    fam = family(h.structure, h.dim)
+    return _log_density_at(fam, log_normalizer(h), h.alpha, h.rate, x, _log_det(h.structure, x))
 
 
 def hyper_to_jsonable(h: Hyper) -> dict:

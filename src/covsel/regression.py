@@ -38,7 +38,9 @@ from .priors import (
     GammaVecHyper,
     Hyper,
     WishartHyper,
+    _dot,
     conjugate_update,
+    family,
     log_prior_density,
 )
 from .specialfn import LOG_PI, chol_log_det, cholesky_pd, symmetrize
@@ -242,14 +244,11 @@ def log_likelihood_regression(data: RegressionData, gamma: np.ndarray, theta: Ha
 
 
 def _log_matrix_normal(gamma, nu, lam, theta) -> float:
-    # conditional coefficient density: pi^{-d1 d2/2} |Lambda|^{d1/2} |H|^{d2/2}
-    # exp(-tr(H (g - nu) Lambda (g - nu)^T))
+    # conditional coefficient density pi^{-d1 d2/2} |Lambda|^{d1/2} |H|^{d2/2} exp(-tr(H S)):
+    # |Lambda|^{d1/2} times the likelihood of d2 rows with scatter S = (g - nu) Lambda (g - nu)^T
     d1, d2 = nu.shape
     dev = np.atleast_2d(gamma) - nu
-    quad = theta.scatter_product(dev @ lam @ dev.T)
-    return float(
-        -d1 * d2 / 2 * LOG_PI + d1 / 2 * chol_log_det(lam) + d2 / 2 * theta.log_det() - quad
-    )
+    return log_likelihood(theta, SuffStats(d2, d1, dev @ lam @ dev.T)) + d1 / 2 * chol_log_det(lam)
 
 
 def log_joint_prior(rh: RegressionHyper, gamma: np.ndarray, theta: HalfPrecision) -> float:
@@ -296,10 +295,12 @@ def _regression_fit(rh: RegressionHyper, eff: EffectiveStats, n: int) -> StackFi
     nu) and the posterior (mean gamma_hat), in the log prior and flexibility."""
     d1, d2 = eff.gamma_hat.shape[1:]
     fit = fit_structure(rh.cov, eff.scatter, n, coef_cols=d2)
-    quad = fit.scatter_product(eff.shrink)
+    statistic, axes, _, _ = family(rh.cov.structure, d1)
+    quad = _dot(axes, fit.map, statistic(eff.shrink))
     lam_factor = d1 / 2 * (eff.log_det_lam - eff.log_det_post_lam)
     # the kernel's log-likelihood is at R; at the raw residuals R - shrink it gains tr(H shrink)
     ll = fit.log_lik + quad if n else fit.log_lik
+    # not the kernel's `_log_lik` of d2 rows: its terms add in another order (pcBIC's last bits)
     coef_prior = d1 / 2 * eff.log_det_lam + d2 / 2 * fit.log_det_map - quad
     lp = fit.log_prior - d1 * d2 / 2 * LOG_PI + coef_prior
     k = param_count(rh.cov.structure, d1) + d1 * d2

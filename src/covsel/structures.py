@@ -28,10 +28,13 @@ from .errors import (
     NotPositiveDefiniteError,
     SupportError,
 )
-from .precision import HalfPrecision, from_array
+from .precision import HalfPrecision, as_array, from_array
 from .priors import (
     Hyper,
     HyperTriple,
+    _dot,
+    _log_density_at,
+    _log_det,
     conjugate_update,
     family,
     log_normalizer,
@@ -87,17 +90,33 @@ def param_count(structure: str, d: int) -> int:
 
 
 def log_likelihood(theta: HalfPrecision, stats: SuffStats) -> float:
-    """(n/2) log|H| - (nd/2) log(pi) - tr(H s), specialized per structure."""
+    """(n/2) log|H| - (nd/2) log(pi) - tr(H s), a batch of one of the kernel's `_log_lik`."""
     if theta.dim != stats.d:
         raise DimensionMismatchError(
             f"parameter dimension {theta.dim} != data dimension {stats.d}"
         )
-    n, d = stats.n, stats.d
-    if n == 0:
-        return 0.0
-    return float(
-        n / 2 * theta.log_det() - n * d / 2 * LOG_PI - theta.scatter_product(stats.s)
-    )
+    fam = family(theta.structure, stats.d)
+    x, log_det_h = _stack_of_one(theta)
+    return float(_log_lik(fam.axes, stats.n, stats.d, log_det_h, x, fam.statistic(stats.s))[0])
+
+
+def _log_lik(axes, n: int, d: int, log_det_h, x, stat):
+    """(n/2) log|H| - (nd/2) log(pi) - tr(H s) of n observations in dimension d, 0 at
+    n = 0, at a stack x of half-precisions in array form, from log|H| and s's statistic."""
+    if not n:
+        return np.zeros(np.shape(log_det_h))
+    return n / 2 * log_det_h - n * d / 2 * LOG_PI - _dot(axes, x, stat)
+
+
+def _log_det_h(structure: str, d: int, log_x):
+    """log|H| from `priors._log_det` of H's array form: d log eta for C."""
+    return d * log_x if structure == "C" else log_x
+
+
+def _stack_of_one(theta: HalfPrecision):
+    """theta as a stack of one in its own array form, and its log|H|."""
+    x = np.asarray(as_array(theta, theta.structure))[None]
+    return x, _log_det_h(theta.structure, theta.dim, _log_det(theta.structure, x))
 
 
 def map_estimate(h: Hyper, stats: SuffStats) -> HalfPrecision:
@@ -146,7 +165,7 @@ def log_evidence_flat(structure: str, stats: SuffStats) -> float:
         if np.any(stat <= 0):
             what = f"structure-{structure} statistic of s"
             raise NotPositiveDefiniteError(f"flat-prior evidence needs a positive {what}")
-        log_stat = np.log(stat).sum()
+        log_stat = _log_det(structure, stat)
     return float(-n * d / 2 * LOG_PI - log_normalizer_at(structure, alpha, log_stat, d))
 
 
@@ -176,7 +195,7 @@ def log_partition_hessian_logdet(theta: HalfPrecision) -> float:
       Neudecker, Matrix Differential Calculus) and the factor 1/2 on each
       of the d(d+1)/2 coordinates, log|Hess| = -d log 2 - (d+1) log|H|.
     """
-    return float(_hessian_logdet(theta.structure, theta.dim, theta.log_det()))
+    return float(_hessian_logdet(theta.structure, theta.dim, _stack_of_one(theta)[1])[0])
 
 
 def _hessian_logdet(structure: str, d: int, log_det_h):
@@ -266,11 +285,6 @@ class StackFit:
             raise self.errors[int(undefined[0])]
         return values
 
-    def scatter_product(self, s: np.ndarray) -> np.ndarray:
-        """tr(H s) at each replicate's MAP, for a stack s of r scatters."""
-        statistic, axes, _, _ = family(self.structure, self.dim)
-        return (self.map * statistic(s)).sum(axis=axes)
-
     def report(self, i: int) -> FitReport:
         """Replicate i as a FitReport; raises the reason it could not be fit."""
         if i in self.errors:
@@ -327,7 +341,7 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     if h.dim != d:
         raise DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {d}")
     # the conjugate update, on the structure's own statistic of s
-    statistic, axes, power, per_obs = family(structure, d)
+    statistic, axes, power, per_obs = fam = family(structure, d)
     stat = statistic(s)
     alpha_post = h.alpha + n * per_obs
     rate_post = h.rate + stat
@@ -338,12 +352,11 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
         chol, errors = cholesky_stack(rate_post, "s + B")
         log_rate_post = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     else:
-        log_rate_post = np.log(rate_post).sum(axis=axes)
+        log_rate_post = _log_det(structure, rate_post)
     improper = list(errors)
-    base = -n * d / 2 * LOG_PI
     lz_prior = log_normalizer(h)
     lz_post = log_normalizer_at(structure, alpha_post, log_rate_post, d)
-    log_evidence = base + lz_prior - lz_post
+    log_evidence = -n * d / 2 * LOG_PI + lz_prior - lz_post
     if mult <= 0:
         shape = "shape" if structure == "A" else "gamma shape"
         bound = "(d+1)/2" if structure == "A" else "1"
@@ -361,20 +374,15 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
         reason = "posterior mode is not finite: the posterior rate is too close to singular"
         errors.setdefault(int(i), SupportError(reason))
         theta[i] = 1.0  # a finite stand-in, masked below
-    # log_base: log|H| for A and D, log eta for C (the log of what the
-    # densities raise to alpha - power)
+    # log|theta| as the densities read it (log eta for C); A's from the Cholesky factor
     if structure == "A":
-        log_base = d * math.log(mult) - log_rate_post
+        log_x = d * math.log(mult) - log_rate_post
     else:
-        log_base = np.log(theta).sum(axis=axes)
-    log_det_h = d * log_base if structure == "C" else log_base
-
-    def dot(rate):
-        return (theta * rate).sum(axis=axes)
-
-    log_prior = lz_prior + (h.alpha - power) * log_base - dot(h.rate)
-    log_post = lz_post + (alpha_post - power) * log_base - dot(rate_post)
-    log_lik = n / 2 * log_det_h + base - dot(stat) if n else np.zeros(r)
+        log_x = _log_det(structure, theta)
+    log_det_h = _log_det_h(structure, d, log_x)
+    log_prior = _log_density_at(fam, lz_prior, h.alpha, h.rate, theta, log_x)
+    log_post = _log_density_at(fam, lz_post, alpha_post, rate_post, theta, log_x)
+    log_lik = _log_lik(axes, n, d, log_det_h, theta, stat)
     k = param_count(structure, d)
     out = {
         "map": theta,

@@ -50,6 +50,17 @@ def stack_hypers(triples):
     )
 
 
+def theta_log_det(theta) -> float:
+    """log|H| of a half-precision, from its matrix: the test oracle of the
+    per-parameter functions, which share no code with covsel's evaluators."""
+    return float(np.linalg.slogdet(theta.as_matrix())[1])
+
+
+def theta_trace_product(theta, s) -> float:
+    """tr(H s) for a half-precision and a d x d matrix s, from H's matrix."""
+    return float(np.sum(theta.as_matrix() * s))
+
+
 # ---------------------------------------------------------------------------
 # Independent evidence oracles: adaptive quadrature of the likelihood times
 # the prior for parameter dimension <= 2, and plain prior Monte Carlo for

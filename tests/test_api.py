@@ -72,3 +72,15 @@ def test_no_scipy_at_import():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_precision_classes_carry_no_arithmetic():
+    # log|H| and tr(H s) live once, in the evaluators the kernel calls;
+    # the per-parameter functions are batches of one of them
+    from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
+    from covsel.structures import StackFit
+
+    for cls in (FullPrecision, DiagPrecision, IsoPrecision):
+        for name in ("log_det", "scatter_product"):
+            assert not hasattr(cls, name), (cls.__name__, name)
+    assert not hasattr(StackFit, "scatter_product")

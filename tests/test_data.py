@@ -52,6 +52,29 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError):
             load_csv(csv_file("x,y\n1,2\n3\n"))
 
+    @pytest.mark.parametrize(
+        "text, row, column, message",
+        [
+            # several faults: the first in reading order is reported
+            ("x,y\n1,2\n3,inf\n4\n", 2, 2, "row 2, column 2: not a finite number: 'inf'"),
+            ("x,y\n1,2\n3\n4,nan\n", 2, None, "row 2 has 1 fields, expected 2"),
+            ("x,y\n1,a\n3,nan\n", 1, 2, "row 1, column 2: not a finite number: 'a'"),
+            ("x,y\nnan,a\n", 1, 1, "row 1, column 1: not a finite number: 'nan'"),
+            ("x,y\n1,2,3\n", 1, None, "row 1 has 3 fields, expected 2"),
+            ("x,y\n1, \n", 1, 2, "row 1, column 2: not a finite number: ' '"),
+        ],
+    )
+    def test_first_fault_in_reading_order(self, csv_file, text, row, column, message):
+        with pytest.raises(CsvParseError) as err:
+            load_csv(csv_file(text))
+        assert (str(err.value), err.value.row, err.value.column) == (message, row, column)
+
+    def test_values_and_blank_rows(self, csv_file):
+        ds = load_csv(csv_file("x,y\n 1.5 ,-0.0\n\n , \n1e-300,2E3\n"))
+        np.testing.assert_array_equal(ds.rows, [[1.5, -0.0], [1e-300, 2000.0]])
+        assert np.signbit(ds.rows[0, 1])
+        assert load_csv(csv_file("x,y\n")).rows.shape == (0, 2)
+
 
 class TestSuffStats:
     def test_single_row(self):

@@ -64,3 +64,14 @@ def test_from_array_validates(structure, value, kind, error):
     assert isinstance(from_array(structure, np.asarray(value), 2), kind)
     with pytest.raises(error):
         from_array(structure, -np.asarray(value), 2)
+
+
+@pytest.mark.parametrize("dim", [0, 2.7, 2.0, "2"])
+def test_iso_dim_must_be_a_positive_integer(dim):
+    # as GammaHyper's check: every per-parameter path reads the dimension
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        IsoPrecision(0.5, dim)
+
+
+def test_iso_dim_accepts_numpy_integers():
+    assert IsoPrecision(0.5, np.int64(3)).as_matrix().shape == (3, 3)

@@ -38,7 +38,7 @@ from covsel.priors import (
     shape_for_sample_size,
 )
 
-from conftest import stack_hypers
+from conftest import stack_hypers, theta_log_det, theta_trace_product
 
 
 def random_stats(rng, n, d):
@@ -682,8 +682,8 @@ def branch_log_prior_density(h, theta):
         d = h.dim
         return float(
             log_normalizer(h)
-            + (h.alpha - (d + 1) / 2) * theta.log_det()
-            - theta.scatter_product(h.rate)
+            + (h.alpha - (d + 1) / 2) * theta_log_det(theta)
+            - theta_trace_product(theta, h.rate)
         )
     if isinstance(h, GammaVecHyper):
         eta = as_array(theta, "D")

@@ -57,6 +57,8 @@ from covsel.regression import (
 from covsel.specialfn import LOG_PI, chol_log_det, cholesky_pd
 from covsel.structures import fit_structure, log_evidence, log_likelihood, param_count
 
+from conftest import theta_log_det, theta_trace_product
+
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
@@ -93,7 +95,7 @@ def rows_log_likelihood(data, gamma, theta):
     if n == 0:
         return 0.0
     q = rows_residual_stats(data, gamma).s
-    return float(n / 2 * theta.log_det() - n * d1 / 2 * LOG_PI - theta.scatter_product(q))
+    return float(n / 2 * theta_log_det(theta) - n * d1 / 2 * LOG_PI - theta_trace_product(theta, q))
 
 
 def rows_log_evidence(data, rh):
@@ -657,10 +659,10 @@ def subset_report(structure, rh, n, eff):
     fit = fit_structure(rh.cov, r[None], n, coef_cols=d2)
     rep = fit.report(0)
     theta = rep.map
-    quad = theta.scatter_product(shrink)
+    quad = theta_trace_product(theta, shrink)
     lam_factor = d1 / 2 * (log_det_lam - log_det_post_lam)
     ll = log_likelihood(theta, SuffStats(n=n, d=d1, s=r - shrink))
-    coef_prior = d1 / 2 * log_det_lam + d2 / 2 * theta.log_det() - quad
+    coef_prior = d1 / 2 * log_det_lam + d2 / 2 * theta_log_det(theta) - quad
     lp = fit.log_prior[0] - d1 * d2 / 2 * LOG_PI + coef_prior
     k = param_count(structure, d1) + d1 * d2
     bic = pc_bic = None

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, multigammaln
 
 from covsel.data import Dataset, SuffStats, suff_stats
 from covsel.errors import ConfigError, NonRegularPriorError, NotPositiveDefiniteError
 from covsel.montecarlo import gaussian_rows
+from covsel.regression import RegressionHyper, log_joint_prior
 from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
 from covsel.specialfn import LOG_PI, chol_log_det, log_mv_gamma
 from covsel.priors import (
@@ -30,7 +31,7 @@ from covsel.structures import (
     select_structure,
 )
 
-from conftest import evidence_oracle
+from conftest import evidence_oracle, theta_log_det, theta_trace_product
 
 
 def random_case(rng, d=None, n=None):
@@ -348,6 +349,108 @@ class TestEvidenceOracles:
     def test_empty_sample(self):
         stats = SuffStats(n=0, d=1, s=[[0.0]])
         assert evidence_oracle(GammaHyper(2.0, 1.0, 1), stats, "quadrature") == (0.0, 0.0)
+
+
+def oracle_log_normalizer_terms(h):
+    """log H(alpha, rate) of a single-rate prior, from scipy's log gamma."""
+    if h.structure == "A":
+        return [h.alpha * np.linalg.slogdet(h.rate)[1], -multigammaln(h.alpha, h.dim)]
+    if h.structure == "D":
+        return [h.alpha * np.log(h.rate).sum(), -h.dim * gammaln(h.alpha)]
+    return [h.alpha * math.log(h.rate), -gammaln(h.alpha)]
+
+
+def oracle_log_prior_terms(h, theta):
+    """The prior log-density's terms at theta, from theta's matrix."""
+    lz = oracle_log_normalizer_terms(h)
+    if h.structure == "A":
+        return lz + [
+            (h.alpha - (h.dim + 1) / 2) * theta_log_det(theta),
+            -theta_trace_product(theta, h.rate),
+        ]
+    eta = np.diag(theta.as_matrix())
+    if h.structure == "D":
+        return lz + [(h.alpha - 1) * np.log(eta).sum(), -(h.rate @ eta)]
+    return lz + [(h.alpha - 1) * math.log(eta[0]), -h.rate * eta[0]]
+
+
+def oracle_log_lik_terms(theta, stats):
+    n, d = stats.n, stats.d
+    if n == 0:
+        return [0.0]
+    return [n / 2 * theta_log_det(theta), -n * d / 2 * LOG_PI, -theta_trace_product(theta, stats.s)]
+
+
+def oracle_hessian_terms(theta):
+    """log|Hess A| from each structure's own coordinates: d / (2 eta^2) for C,
+    diag 1 / (2 eta_j^2) for D, and Magnus-Neudecker's determinant for A."""
+    d, eta = theta.dim, np.diag(theta.as_matrix())
+    if theta.structure == "C":
+        return [math.log(d / 2), -2 * math.log(eta[0])]
+    if theta.structure == "D":
+        return [-d * math.log(2), -2 * np.log(eta).sum()]
+    return [-d * math.log(2), -(d + 1) * theta_log_det(theta)]
+
+
+def oracle_log_joint_prior_terms(rh, gamma, theta):
+    d1, d2 = rh.nu.shape
+    dev = gamma - rh.nu
+    return [
+        -d1 * d2 / 2 * LOG_PI,
+        d1 / 2 * np.linalg.slogdet(rh.lam)[1],
+        d2 / 2 * theta_log_det(theta),
+        -theta_trace_product(theta, dev @ rh.lam @ dev.T),
+    ] + oracle_log_prior_terms(rh.cov, theta)
+
+
+class TestPerThetaOracles:
+    """The per-parameter functions, batches of one of covsel's evaluators,
+    against the formulas evaluated from theta's matrix, within 1e-12 of the
+    sum of the terms' magnitudes (the terms can cancel to near 0)."""
+
+    @staticmethod
+    def check(got, terms, label):
+        assert abs(got - sum(terms)) <= 1e-12 * sum(map(abs, terms)), label
+
+    @staticmethod
+    def draw(rng, structure, d):
+        """A random prior and half-precision of `structure`."""
+        if structure == "A":
+            g = rng.standard_normal((d, d + 2))
+            h = WishartHyper(rng.uniform((d + 1) / 2 + 0.1, 6.0), g @ g.T / (d + 2))
+            g = rng.standard_normal((d, d + 2))
+            return h, FullPrecision(g @ g.T / (d + 2) + 0.1 * np.eye(d))
+        if structure == "D":
+            h = GammaVecHyper(rng.uniform(1.1, 5.0), rng.uniform(0.3, 3.0, size=d))
+            return h, DiagPrecision(rng.uniform(0.2, 3.0, size=d))
+        return GammaHyper(rng.uniform(1.1, 8.0), rng.uniform(0.3, 3.0), d), IsoPrecision(
+            rng.uniform(0.2, 3.0), d
+        )
+
+    def test_matches_the_matrix_formulas(self):
+        rng = np.random.default_rng(31)
+        for structure in "ADC":
+            for d in range(1, 7):
+                for n in (0, 1, 9):
+                    h, theta = self.draw(rng, structure, d)
+                    wishart, _ = self.draw(rng, "A", d)
+                    stats = suff_stats(Dataset(rng.standard_normal((n, d))))
+                    nu, gamma = rng.standard_normal((2, d, 2))
+                    g = rng.standard_normal((2, 4))
+                    lam = g @ g.T / 4 + 0.1 * np.eye(2)
+                    label = (structure, d, n)
+                    self.check(log_likelihood(theta, stats), oracle_log_lik_terms(theta, stats), label)
+                    self.check(log_partition_hessian_logdet(theta), oracle_hessian_terms(theta), label)
+                    # each theta under its own prior and, embedded, under a Wishart prior
+                    for prior in (h, wishart):
+                        post = conjugate_update(prior, stats)
+                        terms = oracle_log_prior_terms(prior, theta)
+                        self.check(log_prior_density(prior, theta), terms, label)
+                        flex = oracle_log_prior_terms(post, theta) + [-t for t in terms]
+                        self.check(flexibility(prior, stats, theta), flex, label)
+                        rh = RegressionHyper(nu, lam, prior)
+                        joint = oracle_log_joint_prior_terms(rh, gamma, theta)
+                        self.check(log_joint_prior(rh, gamma, theta), joint, label)
 
 
 def closed_form_log_evidence_flat(structure, stats):
