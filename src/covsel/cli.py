@@ -369,7 +369,8 @@ def _cmd_regress(args) -> int:
         x = cov_source.select(args.covariates).rows
     elif args.covariates_file:
         x = cov_source.rows
-        names = list(cov_source.columns or range(cov_source.d))
+        # without a header a column's label is its index, as the command line writes it
+        names = [str(c) for c in cov_source.columns or range(cov_source.d)]
     else:
         x = np.zeros((y.n, 0))
     if args.intercept:

@@ -156,10 +156,14 @@ def _first_fault(rows, width) -> CsvParseError:
 
 
 def _resolve_columns(columns, names, width):
+    """0-based indices of `columns`: header names, or indices given as integers
+    or as strings of decimal digits (as on a command line) that are not names."""
     if len(list(columns)) == 0:
         raise CsvParseError("empty column selection")
     idx = []
     for c in columns:
+        if isinstance(c, str) and c.isdecimal() and (names is None or c not in names):
+            c = int(c)
         if isinstance(c, str):
             if names is None:
                 raise CsvParseError(f"column {c!r} selected by name but file has no header")

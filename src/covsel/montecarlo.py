@@ -33,7 +33,7 @@ from .priors import (
     shape_for_sample_size,
 )
 from .specialfn import cholesky_pd, cholesky_stack
-from .structures import CRITERIA, best_structures, fit_stack
+from .structures import CRITERIA, SIMPLEST_FIRST, criterion_matrix, fit_stack, simplest_best
 
 __all__ = [
     "SimConfig",
@@ -89,8 +89,8 @@ def oracle_hyper(truth: str, d: int, beta_inverse: float, m: float = 2.0) -> Hyp
     beta = 1 / beta_inverse, so the three hyperparameterizations project
     onto one another under the matching maps.
     """
-    if beta_inverse <= 0 or d < 1:
-        raise ConfigError(f"need beta_inverse > 0 and d >= 1, got {beta_inverse} and d={d}")
+    if not 0 < beta_inverse < math.inf or d < 1:
+        raise ConfigError(f"need a finite beta_inverse > 0 and d >= 1, got {beta_inverse}, d={d}")
     beta = 1.0 / beta_inverse
     alpha = shape_for_sample_size(truth, m, d)
     if truth == "A":
@@ -175,8 +175,8 @@ class SimConfig:
             raise ConfigError("d, reps, seed and the n values must be integers")
         if self.reps < 1 or self.d < 1:
             raise ConfigError("reps and d must be >= 1")
-        if self.beta_inverse <= 0:
-            raise ConfigError("beta_inverse must be positive")
+        if not 0 < self.beta_inverse < math.inf:
+            raise ConfigError("beta_inverse must be positive and finite")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError("need at least one n value, and n values must be >= 1")
         if self.scheme in ("empirical-bayes", "vs-mclust") and min(self.n_values) < self.d:
@@ -221,20 +221,20 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
 
     Every replicate is drawn first. Each hyperparameter scheme then builds
     its hyperparameters for the whole stack of scatters at once and fits
-    the stack once, and every criterion label is ranked from those shared
-    fits. A replicate that cannot be drawn, whose hyperparameters cannot
+    the stack once, and every criterion label picks by `simplest_best` on
+    the `criterion_matrix` of those shared fits. A replicate that cannot be drawn, whose hyperparameters cannot
     be built, or for which some label has no structure left, counts as a
     failure; only CovselError counts, anything else propagates.
     """
     gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
     rngs = [_rep_rng(config, truth, n, rep) for rep in range(config.reps)]
     scatters, failed = draw_scatters(gen, n, rngs)
-    drawn = [rep for rep in range(config.reps) if rep not in failed]
+    drawn = np.flatnonzero([rep not in failed for rep in range(config.reps)])
 
     plan = config.plan
     schemes = {scheme for scheme, _ in plan.values()}
-    choices = []
-    if drawn:  # an empty stack has no rates to build hyperparameters from
+    picks = np.full((len(plan), config.reps), -1)  # a row per label of SIMPLEST_FIRST indices
+    if drawn.size:  # an empty stack has no rates to build hyperparameters from
         s, hypers = scatters[drawn], {}
         for scheme in schemes - {"oracle"}:
             hypers[scheme], errors = moment_hypers(scheme, s, n, config.prior_sample_size)
@@ -242,26 +242,20 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
         if "oracle" in schemes:
             hypers["oracle"] = matched_family(gen)
         fits = {scheme: fit_stack(s, n, hypers[scheme]) for scheme in schemes}
-        choices = [best_structures(fits[scheme], crit) for scheme, crit in plan.values()]
-
-    selected: Dict[str, List[Optional[str]]] = {lab: [None] * config.reps for lab in plan}
-    failures = len(failed)
-    for rep, picks in zip(drawn, zip(*choices)):
-        if rep in failed:
-            continue
-        if None in picks:
-            failures += 1
-            continue
-        for lab, choice in zip(plan, picks):
-            selected[lab][rep] = choice
+        for row, (scheme, crit) in zip(picks, plan.values()):
+            row[drawn] = simplest_best(criterion_matrix(fits[scheme], crit, drawn.size))
+    excluded = (picks < 0).any(axis=0)
+    excluded[list(failed)] = True
+    picks[:, excluded] = -1
+    pick_labels = np.array([*SIMPLEST_FIRST, None], dtype=object)  # the pick -1 is None
     return CellDecisions(
         truth=truth,
         n=n,
         beta_inverse=config.beta_inverse,
         scheme=config.scheme,
         reps=config.reps,
-        selected=selected,
-        failures=failures,
+        selected=dict(zip(plan, pick_labels[picks].tolist())),
+        failures=int(excluded.sum()),
     )
 
 
@@ -401,31 +395,24 @@ def confusion_table(cells: Sequence[CellDecisions]) -> ConfusionTable:
         ):
             raise ConfigError("cells of one table must share n, beta, scheme and reps")
     labels = list(ref.selected)
-    matrices = {}
+    truths = np.arange(3)[:, None]
+    picks, matrices = {}, {}
     for lab in labels:
-        counts = np.zeros((3, 3), dtype=int)
-        for i, truth in enumerate(TRUTH_ORDER):
-            for choice in by_truth[truth].selected[lab]:
-                if choice is not None:
-                    counts[i, TRUTH_ORDER.index(choice)] += 1
+        # the label's picks as TRUTH_ORDER indices, one row per truth; -1 for None
+        sel = np.array([by_truth[truth].selected[lab] for truth in TRUTH_ORDER], dtype=object)
+        picks[lab] = p = np.select([sel == truth for truth in TRUTH_ORDER], range(3), -1)
+        counts = np.bincount((3 * truths + p)[p >= 0], minlength=9).reshape(3, 3)
         matrices[lab] = ConfusionMatrix(label=lab, counts=counts)
 
     comparisons = []
     for i, first in enumerate(labels):
         for second in labels[i + 1 :]:
-            for scope in (*TRUTH_ORDER, "trace"):
-                truths = TRUTH_ORDER if scope == "trace" else (scope,)
-                b = c = 0
-                for truth in truths:
-                    cell = by_truth[truth]
-                    for s1, s2 in zip(cell.selected[first], cell.selected[second]):
-                        if s1 is None or s2 is None:
-                            continue
-                        ok1, ok2 = s1 == truth, s2 == truth
-                        if ok1 and not ok2:
-                            b += 1
-                        elif ok2 and not ok1:
-                            c += 1
+            both = (picks[first] >= 0) & (picks[second] >= 0)
+            ok1, ok2 = picks[first] == truths, picks[second] == truths
+            # McNemar's b and c per truth, then over the sweep (the trace)
+            bs = (both & ok1 & ~ok2).sum(axis=1).tolist()
+            cs = (both & ok2 & ~ok1).sum(axis=1).tolist()
+            for scope, b, c in zip((*TRUTH_ORDER, "trace"), bs + [sum(bs)], cs + [sum(cs)]):
                 better = first if b > c else (second if c > b else None)
                 comparisons.append(
                     PairedComparison(

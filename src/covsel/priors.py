@@ -86,9 +86,9 @@ class WishartHyper:
         rate = symmetrize(self.rate)
         object.__setattr__(self, "log_det_rate", chol_log_det(rate))
         d = rate.shape[-1]
-        if self.alpha <= (d - 1) / 2:
+        if not (d - 1) / 2 < self.alpha < math.inf:
             raise SupportError(
-                f"Wishart shape must exceed (d-1)/2 = {(d - 1) / 2}, got {self.alpha}"
+                f"Wishart shape must be finite and above (d-1)/2 = {(d - 1) / 2}, got {self.alpha}"
             )
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -120,7 +120,7 @@ class GammaVecHyper:
         rate = np.atleast_1d(np.asarray(self.rate, dtype=float))
         if rate.ndim > 2 or rate.size == 0:
             raise ValueError("rate must be a nonempty vector")
-        if self.alpha <= 0 or np.any(rate <= 0) or not np.all(np.isfinite(rate)):
+        if not 0 < self.alpha < math.inf or not np.all(np.isfinite(rate) & (rate > 0)):
             raise SupportError("gamma shapes and rates must be positive and finite")
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -148,11 +148,9 @@ class GammaHyper:
     def __post_init__(self):
         if isinstance(self.rate, np.ndarray) and self.rate.ndim:
             rate = np.asarray(self.rate, dtype=float)
-            bad_rate = np.any(rate <= 0) or not np.all(np.isfinite(rate))
         else:
             rate = float(self.rate)
-            bad_rate = rate <= 0 or not np.isfinite(rate)
-        if self.alpha <= 0 or bad_rate:
+        if not 0 < self.alpha < math.inf or not np.all(np.isfinite(rate) & (rate > 0)):
             raise SupportError("gamma shape and rate must be positive and finite")
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
@@ -447,13 +445,19 @@ def sample_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
     """`size` half-precisions from the prior: (size, d, d) for A, (size, d)
     for D and (size,) for C. A is Bartlett (`sample_wishart_batch`), D and
     C are gamma draws. The rate must be one rate, not a stack of them."""
-    if np.ndim(h.rate) != len(family(h.structure, h.dim).axes):
-        raise DimensionMismatchError(f"cannot sample a stacked rate of shape {np.shape(h.rate)}")
+    _check_one_rate(h)
     if isinstance(h, WishartHyper):
         return sample_wishart_batch(h, size, rng)
     if isinstance(h, GammaVecHyper):
         return rng.gamma(h.alpha, 1.0, size=(size, h.dim)) / h.rate
     return rng.gamma(h.alpha, 1.0 / h.rate, size=size)
+
+
+def _check_one_rate(h: Hyper) -> None:
+    """DimensionMismatchError where h carries a stack of per-replicate rates."""
+    if np.ndim(h.rate) != len(family(h.structure, h.dim).axes):
+        shape = np.shape(h.rate)
+        raise DimensionMismatchError(f"need one rate, not a stacked rate of shape {shape}")
 
 
 def sample_half_precision(h: Hyper, rng: np.random.Generator) -> HalfPrecision:
@@ -482,10 +486,11 @@ def log_prior_density(h: Hyper, theta: HalfPrecision) -> float:
 
     The Wishart prior accepts any half-precision shape (Diag and Iso embed
     into its support); the D and C priors require theta to actually lie in
-    their support.
+    their support. The rate must be one rate, not a stack of them.
     """
     if h.dim != theta.dim:
         raise DimensionMismatchError(f"hyper dimension {h.dim} != parameter dimension {theta.dim}")
+    _check_one_rate(h)
     return float(_log_density(h, np.asarray(as_array(theta, h.structure))[None])[0])
 
 

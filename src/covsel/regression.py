@@ -143,6 +143,8 @@ class RegressionHyper:
             raise DimensionMismatchError("nu column count must match Lambda")
         if nu.shape[0] != self.cov.dim:
             raise DimensionMismatchError("nu row count must match the residual prior dimension")
+        if not np.all(np.isfinite(nu)):
+            raise ValueError("nu entries must be finite")
         lam = symmetrize(lam)
         cholesky_pd(lam)
         object.__setattr__(self, "nu", nu)
@@ -500,8 +502,8 @@ def lambda_path(data: RegressionData, lambdas: Sequence[float]) -> List[LambdaPa
     """
     if data.d1 != 1:
         raise ConfigError("lambda_path requires a univariate response (d1 = 1)")
-    if any(l <= 0 for l in lambdas):
-        raise ConfigError("lambda grid must be strictly positive")
+    if not all(0 < l < math.inf for l in lambdas):
+        raise ConfigError("lambda grid must be strictly positive and finite")
     if data.n == 0:
         raise EmptyDatasetError("lambda_path requires at least one observation")
     rows = []

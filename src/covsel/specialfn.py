@@ -86,20 +86,19 @@ def cholesky_stack(
 
     A matrix that is not positive definite gets an identity factor and
     an entry in the returned errors, so it fails alone, not the stack.
+    A stack that fails is halved and each half retried, so only the
+    halves that hold a failing member are factored again.
     """
     try:
         return np.linalg.cholesky(m), {}
-    except np.linalg.LinAlgError:
-        pass
-    chol = np.empty_like(m)
-    errors: Dict[int, CovselError] = {}
-    for i, mi in enumerate(m):
-        try:
-            chol[i] = np.linalg.cholesky(mi)
-        except np.linalg.LinAlgError as exc:
-            chol[i] = np.eye(m.shape[-1])
-            errors[i] = NotPositiveDefiniteError(f"{what} is not positive definite: {exc}")
-    return chol, errors
+    except np.linalg.LinAlgError as exc:
+        if len(m) == 1:
+            error = NotPositiveDefiniteError(f"{what} is not positive definite: {exc}")
+            return np.eye(m.shape[-1])[None], {0: error}
+    mid = len(m) // 2
+    (low, low_errors), (high, high_errors) = (cholesky_stack(h, what) for h in (m[:mid], m[mid:]))
+    high_errors = {mid + i: error for i, error in high_errors.items()}
+    return np.concatenate([low, high]), {**low_errors, **high_errors}
 
 
 def chol_log_det(s: np.ndarray):

@@ -60,7 +60,6 @@ __all__ = [
     "criteria",
     "criterion_matrix",
     "simplest_best",
-    "best_structures",
     "select_structure",
     "CRITERIA",
 ]
@@ -453,13 +452,6 @@ def criterion_matrix(fits: Dict[str, StackFit], criterion: str, r: int) -> np.nd
     return np.stack(cols, axis=1)
 
 
-def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[str]]:
-    """Each replicate's selected structure under `criterion`; None where no
-    structure could be fit or the criterion is undefined."""
-    picks = simplest_best(criterion_matrix(fits, criterion, len(fits["C"].valid)))
-    return [SIMPLEST_FIRST[j] if j >= 0 else None for j in picks]
-
-
 @dataclass(frozen=True)
 class SelectionResult:
     criterion: str
@@ -476,33 +468,27 @@ def select_structure(
 ) -> SelectionResult:
     """Fit all three structures once and rank them by the chosen criterion.
 
-    Ranking repeats the rule of `simplest_best`: ties (within relative
-    1e-9 of the best remaining value) go to the simpler structure, C
-    before D before A. Structures that cannot be fit are excluded and
+    Ranking takes `simplest_best` of the `criterion_matrix` row, then of
+    what remains: ties (within relative 1e-9 of the best remaining value)
+    go to the simpler structure, C before D before A. Structures that
+    cannot be fit, or whose criterion is undefined, are excluded and
     reported in `skipped` with the reason; a hyper of another dimension
     than the data's raises DimensionMismatchError.
     """
     if criterion not in CRITERIA:
         raise ConfigError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    reports: Dict[str, FitReport] = {}
+    fits = fit_stack(stats.s[None], stats.n, hypers)
     skipped: Dict[str, str] = {}
-    for structure, fit in fit_stack(stats.s[None], stats.n, hypers).items():
-        try:
-            rep = fit.report(0)
-        except CovselError as exc:
-            skipped[structure] = f"{type(exc).__name__}: {exc}"
-            continue
-        if rep.criterion_value(criterion) is None:
+    for structure, fit in fits.items():
+        if fit.errors:
+            skipped[structure] = f"{type(fit.errors[0]).__name__}: {fit.errors[0]}"
+        elif fit.values(criterion) is None:
             skipped[structure] = f"criterion {criterion} undefined at n={stats.n}"
-            continue
-        reports[structure] = rep
-    if not reports:
-        raise ConfigError(f"no structure could be fit: {skipped}")
-    values = np.array(
-        [[reports[s].criterion_value(criterion) if s in reports else np.nan for s in SIMPLEST_FIRST]]
-    )
+    values = criterion_matrix(fits, criterion, 1)
     ranked = []
     while (j := simplest_best(values)[0]) >= 0:
-        ranked.append(reports[SIMPLEST_FIRST[j]])
+        ranked.append(fits[SIMPLEST_FIRST[j]].report(0))
         values[0, j] = np.nan
+    if not ranked:
+        raise ConfigError(f"no structure could be fit: {skipped}")
     return SelectionResult(criterion=criterion, ranked=ranked, skipped=skipped)

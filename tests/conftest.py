@@ -1,6 +1,6 @@
 import math
 from importlib import resources
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -18,7 +18,13 @@ from covsel.priors import (
     sample_prior,
 )
 from covsel.specialfn import LOG_PI
-from covsel.structures import param_count
+from covsel.structures import (
+    SIMPLEST_FIRST,
+    StackFit,
+    criterion_matrix,
+    param_count,
+    simplest_best,
+)
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +54,14 @@ def stack_hypers(triples):
         GammaVecHyper(d.alpha, np.stack([t.d.rate for t in triples])),
         GammaHyper(c.alpha, np.array([t.c.rate for t in triples]), c.dim),
     )
+
+
+def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[str]]:
+    """Each replicate's selected structure under `criterion`; None where no
+    structure could be fit or the criterion is undefined. The label oracle
+    of `run_cell`, which keeps its picks as indices until it writes them."""
+    picks = simplest_best(criterion_matrix(fits, criterion, len(fits["C"].valid)))
+    return [SIMPLEST_FIRST[j] if j >= 0 else None for j in picks]
 
 
 def theta_log_det(theta) -> float:

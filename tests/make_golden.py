@@ -6,9 +6,18 @@ that moves an output on purpose (a new random stream, say), and list the
 fields that moved in CHANGES.md:
 
     PYTHONPATH=src python tests/make_golden.py
+
+To check that the current code writes the record's values exactly, without
+writing anything, run it with `--check`: it prints each path whose value
+differs at all (tolerance 0) and exits 1 if there is one.
 """
 
+import argparse
+import contextlib
+import io
 import json
+import math
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -61,6 +70,45 @@ def outputs() -> dict:
     return docs
 
 
+def mismatches(got, want, path, tol):
+    """The paths where `got` differs from `want` beyond the tolerance."""
+    if isinstance(want, float) and type(got) is float:
+        both_nan = math.isnan(want) and math.isnan(got)
+        if both_nan or got == want or abs(got - want) <= tol * max(1.0, abs(want)):
+            return []
+        return [f"{path}: {got!r} != {want!r}"]
+    if type(got) is not type(want):
+        return [f"{path}: {type(got).__name__} {got!r} != {type(want).__name__} {want!r}"]
+    if isinstance(want, dict):
+        if sorted(got) != sorted(want):
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in mismatches(got[k], want[k], f"{path}.{k}", tol)]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want)) for m in mismatches(g, w, f"{path}[{i}]", tol)]
+    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+def check() -> int:
+    """Print each path where the commands' documents differ from the record
+    at all; 1 if one does, else 0."""
+    record = json.loads(RECORD.read_text())
+    with contextlib.redirect_stdout(io.StringIO()):  # the commands' own tables
+        current = outputs()
+    bad = mismatches(current, record, "golden", 0.0)
+    for line in bad:
+        print(line)
+    print(f"{len(bad)} difference(s) from {RECORD.name}")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Write or check the golden-output record.")
+    parser.add_argument(
+        "--check", action="store_true", help="compare with the record; write nothing"
+    )
+    if parser.parse_args().check:
+        sys.exit(check())
     RECORD.write_text(json.dumps(outputs(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {RECORD} ({RECORD.stat().st_size} bytes)")

@@ -55,6 +55,16 @@ class TestSelect:
         doc = json.loads(out.read_text())
         assert doc["ranked"][0]["structure"] == "C"
 
+    def test_column_indices_without_header(self, tmp_path):
+        # argv holds strings, so an index reaches the loader as "0"
+        path = tmp_path / "plain.csv"
+        rng = np.random.default_rng(4)
+        path.write_text("\n".join(",".join(map(str, row)) for row in rng.standard_normal((20, 3))))
+        out = tmp_path / "r.json"
+        argv = ["select", str(path), "--no-header", "--columns", "2", "0", "--json", str(out)]
+        assert run(argv) == 0
+        assert json.loads(out.read_text())["d"] == 2
+
     def test_numerical_failure_exits_3(self, tmp_path):
         # two observations in five dimensions: empirical Bayes needs a
         # positive definite scatter, which cannot exist here
@@ -308,6 +318,21 @@ class TestRegress:
         assert rc == 0
         assert "| intercept, x |" in capsys.readouterr().out
 
+    def test_no_header_covariates_file_enumerates(self, tmp_path, capsys):
+        # the covariates are labelled by their indices, next to "intercept"
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((25, 2))
+        y = x @ [0.7, -0.3] + 0.2 * rng.standard_normal(25)
+        (tmp_path / "resp.csv").write_text("\n".join(map(str, y)))
+        (tmp_path / "covs.csv").write_text("\n".join(f"{a},{b}" for a, b in x))
+        out = tmp_path / "fits.json"
+        argv = ["regress", str(tmp_path / "resp.csv"), "--no-header", "--response", "0"]
+        argv += ["--covariates-file", str(tmp_path / "covs.csv"), "--intercept", "--enumerate"]
+        assert run(argv + ["--json", str(out)]) == 0
+        subsets = [fit["subset"] for fit in json.loads(out.read_text())["fits"]]
+        assert len(subsets) == 7 and ["0", "1", "intercept"] in subsets
+        assert "| 0, 1, intercept |" in capsys.readouterr().out
+
     def test_enumerate_with_kic_exits_2(self, capsys):
         rc = run(
             [
@@ -333,6 +358,8 @@ class TestRegress:
             ('{"alpha": "two"}', "malformed --hyper file"),
             ('{"lambda": [["a"]]}', "malformed --hyper file"),
             ('{"lambda": [[NaN]]}', "malformed --hyper file"),
+            ('{"alpha": NaN}', "malformed --hyper file"),
+            ('{"nu": [[NaN]]}', "malformed --hyper file"),
         ],
     )
     def test_bad_hyper_file_exits_2(self, tmp_path, capsys, text, message):
@@ -464,6 +491,25 @@ class TestRates:
         assert rc == 0
         doc = json.loads(js.read_text())
         assert doc["study"]["target"] == pytest.approx(0.5 * np.log(4 / 3))
+
+
+class TestNonFiniteInput:
+    """NaN and inf fail every `x > bound` check: usage errors, not tracebacks
+    or numerical failures."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--beta-inv", "nan", "--n", "5", "--reps", "1"],
+            ["simulate", "--beta-inv", "inf", "--n", "5", "--reps", "1"],
+            ["rates", "--beta-inv", "nan", "--n-grid", "10", "--reps", "1"],
+            ["regress", IRIS, "--response", "sepal_width", "--covariates", "petal_width",
+             "--lambda-path", "nan", "1"],
+        ],
+    )
+    def test_exits_2(self, capsys, argv):
+        assert run(argv) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestPaths:

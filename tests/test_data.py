@@ -44,6 +44,23 @@ class TestLoadCsv:
         ds = load_csv(csv_file("1,2\n3,4\n"), has_header=False, columns=[1])
         np.testing.assert_allclose(ds.rows[:, 0], [2, 4])
 
+    @pytest.mark.parametrize(
+        "text, has_header, columns, want",
+        [
+            ("1,2\n3,4\n", False, ["1", "0"], [[2, 1], [4, 3]]),  # indices as argv has them
+            ("x,1\n1,2\n3,4\n", True, ["1"], [[2], [4]]),  # a header name wins
+            ("x,1\n1,2\n3,4\n", True, ["0", "x"], [[1, 1], [3, 3]]),
+        ],
+    )
+    def test_decimal_strings_are_indices_unless_names(self, csv_file, text, has_header, columns, want):
+        ds = load_csv(csv_file(text), has_header=has_header, columns=columns)
+        np.testing.assert_array_equal(ds.rows, want)
+
+    @pytest.mark.parametrize("columns", [["-1"], ["2"], ["z"]])
+    def test_bad_string_selector_rejected(self, csv_file, columns):
+        with pytest.raises(CsvParseError):
+            load_csv(csv_file("1,2\n3,4\n"), has_header=False, columns=columns)
+
     def test_empty_selection_rejected(self, csv_file):
         with pytest.raises(CsvParseError):
             load_csv(csv_file("x,y\n1,2\n"), columns=[])

@@ -9,30 +9,11 @@ import math
 
 import pytest
 
-from make_golden import COMMANDS, RECORD, outputs
+import make_golden
+from make_golden import COMMANDS, RECORD, mismatches, outputs
 
 RATES_TOL = 1e-11
 TOL = 1e-12
-
-
-def mismatches(got, want, path, tol):
-    """The paths where `got` differs from `want` beyond the tolerance."""
-    if isinstance(want, float) and type(got) is float:
-        both_nan = math.isnan(want) and math.isnan(got)
-        if both_nan or got == want or abs(got - want) <= tol * max(1.0, abs(want)):
-            return []
-        return [f"{path}: {got!r} != {want!r}"]
-    if type(got) is not type(want):
-        return [f"{path}: {type(got).__name__} {got!r} != {type(want).__name__} {want!r}"]
-    if isinstance(want, dict):
-        if sorted(got) != sorted(want):
-            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
-        return [m for k in want for m in mismatches(got[k], want[k], f"{path}.{k}", tol)]
-    if isinstance(want, list):
-        if len(got) != len(want):
-            return [f"{path}: length {len(got)} != {len(want)}"]
-        return [m for i, (g, w) in enumerate(zip(got, want)) for m in mismatches(g, w, f"{path}[{i}]", tol)]
-    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +49,22 @@ def test_mismatches_reads_tolerance_and_types():
     assert mismatches(float("nan"), float("nan"), "x", TOL) == []
     assert mismatches(1, 1.0, "x", TOL) != []
     assert mismatches({"a": [1, "C"]}, {"a": [1, "D"]}, "x", TOL) == ["x.a[1]: 'C' != 'D'"]
+
+
+def test_check_prints_every_difference_and_writes_nothing(monkeypatch, capsys, record):
+    before = RECORD.read_bytes()
+    monkeypatch.setattr(make_golden, "outputs", lambda: record)
+    assert make_golden.check() == 0
+    moved = json.loads(json.dumps(record))
+    moved["select-kic"]["n"] += 1
+    evidence = moved["select-kic"]["ranked"][0]["log_evidence"]
+    moved["select-kic"]["ranked"][0]["log_evidence"] = math.nextafter(evidence, math.inf)
+    monkeypatch.setattr(make_golden, "outputs", lambda: moved)
+    capsys.readouterr()
+    assert make_golden.check() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "golden.select-kic.n", "golden.select-kic.ranked[0].log_evidence"
+    ]
+    assert lines[-1] == "2 difference(s) from golden.json"
+    assert RECORD.read_bytes() == before

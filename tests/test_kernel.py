@@ -40,7 +40,6 @@ from covsel.priors import (
 from covsel.specialfn import LOG_PI, cholesky_pd
 from covsel.structures import (
     SIMPLEST_FIRST,
-    best_structures,
     criteria,
     fit_stack,
     fit_structure,
@@ -53,7 +52,7 @@ from covsel.structures import (
     simplest_best,
 )
 
-from conftest import stack_hypers
+from conftest import best_structures, stack_hypers
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 

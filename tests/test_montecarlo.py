@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import covsel.montecarlo as montecarlo
 import covsel.priors as priors
@@ -22,7 +23,9 @@ from covsel.montecarlo import (
     run_cell,
 )
 from covsel.priors import WishartHyper, empirical_bayes, matched_family, mclust_default
-from covsel.structures import CRITERIA, best_structures, fit_stack
+from covsel.structures import CRITERIA, fit_stack
+
+from conftest import best_structures
 
 
 class TestMcNemar:
@@ -124,6 +127,13 @@ class TestOracleHyper:
     def test_invalid_beta(self):
         with pytest.raises(ConfigError):
             oracle_hyper("A", 5, 0.0)
+
+    @pytest.mark.parametrize("beta_inverse", [np.nan, np.inf])
+    def test_non_finite_beta_rejected(self, beta_inverse):
+        with pytest.raises(ConfigError, match="finite"):
+            oracle_hyper("A", 5, beta_inverse)
+        with pytest.raises(ConfigError, match="finite"):
+            SimConfig(beta_inverse=beta_inverse)
 
 
 class TestGenerateInstance:
@@ -303,34 +313,36 @@ class TestRunCell:
             assert mat.trace == np.trace(mat.counts)
 
 
-class TestConfusionTable:
-    def _fake_cells(self, selections_by_label):
-        cells = []
-        reps = len(next(iter(selections_by_label["A"].values())))
-        for truth in TRUTH_ORDER:
-            cells.append(
-                CellDecisions(
-                    truth=truth,
-                    n=5,
-                    beta_inverse=2.0,
-                    scheme="oracle",
-                    reps=reps,
-                    selected=selections_by_label[truth],
-                    failures=0,
-                )
+def fake_cells(selections_by_label):
+    """One CellDecisions per truth, from {truth: {label: selections}}."""
+    cells = []
+    reps = len(next(iter(selections_by_label["A"].values())))
+    for truth in TRUTH_ORDER:
+        cells.append(
+            CellDecisions(
+                truth=truth,
+                n=5,
+                beta_inverse=2.0,
+                scheme="oracle",
+                reps=reps,
+                selected=selections_by_label[truth],
+                failures=0,
             )
-        return cells
+        )
+    return cells
 
+
+class TestConfusionTable:
     def test_identical_criteria_not_significant(self):
         same = ["A", "C", "C", "D"]
-        cells = self._fake_cells(
+        cells = fake_cells(
             {t: {"evidence": list(same), "pcbic": list(same)} for t in TRUTH_ORDER}
         )
         table = confusion_table(cells)
         assert all(c.p_value == 1.0 for c in table.comparisons)
 
     def test_trace_is_diagonal_sum(self):
-        cells = self._fake_cells(
+        cells = fake_cells(
             {
                 "A": {"evidence": ["A", "A", "C", "D"]},
                 "D": {"evidence": ["D", "C", "C", "D"]},
@@ -342,18 +354,80 @@ class TestConfusionTable:
         assert mat.trace == 2 + 2 + 4
 
     def test_incomplete_sweep_rejected(self):
-        cells = self._fake_cells(
+        cells = fake_cells(
             {t: {"evidence": ["A"]} for t in TRUTH_ORDER}
         )[:2]
         with pytest.raises(ConfigError):
             confusion_table(cells)
 
     def test_markdown_renders(self):
-        cells = self._fake_cells(
+        cells = fake_cells(
             {t: {"evidence": ["C", "C", "D", "A"]} for t in TRUTH_ORDER}
         )
         text = render_confusion_markdown(confusion_table(cells))
         assert "evidence" in text and "| A |" in text
+
+
+def confusion_loops(cells):
+    """The per-replicate loops `confusion_table` ran before it counted with
+    arrays, kept as its oracle: each label's 3x3 counts, and per pair of
+    labels and scope the discordant counts (b, c) and the better label."""
+    by_truth = {cell.truth: cell for cell in cells}
+    labels = list(cells[0].selected)
+    counts = {}
+    for lab in labels:
+        counts[lab] = np.zeros((3, 3), dtype=int)
+        for i, truth in enumerate(TRUTH_ORDER):
+            for choice in by_truth[truth].selected[lab]:
+                if choice is not None:
+                    counts[lab][i, TRUTH_ORDER.index(choice)] += 1
+    pairs = []
+    for i, first in enumerate(labels):
+        for second in labels[i + 1 :]:
+            for scope in (*TRUTH_ORDER, "trace"):
+                truths = TRUTH_ORDER if scope == "trace" else (scope,)
+                b = c = 0
+                for truth in truths:
+                    cell = by_truth[truth]
+                    for s1, s2 in zip(cell.selected[first], cell.selected[second]):
+                        if s1 is None or s2 is None:
+                            continue
+                        ok1, ok2 = s1 == truth, s2 == truth
+                        if ok1 and not ok2:
+                            b += 1
+                        elif ok2 and not ok1:
+                            c += 1
+                better = first if b > c else (second if c > b else None)
+                pairs.append((first, second, scope, b, c, better))
+    return counts, pairs
+
+
+@st.composite
+def sweeps(draw):
+    """Selections of 1-3 labels for each truth of a sweep; None marks a
+    replicate a label could not rank, so it can be None in one label only."""
+    reps = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.sampled_from(["bic", "pcbic", "evidence"]), min_size=1, max_size=3, unique=True))
+    pick = st.sampled_from(["A", "D", "C", None])
+    return {
+        truth: {lab: draw(st.lists(pick, min_size=reps, max_size=reps)) for lab in labels}
+        for truth in TRUTH_ORDER
+    }
+
+
+class TestConfusionAgainstLoops:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(sweeps())
+    def test_counts_and_discordances(self, selections):
+        cells = fake_cells(selections)
+        table = confusion_table(cells)
+        counts, pairs = confusion_loops(cells)
+        assert list(table.matrices) == list(counts)
+        for lab, want in counts.items():
+            np.testing.assert_array_equal(table.matrices[lab].counts, want)
+        got = [(c.first, c.second, c.scope, c.test.b, c.test.c, c.better) for c in table.comparisons]
+        assert got == pairs
+        assert all(type(c.test.b) is int and type(c.test.c) is int for c in table.comparisons)
 
 
 class TestUnbuildableHypers:

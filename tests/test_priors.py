@@ -13,7 +13,7 @@ from covsel.errors import (
     EmptyDatasetError,
     SupportError,
 )
-from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision, as_array
+from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision, as_array, from_array
 from covsel.priors import (
     GammaHyper,
     GammaVecHyper,
@@ -37,6 +37,7 @@ from covsel.priors import (
     sample_prior,
     shape_for_sample_size,
 )
+from covsel.structures import flexibility
 
 from conftest import stack_hypers, theta_log_det, theta_trace_product
 
@@ -469,6 +470,18 @@ class TestSampler:
         with pytest.raises(SupportError):
             WishartHyper(0.9, np.eye(3))
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    @pytest.mark.parametrize("structure", ["A", "D", "C"])
+    def test_non_finite_shape_rejected(self, structure, alpha):
+        # NaN passes a bare `alpha <= bound` check, and inf is no density
+        make = {
+            "A": lambda: WishartHyper(alpha, np.eye(2)),
+            "D": lambda: GammaVecHyper(alpha, np.ones(2)),
+            "C": lambda: GammaHyper(alpha, 1.0, 2),
+        }[structure]
+        with pytest.raises(SupportError):
+            make()
+
 
 def bartlett_loop(h, rng):
     """The element-by-element Bartlett sampler that `sample_wishart_batch`
@@ -532,6 +545,12 @@ class TestSamplerOracles:
         with pytest.raises(DimensionMismatchError, match="stacked rate"):
             sample_prior(stacked, 4, rng)
         assert "_bartlett_scale" not in vars(stacked)  # never factored
+        # the per-theta densities would read the first replicate's rate alone
+        theta = from_array(structure, {"A": np.eye(3), "D": np.ones(3), "C": 1.0}[structure], 3)
+        with pytest.raises(DimensionMismatchError, match="stacked rate"):
+            log_prior_density(stacked, theta)
+        with pytest.raises(DimensionMismatchError, match="stacked rate"):
+            flexibility(stacked, SuffStats(n=4, d=3, s=np.eye(3)), theta)
 
     def test_wishart_rate_factored_once_per_hyper(self, monkeypatch):
         calls = []

@@ -500,6 +500,10 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             RegressionData(np.zeros((4, 2)), np.zeros((5, 1)))
 
+    def test_non_finite_nu_rejected(self):
+        with pytest.raises(ValueError, match="nu entries must be finite"):
+            RegressionHyper(np.array([[np.nan]]), np.eye(1), GammaHyper(2.0, 1.0, 1))
+
     def test_lambda_must_be_a_matrix(self):
         with pytest.raises(DimensionMismatchError):
             RegressionHyper(np.zeros((1, 1)), np.array([2.0]), GammaHyper(2.0, 1.0, 1))

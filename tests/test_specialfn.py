@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from covsel.errors import AsymmetricMatrixError, NotPositiveDefiniteError
-from covsel.specialfn import chol_log_det, log_mv_gamma, symmetrize
+from covsel.specialfn import chol_log_det, cholesky_stack, log_mv_gamma, symmetrize
 
 
 def random_pd(rng, d, dof=None):
@@ -81,3 +81,51 @@ class TestCholLogDet:
         out = symmetrize(s)
         np.testing.assert_allclose(out, out.T)
 
+
+
+def cholesky_loop(m, what):
+    """The per-member loop `cholesky_stack` ran once any member failed,
+    kept as its oracle."""
+    chol, errors = np.empty_like(m), {}
+    for i, mi in enumerate(m):
+        try:
+            chol[i] = np.linalg.cholesky(mi)
+        except np.linalg.LinAlgError as exc:
+            chol[i] = np.eye(m.shape[-1])
+            errors[i] = NotPositiveDefiniteError(f"{what} is not positive definite: {exc}")
+    return chol, errors
+
+
+class TestCholeskyStack:
+    @pytest.mark.parametrize(
+        "r, bad",
+        [(1, ()), (1, (0,)), (2, (1,)), (7, (0, 6)), (64, (5,)), (64, (30, 31, 32, 63)),
+         (33, tuple(range(33)))],
+    )
+    def test_matches_the_per_member_loop(self, r, bad):
+        rng = np.random.default_rng(r + len(bad))
+        m = np.stack([random_pd(rng, 3) for _ in range(r)])
+        m[list(bad)] = np.diag([1.0, -1.0, 1.0])
+        chol, errors = cholesky_stack(m, "s + B")
+        want_chol, want_errors = cholesky_loop(m, "s + B")
+        np.testing.assert_array_equal(chol, want_chol)
+        assert list(errors) == list(want_errors) == list(bad)
+        assert [(type(e), str(e)) for e in errors.values()] == [
+            (type(e), str(e)) for e in want_errors.values()
+        ]
+
+    def test_retries_only_the_halves_that_fail(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(len(a))
+            return cholesky(a)
+
+        rng = np.random.default_rng(3)
+        m = np.stack([random_pd(rng, 3) for _ in range(64)])
+        m[40] = 0.0
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        assert list(cholesky_stack(m)[1]) == [40]
+        # the whole stack, then both halves at each of log2(64) = 6 levels
+        assert len(calls) == 13 and sum(calls) == 64 + 2 * (32 + 16 + 8 + 4 + 2 + 1)
