@@ -41,8 +41,8 @@ from .priors import (
 from .montecarlo import oracle_hyper
 from .regression import (
     RegressionData,
-    enumerate_covariates,
-    fit_regression,
+    _fit_subsets,
+    _rank_subsets,
     lambda_path,
     standard_hypers,
 )
@@ -398,27 +398,22 @@ def _cmd_regress(args) -> int:
         return 0
 
     hypers = _load_regression_hypers(args, data.d1, data.d2)
+    # the fits' JSON rows, read from each stack's columns: no per-subset report objects
     if args.enumerate_subsets:
-        fits = enumerate_covariates(data, hypers, names=names or None, criterion=args.criterion)
+        rows = _rank_subsets(data, hypers, names or None, criterion=args.criterion).jsonable()
     else:
-        fits = [fit_regression(data, hypers, subset=tuple(names or range(data.d2)))]
+        rows = _fit_subsets(data, hypers, None, [tuple(names or range(data.d2))]).jsonable()
     lines = ["| covariates | structure | log evidence | pcBIC |", "|---|---|---|---|"]
-    for fit in fits:
-        label = ", ".join(str(sname) for sname in fit.subset) or "(none)"
+    for row in rows:
+        label = ", ".join(str(sname) for sname in row["subset"]) or "(none)"
         for structure in SIMPLEST_FIRST:
-            rep = fit.reports[structure]
+            rep = row["reports"][structure]
             lines.append(
-                f"| {label} | {structure} | {rep.log_evidence:.1f} | {_fmt(rep.pc_bic)} |"
+                f"| {label} | {structure} | {rep['log_evidence']:.1f} | {_fmt(rep['pc_bic'])} |"
             )
     _write_text(None, "\n".join(lines))
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "manifest": _manifest(args, "regress"),
-                "fits": [fit.to_jsonable() for fit in fits],
-            },
-        )
+        _write_json(args.json, {"manifest": _manifest(args, "regress"), "fits": rows})
     return 0
 
 

@@ -183,6 +183,8 @@ class SimConfig:
             raise ConfigError(
                 "empirical-Bayes schemes need n >= d for a positive definite scatter"
             )
+        if not math.isfinite(self.prior_sample_size):
+            raise ConfigError("the prior sample size m must be finite")
         if self.scheme in ("empirical-bayes", "vs-mclust") and self.prior_sample_size <= 0:
             raise ConfigError("empirical-Bayes schemes need a prior sample size m > 0")
 

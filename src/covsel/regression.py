@@ -45,9 +45,9 @@ from .priors import (
 )
 from .specialfn import LOG_PI, chol_log_det, cholesky_pd, symmetrize
 from .structures import (
-    SIMPLEST_FIRST,
     FitReport,
     StackFit,
+    _jsonable_reports,
     criterion_matrix,
     fit_structure,
     log_likelihood,
@@ -330,17 +330,6 @@ def _check_criterion(criterion: str) -> None:
         )
 
 
-def _simplest_best_values(values: np.ndarray, criterion: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Each row's choice (see `simplest_best`) of an (r, 3) criterion matrix
-    in SIMPLEST_FIRST column order, and its value; raises where a row has none."""
-    j = simplest_best(values)
-    if (j < 0).any():
-        raise EmptyDatasetError(
-            f"criterion {criterion} has no value (BIC-type criteria need n >= 1)"
-        )
-    return j, values[np.arange(len(j)), j]
-
-
 @dataclass(frozen=True)
 class RegressionFit:
     """Per-structure reports for one covariate subset."""
@@ -349,64 +338,96 @@ class RegressionFit:
     gamma_hats: Dict[str, np.ndarray]
     reports: Dict[str, FitReport]
 
-    def best(self, criterion: str = "evidence") -> Tuple[str, float]:
-        """The selected structure and its value; among values within the
-        tie tolerance of the best, the simplest structure wins."""
-        _check_criterion(criterion)
-        values = np.array(
-            [[self.reports[s].criterion_value(criterion) if s in self.reports else None
-              for s in SIMPLEST_FIRST]],
-            dtype=float,  # None, for an absent structure or an undefined value, becomes NaN
-        )
-        j, best = _simplest_best_values(values, criterion)
-        return SIMPLEST_FIRST[j[0]], float(best[0])
-
     def to_jsonable(self) -> dict:
-        return {
-            "subset": list(self.subset),
-            "reports": {s: rep.to_jsonable() for s, rep in self.reports.items()},
-        }
+        return _fit_jsonable(self.subset, {s: rep.to_jsonable() for s, rep in self.reports.items()})
+
+
+def _fit_jsonable(subset: Tuple, reports: Dict[str, dict]) -> dict:
+    return {"subset": list(subset), "reports": reports}
+
+
+# _Stack and _Ranked are plain classes: a NamedTuple's class creation would add
+# about 0.25 ms to the import of every command
+class _Stack:
+    """The fits of a stack of covariate subsets of one size, kept as arrays:
+    their labels, and each structure's StackFit and coefficient means (r, d1, k)."""
+
+    def __init__(
+        self, labels: List[Tuple], fits: Dict[str, StackFit], gamma_hats: Dict[str, np.ndarray]
+    ):
+        self.labels, self.fits, self.gamma_hats = labels, fits, gamma_hats
+
+    def regression_fits(self) -> List[RegressionFit]:
+        return [
+            RegressionFit(
+                subset=label,
+                gamma_hats={s: g[i] for s, g in self.gamma_hats.items()},
+                reports={s: fit.report(i) for s, fit in self.fits.items()},
+            )
+            for i, label in enumerate(self.labels)
+        ]
+
+    def jsonable(self) -> List[dict]:
+        """Each subset's `RegressionFit.to_jsonable()`, read from whole columns."""
+        reports = {s: _jsonable_reports(fit) for s, fit in self.fits.items()}
+        return [
+            _fit_jsonable(label, {s: rows[i] for s, rows in reports.items()})
+            for i, label in enumerate(self.labels)
+        ]
+
+
+class _Ranked:
+    """Stacks of covariate subsets and their rank order: indices into the
+    subsets of all stacks, in stack order."""
+
+    def __init__(self, stacks: List[_Stack], order: np.ndarray):
+        self.stacks, self.order = stacks, order
+
+    def regression_fits(self) -> List[RegressionFit]:
+        fits = [fit for stack in self.stacks for fit in stack.regression_fits()]
+        return [fits[i] for i in self.order]
+
+    def jsonable(self) -> List[dict]:
+        rows = [row for stack in self.stacks for row in stack.jsonable()]
+        return [rows[i] for i in self.order]
 
 
 def fit_regression(data: RegressionData, hypers: Dict[str, RegressionHyper], subset=()) -> RegressionFit:
     """Fit every provided structure's regression model on the same data:
     a batch of one of the covariate-subset scorer, with every column."""
-    return _fit_subsets(data, hypers, None, [tuple(subset)])[0][0]
+    return _fit_subsets(data, hypers, None, [tuple(subset)]).regression_fits()[0]
 
 
 def _fit_subsets(
-    data: RegressionData, hypers: Dict[str, RegressionHyper], subsets, labels: Sequence[Tuple]
-) -> Tuple[List[RegressionFit], Dict[str, StackFit]]:
+    data: RegressionData, hypers: Dict[str, RegressionHyper], subsets, labels: List[Tuple]
+) -> _Stack:
     """Fit every provided structure's regression model to a stack of
-    covariate subsets of one size (see `effective_stats`), named `labels`;
-    returns their RegressionFits and each structure's StackFit.
+    covariate subsets of one size (see `effective_stats`), named `labels`.
 
     The coefficient estimate and the effective scatter depend only on
     (nu, Lambda), not on the variance structure, so they are computed
     once per distinct (nu, Lambda) and shared. Criteria use the joint
     MAP, with k = structure parameters + d1*d2 coefficients. The Kashyap
     criterion is not defined here and reported as missing. A subset that
-    a structure cannot fit raises the reason, in subset order. A prior
-    filed under another structure's key raises ConfigError.
+    a structure cannot fit raises the reason: the lowest such subset, and
+    of its failed structures the first in `hypers`. A prior filed under
+    another structure's key raises ConfigError.
     """
     shared: Dict[tuple, EffectiveStats] = {}
-    fits, effs = {}, {}
+    fits, gamma_hats = {}, {}
     for structure, rh in hypers.items():
         if structure != rh.cov.structure:
             raise ConfigError(f"key {structure!r} holds a structure-{rh.cov.structure} prior")
         key = (rh.nu.shape, rh.nu.tobytes(), rh.lam.tobytes())
         if key not in shared:
             shared[key] = effective_stats(data, rh, subsets)
-        effs[structure] = eff = shared[key]
-        fits[structure] = _regression_fit(rh, eff, data.n)
-    return [
-        RegressionFit(
-            subset=label,
-            gamma_hats={s: eff.gamma_hat[i] for s, eff in effs.items()},
-            reports={s: fit.report(i) for s, fit in fits.items()},
-        )
-        for i, label in enumerate(labels)
-    ], fits
+        gamma_hats[structure] = shared[key].gamma_hat
+        fits[structure] = _regression_fit(rh, shared[key], data.n)
+    failed = [(min(fit.errors), j, fit) for j, fit in enumerate(fits.values()) if fit.errors]
+    if failed:
+        i, _, fit = min(failed)
+        raise fit.errors[i]
+    return _Stack(labels, fits, gamma_hats)
 
 
 def standard_hypers(
@@ -448,6 +469,19 @@ def enumerate_covariates(
     output is invariant to the order candidates are supplied in. Sorted
     by the best value of `criterion` across structures, descending.
     """
+    ranked = _rank_subsets(data, hypers, names, include_empty, criterion, max_candidates)
+    return ranked.regression_fits()
+
+
+def _rank_subsets(
+    data: RegressionData,
+    hypers: Dict[str, RegressionHyper],
+    names: Optional[Sequence[str]] = None,
+    include_empty: bool = False,
+    criterion: str = "evidence",
+    max_candidates: int = 20,
+) -> _Ranked:
+    """`enumerate_covariates` with each stack's fits kept as arrays."""
     d2 = data.d2
     _check_criterion(criterion)
     if d2 > max_candidates:
@@ -455,18 +489,22 @@ def enumerate_covariates(
     labels = tuple(names) if names is not None else tuple(range(d2))
     if len(labels) != d2:
         raise ConfigError("names length must match the covariate count")
-    fits, values = [], []
+    stacks, values = [], []
     for size in range(0 if include_empty else 1, d2 + 1):
         combos = combinations(range(d2), size)
         while block := list(islice(combos, _MAX_STACK)):
             subsets = [tuple(sorted(labels[i] for i in idx) if names else idx) for idx in block]
-            stack, structure_fits = _fit_subsets(data, hypers, np.array(block, dtype=int), subsets)
-            fits += stack
-            values.append(criterion_matrix(structure_fits, criterion, len(block)))
-    if not fits:
-        return fits
-    _, best = _simplest_best_values(np.concatenate(values), criterion)
-    return [fits[i] for i in np.argsort(-best, kind="stable")]
+            stacks.append(_fit_subsets(data, hypers, np.array(block, dtype=int), subsets))
+            values.append(criterion_matrix(stacks[-1].fits, criterion, len(block)))
+    if not stacks:
+        return _Ranked(stacks, np.zeros(0, dtype=int))
+    values = np.concatenate(values)
+    j = simplest_best(values)
+    if (j < 0).any():
+        raise EmptyDatasetError(
+            f"criterion {criterion} has no value (BIC-type criteria need n >= 1)"
+        )
+    return _Ranked(stacks, np.argsort(-values[np.arange(len(j)), j], kind="stable"))
 
 
 @dataclass(frozen=True)

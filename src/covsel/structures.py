@@ -227,21 +227,36 @@ class FitReport:
         """The MAP as a half-precision, built on request."""
         return from_array(self.structure, self.map_array, self.dim)
 
-    def criterion_value(self, criterion: str) -> Optional[float]:
-        return getattr(self, _CRITERION_FIELD[criterion])
-
     def to_jsonable(self) -> dict:
-        return {
-            "structure": self.structure,
-            "map": np.asarray(self.map_array).tolist(),
-            "log_lik_at_map": self.log_lik_at_map,
-            "log_evidence": self.log_evidence,
-            "flexibility_at_map": self.flexibility_at_map,
-            "bic": self.bic,
-            "pc_bic": self.pc_bic,
-            "kic": self.kic,
-            "k": self.k,
-        }
+        return _report_jsonable(
+            self.structure,
+            np.asarray(self.map_array).tolist(),
+            self.log_lik_at_map,
+            self.log_evidence,
+            self.flexibility_at_map,
+            self.bic,
+            self.pc_bic,
+            self.kic,
+            self.k,
+        )
+
+
+def _report_jsonable(
+    structure, map_, log_lik, log_evidence, flexibility, bic, pc_bic, kic, k
+) -> dict:
+    """The JSON form of one replicate's fit: `FitReport.to_jsonable`, and
+    `_jsonable_reports` without building the FitReports."""
+    return {
+        "structure": structure,
+        "map": map_,
+        "log_lik_at_map": log_lik,
+        "log_evidence": log_evidence,
+        "flexibility_at_map": flexibility,
+        "bic": bic,
+        "pc_bic": pc_bic,
+        "kic": kic,
+        "k": k,
+    }
 
 
 @dataclass(frozen=True)
@@ -304,6 +319,17 @@ class StackFit:
             kic=at(self.kic),
             k=self.k,
         )
+
+
+def _jsonable_reports(fit: StackFit) -> List[dict]:
+    """Each replicate's `report(i).to_jsonable()`, read from whole columns;
+    the fit must have no errors."""
+    r = len(fit.valid)
+    columns = [
+        [None] * r if values is None else values.tolist()
+        for values in (fit.log_lik, fit.log_evidence, fit.flexibility, fit.bic, fit.pc_bic, fit.kic)
+    ]
+    return [_report_jsonable(fit.structure, *row, fit.k) for row in zip(fit.map.tolist(), *columns)]
 
 
 def fit_stack(s: np.ndarray, n: int, hypers: HyperTriple) -> Dict[str, StackFit]:

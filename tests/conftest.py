@@ -19,6 +19,7 @@ from covsel.priors import (
 )
 from covsel.specialfn import LOG_PI
 from covsel.structures import (
+    _CRITERION_FIELD,
     SIMPLEST_FIRST,
     StackFit,
     criterion_matrix,
@@ -62,6 +63,18 @@ def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[
     of `run_cell`, which keeps its picks as indices until it writes them."""
     picks = simplest_best(criterion_matrix(fits, criterion, len(fits["C"].valid)))
     return [SIMPLEST_FIRST[j] if j >= 0 else None for j in picks]
+
+
+def regression_pick(fit, criterion: str = "evidence") -> Tuple[Optional[str], float]:
+    """The structure a covariate subset's RegressionFit selects under
+    `criterion`, and its value; (None, NaN) where no structure has one. The
+    pick oracle of `enumerate_covariates`' ranking, on `simplest_best`."""
+    values = np.array(
+        [[getattr(fit.reports[s], _CRITERION_FIELD[criterion]) for s in SIMPLEST_FIRST]],
+        dtype=float,  # None, for an undefined value, becomes NaN
+    )
+    j = simplest_best(values)[0]
+    return (SIMPLEST_FIRST[j], float(values[0, j])) if j >= 0 else (None, math.nan)
 
 
 def theta_log_det(theta) -> float:

@@ -44,6 +44,10 @@ COMMANDS = {
     "rates-fixed-A-vs-D": _RATES + ["--pair", "A-vs-D", "--truth", "A"] + _FIXED,
     "regress-enumerate": _REGRESS
     + ["--covariates", "petal_width", "petal_length", "--intercept", "--enumerate"],
+    "regress-enumerate-pcbic": _REGRESS
+    + ["--covariates", "petal_width", "petal_length", "--intercept", "--enumerate"]
+    + ["--criterion", "pcbic"],
+    "regress-single": _REGRESS + ["--covariates", "petal_width", "petal_length", "--intercept"],
     "regress-lambda-path": [
         "regress", IRIS, "--response", "sepal_width", "--covariates", "sepal_length",
         "petal_width", "petal_length", "--lambda-path", "0.1", "0.4", "0.5", "1", "3",

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import covsel
@@ -72,6 +73,37 @@ def test_no_scipy_at_import():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_no_numpy_ma_on_the_regress_path(tmp_path):
+    # the stacked subset columns are written without numpy's masked arrays,
+    # whose import costs every fresh process several milliseconds
+    csv = tmp_path / "data.csv"
+    rows = np.random.default_rng(5).standard_normal((20, 4))
+    csv.write_text("a,b,c,d\n" + "\n".join(",".join(map(repr, r.tolist())) for r in rows))
+    argv = ["regress", str(csv), "--response", "a", "b", "--covariates", "c", "d", "--enumerate"]
+    code = (
+        "import sys, covsel.cli; loaded = 'numpy.ma' in sys.modules; "
+        f"covsel.cli.main({argv!r}); "
+        "print(loaded, 'numpy.ma' in sys.modules, file=sys.stderr)"
+    )
+    src = str(Path(covsel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert "| c, d |" in out.stdout
+    assert out.stderr.splitlines()[-1] == "False False"
+
+
+def test_regression_fit_has_no_hand_built_choice():
+    # a subset's choice is read from the stacked criterion matrix, not from
+    # a per-subset row of FitReport values
+    from covsel.regression import RegressionFit
+    from covsel.structures import FitReport
+
+    assert not hasattr(RegressionFit, "best")
+    assert not hasattr(FitReport, "criterion_value")
 
 
 def test_precision_classes_carry_no_arithmetic():

@@ -13,6 +13,7 @@ import covsel.cli as cli
 from covsel.cli import main
 
 IRIS = str(resources.files("covsel") / "datasets" / "iris_setosa.csv")
+COVARIATES = ["petal_width", "petal_length"]
 
 
 def run(args):
@@ -435,6 +436,93 @@ class TestRegress:
         assert lines[0].startswith("lambda,")
         assert len(lines) == 4
         assert lines[1].split(",")[-1] == "1"  # 0.3 < 1/2: non-regular flag
+
+
+def object_path_output(intercept, enumerate_subsets, criterion):
+    """stdout and `fits` of `regress` on iris, [sepal width, sepal length] on
+    petal width and length, as written from per-subset RegressionFits: the
+    table loop and `to_jsonable` that the stacked columns replaced."""
+    from covsel.data import load_csv
+    from covsel.regression import (
+        RegressionData, enumerate_covariates, fit_regression, standard_hypers,
+    )
+    from covsel.structures import SIMPLEST_FIRST
+
+    iris = load_csv(IRIS)
+    y, x = iris.select(["sepal_width", "sepal_length"]).rows, iris.select(COVARIATES).rows
+    names = list(COVARIATES)
+    if intercept:
+        x, names = np.column_stack([np.ones(len(x)), x]), ["intercept"] + names
+    data = RegressionData(y, x)
+    hypers = standard_hypers(data.d1, data.d2)
+    if enumerate_subsets:
+        fits = enumerate_covariates(data, hypers, names=names, criterion=criterion)
+    else:
+        fits = [fit_regression(data, hypers, subset=tuple(names))]
+    lines = ["| covariates | structure | log evidence | pcBIC |", "|---|---|---|---|"]
+    for fit in fits:
+        label = ", ".join(str(sname) for sname in fit.subset) or "(none)"
+        for structure in SIMPLEST_FIRST:
+            rep = fit.reports[structure]
+            lines.append(
+                f"| {label} | {structure} | {rep.log_evidence:.1f} | {cli._fmt(rep.pc_bic)} |"
+            )
+    return "\n".join(lines) + "\n", [fit.to_jsonable() for fit in fits]
+
+
+class TestRegressColumns:
+    """`regress` writes its table and `fits` from the stacked subset columns."""
+
+    @pytest.mark.parametrize("criterion", ["evidence", "bic", "pcbic"])
+    @pytest.mark.parametrize("intercept", [False, True], ids=["", "intercept"])
+    @pytest.mark.parametrize("enumerate_subsets", [False, True], ids=["single", "enumerate"])
+    def test_matches_the_object_path(
+        self, tmp_path, capsys, criterion, intercept, enumerate_subsets
+    ):
+        argv = ["regress", IRIS, "--response", "sepal_width", "sepal_length", "--covariates"]
+        argv += COVARIATES + ["--criterion", criterion]
+        argv += ["--intercept"] * intercept + ["--enumerate"] * enumerate_subsets
+        out = tmp_path / "fits.json"
+        assert run(argv + ["--json", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        text = out.read_text(encoding="utf-8")
+        want_stdout, want_fits = object_path_output(intercept, enumerate_subsets, criterion)
+        assert stdout == want_stdout
+        doc = json.loads(text)
+        assert doc["fits"] == want_fits
+        assert text == cli._json_text({"manifest": doc["manifest"], "fits": want_fits}) + "\n"
+
+    def test_enumeration_builds_no_report_objects(self, tmp_path, monkeypatch):
+        from covsel.regression import RegressionFit
+        from covsel.structures import FitReport, StackFit
+
+        calls = []
+        for cls, name in [(StackFit, "report"), (FitReport, "to_jsonable"),
+                          (RegressionFit, "to_jsonable")]:
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original, _name=f"{cls.__name__}.{name}"):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        argv = ["regress", IRIS, "--response", "sepal_width", "sepal_length", "--covariates"]
+        argv += ["petal_width", "petal_length", "--intercept", "--enumerate"]
+        assert run(argv + ["--json", str(tmp_path / "fits.json")]) == 0
+        assert calls == []
+
+    def test_a_subset_that_cannot_be_fit_exits_3(self, tmp_path, capsys):
+        # no rows and alpha = 0.6: structure A has no mode with one covariate
+        # (shape 0.6 + 1/2 <= 3/2) but has one with two; the first subset raises
+        data, hyper = tmp_path / "empty.csv", tmp_path / "hyper.json"
+        data.write_text("a,b,c,d\n")
+        hyper.write_text('{"alpha": 0.6}')
+        argv = ["regress", str(data), "--hyper", str(hyper), "--response", "a", "b"]
+        assert run(argv + ["--covariates", "c", "d", "--enumerate"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: NonRegularPriorError: posterior mode undefined: "
+            "shape 1.1 <= (d+1)/2"
+        ]
 
 
 class TestRates:

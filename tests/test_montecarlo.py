@@ -304,6 +304,13 @@ class TestRunCell:
         with pytest.raises(ConfigError, match="prior sample size"):
             SimConfig(d=5, n_values=(6,), reps=20, scheme=scheme, prior_sample_size=m)
 
+    @pytest.mark.parametrize("scheme", montecarlo.SCHEMES)
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prior_sample_size_is_a_config_error(self, scheme, m):
+        # rejected as the config is made, not as a SupportError when a cell runs
+        with pytest.raises(ConfigError, match="prior sample size"):
+            SimConfig(d=2, n_values=(5,), reps=3, scheme=scheme, prior_sample_size=m)
+
     def test_row_sums(self):
         config = SimConfig(d=2, n_values=(4,), reps=40, seed=5)
         cells = [run_cell(config, t, 4) for t in TRUTH_ORDER]

@@ -57,7 +57,7 @@ from covsel.regression import (
 from covsel.specialfn import LOG_PI, chol_log_det, cholesky_pd
 from covsel.structures import fit_structure, log_evidence, log_likelihood, param_count
 
-from conftest import theta_log_det, theta_trace_product
+from conftest import regression_pick, theta_log_det, theta_trace_product
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -427,7 +427,7 @@ class TestEnumerateCovariates:
         fits = enumerate_covariates(data, standard_hypers(2, 3), names=names)
         best = fits[0]
         assert set(best.subset) == {"Int", "PL"}
-        assert best.best("evidence")[0] == "A"
+        assert regression_pick(best, "evidence")[0] == "A"
 
 
 class TestLambdaPath:
@@ -699,7 +699,7 @@ def subset_enumerate(data, hypers, include_empty, criterion="evidence"):
                 gammas[structure] = shared[key][0]
                 reports[structure] = subset_report(structure, rh, data.n, shared[key])
             fits.append(RegressionFit(subset=idx, gamma_hats=gammas, reports=reports))
-    fits.sort(key=lambda f: -f.best(criterion)[1])
+    fits.sort(key=lambda f: -regression_pick(f, criterion)[1])
     return fits
 
 
@@ -858,11 +858,27 @@ class TestSharedStatistics:
         np.testing.assert_array_equal(eff.shrink, np.zeros((2, 3, 3)))
 
 
+class TestFitFailure:
+    def test_first_failure_by_subset_then_hypers_order(self):
+        # no rows: with one covariate neither A (alpha 0.6) nor D (alpha 0.4)
+        # has a mode, with two both do; the error raised is that of the first
+        # structure in `hypers` at the first subset
+        data = RegressionData(np.empty((0, 2)), np.empty((0, 2)))
+        nu, lam = np.zeros((2, 2)), np.eye(2)
+        a = RegressionHyper(nu, lam, WishartHyper(0.6, np.eye(2)))
+        d = RegressionHyper(nu, lam, GammaVecHyper(0.4, np.ones(2)))
+        cases = [({"A": a, "D": d}, "shape 1.1 <="), ({"D": d, "A": a}, "shape 0.9 <=")]
+        for hypers, message in cases:
+            with pytest.raises(NonRegularPriorError, match=message):
+                enumerate_covariates(data, hypers)
+            assert set(fit_regression(data, hypers).reports) == {"A", "D"}
+
+
 class TestBestStructure:
     def test_kic_is_undefined_for_regression(self):
-        fit = fit_regression(toy_data(np.random.default_rng(33)), standard_hypers(2, 3))
+        data = toy_data(np.random.default_rng(33))
         with pytest.raises(ConfigError, match="undefined"):
-            fit.best("kic")
+            enumerate_covariates(data, standard_hypers(2, 3), criterion="kic")
 
     def test_enumeration_rejects_kic_before_fitting(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -887,7 +903,7 @@ class TestBestStructure:
         monkeypatch.setattr(regression, "simplest_best", counted)
         fits = enumerate_covariates(data, standard_hypers(2, 5), include_empty=True)
         assert shapes == [(32, 3)]
-        best = [fit.best("evidence")[1] for fit in fits]
+        best = [regression_pick(fit, "evidence")[1] for fit in fits]
         assert best == sorted(best, reverse=True)
 
     def test_no_candidates_and_no_empty_subset_gives_no_fits(self):
@@ -898,8 +914,7 @@ class TestBestStructure:
     def test_bic_at_n_zero_has_no_value(self):
         data = RegressionData(np.empty((0, 2)), np.empty((0, 3)))
         fit = fit_regression(data, standard_hypers(2, 3))
-        with pytest.raises(EmptyDatasetError):
-            fit.best("bic")
+        assert regression_pick(fit, "bic")[0] is None
         with pytest.raises(EmptyDatasetError):
             enumerate_covariates(data, standard_hypers(2, 3), criterion="bic")
 
@@ -907,13 +922,13 @@ class TestBestStructure:
         fit = fit_regression(toy_data(np.random.default_rng(35)), standard_hypers(2, 3))
         near = {"A": 100.0 + 2e-8, "D": 100.0 + 1e-8, "C": 100.0}  # within 1e-9 relative
         reports = {s: replace(r, log_evidence=near[s]) for s, r in fit.reports.items()}
-        assert replace(fit, reports=reports).best("evidence") == ("C", 100.0)
+        assert regression_pick(replace(fit, reports=reports), "evidence") == ("C", 100.0)
         near["D"] = 101.0
         reports = {s: replace(r, log_evidence=near[s]) for s, r in fit.reports.items()}
-        assert replace(fit, reports=reports).best("evidence") == ("D", 101.0)
+        assert regression_pick(replace(fit, reports=reports), "evidence") == ("D", 101.0)
 
     def test_tie_at_n_zero_goes_to_the_simplest_structure(self):
         data = RegressionData(np.empty((0, 2)), np.empty((0, 3)))
         fit = fit_regression(data, standard_hypers(2, 3))
         assert {rep.log_evidence for rep in fit.reports.values()} == {0.0}
-        assert fit.best("evidence") == ("C", 0.0)
+        assert regression_pick(fit, "evidence") == ("C", 0.0)
