@@ -162,16 +162,17 @@ class RateStudyConfig:
 
 
 def _check_design(n_grid: Tuple[int, ...], reps: int, seed: int, d: int, log_scaled=False) -> None:
-    """A study's reps, seed and n grid: integers, with n >= d (the scatters
-    are drawn as Wishart stacks, see `_draw`) and n >= 2 when scaled by log n."""
+    """A study's reps, seed and n grid: integers, the grid strictly increasing
+    (the slope needs a spread of n), with n >= d (the scatters are drawn as
+    Wishart stacks, see `_draw`) and n >= 2 when scaled by log n."""
     if not all(isinstance(v, (int, np.integer)) for v in (reps, seed, *n_grid)):
         raise ConfigError("reps, seed and the n grid must be integers")
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     if len(n_grid) == 0 or any(n < 1 for n in n_grid):
         raise ConfigError("n_grid must be nonempty positive integers")
-    if list(n_grid) != sorted(n_grid):
-        raise ConfigError("n_grid must be increasing")
+    if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+        raise ConfigError("n_grid must be strictly increasing")
     if log_scaled and n_grid[0] < 2:
         raise ConfigError("a nested-true study scales by log n and needs n >= 2")
     if n_grid[0] < d:

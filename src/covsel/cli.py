@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 Every command that takes --seed produces byte-identical JSON across runs;
 wall-clock timing is therefore reported on stderr, not inside the JSON
-payload.
+payload. Each command returns its JSON document; `main` adds the manifest
+and writes it to --json.
 """
 
 import argparse
@@ -42,6 +43,7 @@ from .montecarlo import oracle_hyper
 from .regression import (
     RegressionData,
     _fit_subsets,
+    _in_order,
     _rank_subsets,
     lambda_path,
     standard_hypers,
@@ -59,7 +61,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     start = time.monotonic()
     try:
-        rc = args.func(args)
+        doc = args.func(args)
+        if args.json:
+            _write_text(args.json, _json_text({"manifest": _manifest(args), **doc}))
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -67,7 +71,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     print(f"[covsel] done in {time.monotonic() - start:.2f}s", file=sys.stderr)
-    return rc
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,10 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(args, command: str) -> dict:
+def _manifest(args) -> dict:
     config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     return {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": config.get("seed"),
         "version": __version__,
@@ -234,8 +238,13 @@ def _json_text(doc) -> str:
     return "".join(out)
 
 
-def _write_json(path: Optional[str], doc: dict) -> None:
-    _write_text(path, _json_text(doc))
+def _write_csv(path: Optional[str], rows: List[dict]) -> None:
+    """Write dict rows as CSV to `path`, or to stdout when there is none: the
+    header is the first row's keys, a cell is `str` of its value (a float's
+    repr) and a bool is 0 or 1."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(str(int(v) if type(v) is bool else v) for v in row.values()) for row in rows]
+    _write_text(path, "\n".join(lines))
 
 
 def _read_json(path: str) -> dict:
@@ -253,7 +262,7 @@ def _read_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_select(args) -> int:
+def _cmd_select(args) -> dict:
     with _path_errors(args.data):
         data = load_csv(args.data, has_header=not args.no_header, columns=args.columns)
     if args.center:
@@ -291,20 +300,16 @@ def _cmd_select(args) -> int:
         )
     for structure, msg in result.skipped.items():
         print(f"skipped {structure}: {msg}", file=sys.stderr)
-    doc = {
-        "manifest": _manifest(args, "select"),
+    return {
         "n": stats.n,
         "d": stats.d,
         "criterion": args.criterion,
         "ranked": [rep.to_jsonable() for rep in result.ranked],
         "skipped": result.skipped,
     }
-    if args.json:
-        _write_json(args.json, doc)
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     scheme = {"oracle": "oracle", "eb": "empirical-bayes", "vs-mclust": "vs-mclust"}[args.table]
     criteria = ("bic", "pcbic", "evidence")
     configs = [
@@ -329,9 +334,7 @@ def _cmd_simulate(args) -> int:
             if args.records:
                 entry["records"] = {cell.truth: cell.selected for cell in cells}
             doc_tables.append(entry)
-    if args.json:
-        _write_json(args.json, {"manifest": _manifest(args, "simulate"), "tables": doc_tables})
-    return 0
+    return {"tables": doc_tables}
 
 
 def _load_regression_hypers(args, d1: int, d2: int):
@@ -352,7 +355,7 @@ def _load_regression_hypers(args, d1: int, d2: int):
     return hypers
 
 
-def _cmd_regress(args) -> int:
+def _cmd_regress(args) -> dict:
     with _path_errors(args.data):
         full = load_csv(args.data, has_header=not args.no_header)
     y = full.select(args.response)
@@ -379,28 +382,15 @@ def _cmd_regress(args) -> int:
     data = RegressionData(y.rows, x)
 
     if args.lambda_path:
-        rows = lambda_path(data, args.lambda_path)
-        lines = ["lambda,log_evidence,flexibility,bic_penalty,pcbic_penalty,non_regular"]
-        for r in rows:
-            lines.append(
-                f"{r.lam},{r.log_evidence!r},{r.flexibility!r},{r.bic_penalty!r},"
-                f"{r.pcbic_penalty!r},{int(r.non_regular)}"
-            )
-        _write_text(args.out, "\n".join(lines))
-        if args.json:
-            _write_json(
-                args.json,
-                {
-                    "manifest": _manifest(args, "regress"),
-                    "lambda_path": [r.to_jsonable() for r in rows],
-                },
-            )
-        return 0
+        rows = [row.to_jsonable() for row in lambda_path(data, args.lambda_path)]
+        _write_csv(args.out, rows)
+        return {"lambda_path": rows}
 
     hypers = _load_regression_hypers(args, data.d1, data.d2)
     # the fits' JSON rows, read from each stack's columns: no per-subset report objects
     if args.enumerate_subsets:
-        rows = _rank_subsets(data, hypers, names or None, criterion=args.criterion).jsonable()
+        stacks, order = _rank_subsets(data, hypers, names or None, criterion=args.criterion)
+        rows = _in_order([stack.jsonable() for stack in stacks], order)
     else:
         rows = _fit_subsets(data, hypers, None, [tuple(names or range(data.d2))]).jsonable()
     lines = ["| covariates | structure | log evidence | pcBIC |", "|---|---|---|---|"]
@@ -412,9 +402,7 @@ def _cmd_regress(args) -> int:
                 f"| {label} | {structure} | {rep['log_evidence']:.1f} | {_fmt(rep['pc_bic'])} |"
             )
     _write_text(None, "\n".join(lines))
-    if args.json:
-        _write_json(args.json, {"manifest": _manifest(args, "regress"), "fits": rows})
-    return 0
+    return {"fits": rows}
 
 
 def _fixed_theta(text: str) -> FullPrecision:
@@ -427,7 +415,7 @@ def _fixed_theta(text: str) -> FullPrecision:
     return FullPrecision(0.5 * np.linalg.inv(sigma))
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args) -> dict:
     fixed_theta = None
     d = args.d
     if args.fixed_sigma:
@@ -445,20 +433,11 @@ def _cmd_rates(args) -> int:
         fixed_theta=fixed_theta,
     )
     result = rate_study(config)
-    lines = ["n,scaled_statistic,se,target,pair,truth"]
-    for row in result.rows:
-        lines.append(
-            f"{row.n},{row.scaled_mean!r},{row.se!r},{result.target!r},"
-            f"{result.pair},{result.truth}"
-        )
-    _write_text(args.out, "\n".join(lines))
+    study = result.to_jsonable()
+    _write_csv(args.out, [dict(row, pair=result.pair, truth=result.truth) for row in study["rows"]])
     if result.slope is not None:
         print(f"slope = {result.slope:.4f} (target {result.target:.4f})", file=sys.stderr)
-    if args.json:
-        _write_json(
-            args.json, {"manifest": _manifest(args, "rates"), "study": result.to_jsonable()}
-        )
-    return 0
+    return {"study": study}
 
 
 def _fmt(v) -> str:

@@ -158,7 +158,8 @@ def _first_fault(rows, width) -> CsvParseError:
 def _resolve_columns(columns, names, width):
     """0-based indices of `columns`: header names, or indices given as integers
     or as strings of decimal digits (as on a command line) that are not names."""
-    if len(list(columns)) == 0:
+    columns = list(columns)  # read once: `columns` may be an iterator
+    if not columns:
         raise CsvParseError("empty column selection")
     idx = []
     for c in columns:

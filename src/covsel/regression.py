@@ -47,7 +47,6 @@ from .specialfn import LOG_PI, chol_log_det, cholesky_pd, symmetrize
 from .structures import (
     FitReport,
     StackFit,
-    _jsonable_reports,
     criterion_matrix,
     fit_structure,
     log_likelihood,
@@ -346,8 +345,8 @@ def _fit_jsonable(subset: Tuple, reports: Dict[str, dict]) -> dict:
     return {"subset": list(subset), "reports": reports}
 
 
-# _Stack and _Ranked are plain classes: a NamedTuple's class creation would add
-# about 0.25 ms to the import of every command
+# _Stack is a plain class: a NamedTuple's class creation would add about
+# 0.25 ms to the import of every command
 class _Stack:
     """The fits of a stack of covariate subsets of one size, kept as arrays:
     their labels, and each structure's StackFit and coefficient means (r, d1, k)."""
@@ -369,33 +368,25 @@ class _Stack:
 
     def jsonable(self) -> List[dict]:
         """Each subset's `RegressionFit.to_jsonable()`, read from whole columns."""
-        reports = {s: _jsonable_reports(fit) for s, fit in self.fits.items()}
+        reports = {s: fit.rows() for s, fit in self.fits.items()}
         return [
             _fit_jsonable(label, {s: rows[i] for s, rows in reports.items()})
             for i, label in enumerate(self.labels)
         ]
 
 
-class _Ranked:
-    """Stacks of covariate subsets and their rank order: indices into the
-    subsets of all stacks, in stack order."""
-
-    def __init__(self, stacks: List[_Stack], order: np.ndarray):
-        self.stacks, self.order = stacks, order
-
-    def regression_fits(self) -> List[RegressionFit]:
-        fits = [fit for stack in self.stacks for fit in stack.regression_fits()]
-        return [fits[i] for i in self.order]
-
-    def jsonable(self) -> List[dict]:
-        rows = [row for stack in self.stacks for row in stack.jsonable()]
-        return [rows[i] for i in self.order]
+def _in_order(per_stack: List[list], order: np.ndarray) -> list:
+    """Lists of per-subset items, one per stack in stack order (as
+    `_rank_subsets` returns the stacks), joined and put in rank `order`."""
+    items = [item for stack_items in per_stack for item in stack_items]
+    return [items[i] for i in order]
 
 
-def fit_regression(data: RegressionData, hypers: Dict[str, RegressionHyper], subset=()) -> RegressionFit:
+def fit_regression(data: RegressionData, hypers: Dict[str, RegressionHyper]) -> RegressionFit:
     """Fit every provided structure's regression model on the same data:
-    a batch of one of the covariate-subset scorer, with every column."""
-    return _fit_subsets(data, hypers, None, [tuple(subset)]).regression_fits()[0]
+    a batch of one of the covariate-subset scorer, with every column,
+    labelled as the subset of every column index."""
+    return _fit_subsets(data, hypers, None, [tuple(range(data.d2))]).regression_fits()[0]
 
 
 def _fit_subsets(
@@ -469,8 +460,8 @@ def enumerate_covariates(
     output is invariant to the order candidates are supplied in. Sorted
     by the best value of `criterion` across structures, descending.
     """
-    ranked = _rank_subsets(data, hypers, names, include_empty, criterion, max_candidates)
-    return ranked.regression_fits()
+    stacks, order = _rank_subsets(data, hypers, names, include_empty, criterion, max_candidates)
+    return _in_order([stack.regression_fits() for stack in stacks], order)
 
 
 def _rank_subsets(
@@ -480,8 +471,10 @@ def _rank_subsets(
     include_empty: bool = False,
     criterion: str = "evidence",
     max_candidates: int = 20,
-) -> _Ranked:
-    """`enumerate_covariates` with each stack's fits kept as arrays."""
+) -> Tuple[List[_Stack], np.ndarray]:
+    """`enumerate_covariates` with each stack's fits kept as arrays: the
+    stacks, and the rank order of their subsets as indices into the subsets
+    of all stacks, in stack order (see `_in_order`)."""
     d2 = data.d2
     _check_criterion(criterion)
     if d2 > max_candidates:
@@ -497,14 +490,14 @@ def _rank_subsets(
             stacks.append(_fit_subsets(data, hypers, np.array(block, dtype=int), subsets))
             values.append(criterion_matrix(stacks[-1].fits, criterion, len(block)))
     if not stacks:
-        return _Ranked(stacks, np.zeros(0, dtype=int))
+        return stacks, np.zeros(0, dtype=int)
     values = np.concatenate(values)
     j = simplest_best(values)
     if (j < 0).any():
         raise EmptyDatasetError(
             f"criterion {criterion} has no value (BIC-type criteria need n >= 1)"
         )
-    return _Ranked(stacks, np.argsort(-values[np.arange(len(j)), j], kind="stable"))
+    return stacks, np.argsort(-values[np.arange(len(j)), j], kind="stable")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ floating-point accuracy by construction.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -206,6 +207,18 @@ def _hessian_logdet(structure: str, d: int, log_det_h):
     return -d * math.log(2) - (d + 1) * log_det_h
 
 
+# each value field of FitReport and the StackFit column it is read from
+_REPORT_FIELDS = {
+    "log_lik_at_map": "log_lik",
+    "log_evidence": "log_evidence",
+    "flexibility_at_map": "flexibility",
+    "bic": "bic",
+    "pc_bic": "pc_bic",
+    "kic": "kic",
+}
+_REPORT_KEYS = ("structure", "map", *_REPORT_FIELDS, "k")
+
+
 @dataclass(frozen=True)
 class FitReport:
     """Everything a single structure's fit produces. The MAP is kept in
@@ -228,35 +241,9 @@ class FitReport:
         return from_array(self.structure, self.map_array, self.dim)
 
     def to_jsonable(self) -> dict:
-        return _report_jsonable(
-            self.structure,
-            np.asarray(self.map_array).tolist(),
-            self.log_lik_at_map,
-            self.log_evidence,
-            self.flexibility_at_map,
-            self.bic,
-            self.pc_bic,
-            self.kic,
-            self.k,
-        )
-
-
-def _report_jsonable(
-    structure, map_, log_lik, log_evidence, flexibility, bic, pc_bic, kic, k
-) -> dict:
-    """The JSON form of one replicate's fit: `FitReport.to_jsonable`, and
-    `_jsonable_reports` without building the FitReports."""
-    return {
-        "structure": structure,
-        "map": map_,
-        "log_lik_at_map": log_lik,
-        "log_evidence": log_evidence,
-        "flexibility_at_map": flexibility,
-        "bic": bic,
-        "pc_bic": pc_bic,
-        "kic": kic,
-        "k": k,
-    }
+        values = [getattr(self, name) for name in _REPORT_FIELDS]
+        map_ = np.asarray(self.map_array).tolist()
+        return dict(zip(_REPORT_KEYS, (self.structure, map_, *values, self.k)))
 
 
 @dataclass(frozen=True)
@@ -303,33 +290,22 @@ class StackFit:
         """Replicate i as a FitReport; raises the reason it could not be fit."""
         if i in self.errors:
             raise self.errors[i]
-
-        def at(values):
-            return None if values is None else float(values[i])
-
+        values = {name: getattr(self, column) for name, column in _REPORT_FIELDS.items()}
         return FitReport(
             structure=self.structure,
             map_array=self.map[i],
             dim=self.dim,
-            log_lik_at_map=at(self.log_lik),
-            log_evidence=at(self.log_evidence),
-            flexibility_at_map=at(self.flexibility),
-            bic=at(self.bic),
-            pc_bic=at(self.pc_bic),
-            kic=at(self.kic),
             k=self.k,
+            **{name: None if v is None else float(v[i]) for name, v in values.items()},
         )
 
-
-def _jsonable_reports(fit: StackFit) -> List[dict]:
-    """Each replicate's `report(i).to_jsonable()`, read from whole columns;
-    the fit must have no errors."""
-    r = len(fit.valid)
-    columns = [
-        [None] * r if values is None else values.tolist()
-        for values in (fit.log_lik, fit.log_evidence, fit.flexibility, fit.bic, fit.pc_bic, fit.kic)
-    ]
-    return [_report_jsonable(fit.structure, *row, fit.k) for row in zip(fit.map.tolist(), *columns)]
+    def rows(self) -> List[dict]:
+        """Each replicate's `report(i).to_jsonable()`, read from whole columns;
+        the fit must have no errors."""
+        columns = [getattr(self, column) for column in _REPORT_FIELDS.values()]
+        columns = [repeat(None) if v is None else v.tolist() for v in columns]
+        rows = zip(repeat(self.structure), self.map.tolist(), *columns, repeat(self.k))
+        return [dict(zip(_REPORT_KEYS, row)) for row in rows]
 
 
 def fit_stack(s: np.ndarray, n: int, hypers: HyperTriple) -> Dict[str, StackFit]:

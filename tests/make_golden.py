@@ -1,9 +1,12 @@
-"""The golden-output record: seeded CLI commands and their JSON documents.
+"""The golden-output record: seeded CLI commands, their JSON documents and
+the text they print.
 
 `test_golden.py` re-runs COMMANDS in process and compares each document,
-manifest aside, with `golden.json`. Regenerate the record only in a change
-that moves an output on purpose (a new random stream, say), and list the
-fields that moved in CHANGES.md:
+manifest aside, with `golden.json`, and the printed text, kept in the
+document under STDOUT, exactly. A `rates` command writes its CSV to --out
+and prints nothing; its CSV must hold its document's rows instead.
+Regenerate the record only in a change that moves an output on purpose (a
+new random stream, say), and list the fields that moved in CHANGES.md:
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -14,6 +17,7 @@ differs at all (tolerance 0) and exits 1 if there is one.
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -26,6 +30,8 @@ from covsel.cli import main
 
 IRIS = str(resources.files("covsel") / "datasets" / "iris_setosa.csv")
 RECORD = Path(__file__).with_name("golden.json")
+STDOUT = "_stdout"  # sorts before every key of a document
+RATES_COLUMNS = ["n", "scaled_statistic", "se", "target"]  # then the pair and the truth
 
 _SIM = ["simulate", "--d", "3", "--n", "5", "10", "--reps", "40", "--seed", "7", "--records"]
 _RATES = ["rates", "--d", "3", "--n-grid", "20", "200", "2000", "--reps", "30", "--seed", "5"]
@@ -59,19 +65,34 @@ COMMANDS = {
 
 
 def outputs() -> dict:
-    """Each command's --json document, without its manifest."""
+    """Each command's --json document, without its manifest, with its printed
+    text under STDOUT; RuntimeError if a `rates` CSV is not its document's rows."""
     docs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in COMMANDS.items():
-            path = Path(tmp) / f"{name}.json"
-            out = ["--out", str(Path(tmp) / f"{name}.csv")] if argv[0] == "rates" else []
-            rc = main(argv + out + ["--json", str(path)])
+            path, csv_path = Path(tmp) / f"{name}.json", Path(tmp) / f"{name}.csv"
+            out = ["--out", str(csv_path)] if argv[0] == "rates" else []
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                rc = main(argv + out + ["--json", str(path)])
             if rc != 0:
                 raise RuntimeError(f"{name} exited with {rc}")
             doc = json.loads(path.read_text())
             del doc["manifest"]
+            if not out:
+                doc[STDOUT] = printed.getvalue()
+            elif not rates_csv_matches(csv_path.read_text(), doc["study"]):
+                raise RuntimeError(f"{name}: the --out CSV does not hold the document's rows")
             docs[name] = doc
     return docs
+
+
+def rates_csv_matches(text: str, study: dict) -> bool:
+    """Whether a `rates` CSV is exactly the study's rows, each followed by the
+    study's pair and truth, every cell as `str` writes it."""
+    tail = [study["pair"], study["truth"]]
+    rows = [[str(row[k]) for k in RATES_COLUMNS] + tail for row in study["rows"]]
+    return list(csv.reader(io.StringIO(text))) == [RATES_COLUMNS + ["pair", "truth"]] + rows
 
 
 def mismatches(got, want, path, tol):
@@ -95,12 +116,10 @@ def mismatches(got, want, path, tol):
 
 
 def check() -> int:
-    """Print each path where the commands' documents differ from the record
-    at all; 1 if one does, else 0."""
+    """Print each path where the commands' documents or printed text differ
+    from the record at all; 1 if one does, else 0."""
     record = json.loads(RECORD.read_text())
-    with contextlib.redirect_stdout(io.StringIO()):  # the commands' own tables
-        current = outputs()
-    bad = mismatches(current, record, "golden", 0.0)
+    bad = mismatches(outputs(), record, "golden", 0.0)
     for line in bad:
         print(line)
     print(f"{len(bad)} difference(s) from {RECORD.name}")

@@ -106,6 +106,19 @@ def test_regression_fit_has_no_hand_built_choice():
     assert not hasattr(FitReport, "criterion_value")
 
 
+def test_one_output_path():
+    # a report's JSON fields are named once (`StackFit.rows`), and the rank
+    # order of the subsets is applied by one helper
+    from covsel import regression, structures
+
+    for module, name in [
+        (structures, "_report_jsonable"),
+        (structures, "_jsonable_reports"),
+        (regression, "_Ranked"),
+    ]:
+        assert not hasattr(module, name), (module.__name__, name)
+
+
 def test_precision_classes_carry_no_arithmetic():
     # log|H| and tr(H s) live once, in the evaluators the kernel calls;
     # the per-parameter functions are batches of one of them

@@ -427,6 +427,8 @@ class TestGapStudy:
             (GammaHyper(2.0, 1.0, 1), IsoPrecision(1.0, 1), (), 3),
             (GammaHyper(2.0, 1.0, 1), IsoPrecision(1.0, 1), (20, 10), 3),
             (WishartHyper(4.0, np.eye(3)), FullPrecision(np.eye(3)), (2, 10), 3),
+            # a repeated n: a study's slope would divide by a zero spread of n
+            (GammaHyper(2.0, 1.0, 3), IsoPrecision(1.0, 3), (10, 10), 3),
         ],
     )
     def test_rejects_invalid_inputs(self, h, theta0, n_grid, reps):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import covsel
 import covsel.cli as cli
 from covsel.cli import main
 
@@ -458,7 +460,7 @@ def object_path_output(intercept, enumerate_subsets, criterion):
     if enumerate_subsets:
         fits = enumerate_covariates(data, hypers, names=names, criterion=criterion)
     else:
-        fits = [fit_regression(data, hypers, subset=tuple(names))]
+        fits = [dataclasses.replace(fit_regression(data, hypers), subset=tuple(names))]
     lines = ["| covariates | structure | log evidence | pcBIC |", "|---|---|---|---|"]
     for fit in fits:
         label = ", ".join(str(sname) for sname in fit.subset) or "(none)"
@@ -525,7 +527,82 @@ class TestRegressColumns:
         ]
 
 
+class TestManifest:
+    """`main` writes each command's manifest: its name, its non-default
+    arguments, seed, version and output paths."""
+
+    def manifest(self, argv, path):
+        assert run(argv + ["--json", str(path)]) == 0
+        return json.loads(path.read_text())["manifest"]
+
+    def test_select(self, tmp_path):
+        path = tmp_path / "select.json"
+        assert self.manifest(["select", IRIS, "--criterion", "kic"], path) == {
+            "command": "select",
+            "config": {
+                "command": "select", "data": IRIS, "no_header": False, "center": False,
+                "hyper_source": "empirical-bayes", "criterion": "kic", "json": str(path),
+            },
+            "seed": None,
+            "version": covsel.__version__,
+            "outputs": [str(path)],
+        }
+
+    def test_simulate(self, tmp_path):
+        path = tmp_path / "simulate.json"
+        argv = ["simulate", "--d", "2", "--n", "6", "--reps", "3", "--seed", "4"]
+        assert self.manifest(argv, path) == {
+            "command": "simulate",
+            "config": {
+                "command": "simulate", "table": "oracle", "beta_inv": [2.0], "n": [6],
+                "reps": 3, "d": 2, "seed": 4, "records": False, "json": str(path),
+            },
+            "seed": 4,
+            "version": covsel.__version__,
+            "outputs": [str(path)],
+        }
+
+    def test_regress(self, tmp_path):
+        path, out = tmp_path / "regress.json", tmp_path / "path.csv"
+        argv = ["regress", IRIS, "--response", "sepal_width", "--covariates", "petal_width"]
+        argv += ["--lambda-path", "0.5", "2", "--out", str(out)]
+        assert self.manifest(argv, path) == {
+            "command": "regress",
+            "config": {
+                "command": "regress", "data": IRIS, "response": ["sepal_width"],
+                "covariates": ["petal_width"], "no_header": False, "intercept": False,
+                "enumerate_subsets": False, "criterion": "evidence", "lambda_path": [0.5, 2.0],
+                "json": str(path), "out": str(out),
+            },
+            "seed": None,
+            "version": covsel.__version__,
+            "outputs": [str(path), str(out)],
+        }
+
+    def test_rates(self, tmp_path):
+        path, out = tmp_path / "rates.json", tmp_path / "rates.csv"
+        argv = ["rates", "--d", "2", "--n-grid", "10", "20", "--reps", "3", "--out", str(out)]
+        assert self.manifest(argv, path) == {
+            "command": "rates",
+            "config": {
+                "command": "rates", "pair": "A-vs-C", "truth": "C", "d": 2, "n_grid": [10, 20],
+                "reps": 3, "seed": 0, "beta_inv": 2.0, "out": str(out), "json": str(path),
+            },
+            "seed": 0,
+            "version": covsel.__version__,
+            "outputs": [str(out), str(path)],
+        }
+
+
 class TestRates:
+    def test_repeated_n_exits_2(self, tmp_path, capsys):
+        # the slope of a grid with one n would divide by a zero spread
+        out, js = tmp_path / "rates.csv", tmp_path / "rates.json"
+        argv = ["rates", "--d", "3", "--n-grid", "10", "10", "--reps", "5"]
+        assert run(argv + ["--out", str(out), "--json", str(js)]) == 2
+        assert capsys.readouterr().err == "error: n_grid must be strictly increasing\n"
+        assert not out.exists() and not js.exists()
+
     def test_single_n_no_slope(self, tmp_path):
         out = tmp_path / "rates.csv"
         js = tmp_path / "rates.json"

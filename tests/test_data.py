@@ -61,6 +61,16 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError):
             load_csv(csv_file("1,2\n3,4\n"), has_header=False, columns=columns)
 
+    def test_selection_from_an_iterator(self, csv_file):
+        # the selection is read once, so an iterator selects its columns
+        path = csv_file("x,y,z\n1,2,3\n4,5,6\n")
+        names = ["z", "x"]
+        for ds in (load_csv(path, columns=iter(names)), load_csv(path).select(iter(names))):
+            assert ds.columns == ("z", "x")
+            np.testing.assert_array_equal(ds.rows, [[3, 1], [6, 4]])
+        with pytest.raises(CsvParseError, match="empty column selection"):
+            load_csv(path).select(iter([]))
+
     def test_empty_selection_rejected(self, csv_file):
         with pytest.raises(CsvParseError):
             load_csv(csv_file("x,y\n1,2\n"), columns=[])

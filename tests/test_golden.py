@@ -1,8 +1,9 @@
 """The seeded CLI commands of `make_golden.py` still write the documents in
-`golden.json`, manifest aside. Non-float fields (counts, records, picks,
-McNemar methods and winners, rankings, skipped structures, subset order)
-match exactly; a float lies within 1e-12 * max(1, |x|) of the record, or
-1e-11 for the rows and slope of a `rates` study."""
+`golden.json`, manifest aside, and print its text. Non-float fields (counts,
+records, picks, McNemar methods and winners, rankings, skipped structures,
+subset order, and the printed tables and CSV) match exactly; a float lies
+within 1e-12 * max(1, |x|) of the record, or 1e-11 for the rows and slope
+of a `rates` study, whose CSV goes to --out and must hold its rows."""
 
 import json
 import math
@@ -10,7 +11,7 @@ import math
 import pytest
 
 import make_golden
-from make_golden import COMMANDS, RECORD, mismatches, outputs
+from make_golden import COMMANDS, RECORD, STDOUT, mismatches, outputs, rates_csv_matches
 
 RATES_TOL = 1e-11
 TOL = 1e-12
@@ -28,6 +29,21 @@ def current():
 
 def test_record_covers_every_command(record):
     assert sorted(record) == sorted(COMMANDS)
+    printed = sorted(name for name, doc in record.items() if STDOUT in doc)
+    assert printed == sorted(name for name in COMMANDS if not name.startswith("rates"))
+
+
+def test_rates_csv_must_hold_the_rows(record):
+    study = record["rates-fixed-A-vs-D"]["study"]
+    row = study["rows"][1]
+    text = "n,scaled_statistic,se,target,pair,truth\n" + "\n".join(
+        f"{r['n']},{r['scaled_statistic']!r},{r['se']!r},{r['target']!r},A-vs-D,A"
+        for r in study["rows"]
+    )
+    assert rates_csv_matches(text + "\n", study)
+    moved = repr(math.nextafter(row["se"], math.inf))
+    assert not rates_csv_matches(text.replace(repr(row["se"]), moved), study)
+    assert not rates_csv_matches(text.replace("pair,truth", "truth,pair"), study)
 
 
 @pytest.mark.parametrize("name", COMMANDS)

@@ -35,6 +35,7 @@ from covsel.priors import (
     log_normalizer,
     log_prior_density,
     matched_family,
+    moment_hypers,
     sample_half_precision,
 )
 from covsel.specialfn import LOG_PI, cholesky_pd
@@ -358,6 +359,26 @@ class TestKernelAgainstScalarFormulas:
                 many = fits[structure].report(i)
                 for key in ("log_lik_at_map", "log_evidence", "flexibility_at_map", "bic", "kic"):
                     assert close(getattr(many, key), getattr(one, key), 1e-12)
+
+
+class TestRows:
+    """`StackFit.rows` is each replicate's report in JSON form, read from whole columns."""
+
+    @pytest.mark.parametrize("n, stacked", [(0, False), (1, False), (7, False), (7, True)])
+    def test_rows_are_the_reports(self, n, stacked):
+        rng = np.random.default_rng(41)
+        d, r = 3, 5
+        s = random_scatters(rng, r, n, d, False)
+        if stacked:  # one rate per replicate
+            hypers, errors = moment_hypers("empirical-bayes", s, n)
+            assert errors == {}
+        else:
+            hypers = random_triple(rng, d)
+        for structure, fit in fit_stack(s, n, hypers).items():
+            assert fit.errors == {}
+            rows = fit.rows()
+            assert rows == [fit.report(i).to_jsonable() for i in range(r)], structure
+            assert [row["bic"] is None for row in rows] == [n == 0] * r
 
 
 class TestFailuresStayPerReplicate:

@@ -10,6 +10,7 @@ the prior for one subset at a time and finished each structure's report
 with scalar half-precision arithmetic.
 """
 
+import inspect
 import math
 from dataclasses import replace
 from itertools import combinations
@@ -420,6 +421,17 @@ class TestEnumerateCovariates:
         data = toy_data(rng, n=5, d1=1, d2=3)
         with pytest.raises(ConfigError):
             enumerate_covariates(data, standard_hypers(1, 3), max_candidates=2)
+
+    def test_fit_regression_labels_every_column(self):
+        # `()` is the label of the fit with no covariates, not of the fit with all
+        data = toy_data(np.random.default_rng(12), n=10, d1=2, d2=3)
+        fit = fit_regression(data, standard_hypers(2, 3))
+        assert fit.subset == (0, 1, 2)
+        everything = enumerate_covariates(data, standard_hypers(2, 3), include_empty=True)
+        assert {f.subset for f in everything} >= {(), (0, 1, 2)}
+        assert "subset" not in inspect.signature(fit_regression).parameters
+        with pytest.raises(TypeError):
+            fit_regression(data, standard_hypers(2, 3), subset=(0,))
 
     def test_iris_argmax(self, iris_regression):
         y, x, names = iris_regression
