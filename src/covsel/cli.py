@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from itertools import repeat
 from typing import List, Optional
 
 import numpy as np
@@ -48,7 +49,14 @@ from .regression import (
     lambda_path,
     standard_hypers,
 )
-from .structures import CRITERIA, SIMPLEST_FIRST, select_structure
+from .structures import (
+    CRITERIA,
+    SIMPLEST_FIRST,
+    StackFit,
+    _REPORT_FIELDS,
+    _REPORT_KEYS,
+    select_structure,
+)
 
 _CONFIG_ERRORS = (ConfigError, CsvParseError, EmptyDatasetError)
 
@@ -173,6 +181,11 @@ def _write_text(path: Optional[str], text: str) -> None:
         print(text)
 
 
+class _JsonText(str):
+    """Text that is already JSON, as `_json_chunks` writes its value at the
+    place it is put; written unchanged."""
+
+
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _json_str = json.encoder.encode_basestring_ascii
 
@@ -190,6 +203,7 @@ _JSON_SCALARS = {
     int: int.__repr__,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
+    _JsonText: str,
 }
 
 
@@ -230,12 +244,67 @@ def _json_chunks(o, pad: str, out: list) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _json_text(doc) -> str:
+def _json_text(doc, pad: str = "\n") -> str:
     """json.dumps(doc, indent=2, sort_keys=True), byte for byte, without the
-    stdlib's pure-Python indent encoder; TypeError for a non-str key."""
+    stdlib's pure-Python indent encoder; TypeError for a non-str key. Another
+    `pad` gives the text of doc as a value at that indent (see `_json_chunks`)."""
     out: list = []
-    _json_chunks(doc, "\n", out)
+    _json_chunks(doc, pad, out)
     return "".join(out)
+
+
+# a row template's slot for one cell of text, filled with `template % cells`
+_HOLE = _JsonText("%s")
+# the indent of a command's fields, which `main` writes below the document's root
+_FIELD_PAD = "\n  "
+_ITEM_PAD = _FIELD_PAD + "  "
+
+
+def _float_texts(column: np.ndarray) -> List[str]:
+    """`_json_float` of each entry of a 1-D float array: one `float.__repr__`
+    pass unless the column holds NaN or inf."""
+    return list(map(float.__repr__ if np.isfinite(column).all() else _json_float, column.tolist()))
+
+
+def _report_texts(fit: StackFit, pad: str) -> List[str]:
+    """Each replicate's `fit.report(i).to_jsonable()` as `_json_chunks` writes it
+    at `pad`: the structure's one row template, filled from the fit's whole
+    columns. The fit must have no errors."""
+    values = [getattr(fit, column) for column in _REPORT_FIELDS.values()]
+    holes = _HOLE
+    for size in reversed(fit.map.shape[1:]):
+        holes = [holes] * size
+    slots = (None if v is None else _HOLE for v in values)
+    template = _json_text(dict(zip(_REPORT_KEYS, (fit.structure, holes, *slots, fit.k))), pad)
+    columns = {name: [_float_texts(v)] for name, v in zip(_REPORT_FIELDS, values) if v is not None}
+    columns["map"] = [_float_texts(c) for c in fit.map.reshape(len(fit.map), -1).T]
+    # the slots are in the template's order: sorted keys, then the map's entries row by row
+    return list(map(template.__mod__, zip(*(c for key in sorted(columns) for c in columns[key]))))
+
+
+def _fits_items(stack) -> List[str]:
+    """Each subset of a `regression._Stack` as a `fits` item: the text of its
+    `RegressionFit.to_jsonable()`, from one item template per stack."""
+    size = len(stack.labels[0])  # every subset of a stack has the same size
+    item = {"reports": dict.fromkeys(stack.fits, _HOLE), "subset": [_HOLE] * size}
+    template = _json_text(item, _ITEM_PAD)
+    columns = [_report_texts(stack.fits[s], _ITEM_PAD + "    ") for s in sorted(stack.fits)]
+    columns += [[_JSON_SCALARS[type(x)](x) for x in labels] for labels in zip(*stack.labels)]
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _table_rows(stack) -> List[str]:
+    """Each subset's lines of the `regress` table, read from a stack's columns."""
+    labels = [", ".join(map(str, label)) or "(none)" for label in stack.labels]
+    lines = []
+    for structure in SIMPLEST_FIRST:
+        fit = stack.fits[structure]
+        le, pc = (
+            repeat("-") if v is None else map("{:.1f}".format, v.tolist())
+            for v in (fit.log_evidence, fit.pc_bic)
+        )
+        lines.append([f"| {lab} | {structure} | {a} | {b} |" for lab, a, b in zip(labels, le, pc)])
+    return list(map("\n".join, zip(*lines)))
 
 
 def _write_csv(path: Optional[str], rows: List[dict]) -> None:
@@ -382,27 +451,27 @@ def _cmd_regress(args) -> dict:
     data = RegressionData(y.rows, x)
 
     if args.lambda_path:
+        ignored = {"--hyper": args.hyper, "--enumerate": args.enumerate_subsets,
+                   "--criterion": args.criterion != "evidence"}
+        if any(ignored.values()):
+            flags = ", ".join(flag for flag, given in ignored.items() if given)
+            raise ConfigError(f"--lambda-path fixes its own prior and criterion; drop {flags}")
         rows = [row.to_jsonable() for row in lambda_path(data, args.lambda_path)]
         _write_csv(args.out, rows)
         return {"lambda_path": rows}
 
     hypers = _load_regression_hypers(args, data.d1, data.d2)
-    # the fits' JSON rows, read from each stack's columns: no per-subset report objects
+    # the table and the fits' JSON are text read from each stack's columns: no per-subset objects
     if args.enumerate_subsets:
         stacks, order = _rank_subsets(data, hypers, names or None, criterion=args.criterion)
-        rows = _in_order([stack.jsonable() for stack in stacks], order)
     else:
-        rows = _fit_subsets(data, hypers, None, [tuple(names or range(data.d2))]).jsonable()
+        stacks, order = [_fit_subsets(data, hypers, None, [tuple(names or range(data.d2))])], [0]
     lines = ["| covariates | structure | log evidence | pcBIC |", "|---|---|---|---|"]
-    for row in rows:
-        label = ", ".join(str(sname) for sname in row["subset"]) or "(none)"
-        for structure in SIMPLEST_FIRST:
-            rep = row["reports"][structure]
-            lines.append(
-                f"| {label} | {structure} | {rep['log_evidence']:.1f} | {_fmt(rep['pc_bic'])} |"
-            )
-    _write_text(None, "\n".join(lines))
-    return {"fits": rows}
+    _write_text(None, "\n".join(lines + _in_order([_table_rows(s) for s in stacks], order)))
+    if not args.json:
+        return {}
+    items = _in_order([_fits_items(stack) for stack in stacks], order)
+    return {"fits": _JsonText(_json_text(list(map(_JsonText, items)), _FIELD_PAD))}
 
 
 def _fixed_theta(text: str) -> FullPrecision:

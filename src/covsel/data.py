@@ -46,7 +46,8 @@ class Dataset:
         return self.rows.shape[1]
 
     def select(self, columns: Sequence) -> "Dataset":
-        """Subset of columns, by name (requires header) or 0-based index."""
+        """Subset of columns, by name (requires header) or 0-based index; a str
+        is one column."""
         idx = _resolve_columns(columns, self.columns, self.d)
         names = tuple(self.columns[i] for i in idx) if self.columns else None
         return Dataset(self.rows[:, idx], names)
@@ -157,8 +158,9 @@ def _first_fault(rows, width) -> CsvParseError:
 
 def _resolve_columns(columns, names, width):
     """0-based indices of `columns`: header names, or indices given as integers
-    or as strings of decimal digits (as on a command line) that are not names."""
-    columns = list(columns)  # read once: `columns` may be an iterator
+    or as strings of decimal digits (as on a command line) that are not names.
+    A str is one column, not a sequence of one-letter names."""
+    columns = [columns] if isinstance(columns, str) else list(columns)  # may be an iterator
     if not columns:
         raise CsvParseError("empty column selection")
     idx = []

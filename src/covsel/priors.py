@@ -20,7 +20,7 @@ kernel in `structures` broadcasts such rates against its scatters.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -188,8 +188,10 @@ class Family(NamedTuple):
     per_obs: float
 
 
+@lru_cache
 def family(structure: str, d: int) -> Family:
-    """The conjugate family of `structure` in dimension d."""
+    """The conjugate family of `structure` in dimension d; one shared object
+    per (structure, d), as the kernel reads it on every call."""
     if structure == "A":
         return Family(lambda s: s, (-2, -1), (d + 1) / 2, 0.5)
     if structure == "D":

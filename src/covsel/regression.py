@@ -338,11 +338,8 @@ class RegressionFit:
     reports: Dict[str, FitReport]
 
     def to_jsonable(self) -> dict:
-        return _fit_jsonable(self.subset, {s: rep.to_jsonable() for s, rep in self.reports.items()})
-
-
-def _fit_jsonable(subset: Tuple, reports: Dict[str, dict]) -> dict:
-    return {"subset": list(subset), "reports": reports}
+        reports = {s: rep.to_jsonable() for s, rep in self.reports.items()}
+        return {"subset": list(self.subset), "reports": reports}
 
 
 # _Stack is a plain class: a NamedTuple's class creation would add about
@@ -363,14 +360,6 @@ class _Stack:
                 gamma_hats={s: g[i] for s, g in self.gamma_hats.items()},
                 reports={s: fit.report(i) for s, fit in self.fits.items()},
             )
-            for i, label in enumerate(self.labels)
-        ]
-
-    def jsonable(self) -> List[dict]:
-        """Each subset's `RegressionFit.to_jsonable()`, read from whole columns."""
-        reports = {s: fit.rows() for s, fit in self.fits.items()}
-        return [
-            _fit_jsonable(label, {s: rows[i] for s, rows in reports.items()})
             for i, label in enumerate(self.labels)
         ]
 

@@ -15,7 +15,6 @@ floating-point accuracy by construction.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -298,14 +297,6 @@ class StackFit:
             k=self.k,
             **{name: None if v is None else float(v[i]) for name, v in values.items()},
         )
-
-    def rows(self) -> List[dict]:
-        """Each replicate's `report(i).to_jsonable()`, read from whole columns;
-        the fit must have no errors."""
-        columns = [getattr(self, column) for column in _REPORT_FIELDS.values()]
-        columns = [repeat(None) if v is None else v.tolist() for v in columns]
-        rows = zip(repeat(self.structure), self.map.tolist(), *columns, repeat(self.k))
-        return [dict(zip(_REPORT_KEYS, row)) for row in rows]
 
 
 def fit_stack(s: np.ndarray, n: int, hypers: HyperTriple) -> Dict[str, StackFit]:

@@ -398,6 +398,23 @@ class TestRegress:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "has 19 rows but" in err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--hyper", "/nonexistent.json"], "--hyper"),
+            (["--enumerate"], "--enumerate"),
+            (["--criterion", "bic"], "--criterion"),
+            (["--hyper", "/nonexistent.json", "--enumerate", "--criterion", "kic"],
+             "--hyper, --enumerate, --criterion"),
+        ],
+    )
+    def test_lambda_path_rejects_the_flags_it_ignores(self, capsys, flags, named):
+        argv = ["regress", IRIS, "--response", "sepal_width", "--covariates", "petal_width"]
+        assert run(argv + ["--lambda-path", "1"] + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --lambda-path fixes its own prior and criterion; drop {named}"
+        ]
+
     def test_lambda_zero_exits_2(self):
         rc = run(
             [
@@ -472,6 +489,40 @@ def object_path_output(intercept, enumerate_subsets, criterion):
     return "\n".join(lines) + "\n", [fit.to_jsonable() for fit in fits]
 
 
+@st.composite
+def _stacks(draw):
+    """A regression stack of A, D and C fits with arbitrary values: non-finite
+    ones, criteria that are None (as at n = 0), and int or str subset labels of
+    one size, the empty subset included."""
+    from covsel.regression import _Stack
+    from covsel.structures import StackFit
+
+    r, size = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    floats = _FLOATS | st.floats(-1e6, 1e6)
+
+    def column(*shape):
+        count = int(np.prod(shape))
+        return np.array(draw(st.lists(floats, min_size=count, max_size=count))).reshape(shape)
+
+    def criterion():
+        return None if draw(st.booleans()) else column(r)
+
+    label = st.integers(0, 2**70) | st.text(max_size=3)
+    labels = [tuple(draw(st.lists(label, min_size=size, max_size=size))) for _ in range(r)]
+    fits = {}
+    for structure in draw(st.permutations("ADC")):
+        d = draw(st.integers(1, 3))
+        fits[structure] = StackFit(
+            structure=structure, dim=d, k=draw(st.integers(0, 40)),
+            map=column(r, *(d,) * "CDA".index(structure)),
+            log_det_map=column(r), log_lik=column(r), log_evidence=column(r),
+            flexibility=column(r), log_prior=column(r),
+            bic=criterion(), pc_bic=criterion(), kic=criterion(),
+            valid=np.ones(r, dtype=bool), errors={},
+        )
+    return _Stack(labels, fits, {})
+
+
 class TestRegressColumns:
     """`regress` writes its table and `fits` from the stacked subset columns."""
 
@@ -512,6 +563,38 @@ class TestRegressColumns:
         argv += ["petal_width", "petal_length", "--intercept", "--enumerate"]
         assert run(argv + ["--json", str(tmp_path / "fits.json")]) == 0
         assert calls == []
+
+    def test_enumeration_matches_the_object_path_byte_for_byte(self, tmp_path):
+        from covsel.regression import RegressionData, enumerate_covariates, standard_hypers
+
+        rng = np.random.default_rng(7)
+        y, x = rng.standard_normal((40, 3)), rng.standard_normal((40, 8))
+        y[:, 0] += x[:, 2] - 0.5 * x[:, 5]
+        ynames, xnames = ["y0", "y1", "y2"], [f"x{7 - j}" for j in range(8)]
+        data, out = tmp_path / "data.csv", tmp_path / "fits.json"
+        rows = [",".join(map(repr, row)) for row in np.hstack([y, x]).tolist()]
+        data.write_text("\n".join([",".join(ynames + xnames)] + rows) + "\n")
+        argv = ["regress", str(data), "--response", *ynames, "--covariates", *xnames, "--enumerate"]
+        assert run(argv + ["--json", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        fits = enumerate_covariates(RegressionData(y, x), standard_hypers(3, 8), names=xnames)
+        assert len(fits) == 255
+        want = [fit.to_jsonable() for fit in fits]
+        assert text == cli._json_text({"manifest": json.loads(text)["manifest"], "fits": want}) + "\n"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(stack=_stacks())
+    def test_items_are_the_row_dicts(self, stack):
+        pad = cli._ITEM_PAD
+        want = [
+            cli._json_text(
+                {"subset": list(label),
+                 "reports": {s: fit.report(i).to_jsonable() for s, fit in stack.fits.items()}},
+                pad,
+            )
+            for i, label in enumerate(stack.labels)
+        ]
+        assert cli._fits_items(stack) == want
 
     def test_a_subset_that_cannot_be_fit_exits_3(self, tmp_path, capsys):
         # no rows and alpha = 0.6: structure A has no mode with one covariate

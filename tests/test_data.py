@@ -71,6 +71,14 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="empty column selection"):
             load_csv(path).select(iter([]))
 
+    def test_a_str_is_one_column(self, csv_file):
+        ds = Dataset(np.arange(6.0).reshape(3, 2), columns=("xy", "z")).select("xy")
+        assert ds.columns == ("xy",)
+        np.testing.assert_array_equal(ds.rows[:, 0], [0, 2, 4])
+        ds = load_csv(csv_file("xy,z\n1,2\n3,4\n"), columns="xy")
+        assert ds.columns == ("xy",)
+        np.testing.assert_array_equal(ds.rows[:, 0], [1, 3])
+
     def test_empty_selection_rejected(self, csv_file):
         with pytest.raises(CsvParseError):
             load_csv(csv_file("x,y\n1,2\n"), columns=[])

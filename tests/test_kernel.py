@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
+import covsel.cli as cli
 import covsel.montecarlo as montecarlo
 from covsel.data import SuffStats
 from covsel.errors import (
@@ -362,7 +363,8 @@ class TestKernelAgainstScalarFormulas:
 
 
 class TestRows:
-    """`StackFit.rows` is each replicate's report in JSON form, read from whole columns."""
+    """The CLI's row template, filled from a StackFit's whole columns, is each
+    replicate's report in JSON form."""
 
     @pytest.mark.parametrize("n, stacked", [(0, False), (1, False), (7, False), (7, True)])
     def test_rows_are_the_reports(self, n, stacked):
@@ -376,9 +378,11 @@ class TestRows:
             hypers = random_triple(rng, d)
         for structure, fit in fit_stack(s, n, hypers).items():
             assert fit.errors == {}
-            rows = fit.rows()
-            assert rows == [fit.report(i).to_jsonable() for i in range(r)], structure
-            assert [row["bic"] is None for row in rows] == [n == 0] * r
+            pad = "\n        "  # a report's place in a `regress` fits item
+            rows = cli._report_texts(fit, pad)
+            want = [cli._json_text(fit.report(i).to_jsonable(), pad) for i in range(r)]
+            assert rows == want, structure
+            assert ['"bic": null' in row for row in rows] == [n == 0] * r
 
 
 class TestFailuresStayPerReplicate:
