@@ -40,6 +40,8 @@ _REGRESS = ["regress", IRIS, "--response", "sepal_width", "sepal_length"]
 
 COMMANDS = {
     "simulate-oracle": _SIM + ["--table", "oracle"],
+    # a seed of 2^32 takes two uint32 words in its replicates' SeedSequence
+    "simulate-oracle-multiword-seed": _SIM[:-2] + ["4294967296", "--records", "--table", "oracle"],
     "simulate-eb": _SIM + ["--table", "eb"],
     "simulate-vs-mclust": _SIM + ["--table", "vs-mclust"],
     "rates-nested-A-vs-C": _RATES + ["--pair", "A-vs-C", "--truth", "C"],
