@@ -167,8 +167,8 @@ def _check_design(n_grid: Tuple[int, ...], reps: int, seed: int, d: int, log_sca
     Wishart stacks, see `_draw`) and n >= 2 when scaled by log n."""
     if not all(isinstance(v, (int, np.integer)) for v in (reps, seed, *n_grid)):
         raise ConfigError("reps, seed and the n grid must be integers")
-    if reps < 1:
-        raise ConfigError("reps must be >= 1")
+    if reps < 1 or seed < 0:
+        raise ConfigError("reps must be >= 1 and the seed >= 0")
     if len(n_grid) == 0 or any(n < 1 for n in n_grid):
         raise ConfigError("n_grid must be nonempty positive integers")
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):

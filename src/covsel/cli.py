@@ -460,6 +460,8 @@ def _cmd_regress(args) -> dict:
         _write_csv(args.out, rows)
         return {"lambda_path": rows}
 
+    if args.enumerate_subsets and not data.d2:
+        raise ConfigError("--enumerate needs at least one --covariates column")
     hypers = _load_regression_hypers(args, data.d1, data.d2)
     # the table and the fits' JSON are text read from each stack's columns: no per-subset objects
     if args.enumerate_subsets:

@@ -26,10 +26,12 @@ from .priors import (
     GammaVecHyper,
     Hyper,
     WishartHyper,
+    _check_one_rate,
+    _prior_transform,
+    _standard_prior,
     matched_family,
     moment_hypers,
     sample_half_precision,
-    sample_prior,
     shape_for_sample_size,
 )
 from .specialfn import cholesky_pd, cholesky_stack
@@ -143,13 +145,16 @@ def scatters_from(
 
 def draw_scatters(h: Hyper, n: int, rngs: Sequence) -> Tuple[np.ndarray, Dict[int, CovselError]]:
     """`scatters_from` with one stream per replicate: each generator in
-    `rngs` draws theta from the prior `h`, then n rows z of standard normals."""
-    draws, w = [], np.empty((len(rngs), h.dim, h.dim))
+    `rngs` draws theta's standard variates from the prior `h` (as
+    `sample_prior` does), then n rows z of standard normals. The prior's
+    transform of the variates and `scatters_from` then run once, on the stack."""
+    _check_one_rate(h)
+    x, w = [], np.empty((len(rngs), h.dim, h.dim))
     for i, rng in enumerate(rngs):
-        draws.append(sample_prior(h, 1, rng)[0])
+        x.append(_standard_prior(h, 1, rng))
         z = rng.standard_normal((n, h.dim))
         w[i] = z.T @ z
-    return scatters_from(h.structure, np.array(draws), w)
+    return scatters_from(h.structure, _prior_transform(h, np.concatenate(x)), w)
 
 
 @dataclass(frozen=True)
@@ -173,8 +178,8 @@ class SimConfig:
         sizes = (self.d, self.reps, self.seed, *self.n_values)
         if not all(isinstance(v, (int, np.integer)) for v in sizes):
             raise ConfigError("d, reps, seed and the n values must be integers")
-        if self.reps < 1 or self.d < 1:
-            raise ConfigError("reps and d must be >= 1")
+        if self.reps < 1 or self.d < 1 or self.seed < 0:
+            raise ConfigError("reps and d must be >= 1, and the seed >= 0")
         if not 0 < self.beta_inverse < math.inf:
             raise ConfigError("beta_inverse must be positive and finite")
         if not self.n_values or any(n < 1 for n in self.n_values):
@@ -209,11 +214,16 @@ class CellDecisions:
     failures: int
 
 
-def _rep_rng(config: SimConfig, truth: str, n: int, rep: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(
-        (config.seed, TRUTH_ORDER.index(truth), int(n), int(round(config.beta_inverse * 1e6)), rep)
-    )
-    return np.random.default_rng(ss)
+def _cell_rngs(config: SimConfig, truth: str, n: int) -> List[np.random.Generator]:
+    """One generator per replicate of a (truth, n) cell, each seeded by
+    SeedSequence((seed, truth index, n, round(beta_inverse 1e6), rep)).
+    The cell's four ints are coded once, as SeedSequence codes an int:
+    32-bit words, low word first, 0 as one zero word; each row adds its rep."""
+    key = map(int, (config.seed, TRUTH_ORDER.index(truth), n, round(config.beta_inverse * 1e6)))
+    words = [(v >> s) & 0xFFFFFFFF for v in key for s in range(0, v.bit_length() or 1, 32)]
+    rows = np.empty((config.reps, len(words) + 1), dtype=np.uint32)
+    rows[:, :-1], rows[:, -1] = words, np.arange(config.reps)
+    return [np.random.default_rng(np.random.SeedSequence(row)) for row in rows]
 
 
 def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
@@ -229,8 +239,7 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
     failure; only CovselError counts, anything else propagates.
     """
     gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
-    rngs = [_rep_rng(config, truth, n, rep) for rep in range(config.reps)]
-    scatters, failed = draw_scatters(gen, n, rngs)
+    scatters, failed = draw_scatters(gen, n, _cell_rngs(config, truth, n))
     drawn = np.flatnonzero([rep not in failed for rep in range(config.reps)])
 
     plan = config.plan

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _ISO_RTOL = 1e-12
+_ARRAY_FIELD = {"A": "matrix", "D": "diag", "C": "value"}
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,9 @@ HalfPrecision = Union[FullPrecision, DiagPrecision, IsoPrecision]
 def as_array(theta: HalfPrecision, structure: str):
     """theta in `structure`'s array form: the matrix (A), the diagonal
     vector (D) or the scalar (C). SupportError if theta does not have that
-    structure."""
+    structure. Where theta has that structure this is its own array, not a copy."""
+    if theta.structure == structure:
+        return getattr(theta, _ARRAY_FIELD[structure])
     m = theta.as_matrix()
     if structure == "A":
         return m

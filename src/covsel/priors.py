@@ -448,11 +448,33 @@ def sample_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
     for D and (size,) for C. A is Bartlett (`sample_wishart_batch`), D and
     C are gamma draws. The rate must be one rate, not a stack of them."""
     _check_one_rate(h)
-    if isinstance(h, WishartHyper):
-        return sample_wishart_batch(h, size, rng)
-    if isinstance(h, GammaVecHyper):
-        return rng.gamma(h.alpha, 1.0, size=(size, h.dim)) / h.rate
-    return rng.gamma(h.alpha, 1.0 / h.rate, size=size)
+    return _prior_transform(h, _standard_prior(h, size, rng))
+
+
+def _standard_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
+    """The half of `sample_prior` that consumes the stream: for A the Bartlett
+    factor, (size, d, d); for D and C standard gamma draws, (size, d) and (size,).
+    Column j of the factor draws its chi-square, then the normals below its
+    diagonal, so a batch of one consumes the stream as a scalar loop over the
+    lower triangle, column by column. (2 alpha > d - 1 holds by `WishartHyper`.)"""
+    if h.structure != "A":
+        return rng.standard_gamma(h.alpha, size=(size, h.dim) if h.structure == "D" else size)
+    d, nu = h.dim, 2 * h.alpha
+    a = np.zeros((size, d, d))
+    for j in range(d):
+        a[:, j, j] = np.sqrt(rng.chisquare(nu - j, size=size))
+        a[:, j + 1 :, j] = rng.standard_normal(size=(size, d - 1 - j))
+    return a
+
+
+def _prior_transform(h: Hyper, x: np.ndarray) -> np.ndarray:
+    """The half of `sample_prior` that draws nothing: the half-precisions of a
+    stack x of `_standard_prior` draws. F a a^T F^T for A, F = `_bartlett_scale`;
+    x / beta for D; x (1 / beta) for C, as numpy's gamma applies its scale."""
+    if h.structure == "A":
+        fa = h._bartlett_scale @ x
+        return fa @ fa.swapaxes(-1, -2)
+    return x / h.rate if h.structure == "D" else x * (1.0 / h.rate)
 
 
 def _check_one_rate(h: Hyper) -> None:
@@ -469,18 +491,9 @@ def sample_half_precision(h: Hyper, rng: np.random.Generator) -> HalfPrecision:
 
 def sample_wishart_batch(h: WishartHyper, size: int, rng: np.random.Generator) -> np.ndarray:
     """Bartlett sampler of the standard Wishart with df = 2*alpha and scale
-    F F^T = (2B)^{-1}; returns (size, d, d). Column j draws its chi-square,
-    then the normals below its diagonal, so a batch of one consumes the
-    stream as a scalar loop over the lower triangle, column by column."""
-    d, nu = h.dim, 2 * h.alpha
-    if nu <= d - 1:
-        raise SupportError(f"Wishart sampling needs 2*alpha > d-1, got 2*alpha = {nu}")
-    a = np.zeros((size, d, d))
-    for j in range(d):
-        a[:, j, j] = np.sqrt(rng.chisquare(nu - j, size=size))
-        a[:, j + 1 :, j] = rng.standard_normal(size=(size, d - 1 - j))
-    fa = h._bartlett_scale @ a
-    return fa @ fa.swapaxes(-1, -2)
+    F F^T = (2B)^{-1}; returns (size, d, d), its stream drawn as in
+    `_standard_prior`."""
+    return _prior_transform(h, _standard_prior(h, size, rng))
 
 
 def log_prior_density(h: Hyper, theta: HalfPrecision) -> float:

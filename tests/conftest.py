@@ -17,6 +17,7 @@ from covsel.priors import (
     conjugate_update,
     sample_prior,
 )
+from covsel.montecarlo import TRUTH_ORDER, scatters_from
 from covsel.specialfn import LOG_PI
 from covsel.structures import (
     _CRITERION_FIELD,
@@ -63,6 +64,25 @@ def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[
     of `run_cell`, which keeps its picks as indices until it writes them."""
     picks = simplest_best(criterion_matrix(fits, criterion, len(fits["C"].valid)))
     return [SIMPLEST_FIRST[j] if j >= 0 else None for j in picks]
+
+
+def rep_rng(config, truth: str, n: int, rep: int) -> np.random.Generator:
+    """The stream of one `simulate` replicate, seeded from its whole key tuple:
+    the oracle of `montecarlo._cell_rngs`, which codes a cell's words once."""
+    key = (config.seed, TRUTH_ORDER.index(truth), int(n), int(round(config.beta_inverse * 1e6)))
+    return np.random.default_rng(np.random.SeedSequence((*key, rep)))
+
+
+def draw_scatters_loop(h: Hyper, n: int, rngs):
+    """The per-replicate loop that `montecarlo.draw_scatters` replaced, kept as
+    its oracle: a whole `sample_prior(h, 1, rng)` per generator, then its n
+    normal rows, and `scatters_from` on the stack of draws."""
+    draws, w = [], np.empty((len(rngs), h.dim, h.dim))
+    for i, rng in enumerate(rngs):
+        draws.append(sample_prior(h, 1, rng)[0])
+        z = rng.standard_normal((n, h.dim))
+        w[i] = z.T @ z
+    return scatters_from(h.structure, np.array(draws), w)
 
 
 def regression_pick(fit, criterion: str = "evidence") -> Tuple[Optional[str], float]:

@@ -244,6 +244,12 @@ class TestSimulate:
         rc = run(["simulate", "--beta-inv", "-1", "--n", "5", "--reps", "1"])
         assert rc == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        # a replicate's stream codes the seed as uint32 words, which a negative seed would wrap
+        argv = ["simulate", "--table", "oracle", "--n", "5", "--reps", "3", "--seed", "-1"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: reps and d must be >= 1, and the seed >= 0\n"
+
     def test_seeded_json_reproducible(self, tmp_path):
         args = [
             "simulate", "--table", "oracle", "--beta-inv", "2", "--n", "5",
@@ -335,6 +341,12 @@ class TestRegress:
         subsets = [fit["subset"] for fit in json.loads(out.read_text())["fits"]]
         assert len(subsets) == 7 and ["0", "1", "intercept"] in subsets
         assert "| 0, 1, intercept |" in capsys.readouterr().out
+
+    def test_enumerate_without_covariates_exits_2(self, capsys):
+        assert run(["regress", IRIS, "--response", "sepal_width", "--enumerate"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --enumerate needs at least one --covariates column\n"
+        )
 
     def test_enumerate_with_kic_exits_2(self, capsys):
         rc = run(
@@ -700,6 +712,11 @@ class TestRates:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
         assert json.loads(js.read_text())["study"]["slope"] is None
+
+    def test_negative_seed_exits_2(self, capsys):
+        argv = ["rates", "--pair", "A-vs-C", "--truth", "C", "--d", "3", "--n-grid", "10", "20"]
+        assert run(argv + ["--reps", "5", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: reps must be >= 1 and the seed >= 0\n"
 
     def test_unknown_pair_exits_2(self):
         rc = run(["rates", "--pair", "B-vs-C", "--n-grid", "10", "--reps", "1"])

@@ -13,7 +13,6 @@ from covsel.montecarlo import (
     CellDecisions,
     SimConfig,
     TRUTH_ORDER,
-    _rep_rng,
     confusion_table,
     draw_scatters,
     generate_instance,
@@ -25,7 +24,7 @@ from covsel.montecarlo import (
 from covsel.priors import WishartHyper, empirical_bayes, matched_family, mclust_default
 from covsel.structures import CRITERIA, fit_stack
 
-from conftest import best_structures
+from conftest import best_structures, draw_scatters_loop, rep_rng
 
 
 class TestMcNemar:
@@ -185,10 +184,10 @@ class TestDrawScatters:
         h = oracle_hyper(truth, config.d, config.beta_inverse)
         expected = np.empty((config.reps, config.d, config.d))
         for rep in range(config.reps):
-            rows = generate_instance(h, n, _rep_rng(config, truth, n, rep)).rows
+            rows = generate_instance(h, n, rep_rng(config, truth, n, rep)).rows
             s = rows.T @ rows
             expected[rep] = (s + s.T) / 2
-        rngs = [_rep_rng(config, truth, n, rep) for rep in range(config.reps)]
+        rngs = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
         scatters, errors = draw_scatters(h, n, rngs)
         assert errors == {}
         largest = np.abs(expected).max(axis=(-2, -1))
@@ -204,15 +203,44 @@ class TestDrawScatters:
         # and one is so small that the scatter of its rows overflows
         config = SimConfig(d=1, prior_sample_size=-1.99, n_values=(5,), reps=300, seed=0)
         h = oracle_hyper("D", 1, config.beta_inverse, config.prior_sample_size)
-        scatters, errors = draw_scatters(h, 5, [_rep_rng(config, "D", 5, r) for r in range(300)])
+        scatters, errors = draw_scatters(h, 5, [rep_rng(config, "D", 5, r) for r in range(300)])
         messages = {str(exc) for exc in errors.values()}
         assert all(isinstance(exc, SupportError) for exc in errors.values())
         assert any("overflows" in m for m in messages) and any("positive" in m for m in messages)
         assert np.isnan(scatters[list(errors)]).all()
         ok = [r for r in range(300) if r not in errors]
-        alone, none = draw_scatters(h, 5, [_rep_rng(config, "D", 5, r) for r in ok])
+        alone, none = draw_scatters(h, 5, [rep_rng(config, "D", 5, r) for r in ok])
         assert none == {}
         np.testing.assert_array_equal(alone, scatters[ok])
+
+
+# so small a rate inverse that some drawn thetas or their scatters leave the floats
+BETA_INV_FAILING = 2.5e-308
+
+
+class TestCellStreams:
+    """`run_cell`'s streams and draws against the per-replicate oracles: one
+    SeedSequence of each replicate's key tuple and a whole `sample_prior` per
+    replicate. The scatters, the failed replicates and each stream's final
+    state must be those of the oracles, byte for byte."""
+
+    # 2^32 - 1 is one word, 2^32 two and 2^64 + 5 three; an np.integer seed too
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, np.uint64(2**63 + 9)])
+    @pytest.mark.parametrize("truth", TRUTH_ORDER)
+    @pytest.mark.parametrize("n", [2, 3, 5])  # n < d, n = d and n > d
+    @pytest.mark.parametrize("beta_inverse", [2.0, BETA_INV_FAILING])
+    def test_equal_to_the_per_replicate_oracles(self, seed, truth, n, beta_inverse):
+        config = SimConfig(d=3, beta_inverse=beta_inverse, n_values=(n,), reps=40, seed=seed)
+        h = oracle_hyper(truth, config.d, config.beta_inverse)
+        rngs = montecarlo._cell_rngs(config, truth, n)
+        oracles = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
+        assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in oracles]
+        scatters, errors = draw_scatters(h, n, rngs)
+        want, want_errors = draw_scatters_loop(h, n, oracles)
+        assert scatters.tobytes() == want.tobytes()
+        assert {i: str(e) for i, e in errors.items()} == {i: str(e) for i, e in want_errors.items()}
+        assert 0 < len(errors) < config.reps if beta_inverse == BETA_INV_FAILING else not errors
+        assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in oracles]
 
 
 class TestRunCell:
@@ -220,7 +248,7 @@ class TestRunCell:
         config = SimConfig(d=1, prior_sample_size=-1.99, n_values=(5,), reps=3000, seed=0)
         for truth in TRUTH_ORDER:
             h = oracle_hyper(truth, 1, config.beta_inverse, config.prior_sample_size)
-            rngs = [_rep_rng(config, truth, 5, rep) for rep in range(config.reps)]
+            rngs = [rep_rng(config, truth, 5, rep) for rep in range(config.reps)]
             _, errors = draw_scatters(h, 5, rngs)
             cell = run_cell(config, truth, 5)
             assert errors and cell.failures >= len(errors)
