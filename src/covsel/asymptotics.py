@@ -27,7 +27,6 @@ from .priors import (
     prior_sample_size,
     rate_matrix,
     sample_prior,
-    sample_wishart_batch,
 )
 from .montecarlo import scatters_from
 from .specialfn import chol_log_det
@@ -292,7 +291,7 @@ def _draw(
         draws = sample_prior(h, reps, rng)
     else:
         draws = np.asarray(as_array(theta, structure))[None]
-    w = sample_wishart_batch(WishartHyper(n / 2, np.eye(d) / 2), reps, rng)
+    w = sample_prior(WishartHyper(n / 2, np.eye(d) / 2), reps, rng)
     s, errors = scatters_from(structure, draws, w)
     if errors:
         raise errors[min(errors)]

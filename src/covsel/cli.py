@@ -43,6 +43,7 @@ from .priors import (
 from .montecarlo import oracle_hyper
 from .regression import (
     RegressionData,
+    _check_criterion,
     _fit_subsets,
     _in_order,
     _rank_subsets,
@@ -70,8 +71,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = time.monotonic()
     try:
         doc = args.func(args)
-        if args.json:
-            _write_text(args.json, _json_text({"manifest": _manifest(args), **doc}))
+        if args.json:  # one root field at a time; a _JsonText field is written as it is
+            doc = {"manifest": _manifest(args), **doc}
+            fields = [
+                f"{json.dumps(key)}: "
+                + (value if isinstance(value, _JsonText) else _json_text(value, _FIELD_PAD))
+                for key, value in sorted(doc.items())
+            ]
+            _write_text(args.json, _json_block(fields, "\n", "{}"))
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -182,92 +189,47 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 class _JsonText(str):
-    """Text that is already JSON, as `_json_chunks` writes its value at the
-    place it is put; written unchanged."""
-
-
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _json_float(x: float) -> str:
-    text = float.__repr__(x)
-    return _JSON_NONFINITE.get(text, text)
-
-
-# looked up by exact type, so True is "true", not the int 1; a subclass such
-# as np.float64 takes the isinstance branches of `_json_chunks` instead
-_JSON_SCALARS = {
-    str: _json_str,
-    float: _json_float,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-    _JsonText: str,
-}
-
-
-def _json_chunks(o, pad: str, out: list) -> None:
-    """Append the text of `o` to `out` as json.dumps(o, indent=2,
-    sort_keys=True) writes it; `pad` is a newline and o's own indent."""
-    scalar = _JSON_SCALARS.get(type(o))
-    if scalar is not None:
-        out.append(scalar(o))
-    elif isinstance(o, (list, tuple, dict)) and o:
-        child = pad + "  "
-        lead, sep = child, "," + child  # before the first item, then the rest
-        if isinstance(o, dict):
-            out.append("{")
-            for key, value in sorted(o.items()):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                out.append(f"{lead}{_json_str(key)}: ")
-                _json_chunks(value, child, out)
-                lead = sep
-            out.append(pad + "}")
-        else:
-            out.append("[")
-            for value in o:
-                out.append(lead)
-                _json_chunks(value, child, out)
-                lead = sep
-            out.append(pad + "]")
-    elif isinstance(o, (list, tuple, dict)):
-        out.append("{}" if isinstance(o, dict) else "[]")
-    elif isinstance(o, str):  # subclasses of the exact types, in json's order
-        out.append(_json_str(o))
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_json_float(o))
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    """A field value that is already JSON text at its place in the document;
+    `main` writes it unchanged."""
 
 
 def _json_text(doc, pad: str = "\n") -> str:
-    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, without the
-    stdlib's pure-Python indent encoder; TypeError for a non-str key. Another
-    `pad` gives the text of doc as a value at that indent (see `_json_chunks`)."""
-    out: list = []
-    _json_chunks(doc, pad, out)
-    return "".join(out)
+    """json.dumps(doc, indent=2, sort_keys=True); another `pad` gives the
+    text of doc as a value at that indent (a newline and its indent)."""
+    return json.dumps(doc, indent=2, sort_keys=True).replace("\n", pad)
 
 
-# a row template's slot for one cell of text, filled with `template % cells`
-_HOLE = _JsonText("%s")
+# a template's slot for one cell of text: its quoted JSON becomes `%s`, and
+# the template is filled with `template % cells`
+_HOLE = "\x00"
 # the indent of a command's fields, which `main` writes below the document's root
 _FIELD_PAD = "\n  "
 _ITEM_PAD = _FIELD_PAD + "  "
+# a subset label is a column name or a column index
+_LABEL_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__}
+
+
+def _template(doc, pad: str) -> str:
+    """`_json_text(doc, pad)` with each `_HOLE` a `%s`; doc's keys and its
+    other values hold no `%`."""
+    return _json_text(doc, pad).replace(json.dumps(_HOLE), "%s")
+
+
+def _json_block(items: List[str], pad: str, brackets: str = "[]") -> str:
+    """The text of a nonempty array (or, with brackets "{}", object) at `pad`
+    whose entries have the texts `items`, each at the indent below."""
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 def _float_texts(column: np.ndarray) -> List[str]:
-    """`_json_float` of each entry of a 1-D float array: one `float.__repr__`
+    """The JSON text of each entry of a 1-D float array: one `float.__repr__`
     pass unless the column holds NaN or inf."""
-    return list(map(float.__repr__ if np.isfinite(column).all() else _json_float, column.tolist()))
+    return list(map(float.__repr__ if np.isfinite(column).all() else json.dumps, column.tolist()))
 
 
 def _report_texts(fit: StackFit, pad: str) -> List[str]:
-    """Each replicate's `fit.report(i).to_jsonable()` as `_json_chunks` writes it
+    """Each replicate's `fit.report(i).to_jsonable()` as `_json_text` writes it
     at `pad`: the structure's one row template, filled from the fit's whole
     columns. The fit must have no errors."""
     values = [getattr(fit, column) for column in _REPORT_FIELDS.values()]
@@ -275,7 +237,7 @@ def _report_texts(fit: StackFit, pad: str) -> List[str]:
     for size in reversed(fit.map.shape[1:]):
         holes = [holes] * size
     slots = (None if v is None else _HOLE for v in values)
-    template = _json_text(dict(zip(_REPORT_KEYS, (fit.structure, holes, *slots, fit.k))), pad)
+    template = _template(dict(zip(_REPORT_KEYS, (fit.structure, holes, *slots, fit.k))), pad)
     columns = {name: [_float_texts(v)] for name, v in zip(_REPORT_FIELDS, values) if v is not None}
     columns["map"] = [_float_texts(c) for c in fit.map.reshape(len(fit.map), -1).T]
     # the slots are in the template's order: sorted keys, then the map's entries row by row
@@ -287,9 +249,9 @@ def _fits_items(stack) -> List[str]:
     `RegressionFit.to_jsonable()`, from one item template per stack."""
     size = len(stack.labels[0])  # every subset of a stack has the same size
     item = {"reports": dict.fromkeys(stack.fits, _HOLE), "subset": [_HOLE] * size}
-    template = _json_text(item, _ITEM_PAD)
+    template = _template(item, _ITEM_PAD)
     columns = [_report_texts(stack.fits[s], _ITEM_PAD + "    ") for s in sorted(stack.fits)]
-    columns += [[_JSON_SCALARS[type(x)](x) for x in labels] for labels in zip(*stack.labels)]
+    columns += [[_LABEL_TEXT[type(x)](x) for x in labels] for labels in zip(*stack.labels)]
     return list(map(template.__mod__, zip(*columns)))
 
 
@@ -460,6 +422,7 @@ def _cmd_regress(args) -> dict:
         _write_csv(args.out, rows)
         return {"lambda_path": rows}
 
+    _check_criterion(args.criterion)  # with --enumerate or not: kic is undefined here
     if args.enumerate_subsets and not data.d2:
         raise ConfigError("--enumerate needs at least one --covariates column")
     hypers = _load_regression_hypers(args, data.d1, data.d2)
@@ -473,7 +436,7 @@ def _cmd_regress(args) -> dict:
     if not args.json:
         return {}
     items = _in_order([_fits_items(stack) for stack in stacks], order)
-    return {"fits": _JsonText(_json_text(list(map(_JsonText, items)), _FIELD_PAD))}
+    return {"fits": _JsonText(_json_block(items, _FIELD_PAD))}  # one subset at least
 
 
 def _fixed_theta(text: str) -> FullPrecision:

@@ -182,6 +182,12 @@ class SimConfig:
             raise ConfigError("reps and d must be >= 1, and the seed >= 0")
         if not 0 < self.beta_inverse < math.inf:
             raise ConfigError("beta_inverse must be positive and finite")
+        key, rate = self.beta_inverse * 1e6, max(2, self.d) * (1.0 / self.beta_inverse)
+        if not (math.isfinite(key) and math.isfinite(rate)):
+            raise ConfigError(
+                f"beta_inverse {self.beta_inverse} is out of range: the stream key "
+                "round(beta_inverse * 1e6) and the rates 2 beta and d beta must be finite"
+            )
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError("need at least one n value, and n values must be >= 1")
         if self.scheme in ("empirical-bayes", "vs-mclust") and min(self.n_values) < self.d:

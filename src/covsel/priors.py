@@ -61,7 +61,6 @@ __all__ = [
     "moment_hypers",
     "sample_prior",
     "sample_half_precision",
-    "sample_wishart_batch",
     "log_prior_density",
     "hyper_to_jsonable",
     "hyper_from_jsonable",
@@ -100,7 +99,7 @@ class WishartHyper:
     @cached_property
     def _bartlett_scale(self) -> np.ndarray:
         """F = L^{-T}, L the Cholesky factor of 2B, so F F^T = (2B)^{-1}:
-        factored once per hyper, on its first `sample_wishart_batch`."""
+        factored once per hyper, on its first `sample_prior`."""
         return np.linalg.inv(cholesky_pd(2 * self.rate)).T
 
 
@@ -445,8 +444,9 @@ def mclust_default(stats: SuffStats) -> HyperTriple:
 
 def sample_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
     """`size` half-precisions from the prior: (size, d, d) for A, (size, d)
-    for D and (size,) for C. A is Bartlett (`sample_wishart_batch`), D and
-    C are gamma draws. The rate must be one rate, not a stack of them."""
+    for D and (size,) for C. A is Bartlett (a Wishart with df = 2 alpha and
+    scale (2B)^{-1}), D and C are gamma draws. The rate must be one rate,
+    not a stack of them."""
     _check_one_rate(h)
     return _prior_transform(h, _standard_prior(h, size, rng))
 
@@ -487,13 +487,6 @@ def _check_one_rate(h: Hyper) -> None:
 def sample_half_precision(h: Hyper, rng: np.random.Generator) -> HalfPrecision:
     """Draw one half-precision from the prior: a batch of one of `sample_prior`."""
     return from_array(h.structure, sample_prior(h, 1, rng)[0], h.dim)
-
-
-def sample_wishart_batch(h: WishartHyper, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Bartlett sampler of the standard Wishart with df = 2*alpha and scale
-    F F^T = (2B)^{-1}; returns (size, d, d), its stream drawn as in
-    `_standard_prior`."""
-    return _prior_transform(h, _standard_prior(h, size, rng))
 
 
 def log_prior_density(h: Hyper, theta: HalfPrecision) -> float:

@@ -4,7 +4,9 @@ the text they print.
 `test_golden.py` re-runs COMMANDS in process and compares each document,
 manifest aside, with `golden.json`, and the printed text, kept in the
 document under STDOUT, exactly. A `rates` command writes its CSV to --out
-and prints nothing; its CSV must hold its document's rows instead.
+and prints nothing; its CSV must hold its document's rows instead. Each
+--json file must be byte for byte `json.dumps(doc, indent=2, sort_keys=True)`
+and a newline, so the record pins the format as well as the values.
 Regenerate the record only in a change that moves an output on purpose (a
 new random stream, say), and list the fields that moved in CHANGES.md:
 
@@ -68,7 +70,8 @@ COMMANDS = {
 
 def outputs() -> dict:
     """Each command's --json document, without its manifest, with its printed
-    text under STDOUT; RuntimeError if a `rates` CSV is not its document's rows."""
+    text under STDOUT; RuntimeError if the --json text is not the stdlib's
+    format or a `rates` CSV is not its document's rows."""
     docs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in COMMANDS.items():
@@ -79,7 +82,10 @@ def outputs() -> dict:
                 rc = main(argv + out + ["--json", str(path)])
             if rc != 0:
                 raise RuntimeError(f"{name} exited with {rc}")
-            doc = json.loads(path.read_text())
+            text = path.read_text()
+            doc = json.loads(text)
+            if text != json.dumps(doc, indent=2, sort_keys=True) + "\n":
+                raise RuntimeError(f"{name}: the --json text is not in the stdlib's format")
             del doc["manifest"]
             if not out:
                 doc[STDOUT] = printed.getvalue()

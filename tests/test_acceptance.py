@@ -50,7 +50,7 @@ from covsel.priors import (
     match_down,
     prior_sample_size,
     sample_half_precision,
-    sample_wishart_batch,
+    sample_prior,
     shape_for_sample_size,
 )
 from covsel.regression import RegressionData, enumerate_covariates, standard_hypers
@@ -364,7 +364,7 @@ class TestC9SamplerMoments:
         start = time.monotonic()
         h = WishartHyper(self.ALPHA, self.B)
         rng = np.random.default_rng(109)
-        draws = sample_wishart_batch(h, 100_000, rng)
+        draws = sample_prior(h, 100_000, rng)
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
         target = self.ALPHA * np.linalg.inv(self.B)

@@ -484,7 +484,7 @@ class TestSampler:
 
 
 def bartlett_loop(h, rng):
-    """The element-by-element Bartlett sampler that `sample_wishart_batch`
+    """The element-by-element Bartlett sampler that `sample_prior`'s A draw
     replaced, kept as its oracle: one scalar draw at a time, column by
     column, the chi-square first."""
     d, nu = h.dim, 2 * h.alpha
