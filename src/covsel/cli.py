@@ -8,6 +8,7 @@ and writes it to --json.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -89,6 +90,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)  # built once per process; parsing never changes it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covsel",

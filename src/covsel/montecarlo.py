@@ -94,6 +94,8 @@ def oracle_hyper(truth: str, d: int, beta_inverse: float, m: float = 2.0) -> Hyp
     if not 0 < beta_inverse < math.inf or d < 1:
         raise ConfigError(f"need a finite beta_inverse > 0 and d >= 1, got {beta_inverse}, d={d}")
     beta = 1.0 / beta_inverse
+    if not math.isfinite(max(2, d) * beta):
+        raise ConfigError(f"beta_inverse {beta_inverse} is out of range: its rates overflow")
     alpha = shape_for_sample_size(truth, m, d)
     if truth == "A":
         return WishartHyper(alpha, beta * np.eye(d))
@@ -180,14 +182,9 @@ class SimConfig:
             raise ConfigError("d, reps, seed and the n values must be integers")
         if self.reps < 1 or self.d < 1 or self.seed < 0:
             raise ConfigError("reps and d must be >= 1, and the seed >= 0")
-        if not 0 < self.beta_inverse < math.inf:
-            raise ConfigError("beta_inverse must be positive and finite")
-        key, rate = self.beta_inverse * 1e6, max(2, self.d) * (1.0 / self.beta_inverse)
-        if not (math.isfinite(key) and math.isfinite(rate)):
-            raise ConfigError(
-                f"beta_inverse {self.beta_inverse} is out of range: the stream key "
-                "round(beta_inverse * 1e6) and the rates 2 beta and d beta must be finite"
-            )
+        oracle_hyper("C", self.d, self.beta_inverse)  # checks beta_inverse and its rates
+        if not math.isfinite(self.beta_inverse * 1e6):
+            raise ConfigError(f"beta_inverse {self.beta_inverse} is out of range: its key overflows")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError("need at least one n value, and n values must be >= 1")
         if self.scheme in ("empirical-bayes", "vs-mclust") and min(self.n_values) < self.d:

@@ -134,10 +134,10 @@ def map_estimate(h: Hyper, stats: SuffStats) -> HalfPrecision:
 def log_evidence(h: Hyper, stats: SuffStats) -> float:
     """Exact log marginal likelihood, also where the posterior has no mode.
 
-    A batch of one through `fit_structure`; raises the reason where the
-    evidence is undefined.
+    A batch of one through the kernel's evidence step, which computes no
+    mode; raises the reason where the evidence is undefined.
     """
-    return float(fit_structure(h, stats.s[None], stats.n).defined("log_evidence")[0])
+    return float(_defined_evidence(h, stats.s[None], stats.n)[0])
 
 
 def log_evidence_flat(structure: str, stats: SuffStats) -> float:
@@ -315,7 +315,8 @@ def fit_stack(s: np.ndarray, n: int, hypers: HyperTriple) -> Dict[str, StackFit]
 
 def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackFit:
     """Fit one structure to a stack of scatters: the kernel behind
-    `fit_stack`, `criteria` and `log_evidence`.
+    `fit_stack` and `criteria`. Its first step, `_evidence`, is the only
+    place that forms the evidence; `log_evidence` and `rate_study` call it alone.
 
     `coef_cols` is the number of covariate columns of a regression model
     whose coefficients are profiled out of the joint posterior mode (see
@@ -328,27 +329,11 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     in that precedence; its outputs come from finite stand-ins and are blanked
     in one final mask. A hyper of another dimension raises DimensionMismatchError.
     """
-    r, d = s.shape[0], s.shape[-1]
-    structure = h.structure
-    if h.dim != d:
-        raise DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {d}")
-    # the conjugate update, on the structure's own statistic of s
-    statistic, axes, power, per_obs = fam = family(structure, d)
-    stat = statistic(s)
-    alpha_post = h.alpha + n * per_obs
-    rate_post = h.rate + stat
+    r, d, structure = s.shape[0], s.shape[-1], h.structure
+    log_evidence, errors, post = _evidence(h, s, n)
+    fam, stat, alpha_post, rate_post, chol, log_rate_post, lz_prior, lz_post = post
+    _, axes, power, per_obs = fam
     mult = alpha_post + coef_cols * per_obs - power
-    # the evidence needs a proper posterior (a positive definite rate), not a mode
-    errors: Dict[int, CovselError] = {}
-    if structure == "A":
-        chol, errors = cholesky_stack(rate_post, "s + B")
-        log_rate_post = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    else:
-        log_rate_post = _log_det(structure, rate_post)
-    improper = list(errors)
-    lz_prior = log_normalizer(h)
-    lz_post = log_normalizer_at(structure, alpha_post, log_rate_post, d)
-    log_evidence = -n * d / 2 * LOG_PI + lz_prior - lz_post
     if mult <= 0:
         shape = "shape" if structure == "A" else "gamma shape"
         bound = "(d+1)/2" if structure == "A" else "1"
@@ -402,11 +387,47 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     # which is defined without a mode wherever the posterior is proper
     valid = np.ones(r, dtype=bool)
     valid[list(errors)] = False
-    log_evidence[improper] = np.nan
     for key, v in out.items():
         if v is not None and key != "log_evidence":
             v[~valid] = np.nan
     return StackFit(structure=structure, dim=d, k=k, valid=valid, errors=errors, **out)
+
+
+def _evidence(h: Hyper, s: np.ndarray, n: int):
+    """The kernel's evidence step: each scatter's log evidence (NaN where the
+    posterior is improper), those replicates' errors, and the posterior that
+    `fit_structure` reads the mode from (family, statistic, shape, rate, A's
+    Cholesky factor of the rate or None, log|rate|, both log normalizers)."""
+    d, structure = s.shape[-1], h.structure
+    if h.dim != d:
+        raise DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {d}")
+    # the conjugate update, on the structure's own statistic of s
+    fam = family(structure, d)
+    stat = fam.statistic(s)
+    alpha_post = h.alpha + n * fam.per_obs
+    rate_post = h.rate + stat
+    # the evidence needs a proper posterior (a positive definite rate), not a mode
+    chol, errors = None, {}
+    if structure == "A":
+        chol, errors = cholesky_stack(rate_post, "s + B")
+        log_rate_post = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    else:
+        log_rate_post = _log_det(structure, rate_post)
+    lz_prior = log_normalizer(h)
+    lz_post = log_normalizer_at(structure, alpha_post, log_rate_post, d)
+    log_evidence = -n * d / 2 * LOG_PI + lz_prior - lz_post
+    log_evidence[list(errors)] = np.nan
+    post = (fam, stat, alpha_post, rate_post, chol, log_rate_post, lz_prior, lz_post)
+    return log_evidence, errors, post
+
+
+def _defined_evidence(h: Hyper, s: np.ndarray, n: int) -> np.ndarray:
+    """The evidence step's log evidence of each scatter of the stack; raises
+    the error of the lowest replicate whose posterior is improper."""
+    log_evidence, errors, _ = _evidence(h, s, n)
+    if errors:
+        raise errors[min(errors)]
+    return log_evidence
 
 
 def criteria(h: Hyper, stats: SuffStats) -> FitReport:

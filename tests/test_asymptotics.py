@@ -460,7 +460,7 @@ class TestRateStudy:
         assert (result.rows, result.slope) == per_replicate_rate_study(config)
 
     def test_failed_replicate_raises(self, monkeypatch):
-        kernel = asymptotics.fit_structure
+        kernel = asymptotics._defined_evidence
 
         def indefinite_second_scatter(h, s, n):
             # B + s of replicate 1 is not positive definite for structure A
@@ -468,7 +468,7 @@ class TestRateStudy:
             s[1] = [[1.0, 3.0, 0.0], [3.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
             return kernel(h, s, n)
 
-        monkeypatch.setattr(asymptotics, "fit_structure", indefinite_second_scatter)
+        monkeypatch.setattr(asymptotics, "_defined_evidence", indefinite_second_scatter)
         config = RateStudyConfig(
             pair="A-vs-C", truth="C", hyper=oracle_hyper("C", 3, 2.0), n_grid=(10,), reps=3, seed=0
         )

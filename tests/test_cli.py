@@ -755,6 +755,13 @@ class TestRates:
         assert run(argv + ["--reps", "5", "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: reps must be >= 1 and the seed >= 0\n"
 
+    @pytest.mark.parametrize("truth", ["A", "C"])
+    def test_beta_inverse_whose_rates_overflow_exits_2(self, capsys, truth):
+        # positive and finite, but the generating rates 2 beta and d beta are not
+        argv = ["rates", "--truth", truth, "--d", "2", "--n-grid", "20", "40", "--reps", "3"]
+        assert run(argv + ["--beta-inv", "1e-308"]) == 2
+        assert capsys.readouterr().err.startswith("error: beta_inverse 1e-308 is out of range")
+
     def test_unknown_pair_exits_2(self):
         rc = run(["rates", "--pair", "B-vs-C", "--n-grid", "10", "--reps", "1"])
         assert rc == 2

@@ -42,6 +42,8 @@ from covsel.priors import (
 from covsel.specialfn import LOG_PI, cholesky_pd
 from covsel.structures import (
     SIMPLEST_FIRST,
+    _defined_evidence,
+    _evidence,
     criteria,
     fit_stack,
     fit_structure,
@@ -556,6 +558,56 @@ class TestOneFailurePath:
         whole = fit_structure(WishartHyper(2.0, 1e-310 * np.eye(2)), s[[0, 3]], 5)
         for field in ("log_evidence", "flexibility", "log_lik", "bic", "pc_bic", "kic"):
             assert whole.defined(field) is getattr(whole, field)
+
+
+class TestEvidenceStep:
+    """`_evidence`, the step that `log_evidence` and `rate_study` call alone,
+    gives the kernel's evidence bit for bit, NaN positions included."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("structure", SIMPLEST_FIRST)
+    def test_equals_the_kernels_evidence(self, structure, stacked):
+        rng = np.random.default_rng(43)
+        d, n, r = 3, 6, 5
+        s = random_scatters(rng, r, n, d, False)
+        triples = [random_triple(rng, d) for _ in range(r)]
+        h = (stack_hypers(triples) if stacked else triples[0]).for_structure(structure)
+        got, errors, _ = _evidence(h, s, n)
+        assert errors == {} and np.isfinite(got).all()
+        assert np.array_equal(got, fit_structure(h, s, n).log_evidence, equal_nan=True)
+        assert np.array_equal(_defined_evidence(h, s, n), got)
+
+    def test_improper_replicate_raises_what_defined_raises(self):
+        rng = np.random.default_rng(44)
+        s = random_scatters(rng, 5, 5, 2, False)
+        s[[1, 3]] = [[1.0, 3.0], [3.0, 1.0]]  # B + s = [[2, 3], [3, 2]] is indefinite
+        h = WishartHyper(2.5, np.eye(2))
+        got, errors, _ = _evidence(h, s, 5)
+        fit = fit_structure(h, s, 5)
+        assert np.array_equal(got, fit.log_evidence, equal_nan=True)
+        assert np.isnan(got).tolist() == [False, True, False, True, False]
+        assert sorted(errors) == [1, 3]
+        with pytest.raises(NotPositiveDefiniteError) as want:
+            fit.defined("log_evidence")
+        with pytest.raises(NotPositiveDefiniteError) as caught:
+            _defined_evidence(h, s, 5)
+        assert type(caught.value) is type(want.value)
+        assert str(caught.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "h, n",
+        [
+            (WishartHyper(1.2, np.eye(3)), 1),  # shape 1.7 <= (d+1)/2 = 2
+            (GammaVecHyper(0.2, np.ones(3)), 1),  # gamma shape 0.7 <= 1
+            (GammaHyper(0.5, 3.0, 3), 0),  # gamma shape 0.5 <= 1
+        ],
+    )
+    def test_non_regular_prior_keeps_its_evidence(self, h, n):
+        s = random_scatters(np.random.default_rng(45), 4, n, 3, False)
+        got, errors, _ = _evidence(h, s, n)
+        fit = fit_structure(h, s, n)
+        assert not fit.valid.any() and errors == {} and np.isfinite(got).all()
+        assert np.array_equal(got, fit.log_evidence, equal_nan=True)
 
 
 class TestTieBreak:
