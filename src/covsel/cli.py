@@ -10,6 +10,7 @@ and writes it to --json.
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -54,7 +55,6 @@ from .regression import (
 from .structures import (
     CRITERIA,
     SIMPLEST_FIRST,
-    StackFit,
     _REPORT_FIELDS,
     _REPORT_KEYS,
     select_structure,
@@ -201,20 +201,15 @@ def _json_text(doc, pad: str = "\n") -> str:
     return json.dumps(doc, indent=2, sort_keys=True).replace("\n", pad)
 
 
-# a template's slot for one cell of text: its quoted JSON becomes `%s`, and
-# the template is filled with `template % cells`
+# a template's slot is the string `_HOLE + name`, its name a word; `_SLOT`
+# reads the names back from the encoded text in the order they were written
 _HOLE = "\x00"
+_SLOT = re.compile(re.escape(json.dumps(_HOLE)[:-1]) + r'(\w+)"')
 # the indent of a command's fields, which `main` writes below the document's root
 _FIELD_PAD = "\n  "
 _ITEM_PAD = _FIELD_PAD + "  "
 # a subset label is a column name or a column index
 _LABEL_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__}
-
-
-def _template(doc, pad: str) -> str:
-    """`_json_text(doc, pad)` with each `_HOLE` a `%s`; doc's keys and its
-    other values hold no `%`."""
-    return _json_text(doc, pad).replace(json.dumps(_HOLE), "%s")
 
 
 def _json_block(items: List[str], pad: str, brackets: str = "[]") -> str:
@@ -230,31 +225,27 @@ def _float_texts(column: np.ndarray) -> List[str]:
     return list(map(float.__repr__ if np.isfinite(column).all() else json.dumps, column.tolist()))
 
 
-def _report_texts(fit: StackFit, pad: str) -> List[str]:
-    """Each replicate's `fit.report(i).to_jsonable()` as `_json_text` writes it
-    at `pad`: the structure's one row template, filled from the fit's whole
-    columns. The fit must have no errors."""
-    values = [getattr(fit, column) for column in _REPORT_FIELDS.values()]
-    holes = _HOLE
-    for size in reversed(fit.map.shape[1:]):
-        holes = [holes] * size
-    slots = (None if v is None else _HOLE for v in values)
-    template = _template(dict(zip(_REPORT_KEYS, (fit.structure, holes, *slots, fit.k))), pad)
-    columns = {name: [_float_texts(v)] for name, v in zip(_REPORT_FIELDS, values) if v is not None}
-    columns["map"] = [_float_texts(c) for c in fit.map.reshape(len(fit.map), -1).T]
-    # the slots are in the template's order: sorted keys, then the map's entries row by row
-    return list(map(template.__mod__, zip(*(c for key in sorted(columns) for c in columns[key]))))
-
-
 def _fits_items(stack) -> List[str]:
     """Each subset of a `regression._Stack` as a `fits` item: the text of its
-    `RegressionFit.to_jsonable()`, from one item template per stack."""
+    `RegressionFit.to_jsonable()`, from one template per stack whose named
+    slots are filled from the stack's whole columns. Its fits have no errors."""
+    reports, columns = {}, {}
+    for structure, fit in stack.fits.items():
+        maps = fit.map.reshape(len(fit.map), -1).T
+        names = [f"{structure}map{j}" for j in range(len(maps))]
+        values = {structure + key: getattr(fit, column) for key, column in _REPORT_FIELDS.items()}
+        columns.update(zip(names, map(_float_texts, maps)))
+        columns.update((name, _float_texts(v)) for name, v in values.items() if v is not None)
+        map_ = np.array([_HOLE + name for name in names]).reshape(fit.map.shape[1:]).tolist()
+        slots = (None if v is None else _HOLE + name for name, v in values.items())
+        reports[structure] = dict(zip(_REPORT_KEYS, (structure, map_, *slots, fit.k)))
     size = len(stack.labels[0])  # every subset of a stack has the same size
-    item = {"reports": dict.fromkeys(stack.fits, _HOLE), "subset": [_HOLE] * size}
-    template = _template(item, _ITEM_PAD)
-    columns = [_report_texts(stack.fits[s], _ITEM_PAD + "    ") for s in sorted(stack.fits)]
-    columns += [[_LABEL_TEXT[type(x)](x) for x in labels] for labels in zip(*stack.labels)]
-    return list(map(template.__mod__, zip(*columns)))
+    for j, labels in enumerate(zip(*stack.labels)):
+        columns[f"label{j}"] = [_LABEL_TEXT[type(x)](x) for x in labels]
+    item = {"reports": reports, "subset": [_HOLE + f"label{j}" for j in range(size)]}
+    text = _json_text(item, _ITEM_PAD)
+    template = _SLOT.sub("%s", text.replace("%", "%%"))
+    return list(map(template.__mod__, zip(*(columns[name] for name in _SLOT.findall(text)))))
 
 
 def _table_rows(stack) -> List[str]:

@@ -471,6 +471,10 @@ def _rank_subsets(
     labels = tuple(names) if names is not None else tuple(range(d2))
     if len(labels) != d2:
         raise ConfigError("names length must match the covariate count")
+    if len(set(labels)) != d2:
+        raise ConfigError("covariate names must be distinct")
+    if not hypers:
+        raise ConfigError("no structure's hyperparameters were given")
     stacks, values = [], []
     for size in range(0 if include_empty else 1, d2 + 1):
         combos = combinations(range(d2), size)

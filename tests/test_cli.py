@@ -377,6 +377,18 @@ class TestRegress:
         assert rc == 2
         assert "undefined for regression" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "covariates",
+        [["petal_width", "petal_width"], ["intercept", "--intercept"]],
+        ids=["repeated", "intercept"],
+    )
+    def test_repeated_covariate_names_exit_2(self, tmp_path, capsys, covariates):
+        data = tmp_path / "data.csv"
+        data.write_text(Path(IRIS).read_text().replace("petal_length", "intercept", 1))
+        argv = ["regress", str(data), "--response", "sepal_width", "--covariates", *covariates]
+        assert run(argv + ["--enumerate"]) == 2
+        assert "covariate names must be distinct" in capsys.readouterr().err
+
     def test_kic_without_enumerate_exits_2_before_fitting(self, capsys):
         argv = ["regress", IRIS, "--response", "sepal_width", "--covariates", "petal_width"]
         assert run(argv + ["--criterion", "kic"]) == 2
@@ -519,6 +531,11 @@ def object_path_output(intercept, enumerate_subsets, criterion):
     return "\n".join(lines) + "\n", [fit.to_jsonable() for fit in fits]
 
 
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 1.7976931348623157e308, 1 / 3]
+)
+
+
 @st.composite
 def _stacks(draw):
     """A regression stack of A, D and C fits with arbitrary values: non-finite
@@ -644,6 +661,20 @@ class TestRegressColumns:
             for i, label in enumerate(stack.labels)
         ]
         assert cli._fits_items(stack) == want
+
+    def test_one_encode_per_stack(self, monkeypatch):
+        from covsel.regression import RegressionData, _fit_subsets, standard_hypers
+
+        rng = np.random.default_rng(5)
+        data = RegressionData(rng.standard_normal((20, 2)), rng.standard_normal((20, 3)))
+        subsets = np.array([[0, 2], [1, 2]])
+        stack = _fit_subsets(data, standard_hypers(2, 3), subsets, [(0, 2), (1, 2)])
+        assert sorted(stack.fits) == ["A", "C", "D"]
+        calls = []
+        json_text = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda *a: calls.append(a) or json_text(*a))
+        assert len(cli._fits_items(stack)) == 2
+        assert len(calls) <= 1
 
     def test_a_subset_that_cannot_be_fit_exits_3(self, tmp_path, capsys):
         # no rows and alpha = 0.6: structure A has no mode with one covariate
@@ -837,50 +868,8 @@ class TestPaths:
         assert err.startswith("error:") and str(tmp_path) in err
 
 
-class _Int(int):
-    pass
-
-
-_FLOATS = st.floats() | st.sampled_from(
-    [-0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 1.7976931348623157e308, 1 / 3]
-)
-_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(-(2**200), 2**200),
-    st.integers().map(_Int),
-    _FLOATS,
-    _FLOATS.map(np.float64),
-    st.text(),
-    st.sampled_from(["", "\x00\x1f\"\\/\b\f\n\r\t\x7f", "\u00e9\u2028\uffff", "\U0001f600\U0010ffff"]),
-)
-_TREES = st.recursive(
-    _SCALARS,
-    lambda kids: st.lists(kids, max_size=4)
-    | st.lists(kids, max_size=4).map(tuple)
-    | st.dictionaries(st.text(), kids, max_size=4),
-    max_leaves=30,
-)
-
-
 class TestJsonWriter:
     """The CLI's JSON writer is json.dumps(doc, indent=2, sort_keys=True)."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(doc=_TREES)
-    def test_matches_the_stdlib_byte_for_byte(self, doc):
-        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize(
-        "doc",
-        [{1, 2}, np.int64(3), np.bool_(True), object(), [1.0, np.int64(1)], {"a": {"b": {1}}}],
-    )
-    def test_type_error_where_the_stdlib_raises_one(self, doc):
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=2, sort_keys=True)
-        with pytest.raises(TypeError):
-            cli._json_text(doc)
 
     @pytest.mark.parametrize(
         "argv",

@@ -39,6 +39,7 @@ from covsel.priors import (
     moment_hypers,
     sample_half_precision,
 )
+from covsel.regression import _Stack
 from covsel.specialfn import LOG_PI, cholesky_pd
 from covsel.structures import (
     SIMPLEST_FIRST,
@@ -365,8 +366,8 @@ class TestKernelAgainstScalarFormulas:
 
 
 class TestRows:
-    """The CLI's row template, filled from a StackFit's whole columns, is each
-    replicate's report in JSON form."""
+    """The CLI's `fits` template, filled from a StackFit's whole columns, is
+    each replicate's report in JSON form."""
 
     @pytest.mark.parametrize("n, stacked", [(0, False), (1, False), (7, False), (7, True)])
     def test_rows_are_the_reports(self, n, stacked):
@@ -380,9 +381,14 @@ class TestRows:
             hypers = random_triple(rng, d)
         for structure, fit in fit_stack(s, n, hypers).items():
             assert fit.errors == {}
-            pad = "\n        "  # a report's place in a `regress` fits item
-            rows = cli._report_texts(fit, pad)
-            want = [cli._json_text(fit.report(i).to_jsonable(), pad) for i in range(r)]
+            rows = cli._fits_items(_Stack([()] * r, {structure: fit}, {}))
+            want = [
+                cli._json_text(
+                    {"reports": {structure: fit.report(i).to_jsonable()}, "subset": []},
+                    cli._ITEM_PAD,
+                )
+                for i in range(r)
+            ]
             assert rows == want, structure
             assert ['"bic": null' in row for row in rows] == [n == 0] * r
 

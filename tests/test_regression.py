@@ -422,6 +422,16 @@ class TestEnumerateCovariates:
         with pytest.raises(ConfigError):
             enumerate_covariates(data, standard_hypers(1, 3), max_candidates=2)
 
+    def test_repeated_names_raise(self):
+        data = toy_data(np.random.default_rng(13), n=10, d1=1, d2=3)
+        with pytest.raises(ConfigError, match="covariate names must be distinct"):
+            enumerate_covariates(data, standard_hypers(1, 3), names=["a", "a", "b"])
+
+    def test_no_hypers_raise(self):
+        data = toy_data(np.random.default_rng(14), n=20, d1=2, d2=3)
+        with pytest.raises(ConfigError, match="no structure's hyperparameters"):
+            enumerate_covariates(data, {})
+
     def test_fit_regression_labels_every_column(self):
         # `()` is the label of the fit with no covariates, not of the fit with all
         data = toy_data(np.random.default_rng(12), n=10, d1=2, d2=3)
