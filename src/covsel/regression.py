@@ -391,8 +391,10 @@ def _fit_subsets(
     criterion is not defined here and reported as missing. A subset that
     a structure cannot fit raises the reason: the lowest such subset, and
     of its failed structures the first in `hypers`. A prior filed under
-    another structure's key raises ConfigError.
+    another structure's key, or no prior at all, raises ConfigError.
     """
+    if not hypers:
+        raise ConfigError("no structure's hyperparameters were given")
     shared: Dict[tuple, EffectiveStats] = {}
     fits, gamma_hats = {}, {}
     for structure, rh in hypers.items():
@@ -473,8 +475,6 @@ def _rank_subsets(
         raise ConfigError("names length must match the covariate count")
     if len(set(labels)) != d2:
         raise ConfigError("covariate names must be distinct")
-    if not hypers:
-        raise ConfigError("no structure's hyperparameters were given")
     stacks, values = [], []
     for size in range(0 if include_empty else 1, d2 + 1):
         combos = combinations(range(d2), size)

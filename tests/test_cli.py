@@ -389,6 +389,14 @@ class TestRegress:
         assert run(argv + ["--enumerate"]) == 2
         assert "covariate names must be distinct" in capsys.readouterr().err
 
+    def test_repeated_covariate_without_enumerate_is_fit(self, tmp_path):
+        # a single fit takes the columns as given, a repeated one included
+        out = tmp_path / "fit.json"
+        argv = ["regress", IRIS, "--response", "sepal_width", "--json", str(out)]
+        assert run(argv + ["--covariates", "petal_width", "petal_width"]) == 0
+        [fit] = json.loads(out.read_text())["fits"]
+        assert fit["subset"] == ["petal_width", "petal_width"]
+
     def test_kic_without_enumerate_exits_2_before_fitting(self, capsys):
         argv = ["regress", IRIS, "--response", "sepal_width", "--covariates", "petal_width"]
         assert run(argv + ["--criterion", "kic"]) == 2

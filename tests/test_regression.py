@@ -432,6 +432,11 @@ class TestEnumerateCovariates:
         with pytest.raises(ConfigError, match="no structure's hyperparameters"):
             enumerate_covariates(data, {})
 
+    def test_fit_regression_without_hypers_raises(self):
+        data = toy_data(np.random.default_rng(14), n=20, d1=2, d2=3)
+        with pytest.raises(ConfigError, match="no structure's hyperparameters"):
+            fit_regression(data, {})
+
     def test_fit_regression_labels_every_column(self):
         # `()` is the label of the fit with no covariates, not of the fit with all
         data = toy_data(np.random.default_rng(12), n=10, d1=2, d2=3)
