@@ -14,7 +14,8 @@ procedure on the paired decisions.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Sequence
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -145,18 +146,24 @@ def scatters_from(
     return s, errors
 
 
-def draw_scatters(h: Hyper, n: int, rngs: Sequence) -> Tuple[np.ndarray, Dict[int, CovselError]]:
+def draw_scatters(h: Hyper, n: int, rngs: Iterable) -> Tuple[np.ndarray, Dict[int, CovselError]]:
     """`scatters_from` with one stream per replicate: each generator in
     `rngs` draws theta's standard variates from the prior `h` (as
-    `sample_prior` does), then n rows z of standard normals. The prior's
-    transform of the variates and `scatters_from` then run once, on the stack."""
+    `sample_prior` does), then n rows z of standard normals. `rngs` may be
+    any iterable, and each generator's draws are done before the next is
+    asked for, so one generator re-seeded per item serves (`_cell_rngs`).
+    The prior's transform of the variates and `scatters_from` then run
+    once, on the stack; no generator gives an empty stack."""
     _check_one_rate(h)
-    x, w = [], np.empty((len(rngs), h.dim, h.dim))
-    for i, rng in enumerate(rngs):
+    x, w = [], []
+    for rng in rngs:
         x.append(_standard_prior(h, 1, rng))
         z = rng.standard_normal((n, h.dim))
-        w[i] = z.T @ z
-    return scatters_from(h.structure, _prior_transform(h, np.concatenate(x)), w)
+        w.append(z.T @ z)
+    if not x:
+        return np.empty((0, h.dim, h.dim)), {}
+    x, w = np.concatenate(x), np.array(w)  # stacked, and the per-replicate arrays freed
+    return scatters_from(h.structure, _prior_transform(h, x), w)
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,9 @@ class SimConfig:
             raise ConfigError(f"beta_inverse {self.beta_inverse} is out of range: its key overflows")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError("need at least one n value, and n values must be >= 1")
+        if len(set(self.n_values)) < len(self.n_values):
+            # a repeated n has the same streams, so its table would be a copy
+            raise ConfigError(f"n values must be distinct, got {list(map(int, self.n_values))}")
         if self.scheme in ("empirical-bayes", "vs-mclust") and min(self.n_values) < self.d:
             raise ConfigError(
                 "empirical-Bayes schemes need n >= d for a positive definite scatter"
@@ -217,16 +227,87 @@ class CellDecisions:
     failures: int
 
 
-def _cell_rngs(config: SimConfig, truth: str, n: int) -> List[np.random.Generator]:
-    """One generator per replicate of a (truth, n) cell, each seeded by
+# numpy's SeedSequence hash constants (NEP 19) and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _pcg64_seeds(rows: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, uint64) for each row of a (r, k)
+    uint32 array, the seed numpy's PCG64 takes: SeedSequence's hash of a pool
+    of 4 words, run on the rows' columns at once. The hash constants stay
+    masked Python ints, so every product wraps as a uint32 array."""
+    mult = _INIT_A
+
+    def hashmix(v):
+        nonlocal mult
+        v = v ^ mult
+        mult = (mult * _MULT_A) & _MASK32
+        v = v * mult
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        v = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return v ^ (v >> 16)
+
+    cols = list(rows.T)
+    zero = np.zeros(len(rows), dtype=np.uint32)  # a pool word past the entropy hashes 0
+    pool = [hashmix(cols[i] if i < len(cols) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for col in cols[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(col))
+    mult, out = _INIT_B, []
+    for i in range(8):  # 8 words from the cycled pool, then little-endian pairs
+        v = pool[i % 4] ^ mult
+        mult = (mult * _MULT_B) & _MASK32
+        v = v * mult
+        out.append((v ^ (v >> 16)).astype(np.uint64))
+    return np.stack([lo | (hi << 32) for lo, hi in zip(out[::2], out[1::2])], axis=1)
+
+
+class _Streams(Sequence):
+    """The streams default_rng(SeedSequence(row)) of the rows of a (r, k)
+    uint32 array, through one shared generator: item i sets it to row i's
+    stream from its start and returns it. Use each item before asking for
+    the next. PCG64 takes its seed (s, t) as inc = 2 t + 1 and state =
+    (inc + s) M + inc, modulo 2^128."""
+
+    def __init__(self, rows: np.ndarray):
+        self._seeds = _pcg64_seeds(rows)
+        self._gen = np.random.Generator(np.random.PCG64(0))
+        self._pcg = {"state": 0, "inc": 0}
+        # has_uint32 = 0: no half of an earlier replicate's 64-bit draw is left buffered
+        self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0, "uinteger": 0}
+
+    def __len__(self) -> int:
+        return len(self._seeds)
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        s_hi, s_lo, t_hi, t_lo = self._seeds[i].tolist()
+        inc = ((t_hi << 64 | t_lo) << 1 | 1) & _MASK128
+        self._pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        self._pcg["inc"] = inc
+        self._gen.bit_generator.state = self._state
+        return self._gen
+
+
+def _cell_rngs(config: SimConfig, truth: str, n: int) -> _Streams:
+    """The replicates' streams of a (truth, n) cell, each that of
     SeedSequence((seed, truth index, n, round(beta_inverse 1e6), rep)).
     The cell's four ints are coded once, as SeedSequence codes an int:
-    32-bit words, low word first, 0 as one zero word; each row adds its rep."""
+    32-bit words, low word first, 0 as one zero word; each row adds its rep.
+    One generator serves every replicate in turn (see `_Streams`)."""
     key = map(int, (config.seed, TRUTH_ORDER.index(truth), n, round(config.beta_inverse * 1e6)))
-    words = [(v >> s) & 0xFFFFFFFF for v in key for s in range(0, v.bit_length() or 1, 32)]
+    words = [(v >> s) & _MASK32 for v in key for s in range(0, v.bit_length() or 1, 32)]
     rows = np.empty((config.reps, len(words) + 1), dtype=np.uint32)
     rows[:, :-1], rows[:, -1] = words, np.arange(config.reps)
-    return [np.random.default_rng(np.random.SeedSequence(row)) for row in rows]
+    return _Streams(rows)
 
 
 def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:

@@ -256,6 +256,13 @@ class TestSimulate:
         assert run(argv + ["--d", str(d)]) == 2
         assert capsys.readouterr().err.startswith(f"error: beta_inverse {float(beta_inv)} is out")
 
+    def test_repeated_n_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--table", "oracle", "--n", "5", "5", "--reps", "3", "--json", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: n values must be distinct, got [5, 5]\n"
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, capsys):
         # a replicate's stream codes the seed as uint32 words, which a negative seed would wrap
         argv = ["simulate", "--table", "oracle", "--n", "5", "--reps", "3", "--seed", "-1"]

@@ -213,6 +213,20 @@ class TestDrawScatters:
         assert none == {}
         np.testing.assert_array_equal(alone, scatters[ok])
 
+    @pytest.mark.parametrize("truth", TRUTH_ORDER)
+    def test_no_generator_gives_an_empty_stack(self, truth):
+        h = oracle_hyper(truth, 3, 2.0)
+        for rngs in ([], iter(())):
+            scatters, errors = draw_scatters(h, 4, rngs)
+            assert scatters.shape == (0, 3, 3) and errors == {}
+
+    def test_takes_any_iterable(self):
+        config = SimConfig(d=3, n_values=(4,), reps=6, seed=2)
+        h = oracle_hyper("A", 3, 2.0)
+        listed = draw_scatters(h, 4, [rep_rng(config, "A", 4, r) for r in range(6)])[0]
+        lazy = draw_scatters(h, 4, (rep_rng(config, "A", 4, r) for r in range(6)))[0]
+        assert lazy.tobytes() == listed.tobytes()
+
 
 # so small a rate inverse that some drawn thetas or their scatters leave the floats
 BETA_INV_FAILING = 2.5e-308
@@ -222,7 +236,9 @@ class TestCellStreams:
     """`run_cell`'s streams and draws against the per-replicate oracles: one
     SeedSequence of each replicate's key tuple and a whole `sample_prior` per
     replicate. The scatters, the failed replicates and each stream's final
-    state must be those of the oracles, byte for byte."""
+    state must be those of the oracles, byte for byte. One generator serves
+    every replicate, so a stream's final state is read when `draw_scatters`
+    asks for the next replicate."""
 
     # 2^32 - 1 is one word, 2^32 two and 2^64 + 5 three; an np.integer seed too
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, np.uint64(2**63 + 9)])
@@ -235,12 +251,59 @@ class TestCellStreams:
         rngs = montecarlo._cell_rngs(config, truth, n)
         oracles = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
         assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in oracles]
-        scatters, errors = draw_scatters(h, n, rngs)
+        finals = []
+
+        def recorded():
+            for g in rngs:
+                yield g
+                finals.append(g.bit_generator.state)  # as the next replicate is asked for
+
+        scatters, errors = draw_scatters(h, n, recorded())
         want, want_errors = draw_scatters_loop(h, n, oracles)
         assert scatters.tobytes() == want.tobytes()
         assert {i: str(e) for i, e in errors.items()} == {i: str(e) for i, e in want_errors.items()}
         assert 0 < len(errors) < config.reps if beta_inverse == BETA_INV_FAILING else not errors
-        assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in oracles]
+        assert finals == [g.bit_generator.state for g in oracles]
+
+
+class TestSeeding:
+    """`_cell_rngs` computes numpy's SeedSequence -> PCG64 seeding itself, for a
+    whole cell at once. Every stream must start where numpy's own does; this
+    fails if a numpy release changes either algorithm."""
+
+    @pytest.mark.parametrize("k", range(1, 10))  # short of, at and past the pool of 4 words
+    def test_rows_of_any_length(self, k):
+        rng = np.random.default_rng(k)
+        rows = rng.integers(0, 2**32, size=(200, k), dtype=np.uint32)
+        rows[0], rows[1], rows[2] = 0, 2**32 - 1, np.arange(k)
+        streams = montecarlo._Streams(rows)
+        assert len(streams) == len(rows)
+        for row, g in zip(rows, streams):
+            assert g.bit_generator.state == np.random.PCG64(np.random.SeedSequence(row)).state
+
+    @pytest.mark.parametrize(
+        "seed, reps",
+        [(0, 70_000), (2**32 - 1, 500), (2**32, 500), (2**64 + 5, 500), (np.uint64(2**63 + 9), 500)],
+    )
+    def test_every_replicate_of_a_cell(self, seed, reps):
+        config = SimConfig(d=3, beta_inverse=0.7, n_values=(4,), reps=reps, seed=seed)
+        streams = montecarlo._cell_rngs(config, "D", 4)
+        assert len(streams) == reps
+        for rep, g in enumerate(streams):
+            oracle = np.random.PCG64(np.random.SeedSequence((seed, 1, 4, 700_000, rep)))
+            assert g.bit_generator.state == oracle.state, rep
+
+    def test_a_half_used_word_does_not_carry_over(self):
+        # a uint32 draw leaves the other half of a 64-bit output buffered in
+        # the shared generator; the next replicate must not start with it
+        config = SimConfig(d=3, n_values=(5,), reps=4, seed=9)
+        streams = montecarlo._cell_rngs(config, "A", 5)
+        for rep, g in enumerate(streams):
+            fresh = rep_rng(config, "A", 5, rep)
+            want = fresh.integers(0, 2**32, size=3, dtype=np.uint32), fresh.standard_normal(3)
+            got = g.integers(0, 2**32, size=3, dtype=np.uint32), g.standard_normal(3)
+            assert want[0].tobytes() == got[0].tobytes() and want[1].tobytes() == got[1].tobytes()
+            assert g.bit_generator.state["has_uint32"] == 1  # an odd count of uint32 draws
 
 
 class TestRunCell:
@@ -281,6 +344,12 @@ class TestRunCell:
     def test_empty_n_values_rejected(self, scheme):
         with pytest.raises(ConfigError, match="at least one n"):
             SimConfig(n_values=(), scheme=scheme)
+
+    @pytest.mark.parametrize("n_values", [(5, 5), (5, 6, 5), (6, np.int64(6))])
+    def test_repeated_n_values_rejected(self, n_values):
+        # a repeated n has the same streams: its table would be a copy, not a sample
+        with pytest.raises(ConfigError, match="n values must be distinct"):
+            SimConfig(d=3, n_values=n_values, reps=2)
 
     @pytest.mark.parametrize(
         "field, value", [("d", 3.0), ("reps", 2.5), ("n_values", (5.5,)), ("seed", 1.5)]
