@@ -274,7 +274,7 @@ def _write_csv(path: Optional[str], rows: List[dict]) -> None:
 def _read_json(path: str) -> dict:
     """A JSON object from a file; ConfigError if it cannot be read as one."""
     try:
-        with _path_errors(path), open(path, encoding="utf-8") as fh:
+        with _path_errors(path), open(path, encoding="utf-8-sig") as fh:  # drops a byte-order mark
             doc = json.load(fh)
     except ValueError as exc:  # not JSON
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
@@ -336,6 +336,9 @@ def _cmd_select(args) -> dict:
 def _cmd_simulate(args) -> dict:
     scheme = {"oracle": "oracle", "eb": "empirical-bayes", "vs-mclust": "vs-mclust"}[args.table]
     criteria = ("bic", "pcbic", "evidence")
+    if len(set(args.beta_inv)) < len(args.beta_inv):
+        # a repeated value has the same streams, so its tables would be copies
+        raise ConfigError(f"--beta-inv values must be distinct, got {args.beta_inv}")
     configs = [
         SimConfig(
             d=args.d,
@@ -380,6 +383,8 @@ def _load_regression_hypers(args, d1: int, d2: int):
 
 
 def _cmd_regress(args) -> dict:
+    if args.out and not args.lambda_path:
+        raise ConfigError("--out writes the --lambda-path CSV; give --lambda-path or drop --out")
     with _path_errors(args.data):
         full = load_csv(args.data, has_header=not args.no_header)
     y = full.select(args.response)

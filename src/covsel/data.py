@@ -112,7 +112,7 @@ def load_csv(path, has_header: bool = True, columns: Optional[Sequence] = None) 
     With `columns`, keeps only the named (header required) or 0-based
     indexed columns. Parse failures report 1-based data row and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         reader = csv.reader(fh)
         rows = [row for row in reader if any(map(str.strip, row))]  # no blank rows
     header = None

@@ -14,7 +14,7 @@ procedure on the paired decisions.
 
 import math
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -23,11 +23,9 @@ from .data import Dataset
 from .errors import ConfigError, CovselError, SupportError
 from .precision import DiagPrecision, FullPrecision, HalfPrecision
 from .priors import (
-    GammaHyper,
-    GammaVecHyper,
     Hyper,
-    WishartHyper,
     _check_one_rate,
+    _hyper,
     _prior_transform,
     _standard_prior,
     matched_family,
@@ -92,19 +90,15 @@ def oracle_hyper(truth: str, d: int, beta_inverse: float, m: float = 2.0) -> Hyp
     beta = 1 / beta_inverse, so the three hyperparameterizations project
     onto one another under the matching maps.
     """
+    if truth not in TRUTH_ORDER:
+        raise ConfigError(f"unknown truth {truth!r}")
     if not 0 < beta_inverse < math.inf or d < 1:
         raise ConfigError(f"need a finite beta_inverse > 0 and d >= 1, got {beta_inverse}, d={d}")
     beta = 1.0 / beta_inverse
     if not math.isfinite(max(2, d) * beta):
         raise ConfigError(f"beta_inverse {beta_inverse} is out of range: its rates overflow")
-    alpha = shape_for_sample_size(truth, m, d)
-    if truth == "A":
-        return WishartHyper(alpha, beta * np.eye(d))
-    if truth == "D":
-        return GammaVecHyper(alpha, np.full(d, beta))
-    if truth == "C":
-        return GammaHyper(alpha, d * beta, d)
-    raise ConfigError(f"unknown truth {truth!r}")
+    rate = {"A": beta * np.eye(d), "D": np.full(d, beta), "C": d * beta}[truth]
+    return _hyper(truth, shape_for_sample_size(truth, m, d), rate, d)
 
 
 def generate_instance(h: Hyper, n: int, rng: np.random.Generator) -> Dataset:
@@ -271,43 +265,35 @@ def _pcg64_seeds(rows: np.ndarray) -> np.ndarray:
     return np.stack([lo | (hi << 32) for lo, hi in zip(out[::2], out[1::2])], axis=1)
 
 
-class _Streams(Sequence):
+def _streams(rows: np.ndarray) -> Iterator[np.random.Generator]:
     """The streams default_rng(SeedSequence(row)) of the rows of a (r, k)
-    uint32 array, through one shared generator: item i sets it to row i's
-    stream from its start and returns it. Use each item before asking for
-    the next. PCG64 takes its seed (s, t) as inc = 2 t + 1 and state =
+    uint32 array, in order, through one shared generator: it is set to each
+    row's stream from its start and yielded. Use each before asking for the
+    next. PCG64 takes its seed (s, t) as inc = 2 t + 1 and state =
     (inc + s) M + inc, modulo 2^128."""
-
-    def __init__(self, rows: np.ndarray):
-        self._seeds = _pcg64_seeds(rows)
-        self._gen = np.random.Generator(np.random.PCG64(0))
-        self._pcg = {"state": 0, "inc": 0}
-        # has_uint32 = 0: no half of an earlier replicate's 64-bit draw is left buffered
-        self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0, "uinteger": 0}
-
-    def __len__(self) -> int:
-        return len(self._seeds)
-
-    def __getitem__(self, i: int) -> np.random.Generator:
-        s_hi, s_lo, t_hi, t_lo = self._seeds[i].tolist()
+    gen = np.random.Generator(np.random.PCG64(0))
+    pcg = {"state": 0, "inc": 0}
+    # has_uint32 = 0: no half of an earlier replicate's 64-bit draw is left buffered
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, t_hi, t_lo in _pcg64_seeds(rows).tolist():
         inc = ((t_hi << 64 | t_lo) << 1 | 1) & _MASK128
-        self._pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        self._pcg["inc"] = inc
-        self._gen.bit_generator.state = self._state
-        return self._gen
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        gen.bit_generator.state = state
+        yield gen
 
 
-def _cell_rngs(config: SimConfig, truth: str, n: int) -> _Streams:
+def _cell_rngs(config: SimConfig, truth: str, n: int) -> Iterator[np.random.Generator]:
     """The replicates' streams of a (truth, n) cell, each that of
     SeedSequence((seed, truth index, n, round(beta_inverse 1e6), rep)).
     The cell's four ints are coded once, as SeedSequence codes an int:
     32-bit words, low word first, 0 as one zero word; each row adds its rep.
-    One generator serves every replicate in turn (see `_Streams`)."""
+    One generator serves every replicate in turn (see `_streams`)."""
     key = map(int, (config.seed, TRUTH_ORDER.index(truth), n, round(config.beta_inverse * 1e6)))
     words = [(v >> s) & _MASK32 for v in key for s in range(0, v.bit_length() or 1, 32)]
     rows = np.empty((config.reps, len(words) + 1), dtype=np.uint32)
     rows[:, :-1], rows[:, -1] = words, np.arange(config.reps)
-    return _Streams(rows)
+    return _streams(rows)
 
 
 def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:

@@ -179,12 +179,16 @@ class Family(NamedTuple):
     `axes`, is tr(H s). The density is proportional to
     |x|^(alpha - power) exp(-<rate, x>), where |x| is the determinant for A
     and D and x itself for C; each observation adds `per_obs` to the shape.
+    The structure has `k` free parameters, and its log normalizer is
+    alpha log|rate| - `log_gamma`(alpha).
     """
 
     statistic: Callable[[np.ndarray], np.ndarray]
     axes: Tuple[int, ...]
     power: float
     per_obs: float
+    k: int
+    log_gamma: Callable[[float], float]
 
 
 @lru_cache
@@ -192,11 +196,15 @@ def family(structure: str, d: int) -> Family:
     """The conjugate family of `structure` in dimension d; one shared object
     per (structure, d), as the kernel reads it on every call."""
     if structure == "A":
-        return Family(lambda s: s, (-2, -1), (d + 1) / 2, 0.5)
+        k = d * (d + 1) // 2
+        return Family(lambda s: s, (-2, -1), (d + 1) / 2, 0.5, k, lambda a: log_mv_gamma(d, a))
     if structure == "D":
-        return Family(lambda s: np.diagonal(s, axis1=-2, axis2=-1), (-1,), 1.0, 0.5)
+        return Family(
+            lambda s: np.diagonal(s, axis1=-2, axis2=-1), (-1,), 1.0, 0.5, d,
+            lambda a: d * math.lgamma(a),
+        )
     if structure == "C":
-        return Family(lambda s: np.trace(s, axis1=-2, axis2=-1), (), 1.0, d / 2)
+        return Family(lambda s: np.trace(s, axis1=-2, axis2=-1), (), 1.0, d / 2, 1, math.lgamma)
     raise ValueError(f"unknown structure {structure!r}")
 
 
@@ -214,15 +222,15 @@ def prior_sample_size(h: Hyper, d: Optional[int] = None) -> PriorSampleSize:
     """
     if d is not None and d != h.dim:
         raise DimensionMismatchError(f"hyper dimension {h.dim} != requested d={d}")
-    _, _, power, per_obs = family(h.structure, h.dim)
-    m = (h.alpha - power) / per_obs
+    fam = family(h.structure, h.dim)
+    m = (h.alpha - fam.power) / fam.per_obs
     return PriorSampleSize(m=float(m), non_regular=m <= 0)
 
 
 def shape_for_sample_size(structure: str, m: float, d: int) -> float:
     """Inverse of prior_sample_size: alpha = power + m * per_obs."""
-    _, _, power, per_obs = family(structure, d)
-    return power + m * per_obs
+    fam = family(structure, d)
+    return fam.power + m * fam.per_obs
 
 
 def log_normalizer(h: Hyper):
@@ -243,12 +251,7 @@ def log_normalizer(h: Hyper):
 def log_normalizer_at(structure: str, alpha: float, log_rate, d: int):
     """`log_normalizer` from the shape and the log-determinant of the rate
     (log|B|, sum_j log beta_j or log beta); `log_rate` may be an array."""
-    if structure == "A":
-        value = alpha * log_rate - log_mv_gamma(d, alpha)
-    elif structure == "D":
-        value = alpha * log_rate - d * math.lgamma(alpha)
-    else:
-        value = alpha * log_rate - math.lgamma(alpha)
+    value = alpha * log_rate - family(structure, d).log_gamma(alpha)
     return value if isinstance(value, np.ndarray) else float(value)
 
 
@@ -260,8 +263,8 @@ def conjugate_update(h: Hyper, stats: SuffStats) -> Hyper:
     """
     if h.dim != stats.d:
         raise DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {stats.d}")
-    statistic, _, _, per_obs = family(h.structure, h.dim)
-    return replace(h, alpha=h.alpha + stats.n * per_obs, rate=h.rate + statistic(stats.s))
+    fam = family(h.structure, h.dim)
+    return replace(h, alpha=h.alpha + stats.n * fam.per_obs, rate=h.rate + fam.statistic(stats.s))
 
 
 # ---------------------------------------------------------------------------

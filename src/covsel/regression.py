@@ -50,7 +50,6 @@ from .structures import (
     criterion_matrix,
     fit_structure,
     log_likelihood,
-    param_count,
     simplest_best,
 )
 
@@ -296,15 +295,15 @@ def _regression_fit(rh: RegressionHyper, eff: EffectiveStats, n: int) -> StackFi
     nu) and the posterior (mean gamma_hat), in the log prior and flexibility."""
     d1, d2 = eff.gamma_hat.shape[1:]
     fit = fit_structure(rh.cov, eff.scatter, n, coef_cols=d2)
-    statistic, axes, _, _ = family(rh.cov.structure, d1)
-    quad = _dot(axes, fit.map, statistic(eff.shrink))
+    fam = family(rh.cov.structure, d1)
+    quad = _dot(fam.axes, fit.map, fam.statistic(eff.shrink))
     lam_factor = d1 / 2 * (eff.log_det_lam - eff.log_det_post_lam)
     # the kernel's log-likelihood is at R; at the raw residuals R - shrink it gains tr(H shrink)
     ll = fit.log_lik + quad if n else fit.log_lik
     # not the kernel's `_log_lik` of d2 rows: its terms add in another order (pcBIC's last bits)
     coef_prior = d1 / 2 * eff.log_det_lam + d2 / 2 * fit.log_det_map - quad
     lp = fit.log_prior - d1 * d2 / 2 * LOG_PI + coef_prior
-    k = param_count(rh.cov.structure, d1) + d1 * d2
+    k = fam.k + d1 * d2
     bic = pc_bic = None
     if n >= 1:
         penalty = k / 2 * math.log(n)

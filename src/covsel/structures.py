@@ -78,14 +78,8 @@ _TIE_RTOL = 1e-9
 
 
 def param_count(structure: str, d: int) -> int:
-    """Free parameters: A has d(d+1)/2, D has d, C has 1."""
-    if structure == "A":
-        return d * (d + 1) // 2
-    if structure == "D":
-        return d
-    if structure == "C":
-        return 1
-    raise ValueError(f"unknown structure {structure!r}")
+    """Free parameters: A has d(d+1)/2, D has d, C has 1 (`priors.family`'s k)."""
+    return family(structure, d).k
 
 
 def log_likelihood(theta: HalfPrecision, stats: SuffStats) -> float:
@@ -332,8 +326,8 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     r, d, structure = s.shape[0], s.shape[-1], h.structure
     log_evidence, errors, post = _evidence(h, s, n)
     fam, stat, alpha_post, rate_post, chol, log_rate_post, lz_prior, lz_post = post
-    _, axes, power, per_obs = fam
-    mult = alpha_post + coef_cols * per_obs - power
+    axes, power = fam.axes, fam.power
+    mult = alpha_post + coef_cols * fam.per_obs - power
     if mult <= 0:
         shape = "shape" if structure == "A" else "gamma shape"
         bound = "(d+1)/2" if structure == "A" else "1"
@@ -360,7 +354,7 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     log_prior = _log_density_at(fam, lz_prior, h.alpha, h.rate, theta, log_x)
     log_post = _log_density_at(fam, lz_post, alpha_post, rate_post, theta, log_x)
     log_lik = _log_lik(axes, n, d, log_det_h, theta, stat)
-    k = param_count(structure, d)
+    k = fam.k
     out = {
         "map": theta,
         "log_det_map": log_det_h,

@@ -157,6 +157,24 @@ class TestSelect:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_csv_and_hyper_file_with_a_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" and some editors' JSON start the file with U+FEFF
+        hyper = {
+            "A": {"structure": "A", "alpha": 4.0, "rate": [[0.5, 0.0], [0.0, 0.5]]},
+            "D": {"structure": "D", "alpha": 2.0, "rate": [0.5, 0.5]},
+            "C": {"structure": "C", "alpha": 6.0, "rate": 1.0, "dim": 2},
+        }
+        ranked = {}
+        for encoding in ("utf-8", "utf-8-sig"):
+            data, hp = tmp_path / f"{encoding}.csv", tmp_path / f"{encoding}.json"
+            data.write_text("a,b\n1,0.5\n-0.3,2\n0.7,-1\n", encoding=encoding)
+            hp.write_text(json.dumps(hyper), encoding=encoding)
+            out = tmp_path / f"{encoding}-report.json"
+            argv = ["select", str(data), "--columns", "a", "b", "--hyper-source", f"file:{hp}"]
+            assert run(argv + ["--json", str(out)]) == 0
+            ranked[encoding] = json.loads(out.read_text())["ranked"]
+        assert ranked["utf-8-sig"] == ranked["utf-8"]
+
     @pytest.mark.parametrize(
         "content, message",
         [
@@ -261,6 +279,15 @@ class TestSimulate:
         argv = ["simulate", "--table", "oracle", "--n", "5", "5", "--reps", "3", "--json", str(out)]
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: n values must be distinct, got [5, 5]\n"
+        assert not out.exists()
+
+    def test_repeated_beta_inverse_exits_2(self, capsys, tmp_path):
+        # each value is a table of its own; a repeated one would be written twice
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--table", "oracle", "--beta-inv", "2", "2", "--n", "5", "--reps", "3"]
+        assert run(argv + ["--json", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --beta-inv values must be distinct, got [2.0, 2.0]\n"
         assert not out.exists()
 
     def test_negative_seed_exits_2(self, capsys):
@@ -471,6 +498,17 @@ class TestRegress:
         assert capsys.readouterr().err.splitlines() == [
             f"error: --lambda-path fixes its own prior and criterion; drop {named}"
         ]
+
+    @pytest.mark.parametrize("enumerate_subsets", [[], ["--enumerate"]])
+    def test_out_without_lambda_path_exits_2(self, capsys, tmp_path, enumerate_subsets):
+        # --out is the lambda-path CSV; without a path it would name a file never written
+        out, js = tmp_path / "path.csv", tmp_path / "reg.json"
+        argv = ["regress", IRIS, "--response", "sepal_width", "--covariates", "petal_width"]
+        assert run(argv + enumerate_subsets + ["--out", str(out), "--json", str(js)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --out writes the --lambda-path CSV; give --lambda-path or drop --out"
+        ]
+        assert not out.exists() and not js.exists()
 
     def test_lambda_zero_exits_2(self):
         rc = run(

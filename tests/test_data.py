@@ -23,6 +23,14 @@ class TestLoadCsv:
         assert ds.columns == ("x", "y")
         np.testing.assert_allclose(ds.rows, [[1, 0], [0, 1]])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        path = tmp_path / "bom.csv"
+        path.write_text("a,b\n1,0\n0,1\n", encoding="utf-8-sig")
+        ds = load_csv(path, columns=["a", "b"])
+        assert ds.columns == ("a", "b")
+        np.testing.assert_array_equal(ds.rows, [[1, 0], [0, 1]])
+
     def test_parse_error_location(self, csv_file):
         with pytest.raises(CsvParseError) as err:
             load_csv(csv_file("x,y\n1,a\n"))

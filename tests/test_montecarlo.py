@@ -21,7 +21,14 @@ from covsel.montecarlo import (
     render_confusion_markdown,
     run_cell,
 )
-from covsel.priors import WishartHyper, empirical_bayes, matched_family, mclust_default
+from covsel.priors import (
+    GammaHyper,
+    GammaVecHyper,
+    WishartHyper,
+    empirical_bayes,
+    matched_family,
+    mclust_default,
+)
 from covsel.structures import CRITERIA, fit_stack
 
 from conftest import best_structures, draw_scatters_loop, rep_rng
@@ -126,6 +133,28 @@ class TestOracleHyper:
     def test_invalid_beta(self):
         with pytest.raises(ConfigError):
             oracle_hyper("A", 5, 0.0)
+
+    def test_unknown_truth(self):
+        with pytest.raises(ConfigError, match="unknown truth 'X'"):
+            oracle_hyper("X", 3, 2.0)
+        with pytest.raises(ConfigError, match="unknown truth 'X'"):
+            run_cell(SimConfig(d=3, n_values=(5,), reps=4), "X", 5)
+
+    @pytest.mark.parametrize("truth", TRUTH_ORDER)
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("beta_inverse, m", [(2.0, 2.0), (0.3, 7.5), (1e-300, 0.5)])
+    def test_equal_to_the_branches(self, truth, d, beta_inverse, m):
+        # the per-truth constructors that `priors._hyper` replaced, kept as oracles
+        beta = 1.0 / beta_inverse
+        alpha = priors.shape_for_sample_size(truth, m, d)
+        want = {
+            "A": lambda: WishartHyper(alpha, beta * np.eye(d)),
+            "D": lambda: GammaVecHyper(alpha, np.full(d, beta)),
+            "C": lambda: GammaHyper(alpha, d * beta, d),
+        }[truth]()
+        got = oracle_hyper(truth, d, beta_inverse, m)
+        assert type(got) is type(want) and (got.alpha, got.dim) == (want.alpha, want.dim)
+        assert np.asarray(got.rate).tobytes() == np.asarray(want.rate).tobytes()
 
     @pytest.mark.parametrize("beta_inverse", [np.nan, np.inf])
     def test_non_finite_beta_rejected(self, beta_inverse):
@@ -254,7 +283,7 @@ class TestCellStreams:
         finals = []
 
         def recorded():
-            for g in rngs:
+            for g in montecarlo._cell_rngs(config, truth, n):  # a fresh pass
                 yield g
                 finals.append(g.bit_generator.state)  # as the next replicate is asked for
 
@@ -276,9 +305,8 @@ class TestSeeding:
         rng = np.random.default_rng(k)
         rows = rng.integers(0, 2**32, size=(200, k), dtype=np.uint32)
         rows[0], rows[1], rows[2] = 0, 2**32 - 1, np.arange(k)
-        streams = montecarlo._Streams(rows)
-        assert len(streams) == len(rows)
-        for row, g in zip(rows, streams):
+        assert sum(1 for _ in montecarlo._streams(rows)) == len(rows)
+        for row, g in zip(rows, montecarlo._streams(rows)):
             assert g.bit_generator.state == np.random.PCG64(np.random.SeedSequence(row)).state
 
     @pytest.mark.parametrize(
@@ -287,11 +315,16 @@ class TestSeeding:
     )
     def test_every_replicate_of_a_cell(self, seed, reps):
         config = SimConfig(d=3, beta_inverse=0.7, n_values=(4,), reps=reps, seed=seed)
-        streams = montecarlo._cell_rngs(config, "D", 4)
-        assert len(streams) == reps
-        for rep, g in enumerate(streams):
+        assert sum(1 for _ in montecarlo._cell_rngs(config, "D", 4)) == reps
+        for rep, g in enumerate(montecarlo._cell_rngs(config, "D", 4)):
             oracle = np.random.PCG64(np.random.SeedSequence((seed, 1, 4, 700_000, rep)))
             assert g.bit_generator.state == oracle.state, rep
+
+    def test_a_cell_yields_its_streams_in_order(self):
+        config = SimConfig(d=2, beta_inverse=3.0, n_values=(6,), reps=25, seed=12)
+        got = [g.bit_generator.state for g in montecarlo._cell_rngs(config, "C", 6)]
+        want = [rep_rng(config, "C", 6, rep).bit_generator.state for rep in range(config.reps)]
+        assert got == want  # exactly reps streams, rep 0 first
 
     def test_a_half_used_word_does_not_carry_over(self):
         # a uint32 draw leaves the other half of a 64-bit output buffered in
@@ -581,8 +614,9 @@ class TestUnbuildableHypers:
     @pytest.mark.parametrize("scheme", ["oracle", "empirical-bayes", "vs-mclust"])
     def test_no_replicate_drawn(self, monkeypatch, scheme):
         def undrawn(h, n, rngs):
-            errors = {rep: SupportError("undrawable") for rep in range(len(rngs))}
-            return np.full((len(rngs), h.dim, h.dim), np.nan), errors
+            reps = sum(1 for _ in rngs)
+            errors = {rep: SupportError("undrawable") for rep in range(reps)}
+            return np.full((reps, h.dim, h.dim), np.nan), errors
 
         monkeypatch.setattr(montecarlo, "draw_scatters", undrawn)
         config = SimConfig(d=3, n_values=(5,), reps=6, seed=4, scheme=scheme)

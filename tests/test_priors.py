@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +23,12 @@ from covsel.priors import (
     WishartHyper,
     conjugate_update,
     empirical_bayes,
+    family,
     hyper_from_jsonable,
     hyper_to_jsonable,
     kl_objective,
     log_normalizer,
+    log_normalizer_at,
     log_prior_density,
     match_down,
     match_up,
@@ -37,7 +41,8 @@ from covsel.priors import (
     sample_prior,
     shape_for_sample_size,
 )
-from covsel.structures import flexibility
+from covsel.specialfn import log_mv_gamma
+from covsel.structures import flexibility, param_count
 
 from conftest import stack_hypers, theta_log_det, theta_trace_product
 
@@ -670,6 +675,24 @@ def branch_shape_for_sample_size(structure, m, d):
     return (m * d + 2) / 2
 
 
+def branch_param_count(structure, d):
+    if structure == "A":
+        return d * (d + 1) // 2
+    if structure == "D":
+        return d
+    return 1
+
+
+def branch_log_normalizer_at(structure, alpha, log_rate, d):
+    if structure == "A":
+        value = alpha * log_rate - log_mv_gamma(d, alpha)
+    elif structure == "D":
+        value = alpha * log_rate - d * math.lgamma(alpha)
+    else:
+        value = alpha * log_rate - math.lgamma(alpha)
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
 def branch_match_down(h, target):
     d = h.dim
     alpha = branch_shape_for_sample_size(target, branch_prior_sample_size(h), d)
@@ -758,6 +781,24 @@ def assert_same_hyper(got, want):
 
 
 class TestFamilyOracles:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_param_counts_and_log_gamma_terms_exact(self, d):
+        rng = np.random.default_rng(200 + d)
+        log_rates = rng.normal(0.0, 3.0, size=5)
+        for structure in "ADC":
+            fam = family(structure, d)
+            assert fam.k == param_count(structure, d) == branch_param_count(structure, d)
+            for alpha in (d - 1) / 2 + np.array([1e-3, 0.5, 1.0, 2.75, 40.0, 1e6]):
+                alpha = float(alpha)
+                assert -fam.log_gamma(alpha) == branch_log_normalizer_at(structure, alpha, 0.0, d)
+                for log_rate in log_rates.tolist():
+                    got = log_normalizer_at(structure, alpha, log_rate, d)
+                    assert type(got) is float
+                    assert got == branch_log_normalizer_at(structure, alpha, log_rate, d)
+                got = log_normalizer_at(structure, alpha, log_rates, d)
+                want = branch_log_normalizer_at(structure, alpha, log_rates, d)
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("d", range(1, 7))
     def test_shapes_and_sample_sizes_exact_at_m2(self, d):
         rng = np.random.default_rng(d)
