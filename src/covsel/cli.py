@@ -351,6 +351,14 @@ def _cmd_simulate(args) -> dict:
         )
         for beta_inv in args.beta_inv
     ]
+    keys = {}
+    for config in configs:
+        other = keys.setdefault(config.stream_key, config.beta_inverse)
+        if other != config.beta_inverse:
+            raise ConfigError(
+                f"--beta-inv values {other!r} and {config.beta_inverse!r} share the stream key "
+                f"round(beta_inverse * 1e6) = {config.stream_key}, so their tables would be copies"
+            )
     doc_tables = []
     for config in configs:
         for n in config.n_values:

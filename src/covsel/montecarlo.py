@@ -13,7 +13,7 @@ procedure on the paired decisions.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Dict, List, Optional, Tuple
 
@@ -201,6 +201,11 @@ class SimConfig:
             raise ConfigError("empirical-Bayes schemes need a prior sample size m > 0")
 
     @property
+    def stream_key(self) -> int:
+        """beta_inverse as its replicates' streams key it: round(beta_inverse 1e6)."""
+        return round(self.beta_inverse * 1e6)
+
+    @property
     def plan(self) -> Dict[str, Tuple[str, str]]:
         """label -> (hyperparameter scheme, criterion)."""
         if self.scheme == "vs-mclust":
@@ -285,11 +290,11 @@ def _streams(rows: np.ndarray) -> Iterator[np.random.Generator]:
 
 def _cell_rngs(config: SimConfig, truth: str, n: int) -> Iterator[np.random.Generator]:
     """The replicates' streams of a (truth, n) cell, each that of
-    SeedSequence((seed, truth index, n, round(beta_inverse 1e6), rep)).
+    SeedSequence((seed, truth index, n, stream_key, rep)).
     The cell's four ints are coded once, as SeedSequence codes an int:
     32-bit words, low word first, 0 as one zero word; each row adds its rep.
     One generator serves every replicate in turn (see `_streams`)."""
-    key = map(int, (config.seed, TRUTH_ORDER.index(truth), n, round(config.beta_inverse * 1e6)))
+    key = map(int, (config.seed, TRUTH_ORDER.index(truth), n, config.stream_key))
     words = [(v >> s) & _MASK32 for v in key for s in range(0, v.bit_length() or 1, 32)]
     rows = np.empty((config.reps, len(words) + 1), dtype=np.uint32)
     rows[:, :-1], rows[:, -1] = words, np.arange(config.reps)
@@ -443,11 +448,7 @@ class ConfusionTable:
                     "second": c.second,
                     "scope": c.scope,
                     "better": c.better,
-                    "b": c.test.b,
-                    "c": c.test.c,
-                    "statistic": c.test.statistic,
-                    "p_value": c.test.p_value,
-                    "method": c.test.method,
+                    **asdict(c.test),
                     "significant": c.significant,
                 }
                 for c in self.comparisons
@@ -466,15 +467,9 @@ def confusion_table(cells: Sequence[CellDecisions]) -> ConfusionTable:
     by_truth = {cell.truth: cell for cell in cells}
     if sorted(by_truth) != sorted(TRUTH_ORDER):
         raise ConfigError(f"need one cell per truth {TRUTH_ORDER}, got {sorted(by_truth)}")
+    if len({(cell.n, cell.beta_inverse, cell.scheme, cell.reps) for cell in cells}) > 1:
+        raise ConfigError("cells of one table must share n, beta, scheme and reps")
     ref = cells[0]
-    for cell in cells:
-        if (cell.n, cell.beta_inverse, cell.scheme, cell.reps) != (
-            ref.n,
-            ref.beta_inverse,
-            ref.scheme,
-            ref.reps,
-        ):
-            raise ConfigError("cells of one table must share n, beta, scheme and reps")
     labels = list(ref.selected)
     truths = np.arange(3)[:, None]
     picks, matrices = {}, {}

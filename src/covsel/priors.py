@@ -21,7 +21,7 @@ kernel in `structures` broadcasts such rates against its scatters.
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -180,7 +180,10 @@ class Family(NamedTuple):
     |x|^(alpha - power) exp(-<rate, x>), where |x| is the determinant for A
     and D and x itself for C; each observation adds `per_obs` to the shape.
     The structure has `k` free parameters, and its log normalizer is
-    alpha log|rate| - `log_gamma`(alpha).
+    alpha log|rate| - `log_gamma`(alpha). The precision's log-determinant is
+    log|H| = `det_scale` log|x|, and the log-partition's Hessian in the
+    structure's own coordinates has log-determinant c - b log|H| for
+    `hessian` = (c, b) (see `structures.log_partition_hessian_logdet`).
     """
 
     statistic: Callable[[np.ndarray], np.ndarray]
@@ -189,6 +192,8 @@ class Family(NamedTuple):
     per_obs: float
     k: int
     log_gamma: Callable[[float], float]
+    det_scale: int
+    hessian: Tuple[float, float]
 
 
 @lru_cache
@@ -197,14 +202,20 @@ def family(structure: str, d: int) -> Family:
     per (structure, d), as the kernel reads it on every call."""
     if structure == "A":
         k = d * (d + 1) // 2
-        return Family(lambda s: s, (-2, -1), (d + 1) / 2, 0.5, k, lambda a: log_mv_gamma(d, a))
+        return Family(
+            lambda s: s, (-2, -1), (d + 1) / 2, 0.5, k, lambda a: log_mv_gamma(d, a),
+            1, (-d * math.log(2), d + 1),
+        )
     if structure == "D":
         return Family(
             lambda s: np.diagonal(s, axis1=-2, axis2=-1), (-1,), 1.0, 0.5, d,
-            lambda a: d * math.lgamma(a),
+            lambda a: d * math.lgamma(a), 1, (-d * math.log(2), 2),
         )
     if structure == "C":
-        return Family(lambda s: np.trace(s, axis1=-2, axis2=-1), (), 1.0, d / 2, 1, math.lgamma)
+        return Family(
+            lambda s: np.trace(s, axis1=-2, axis2=-1), (), 1.0, d / 2, 1, math.lgamma,
+            d, (math.log(d / 2), 2 / d),
+        )
     raise ValueError(f"unknown structure {structure!r}")
 
 
@@ -213,15 +224,13 @@ class PriorSampleSize(NamedTuple):
     non_regular: bool
 
 
-def prior_sample_size(h: Hyper, d: Optional[int] = None) -> PriorSampleSize:
+def prior_sample_size(h: Hyper) -> PriorSampleSize:
     """Prior sample size m = (alpha - power) / per_obs (see `family`).
 
     A: m = 2*alpha - (d+1);  D: m = 2*alpha - 2;  C: m = (2*alpha - 2)/d.
     Flagged non-regular when m <= 0 (posterior mode may not exist for
     small n).
     """
-    if d is not None and d != h.dim:
-        raise DimensionMismatchError(f"hyper dimension {h.dim} != requested d={d}")
     fam = family(h.structure, h.dim)
     m = (h.alpha - fam.power) / fam.per_obs
     return PriorSampleSize(m=float(m), non_regular=m <= 0)
@@ -270,15 +279,16 @@ def conjugate_update(h: Hyper, stats: SuffStats) -> Hyper:
 # ---------------------------------------------------------------------------
 # Hyperparameter matching between nested structures.
 #
-# Nesting order is C < D < A. One rule serves both directions: write the
-# rate as a d x d matrix (`rate_matrix`: B, diag beta, or (beta/d) I) and
-# take the target's statistic of it (the matrix, its diagonal, or its
-# trace). Down, that is the nesting map's aggregation; up, its
-# pseudo-inverse. The prior sample size m is preserved, which pins the
-# target shape via shape_for_sample_size.
+# Nesting order is C < D < A (SIMPLEST_FIRST). One rule serves both
+# directions: write the rate as a d x d matrix (`rate_matrix`: B, diag
+# beta, or (beta/d) I) and take the target's statistic of it (the matrix,
+# its diagonal, or its trace). Down, that is the nesting map's aggregation;
+# up, its pseudo-inverse. The prior sample size m is preserved, which pins
+# the target shape via shape_for_sample_size.
 # ---------------------------------------------------------------------------
 
-_ORDER = {"C": 0, "D": 1, "A": 2}
+# the nesting order, simplest first; also the tie order of structure selection
+SIMPLEST_FIRST = ("C", "D", "A")
 
 
 def _hyper(structure: str, alpha: float, rate, d: int) -> Hyper:
@@ -314,18 +324,18 @@ def _match(h: Hyper, target: str) -> Hyper:
 
 def match_down(h: Hyper, target: str) -> Hyper:
     """Project a hyperparameterization onto a strictly simpler structure."""
-    if target not in _ORDER:
+    if target not in SIMPLEST_FIRST:
         raise ValueError(f"unknown structure {target!r}")
-    if _ORDER[target] >= _ORDER[h.structure]:
+    if SIMPLEST_FIRST.index(target) >= SIMPLEST_FIRST.index(h.structure):
         raise ConfigError(f"{target} is not strictly simpler than {h.structure}")
     return _match(h, target)
 
 
 def match_up(h: Hyper, target: str = "A") -> Hyper:
     """Embed a hyperparameterization into a strictly richer structure."""
-    if target not in _ORDER:
+    if target not in SIMPLEST_FIRST:
         raise ValueError(f"unknown structure {target!r}")
-    if _ORDER[target] <= _ORDER[h.structure]:
+    if SIMPLEST_FIRST.index(target) <= SIMPLEST_FIRST.index(h.structure):
         raise ConfigError(f"{target} is not strictly richer than {h.structure}")
     return _match(h, target)
 
@@ -351,7 +361,7 @@ def kl_objective(
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    if _ORDER[nested.structure] >= _ORDER[full.structure]:
+    if SIMPLEST_FIRST.index(nested.structure) >= SIMPLEST_FIRST.index(full.structure):
         raise ConfigError(
             f"nested structure {nested.structure} must be strictly below {full.structure}"
         )

@@ -32,6 +32,7 @@ from .precision import HalfPrecision, as_array, from_array
 from .priors import (
     Hyper,
     HyperTriple,
+    SIMPLEST_FIRST,
     _dot,
     _log_density_at,
     _log_det,
@@ -69,9 +70,6 @@ CRITERIA = ("evidence", "bic", "pcbic", "kic")
 # the field of FitReport and StackFit that holds each criterion's value
 _CRITERION_FIELD = {"evidence": "log_evidence", "bic": "bic", "pcbic": "pc_bic", "kic": "kic"}
 
-# tie order of structure selection: the simplest structure first
-SIMPLEST_FIRST = ("C", "D", "A")
-
 # relative tolerance under which two criterion values count as tied;
 # ties go to the simpler structure (C before D before A)
 _TIE_RTOL = 1e-9
@@ -101,15 +99,10 @@ def _log_lik(axes, n: int, d: int, log_det_h, x, stat):
     return n / 2 * log_det_h - n * d / 2 * LOG_PI - _dot(axes, x, stat)
 
 
-def _log_det_h(structure: str, d: int, log_x):
-    """log|H| from `priors._log_det` of H's array form: d log eta for C."""
-    return d * log_x if structure == "C" else log_x
-
-
 def _stack_of_one(theta: HalfPrecision):
     """theta as a stack of one in its own array form, and its log|H|."""
     x = np.asarray(as_array(theta, theta.structure))[None]
-    return x, _log_det_h(theta.structure, theta.dim, _log_det(theta.structure, x))
+    return x, family(theta.structure, theta.dim).det_scale * _log_det(theta.structure, x)
 
 
 def map_estimate(h: Hyper, stats: SuffStats) -> HalfPrecision:
@@ -187,17 +180,11 @@ def log_partition_hessian_logdet(theta: HalfPrecision) -> float:
       With |D^T (X kron X) D| = 2^{d(d-1)/2} |X|^{d+1} (Magnus and
       Neudecker, Matrix Differential Calculus) and the factor 1/2 on each
       of the d(d+1)/2 coordinates, log|Hess| = -d log 2 - (d+1) log|H|.
+
+    Each is c - b log|H| for `priors.family`'s `hessian` = (c, b).
     """
-    return float(_hessian_logdet(theta.structure, theta.dim, _stack_of_one(theta)[1])[0])
-
-
-def _hessian_logdet(structure: str, d: int, log_det_h):
-    """`log_partition_hessian_logdet` from log|H|; works on arrays."""
-    if structure == "C":
-        return math.log(d / 2) - 2 / d * log_det_h
-    if structure == "D":
-        return -d * math.log(2) - 2 * log_det_h
-    return -d * math.log(2) - (d + 1) * log_det_h
+    c, b = family(theta.structure, theta.dim).hessian
+    return float((c - b * _stack_of_one(theta)[1])[0])
 
 
 # each value field of FitReport and the StackFit column it is read from
@@ -350,7 +337,7 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
         log_x = d * math.log(mult) - log_rate_post
     else:
         log_x = _log_det(structure, theta)
-    log_det_h = _log_det_h(structure, d, log_x)
+    log_det_h = fam.det_scale * log_x
     log_prior = _log_density_at(fam, lz_prior, h.alpha, h.rate, theta, log_x)
     log_post = _log_density_at(fam, lz_post, alpha_post, rate_post, theta, log_x)
     log_lik = _log_lik(axes, n, d, log_det_h, theta, stat)
@@ -368,13 +355,10 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
         # log L + log prior - (1/2) log |n * Hess A / (2 pi)| at the MAP.
         # Its penalty equals the flexibility in the large-n limit.
         penalty = k / 2 * math.log(n)
+        c, b = fam.hessian
         out["bic"] = log_lik - penalty
         out["pc_bic"] = log_lik + log_prior - penalty
-        out["kic"] = (
-            out["pc_bic"]
-            - 0.5 * _hessian_logdet(structure, d, log_det_h)
-            + k / 2 * math.log(2 * math.pi)
-        )
+        out["kic"] = out["pc_bic"] - 0.5 * (c - b * log_det_h) + k / 2 * math.log(2 * math.pi)
     else:
         out["bic"] = out["pc_bic"] = out["kic"] = None
     # the one masking step: a failed replicate keeps only its evidence,

@@ -44,6 +44,8 @@ COMMANDS = {
     "simulate-oracle": _SIM + ["--table", "oracle"],
     # a seed of 2^32 takes two uint32 words in its replicates' SeedSequence
     "simulate-oracle-multiword-seed": _SIM[:-2] + ["4294967296", "--records", "--table", "oracle"],
+    # two tables, of stream keys 500000 and 2000000
+    "simulate-oracle-two-beta-inv": _SIM + ["--table", "oracle", "--beta-inv", "0.5", "2"],
     "simulate-eb": _SIM + ["--table", "eb"],
     "simulate-vs-mclust": _SIM + ["--table", "vs-mclust"],
     "rates-nested-A-vs-C": _RATES + ["--pair", "A-vs-C", "--truth", "C"],

@@ -129,3 +129,17 @@ def test_precision_classes_carry_no_arithmetic():
         for name in ("log_det", "scatter_product"):
             assert not hasattr(cls, name), (cls.__name__, name)
     assert not hasattr(StackFit, "scatter_product")
+
+
+def test_per_structure_rules_stated_once():
+    # log|H|, the log-partition Hessian and the nesting order are `priors`' facts;
+    # `structures` reads them rather than branching on C and D itself
+    from covsel import priors, structures
+
+    for module, name in [
+        (structures, "_log_det_h"),
+        (structures, "_hessian_logdet"),
+        (priors, "_ORDER"),
+    ]:
+        assert not hasattr(module, name), (module.__name__, name)
+    assert structures.SIMPLEST_FIRST is priors.SIMPLEST_FIRST

@@ -563,6 +563,18 @@ class TestRateStudy:
                 seed=0,
             )
 
+    @pytest.mark.parametrize(
+        "hyper, fixed_theta, message",
+        [
+            (oracle_hyper("C", 3, 2.0), None, "hyper structure must match the truth"),
+            (oracle_hyper("A", 3, 2.0), FullPrecision(np.eye(2)), "fixed_theta dimension"),
+        ],
+        ids=["hyper-of-another-structure", "fixed-theta-of-another-dimension"],
+    )
+    def test_config_rejects_a_mismatched_hyper_or_theta(self, hyper, fixed_theta, message):
+        with pytest.raises(ConfigError, match=message):
+            RateStudyConfig("A-vs-C", "A", hyper, (10,), 1, 0, fixed_theta)
+
     FIXED_SIGMAS = [
         "2,0.6,0.3,0,0;0.6,1.5,0.4,0.2,0;0.3,0.4,1,0.3,0.1;0,0.2,0.3,0.8,0.2;0,0,0.1,0.2,0.5",
         "1,0.5;0.5,1",

@@ -188,6 +188,30 @@ class TestSelect:
         assert run(["select", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "error: file has no header row"),
+            (["--no-header"], "error: no columns found"),
+        ],
+    )
+    def test_empty_csv_exits_2(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert run(["select", str(path), *flags]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--columns", "petal"], "error: unknown column 'petal'"),
+            (["--hyper-source", "bogus"], "error: unknown hyper source 'bogus'"),
+        ],
+    )
+    def test_unknown_column_or_hyper_source_exits_2(self, capsys, flags, message):
+        assert run(["select", IRIS, *flags]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_overflowing_mode_skips_the_structure(self, tmp_path, capsys):
         # all-zero rows and a Wishart rate of 1e-310 I: the rate is accepted,
         # but the posterior mode (alpha - 3/2) (B + s)^{-1} overflows
@@ -289,6 +313,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == "error: --beta-inv values must be distinct, got [2.0, 2.0]\n"
         assert not out.exists()
+
+    def test_beta_inverses_sharing_a_stream_key_exit_2(self, capsys, tmp_path):
+        # 2 and 2.0000001 both key their streams 2000000: their tables would be copies
+        out = tmp_path / "a.json"
+        argv = ["simulate", "--table", "oracle", "--d", "3", "--n", "5", "--reps", "200"]
+        argv += ["--beta-inv", "2", "2.0000001", "--seed", "1", "--records", "--json", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --beta-inv values 2.0 and 2.0000001 share the stream key "
+            "round(beta_inverse * 1e6) = 2000000, so their tables would be copies\n"
+        )
+        assert not out.exists()
+
+    def test_beta_inverses_with_adjacent_stream_keys_are_distinct_tables(self, tmp_path):
+        out = tmp_path / "a.json"
+        argv = ["simulate", "--table", "oracle", "--d", "3", "--n", "5", "--reps", "200"]
+        argv += ["--beta-inv", "2", "2.000001", "--seed", "1", "--records", "--json", str(out)]
+        assert run(argv) == 0
+        first, second = json.loads(out.read_text())["tables"]
+        assert (first["beta_inverse"], second["beta_inverse"]) == (2.0, 2.000001)
+        assert first["records"] != second["records"]
 
     def test_negative_seed_exits_2(self, capsys):
         # a replicate's stream codes the seed as uint32 words, which a negative seed would wrap
@@ -872,6 +917,11 @@ class TestRates:
         assert run(argv + ["--fixed-sigma", sigma]) == 2
         assert "--fixed-sigma is not a positive definite matrix" in capsys.readouterr().err
 
+    def test_fixed_sigma_outside_truth_a_exits_2(self, capsys):
+        argv = ["rates", "--truth", "C", "--n-grid", "10", "--reps", "2", "--fixed-sigma", "1"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: --fixed-sigma is only meaningful with --truth A\n"
+
     def test_fixed_sigma(self, tmp_path):
         js = tmp_path / "r.json"
         rc = run(
@@ -951,6 +1001,9 @@ class TestJsonWriter:
 
 
 class TestEntryPoint:
+    def test_no_command_prints_help_and_returns_2(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().out.startswith("usage: covsel")
     def test_console_script(self):
         # the child imports the covsel under test, installed or not
         src = str(Path(cli.__file__).parents[1])

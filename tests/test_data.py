@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covsel.data import Dataset, center_columns, concat, load_csv, suff_stats
+from covsel.data import Dataset, SuffStats, center_columns, concat, load_csv, suff_stats
 from covsel.errors import CsvParseError, EmptyDatasetError
 from covsel.specialfn import cholesky_pd
 
@@ -117,6 +117,38 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.rows, [[1.5, -0.0], [1e-300, 2000.0]])
         assert np.signbit(ds.rows[0, 1])
         assert load_csv(csv_file("x,y\n")).rows.shape == (0, 2)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "rows, columns, message",
+        [
+            (np.ones(3), None, "rows must be 2-d"),
+            (np.array([[1.0, np.nan]]), None, "entries must be finite"),
+            (np.ones((2, 2)), ("a",), "column name count"),
+        ],
+        ids=["1-d", "non-finite", "column-names"],
+    )
+    def test_dataset(self, rows, columns, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(rows, columns)
+
+    @pytest.mark.parametrize(
+        "n, d, s, message",
+        [
+            (-1, 2, np.zeros((2, 2)), "need n >= 0 and d >= 1"),
+            (1, 0, np.zeros((0, 0)), "need n >= 0 and d >= 1"),
+            (1, 2, np.eye(3), "scatter shape"),
+        ],
+        ids=["negative-n", "zero-d", "scatter-shape"],
+    )
+    def test_suff_stats(self, n, d, s, message):
+        with pytest.raises(ValueError, match=message):
+            SuffStats(n, d, s)
+
+    def test_concat_widths(self):
+        with pytest.raises(ValueError, match="different widths"):
+            concat(Dataset(np.ones((1, 2))), Dataset(np.ones((1, 3))))
 
 
 class TestSuffStats:

@@ -66,6 +66,10 @@ class TestMcNemar:
         with pytest.raises(ConfigError):
             mcnemar(-1, 2)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ConfigError, match="unknown method 'bogus'"):
+            mcnemar(1, 2, "bogus")
+
 
 class TestMcNemarChiSquareTail:
     """The continuity-corrected p is the upper tail of a chi-square with one
@@ -408,6 +412,16 @@ class TestRunCell:
         with pytest.raises(ConfigError, match="criteria must be among"):
             SimConfig(criteria=criteria)
 
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ConfigError, match="got 'bogus'"):
+            SimConfig(scheme="bogus")
+
+    @pytest.mark.parametrize(
+        "beta_inverse, key", [(2.0, 2_000_000), (2.0000001, 2_000_000), (2.000001, 2_000_001)]
+    )
+    def test_stream_key(self, beta_inverse, key):
+        assert SimConfig(beta_inverse=beta_inverse).stream_key == key
+
     @pytest.mark.parametrize("scheme, n", [("oracle", 2), ("vs-mclust", 4)])
     def test_cells_never_draw_rows(self, monkeypatch, scheme, n):
         def forbidden(*args, **kwargs):
@@ -496,6 +510,30 @@ class TestConfusionTable:
         )[:2]
         with pytest.raises(ConfigError):
             confusion_table(cells)
+
+    def test_cells_of_different_n_rejected(self):
+        cells = fake_cells({t: {"evidence": ["A"]} for t in TRUTH_ORDER})
+        cells[1] = CellDecisions(**{**vars(cells[1]), "n": 6})
+        with pytest.raises(ConfigError, match="must share n, beta, scheme and reps"):
+            confusion_table(cells)
+
+    def test_comparison_json_fields(self):
+        cells = fake_cells(
+            {t: {"evidence": ["A", "D", "C", "C"], "pcbic": ["C", "C", "C", "C"]} for t in "ADC"}
+        )
+        comparison = confusion_table(cells).to_jsonable()["comparisons"][0]
+        assert comparison == {
+            "first": "evidence",
+            "second": "pcbic",
+            "scope": "A",
+            "better": "evidence",
+            "b": 1,
+            "c": 0,
+            "statistic": 0.0,
+            "p_value": 1.0,
+            "method": "exact",
+            "significant": False,
+        }
 
     def test_markdown_renders(self):
         cells = fake_cells(

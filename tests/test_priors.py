@@ -64,10 +64,6 @@ class TestPriorSampleSize:
         ps = prior_sample_size(GammaVecHyper(1.0, np.ones(3)))
         assert ps.m == 0.0 and ps.non_regular
 
-    def test_dim_check(self):
-        with pytest.raises(DimensionMismatchError):
-            prior_sample_size(WishartHyper(4.0, np.eye(5)), d=4)
-
 
 class TestConjugateUpdate:
     def test_wishart(self):
@@ -203,6 +199,11 @@ class TestMatching:
         with pytest.raises(ConfigError):
             match_up(WishartHyper(4.0, np.eye(2)), "C")
 
+    @pytest.mark.parametrize("match", [match_down, match_up])
+    def test_unknown_target_rejected(self, match):
+        with pytest.raises(ValueError, match="unknown structure 'X'"):
+            match(GammaVecHyper(2.0, np.ones(2)), "X")
+
 
 class TestKlObjective:
     def test_matched_attains_normalizer_ratio(self):
@@ -239,6 +240,25 @@ class TestKlObjective:
         worse = GammaHyper((1.2 * m * 3 + 2) / 2, matched.rate, 3)
         est, se = kl_objective(full, worse, 100_000, rng)
         assert est - base > 3 * np.hypot(base_se, se)
+
+    @pytest.mark.parametrize(
+        "full, nested, n_samples, error, message",
+        [
+            (GammaVecHyper(2.0, np.ones(3)), GammaHyper(2.0, 1.0, 3), 0, ConfigError, ">= 1"),
+            (GammaHyper(2.0, 1.0, 3), GammaVecHyper(2.0, np.ones(3)), 5, ConfigError, "below C"),
+            (
+                GammaVecHyper(2.0, np.ones(3)),
+                GammaHyper(2.0, 1.0, 2),
+                5,
+                DimensionMismatchError,
+                "different dimensions",
+            ),
+        ],
+        ids=["no-samples", "nesting-reversed", "dimensions"],
+    )
+    def test_rejects(self, full, nested, n_samples, error, message):
+        with pytest.raises(error, match=message):
+            kl_objective(full, nested, n_samples, np.random.default_rng(0))
 
 
 class TestEmpiricalBayes:
@@ -603,6 +623,10 @@ class TestLogPriorDensity:
         with pytest.raises(SupportError):
             log_prior_density(h, FullPrecision([[1.0, 0.5], [0.5, 1.0]]))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="3 != parameter dimension 2"):
+            log_prior_density(GammaVecHyper(2.0, np.ones(3)), DiagPrecision(np.ones(2)))
+
 
 class TestSerialization:
     @pytest.mark.parametrize(
@@ -641,6 +665,10 @@ class TestGammaHyper:
     def test_dim_must_be_a_positive_integer(self, dim):
         with pytest.raises(ValueError, match="integer >= 1"):
             GammaHyper(2.0, 1.0, dim)
+
+    def test_vector_rate_must_be_nonempty(self):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            GammaVecHyper(2.0, [])
 
 
 class TestMatchedFamily:
@@ -764,6 +792,20 @@ def branch_kl_objective(full, nested, n_samples, rng):
     return float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(n_samples))
 
 
+def branch_log_det_h(structure, d, log_x):
+    """log|H| from log|x| of H's array form: d log eta for C."""
+    return d * log_x if structure == "C" else log_x
+
+
+def branch_hessian_logdet(structure, d, log_det_h):
+    """The log-partition Hessian's log-determinant from log|H|."""
+    if structure == "C":
+        return math.log(d / 2) - 2 / d * log_det_h
+    if structure == "D":
+        return -d * math.log(2) - 2 * log_det_h
+    return -d * math.log(2) - (d + 1) * log_det_h
+
+
 def random_hyper(rng, structure, d, m):
     alpha = branch_shape_for_sample_size(structure, m, d)
     if structure == "A":
@@ -798,6 +840,24 @@ class TestFamilyOracles:
                 got = log_normalizer_at(structure, alpha, log_rates, d)
                 want = branch_log_normalizer_at(structure, alpha, log_rates, d)
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_det_scales_and_hessian_terms_exact(self, d):
+        rng = np.random.default_rng(300 + d)
+        log_x = np.concatenate([[0.0, -0.0, -1e6, 1e6, 709.8], rng.normal(0.0, 5.0, size=6)])
+        for structure in "ADC":
+            fam = family(structure, d)
+            c, b = fam.hessian
+            log_det_h = fam.det_scale * log_x
+            want = branch_log_det_h(structure, d, log_x)
+            assert log_det_h.tobytes() == want.tobytes()
+            got = c - b * log_det_h
+            assert got.tobytes() == branch_hessian_logdet(structure, d, want).tobytes()
+            for v in log_x.tolist():
+                assert fam.det_scale * v == branch_log_det_h(structure, d, v)
+                assert c - b * (fam.det_scale * v) == branch_hessian_logdet(
+                    structure, d, branch_log_det_h(structure, d, v)
+                )
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_shapes_and_sample_sizes_exact_at_m2(self, d):

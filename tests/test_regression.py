@@ -422,6 +422,11 @@ class TestEnumerateCovariates:
         with pytest.raises(ConfigError):
             enumerate_covariates(data, standard_hypers(1, 3), max_candidates=2)
 
+    def test_names_of_another_count_raise(self):
+        data = toy_data(np.random.default_rng(13), n=10, d1=1, d2=3)
+        with pytest.raises(ConfigError, match="names length must match the covariate count"):
+            enumerate_covariates(data, standard_hypers(1, 3), names=["a", "b"])
+
     def test_repeated_names_raise(self):
         data = toy_data(np.random.default_rng(13), n=10, d1=1, d2=3)
         with pytest.raises(ConfigError, match="covariate names must be distinct"):
@@ -526,6 +531,20 @@ class TestValidation:
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             RegressionData(np.zeros((4, 2)), np.zeros((5, 1)))
+
+    def test_a_bare_covariate_vector_is_one_column(self):
+        data = RegressionData(np.ones((4, 1)), np.arange(4.0))
+        assert (data.d2, data.x.shape) == (1, (4, 1))
+        np.testing.assert_array_equal(data.x[:, 0], np.arange(4.0))
+
+    def test_likelihood_theta_of_another_dimension(self):
+        data = RegressionData(np.ones((4, 1)), np.arange(4.0))
+        with pytest.raises(DimensionMismatchError, match="theta dimension"):
+            regression.log_likelihood_regression(data, np.zeros((1, 1)), DiagPrecision(np.ones(2)))
+
+    def test_more_nu_columns_than_lambda(self):
+        with pytest.raises(DimensionMismatchError, match="nu column count must match Lambda"):
+            RegressionHyper(np.zeros((1, 3)), np.eye(2), GammaHyper(2.0, 1.0, 1))
 
     def test_non_finite_nu_rejected(self):
         with pytest.raises(ValueError, match="nu entries must be finite"):

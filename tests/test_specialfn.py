@@ -45,6 +45,10 @@ class TestLogMvGamma:
             rhs = sum(math.log(a + (1 - j) / 2) for j in range(1, d + 1))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            log_mv_gamma(0, 1.0)
+
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
             log_mv_gamma(3, 1.0)

@@ -5,7 +5,12 @@ import pytest
 from scipy.special import gammaln, multigammaln
 
 from covsel.data import Dataset, SuffStats, suff_stats
-from covsel.errors import ConfigError, NonRegularPriorError, NotPositiveDefiniteError
+from covsel.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NonRegularPriorError,
+    NotPositiveDefiniteError,
+)
 from covsel.montecarlo import gaussian_rows
 from covsel.regression import RegressionHyper, log_joint_prior
 from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
@@ -61,6 +66,11 @@ class TestLogLikelihood:
     def test_empty_sample(self):
         stats = SuffStats(n=0, d=3, s=np.zeros((3, 3)))
         assert log_likelihood(DiagPrecision(np.ones(3)), stats) == 0.0
+
+    def test_dimension_mismatch(self):
+        stats = SuffStats(n=1, d=2, s=np.eye(2))
+        with pytest.raises(DimensionMismatchError, match="3 != data dimension 2"):
+            log_likelihood(DiagPrecision(np.ones(3)), stats)
 
     def test_embedding_consistency(self):
         rng = np.random.default_rng(2)
@@ -486,6 +496,11 @@ class TestFlatPrior:
                 assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms)), (structure, case.n, d)
 
     @pytest.mark.parametrize("structure", ["A", "D", "C"])
+    def test_empty_sample_rejected(self, structure):
+        with pytest.raises(ConfigError, match="requires n >= 1"):
+            log_evidence_flat(structure, SuffStats(n=0, d=2, s=np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("structure", ["A", "D", "C"])
     def test_zero_scatter_raises(self, structure):
         # a RuntimeWarning from log(0) would fail the test (pytest's filterwarnings)
         with pytest.raises(NotPositiveDefiniteError):
@@ -542,3 +557,16 @@ class TestSelectStructure:
         fam = matched_family(GammaVecHyper(1.0, np.ones(2)))  # m = 0: no MAP at n = 0
         with pytest.raises(ConfigError):
             select_structure(stats, fam, "evidence")
+
+    def test_undefined_criterion_skips_every_structure(self):
+        # BIC is undefined at n = 0 (log 0), so no structure is left to rank
+        stats = SuffStats(n=0, d=2, s=np.zeros((2, 2)))
+        skipped = {s: "criterion bic undefined at n=0" for s in "CDA"}
+        with pytest.raises(ConfigError, match="no structure could be fit") as info:
+            select_structure(stats, matched_family(GammaVecHyper(2.0, np.ones(2))), "bic")
+        assert str(info.value) == f"no structure could be fit: {skipped}"
+
+    def test_unknown_criterion_rejected(self):
+        stats = SuffStats(n=3, d=2, s=np.eye(2))
+        with pytest.raises(ConfigError, match="got 'aic'"):
+            select_structure(stats, matched_family(GammaVecHyper(2.0, np.ones(2))), "aic")
