@@ -10,12 +10,13 @@ and writes it to --json.
 import argparse
 import functools
 import json
+import operator
 import re
 import sys
 import time
 from contextlib import contextmanager
-from itertools import repeat
-from typing import List, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -72,14 +73,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = time.monotonic()
     try:
         doc = args.func(args)
-        if args.json:  # one root field at a time; a _JsonText field is written as it is
-            doc = {"manifest": _manifest(args), **doc}
-            fields = [
-                f"{json.dumps(key)}: "
-                + (value if isinstance(value, _JsonText) else _json_text(value, _FIELD_PAD))
-                for key, value in sorted(doc.items())
-            ]
-            _write_text(args.json, _json_block(fields, "\n", "{}"))
+        if args.json:
+            _write_text(args.json, _document({"manifest": _manifest(args), **doc}))
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -181,18 +176,28 @@ def _path_errors(path: str):
         raise ConfigError(f"cannot use {path}: {exc}") from exc
 
 
-def _write_text(path: Optional[str], text: str) -> None:
-    """Write text and a newline to `path`, or to stdout when there is none."""
-    if path:
-        with _path_errors(path), open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _write_text(path: Optional[str], pieces: Iterable[str]) -> None:
+    """Write text, in pieces, and a newline to `path`, or to stdout when there
+    is none."""
+    if not path:
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
+        return
+    with _path_errors(path), open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
-class _JsonText(str):
-    """A field value that is already JSON text at its place in the document;
-    `main` writes it unchanged."""
+def _document(doc: dict) -> Iterator[str]:
+    """json.dumps(doc, indent=2, sort_keys=True) in pieces, one root field at
+    a time; a field whose value is an iterator of text pieces is written as
+    they are."""
+    sep = "{"
+    for key, value in sorted(doc.items()):
+        yield f"{sep}{_FIELD_PAD}{json.dumps(key)}: "
+        yield from value if isinstance(value, Iterator) else [_json_text(value, _FIELD_PAD)]
+        sep = ","
+    yield "\n}"
 
 
 def _json_text(doc, pad: str = "\n") -> str:
@@ -212,54 +217,85 @@ _ITEM_PAD = _FIELD_PAD + "  "
 _LABEL_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__}
 
 
-def _json_block(items: List[str], pad: str, brackets: str = "[]") -> str:
-    """The text of a nonempty array (or, with brackets "{}", object) at `pad`
-    whose entries have the texts `items`, each at the indent below."""
+def _json_array(chunks: Iterable[List[str]], pad: str) -> Iterator[str]:
+    """The text, in pieces, of a nonempty array at `pad` whose items have the
+    texts of `chunks`' lists in turn, each at the indent below."""
     inner = pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+    sep = "["
+    for items in chunks:
+        yield sep + inner + ("," + inner).join(items)
+        sep = ","
+    yield pad + "]"
 
 
-def _float_texts(column: np.ndarray) -> List[str]:
-    """The JSON text of each entry of a 1-D float array: one `float.__repr__`
-    pass unless the column holds NaN or inf."""
-    return list(map(float.__repr__ if np.isfinite(column).all() else json.dumps, column.tolist()))
-
-
-def _fits_items(stack) -> List[str]:
-    """Each subset of a `regression._Stack` as a `fits` item: the text of its
-    `RegressionFit.to_jsonable()`, from one template per stack whose named
-    slots are filled from the stack's whole columns. Its fits have no errors."""
+def _item_format(stack) -> Callable[[np.ndarray], List[str]]:
+    """The `fits` items of a `regression._Stack`'s subsets at given rows: the
+    text of each one's `RegressionFit.to_jsonable()`, from one template whose
+    named slots are filled from the stack's columns. Its fits have no errors.
+    Where every subset's A MAP is symmetric, bit for bit, a mirrored entry
+    reuses the text of its twin above the diagonal."""
     reports, columns = {}, {}
     for structure, fit in stack.fits.items():
-        maps = fit.map.reshape(len(fit.map), -1).T
-        names = [f"{structure}map{j}" for j in range(len(maps))]
+        maps = fit.map.reshape(len(fit.map), -1)
+        index = np.arange(maps.shape[1]).reshape(fit.map.shape[1:])
+        bits = np.ascontiguousarray(fit.map).view(np.int64)
+        if index.ndim == 2 and np.array_equal(bits, bits.swapaxes(-1, -2)):
+            index = np.minimum(index, index.T)
+        columns.update((f"{structure}map{j}", column) for j, column in enumerate(maps.T))
         values = {structure + key: getattr(fit, column) for key, column in _REPORT_FIELDS.items()}
-        columns.update(zip(names, map(_float_texts, maps)))
-        columns.update((name, _float_texts(v)) for name, v in values.items() if v is not None)
-        map_ = np.array([_HOLE + name for name in names]).reshape(fit.map.shape[1:]).tolist()
+        columns.update((name, v) for name, v in values.items() if v is not None)
+        map_ = np.array([f"{_HOLE}{structure}map{j}" for j in index.ravel().tolist()])
         slots = (None if v is None else _HOLE + name for name, v in values.items())
-        reports[structure] = dict(zip(_REPORT_KEYS, (structure, map_, *slots, fit.k)))
+        reports[structure] = dict(
+            zip(_REPORT_KEYS, (structure, map_.reshape(index.shape).tolist(), *slots, fit.k))
+        )
     size = len(stack.labels[0])  # every subset of a stack has the same size
-    for j, labels in enumerate(zip(*stack.labels)):
-        columns[f"label{j}"] = [_LABEL_TEXT[type(x)](x) for x in labels]
     item = {"reports": reports, "subset": [_HOLE + f"label{j}" for j in range(size)]}
     text = _json_text(item, _ITEM_PAD)
     template = _SLOT.sub("%s", text.replace("%", "%%"))
-    return list(map(template.__mod__, zip(*(columns[name] for name in _SLOT.findall(text)))))
+    # a row's values are its distinct floats' texts, then its labels' texts
+    names = _SLOT.findall(text)
+    floats = [name for name in dict.fromkeys(names) if name in columns]
+    at = {name: i for i, name in enumerate(floats + [f"label{j}" for j in range(size)])}
+    fill = operator.itemgetter(*map(at.__getitem__, names))
+    block = np.column_stack([columns[name] for name in floats])
+    # json.dumps writes a finite float as repr does, and NaN and the infinities
+    float_text = float.__repr__ if np.isfinite(block).all() else json.dumps
+    labels = stack.labels
+    label_text = {x: _LABEL_TEXT[type(x)](x) for x in set(chain.from_iterable(labels))}
+
+    def items(rows: np.ndarray) -> List[str]:
+        texts = map(float_text, block[rows].ravel().tolist())
+        subsets = (tuple(map(label_text.__getitem__, labels[i])) for i in rows.tolist())
+        values = map(tuple.__add__, zip(*[texts] * len(floats)), subsets)
+        return list(map(template.__mod__, map(fill, values)))
+
+    return items
 
 
-def _table_rows(stack) -> List[str]:
-    """Each subset's lines of the `regress` table, read from a stack's columns."""
-    labels = [", ".join(map(str, label)) or "(none)" for label in stack.labels]
-    lines = []
+def _fits_items(stack) -> List[str]:
+    """Each subset of a `regression._Stack` as a `fits` item (see `_item_format`)."""
+    return _item_format(stack)(np.arange(len(stack.labels)))
+
+
+def _table_format(stack) -> Callable[[np.ndarray], List[str]]:
+    """The lines of the `regress` table of a stack's subsets at given rows,
+    each after a newline, read from the stack's columns."""
+    template, columns = "", []
     for structure in SIMPLEST_FIRST:
         fit = stack.fits[structure]
-        le, pc = (
-            repeat("-") if v is None else map("{:.1f}".format, v.tolist())
-            for v in (fit.log_evidence, fit.pc_bic)
-        )
-        lines.append([f"| {lab} | {structure} | {a} | {b} |" for lab, a, b in zip(labels, le, pc)])
-    return list(map("\n".join, zip(*lines)))
+        values = (fit.log_evidence, fit.pc_bic)
+        cells = ["-" if v is None else "%.1f" for v in values]  # "%.1f" % v == f"{v:.1f}"
+        template += f"\n| %s | {structure} | {cells[0]} | {cells[1]} |"
+        columns += [None] + [v for v in values if v is not None]  # None: the label
+    labels = stack.labels
+
+    def lines(rows: np.ndarray) -> List[str]:
+        names = [", ".join(map(str, labels[i])) or "(none)" for i in rows.tolist()]
+        fields = (names if v is None else v[rows].tolist() for v in columns)
+        return list(map(template.__mod__, zip(*fields)))
+
+    return lines
 
 
 def _write_csv(path: Optional[str], rows: List[dict]) -> None:
@@ -268,7 +304,7 @@ def _write_csv(path: Optional[str], rows: List[dict]) -> None:
     repr) and a bool is 0 or 1."""
     lines = [",".join(rows[0])]
     lines += [",".join(str(int(v) if type(v) is bool else v) for v in row.values()) for row in rows]
-    _write_text(path, "\n".join(lines))
+    _write_text(path, ["\n".join(lines)])
 
 
 def _read_json(path: str) -> dict:
@@ -432,17 +468,20 @@ def _cmd_regress(args) -> dict:
     if args.enumerate_subsets and not data.d2:
         raise ConfigError("--enumerate needs at least one --covariates column")
     hypers = _load_regression_hypers(args, data.d1, data.d2)
-    # the table and the fits' JSON are text read from each stack's columns: no per-subset objects
+    # the table and the fits' JSON are text read from each stack's columns and
+    # written in rank order, in chunks: no per-subset objects, no whole text
     if args.enumerate_subsets:
         stacks, order = _rank_subsets(data, hypers, names or None, criterion=args.criterion)
     else:
-        stacks, order = [_fit_subsets(data, hypers, None, [tuple(names or range(data.d2))])], [0]
-    lines = ["| covariates | structure | log evidence | pcBIC |", "|---|---|---|---|"]
-    _write_text(None, "\n".join(lines + _in_order([_table_rows(s) for s in stacks], order)))
+        stacks = [_fit_subsets(data, hypers, None, [tuple(names or range(data.d2))])]
+        order = np.zeros(1, dtype=int)
+    head = "| covariates | structure | log evidence | pcBIC |\n|---|---|---|---|"
+    tables = _in_order(stacks, order, list(map(_table_format, stacks)))
+    _write_text(None, chain([head], map("".join, tables)))
     if not args.json:
         return {}
-    items = _in_order([_fits_items(stack) for stack in stacks], order)
-    return {"fits": _JsonText(_json_block(items, _FIELD_PAD))}  # one subset at least
+    items = _in_order(stacks, order, list(map(_item_format, stacks)))
+    return {"fits": _json_array(items, _FIELD_PAD)}  # one subset at least
 
 
 def _fixed_theta(text: str) -> FullPrecision:

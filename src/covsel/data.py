@@ -5,8 +5,10 @@ its diagonal and trace is all any evidence computation in this package needs.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -113,8 +115,38 @@ def load_csv(path, has_header: bool = True, columns: Optional[Sequence] = None) 
     indexed columns. Parse failures report 1-based data row and column.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-        reader = csv.reader(fh)
-        rows = [row for row in reader if any(map(str.strip, row))]  # no blank rows
+        text = fh.read()
+    ds = None if any(c in text for c in '"\r\0') else _read_plain(text, has_header)
+    if ds is None:
+        ds = _read_csv(text, has_header)
+    if columns is not None:
+        ds = ds.select(columns)
+    return ds
+
+
+def _read_plain(text: str, has_header: bool) -> Optional[Dataset]:
+    """The Dataset of a CSV text with no quote, carriage return or NUL, which
+    `csv.reader` splits at each newline and comma: in one float pass, or None
+    where the text has a fault, which `_read_csv` then reports."""
+    lines = [line for line in text.split("\n") if line.replace(",", "").strip()]  # no blank rows
+    if not lines:
+        return None
+    header = tuple(name.strip() for name in lines.pop(0).split(",")) if has_header else None
+    width = len(header) if header is not None else lines[0].count(",") + 1
+    if set(map(str.count, lines, repeat(","))) - {width - 1}:  # a row of another width
+        return None
+    try:
+        cells = ",".join(lines).split(",") if lines else []
+        data = np.array(list(map(float, cells))).reshape(len(lines), width)
+    except ValueError:  # a cell that is not a number
+        return None
+    return Dataset(data, header) if np.isfinite(data).all() else None
+
+
+def _read_csv(text: str, has_header: bool) -> Dataset:
+    """The Dataset of a CSV text as `csv.reader` reads it: the reference for
+    `_read_plain`, and the one source of CsvParseError's messages."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if any(map(str.strip, row))]
     header = None
     if has_header:
         if not rows:
@@ -130,10 +162,7 @@ def load_csv(path, has_header: bool = True, columns: Optional[Sequence] = None) 
         data = None
     if data is None or not np.isfinite(data).all():
         raise _first_fault(rows, width)
-    ds = Dataset(data, header)
-    if columns is not None:
-        ds = ds.select(columns)
-    return ds
+    return Dataset(data, header)
 
 
 def _first_fault(rows, width) -> CsvParseError:
@@ -159,7 +188,8 @@ def _first_fault(rows, width) -> CsvParseError:
 def _resolve_columns(columns, names, width):
     """0-based indices of `columns`: header names, or indices given as integers
     or as strings of decimal digits (as on a command line) that are not names.
-    A str is one column, not a sequence of one-letter names."""
+    A str is one column, not a sequence of one-letter names. A name the header
+    repeats is ambiguous and is not selected."""
     columns = [columns] if isinstance(columns, str) else list(columns)  # may be an iterator
     if not columns:
         raise CsvParseError("empty column selection")
@@ -172,6 +202,11 @@ def _resolve_columns(columns, names, width):
                 raise CsvParseError(f"column {c!r} selected by name but file has no header")
             if c not in names:
                 raise CsvParseError(f"unknown column {c!r}; available: {list(names)}")
+            if names.count(c) > 1:
+                raise CsvParseError(
+                    f"column {c!r} is named {names.count(c)} times in the header; "
+                    "select it by index"
+                )
             idx.append(names.index(c))
         else:
             i = int(c)

@@ -26,7 +26,7 @@ subset slices it, so scoring a subset costs nothing that grows with n.
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -352,29 +352,42 @@ class _Stack:
     ):
         self.labels, self.fits, self.gamma_hats = labels, fits, gamma_hats
 
-    def regression_fits(self) -> List[RegressionFit]:
+    def regression_fits(self, rows: np.ndarray) -> List[RegressionFit]:
+        """The fits of the subsets at `rows`."""
         return [
             RegressionFit(
-                subset=label,
+                subset=self.labels[i],
                 gamma_hats={s: g[i] for s, g in self.gamma_hats.items()},
                 reports={s: fit.report(i) for s, fit in self.fits.items()},
             )
-            for i, label in enumerate(self.labels)
+            for i in rows.tolist()
         ]
 
 
-def _in_order(per_stack: List[list], order: np.ndarray) -> list:
-    """Lists of per-subset items, one per stack in stack order (as
-    `_rank_subsets` returns the stacks), joined and put in rank `order`."""
-    items = [item for stack_items in per_stack for item in stack_items]
-    return [items[i] for i in order]
+def _in_order(
+    stacks: List[_Stack], order: np.ndarray, items: List[Callable[[np.ndarray], list]]
+) -> Iterator[list]:
+    """The per-subset items of `stacks`, put in rank `order` (indices into
+    the subsets of all stacks, in stack order, as `_rank_subsets` returns
+    them), in chunks of at most _MAX_STACK; `items[i](rows)` gives the items
+    of stack i's subsets at `rows`, in that order."""
+    starts = np.cumsum([0] + [len(stack.labels) for stack in stacks])
+    for lo in range(0, len(order), _MAX_STACK):
+        ranks = order[lo : lo + _MAX_STACK]
+        grouped = np.sort(ranks)  # each stack's subsets together, in stack order
+        cuts = np.searchsorted(grouped, starts)
+        chunk = []
+        for i in np.flatnonzero(np.diff(cuts)).tolist():  # the stacks in this chunk
+            chunk += items[i](grouped[cuts[i] : cuts[i + 1]] - starts[i])
+        yield list(map(chunk.__getitem__, np.searchsorted(grouped, ranks).tolist()))
 
 
 def fit_regression(data: RegressionData, hypers: Dict[str, RegressionHyper]) -> RegressionFit:
     """Fit every provided structure's regression model on the same data:
     a batch of one of the covariate-subset scorer, with every column,
     labelled as the subset of every column index."""
-    return _fit_subsets(data, hypers, None, [tuple(range(data.d2))]).regression_fits()[0]
+    stack = _fit_subsets(data, hypers, None, [tuple(range(data.d2))])
+    return stack.regression_fits(np.zeros(1, dtype=int))[0]
 
 
 def _fit_subsets(
@@ -451,7 +464,8 @@ def enumerate_covariates(
     by the best value of `criterion` across structures, descending.
     """
     stacks, order = _rank_subsets(data, hypers, names, include_empty, criterion, max_candidates)
-    return _in_order([stack.regression_fits() for stack in stacks], order)
+    chunks = _in_order(stacks, order, [stack.regression_fits for stack in stacks])
+    return [fit for chunk in chunks for fit in chunk]
 
 
 def _rank_subsets(

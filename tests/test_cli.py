@@ -212,6 +212,19 @@ class TestSelect:
         assert run(["select", IRIS, *flags]) == 2
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["select", "DATA", "--columns", "a", "b"], ["regress", "DATA", "--response", "a"]],
+        ids=["select", "regress"],
+    )
+    def test_a_repeated_header_name_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "repeated.csv"
+        path.write_text("a,a,b\n1,2,3\n4,5,7\n0,1,1\n")
+        assert run([str(path) if arg == "DATA" else arg for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: column 'a' is named 2 times in the header"
+        )
+
     def test_overflowing_mode_skips_the_structure(self, tmp_path, capsys):
         # all-zero rows and a Wishart rate of 1e-310 I: the rate is accepted,
         # but the posterior mode (alpha - 3/2) (B + s)^{-1} overflows
@@ -773,6 +786,62 @@ class TestRegressColumns:
         monkeypatch.setattr(cli, "_json_text", lambda *a: calls.append(a) or json_text(*a))
         assert len(cli._fits_items(stack)) == 2
         assert len(calls) <= 1
+
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_chunks_write_the_one_chunk_output(self, tmp_path, capsys, monkeypatch, size):
+        from covsel import regression
+
+        rng = np.random.default_rng(11)
+        data = tmp_path / "data.csv"
+        y, x = rng.standard_normal((30, 2)), rng.standard_normal((30, 6))
+        rows = [",".join(map(repr, row)) for row in np.hstack([y, x]).tolist()]
+        data.write_text("\n".join(["y0,y1," + ",".join(f"x{j}" for j in range(6))] + rows))
+        argv = ["regress", str(data), "--response", "y0", "y1", "--covariates"]
+        argv += [f"x{j}" for j in range(6)] + ["--enumerate", "--json", str(tmp_path / "fits.json")]
+        texts = []
+        for chunk in (regression._MAX_STACK, size):  # 63 subsets: one chunk, then several
+            monkeypatch.setattr(regression, "_MAX_STACK", chunk)
+            assert run(argv) == 0
+            texts.append((capsys.readouterr().out, (tmp_path / "fits.json").read_text()))
+        assert texts[1] == texts[0]
+        assert texts[0][0].count("\n") == 2 + 3 * 63
+
+    @pytest.mark.parametrize("entry", ["ulp", "signed-zero"])
+    def test_a_map_that_is_not_symmetric_bit_for_bit_is_written_whole(self, entry):
+        from covsel.regression import RegressionData, _fit_subsets, standard_hypers
+
+        rng = np.random.default_rng(12)
+        data = RegressionData(rng.standard_normal((20, 3)), rng.standard_normal((20, 2)))
+        stack = _fit_subsets(data, standard_hypers(3, 2), np.array([[0], [1]]), [(0,), (1,)])
+        fit = stack.fits["A"]
+        maps = fit.map.copy()
+        assert np.array_equal(maps, maps.swapaxes(-1, -2))
+        if entry == "ulp":
+            maps[1, 2, 0] = np.nextafter(maps[1, 2, 0], np.inf)
+        else:
+            maps[1, 0, 1], maps[1, 1, 0] = 0.0, -0.0
+        stack.fits["A"] = dataclasses.replace(fit, map=maps)
+        items = cli._fits_items(stack)
+        want = [
+            cli._json_text(
+                {"subset": list(label),
+                 "reports": {s: f.report(i).to_jsonable() for s, f in stack.fits.items()}},
+                cli._ITEM_PAD,
+            )
+            for i, label in enumerate(stack.labels)
+        ]
+        assert items == want
+        for i, item in enumerate(items):
+            written = np.array(json.loads(item)["reports"]["A"]["map"])
+            assert written.tobytes() == maps[i].tobytes()  # all nine entries, bit for bit
+
+    def test_bic_without_rows_exits_2_before_writing(self, tmp_path, capsys):
+        data, out = tmp_path / "header.csv", tmp_path / "fits.json"
+        data.write_text("a,b,c\n")
+        argv = ["regress", str(data), "--response", "a", "--covariates", "b", "c"]
+        assert run(argv + ["--enumerate", "--criterion", "bic", "--json", str(out)]) == 2
+        assert "criterion bic has no value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_a_subset_that_cannot_be_fit_exits_3(self, tmp_path, capsys):
         # no rows and alpha = 0.6: structure A has no mode with one covariate

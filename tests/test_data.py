@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from covsel import data
 from covsel.data import Dataset, SuffStats, center_columns, concat, load_csv, suff_stats
 from covsel.errors import CsvParseError, EmptyDatasetError
 from covsel.specialfn import cholesky_pd
@@ -104,10 +106,12 @@ class TestLoadCsv:
             ("x,y\n1,a\n3,nan\n", 1, 2, "row 1, column 2: not a finite number: 'a'"),
             ("x,y\nnan,a\n", 1, 1, "row 1, column 1: not a finite number: 'nan'"),
             ("x,y\n1,2,3\n", 1, None, "row 1 has 3 fields, expected 2"),
+            ("x,y\n1,2,3\n4\n", 1, None, "row 1 has 3 fields, expected 2"),  # 4 cells in all
             ("x,y\n1, \n", 1, 2, "row 1, column 2: not a finite number: ' '"),
         ],
     )
     def test_first_fault_in_reading_order(self, csv_file, text, row, column, message):
+        assert data._read_plain(text, True) is None  # the reference reader reports it
         with pytest.raises(CsvParseError) as err:
             load_csv(csv_file(text))
         assert (str(err.value), err.value.row, err.value.column) == (message, row, column)
@@ -117,6 +121,110 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.rows, [[1.5, -0.0], [1e-300, 2000.0]])
         assert np.signbit(ds.rows[0, 1])
         assert load_csv(csv_file("x,y\n")).rows.shape == (0, 2)
+
+    @pytest.mark.parametrize("columns", [["a"], "a", ["b", "a"]])
+    def test_a_repeated_header_name_is_not_selected(self, csv_file, columns):
+        path = csv_file("a,a,b\n1,2,3\n4,5,6\n")
+        with pytest.raises(CsvParseError, match="column 'a' is named 2 times in the header"):
+            load_csv(path, columns=columns)
+        with pytest.raises(CsvParseError, match="column 'a'"):
+            load_csv(path).select(columns)
+
+    def test_a_repeated_header_name_leaves_other_selections(self, csv_file):
+        ds = load_csv(csv_file("a,a,b\n1,2,3\n4,5,6\n"))
+        assert ds.columns == ("a", "a", "b")
+        assert ds.select(["b"]).columns == ("b",)
+        np.testing.assert_array_equal(ds.select([1, "0"]).rows, [[2, 1], [5, 4]])
+        assert ds.select([1, "b"]).columns == ("a", "b")
+
+
+def _outcome(read):
+    """A reader's Dataset as (header, shape, value bits), or its error as
+    (message, row, column)."""
+    try:
+        ds = read()
+    except CsvParseError as exc:
+        return str(exc), exc.row, exc.column
+    return ds.columns, ds.rows.shape, ds.rows.view(np.int64).tolist()
+
+
+# cells that float() reads, as a CSV might spell them
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1e308, 0.1]
+)
+_SPELLINGS = st.sampled_from(
+    [repr, "{:.3e}".format, "{:+.17g}".format, " {!r}\t".format, lambda v: f"{v:.0f}"]
+)
+# whitespace that str.strip drops, inside and around blank rows
+_SPACE = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\u2028"), max_size=2)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A numeric CSV text in one of the spellings real files use, and whether
+    it has a header: blank and whitespace-only rows between rows, a trailing
+    newline or none, and, in about half of the texts, CRLF or CR line ends,
+    quoted cells or a NUL."""
+    width, n = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    has_header = draw(st.booleans())
+    rows = [[draw(_SPELLINGS)(draw(_NUMBERS)) for _ in range(width)] for _ in range(n)]
+    if has_header:
+        rows.insert(0, [draw(st.sampled_from(["x", " y ", "z1", "\u00e9"])) for _ in range(width)])
+    other = draw(st.sampled_from(["", "", "", "crlf", "cr", "quoted", "nul"]))
+    lines = []
+    for row in rows:
+        lines += [
+            draw(_SPACE) + "," * draw(st.integers(0, width)) + draw(_SPACE)
+            for _ in range(draw(st.integers(0, 1)))
+        ]  # a blank row: every cell strips to nothing
+        quoted = other == "quoted" and draw(st.booleans())
+        lines.append(",".join(f'"{c}"' if quoted else c for c in row))
+    end = {"crlf": "\r\n", "cr": "\r"}.get(other, "\n")
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    if other == "nul":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\x00" + text[at:]
+    return text, has_header
+
+
+class TestOnePassRead:
+    """`load_csv` reads a CSV without quotes, carriage returns or NULs in one
+    pass, and every other text with `csv.reader`: both give the same Dataset,
+    or the same error, as the reference reader."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_csv_texts(), bom=st.booleans())
+    def test_matches_the_reference_reader(self, tmp_path_factory, case, bom):
+        text, has_header = case
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
+            fh.write(text)
+        want = _outcome(lambda: data._read_csv(text, has_header))
+        assert _outcome(lambda: load_csv(path, has_header)) == want
+        if not any(c in text for c in '"\r\0'):
+            plain = data._read_plain(text, has_header)
+            if isinstance(want[0], str):  # a fault: the one-pass reader leaves it to the reference
+                assert plain is None
+            else:
+                assert _outcome(lambda: plain) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x,y\r\n1,2\r\n", "x,y\r1,2\r", 'x,y\n"1",2\n', "x,y\n1,2\n\x00\n"],
+        ids=["crlf", "cr", "quoted", "nul"],
+    )
+    def test_other_texts_take_the_reference_reader(self, csv_file, monkeypatch, text):
+        want = _outcome(lambda: data._read_csv(text, True))
+        monkeypatch.setattr(data, "_read_plain", None)  # never called
+        assert _outcome(lambda: load_csv(csv_file(text))) == want
+
+    def test_signed_zero_and_spellings_are_kept(self, csv_file):
+        text = "x,y\n-0.0, 1_0 \n+1e-320,-0\n"
+        assert data._read_plain(text, True) is not None
+        ds = load_csv(csv_file(text))
+        assert ds.rows.tolist() == [[-0.0, 10.0], [1e-320, -0.0]]
+        assert np.signbit(ds.rows[:, 0]).tolist() == [True, False]
+        assert np.signbit(ds.rows[1, 1])
 
 
 class TestInputChecks:
