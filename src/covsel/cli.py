@@ -273,11 +273,6 @@ def _item_format(stack) -> Callable[[np.ndarray], List[str]]:
     return items
 
 
-def _fits_items(stack) -> List[str]:
-    """Each subset of a `regression._Stack` as a `fits` item (see `_item_format`)."""
-    return _item_format(stack)(np.arange(len(stack.labels)))
-
-
 def _table_format(stack) -> Callable[[np.ndarray], List[str]]:
     """The lines of the `regress` table of a stack's subsets at given rows,
     each after a newline, read from the stack's columns."""

@@ -7,7 +7,7 @@ its diagonal and trace is all any evidence computation in this package needs.
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -57,7 +57,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SuffStats:
-    """Scatter matrix of a sample: s = sum_i x_i x_i^T, with views.
+    """Scatter matrix of a sample: s = sum_i x_i x_i^T, symmetrized, with its
+    diagonal and trace read on request.
 
     n = 0 is legal and gives an all-zero scatter (evidence 0 for every
     structure), which anchors the trivial sanity tests.
@@ -66,8 +67,6 @@ class SuffStats:
     n: int
     d: int
     s: np.ndarray
-    s_diag: np.ndarray = field(init=False)
-    s_total: float = field(init=False)
 
     def __post_init__(self):
         if self.n < 0 or self.d < 1:
@@ -76,19 +75,19 @@ class SuffStats:
         if s.shape != (self.d, self.d):
             raise ValueError(f"scatter shape {s.shape} does not match d={self.d}")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "s_diag", np.diag(s).copy())
-        object.__setattr__(self, "s_total", float(np.trace(s)))
+
+    @property
+    def s_diag(self) -> np.ndarray:
+        return np.diag(self.s)
+
+    @property
+    def s_total(self) -> float:
+        return float(np.trace(self.s))
 
 
 def suff_stats(data: Dataset) -> SuffStats:
-    """Accumulate s = sum_i x_i x_i^T (exactly symmetric by construction)."""
-    x = data.rows
-    if data.n == 0:
-        s = np.zeros((data.d, data.d))
-    else:
-        s = x.T @ x
-        s = (s + s.T) / 2
-    return SuffStats(n=data.n, d=data.d, s=s)
+    """Accumulate s = sum_i x_i x_i^T (zero for no rows); `SuffStats` symmetrizes it."""
+    return SuffStats(n=data.n, d=data.d, s=data.rows.T @ data.rows)
 
 
 def center_columns(data: Dataset) -> Dataset:

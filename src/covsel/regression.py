@@ -24,7 +24,7 @@ subset slices it, so scoring a subset costs nothing that grows with n.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -38,12 +38,10 @@ from .priors import (
     GammaVecHyper,
     Hyper,
     WishartHyper,
-    _dot,
     conjugate_update,
-    family,
     log_prior_density,
 )
-from .specialfn import LOG_PI, chol_log_det, cholesky_pd, symmetrize
+from .specialfn import chol_log_det, cholesky_pd, symmetrize
 from .structures import (
     FitReport,
     StackFit,
@@ -233,7 +231,8 @@ def log_evidence_regression(data: RegressionData, rh: RegressionHyper) -> float:
     through the covariate-subset scorer; raises the reason where the
     evidence is undefined.
     """
-    return float(_regression_fit(rh, effective_stats(data, rh), data.n).defined("log_evidence")[0])
+    eff = effective_stats(data, rh)
+    return float(fit_structure(rh.cov, eff.scatter, data.n, coef=eff).defined("log_evidence")[0])
 
 
 def log_likelihood_regression(data: RegressionData, gamma: np.ndarray, theta: HalfPrecision) -> float:
@@ -286,39 +285,6 @@ def joint_map(data: RegressionData, rh: RegressionHyper) -> Tuple[np.ndarray, Ha
     structure = rh.cov.structure
     fit = fit_regression(data, {structure: rh})
     return fit.gamma_hats[structure], fit.reports[structure].map
-
-
-def _regression_fit(rh: RegressionHyper, eff: EffectiveStats, n: int) -> StackFit:
-    """The fit of `rh.cov`'s structure to a stack of subsets: the kernel's fit of H
-    at each effective scatter, plus the coefficient block: the covariate factor in the
-    evidence, and the matrix-normal densities at gamma_hat, under the prior (mean
-    nu) and the posterior (mean gamma_hat), in the log prior and flexibility."""
-    d1, d2 = eff.gamma_hat.shape[1:]
-    fit = fit_structure(rh.cov, eff.scatter, n, coef_cols=d2)
-    fam = family(rh.cov.structure, d1)
-    quad = _dot(fam.axes, fit.map, fam.statistic(eff.shrink))
-    lam_factor = d1 / 2 * (eff.log_det_lam - eff.log_det_post_lam)
-    # the kernel's log-likelihood is at R; at the raw residuals R - shrink it gains tr(H shrink)
-    ll = fit.log_lik + quad if n else fit.log_lik
-    # not the kernel's `_log_lik` of d2 rows: its terms add in another order (pcBIC's last bits)
-    coef_prior = d1 / 2 * eff.log_det_lam + d2 / 2 * fit.log_det_map - quad
-    lp = fit.log_prior - d1 * d2 / 2 * LOG_PI + coef_prior
-    k = fam.k + d1 * d2
-    bic = pc_bic = None
-    if n >= 1:
-        penalty = k / 2 * math.log(n)
-        bic, pc_bic = ll - penalty, ll + lp - penalty
-    return replace(
-        fit,
-        log_lik=ll,
-        log_evidence=fit.log_evidence + lam_factor,
-        flexibility=fit.flexibility - lam_factor + quad,
-        log_prior=lp,
-        bic=bic,
-        pc_bic=pc_bic,
-        kic=None,
-        k=k,
-    )
 
 
 def _check_criterion(criterion: str) -> None:
@@ -398,9 +364,10 @@ def _fit_subsets(
 
     The coefficient estimate and the effective scatter depend only on
     (nu, Lambda), not on the variance structure, so they are computed
-    once per distinct (nu, Lambda) and shared. Criteria use the joint
-    MAP, with k = structure parameters + d1*d2 coefficients. The Kashyap
-    criterion is not defined here and reported as missing. A subset that
+    once per distinct (nu, Lambda) and shared. The kernel fits each
+    structure with them as its coefficient block (see `fit_structure`):
+    criteria use the joint MAP, with k = structure parameters + d1*d2
+    coefficients, and the Kashyap criterion is reported as missing. A subset that
     a structure cannot fit raises the reason: the lowest such subset, and
     of its failed structures the first in `hypers`. A prior filed under
     another structure's key, or no prior at all, raises ConfigError.
@@ -415,8 +382,9 @@ def _fit_subsets(
         key = (rh.nu.shape, rh.nu.tobytes(), rh.lam.tobytes())
         if key not in shared:
             shared[key] = effective_stats(data, rh, subsets)
-        gamma_hats[structure] = shared[key].gamma_hat
-        fits[structure] = _regression_fit(rh, shared[key], data.n)
+        eff = shared[key]
+        gamma_hats[structure] = eff.gamma_hat
+        fits[structure] = fit_structure(rh.cov, eff.scatter, data.n, coef=eff)
     failed = [(min(fit.errors), j, fit) for j, fit in enumerate(fits.values()) if fit.errors]
     if failed:
         i, _, fit = min(failed)
@@ -488,12 +456,17 @@ def _rank_subsets(
         raise ConfigError("names length must match the covariate count")
     if len(set(labels)) != d2:
         raise ConfigError("covariate names must be distinct")
+    # a subset's label is its columns' labels in sorted order: their ranks, sorted
+    order = sorted(range(d2), key=labels.__getitem__)
+    rank = np.argsort(order)
+    by_rank = np.fromiter((labels[i] for i in order), dtype=object, count=d2)
     stacks, values = [], []
     for size in range(0 if include_empty else 1, d2 + 1):
         combos = combinations(range(d2), size)
         while block := list(islice(combos, _MAX_STACK)):
-            subsets = [tuple(sorted(labels[i] for i in idx) if names else idx) for idx in block]
-            stacks.append(_fit_subsets(data, hypers, np.array(block, dtype=int), subsets))
+            block = np.array(block, dtype=int)
+            subsets = list(map(tuple, by_rank[np.sort(rank[block], axis=1)].tolist()))
+            stacks.append(_fit_subsets(data, hypers, block, subsets))
             values.append(criterion_matrix(stacks[-1].fits, criterion, len(block)))
     if not stacks:
         return stacks, np.zeros(0, dtype=int)

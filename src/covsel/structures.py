@@ -243,7 +243,6 @@ class StackFit:
     dim: int
     k: int
     map: np.ndarray
-    log_det_map: np.ndarray  # log|H| at the MAP
     log_lik: np.ndarray
     log_evidence: np.ndarray
     flexibility: np.ndarray
@@ -294,16 +293,19 @@ def fit_stack(s: np.ndarray, n: int, hypers: HyperTriple) -> Dict[str, StackFit]
     }
 
 
-def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackFit:
-    """Fit one structure to a stack of scatters: the kernel behind
-    `fit_stack` and `criteria`. Its first step, `_evidence`, is the only
+def fit_structure(h: Hyper, s: np.ndarray, n: int, coef=None) -> StackFit:
+    """Fit one structure to a stack of scatters: the kernel behind `fit_stack`,
+    `criteria` and the regression scorer. Its first step, `_evidence`, is the only
     place that forms the evidence; `log_evidence` and `rate_study` call it alone.
+    Its one criteria step is the only place that forms BIC, pcBIC and KIC.
 
-    `coef_cols` is the number of covariate columns of a regression model
-    whose coefficients are profiled out of the joint posterior mode (see
-    `regression.joint_map`): they tilt the posterior of H by
-    |H|^{coef_cols/2}, which moves the mode as coef_cols observations
-    with zero scatter would. The mode is the only output it changes.
+    `coef` is a regression's coefficient block, the `regression.EffectiveStats`
+    of the stack; `s` is then its effective scatters R. The d x d2 coefficients,
+    profiled out of the joint mode, tilt the posterior of H by |H|^{d2/2}, as d2
+    observations with zero scatter would. The block adds tr(H shrink) to the
+    log-likelihood (at the raw residuals R - shrink), the coefficients'
+    matrix-normal terms to the log prior and flexibility, the covariate factor
+    (d/2) log(|Lambda| / |X^T X + Lambda|) to the evidence and d d2 to k; KIC is None.
 
     A replicate that cannot be fit gets its reason in `errors`: an improper
     posterior, a non-regular prior (every replicate) or an overflowing mode,
@@ -314,6 +316,7 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     log_evidence, errors, post = _evidence(h, s, n)
     fam, stat, alpha_post, rate_post, chol, log_rate_post, lz_prior, lz_post = post
     axes, power = fam.axes, fam.power
+    coef_cols = 0 if coef is None else coef.gamma_hat.shape[-1]
     mult = alpha_post + coef_cols * fam.per_obs - power
     if mult <= 0:
         shape = "shape" if structure == "A" else "gamma shape"
@@ -341,13 +344,27 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
     log_prior = _log_density_at(fam, lz_prior, h.alpha, h.rate, theta, log_x)
     log_post = _log_density_at(fam, lz_post, alpha_post, rate_post, theta, log_x)
     log_lik = _log_lik(axes, n, d, log_det_h, theta, stat)
+    flex = log_post - log_prior
     k = fam.k
+    if coef is not None:
+        # the coefficients' matrix-normal densities at gamma_hat, under the prior
+        # (mean nu) and the posterior (mean gamma_hat); their normalizers differ
+        # by the covariate factor
+        quad = _dot(axes, theta, fam.statistic(coef.shrink))
+        lam_factor = d / 2 * (coef.log_det_lam - coef.log_det_post_lam)
+        if n:  # the log-likelihood at R; at the raw residuals R - shrink it gains tr(H shrink)
+            log_lik = log_lik + quad
+        # not `_log_lik` of d2 rows: its terms add in another order (pcBIC's last bits)
+        coef_prior = d / 2 * coef.log_det_lam + coef_cols / 2 * log_det_h - quad
+        log_prior = log_prior - d * coef_cols / 2 * LOG_PI + coef_prior
+        log_evidence = log_evidence + lam_factor
+        flex = flex - lam_factor + quad
+        k += d * coef_cols
     out = {
         "map": theta,
-        "log_det_map": log_det_h,
         "log_lik": log_lik,
         "log_evidence": log_evidence,
-        "flexibility": log_post - log_prior,
+        "flexibility": flex,
         "log_prior": log_prior,
     }
     if n >= 1:
@@ -358,7 +375,9 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef_cols: int = 0) -> StackF
         c, b = fam.hessian
         out["bic"] = log_lik - penalty
         out["pc_bic"] = log_lik + log_prior - penalty
-        out["kic"] = out["pc_bic"] - 0.5 * (c - b * log_det_h) + k / 2 * math.log(2 * math.pi)
+        out["kic"] = None
+        if coef is None:
+            out["kic"] = out["pc_bic"] - 0.5 * (c - b * log_det_h) + k / 2 * math.log(2 * math.pi)
     else:
         out["bic"] = out["pc_bic"] = out["kic"] = None
     # the one masking step: a failed replicate keeps only its evidence,

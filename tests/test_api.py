@@ -143,3 +143,17 @@ def test_per_structure_rules_stated_once():
     ]:
         assert not hasattr(module, name), (module.__name__, name)
     assert structures.SIMPLEST_FIRST is priors.SIMPLEST_FIRST
+
+
+def test_regression_criteria_formed_in_the_kernel():
+    # the regression's coefficient block enters `fit_structure`, so BIC and pcBIC
+    # are formed once; the H-dependent algebra lives in `structures` and `priors`
+    import dataclasses
+
+    from covsel import regression
+    from covsel.structures import StackFit
+
+    assert not hasattr(regression, "_regression_fit")
+    assert "log_det_map" not in {f.name for f in dataclasses.fields(StackFit)}
+    for name in ("_dot", "family", "LOG_PI"):
+        assert not hasattr(regression, name), name

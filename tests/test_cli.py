@@ -673,7 +673,7 @@ def _stacks(draw):
         fits[structure] = StackFit(
             structure=structure, dim=d, k=draw(st.integers(0, 40)),
             map=column(r, *(d,) * "CDA".index(structure)),
-            log_det_map=column(r), log_lik=column(r), log_evidence=column(r),
+            log_lik=column(r), log_evidence=column(r),
             flexibility=column(r), log_prior=column(r),
             bic=criterion(), pc_bic=criterion(), kic=criterion(),
             valid=np.ones(r, dtype=bool), errors={},
@@ -771,7 +771,7 @@ class TestRegressColumns:
             )
             for i, label in enumerate(stack.labels)
         ]
-        assert cli._fits_items(stack) == want
+        assert cli._item_format(stack)(np.arange(len(stack.labels))) == want
 
     def test_one_encode_per_stack(self, monkeypatch):
         from covsel.regression import RegressionData, _fit_subsets, standard_hypers
@@ -784,7 +784,7 @@ class TestRegressColumns:
         calls = []
         json_text = cli._json_text
         monkeypatch.setattr(cli, "_json_text", lambda *a: calls.append(a) or json_text(*a))
-        assert len(cli._fits_items(stack)) == 2
+        assert len(cli._item_format(stack)(np.arange(len(stack.labels)))) == 2
         assert len(calls) <= 1
 
     @pytest.mark.parametrize("size", [1, 7])
@@ -821,7 +821,7 @@ class TestRegressColumns:
         else:
             maps[1, 0, 1], maps[1, 1, 0] = 0.0, -0.0
         stack.fits["A"] = dataclasses.replace(fit, map=maps)
-        items = cli._fits_items(stack)
+        items = cli._item_format(stack)(np.arange(len(stack.labels)))
         want = [
             cli._json_text(
                 {"subset": list(label),

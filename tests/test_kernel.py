@@ -381,7 +381,8 @@ class TestRows:
             hypers = random_triple(rng, d)
         for structure, fit in fit_stack(s, n, hypers).items():
             assert fit.errors == {}
-            rows = cli._fits_items(_Stack([()] * r, {structure: fit}, {}))
+            stack = _Stack([()] * r, {structure: fit}, {})
+            rows = cli._item_format(stack)(np.arange(len(stack.labels)))
             want = [
                 cli._json_text(
                     {"reports": {structure: fit.report(i).to_jsonable()}, "subset": []},
@@ -523,7 +524,7 @@ class TestNonFiniteMode:
         assert fit.valid.tolist() == [False, True]
         assert isinstance(fit.errors[0], SupportError)
         assert "posterior mode is not finite" in str(fit.errors[0])
-        for field in ("map", "log_det_map", "log_lik", "flexibility", "log_prior", "bic", "kic"):
+        for field in ("map", "log_lik", "flexibility", "log_prior", "bic", "kic"):
             assert np.isnan(getattr(fit, field)[0]).all(), field
             assert np.isfinite(getattr(fit, field)[1]).all(), field
         h = hypers.for_structure(structure)

@@ -36,9 +36,11 @@ from covsel.priors import (
     WishartHyper,
     conjugate_update,
     log_normalizer,
+    log_prior_density,
     sample_half_precision,
 )
 from covsel.regression import (
+    EffectiveStats,
     RegressionData,
     RegressionFit,
     RegressionHyper,
@@ -56,7 +58,13 @@ from covsel.regression import (
     standard_hypers,
 )
 from covsel.specialfn import LOG_PI, chol_log_det, cholesky_pd
-from covsel.structures import fit_structure, log_evidence, log_likelihood, param_count
+from covsel.structures import (
+    fit_structure,
+    flexibility,
+    log_evidence,
+    log_likelihood,
+    param_count,
+)
 
 from conftest import regression_pick, theta_log_det, theta_trace_product
 
@@ -702,18 +710,19 @@ def subset_effective_stats(data, rh, idx):
 
 
 def subset_report(structure, rh, n, eff):
-    """One structure's report: a batch of one through the kernel, then the
-    coefficient block in scalar half-precision arithmetic."""
+    """One structure's report: the joint mode from a batch of one through the
+    kernel, then the coefficient block in scalar half-precision arithmetic on
+    the structure-only evidence, flexibility and log prior."""
     gamma_hat, r, shrink, log_det_lam, log_det_post_lam = eff
     d1, d2 = gamma_hat.shape
-    fit = fit_structure(rh.cov, r[None], n, coef_cols=d2)
-    rep = fit.report(0)
-    theta = rep.map
+    block = EffectiveStats(*(np.asarray(v)[None] for v in eff))
+    rep = fit_structure(rh.cov, r[None], n, coef=block).report(0)
+    theta, stats = rep.map, SuffStats(n=n, d=d1, s=r)
     quad = theta_trace_product(theta, shrink)
     lam_factor = d1 / 2 * (log_det_lam - log_det_post_lam)
     ll = log_likelihood(theta, SuffStats(n=n, d=d1, s=r - shrink))
     coef_prior = d1 / 2 * log_det_lam + d2 / 2 * theta_log_det(theta) - quad
-    lp = fit.log_prior[0] - d1 * d2 / 2 * LOG_PI + coef_prior
+    lp = log_prior_density(rh.cov, theta) - d1 * d2 / 2 * LOG_PI + coef_prior
     k = param_count(structure, d1) + d1 * d2
     bic = pc_bic = None
     if n >= 1:
@@ -722,8 +731,8 @@ def subset_report(structure, rh, n, eff):
         rep,
         structure=structure,
         log_lik_at_map=ll,
-        log_evidence=rep.log_evidence + lam_factor,
-        flexibility_at_map=rep.flexibility_at_map - lam_factor + quad,
+        log_evidence=log_evidence(rh.cov, stats) + lam_factor,
+        flexibility_at_map=flexibility(rh.cov, stats, theta) - lam_factor + quad,
         bic=bic,
         pc_bic=pc_bic,
         kic=None,
@@ -918,6 +927,52 @@ class TestFitFailure:
             with pytest.raises(NonRegularPriorError, match=message):
                 enumerate_covariates(data, hypers)
             assert set(fit_regression(data, hypers).reports) == {"A", "D"}
+
+
+class TestCoefficientBlockInTheKernel:
+    """`fit_structure` with a regression's coefficient block: a subset it cannot
+    fit is blanked by the kernel's one mask and keeps its evidence."""
+
+    def fit_and_check(self, data, rh, subsets, failed):
+        eff = effective_stats(data, rh, subsets)
+        fit = fit_structure(rh.cov, eff.scatter, data.n, coef=eff)
+        assert sorted(fit.errors) == failed
+        assert fit.kic is None
+        for i, cols in enumerate(subsets.tolist()):
+            for field in ("map", "log_lik", "flexibility", "log_prior", "bic", "pc_bic"):
+                values = getattr(fit, field)
+                if values is not None:
+                    assert np.isnan(values[i]).all() == (i in failed), (i, field)
+                    assert np.isfinite(values[i]).all() == (i not in failed), (i, field)
+            sub = RegressionData(data.y, data.x[:, cols])
+            sub_rh = RegressionHyper(rh.nu[:, cols], rh.lam[np.ix_(cols, cols)], rh.cov)
+            assert np.isfinite(fit.log_evidence[i])
+            assert fit.log_evidence[i] == pytest.approx(
+                log_evidence_regression(sub, sub_rh), rel=1e-12, abs=1e-12
+            )
+        return fit
+
+    def test_near_singular_rate_fails_its_subset_alone(self):
+        # y0 = 0 and a prior mean of 0 on every covariate but the second: a subset
+        # without it has a zero first diagonal in R, so with a subnormal rate the
+        # D mode overflows there; a subset with it gains a positive shrink term
+        rng = np.random.default_rng(42)
+        y = np.column_stack([np.zeros(5), rng.standard_normal(5)])
+        data = RegressionData(y, rng.standard_normal((5, 3)))
+        nu = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        rh = RegressionHyper(nu, np.eye(3), GammaVecHyper(2.0, np.array([1e-310, 1.0])))
+        fit = self.fit_and_check(data, rh, np.array([[0, 2], [0, 1], [1, 2]]), [0])
+        assert "posterior mode is not finite" in str(fit.errors[0])
+        assert fit.bic is not None and fit.pc_bic is not None
+
+    def test_non_regular_mode_at_no_rows(self):
+        # as in TestFitFailure: A (alpha 0.6) has no mode with one covariate, one with two
+        data = RegressionData(np.empty((0, 2)), np.empty((0, 2)))
+        rh = RegressionHyper(np.zeros((2, 2)), np.eye(2), WishartHyper(0.6, np.eye(2)))
+        for subsets, failed in [([[0], [1]], [0, 1]), ([[0, 1]], [])]:
+            fit = self.fit_and_check(data, rh, np.array(subsets), failed)
+            assert fit.bic is None and fit.pc_bic is None
+            assert all(isinstance(e, NonRegularPriorError) for e in fit.errors.values())
 
 
 class TestBestStructure:
