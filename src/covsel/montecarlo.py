@@ -140,24 +140,48 @@ def scatters_from(
     return s, errors
 
 
-def draw_scatters(h: Hyper, n: int, rngs: Iterable) -> Tuple[np.ndarray, Dict[int, CovselError]]:
-    """`scatters_from` with one stream per replicate: each generator in
-    `rngs` draws theta's standard variates from the prior `h` (as
-    `sample_prior` does), then n rows z of standard normals. `rngs` may be
-    any iterable, and each generator's draws are done before the next is
-    asked for, so one generator re-seeded per item serves (`_cell_rngs`).
-    The prior's transform of the variates and `scatters_from` then run
-    once, on the stack; no generator gives an empty stack."""
-    _check_one_rate(h)
-    x, w = [], []
+# the standard normals a block of a cell's replicates holds at most (1 MB),
+# so that a block's memory is bounded whatever n is
+_BLOCK_NORMALS = 2**17
+
+
+def _blocks(h: Hyper, n: int, rngs: Iterable) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The replicates of `rngs` in blocks of at most _BLOCK_NORMALS normals:
+    per block, the stack of its replicates' standard variates of the prior
+    `h` and the stack W of their z^T z, one batched product over the block's
+    (n, d) normal arrays z. Each generator draws its variates (one
+    `_standard_prior` draw), then z, before the next is asked for."""
+    z = np.empty((max(1, _BLOCK_NORMALS // max(n * h.dim, 1)), n, h.dim))
+    x = []
     for rng in rngs:
-        x.append(_standard_prior(h, 1, rng))
-        z = rng.standard_normal((n, h.dim))
-        w.append(z.T @ z)
-    if not x:
-        return np.empty((0, h.dim, h.dim)), {}
-    x, w = np.concatenate(x), np.array(w)  # stacked, and the per-replicate arrays freed
-    return scatters_from(h.structure, _prior_transform(h, x), w)
+        x.append(_standard_prior(h, None, rng))
+        rng.standard_normal(out=z[len(x) - 1])
+        if len(x) == len(z):
+            yield np.array(x), z.swapaxes(-1, -2) @ z
+            x = []
+    if x:
+        z = z[: len(x)]
+        yield np.array(x), z.swapaxes(-1, -2) @ z
+
+
+def draw_scatters(h: Hyper, n: int, rngs: Iterable) -> Tuple[np.ndarray, Dict[int, CovselError]]:
+    """`scatters_from` with one stream per replicate. Each generator in
+    `rngs` draws only its replicate's standard variates of the prior `h`
+    (those of `sample_prior(h, 1, rng)`, in its order), then n rows z of
+    standard normals (those of `gaussian_rows`). `rngs` may be any
+    iterable, and each generator's draws are done before the next is asked
+    for, so one generator re-seeded per item serves (`_cell_rngs`). Per
+    block of replicates (`_blocks`), `_prior_transform` then places the
+    variates as half-precisions, and `scatters_from` turns them and the
+    block's W = z^T z into scatters; no generator gives an empty stack."""
+    _check_one_rate(h)
+    s, errors = [np.empty((0, h.dim, h.dim))], {}
+    for x, w in _blocks(h, n, rngs):
+        start = sum(map(len, s))
+        block, block_errors = scatters_from(h.structure, _prior_transform(h, x), w)
+        errors.update((start + i, exc) for i, exc in block_errors.items())
+        s.append(block)
+    return np.concatenate(s), errors
 
 
 @dataclass(frozen=True)

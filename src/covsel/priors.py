@@ -19,9 +19,9 @@ kernel in `structures` broadcasts such rates against its scatters.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, NamedTuple, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +35,14 @@ from .errors import (
     SupportError,
 )
 from .precision import HalfPrecision, as_array, from_array
-from .specialfn import chol_log_det, cholesky_pd, cholesky_stack, log_mv_gamma, symmetrize
+from .specialfn import (
+    chol_log_det,
+    cholesky_pd,
+    cholesky_stack,
+    factor_log_det,
+    log_mv_gamma,
+    symmetrize,
+)
 
 __all__ = [
     "WishartHyper",
@@ -71,25 +78,30 @@ __all__ = [
 class WishartHyper:
     """Shape alpha and d x d positive definite rate matrix (structure A).
 
-    The rate may be a stack (r, d, d) of per-replicate rates.
+    The rate may be a stack (r, d, d) of per-replicate rates. A caller that
+    has already factored an exactly symmetric rate by Cholesky, and so
+    checked it, hands in its log|B| as `checked_log_det`; the rate is then
+    neither symmetrized nor factored again.
     """
 
     alpha: float
     rate: np.ndarray
+    checked_log_det: InitVar[Union[float, np.ndarray, None]] = None
     # log|B|, from the Cholesky factor that checks B is positive definite
     log_det_rate: Union[float, np.ndarray] = field(init=False, repr=False, compare=False)
 
     structure = "A"
 
-    def __post_init__(self):
-        rate = symmetrize(self.rate)
-        object.__setattr__(self, "log_det_rate", chol_log_det(rate))
-        d = rate.shape[-1]
+    def __post_init__(self, checked_log_det):
+        if checked_log_det is None:
+            object.__setattr__(self, "rate", symmetrize(self.rate))
+            checked_log_det = chol_log_det(self.rate)
+        object.__setattr__(self, "log_det_rate", checked_log_det)
+        d = self.rate.shape[-1]
         if not (d - 1) / 2 < self.alpha < math.inf:
             raise SupportError(
                 f"Wishart shape must be finite and above (d-1)/2 = {(d - 1) / 2}, got {self.alpha}"
             )
-        object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
@@ -424,16 +436,19 @@ def moment_hypers(
         rate_c = 2 * s_total / (n * d)
         rate_d = np.repeat(rate_c[:, None], d, axis=1)
         gamma_error = "scatter trace must be strictly positive"
+    chol, chol_errors = cholesky_stack(b)
     errors = {
         i: DegenerateScatterError(f"scatter matrix is singular at n={n}, d={d}: {exc}")
-        for i, exc in cholesky_stack(b)[1].items()
+        for i, exc in chol_errors.items()
     }
     for i in np.flatnonzero(~((rate_d > 0).all(axis=-1) & (rate_c > 0))):
         errors.setdefault(int(i), DegenerateScatterError(gamma_error))
     failed = list(errors)
-    b[failed], rate_d[failed], rate_c[failed] = np.eye(d), 1.0, 1.0
-    a, vec = WishartHyper(alpha_a, b), GammaVecHyper(alpha_d, rate_d)
-    return HyperTriple(a, vec, GammaHyper(alpha_c, rate_c, d)), errors
+    log_det_b = factor_log_det(chol)
+    b[failed], rate_d[failed], rate_c[failed], log_det_b[failed] = np.eye(d), 1.0, 1.0, 0.0
+    # b is exactly symmetric (a multiple of the symmetrized s), and log|I| = 0
+    a = WishartHyper(alpha_a, b, checked_log_det=log_det_b)
+    return HyperTriple(a, GammaVecHyper(alpha_d, rate_d), GammaHyper(alpha_c, rate_c, d)), errors
 
 
 def _batch_of_one(scheme: str, stats: SuffStats, m: float = 2.0) -> HyperTriple:
@@ -458,34 +473,60 @@ def mclust_default(stats: SuffStats) -> HyperTriple:
 def sample_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
     """`size` half-precisions from the prior: (size, d, d) for A, (size, d)
     for D and (size,) for C. A is Bartlett (a Wishart with df = 2 alpha and
-    scale (2B)^{-1}), D and C are gamma draws. The rate must be one rate,
-    not a stack of them."""
+    scale (2B)^{-1}), D and C are gamma draws. The stream gives all `size`
+    draws of each variate in turn (see `_standard_prior`); `_prior_transform`
+    then places them. The rate must be one rate, not a stack of them."""
     _check_one_rate(h)
     return _prior_transform(h, _standard_prior(h, size, rng))
 
 
-def _standard_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
-    """The half of `sample_prior` that consumes the stream: for A the Bartlett
-    factor, (size, d, d); for D and C standard gamma draws, (size, d) and (size,).
-    Column j of the factor draws its chi-square, then the normals below its
-    diagonal, so a batch of one consumes the stream as a scalar loop over the
-    lower triangle, column by column. (2 alpha > d - 1 holds by `WishartHyper`.)"""
+def _standard_prior(h: Hyper, size: Optional[int], rng: np.random.Generator) -> np.ndarray:
+    """The half of `sample_prior` that consumes the stream: `size` draws of
+    the prior's standard variates or, where `size` is None, one draw in
+    numpy's scalar form without the leading axis (the per-replicate draw of
+    `montecarlo.draw_scatters`). For D and C these are standard gamma
+    draws, (size, d) and (size,). For A they are the Bartlett variates in
+    stream order, flat, (size, d(d+1)/2): for each column j of the factor,
+    its chi-square with 2 alpha - j degrees of freedom, then its d - 1 - j
+    normals below the diagonal. Each of those is one generator call for
+    the whole stack, so one draw consumes the stream as a scalar loop over
+    the lower triangle, column by column. (2 alpha > d - 1 holds by
+    `WishartHyper`.)"""
+    shape = () if size is None else (size,)
     if h.structure != "A":
-        return rng.standard_gamma(h.alpha, size=(size, h.dim) if h.structure == "D" else size)
+        return rng.standard_gamma(h.alpha, size=(*shape, h.dim) if h.structure == "D" else size)
     d, nu = h.dim, 2 * h.alpha
-    a = np.zeros((size, d, d))
+    x, p = np.empty((d * (d + 1) // 2, *shape)), 0  # a row per variate, filled by one call
     for j in range(d):
-        a[:, j, j] = np.sqrt(rng.chisquare(nu - j, size=size))
-        a[:, j + 1 :, j] = rng.standard_normal(size=(size, d - 1 - j))
-    return a
+        x[p] = rng.chisquare(nu - j, size=size)
+        if j < d - 1:  # the last column has no normals
+            x[p + 1 : p + d - j] = rng.standard_normal((*shape, d - 1 - j)).T
+        p += d - j
+    return x.T
+
+
+@lru_cache
+def _bartlett_places(d: int) -> np.ndarray:
+    """Where each of `_standard_prior`'s A variates goes in the row-major
+    d x d factor: down column j from its diagonal, for j = 0, ..., d - 1."""
+    return np.array([i * d + j for j in range(d) for i in range(j, d)])
 
 
 def _prior_transform(h: Hyper, x: np.ndarray) -> np.ndarray:
     """The half of `sample_prior` that draws nothing: the half-precisions of a
-    stack x of `_standard_prior` draws. F a a^T F^T for A, F = `_bartlett_scale`;
-    x / beta for D; x (1 / beta) for C, as numpy's gamma applies its scale."""
+    stack x of `_standard_prior` draws. For A, one indexed assignment places
+    each row's variates (at `_bartlett_places`) in a lower triangular factor
+    a, whose diagonal then becomes the chi-squares' square roots, and the
+    draw is F a a^T F^T for F = `_bartlett_scale`. For D x / beta; for C
+    x (1 / beta), as numpy's gamma applies its scale."""
     if h.structure == "A":
-        fa = h._bartlett_scale @ x
+        d = h.dim
+        a = np.zeros((d * d, len(x)))  # entry-major, so each variate fills a row
+        a[_bartlett_places(d)] = x.T
+        diagonal = a[:: d + 1]
+        np.sqrt(diagonal, out=diagonal)
+        # a C-ordered stack: the products' rounding must not depend on the layout
+        fa = h._bartlett_scale @ np.ascontiguousarray(a.T).reshape(-1, d, d)
         return fa @ fa.swapaxes(-1, -2)
     return x / h.rate if h.structure == "D" else x * (1.0 / h.rate)
 

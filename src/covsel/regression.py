@@ -41,7 +41,7 @@ from .priors import (
     conjugate_update,
     log_prior_density,
 )
-from .specialfn import chol_log_det, cholesky_pd, symmetrize
+from .specialfn import chol_log_det, cholesky_pd, factor_log_det, symmetrize
 from .structures import (
     FitReport,
     StackFit,
@@ -218,7 +218,7 @@ def effective_stats(data: RegressionData, rh: RegressionHyper, subsets=None) -> 
         scatter=(r + r.swapaxes(-1, -2)) / 2,
         shrink=(shrink + shrink.swapaxes(-1, -2)) / 2,
         log_det_lam=chol_log_det(lam),
-        log_det_post_lam=2.0 * np.log(np.diagonal(c, axis1=-2, axis2=-1)).sum(axis=-1),
+        log_det_post_lam=factor_log_det(c),
     )
 
 

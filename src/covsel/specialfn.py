@@ -17,6 +17,7 @@ __all__ = [
     "log_mv_gamma",
     "symmetrize",
     "chol_log_det",
+    "factor_log_det",
     "cholesky_pd",
     "cholesky_stack",
 ]
@@ -101,11 +102,15 @@ def cholesky_stack(
     return np.concatenate([low, high]), {**low_errors, **high_errors}
 
 
+def factor_log_det(chol: np.ndarray) -> np.ndarray:
+    """log |S| from the lower Cholesky factor of S, or of each of a stack."""
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
 def chol_log_det(s: np.ndarray):
     """log |S| for symmetric positive definite S, via Cholesky.
 
     A stack (r, d, d) gives an array of r values.
     """
-    L = cholesky_pd(s)
-    ld = 2.0 * np.log(L.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    ld = factor_log_det(cholesky_pd(s))
     return float(ld) if ld.ndim == 0 else ld

@@ -43,7 +43,7 @@ from .priors import (
     log_prior_density,
     shape_for_sample_size,
 )
-from .specialfn import LOG_PI, chol_log_det, cholesky_stack
+from .specialfn import LOG_PI, chol_log_det, cholesky_stack, factor_log_det
 
 __all__ = [
     "FitReport",
@@ -407,7 +407,7 @@ def _evidence(h: Hyper, s: np.ndarray, n: int):
     chol, errors = None, {}
     if structure == "A":
         chol, errors = cholesky_stack(rate_post, "s + B")
-        log_rate_post = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+        log_rate_post = factor_log_det(chol)
     else:
         log_rate_post = _log_det(structure, rate_post)
     lz_prior = log_normalizer(h)

@@ -73,13 +73,31 @@ def rep_rng(config, truth: str, n: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((*key, rep)))
 
 
+def sample_prior_loop(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
+    """The column-by-column sampler that `priors.sample_prior` replaced, kept as
+    its oracle. For A, a zero Bartlett factor gets, column by column, the
+    square root of its chi-square and then the normals below its diagonal,
+    each drawn for the whole stack, and the draw is F a a^T F^T for
+    F = L^{-T}, 2B = L L^T. For D and C, standard gamma draws over the rate."""
+    if h.structure != "A":
+        x = rng.standard_gamma(h.alpha, size=(size, h.dim) if h.structure == "D" else size)
+        return x / h.rate if h.structure == "D" else x * (1.0 / h.rate)
+    d, nu = h.dim, 2 * h.alpha
+    a = np.zeros((size, d, d))
+    for j in range(d):
+        a[:, j, j] = np.sqrt(rng.chisquare(nu - j, size=size))
+        a[:, j + 1 :, j] = rng.standard_normal(size=(size, d - 1 - j))
+    fa = np.linalg.inv(np.linalg.cholesky(2 * h.rate)).T @ a
+    return fa @ fa.swapaxes(-1, -2)
+
+
 def draw_scatters_loop(h: Hyper, n: int, rngs):
     """The per-replicate loop that `montecarlo.draw_scatters` replaced, kept as
-    its oracle: a whole `sample_prior(h, 1, rng)` per generator, then its n
-    normal rows, and `scatters_from` on the stack of draws."""
+    its oracle: a whole `sample_prior_loop(h, 1, rng)` per generator, then its
+    n normal rows, and `scatters_from` on the stack of draws."""
     draws, w = [], np.empty((len(rngs), h.dim, h.dim))
     for i, rng in enumerate(rngs):
-        draws.append(sample_prior(h, 1, rng)[0])
+        draws.append(sample_prior_loop(h, 1, rng)[0])
         z = rng.standard_normal((n, h.dim))
         w[i] = z.T @ z
     return scatters_from(h.structure, np.array(draws), w)

@@ -41,6 +41,8 @@ from covsel.priors import (
 from covsel.specialfn import chol_log_det
 from covsel.structures import criteria, fit_structure, log_evidence, param_count
 
+from conftest import sample_prior_loop
+
 
 # ---------------------------------------------------------------------------
 # Oracles: the row sampler the Wishart stacks replaced, and the
@@ -825,6 +827,18 @@ class TestWishartScatters:
         z2 = z**2
         se2 = z2.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(z2.mean(axis=0) - 1) <= self.Z * se2), z2.mean(axis=0)
+
+    @pytest.mark.parametrize("truth, seed, n", [("C", 8, 6), ("A", 9, 40)])
+    def test_equal_to_the_column_loop(self, truth, seed, n):
+        # the theta stack and then W, each from the oracle of `sample_prior`
+        h, reps = oracle_hyper(truth, 4, 2.0), 300
+        rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+        draws = sample_prior_loop(h, reps, rng)
+        w = sample_prior_loop(WishartHyper(n / 2, np.eye(4) / 2), reps, rng)
+        s, errors = montecarlo.scatters_from(truth, draws, w)
+        got_s, got_draws = asymptotics._draw(h, n, reps, seed, None)
+        assert not errors
+        assert got_s.tobytes() == s.tobytes() and got_draws.tobytes() == draws.tobytes()
 
     @pytest.mark.parametrize("h", [oracle_hyper(s, 5, 2.0) for s in ("A", "D", "C")])
     def test_scatters_exactly_symmetric(self, h):

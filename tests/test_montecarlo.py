@@ -15,12 +15,14 @@ from covsel.montecarlo import (
     TRUTH_ORDER,
     confusion_table,
     draw_scatters,
+    gaussian_rows,
     generate_instance,
     mcnemar,
     oracle_hyper,
     render_confusion_markdown,
     run_cell,
 )
+from covsel.precision import from_array
 from covsel.priors import (
     GammaHyper,
     GammaVecHyper,
@@ -31,7 +33,7 @@ from covsel.priors import (
 )
 from covsel.structures import CRITERIA, fit_stack
 
-from conftest import best_structures, draw_scatters_loop, rep_rng
+from conftest import best_structures, draw_scatters_loop, rep_rng, sample_prior_loop
 
 
 class TestMcNemar:
@@ -204,20 +206,29 @@ class TestGenerateInstance:
         assert np.all(np.abs(mean - second_moment_matrix(h)) < 3 * se)
 
 
+# so small a rate inverse that some drawn thetas or their scatters leave the floats
+BETA_INV_FAILING = 2.5e-308
+
+
 class TestDrawScatters:
     @pytest.mark.parametrize("truth", TRUTH_ORDER)
     @pytest.mark.parametrize(
         "d, n", [(1, 1), (1, 4), (3, 2), (3, 3), (3, 4), (5, 2), (5, 5), (5, 9)]
     )
     def test_equals_per_replicate_generate_instance(self, truth, d, n):
-        """The per-replicate loop `run_cell` ran before, kept as the oracle.
-        The scatters whiten z^T z instead of each row, so they agree to
-        rounding and make the same picks."""
+        """The per-replicate loop `run_cell` ran before, kept as the oracle,
+        with its draw of theta from `sample_prior_loop`; `generate_instance`
+        gives its rows byte for byte. The scatters whiten z^T z instead of
+        each row, so they agree to rounding and make the same picks."""
         config = SimConfig(d=d, n_values=(n,), reps=20, seed=11)
         h = oracle_hyper(truth, config.d, config.beta_inverse)
         expected = np.empty((config.reps, config.d, config.d))
         for rep in range(config.reps):
-            rows = generate_instance(h, n, rep_rng(config, truth, n, rep)).rows
+            rng = rep_rng(config, truth, n, rep)
+            theta = from_array(truth, sample_prior_loop(h, 1, rng)[0], d)
+            rows = gaussian_rows(theta, n, rng)
+            got = generate_instance(h, n, rep_rng(config, truth, n, rep)).rows
+            assert got.tobytes() == rows.tobytes()
             s = rows.T @ rows
             expected[rep] = (s + s.T) / 2
         rngs = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
@@ -253,16 +264,29 @@ class TestDrawScatters:
             scatters, errors = draw_scatters(h, 4, rngs)
             assert scatters.shape == (0, 3, 3) and errors == {}
 
+    @pytest.mark.parametrize("truth", TRUTH_ORDER)
+    @pytest.mark.parametrize("beta_inverse", [2.0, BETA_INV_FAILING])
+    def test_blocks_equal_the_per_replicate_oracles(self, monkeypatch, truth, beta_inverse):
+        # blocks of 7 replicates: a cell of 20 is two full blocks and a partial one
+        d, n = 3, 4
+        monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 7 * n * d)
+        config = SimConfig(d=d, beta_inverse=beta_inverse, n_values=(n,), reps=20, seed=5)
+        h = oracle_hyper(truth, d, beta_inverse)
+        scatters, errors = draw_scatters(h, n, montecarlo._cell_rngs(config, truth, n))
+        oracles = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
+        want, want_errors = draw_scatters_loop(h, n, oracles)
+        assert scatters.tobytes() == want.tobytes()
+        assert {i: str(e) for i, e in errors.items()} == {i: str(e) for i, e in want_errors.items()}
+        if beta_inverse == BETA_INV_FAILING:
+            assert len({i // 7 for i in errors}) > 1  # failures in more than one block
+        assert draw_scatters(h, n, iter(()))[0].shape == (0, d, d)
+
     def test_takes_any_iterable(self):
         config = SimConfig(d=3, n_values=(4,), reps=6, seed=2)
         h = oracle_hyper("A", 3, 2.0)
         listed = draw_scatters(h, 4, [rep_rng(config, "A", 4, r) for r in range(6)])[0]
         lazy = draw_scatters(h, 4, (rep_rng(config, "A", 4, r) for r in range(6)))[0]
         assert lazy.tobytes() == listed.tobytes()
-
-
-# so small a rate inverse that some drawn thetas or their scatters leave the floats
-BETA_INV_FAILING = 2.5e-308
 
 
 class TestCellStreams:

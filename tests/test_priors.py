@@ -44,7 +44,7 @@ from covsel.priors import (
 from covsel.specialfn import log_mv_gamma
 from covsel.structures import flexibility, param_count
 
-from conftest import stack_hypers, theta_log_det, theta_trace_product
+from conftest import sample_prior_loop, stack_hypers, theta_log_det, theta_trace_product
 
 
 def random_stats(rng, n, d):
@@ -417,14 +417,16 @@ class TestMomentHypers:
         self, monkeypatch, scheme, diagonals, failed, message
     ):
         # a positive definite Wishart rate already gives positive gamma
-        # rates, so the second check only acts once the first is skipped
-        monkeypatch.setattr(priors, "cholesky_stack", lambda b: (None, {}))
+        # rates, so the second check only acts once the first is skipped:
+        # every diagonal b passes, with the Cholesky factor of |b|
+        monkeypatch.setattr(priors, "cholesky_stack", lambda b: (np.sqrt(np.abs(b)), {}))
         s = np.stack([np.diag(np.broadcast_to(v, 2).astype(float)) for v in diagonals])
         triple, errors = moment_hypers(scheme, s, 4)
         assert sorted(errors) == failed
         assert all(type(exc) is DegenerateScatterError for exc in errors.values())
         assert all(str(exc) == message + " strictly positive" for exc in errors.values())
         np.testing.assert_array_equal(triple.a.rate[failed], np.stack([np.eye(2)] * len(failed)))
+        np.testing.assert_array_equal(triple.a.log_det_rate[failed], 0.0)
         np.testing.assert_array_equal(triple.d.rate[failed], 1.0)
         np.testing.assert_array_equal(triple.c.rate[failed], 1.0)
 
@@ -537,6 +539,16 @@ class TestSamplerOracles:
             else:
                 draw = sample_half_precision(h, new).matrix
             np.testing.assert_array_equal(draw, bartlett_loop(h, old))
+        assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("size", [1, 7, 400])
+    def test_stacks_equal_the_column_loop(self, d, size):
+        g = np.random.default_rng(d).standard_normal((d, d + 2))
+        h = WishartHyper((d - 1) / 2 + 0.5, g @ g.T / d + 0.3 * np.eye(d))
+        old, new = np.random.default_rng(35), np.random.default_rng(35)
+        for _ in range(3):
+            assert sample_prior(h, size, new).tobytes() == sample_prior_loop(h, size, old).tobytes()
         assert new.bit_generator.state == old.bit_generator.state
 
     def test_gamma_draws_match_scalar(self):
