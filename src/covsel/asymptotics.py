@@ -22,13 +22,15 @@ from .precision import HalfPrecision, as_array
 from .priors import (
     Hyper,
     WishartHyper,
+    _bartlett_factor,
+    _standard_prior,
     log_prior_density,
     matched_family,
     prior_sample_size,
     rate_matrix,
     sample_prior,
 )
-from .montecarlo import scatters_from
+from .montecarlo import _scatter_factor, scatters_from
 from .specialfn import chol_log_det
 from .structures import _defined_evidence, fit_structure, log_partition_hessian_logdet, param_count
 
@@ -222,22 +224,28 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
     full one is, each drawn theta has its own rate, `linear_rate_constant`
     at V = (2 theta)^{-1}, and the slope of the mean log ratio estimates
     their mean, so the target is the mean over every theta the study drew
-    (a fixed theta is every draw).
+    (a fixed theta is every draw). V is the scatter theta makes of W = I, by
+    the factor of its scatters; a fixed theta's factor and rate are formed once.
     """
     full, nested = _split_pair(config.pair)
     triple = matched_family(config.hyper)
     h_full, h_nested = (triple.for_structure(s) for s in (full, nested))
     nested_true = config.truth == nested
+    theta = None if config.fixed_theta is None else _fixed(config.truth, config.fixed_theta)
 
     means = []
     rows = []
     draw_rates = []
     for n in config.n_grid:
-        s, draws = _draw(config.hyper, n, config.reps, config.seed, config.fixed_theta)
+        s, draws, factor = _draw(config.hyper, n, config.reps, config.seed, theta)
         if not nested_true:
-            # each theta's second moment (2 theta)^{-1} is the scatter it makes of W = I
-            v, _ = scatters_from(config.truth, draws, np.eye(config.hyper.dim))
-            draw_rates.append(linear_rate_constant(config.pair, v))
+            if theta is None or not draw_rates:
+                # each theta's second moment (2 theta)^{-1} is the scatter it makes of W = I
+                v, errors = scatters_from(config.truth, draws, np.eye(config.hyper.dim), factor)
+                if errors:
+                    raise errors[min(errors)]
+                rate = linear_rate_constant(config.pair, v)
+            draw_rates.append(rate)
         vals = _defined_evidence(h_full, s, n) - _defined_evidence(h_nested, s, n)
         scale = np.log(n) if nested_true else float(n)
         scaled = vals / scale
@@ -270,32 +278,39 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
     )
 
 
-def _draw(
-    h: Hyper, n: int, reps: int, seed: int, theta: Optional[HalfPrecision]
-) -> Tuple[np.ndarray, np.ndarray]:
+def _fixed(structure: str, theta: HalfPrecision):
+    """A fixed theta in `_draw`'s form: a stack of one and its `_scatter_factor`."""
+    draws = np.asarray(as_array(theta, structure))[None]
+    return draws, _scatter_factor(structure, draws)
+
+
+def _draw(h: Hyper, n: int, reps: int, seed: int, theta):
     """(reps, d, d) scatters x^T x of n rows x from N(0, (2 theta)^{-1}),
-    with theta drawn from the prior `h` per replicate unless it is fixed,
-    and the stack of those thetas in `h`'s array form: (reps, ...), or a
-    stack of one fixed theta, which broadcasts over the replicates.
+    with theta drawn from the prior `h` per replicate unless it is fixed (a
+    half-precision or its `_fixed` form); the stack of those thetas in `h`'s
+    array form, (reps, ...), or a stack of one fixed theta, which broadcasts
+    over the replicates; and the stack's `_scatter_factor`.
 
     The rows are never drawn. Given theta, their scatter is Wishart with
     n degrees of freedom, so one stream per (seed, n) draws the theta
-    stack, then a standard Wishart stack W (Bartlett, so n >= d), and
-    `scatters_from` turns W into the scatters. A study averages every
-    replicate, so the lowest-index replicate that cannot be drawn fails
+    stack, then a standard Wishart stack W = a a^T by its Bartlett factor a
+    (the rate I / 2 is not checked again, only n >= d, and no scale F = I is
+    applied), and `scatters_from` turns W into the scatters. A study averages
+    every replicate, so the lowest-index replicate that cannot be drawn fails
     the study with its error.
     """
     d, structure = h.dim, h.structure
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
     if theta is None:
         draws = sample_prior(h, reps, rng)
-    else:
-        draws = np.asarray(as_array(theta, structure))[None]
-    w = sample_prior(WishartHyper(n / 2, np.eye(d) / 2), reps, rng)
-    s, errors = scatters_from(structure, draws, w)
+        theta = draws, _scatter_factor(structure, draws)
+    draws, factor = theta if isinstance(theta, tuple) else _fixed(structure, theta)
+    standard = WishartHyper(n / 2, np.eye(d) / 2, checked_log_det=-d * np.log(2))
+    a = _bartlett_factor(_standard_prior(standard, reps, rng), d)
+    s, errors = scatters_from(structure, draws, a @ a.swapaxes(-1, -2), factor)
     if errors:
         raise errors[min(errors)]
-    return s, draws
+    return s, draws, factor
 
 
 @dataclass(frozen=True)
@@ -327,9 +342,9 @@ def flexibility_gap_study(
     _check_design(n_grid, reps, seed, h.dim)
     gap = flexibility_bic_gap(h, theta0)
     k = param_count(theta0.structure, theta0.dim)
-    rows = []
+    rows, fixed = [], _fixed(h.structure, theta0)
     for n in n_grid:
-        fit = fit_structure(h, _draw(h, n, reps, seed, theta0)[0], n)
+        fit = fit_structure(h, _draw(h, n, reps, seed, fixed)[0], n)
         flex_term = fit.defined("flexibility") - k / 2 * np.log(n)
         kic_err = np.abs(fit.kic - fit.log_evidence)
         rows.append(

@@ -65,7 +65,8 @@ _CONFIG_ERRORS = (ConfigError, CsvParseError, EmptyDatasetError)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()
@@ -85,8 +86,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=None)  # built once per process; parsing never changes it
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=8)  # one per command (or mistyped word); parsing never changes it
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every subcommand's name and help, and only `command`'s arguments: `main`
+    passes argv's first word that is not an option, as the root takes no values."""
     parser = argparse.ArgumentParser(
         prog="covsel",
         description="Bayesian evidence for Gaussian covariance structure selection",
@@ -95,64 +98,68 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("select", help="rank covariance structures for a CSV dataset")
-    p.add_argument("data", help="CSV file of observations (rows)")
-    p.add_argument("--columns", nargs="+", help="column names or 0-based indices to use")
-    p.add_argument("--no-header", action="store_true", help="file has no header row")
-    p.add_argument("--center", action="store_true", help="subtract column means first")
-    p.add_argument(
-        "--hyper-source",
-        default="empirical-bayes",
-        help="'empirical-bayes', 'mclust', or 'file:PATH' with per-structure hypers",
-    )
-    p.add_argument("--criterion", default="evidence", choices=CRITERIA)
-    p.add_argument("--json", help="write the machine-readable report here")
-    p.set_defaults(func=_cmd_select)
+    if command == "select":
+        p.add_argument("data", help="CSV file of observations (rows)")
+        p.add_argument("--columns", nargs="+", help="column names or 0-based indices to use")
+        p.add_argument("--no-header", action="store_true", help="file has no header row")
+        p.add_argument("--center", action="store_true", help="subtract column means first")
+        p.add_argument(
+            "--hyper-source",
+            default="empirical-bayes",
+            help="'empirical-bayes', 'mclust', or 'file:PATH' with per-structure hypers",
+        )
+        p.add_argument("--criterion", default="evidence", choices=CRITERIA)
+        p.add_argument("--json", help="write the machine-readable report here")
+        p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("simulate", help="criterion comparison studies with confusion tables")
-    p.add_argument("--table", default="oracle", choices=("oracle", "eb", "vs-mclust"))
-    p.add_argument("--beta-inv", type=float, nargs="+", default=[2.0])
-    p.add_argument("--n", type=int, nargs="+", default=[5, 10])
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--records", action="store_true", help="include per-replicate decisions")
-    p.add_argument("--json", help="write confusion tables as JSON here")
-    p.set_defaults(func=_cmd_simulate)
+    if command == "simulate":
+        p.add_argument("--table", default="oracle", choices=("oracle", "eb", "vs-mclust"))
+        p.add_argument("--beta-inv", type=float, nargs="+", default=[2.0])
+        p.add_argument("--n", type=int, nargs="+", default=[5, 10])
+        p.add_argument("--reps", type=int, default=1000)
+        p.add_argument("--d", type=int, default=5)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--records", action="store_true", help="include per-replicate decisions")
+        p.add_argument("--json", help="write confusion tables as JSON here")
+        p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("regress", help="regression evidences, covariate subsets, penalty paths")
-    p.add_argument("data", help="CSV file with response (and, by default, covariate) columns")
-    p.add_argument("--response", nargs="+", required=True, help="response column names/indices")
-    p.add_argument("--covariates", nargs="+", default=[], help="covariate column names/indices")
-    p.add_argument(
-        "--covariates-file",
-        help="read covariate columns from this CSV instead of the response file",
-    )
-    p.add_argument("--no-header", action="store_true")
-    p.add_argument("--intercept", action="store_true", help="prepend an all-ones covariate")
-    p.add_argument("--hyper", help="JSON file with alpha/beta and optional nu/lambda")
-    p.add_argument("--enumerate", dest="enumerate_subsets", action="store_true")
-    p.add_argument("--criterion", default="evidence", choices=CRITERIA)
-    p.add_argument("--lambda-path", type=float, nargs="+", help="lambda grid (d1 = 1 only)")
-    p.add_argument("--json", help="write the machine-readable table here")
-    p.add_argument("--out", help="write the lambda-path CSV here (default stdout)")
-    p.set_defaults(func=_cmd_regress)
+    if command == "regress":
+        p.add_argument("data", help="CSV file with response (and, by default, covariate) columns")
+        p.add_argument("--response", nargs="+", required=True, help="response column names/indices")
+        p.add_argument("--covariates", nargs="+", default=[], help="covariate column names/indices")
+        p.add_argument(
+            "--covariates-file",
+            help="read covariate columns from this CSV instead of the response file",
+        )
+        p.add_argument("--no-header", action="store_true")
+        p.add_argument("--intercept", action="store_true", help="prepend an all-ones covariate")
+        p.add_argument("--hyper", help="JSON file with alpha/beta and optional nu/lambda")
+        p.add_argument("--enumerate", dest="enumerate_subsets", action="store_true")
+        p.add_argument("--criterion", default="evidence", choices=CRITERIA)
+        p.add_argument("--lambda-path", type=float, nargs="+", help="lambda grid (d1 = 1 only)")
+        p.add_argument("--json", help="write the machine-readable table here")
+        p.add_argument("--out", help="write the lambda-path CSV here (default stdout)")
+        p.set_defaults(func=_cmd_regress)
 
     p = sub.add_parser("rates", help="evidence-ratio divergence rate studies")
-    p.add_argument("--pair", default="A-vs-C", help="A-vs-D, A-vs-C or D-vs-C")
-    p.add_argument("--truth", default="C", choices=TRUTH_ORDER)
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--n-grid", type=int, nargs="+", default=[100, 316, 1000, 3162, 10000])
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta-inv", type=float, default=2.0)
-    p.add_argument(
-        "--fixed-sigma",
-        help="fixed true covariance, rows separated by ';' (truth A only), "
-        "e.g. '1,0.5;0.5,1'",
-    )
-    p.add_argument("--out", help="write the study CSV here (default stdout)")
-    p.add_argument("--json", help="write the study (with slope) as JSON here")
-    p.set_defaults(func=_cmd_rates)
+    if command == "rates":
+        p.add_argument("--pair", default="A-vs-C", help="A-vs-D, A-vs-C or D-vs-C")
+        p.add_argument("--truth", default="C", choices=TRUTH_ORDER)
+        p.add_argument("--d", type=int, default=5)
+        p.add_argument("--n-grid", type=int, nargs="+", default=[100, 316, 1000, 3162, 10000])
+        p.add_argument("--reps", type=int, default=200)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--beta-inv", type=float, default=2.0)
+        p.add_argument(
+            "--fixed-sigma",
+            help="fixed true covariance, rows separated by ';' (truth A only), "
+            "e.g. '1,0.5;0.5,1'",
+        )
+        p.add_argument("--out", help="write the study CSV here (default stdout)")
+        p.add_argument("--json", help="write the study (with slope) as JSON here")
+        p.set_defaults(func=_cmd_rates)
     return parser
 
 

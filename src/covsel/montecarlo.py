@@ -108,7 +108,7 @@ def generate_instance(h: Hyper, n: int, rng: np.random.Generator) -> Dataset:
 
 
 def scatters_from(
-    structure: str, draws: np.ndarray, w: np.ndarray
+    structure: str, draws: np.ndarray, w: np.ndarray, factor=None
 ) -> Tuple[np.ndarray, Dict[int, CovselError]]:
     """(r, d, d) scatters x^T x of rows x from N(0, (2 theta)^{-1}), given
     a stack of half-precisions `draws` in `structure`'s array form and a
@@ -117,27 +117,42 @@ def scatters_from(
     The scatter is C^{-T} W C^{-1} for 2 theta = C C^T; for D and C this
     scales W elementwise by 1/sqrt(2 eta_i * 2 eta_j). A replicate fails
     alone, with a NaN scatter and an entry in the returned errors, where
-    its draw is not a half-precision or its scatter overflows. A stack of
-    one draw broadcasts over the stack W.
+    its draw is not a finite half-precision or its scatter overflows. A
+    stack of one draw broadcasts over the stack W. `factor` is the draws'
+    `_scatter_factor`, where the caller has already formed it.
     """
+    c, errors = factor or _scatter_factor(structure, draws)
     # an overflowing scatter (inf, or NaN from inf - inf) becomes an error below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if structure == "A":
-            chol, errors = cholesky_stack(2 * draws, "a drawn half-precision")
-            inv = np.linalg.inv(chol)
-            s = inv.swapaxes(-1, -2) @ w @ inv
+            s = c.swapaxes(-1, -2) @ w @ c
             s = (s + s.swapaxes(-1, -2)) / 2
         else:
-            eta = draws if structure == "D" else draws[:, None]
-            bad = ~(np.isfinite(eta) & (eta > 0)).all(axis=-1)
-            msg = "a drawn half-precision must be positive and finite"
-            errors = {int(i): SupportError(msg) for i in np.flatnonzero(bad)}
-            r = 1 / np.sqrt(2 * eta)
-            s = w * (r[:, :, None] * r[:, None, :])  # r_i r_j first keeps s symmetric
+            s = w * c
+    errors = dict(errors)
     for i in np.flatnonzero(~np.isfinite(s).all(axis=(-2, -1))):
         errors.setdefault(int(i), SupportError("the scatter of a drawn half-precision overflows"))
     s[list(errors)] = np.nan
     return s, errors
+
+
+def _scatter_factor(structure: str, draws: np.ndarray) -> Tuple[np.ndarray, Dict[int, CovselError]]:
+    """The draws' factor in `scatters_from` and their errors: C^{-1} for A, and
+    for D and C r_i r_j, formed before W's entry so the scatter stays exactly
+    symmetric. A draw that is not finite (nor, for D and C, positive) fails
+    before it is factored: LAPACK would factor an inf matrix."""
+    x = draws[:, None] if structure == "C" else draws
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ok = np.isfinite(x) if structure == "A" else np.isfinite(x) & (x > 0)
+        bad = ~ok.reshape(len(x), -1).all(axis=1)
+        msg = "a drawn half-precision must be positive and finite"
+        errors = {int(i): SupportError(msg) for i in np.flatnonzero(bad)}
+        if structure != "A":
+            r = 1 / np.sqrt(2 * x)
+            return r[:, :, None] * r[:, None, :], errors
+        m = np.where(bad[:, None, None], np.eye(x.shape[-1]), 2 * x)
+        chol, chol_errors = cholesky_stack(m, "a drawn half-precision")
+        return np.linalg.inv(chol), {**errors, **chol_errors}
 
 
 # the standard normals a block of a cell's replicates holds at most (1 MB),

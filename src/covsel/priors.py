@@ -475,7 +475,7 @@ def sample_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
     for D and (size,) for C. A is Bartlett (a Wishart with df = 2 alpha and
     scale (2B)^{-1}), D and C are gamma draws. The stream gives all `size`
     draws of each variate in turn (see `_standard_prior`); `_prior_transform`
-    then places them. The rate must be one rate, not a stack of them."""
+    then places and scales them. The rate must be one rate, not a stack."""
     _check_one_rate(h)
     return _prior_transform(h, _standard_prior(h, size, rng))
 
@@ -512,23 +512,29 @@ def _bartlett_places(d: int) -> np.ndarray:
     return np.array([i * d + j for j in range(d) for i in range(j, d)])
 
 
+def _bartlett_factor(x: np.ndarray, d: int) -> np.ndarray:
+    """The placement half of `_prior_transform`'s A branch: each row's variates
+    placed (at `_bartlett_places`) in a lower triangular factor a, the diagonal's
+    chi-squares then their square roots. a a^T is a Wishart draw of scale I."""
+    a = np.zeros((d * d, len(x)))  # entry-major, so each variate fills a row
+    a[_bartlett_places(d)] = x.T
+    diagonal = a[:: d + 1]
+    np.sqrt(diagonal, out=diagonal)
+    # a C-ordered stack: the products' rounding must not depend on the layout
+    return np.ascontiguousarray(a.T).reshape(-1, d, d)
+
+
 def _prior_transform(h: Hyper, x: np.ndarray) -> np.ndarray:
     """The half of `sample_prior` that draws nothing: the half-precisions of a
-    stack x of `_standard_prior` draws. For A, one indexed assignment places
-    each row's variates (at `_bartlett_places`) in a lower triangular factor
-    a, whose diagonal then becomes the chi-squares' square roots, and the
-    draw is F a a^T F^T for F = `_bartlett_scale`. For D x / beta; for C
-    x (1 / beta), as numpy's gamma applies its scale."""
-    if h.structure == "A":
-        d = h.dim
-        a = np.zeros((d * d, len(x)))  # entry-major, so each variate fills a row
-        a[_bartlett_places(d)] = x.T
-        diagonal = a[:: d + 1]
-        np.sqrt(diagonal, out=diagonal)
-        # a C-ordered stack: the products' rounding must not depend on the layout
-        fa = h._bartlett_scale @ np.ascontiguousarray(a.T).reshape(-1, d, d)
-        return fa @ fa.swapaxes(-1, -2)
-    return x / h.rate if h.structure == "D" else x * (1.0 / h.rate)
+    stack x of `_standard_prior` draws. For A the scale half F a a^T F^T of
+    a = `_bartlett_factor`(x) and F = `_bartlett_scale`; for D x / beta; for C
+    x (1 / beta), as numpy's gamma applies its scale. A draw that overflows
+    is inf or NaN, without a warning; `montecarlo.scatters_from` rejects it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if h.structure == "A":
+            fa = h._bartlett_scale @ _bartlett_factor(x, h.dim)
+            return fa @ fa.swapaxes(-1, -2)
+        return x / h.rate if h.structure == "D" else x * (1.0 / h.rate)
 
 
 def _check_one_rate(h: Hyper) -> None:

@@ -15,12 +15,21 @@ from covsel.priors import (
     HyperTriple,
     WishartHyper,
     conjugate_update,
+    matched_family,
     sample_prior,
 )
+from covsel.asymptotics import (
+    RateStudyResult,
+    RateStudyRow,
+    linear_rate_constant,
+    log_rate_constant,
+)
 from covsel.montecarlo import TRUTH_ORDER, scatters_from
+from covsel.precision import as_array
 from covsel.specialfn import LOG_PI
 from covsel.structures import (
     _CRITERION_FIELD,
+    _defined_evidence,
     SIMPLEST_FIRST,
     StackFit,
     criterion_matrix,
@@ -101,6 +110,58 @@ def draw_scatters_loop(h: Hyper, n: int, rngs):
         z = rng.standard_normal((n, h.dim))
         w[i] = z.T @ z
     return scatters_from(h.structure, np.array(draws), w)
+
+
+def draw_per_n(h: Hyper, n: int, reps: int, seed: int, theta=None):
+    """The per-n path that `asymptotics._draw` replaced, kept as its oracle:
+    from the (seed, n) stream, the theta stack (or the fixed theta's array
+    form), then W by a whole `sample_prior` of the standard Wishart hyper
+    WishartHyper(n / 2, I / 2), and `scatters_from` factoring the thetas
+    again on every call; (scatters, thetas), the lowest failure raised."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+    if theta is None:
+        draws = sample_prior(h, reps, rng)
+    else:
+        draws = np.asarray(as_array(theta, h.structure))[None]
+    w = sample_prior(WishartHyper(n / 2, np.eye(h.dim) / 2), reps, rng)
+    s, errors = scatters_from(h.structure, draws, w)
+    if errors:
+        raise errors[min(errors)]
+    return s, draws
+
+
+def rate_study_per_n(config) -> RateStudyResult:
+    """`asymptotics.rate_study` as it was before a study formed each theta's
+    factor once: `draw_per_n` per n and, when the full structure is true, the
+    target's (2 theta)^{-1} by a second `scatters_from` of the thetas on W = I,
+    every n, a fixed theta's too."""
+    full, nested = config.pair.split("-vs-")
+    triple = matched_family(config.hyper)
+    h_full, h_nested = (triple.for_structure(s) for s in (full, nested))
+    nested_true = config.truth == nested
+    means, rows, draw_rates = [], [], []
+    for n in config.n_grid:
+        s, draws = draw_per_n(config.hyper, n, config.reps, config.seed, config.fixed_theta)
+        if not nested_true:
+            v, _ = scatters_from(config.truth, draws, np.eye(config.hyper.dim))
+            draw_rates.append(linear_rate_constant(config.pair, v))
+        vals = _defined_evidence(h_full, s, n) - _defined_evidence(h_nested, s, n)
+        scaled = vals / (np.log(n) if nested_true else float(n))
+        se = float(scaled.std(ddof=1) / np.sqrt(config.reps)) if config.reps > 1 else 0.0
+        rows.append(RateStudyRow(n=int(n), scaled_mean=float(scaled.mean()), se=se))
+        means.append(float(vals.mean()))
+    slope = None
+    if len(config.n_grid) > 1:
+        grid = np.asarray(config.n_grid, dtype=float)
+        xreg = np.log(grid) if nested_true else grid
+        xc = xreg - xreg.mean()
+        slope = float(xc @ (np.asarray(means) - np.mean(means)) / (xc @ xc))
+    if nested_true:
+        target = log_rate_constant(config.pair, config.hyper.dim)
+    else:
+        target = float(np.concatenate(draw_rates).mean())
+    regressor = "log_n" if nested_true else "n"
+    return RateStudyResult(config.pair, config.truth, regressor, target, rows, slope)
 
 
 def regression_pick(fit, criterion: str = "evidence") -> Tuple[Optional[str], float]:

@@ -52,6 +52,8 @@ COMMANDS = {
     "rates-nested-D-vs-C": _RATES + ["--pair", "D-vs-C", "--truth", "C"],
     "rates-full-A-vs-C": _RATES + ["--pair", "A-vs-C", "--truth", "A"],
     "rates-full-D-vs-C": _RATES + ["--pair", "D-vs-C", "--truth", "D"],
+    # a prior-drawn theta per replicate: its (2 theta)^{-1} comes from the scatter's factor
+    "rates-full-A-vs-D": _RATES + ["--pair", "A-vs-D", "--truth", "A"],
     "rates-fixed-A-vs-C": _RATES + ["--pair", "A-vs-C", "--truth", "A"] + _FIXED,
     "rates-fixed-A-vs-D": _RATES + ["--pair", "A-vs-D", "--truth", "A"] + _FIXED,
     "regress-enumerate": _REGRESS

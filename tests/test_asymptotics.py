@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -41,7 +42,7 @@ from covsel.priors import (
 from covsel.specialfn import chol_log_det
 from covsel.structures import criteria, fit_structure, log_evidence, param_count
 
-from conftest import sample_prior_loop
+from conftest import draw_per_n, rate_study_per_n, sample_prior_loop
 
 
 # ---------------------------------------------------------------------------
@@ -836,9 +837,76 @@ class TestWishartScatters:
         draws = sample_prior_loop(h, reps, rng)
         w = sample_prior_loop(WishartHyper(n / 2, np.eye(4) / 2), reps, rng)
         s, errors = montecarlo.scatters_from(truth, draws, w)
-        got_s, got_draws = asymptotics._draw(h, n, reps, seed, None)
+        got_s, got_draws, _ = asymptotics._draw(h, n, reps, seed, None)
         assert not errors
         assert got_s.tobytes() == s.tobytes() and got_draws.tobytes() == draws.tobytes()
+
+    # The per-n path the studies replaced (`draw_per_n`: a standard Wishart
+    # hyper and its Bartlett scale per n, every theta factored on every call)
+    # must give the same bytes over this grid, with 2 seeds per case.
+    DIMS = [1, 2, 3, 5, 8]
+
+    @staticmethod
+    def n_grid(d, nested_true=False):
+        return tuple(sorted({max(d, 2) if nested_true else d, d + 1, 37, 1000}))
+
+    @staticmethod
+    def fixed_theta(structure, d):
+        """A fixed theta of `structure` in dimension d, not a multiple of I
+        (except for C)."""
+        if structure == "C":
+            return IsoPrecision(0.7, d)
+        if structure == "D":
+            return DiagPrecision(np.linspace(0.4, 2.0, d))
+        a = np.random.default_rng(d).standard_normal((d, d))
+        return FullPrecision((a @ a.T + d * np.eye(d)) / 4)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("structure", ["A", "D", "C"])
+    @pytest.mark.parametrize("d", DIMS)
+    def test_draw_equal_to_the_per_n_path(self, d, structure, fixed):
+        h = oracle_hyper(structure, d, 2.0)
+        theta = self.fixed_theta(structure, d) if fixed else None
+        for seed in (3, 17):
+            for n in self.n_grid(d):
+                want_s, want_draws = draw_per_n(h, n, 9, seed, theta)
+                forms = [theta] + ([asymptotics._fixed(structure, theta)] if fixed else [])
+                for form in forms:  # a half-precision and its `_fixed` form
+                    s, draws, _ = asymptotics._draw(h, n, 9, seed, form)
+                    assert s.tobytes() == want_s.tobytes()
+                    assert draws.tobytes() == want_draws.tobytes()
+
+    @pytest.mark.parametrize("study", ["nested", "drawn", "fixed"])
+    @pytest.mark.parametrize("pair", ["A-vs-D", "A-vs-C", "D-vs-C"])
+    @pytest.mark.parametrize("d", DIMS)
+    def test_rate_study_equal_to_the_per_n_path(self, d, pair, study):
+        full, nested = pair.split("-vs-")
+        truth = nested if study == "nested" else full
+        for seed in (3, 17):
+            config = RateStudyConfig(
+                pair=pair, truth=truth, hyper=oracle_hyper(truth, d, 2.0),
+                n_grid=self.n_grid(d, study == "nested"), reps=9, seed=seed,
+                fixed_theta=self.fixed_theta(truth, d) if study == "fixed" else None,
+            )
+            got, want = rate_study(config).to_jsonable(), rate_study_per_n(config).to_jsonable()
+            assert json.dumps(got) == json.dumps(want)  # floats as repr: every bit
+
+    @pytest.mark.parametrize("structure", ["A", "D", "C"])
+    @pytest.mark.parametrize("d", DIMS)
+    def test_gap_study_rows_equal_to_the_per_n_path(self, d, structure):
+        h, theta0 = oracle_hyper(structure, d, 2.0), self.fixed_theta(structure, d)
+        grid = self.n_grid(d)
+        gap, k = flexibility_bic_gap(h, theta0), param_count(structure, d)
+        for seed in (3, 17):
+            want = []
+            for n in grid:
+                fit = fit_structure(h, draw_per_n(h, n, 9, seed, theta0)[0], n)
+                flex_term = fit.defined("flexibility") - k / 2 * np.log(n)
+                kic_err = np.abs(fit.kic - fit.log_evidence)
+                values = (np.abs(flex_term - gap).mean(), flex_term.mean(), kic_err.mean())
+                want.append(GapStudyRow(int(n), *map(float, values)))
+            got = flexibility_gap_study(h, theta0, grid, 9, seed)
+            assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("h", [oracle_hyper(s, 5, 2.0) for s in ("A", "D", "C")])
     def test_scatters_exactly_symmetric(self, h):

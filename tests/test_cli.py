@@ -960,6 +960,19 @@ class TestRates:
         assert run(argv + ["--beta-inv", "1e-308"]) == 2
         assert capsys.readouterr().err.startswith("error: beta_inverse 1e-308 is out of range")
 
+    @pytest.mark.parametrize(
+        "truth, pair", [("A", "A-vs-C"), ("D", "D-vs-C"), ("C", "D-vs-C")]
+    )
+    def test_an_overflowing_prior_draw_exits_3(self, capsys, truth, pair):
+        # every prior draw overflows at this beta_inverse. The study exits 3
+        # naming the drawn half-precision; it neither scores an inf draw's
+        # zero scatter nor warns (a RuntimeWarning would fail the test)
+        argv = ["rates", "--truth", truth, "--pair", pair, "--beta-inv", "1e308"]
+        assert run(argv + ["--reps", "3", "--n-grid", "5", "6"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: SupportError: a drawn half-precision must be positive and finite\n"
+        )
+
     def test_unknown_pair_exits_2(self):
         rc = run(["rates", "--pair", "B-vs-C", "--n-grid", "10", "--reps", "1"])
         assert rc == 2
@@ -1067,6 +1080,81 @@ class TestJsonWriter:
         assert run(argv + ["--json", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def every_command_parser():
+    """A parser holding every subcommand's arguments, as `main` built before
+    it added only the invoked one's: a root from `cli._build_parser`, each of
+    whose subparsers is replaced by the one built for its command."""
+    def subparsers(parser):
+        return parser._subparsers._group_actions[0].choices
+
+    root = cli._build_parser.__wrapped__(None)
+    for name in list(subparsers(root)):
+        subparsers(root)[name] = subparsers(cli._build_parser.__wrapped__(name))[name]
+    return root
+
+
+class TestParser:
+    COMMANDS = ["select", "simulate", "regress", "rates"]
+    # argv that `main` answers by parsing alone: help, the version, usage errors
+    ARGVS = [
+        [],
+        ["--help"],
+        ["-h"],
+        ["--version"],
+        *([c, "--help"] for c in COMMANDS),
+        *([c, "--bogus"] for c in COMMANDS),
+        ["select"],
+        ["regress", IRIS],
+        ["select", IRIS, "--criterion", "nope"],
+        ["simulate", "--table", "nope"],
+        ["simulate", "--reps", "x"],
+        ["rates", "--truth", "Q"],
+        ["rates", "--beta-inv", "abc"],
+        ["rates", "--reps", "3", "extra"],
+        ["rates", "--version"],
+        ["nope"],
+        ["nope", "rates"],
+        ["--nope"],
+        ["--nope", "rates"],
+        ["-"],
+        ["--", "rates"],
+    ]
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @staticmethod
+    def eager_main(argv):
+        """`main` on `every_command_parser`, for argv that stop at parsing."""
+        parser = every_command_parser()
+        assert not hasattr(parser.parse_args(argv), "func")
+        parser.print_help()
+        return 2
+
+    def test_output_is_that_of_every_command_parser(self, capsys):
+        want = [self.outcome(self.eager_main, argv, capsys) for argv in self.ARGVS]
+        for argv, expected in zip(self.ARGVS, want):
+            cli._build_parser.cache_clear()  # a process's first call
+            assert self.outcome(main, argv, capsys) == expected, argv
+        for argv, expected in reversed(list(zip(self.ARGVS, want))):  # with other commands built
+            assert self.outcome(main, argv, capsys) == expected, argv
+
+    def test_a_call_builds_only_its_command(self, capsys):
+        cli._build_parser.cache_clear()
+        assert self.outcome(main, ["rates", "--reps", "x"], capsys)[0] == 2
+        choices = cli._build_parser("rates")._subparsers._group_actions[0].choices  # cached
+        dests = {c: [a.dest for a in p._actions] for c, p in choices.items()}
+        assert dests["select"] == dests["simulate"] == dests["regress"] == ["help"]
+        assert "n_grid" in dests["rates"]
+        assert cli._build_parser.cache_info().currsize == 1
 
 
 class TestEntryPoint:

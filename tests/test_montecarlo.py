@@ -21,6 +21,7 @@ from covsel.montecarlo import (
     oracle_hyper,
     render_confusion_markdown,
     run_cell,
+    scatters_from,
 )
 from covsel.precision import from_array
 from covsel.priors import (
@@ -256,6 +257,23 @@ class TestDrawScatters:
         alone, none = draw_scatters(h, 5, [rep_rng(config, "D", 5, r) for r in ok])
         assert none == {}
         np.testing.assert_array_equal(alone, scatters[ok])
+
+    def test_a_non_finite_wishart_draw_fails_alone(self):
+        # LAPACK factors an inf matrix without an error, and its inverse is 0:
+        # unchecked, the draw would give a finite, singular scatter
+        s, errors = scatters_from("A", np.full((1, 3, 3), np.inf), 4 * np.eye(3)[None])
+        assert np.isnan(s).all() and list(errors) == [0]
+        good = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0])])
+        bad = np.full((3, 3), np.nan), np.where(np.eye(3) > 0, np.inf, 0.0)
+        draws = np.stack([bad[0], good[0], bad[1], good[1]])
+        w = np.stack([(k + 2) * np.eye(3) + 0.5 for k in range(4)])
+        s, errors = scatters_from("A", draws, w)
+        assert sorted(errors) == [0, 2] and np.isnan(s[[0, 2]]).all()
+        for exc in errors.values():
+            assert isinstance(exc, SupportError)
+            assert str(exc) == "a drawn half-precision must be positive and finite"
+        alone, none = scatters_from("A", good, w[[1, 3]])
+        assert none == {} and alone.tobytes() == s[[1, 3]].tobytes()
 
     @pytest.mark.parametrize("truth", TRUTH_ORDER)
     def test_no_generator_gives_an_empty_stack(self, truth):

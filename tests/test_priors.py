@@ -589,6 +589,23 @@ class TestSamplerOracles:
         with pytest.raises(DimensionMismatchError, match="stacked rate"):
             flexibility(stacked, SuffStats(n=4, d=3, s=np.eye(3)), theta)
 
+    @pytest.mark.parametrize(
+        "h",
+        [
+            WishartHyper(50.0, 1e-308 * np.eye(3)),
+            GammaVecHyper(50.0, np.full(3, 1e-308)),
+            GammaHyper(50.0, 1e-308, 3),
+        ],
+        ids=["A", "D", "C"],
+    )
+    def test_an_overflowing_draw_warns_nothing(self, h):
+        # a finite 1 / rate, but every draw overflows (in the matrix product,
+        # the division or the product); its inf or NaN is left for
+        # `scatters_from` to reject, and a RuntimeWarning would fail the test
+        # (pytest's filterwarnings)
+        draws = sample_prior(h, 4, np.random.default_rng(36))
+        assert not np.isfinite(draws.reshape(4, -1)).all(axis=1).any()
+
     def test_wishart_rate_factored_once_per_hyper(self, monkeypatch):
         calls = []
 
