@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CsvParseError, EmptyDatasetError
+from .errors import CsvParseError, EmptyDatasetError, SupportError
 from .specialfn import symmetrize
 
 __all__ = ["Dataset", "SuffStats", "load_csv", "suff_stats", "center_columns", "concat"]
@@ -86,8 +86,13 @@ class SuffStats:
 
 
 def suff_stats(data: Dataset) -> SuffStats:
-    """Accumulate s = sum_i x_i x_i^T (zero for no rows); `SuffStats` symmetrizes it."""
-    return SuffStats(n=data.n, d=data.d, s=data.rows.T @ data.rows)
+    """Accumulate s = sum_i x_i x_i^T (zero for no rows); `SuffStats` symmetrizes it.
+    SupportError where an entry of s overflows."""
+    with np.errstate(over="ignore"):
+        s = data.rows.T @ data.rows
+    if not np.isfinite(s).all():
+        raise SupportError("the scatter matrix of the data overflows")
+    return SuffStats(n=data.n, d=data.d, s=s)
 
 
 def center_columns(data: Dataset) -> Dataset:

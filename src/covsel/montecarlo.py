@@ -353,22 +353,19 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
     failure; only CovselError counts, anything else propagates.
     """
     gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
-    scatters, failed = draw_scatters(gen, n, _cell_rngs(config, truth, n))
-    drawn = np.flatnonzero([rep not in failed for rep in range(config.reps)])
+    s, failed = draw_scatters(gen, n, _cell_rngs(config, truth, n))
+    s[list(failed)] = np.eye(config.d)  # finite stand-ins, which the final mask drops
 
     plan = config.plan
     schemes = {scheme for scheme, _ in plan.values()}
+    hypers = {"oracle": matched_family(gen)} if "oracle" in schemes else {}
+    for scheme in schemes - {"oracle"}:
+        hypers[scheme], errors = moment_hypers(scheme, s, n, config.prior_sample_size)
+        failed.update(errors)
+    fits = {scheme: fit_stack(s, n, hypers[scheme]) for scheme in schemes}
     picks = np.full((len(plan), config.reps), -1)  # a row per label of SIMPLEST_FIRST indices
-    if drawn.size:  # an empty stack has no rates to build hyperparameters from
-        s, hypers = scatters[drawn], {}
-        for scheme in schemes - {"oracle"}:
-            hypers[scheme], errors = moment_hypers(scheme, s, n, config.prior_sample_size)
-            failed.update((drawn[i], exc) for i, exc in errors.items())
-        if "oracle" in schemes:
-            hypers["oracle"] = matched_family(gen)
-        fits = {scheme: fit_stack(s, n, hypers[scheme]) for scheme in schemes}
-        for row, (scheme, crit) in zip(picks, plan.values()):
-            row[drawn] = simplest_best(criterion_matrix(fits[scheme], crit, drawn.size))
+    for row, (scheme, crit) in zip(picks, plan.values()):
+        row[:] = simplest_best(criterion_matrix(fits[scheme], crit, config.reps))
     excluded = (picks < 0).any(axis=0)
     excluded[list(failed)] = True
     picks[:, excluded] = -1

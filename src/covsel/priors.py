@@ -409,8 +409,8 @@ def moment_hypers(
     and the gamma rates are the common 2*tr(s)/(n*d) for every axis (m is
     not used). Its structure-D shape is prior sample size m = d, not 1.
 
-    A replicate whose Wishart rate is not positive definite, or whose
-    gamma rates are not positive, gets unit rates and a
+    A replicate whose Wishart rate is not positive definite, whose gamma
+    rates are not positive, or whose rates overflow, gets unit rates and a
     DegenerateScatterError in the returned errors, so it fails alone.
     """
     if scheme not in ("empirical-bayes", "mclust-default"):
@@ -423,28 +423,33 @@ def moment_hypers(
     s = symmetrize(s)
     d = s.shape[-1]
     s_diag = np.diagonal(s, axis1=-2, axis2=-1)
-    s_total = s_diag.sum(axis=-1)
-    if scheme == "empirical-bayes":
-        alpha_a, alpha_d, alpha_c = (shape_for_sample_size(x, m, d) for x in "ADC")
-        b = (2 * alpha_a - d - 1) * s / n
-        rate_d = (2 * alpha_d - 2) * s_diag / n
-        rate_c = (2 * alpha_c - 2) * s_total / (n * d)
-        gamma_error = "scatter diagonal must be strictly positive"
-    else:
-        alpha_a = alpha_d = alpha_c = (d + 2) / 2
-        b = 2 * s / n
-        rate_c = 2 * s_total / (n * d)
-        rate_d = np.repeat(rate_c[:, None], d, axis=1)
-        gamma_error = "scatter trace must be strictly positive"
+    with np.errstate(over="ignore"):  # an overflowing rate fails its replicate below
+        s_total = s_diag.sum(axis=-1)
+        if scheme == "empirical-bayes":
+            alpha_a, alpha_d, alpha_c = (shape_for_sample_size(x, m, d) for x in "ADC")
+            b = (2 * alpha_a - d - 1) * s / n
+            rate_d = (2 * alpha_d - 2) * s_diag / n
+            rate_c = (2 * alpha_c - 2) * s_total / (n * d)
+            gamma_error = "scatter diagonal must be strictly positive"
+        else:
+            alpha_a = alpha_d = alpha_c = (d + 2) / 2
+            b = 2 * s / n
+            rate_c = 2 * s_total / (n * d)
+            rate_d = np.repeat(rate_c[:, None], d, axis=1)
+            gamma_error = "scatter trace must be strictly positive"
     chol, chol_errors = cholesky_stack(b)
+    log_det_b = factor_log_det(chol)
     errors = {
         i: DegenerateScatterError(f"scatter matrix is singular at n={n}, d={d}: {exc}")
         for i, exc in chol_errors.items()
     }
     for i in np.flatnonzero(~((rate_d > 0).all(axis=-1) & (rate_c > 0))):
         errors.setdefault(int(i), DegenerateScatterError(gamma_error))
+    # LAPACK factors an inf rate, so an overflow shows as a log-determinant that is not finite
+    finite = np.isfinite(rate_d).all(axis=-1) & np.isfinite(rate_c) & np.isfinite(log_det_b)
+    for i in np.flatnonzero(~finite):
+        errors.setdefault(int(i), DegenerateScatterError(f"the {name} rates overflow"))
     failed = list(errors)
-    log_det_b = factor_log_det(chol)
     b[failed], rate_d[failed], rate_c[failed], log_det_b[failed] = np.eye(d), 1.0, 1.0, 0.0
     # b is exactly symmetric (a multiple of the symmetrized s), and log|I| = 0
     a = WishartHyper(alpha_a, b, checked_log_det=log_det_b)

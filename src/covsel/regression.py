@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from .data import SuffStats
-from .errors import ConfigError, DimensionMismatchError, EmptyDatasetError
+from .errors import ConfigError, DimensionMismatchError, EmptyDatasetError, SupportError
 from .precision import HalfPrecision
 from .priors import (
     GammaHyper,
@@ -105,13 +105,16 @@ class RegressionData:
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise ValueError("regression data must be finite")
         z = np.hstack([x, y])
-        gram = z.T @ z
+        with np.errstate(over="ignore"):
+            gram = z.T @ z
+        if not np.isfinite(gram).all():
+            raise SupportError("the Gram matrix [X Y]^T [X Y] of the data overflows")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "n", y.shape[0])
         object.__setattr__(self, "d1", y.shape[1])
         object.__setattr__(self, "d2", x.shape[1])
-        object.__setattr__(self, "gram", (gram + gram.T) / 2)
+        object.__setattr__(self, "gram", symmetrize(gram))
 
 
 @dataclass(frozen=True)

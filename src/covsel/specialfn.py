@@ -26,6 +26,8 @@ LOG_PI = float(np.log(np.pi))
 
 _SYM_RTOL = 1e-8
 
+_HALF_MAX = float(np.finfo(float).max) / 2
+
 
 def log_mv_gamma(d: int, a: float) -> float:
     """log of the d-dimensional multivariate gamma function at a.
@@ -63,6 +65,8 @@ def symmetrize(s: np.ndarray) -> np.ndarray:
         raise AsymmetricMatrixError(
             f"matrix is asymmetric beyond relative tolerance {_SYM_RTOL} (gap {gap / scale:.3e})"
         )
+    if scale > _HALF_MAX:  # s + s^T would overflow
+        return s / 2 + st / 2
     return (s + st) / 2
 
 

@@ -341,10 +341,12 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef=None) -> StackFit:
     else:
         log_x = _log_det(structure, theta)
     log_det_h = fam.det_scale * log_x
-    log_prior = _log_density_at(fam, lz_prior, h.alpha, h.rate, theta, log_x)
-    log_post = _log_density_at(fam, lz_post, alpha_post, rate_post, theta, log_x)
-    log_lik = _log_lik(axes, n, d, log_det_h, theta, stat)
-    flex = log_post - log_prior
+    # a stand-in mode may overflow against a huge rate or statistic; it is masked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_prior = _log_density_at(fam, lz_prior, h.alpha, h.rate, theta, log_x)
+        log_post = _log_density_at(fam, lz_post, alpha_post, rate_post, theta, log_x)
+        log_lik = _log_lik(axes, n, d, log_det_h, theta, stat)
+        flex = log_post - log_prior
     k = fam.k
     if coef is not None:
         # the coefficients' matrix-normal densities at gamma_hat, under the prior
@@ -392,7 +394,8 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef=None) -> StackFit:
 
 def _evidence(h: Hyper, s: np.ndarray, n: int):
     """The kernel's evidence step: each scatter's log evidence (NaN where the
-    posterior is improper), those replicates' errors, and the posterior that
+    posterior is improper: its rate overflows, and gets a finite stand-in, or
+    is not positive definite), those replicates' errors, and the posterior that
     `fit_structure` reads the mode from (family, statistic, shape, rate, A's
     Cholesky factor of the rate or None, log|rate|, both log normalizers)."""
     d, structure = s.shape[-1], h.structure
@@ -400,13 +403,21 @@ def _evidence(h: Hyper, s: np.ndarray, n: int):
         raise DimensionMismatchError(f"hyper dimension {h.dim} != data dimension {d}")
     # the conjugate update, on the structure's own statistic of s
     fam = family(structure, d)
-    stat = fam.statistic(s)
+    with np.errstate(over="ignore"):  # an overflowing rate fails its replicate below
+        stat = fam.statistic(s)
+        rate_post = h.rate + stat
     alpha_post = h.alpha + n * fam.per_obs
-    rate_post = h.rate + stat
-    # the evidence needs a proper posterior (a positive definite rate), not a mode
+    # the evidence needs a proper posterior (a finite, positive definite rate), not
+    # a mode; LAPACK would factor an inf rate, so that fails first. The whole stack
+    # is checked at once, as the per-replicate check costs more.
     chol, errors = None, {}
+    if not np.isfinite(rate_post).all():
+        overflow = np.flatnonzero(~np.isfinite(rate_post).all(axis=fam.axes))
+        errors = {int(i): SupportError("the posterior rate overflows") for i in overflow}
+        rate_post[overflow] = fam.statistic(np.eye(d))  # a finite stand-in, masked in the kernel
     if structure == "A":
-        chol, errors = cholesky_stack(rate_post, "s + B")
+        chol, chol_errors = cholesky_stack(rate_post, "s + B")
+        errors.update(chol_errors)
         log_rate_post = factor_log_det(chol)
     else:
         log_rate_post = _log_det(structure, rate_post)

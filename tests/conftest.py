@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import covsel.montecarlo as montecarlo
 from covsel.data import SuffStats, load_csv
 from covsel.errors import ConfigError
 from covsel.priors import (
@@ -16,6 +17,7 @@ from covsel.priors import (
     WishartHyper,
     conjugate_update,
     matched_family,
+    moment_hypers,
     sample_prior,
 )
 from covsel.asymptotics import (
@@ -24,7 +26,7 @@ from covsel.asymptotics import (
     linear_rate_constant,
     log_rate_constant,
 )
-from covsel.montecarlo import TRUTH_ORDER, scatters_from
+from covsel.montecarlo import TRUTH_ORDER, CellDecisions, oracle_hyper, scatters_from
 from covsel.precision import as_array
 from covsel.specialfn import LOG_PI
 from covsel.structures import (
@@ -33,6 +35,7 @@ from covsel.structures import (
     SIMPLEST_FIRST,
     StackFit,
     criterion_matrix,
+    fit_stack,
     param_count,
     simplest_best,
 )
@@ -73,6 +76,38 @@ def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[
     of `run_cell`, which keeps its picks as indices until it writes them."""
     picks = simplest_best(criterion_matrix(fits, criterion, len(fits["C"].valid)))
     return [SIMPLEST_FIRST[j] if j >= 0 else None for j in picks]
+
+
+def run_cell_substack(config, truth: str, n: int) -> CellDecisions:
+    """`montecarlo.run_cell` as it was before a failed draw was scored at a
+    stand-in scatter, kept as its oracle: the drawn replicates are copied into
+    a sub-stack, scored, and their picks and hyperparameter failures mapped
+    back by index; a cell with no drawn replicate scores nothing. It draws
+    through `montecarlo.draw_scatters`, so a test's patch of it applies."""
+    gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
+    scatters, failed = montecarlo.draw_scatters(gen, n, montecarlo._cell_rngs(config, truth, n))
+    drawn = np.flatnonzero([rep not in failed for rep in range(config.reps)])
+    plan = config.plan
+    schemes = {scheme for scheme, _ in plan.values()}
+    picks = np.full((len(plan), config.reps), -1)
+    if drawn.size:
+        s, hypers = scatters[drawn], {}
+        for scheme in schemes - {"oracle"}:
+            hypers[scheme], errors = moment_hypers(scheme, s, n, config.prior_sample_size)
+            failed.update((drawn[i], exc) for i, exc in errors.items())
+        if "oracle" in schemes:
+            hypers["oracle"] = matched_family(gen)
+        fits = {scheme: fit_stack(s, n, hypers[scheme]) for scheme in schemes}
+        for row, (scheme, crit) in zip(picks, plan.values()):
+            row[drawn] = simplest_best(criterion_matrix(fits[scheme], crit, drawn.size))
+    excluded = (picks < 0).any(axis=0)
+    excluded[list(failed)] = True
+    picks[:, excluded] = -1
+    pick_labels = np.array([*SIMPLEST_FIRST, None], dtype=object)
+    return CellDecisions(
+        truth=truth, n=n, beta_inverse=config.beta_inverse, scheme=config.scheme, reps=config.reps,
+        selected=dict(zip(plan, pick_labels[picks].tolist())), failures=int(excluded.sum()),
+    )
 
 
 def rep_rng(config, truth: str, n: int, rep: int) -> np.random.Generator:

@@ -46,6 +46,11 @@ COMMANDS = {
     "simulate-oracle-multiword-seed": _SIM[:-2] + ["4294967296", "--records", "--table", "oracle"],
     # two tables, of stream keys 500000 and 2000000
     "simulate-oracle-two-beta-inv": _SIM + ["--table", "oracle", "--beta-inv", "0.5", "2"],
+    # beta^-1 = 2.5e-308: draws fail and C's posterior rate overflows in some replicates
+    "simulate-oracle-failing-draws": [
+        "simulate", "--table", "oracle", "--d", "3", "--n", "2", "5", "--reps", "80",
+        "--beta-inv", "2.5e-308", "--seed", "3", "--records",
+    ],
     "simulate-eb": _SIM + ["--table", "eb"],
     "simulate-vs-mclust": _SIM + ["--table", "vs-mclust"],
     "rates-nested-A-vs-C": _RATES + ["--pair", "A-vs-C", "--truth", "C"],

@@ -245,6 +245,39 @@ class TestSelect:
         assert [rep["structure"] for rep in doc["ranked"]] == ["C", "D"]
         assert list(doc["skipped"]) == ["A"]
 
+    def test_overflowing_posterior_rate_skips_the_structure(self, tmp_path, capsys):
+        # tr s = 4 (7.7e153)^2 overflows C's rate beta + tr s alone
+        path = tmp_path / "big.csv"
+        rows = [",".join("7.7e153" if j == i else "0" for j in range(4)) for i in range(4)]
+        path.write_text("a,b,c,d\n" + "\n".join(rows) + "\n")
+        hyper = {
+            "A": {"structure": "A", "alpha": 4.0, "rate": np.eye(4).tolist()},
+            "D": {"structure": "D", "alpha": 2.0, "rate": [1.0] * 4},
+            "C": {"structure": "C", "alpha": 5.0, "rate": 4.0, "dim": 4},
+        }
+        hp = tmp_path / "hyper.json"
+        hp.write_text(json.dumps(hyper))
+        out = tmp_path / "r.json"
+        # a RuntimeWarning would fail the test (pytest's filterwarnings)
+        assert run(["select", str(path), "--hyper-source", f"file:{hp}", "--json", str(out)]) == 0
+        assert "skipped C: SupportError: the posterior rate overflows" in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert [rep["structure"] for rep in doc["ranked"]] == ["D", "A"]
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("1e200", "SupportError: the scatter matrix of the data overflows"),
+            ("1e154", "DegenerateScatterError: the empirical Bayes rates overflow"),
+        ],
+    )
+    def test_overflowing_data_exits_3(self, tmp_path, capsys, entry, message):
+        # 1e200^2 overflows the scatter; 1e154^2 does not, but its rates do
+        path = tmp_path / "big.csv"
+        path.write_text(f"a,b\n{entry},1\n2,3\n")
+        assert run(["select", str(path)]) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+
     def test_value_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("programming error")
@@ -295,6 +328,24 @@ class TestSimulate:
         records = json.loads(out.read_text())["tables"][0]["records"]
         assert set(records) == {"A", "D", "C"}
         assert len(records["A"]["evidence"]) == 2
+
+    @pytest.mark.parametrize(
+        "table, d, n_values, reps, exclusions",
+        [
+            ("eb", "3", ["3", "5"], "80", [235, 240]),
+            ("vs-mclust", "4", ["4", "6"], "60", [180, 180]),
+        ],
+    )
+    def test_overflowing_moment_rates_fail_their_replicates(
+        self, tmp_path, table, d, n_values, reps, exclusions
+    ):
+        # beta = 4e307: the moment rates of some drawn scatters overflow;
+        # a RuntimeWarning would fail the test (pytest's filterwarnings)
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--table", table, "--d", d, "--n", *n_values, "--reps", reps]
+        assert run(argv + ["--beta-inv", "2.5e-308", "--seed", "3", "--json", str(out)]) == 0
+        tables = json.loads(out.read_text())["tables"]
+        assert [t["exclusions"] for t in tables] == exclusions
 
     def test_invalid_beta_exits_2(self):
         rc = run(["simulate", "--beta-inv", "-1", "--n", "5", "--reps", "1"])
@@ -394,6 +445,14 @@ class TestRegress:
         best = doc["fits"][0]
         assert set(best["subset"]) == {"intercept", "petal_length"}
         assert best["reports"]["A"]["log_evidence"] == pytest.approx(-61.1, abs=0.1)
+
+    def test_overflowing_data_exits_3(self, tmp_path, capsys):
+        # 1e200^2 overflows the Gram matrix; a RuntimeWarning would fail the test
+        path = tmp_path / "big.csv"
+        path.write_text("y,x\n1e200,1\n2,3\n4,5\n")
+        assert run(["regress", str(path), "--response", "y", "--covariates", "x"]) == 3
+        message = "SupportError: the Gram matrix [X Y]^T [X Y] of the data overflows"
+        assert f"numerical failure: {message}" in capsys.readouterr().err
 
     def test_single_covariate_three_rows(self, capsys):
         rc = run(

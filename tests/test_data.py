@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from covsel import data
 from covsel.data import Dataset, SuffStats, center_columns, concat, load_csv, suff_stats
-from covsel.errors import CsvParseError, EmptyDatasetError
+from covsel.errors import CsvParseError, EmptyDatasetError, SupportError
 from covsel.specialfn import cholesky_pd
 
 
@@ -291,6 +291,13 @@ class TestSuffStats:
         st1 = suff_stats(Dataset(rows))
         st2 = suff_stats(Dataset(rows[rng.permutation(20)]))
         np.testing.assert_allclose(st1.s, st2.s, atol=1e-12)
+
+    def test_overflowing_scatter_is_a_support_error(self):
+        # 1e200^2 overflows a float; a RuntimeWarning would fail the test
+        with pytest.raises(SupportError, match="scatter matrix of the data overflows"):
+            suff_stats(Dataset(np.array([[1e200, 1.0], [2.0, 3.0]])))
+        st = suff_stats(Dataset(np.array([[1e154, 1.0], [2.0, 3.0]])))
+        assert st.s[0, 0] == 1e154 * 1e154 and np.isfinite(st.s).all()
 
     def test_scatter_is_psd(self):
         rng = np.random.default_rng(5)

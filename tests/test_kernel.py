@@ -536,6 +536,44 @@ class TestNonFiniteMode:
         assert fit.report(1).map.structure == structure
 
 
+class TestOverflowingPosteriorRate:
+    """A prior rate plus a statistic can overflow a float; that replicate's
+    posterior is improper, so it fails alone with a NaN evidence, and the
+    other replicates of the stack keep their values exactly."""
+
+    @pytest.mark.parametrize("structure", SIMPLEST_FIRST)
+    def test_fails_its_replicate_alone(self, structure):
+        hypers = HyperTriple(
+            WishartHyper(2.0, 1e308 * np.eye(2)),
+            GammaVecHyper(2.0, np.full(2, 1e308)),
+            GammaHyper(2.0, 1e308, 2),
+        )
+        s = random_scatters(np.random.default_rng(3), 4, 5, 2, False)
+        s[1] = 1e308 * np.eye(2)  # 1e308 + 1e308 overflows in every structure's rate
+        # a RuntimeWarning would fail the test (pytest's filterwarnings)
+        fit = fit_stack(s, 5, hypers)[structure]
+        assert fit.valid.tolist() == [True, False, True, True]
+        assert list(fit.errors) == [1] and type(fit.errors[1]) is SupportError
+        assert str(fit.errors[1]) == "the posterior rate overflows"
+        assert np.isnan(fit.log_evidence[1])
+        rest = fit_stack(s[[0, 2, 3]], 5, hypers)[structure]
+        for field in ("map", "log_lik", "log_evidence", "flexibility", "log_prior", "bic", "kic"):
+            assert np.isnan(getattr(fit, field)[1]).all(), field
+            np.testing.assert_array_equal(getattr(fit, field)[[0, 2, 3]], getattr(rest, field))
+        with pytest.raises(SupportError, match="posterior rate overflows"):
+            log_evidence(hypers.for_structure(structure), SuffStats(n=5, d=2, s=s[1]))
+
+    def test_a_structure_whose_rate_overflows_is_skipped(self):
+        # tr s = 4 (7.7e153)^2 overflows; the diagonal and the matrix do not
+        s = (7.7e153**2) * np.eye(4)
+        hypers = HyperTriple(
+            WishartHyper(4.0, np.eye(4)), GammaVecHyper(2.0, np.ones(4)), GammaHyper(5.0, 4.0, 4)
+        )
+        result = select_structure(SuffStats(n=4, d=4, s=s), hypers)
+        assert result.skipped == {"C": "SupportError: the posterior rate overflows"}
+        assert [rep.structure for rep in result.ranked] == ["D", "A"]
+
+
 class TestOneFailurePath:
     """Failures are marked in the kernel's one final mask and surfaced by
     `StackFit.report` and `StackFit.defined`."""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from covsel.asymptotics import second_moment_matrix
 from covsel.data import SuffStats
 from covsel.errors import ConfigError, SupportError
 from covsel.montecarlo import (
+    SCHEMES,
     CellDecisions,
     SimConfig,
     TRUTH_ORDER,
@@ -34,7 +36,13 @@ from covsel.priors import (
 )
 from covsel.structures import CRITERIA, fit_stack
 
-from conftest import best_structures, draw_scatters_loop, rep_rng, sample_prior_loop
+from conftest import (
+    best_structures,
+    draw_scatters_loop,
+    rep_rng,
+    run_cell_substack,
+    sample_prior_loop,
+)
 
 
 class TestMcNemar:
@@ -387,6 +395,7 @@ class TestSeeding:
 
 class TestRunCell:
     def test_undrawable_replicates_count_as_failures(self):
+        # gamma shapes 1 + m / 2 = 0.005: some standard gamma draws underflow to 0
         config = SimConfig(d=1, prior_sample_size=-1.99, n_values=(5,), reps=3000, seed=0)
         for truth in TRUTH_ORDER:
             h = oracle_hyper(truth, 1, config.beta_inverse, config.prior_sample_size)
@@ -397,6 +406,11 @@ class TestRunCell:
             for picks in cell.selected.values():
                 assert all(picks[rep] is None for rep in errors)
                 assert sum(p is not None for p in picks) == config.reps - cell.failures
+            # the failed draws are scored at stand-ins and dropped, as the oracle drops them;
+            # mclust-default is the other scheme that admits m <= 0
+            assert cell == run_cell_substack(config, truth, 5)
+            mclust = replace(config, scheme="mclust-default")
+            assert run_cell(mclust, truth, 5) == run_cell_substack(mclust, truth, 5)
 
     def test_single_rep_deterministic(self):
         config = SimConfig(d=3, n_values=(5,), reps=1, seed=7, criteria=("evidence",))
@@ -647,6 +661,28 @@ class TestConfusionAgainstLoops:
         assert all(type(c.test.b) is int and type(c.test.c) is int for c in table.comparisons)
 
 
+class TestStandInScatters:
+    """`run_cell` scores a failed draw at a stand-in scatter and drops it in
+    its one final mask: its picks and failure counts are those of the
+    sub-stack oracle, which scores only the drawn replicates (see also
+    `TestRunCell` and `TestUnbuildableHypers.test_no_replicate_drawn`)."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_failed_draws_and_moment_hypers(self, scheme):
+        # beta = 4e307: some draws fail, and the moment rates of some drawn
+        # scatters overflow (the empirical-Bayes and mclust schemes)
+        config = SimConfig(
+            d=3, beta_inverse=2.5e-308, n_values=(3,), reps=80, seed=3, scheme=scheme
+        )
+        for truth in TRUTH_ORDER:
+            h = oracle_hyper(truth, 3, config.beta_inverse, config.prior_sample_size)
+            _, errors = draw_scatters(h, 3, montecarlo._cell_rngs(config, truth, 3))
+            cell = run_cell(config, truth, 3)
+            assert errors and cell == run_cell_substack(config, truth, 3)
+            if scheme != "oracle":
+                assert cell.failures > len(errors)
+
+
 class TestUnbuildableHypers:
     """Replicates whose empirical-Bayes or mclust hyperparameters cannot be
     built fail alone; every other replicate is ranked as a batch of one."""
@@ -691,7 +727,7 @@ class TestUnbuildableHypers:
                 fits = fit_stack(s[rep : rep + 1], 5, triple)
                 assert cell.selected[label][rep] == best_structures(fits, criterion)[0]
 
-    @pytest.mark.parametrize("scheme", ["oracle", "empirical-bayes", "vs-mclust"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_no_replicate_drawn(self, monkeypatch, scheme):
         def undrawn(h, n, rngs):
             reps = sum(1 for _ in rngs)
@@ -703,6 +739,9 @@ class TestUnbuildableHypers:
         cell = run_cell(config, "A", 5)
         assert cell.failures == config.reps
         assert all(pick is None for picks in cell.selected.values() for pick in picks)
+        # every scatter is a stand-in, scored and dropped: the sub-stack oracle scores none
+        for truth in TRUTH_ORDER:
+            assert run_cell(config, truth, 5) == run_cell_substack(config, truth, 5)
 
 
 @pytest.mark.slow

@@ -430,6 +430,24 @@ class TestMomentHypers:
         np.testing.assert_array_equal(triple.d.rate[failed], 1.0)
         np.testing.assert_array_equal(triple.c.rate[failed], 1.0)
 
+    @pytest.mark.parametrize("scheme", ["empirical-bayes", "mclust-default"])
+    def test_overflowing_rates_fail_alone(self, scheme):
+        # at n = 1 the Wishart rate m s or 2 s overflows, and LAPACK factors
+        # it without raising; the empirical-Bayes rate m s_11 overflows too
+        s = np.stack([np.eye(3), np.diag([1e308, 1.0, 1.0]), 2 * np.eye(3)])
+        # a RuntimeWarning would fail the test (pytest's filterwarnings)
+        triple, errors = moment_hypers(scheme, s, 1)
+        assert list(errors) == [1] and type(errors[1]) is DegenerateScatterError
+        assert str(errors[1]).endswith("rates overflow")
+        np.testing.assert_array_equal(triple.a.rate[1], np.eye(3))
+        assert triple.a.log_det_rate[1] == 0.0
+        np.testing.assert_array_equal(triple.d.rate[1], 1.0)
+        assert triple.c.rate[1] == 1.0
+        rest, rest_errors = moment_hypers(scheme, s[[0, 2]], 1)
+        assert rest_errors == {}
+        for h, want in zip(triple, rest):
+            np.testing.assert_array_equal(h.rate[[0, 2]], want.rate)
+
     @pytest.mark.parametrize("m", [0, 0.0, -1.5])
     def test_non_positive_prior_sample_size_is_a_config_error(self, m):
         stats = SuffStats(n=6, d=5, s=np.eye(5))

@@ -28,6 +28,7 @@ from covsel.errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     NonRegularPriorError,
+    SupportError,
 )
 from covsel.precision import DiagPrecision, FullPrecision, IsoPrecision
 from covsel.priors import (
@@ -222,6 +223,15 @@ def toy_data(rng, n=20, d1=2, d2=3, noise=0.5):
     gamma = rng.standard_normal((d1, d2))
     y = x @ gamma.T + noise * rng.standard_normal((n, d1))
     return RegressionData(y, x)
+
+
+class TestRegressionData:
+    def test_overflowing_gram_is_a_support_error(self):
+        # 1e200^2 overflows a float; a RuntimeWarning would fail the test
+        with pytest.raises(SupportError, match="Gram matrix .* overflows"):
+            RegressionData([[1e200], [2.0], [4.0]], [1.0, 3.0, 5.0])
+        data = RegressionData([[1e154], [2.0], [4.0]], [1.0, 3.0, 5.0])
+        assert data.gram[1, 1] == 1e154 * 1e154 + 20.0
 
 
 class TestFitCoefficients:

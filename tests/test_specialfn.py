@@ -85,6 +85,14 @@ class TestCholLogDet:
         out = symmetrize(s)
         np.testing.assert_allclose(out, out.T)
 
+    def test_symmetrize_near_the_largest_float(self):
+        # s + s^T overflows above half the largest float, so s is halved first;
+        # a RuntimeWarning would fail the test (pytest's filterwarnings)
+        s = np.array([[1e308, 0.5], [0.5, 2.0]])
+        np.testing.assert_array_equal(symmetrize(s), s)
+        t = np.array([[3.0, 1.0], [1.0 + 2e-16, 1.0]])
+        np.testing.assert_array_equal(symmetrize(t), (t + t.T) / 2)
+
 
 
 def cholesky_loop(m, what):
