@@ -405,7 +405,8 @@ def _cmd_simulate(args) -> dict:
             print(render_confusion_markdown(table))
             entry = table.to_jsonable()
             if args.records:
-                entry["records"] = {cell.truth: cell.selected for cell in cells}
+                names = np.array([*TRUTH_ORDER, None])  # the pick -1 is None
+                entry["records"] = {c.truth: dict(zip(c.labels, names[c.picks].tolist())) for c in cells}
             doc_tables.append(entry)
     return {"tables": doc_tables}
 

@@ -3,8 +3,8 @@
 The protocol per replicate: draw one half-precision from the true
 structure's prior, generate an n-row Gaussian sample from it, score all
 three structures under each criterion, and record which structure each
-criterion selected. A cell draws all its replicates first and then
-scores their stack of scatter matrices at once. Hyperparameters for
+criterion selected. A cell draws its replicates in blocks and scores
+each block's stack of scatter matrices as it is drawn. Hyperparameters for
 scoring come from one of three schemes: the generating ones plus their
 matched projections ("oracle"), method-of-moments estimates from the
 replicate's own data ("empirical-bayes"), or the mclust default
@@ -15,6 +15,7 @@ procedure on the paired decisions.
 import math
 from dataclasses import asdict, dataclass
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -160,43 +161,29 @@ def _scatter_factor(structure: str, draws: np.ndarray) -> Tuple[np.ndarray, Dict
 _BLOCK_NORMALS = 2**17
 
 
-def _blocks(h: Hyper, n: int, rngs: Iterable) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The replicates of `rngs` in blocks of at most _BLOCK_NORMALS normals:
-    per block, the stack of its replicates' standard variates of the prior
-    `h` and the stack W of their z^T z, one batched product over the block's
-    (n, d) normal arrays z. Each generator draws its variates (one
-    `_standard_prior` draw), then z, before the next is asked for."""
-    z = np.empty((max(1, _BLOCK_NORMALS // max(n * h.dim, 1)), n, h.dim))
-    x = []
-    for rng in rngs:
-        x.append(_standard_prior(h, None, rng))
-        rng.standard_normal(out=z[len(x) - 1])
-        if len(x) == len(z):
-            yield np.array(x), z.swapaxes(-1, -2) @ z
-            x = []
-    if x:
-        z = z[: len(x)]
-        yield np.array(x), z.swapaxes(-1, -2) @ z
-
-
-def draw_scatters(h: Hyper, n: int, rngs: Iterable) -> Tuple[np.ndarray, Dict[int, CovselError]]:
-    """`scatters_from` with one stream per replicate. Each generator in
-    `rngs` draws only its replicate's standard variates of the prior `h`
-    (those of `sample_prior(h, 1, rng)`, in its order), then n rows z of
-    standard normals (those of `gaussian_rows`). `rngs` may be any
-    iterable, and each generator's draws are done before the next is asked
-    for, so one generator re-seeded per item serves (`_cell_rngs`). Per
-    block of replicates (`_blocks`), `_prior_transform` then places the
-    variates as half-precisions, and `scatters_from` turns them and the
-    block's W = z^T z into scatters; no generator gives an empty stack."""
+def draw_scatters(
+    h: Hyper, n: int, rngs: Iterable
+) -> Iterator[Tuple[np.ndarray, Dict[int, CovselError]]]:
+    """`scatters_from` with one stream per replicate, yielded a block of at
+    most _BLOCK_NORMALS normals at a time: the block's scatters and the
+    errors of its failed replicates, indexed within it. Each generator in
+    `rngs`, any iterable, draws only its replicate's standard variates of
+    `h` (those of `sample_prior(h, 1, rng)`, in its order), then n rows z
+    of standard normals (those of `gaussian_rows`), before the next is
+    asked for, so one generator re-seeded per item serves (`_cell_rngs`).
+    Per block, `_prior_transform` places the variates, and W = z^T z is one
+    batched product."""
     _check_one_rate(h)
-    s, errors = [np.empty((0, h.dim, h.dim))], {}
-    for x, w in _blocks(h, n, rngs):
-        start = sum(map(len, s))
-        block, block_errors = scatters_from(h.structure, _prior_transform(h, x), w)
-        errors.update((start + i, exc) for i, exc in block_errors.items())
-        s.append(block)
-    return np.concatenate(s), errors
+    rngs, z = iter(rngs), np.empty((max(1, _BLOCK_NORMALS // max(n * h.dim, 1)), n, h.dim))
+    while True:
+        x = []
+        for rng in islice(rngs, len(z)):
+            x.append(_standard_prior(h, None, rng))
+            rng.standard_normal(out=z[len(x) - 1])
+        if not x:
+            return
+        w = z[: len(x)].swapaxes(-1, -2) @ z[: len(x)]
+        yield scatters_from(h.structure, _prior_transform(h, np.array(x)), w)
 
 
 @dataclass(frozen=True)
@@ -252,16 +239,19 @@ class SimConfig:
         return {lab: (self.scheme, lab) for lab in self.criteria}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellDecisions:
-    """Per-replicate selections of every criterion label in one cell."""
+    """Per-replicate selections of every criterion label in one cell: `picks`
+    holds a row per label of each replicate's selected structure as an int8
+    index into TRUTH_ORDER, and -1 for a failed replicate."""
 
     truth: str
     n: int
     beta_inverse: float
     scheme: str
     reps: int
-    selected: Dict[str, List[Optional[str]]]
+    labels: Tuple[str, ...]
+    picks: np.ndarray
     failures: int
 
 
@@ -314,17 +304,19 @@ def _streams(rows: np.ndarray) -> Iterator[np.random.Generator]:
     uint32 array, in order, through one shared generator: it is set to each
     row's stream from its start and yielded. Use each before asking for the
     next. PCG64 takes its seed (s, t) as inc = 2 t + 1 and state =
-    (inc + s) M + inc, modulo 2^128."""
+    (inc + s) M + inc, modulo 2^128. The seeds are computed 4096 rows at a
+    time, so that only one chunk's are held as Python ints."""
     gen = np.random.Generator(np.random.PCG64(0))
     pcg = {"state": 0, "inc": 0}
     # has_uint32 = 0: no half of an earlier replicate's 64-bit draw is left buffered
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, t_hi, t_lo in _pcg64_seeds(rows).tolist():
-        inc = ((t_hi << 64 | t_lo) << 1 | 1) & _MASK128
-        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        pcg["inc"] = inc
-        gen.bit_generator.state = state
-        yield gen
+    for start in range(0, len(rows), 4096):
+        for s_hi, s_lo, t_hi, t_lo in _pcg64_seeds(rows[start : start + 4096]).tolist():
+            inc = ((t_hi << 64 | t_lo) << 1 | 1) & _MASK128
+            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            gen.bit_generator.state = state
+            yield gen
 
 
 def _cell_rngs(config: SimConfig, truth: str, n: int) -> Iterator[np.random.Generator]:
@@ -345,38 +337,41 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
     seed; generation consumes the same RNG draws in every scheme, so cells
     run under different schemes with equal seeds are paired.
 
-    Every replicate is drawn first. Each hyperparameter scheme then builds
-    its hyperparameters for the whole stack of scatters at once and fits
-    the stack once, and every criterion label picks by `simplest_best` on
-    the `criterion_matrix` of those shared fits. A replicate that cannot be drawn, whose hyperparameters cannot
-    be built, or for which some label has no structure left, counts as a
+    Each block of `draw_scatters` is scored as it is drawn: each
+    hyperparameter scheme builds its hyperparameters for the block's stack
+    of scatters at once and fits the stack once, and every criterion label
+    picks by `simplest_best` on the `criterion_matrix` of those shared fits.
+    A replicate that cannot be drawn, whose hyperparameters cannot be
+    built, or for which some label has no structure left, counts as a
     failure; only CovselError counts, anything else propagates.
     """
     gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
-    s, failed = draw_scatters(gen, n, _cell_rngs(config, truth, n))
-    s[list(failed)] = np.eye(config.d)  # finite stand-ins, which the final mask drops
-
     plan = config.plan
     schemes = {scheme for scheme, _ in plan.values()}
     hypers = {"oracle": matched_family(gen)} if "oracle" in schemes else {}
-    for scheme in schemes - {"oracle"}:
-        hypers[scheme], errors = moment_hypers(scheme, s, n, config.prior_sample_size)
-        failed.update(errors)
-    fits = {scheme: fit_stack(s, n, hypers[scheme]) for scheme in schemes}
-    picks = np.full((len(plan), config.reps), -1)  # a row per label of SIMPLEST_FIRST indices
-    for row, (scheme, crit) in zip(picks, plan.values()):
-        row[:] = simplest_best(criterion_matrix(fits[scheme], crit, config.reps))
+    to_truth = np.array([*map(TRUTH_ORDER.index, SIMPLEST_FIRST), -1], dtype=np.int8)  # -1 stays -1
+    blocks = []
+    for s, failed in draw_scatters(gen, n, _cell_rngs(config, truth, n)):
+        s[list(failed)] = np.eye(config.d)  # finite stand-ins, which the final mask drops
+        for scheme in schemes - {"oracle"}:
+            hypers[scheme], errors = moment_hypers(scheme, s, n, config.prior_sample_size)
+            failed.update(errors)
+        fits = {scheme: fit_stack(s, n, hypers[scheme]) for scheme in schemes}
+        best = [simplest_best(criterion_matrix(fits[sch], c, len(s))) for sch, c in plan.values()]
+        picks = to_truth[np.stack(best)]  # small integers as each block's picks are made
+        picks[:, list(failed)] = -1
+        blocks.append(picks)
+    picks = np.concatenate(blocks, axis=1)
     excluded = (picks < 0).any(axis=0)
-    excluded[list(failed)] = True
     picks[:, excluded] = -1
-    pick_labels = np.array([*SIMPLEST_FIRST, None], dtype=object)  # the pick -1 is None
     return CellDecisions(
         truth=truth,
         n=n,
         beta_inverse=config.beta_inverse,
         scheme=config.scheme,
         reps=config.reps,
-        selected=dict(zip(plan, pick_labels[picks].tolist())),
+        labels=tuple(plan),
+        picks=picks,
         failures=int(excluded.sum()),
     )
 
@@ -496,23 +491,22 @@ def confusion_table(cells: Sequence[CellDecisions]) -> ConfusionTable:
     """Assemble the 3x3 confusion matrices of one complete truth sweep.
 
     `cells` must hold exactly one CellDecisions per truth at a common
-    (n, scheme, beta). Pairwise criterion differences in per-truth
-    diagonal counts and in the trace are tested with McNemar's procedure
-    at the 5% level on the paired replicate decisions.
+    (n, scheme, beta, reps) and labels. Pairwise criterion
+    differences in per-truth diagonal counts and in the trace are tested
+    with McNemar's procedure at the 5% level on the paired picks.
     """
     by_truth = {cell.truth: cell for cell in cells}
     if sorted(by_truth) != sorted(TRUTH_ORDER):
         raise ConfigError(f"need one cell per truth {TRUTH_ORDER}, got {sorted(by_truth)}")
-    if len({(cell.n, cell.beta_inverse, cell.scheme, cell.reps) for cell in cells}) > 1:
-        raise ConfigError("cells of one table must share n, beta, scheme and reps")
+    if len({(c.n, c.beta_inverse, c.scheme, c.reps, c.labels) for c in cells}) > 1:
+        raise ConfigError("cells of one table must share n, beta, scheme and reps, and their labels")
     ref = cells[0]
-    labels = list(ref.selected)
+    labels = ref.labels
     truths = np.arange(3)[:, None]
-    picks, matrices = {}, {}
-    for lab in labels:
-        # the label's picks as TRUTH_ORDER indices, one row per truth; -1 for None
-        sel = np.array([by_truth[truth].selected[lab] for truth in TRUTH_ORDER], dtype=object)
-        picks[lab] = p = np.select([sel == truth for truth in TRUTH_ORDER], range(3), -1)
+    # each label's picks, one row per truth
+    picks = dict(zip(labels, np.stack([by_truth[truth].picks for truth in TRUTH_ORDER], axis=1)))
+    matrices = {}
+    for lab, p in picks.items():
         counts = np.bincount((3 * truths + p)[p >= 0], minlength=9).reshape(3, 3)
         matrices[lab] = ConfusionMatrix(label=lab, counts=counts)
 

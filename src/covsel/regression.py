@@ -218,8 +218,8 @@ def effective_stats(data: RegressionData, rh: RegressionHyper, subsets=None) -> 
     shrink = dev @ lam @ dev.swapaxes(-1, -2)
     return EffectiveStats(
         gamma_hat=gamma_hat,
-        scatter=(r + r.swapaxes(-1, -2)) / 2,
-        shrink=(shrink + shrink.swapaxes(-1, -2)) / 2,
+        scatter=r / 2 + r.swapaxes(-1, -2) / 2,  # halved first: R + R^T may overflow
+        shrink=shrink / 2 + shrink.swapaxes(-1, -2) / 2,
         log_det_lam=chol_log_det(lam),
         log_det_post_lam=factor_log_det(c),
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
@@ -73,19 +74,33 @@ def stack_hypers(triples):
 def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[str]]:
     """Each replicate's selected structure under `criterion`; None where no
     structure could be fit or the criterion is undefined. The label oracle
-    of `run_cell`, which keeps its picks as indices until it writes them."""
+    of `run_cell`, which keeps its picks as indices."""
     picks = simplest_best(criterion_matrix(fits, criterion, len(fits["C"].valid)))
     return [SIMPLEST_FIRST[j] if j >= 0 else None for j in picks]
 
 
+def draw_whole(h: Hyper, n: int, rngs):
+    """The blocks of `montecarlo.draw_scatters` joined into one stack, each
+    error at its replicate's index in it: the whole-cell draw that
+    `run_cell` scored before it scored each block as it was drawn."""
+    s, errors = [np.empty((0, h.dim, h.dim))], {}
+    for block, block_errors in montecarlo.draw_scatters(h, n, rngs):
+        start = sum(map(len, s))
+        errors.update((start + i, exc) for i, exc in block_errors.items())
+        s.append(block)
+    return np.concatenate(s), errors
+
+
 def run_cell_substack(config, truth: str, n: int) -> CellDecisions:
     """`montecarlo.run_cell` as it was before a failed draw was scored at a
-    stand-in scatter, kept as its oracle: the drawn replicates are copied into
-    a sub-stack, scored, and their picks and hyperparameter failures mapped
-    back by index; a cell with no drawn replicate scores nothing. It draws
-    through `montecarlo.draw_scatters`, so a test's patch of it applies."""
+    stand-in scatter and before each block was scored as it was drawn, kept
+    as its oracle: the whole cell is drawn (`draw_whole`), the drawn
+    replicates are copied into a sub-stack, scored, and their picks and
+    hyperparameter failures mapped back by index; a cell with no drawn
+    replicate scores nothing. It draws through `montecarlo.draw_scatters`,
+    so a test's patch of it applies."""
     gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
-    scatters, failed = montecarlo.draw_scatters(gen, n, montecarlo._cell_rngs(config, truth, n))
+    scatters, failed = draw_whole(gen, n, montecarlo._cell_rngs(config, truth, n))
     drawn = np.flatnonzero([rep not in failed for rep in range(config.reps)])
     plan = config.plan
     schemes = {scheme for scheme, _ in plan.values()}
@@ -103,11 +118,29 @@ def run_cell_substack(config, truth: str, n: int) -> CellDecisions:
     excluded = (picks < 0).any(axis=0)
     excluded[list(failed)] = True
     picks[:, excluded] = -1
-    pick_labels = np.array([*SIMPLEST_FIRST, None], dtype=object)
+    truth_picks = [[TRUTH_ORDER.index(SIMPLEST_FIRST[j]) if j >= 0 else -1 for j in row] for row in picks]
     return CellDecisions(
         truth=truth, n=n, beta_inverse=config.beta_inverse, scheme=config.scheme, reps=config.reps,
-        selected=dict(zip(plan, pick_labels[picks].tolist())), failures=int(excluded.sum()),
+        labels=tuple(plan), picks=np.array(truth_picks, dtype=np.int8), failures=int(excluded.sum()),
     )
+
+
+def assert_same_cell(got: CellDecisions, want: CellDecisions):
+    """Field by field equality of two cells, their picks' dtype and bytes
+    included (a dataclass `==` cannot compare an array field)."""
+    for field in dataclasses.fields(CellDecisions):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def selections(cell: CellDecisions) -> Dict[str, List[Optional[str]]]:
+    """Each label's picks of a cell as structure labels, None for -1: the
+    label lists a cell held before it kept only its integer picks."""
+    rows = cell.picks.tolist()
+    return {lab: [TRUTH_ORDER[j] if j >= 0 else None for j in row] for lab, row in zip(cell.labels, rows)}
 
 
 def rep_rng(config, truth: str, n: int, rep: int) -> np.random.Generator:

@@ -78,30 +78,33 @@ COMMANDS = {
 
 
 def outputs() -> dict:
-    """Each command's --json document, without its manifest, with its printed
+    """Each command's `output`, by name."""
+    return {name: output(name) for name in COMMANDS}
+
+
+def output(name: str) -> dict:
+    """One command's --json document, without its manifest, with its printed
     text under STDOUT; RuntimeError if the --json text is not the stdlib's
     format or a `rates` CSV is not its document's rows."""
-    docs = {}
+    argv = COMMANDS[name]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in COMMANDS.items():
-            path, csv_path = Path(tmp) / f"{name}.json", Path(tmp) / f"{name}.csv"
-            out = ["--out", str(csv_path)] if argv[0] == "rates" else []
-            printed = io.StringIO()
-            with contextlib.redirect_stdout(printed):
-                rc = main(argv + out + ["--json", str(path)])
-            if rc != 0:
-                raise RuntimeError(f"{name} exited with {rc}")
-            text = path.read_text()
-            doc = json.loads(text)
-            if text != json.dumps(doc, indent=2, sort_keys=True) + "\n":
-                raise RuntimeError(f"{name}: the --json text is not in the stdlib's format")
-            del doc["manifest"]
-            if not out:
-                doc[STDOUT] = printed.getvalue()
-            elif not rates_csv_matches(csv_path.read_text(), doc["study"]):
-                raise RuntimeError(f"{name}: the --out CSV does not hold the document's rows")
-            docs[name] = doc
-    return docs
+        path, csv_path = Path(tmp) / f"{name}.json", Path(tmp) / f"{name}.csv"
+        out = ["--out", str(csv_path)] if argv[0] == "rates" else []
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            rc = main(argv + out + ["--json", str(path)])
+        if rc != 0:
+            raise RuntimeError(f"{name} exited with {rc}")
+        text = path.read_text()
+        doc = json.loads(text)
+        if text != json.dumps(doc, indent=2, sort_keys=True) + "\n":
+            raise RuntimeError(f"{name}: the --json text is not in the stdlib's format")
+        del doc["manifest"]
+        if not out:
+            doc[STDOUT] = printed.getvalue()
+        elif not rates_csv_matches(csv_path.read_text(), doc["study"]):
+            raise RuntimeError(f"{name}: the --out CSV does not hold the document's rows")
+        return doc
 
 
 def rates_csv_matches(text: str, study: dict) -> bool:

@@ -454,6 +454,14 @@ class TestRegress:
         message = "SupportError: the Gram matrix [X Y]^T [X Y] of the data overflows"
         assert f"numerical failure: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--enumerate"]])
+    def test_effective_scatter_near_the_largest_float(self, tmp_path, extra):
+        # the effective scatter R is about 1e308, finite, but R + R^T is not;
+        # a RuntimeWarning would fail the test
+        path = tmp_path / "big.csv"
+        path.write_text("y,x\n1e154,1\n2,3\n4,5\n")
+        assert run(["regress", str(path), "--response", "y", "--covariates", "x", *extra]) == 0
+
     def test_single_covariate_three_rows(self, capsys):
         rc = run(
             [

@@ -37,11 +37,14 @@ from covsel.priors import (
 from covsel.structures import CRITERIA, fit_stack
 
 from conftest import (
+    assert_same_cell,
     best_structures,
     draw_scatters_loop,
+    draw_whole,
     rep_rng,
     run_cell_substack,
     sample_prior_loop,
+    selections,
 )
 
 
@@ -241,7 +244,7 @@ class TestDrawScatters:
             s = rows.T @ rows
             expected[rep] = (s + s.T) / 2
         rngs = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
-        scatters, errors = draw_scatters(h, n, rngs)
+        scatters, errors = draw_whole(h, n, rngs)
         assert errors == {}
         largest = np.abs(expected).max(axis=(-2, -1))
         assert np.all(np.abs(scatters - expected).max(axis=(-2, -1)) <= 1e-14 * largest)
@@ -256,13 +259,13 @@ class TestDrawScatters:
         # and one is so small that the scatter of its rows overflows
         config = SimConfig(d=1, prior_sample_size=-1.99, n_values=(5,), reps=300, seed=0)
         h = oracle_hyper("D", 1, config.beta_inverse, config.prior_sample_size)
-        scatters, errors = draw_scatters(h, 5, [rep_rng(config, "D", 5, r) for r in range(300)])
+        scatters, errors = draw_whole(h, 5, [rep_rng(config, "D", 5, r) for r in range(300)])
         messages = {str(exc) for exc in errors.values()}
         assert all(isinstance(exc, SupportError) for exc in errors.values())
         assert any("overflows" in m for m in messages) and any("positive" in m for m in messages)
         assert np.isnan(scatters[list(errors)]).all()
         ok = [r for r in range(300) if r not in errors]
-        alone, none = draw_scatters(h, 5, [rep_rng(config, "D", 5, r) for r in ok])
+        alone, none = draw_whole(h, 5, [rep_rng(config, "D", 5, r) for r in ok])
         assert none == {}
         np.testing.assert_array_equal(alone, scatters[ok])
 
@@ -287,8 +290,7 @@ class TestDrawScatters:
     def test_no_generator_gives_an_empty_stack(self, truth):
         h = oracle_hyper(truth, 3, 2.0)
         for rngs in ([], iter(())):
-            scatters, errors = draw_scatters(h, 4, rngs)
-            assert scatters.shape == (0, 3, 3) and errors == {}
+            assert list(draw_scatters(h, 4, rngs)) == []
 
     @pytest.mark.parametrize("truth", TRUTH_ORDER)
     @pytest.mark.parametrize("beta_inverse", [2.0, BETA_INV_FAILING])
@@ -298,20 +300,26 @@ class TestDrawScatters:
         monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 7 * n * d)
         config = SimConfig(d=d, beta_inverse=beta_inverse, n_values=(n,), reps=20, seed=5)
         h = oracle_hyper(truth, d, beta_inverse)
-        scatters, errors = draw_scatters(h, n, montecarlo._cell_rngs(config, truth, n))
+        scatters, errors = draw_whole(h, n, montecarlo._cell_rngs(config, truth, n))
         oracles = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
         want, want_errors = draw_scatters_loop(h, n, oracles)
         assert scatters.tobytes() == want.tobytes()
         assert {i: str(e) for i, e in errors.items()} == {i: str(e) for i, e in want_errors.items()}
         if beta_inverse == BETA_INV_FAILING:
             assert len({i // 7 for i in errors}) > 1  # failures in more than one block
-        assert draw_scatters(h, n, iter(()))[0].shape == (0, d, d)
+        # each block is yielded alone, its errors indexed within it
+        blocks = list(draw_scatters(h, n, montecarlo._cell_rngs(config, truth, n)))
+        assert [len(s) for s, _ in blocks] == [7, 7, 6]
+        for k, (s, block_errors) in enumerate(blocks):
+            assert s.tobytes() == want[7 * k : 7 * k + 7].tobytes()
+            assert sorted(block_errors) == [i - 7 * k for i in sorted(errors) if i // 7 == k]
+        assert list(draw_scatters(h, n, iter(()))) == []
 
     def test_takes_any_iterable(self):
         config = SimConfig(d=3, n_values=(4,), reps=6, seed=2)
         h = oracle_hyper("A", 3, 2.0)
-        listed = draw_scatters(h, 4, [rep_rng(config, "A", 4, r) for r in range(6)])[0]
-        lazy = draw_scatters(h, 4, (rep_rng(config, "A", 4, r) for r in range(6)))[0]
+        listed = draw_whole(h, 4, [rep_rng(config, "A", 4, r) for r in range(6)])[0]
+        lazy = draw_whole(h, 4, (rep_rng(config, "A", 4, r) for r in range(6)))[0]
         assert lazy.tobytes() == listed.tobytes()
 
 
@@ -341,7 +349,7 @@ class TestCellStreams:
                 yield g
                 finals.append(g.bit_generator.state)  # as the next replicate is asked for
 
-        scatters, errors = draw_scatters(h, n, recorded())
+        scatters, errors = draw_whole(h, n, recorded())
         want, want_errors = draw_scatters_loop(h, n, oracles)
         assert scatters.tobytes() == want.tobytes()
         assert {i: str(e) for i, e in errors.items()} == {i: str(e) for i, e in want_errors.items()}
@@ -400,24 +408,24 @@ class TestRunCell:
         for truth in TRUTH_ORDER:
             h = oracle_hyper(truth, 1, config.beta_inverse, config.prior_sample_size)
             rngs = [rep_rng(config, truth, 5, rep) for rep in range(config.reps)]
-            _, errors = draw_scatters(h, 5, rngs)
+            _, errors = draw_whole(h, 5, rngs)
             cell = run_cell(config, truth, 5)
             assert errors and cell.failures >= len(errors)
-            for picks in cell.selected.values():
+            for picks in selections(cell).values():
                 assert all(picks[rep] is None for rep in errors)
                 assert sum(p is not None for p in picks) == config.reps - cell.failures
             # the failed draws are scored at stand-ins and dropped, as the oracle drops them;
             # mclust-default is the other scheme that admits m <= 0
-            assert cell == run_cell_substack(config, truth, 5)
+            assert_same_cell(cell, run_cell_substack(config, truth, 5))
             mclust = replace(config, scheme="mclust-default")
-            assert run_cell(mclust, truth, 5) == run_cell_substack(mclust, truth, 5)
+            assert_same_cell(run_cell(mclust, truth, 5), run_cell_substack(mclust, truth, 5))
 
     def test_single_rep_deterministic(self):
         config = SimConfig(d=3, n_values=(5,), reps=1, seed=7, criteria=("evidence",))
         cell1 = run_cell(config, "C", 5)
         cell2 = run_cell(config, "C", 5)
-        assert cell1.selected == cell2.selected
-        assert cell1.selected["evidence"][0] in TRUTH_ORDER
+        assert selections(cell1) == selections(cell2)
+        assert selections(cell1)["evidence"][0] in TRUTH_ORDER
 
     def test_full_determinism_across_runs(self):
         config = SimConfig(d=3, n_values=(5,), reps=30, seed=11)
@@ -430,8 +438,8 @@ class TestRunCell:
         config = SimConfig(d=1, n_values=(6,), reps=50, seed=3)
         for truth in TRUTH_ORDER:
             cell = run_cell(config, truth, 6)
-            assert cell.selected["evidence"] == cell.selected["pcbic"]
-            assert set(cell.selected["evidence"]) == {"C"}
+            assert selections(cell)["evidence"] == selections(cell)["pcbic"]
+            assert set(selections(cell)["evidence"]) == {"C"}
 
     @pytest.mark.parametrize("scheme", montecarlo.SCHEMES)
     def test_empty_n_values_rejected(self, scheme):
@@ -460,7 +468,7 @@ class TestRunCell:
             d=np.int64(3), n_values=(np.int32(5),), reps=np.int64(4), seed=np.uint8(1)
         )
         for truth in TRUTH_ORDER:
-            assert run_cell(numpy, truth, numpy.n_values[0]) == run_cell(plain, truth, 5)
+            assert_same_cell(run_cell(numpy, truth, numpy.n_values[0]), run_cell(plain, truth, 5))
 
     @pytest.mark.parametrize("criteria", [("evidnce",), ("evidence", "aic")])
     def test_unknown_criterion_rejected(self, criteria):
@@ -490,7 +498,7 @@ class TestRunCell:
         for truth in TRUTH_ORDER:
             cell = run_cell(config, truth, n)
             assert cell.failures == 0
-            assert all(p in TRUTH_ORDER for picks in cell.selected.values() for p in picks)
+            assert all(p in TRUTH_ORDER for picks in selections(cell).values() for p in picks)
 
     def test_eb_scheme_requires_n_at_least_d(self):
         with pytest.raises(ConfigError):
@@ -532,7 +540,12 @@ def fake_cells(selections_by_label):
                 beta_inverse=2.0,
                 scheme="oracle",
                 reps=reps,
-                selected=selections_by_label[truth],
+                labels=tuple(selections_by_label[truth]),
+                picks=np.array(
+                    [[TRUTH_ORDER.index(p) if p else -1 for p in sel]
+                     for sel in selections_by_label[truth].values()],
+                    dtype=np.int8,
+                ),
                 failures=0,
             )
         )
@@ -573,6 +586,14 @@ class TestConfusionTable:
         with pytest.raises(ConfigError, match="must share n, beta, scheme and reps"):
             confusion_table(cells)
 
+    @pytest.mark.parametrize("labels", [("pcbic",), ("pcbic", "evidence"), ("evidence", "bic")])
+    def test_cells_of_different_labels_rejected(self, labels):
+        cells = fake_cells({t: {"evidence": ["A"], "pcbic": ["C"]} for t in TRUTH_ORDER})
+        picks = np.zeros((len(labels), 1), dtype=np.int8)
+        cells[2] = replace(cells[2], labels=labels, picks=picks)
+        with pytest.raises(ConfigError, match="their labels"):
+            confusion_table(cells)
+
     def test_comparison_json_fields(self):
         cells = fake_cells(
             {t: {"evidence": ["A", "D", "C", "C"], "pcbic": ["C", "C", "C", "C"]} for t in "ADC"}
@@ -604,12 +625,12 @@ def confusion_loops(cells):
     arrays, kept as its oracle: each label's 3x3 counts, and per pair of
     labels and scope the discordant counts (b, c) and the better label."""
     by_truth = {cell.truth: cell for cell in cells}
-    labels = list(cells[0].selected)
+    labels = list(cells[0].labels)
     counts = {}
     for lab in labels:
         counts[lab] = np.zeros((3, 3), dtype=int)
         for i, truth in enumerate(TRUTH_ORDER):
-            for choice in by_truth[truth].selected[lab]:
+            for choice in selections(by_truth[truth])[lab]:
                 if choice is not None:
                     counts[lab][i, TRUTH_ORDER.index(choice)] += 1
     pairs = []
@@ -620,7 +641,7 @@ def confusion_loops(cells):
                 b = c = 0
                 for truth in truths:
                     cell = by_truth[truth]
-                    for s1, s2 in zip(cell.selected[first], cell.selected[second]):
+                    for s1, s2 in zip(selections(cell)[first], selections(cell)[second]):
                         if s1 is None or s2 is None:
                             continue
                         ok1, ok2 = s1 == truth, s2 == truth
@@ -676,11 +697,64 @@ class TestStandInScatters:
         )
         for truth in TRUTH_ORDER:
             h = oracle_hyper(truth, 3, config.beta_inverse, config.prior_sample_size)
-            _, errors = draw_scatters(h, 3, montecarlo._cell_rngs(config, truth, 3))
+            _, errors = draw_whole(h, 3, montecarlo._cell_rngs(config, truth, 3))
             cell = run_cell(config, truth, 3)
-            assert errors and cell == run_cell_substack(config, truth, 3)
+            assert errors
+            assert_same_cell(cell, run_cell_substack(config, truth, 3))
             if scheme != "oracle":
                 assert cell.failures > len(errors)
+
+
+class TestBlockScoring:
+    """`run_cell` scores each block of `draw_scatters` as it is drawn. With a
+    few replicates per block, its cell must be that of the whole-stack
+    oracle, wherever failed draws and failed moment hyperparameters fall
+    (and where every draw fails: `TestUnbuildableHypers.test_no_replicate_drawn`)."""
+
+    @staticmethod
+    def block_errors(config, truth, n):
+        h = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
+        return [errors for _, errors in draw_scatters(h, n, montecarlo._cell_rngs(config, truth, n))]
+
+    @pytest.mark.parametrize("scheme", ["oracle", "mclust-default"])  # the schemes admitting m <= 0
+    def test_failed_draws_across_blocks(self, monkeypatch, scheme):
+        # gamma shapes 1 + m / 2 = 0.005: some standard gamma draws underflow to 0
+        monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 50 * 5)
+        config = SimConfig(d=1, prior_sample_size=-1.99, n_values=(5,), reps=3000, seed=0, scheme=scheme)
+        for truth in TRUTH_ORDER:
+            blocks = self.block_errors(config, truth, 5)
+            assert len(blocks) == 60 and sum(1 for errors in blocks if errors) > 1
+            assert_same_cell(run_cell(config, truth, 5), run_cell_substack(config, truth, 5))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_failed_draws_and_moment_hypers_across_blocks(self, monkeypatch, scheme):
+        monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 7 * 3 * 3)
+        config = SimConfig(
+            d=3, beta_inverse=BETA_INV_FAILING, n_values=(3,), reps=80, seed=3, scheme=scheme
+        )
+        for truth in TRUTH_ORDER:
+            blocks = self.block_errors(config, truth, 3)
+            assert len(blocks) == 12 and sum(1 for errors in blocks if errors) > 1
+            cell = run_cell(config, truth, 3)
+            assert_same_cell(cell, run_cell_substack(config, truth, 3))
+            if scheme != "oracle":
+                assert cell.failures > sum(map(len, blocks))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_no_fit_holds_more_than_a_block(self, monkeypatch, scheme):
+        fitted = []
+
+        def recorded(s, n, hypers):
+            fitted.append(len(s))
+            return fit_stack(s, n, hypers)
+
+        monkeypatch.setattr(montecarlo, "fit_stack", recorded)
+        monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 7 * 6 * 3)
+        config = SimConfig(d=3, n_values=(6,), reps=20, seed=2, scheme=scheme)
+        cell = run_cell(config, "A", 6)
+        schemes = len({hyper_scheme for hyper_scheme, _ in config.plan.values()})
+        assert sorted(fitted) == sorted([7, 7, 6] * schemes)
+        assert cell.picks.dtype == np.int8 and cell.picks.shape == (len(config.plan), 20)
 
 
 class TestUnbuildableHypers:
@@ -706,15 +780,15 @@ class TestUnbuildableHypers:
         drawn = []
 
         def patched(h, n, rngs):
-            s, errors = draw(h, n, rngs)
-            assert errors == {}
-            drawn.append(self.spoiled(s))
-            return drawn[-1], errors
+            for s, errors in draw(h, n, rngs):
+                assert errors == {}
+                drawn.append(self.spoiled(s))
+                yield drawn[-1], errors
 
         monkeypatch.setattr(montecarlo, "draw_scatters", patched)
         cell = run_cell(config, "D", 5)
         assert cell.failures == len(self.BAD)
-        for picks in cell.selected.values():
+        for picks in selections(cell).values():
             assert [rep for rep, pick in enumerate(picks) if pick is None] == list(self.BAD)
         (s,) = drawn
         for rep in sorted(set(range(config.reps)) - set(self.BAD)):
@@ -725,23 +799,25 @@ class TestUnbuildableHypers:
                 else:
                     triple = mclust_default(stats)
                 fits = fit_stack(s[rep : rep + 1], 5, triple)
-                assert cell.selected[label][rep] == best_structures(fits, criterion)[0]
+                assert selections(cell)[label][rep] == best_structures(fits, criterion)[0]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_no_replicate_drawn(self, monkeypatch, scheme):
+        draw = montecarlo.draw_scatters
+
         def undrawn(h, n, rngs):
-            reps = sum(1 for _ in rngs)
-            errors = {rep: SupportError("undrawable") for rep in range(reps)}
-            return np.full((reps, h.dim, h.dim), np.nan), errors
+            for s, _ in draw(h, n, rngs):
+                yield np.full_like(s, np.nan), {i: SupportError("undrawable") for i in range(len(s))}
 
         monkeypatch.setattr(montecarlo, "draw_scatters", undrawn)
+        monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 4 * 5 * 3)  # blocks of 4 and 2 replicates
         config = SimConfig(d=3, n_values=(5,), reps=6, seed=4, scheme=scheme)
         cell = run_cell(config, "A", 5)
         assert cell.failures == config.reps
-        assert all(pick is None for picks in cell.selected.values() for pick in picks)
+        assert all(pick is None for picks in selections(cell).values() for pick in picks)
         # every scatter is a stand-in, scored and dropped: the sub-stack oracle scores none
         for truth in TRUTH_ORDER:
-            assert run_cell(config, truth, 5) == run_cell_substack(config, truth, 5)
+            assert_same_cell(run_cell(config, truth, 5), run_cell_substack(config, truth, 5))
 
 
 @pytest.mark.slow
@@ -760,7 +836,7 @@ class TestSchemeBehavior:
             d=5, n_values=(10,), reps=200, seed=13, scheme="vs-mclust"
         )
         cell = run_cell(config, "D", 10)
-        rate = np.mean([s == "D" for s in cell.selected["mc-evidence"]])
+        rate = np.mean([s == "D" for s in selections(cell)["mc-evidence"]])
         assert rate <= 0.01
 
     def test_vs_mclust_pairs_share_instances(self):
@@ -774,4 +850,4 @@ class TestSchemeBehavior:
         )
         cell_both = run_cell(base, "A", 6)
         cell_eb = run_cell(eb, "A", 6)
-        assert cell_both.selected["evidence"] == cell_eb.selected["evidence"]
+        assert selections(cell_both)["evidence"] == selections(cell_eb)["evidence"]

@@ -233,6 +233,13 @@ class TestRegressionData:
         data = RegressionData([[1e154], [2.0], [4.0]], [1.0, 3.0, 5.0])
         assert data.gram[1, 1] == 1e154 * 1e154 + 20.0
 
+    def test_effective_scatter_near_the_largest_float(self):
+        # R is about 1e308, finite, but R + R^T is not; a RuntimeWarning would fail the test
+        data = RegressionData([[1e154], [2.0], [4.0]], [1.0, 3.0, 5.0])
+        eff = effective_stats(data, standard_hypers(1, 1)["A"])
+        assert np.finfo(float).max / 2 < eff.scatter[0, 0, 0] < np.inf
+        assert np.isfinite(eff.shrink).all()
+
 
 class TestFitCoefficients:
     def test_empty_sample_returns_prior_mean(self):
