@@ -184,6 +184,8 @@ def _check_design(n_grid: Tuple[int, ...], reps: int, seed: int, d: int, log_sca
 
 @dataclass(frozen=True)
 class RateStudyRow:
+    """One n of a rate study: the mean scaled log evidence ratio and its standard error."""
+
     n: int
     scaled_mean: float
     se: float
@@ -191,6 +193,8 @@ class RateStudyRow:
 
 @dataclass(frozen=True)
 class RateStudyResult:
+    """A rate study's rows over its n grid and the fitted slope of the log ratio."""
+
     pair: str
     truth: str
     regressor: str  # "log_n" when nested is true, "n" when full is true
@@ -315,6 +319,8 @@ def _draw(h: Hyper, n: int, reps: int, seed: int, theta):
 
 @dataclass(frozen=True)
 class GapStudyRow:
+    """One n of a flexibility gap study: mean errors of the flexibility against its limits."""
+
     n: int
     mean_gap_error: float  # mean |flexibility - (k/2) log n - gap|
     mean_flex_minus_bic_penalty: float

@@ -4,11 +4,9 @@ Observations are rows. The scatter matrix s = sum_i x_i x_i^T together with
 its diagonal and trace is all any evidence computation in this package needs.
 """
 
-import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -130,26 +128,30 @@ def load_csv(path, has_header: bool = True, columns: Optional[Sequence] = None) 
 
 def _read_plain(text: str, has_header: bool) -> Optional[Dataset]:
     """The Dataset of a CSV text with no quote, carriage return or NUL, which
-    `csv.reader` splits at each newline and comma: in one float pass, or None
-    where the text has a fault, which `_read_csv` then reports."""
+    `csv.reader` splits at each newline and comma: numpy's text reader
+    converts every cell as `float` does, or the result is None where the
+    text has a fault or a spelling numpy refuses (`1_0`, non-ASCII digits),
+    which `_read_csv` then reads or reports."""
     lines = [line for line in text.split("\n") if line.replace(",", "").strip()]  # no blank rows
     if not lines:
         return None
     header = tuple(name.strip() for name in lines.pop(0).split(",")) if has_header else None
-    width = len(header) if header is not None else lines[0].count(",") + 1
-    if set(map(str.count, lines, repeat(","))) - {width - 1}:  # a row of another width
-        return None
+    if not lines:  # a header only: loadtxt would warn of no data
+        return Dataset(np.empty((0, len(header))), header)
     try:
-        cells = ",".join(lines).split(",") if lines else []
-        data = np.array(list(map(float, cells))).reshape(len(lines), width)
-    except ValueError:  # a cell that is not a number
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a row of another width, or a cell numpy does not read
         return None
-    return Dataset(data, header) if np.isfinite(data).all() else None
+    if header is not None and len(header) != data.shape[1] or not np.isfinite(data).all():
+        return None
+    return Dataset(data, header)
 
 
 def _read_csv(text: str, has_header: bool) -> Dataset:
     """The Dataset of a CSV text as `csv.reader` reads it: the reference for
     `_read_plain`, and the one source of CsvParseError's messages."""
+    import csv  # only the texts `_read_plain` declines come here
+
     rows = [row for row in csv.reader(io.StringIO(text, newline="")) if any(map(str.strip, row))]
     header = None
     if has_header:

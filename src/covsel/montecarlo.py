@@ -156,34 +156,41 @@ def _scatter_factor(structure: str, draws: np.ndarray) -> Tuple[np.ndarray, Dict
         return np.linalg.inv(chol), {**errors, **chol_errors}
 
 
-# the standard normals a block of a cell's replicates holds at most (1 MB),
-# so that a block's memory is bounded whatever n is
+# the standard normals a chunk of a cell's replicates holds at most (1 MB),
+# so that its memory is bounded whatever n is, and the replicates a block
+# of scatters holds at least, so that a large n still scores in batches
 _BLOCK_NORMALS = 2**17
+_BLOCK_REPS = 1024
 
 
 def draw_scatters(
     h: Hyper, n: int, rngs: Iterable
 ) -> Iterator[Tuple[np.ndarray, Dict[int, CovselError]]]:
     """`scatters_from` with one stream per replicate, yielded a block of at
-    most _BLOCK_NORMALS normals at a time: the block's scatters and the
-    errors of its failed replicates, indexed within it. Each generator in
-    `rngs`, any iterable, draws only its replicate's standard variates of
-    `h` (those of `sample_prior(h, 1, rng)`, in its order), then n rows z
-    of standard normals (those of `gaussian_rows`), before the next is
-    asked for, so one generator re-seeded per item serves (`_cell_rngs`).
-    Per block, `_prior_transform` places the variates, and W = z^T z is one
-    batched product."""
+    least _BLOCK_REPS replicates (the last block, what is left) at a time:
+    the block's scatters and the errors of its failed replicates, indexed
+    within it. Each generator in `rngs`, any iterable, draws only its
+    replicate's standard variates of `h` (those of `sample_prior(h, 1, rng)`,
+    in its order), then n rows z of standard normals (those of
+    `gaussian_rows`), before the next is asked for, so one generator
+    re-seeded per item serves (`_cell_rngs`). The normals are drawn a chunk
+    of at most _BLOCK_NORMALS at a time, and W = z^T z is one batched
+    product per chunk; per block, `_prior_transform` places the variates."""
     _check_one_rate(h)
     rngs, z = iter(rngs), np.empty((max(1, _BLOCK_NORMALS // max(n * h.dim, 1)), n, h.dim))
     while True:
-        x = []
-        for rng in islice(rngs, len(z)):
-            x.append(_standard_prior(h, None, rng))
-            rng.standard_normal(out=z[len(x) - 1])
+        x, w = [], []
+        while len(x) < _BLOCK_REPS:
+            drawn = len(x)
+            for i, rng in enumerate(islice(rngs, len(z))):
+                x.append(_standard_prior(h, None, rng))
+                rng.standard_normal(out=z[i])
+            if len(x) == drawn:  # the streams have ended
+                break
+            w.append(z[: len(x) - drawn].swapaxes(-1, -2) @ z[: len(x) - drawn])
         if not x:
             return
-        w = z[: len(x)].swapaxes(-1, -2) @ z[: len(x)]
-        yield scatters_from(h.structure, _prior_transform(h, np.array(x)), w)
+        yield scatters_from(h.structure, _prior_transform(h, np.array(x)), np.concatenate(w))
 
 
 @dataclass(frozen=True)
@@ -378,6 +385,8 @@ def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
 
 @dataclass(frozen=True)
 class McNemarResult:
+    """McNemar's test on discordant counts b and c: its statistic, p-value and method."""
+
     b: int
     c: int
     statistic: float
@@ -422,6 +431,8 @@ def mcnemar(b: int, c: int, method: str = "auto") -> McNemarResult:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
+    """One label's counts of selected structure (columns) per true structure (rows)."""
+
     label: str
     counts: np.ndarray  # 3x3, rows and columns in TRUTH_ORDER
 
@@ -440,6 +451,8 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class PairedComparison:
+    """McNemar's test of two labels' correct selections over one scope of a table."""
+
     first: str
     second: str
     scope: str  # "A", "D", "C" (diagonal cells) or "trace"
@@ -457,6 +470,8 @@ class PairedComparison:
 
 @dataclass(frozen=True)
 class ConfusionTable:
+    """Every label's confusion matrix at one n, with their paired comparisons."""
+
     n: int
     beta_inverse: float
     scheme: str

@@ -484,6 +484,8 @@ def _rank_subsets(
 
 @dataclass(frozen=True)
 class LambdaPathRow:
+    """One lambda of the ridge prior path: evidence, flexibility and the two penalties."""
+
     lam: float
     log_evidence: float
     flexibility: float

@@ -476,6 +476,8 @@ def criterion_matrix(fits: Dict[str, StackFit], criterion: str, r: int) -> np.nd
 
 @dataclass(frozen=True)
 class SelectionResult:
+    """The structures ranked best first under one criterion, and those skipped, with why."""
+
     criterion: str
     ranked: List[FitReport]
     skipped: Dict[str, str]

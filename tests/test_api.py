@@ -75,6 +75,17 @@ def test_no_scipy_at_import():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_csv_module_at_import():
+    # the csv module serves only the reference reader, for texts numpy's reader declines
+    code = "import sys, covsel.cli; print('csv' in sys.modules)"
+    src = str(Path(covsel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_no_numpy_ma_on_the_regress_path(tmp_path):
     # the stacked subset columns are written without numpy's masked arrays,
     # whose import costs every fresh process several milliseconds

@@ -298,6 +298,7 @@ class TestDrawScatters:
         # blocks of 7 replicates: a cell of 20 is two full blocks and a partial one
         d, n = 3, 4
         monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 7 * n * d)
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 7)
         config = SimConfig(d=d, beta_inverse=beta_inverse, n_values=(n,), reps=20, seed=5)
         h = oracle_hyper(truth, d, beta_inverse)
         scatters, errors = draw_whole(h, n, montecarlo._cell_rngs(config, truth, n))
@@ -314,6 +315,26 @@ class TestDrawScatters:
             assert s.tobytes() == want[7 * k : 7 * k + 7].tobytes()
             assert sorted(block_errors) == [i - 7 * k for i in sorted(errors) if i // 7 == k]
         assert list(draw_scatters(h, n, iter(()))) == []
+
+    @pytest.mark.parametrize("truth", TRUTH_ORDER)
+    @pytest.mark.parametrize("beta_inverse", [2.0, BETA_INV_FAILING])
+    def test_chunks_join_into_blocks(self, monkeypatch, truth, beta_inverse):
+        # chunks of 3 replicates' normals, blocks of at least 7: a cell of 20
+        # is blocks of 9, 9 and 2, each the per-replicate oracles' scatters
+        d, n = 3, 4
+        monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 3 * n * d)
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 7)
+        config = SimConfig(d=d, beta_inverse=beta_inverse, n_values=(n,), reps=20, seed=5)
+        h = oracle_hyper(truth, d, beta_inverse)
+        oracles = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
+        want, want_errors = draw_scatters_loop(h, n, oracles)
+        blocks = list(draw_scatters(h, n, montecarlo._cell_rngs(config, truth, n)))
+        assert [len(s) for s, _ in blocks] == [9, 9, 2]
+        for k, (s, block_errors) in enumerate(blocks):
+            assert s.tobytes() == want[9 * k : 9 * k + 9].tobytes()
+            assert sorted(block_errors) == [i - 9 * k for i in sorted(want_errors) if i // 9 == k]
+        if beta_inverse == BETA_INV_FAILING:
+            assert len({i // 9 for i in want_errors}) > 1  # failures in more than one block
 
     def test_takes_any_iterable(self):
         config = SimConfig(d=3, n_values=(4,), reps=6, seed=2)
@@ -720,6 +741,7 @@ class TestBlockScoring:
     def test_failed_draws_across_blocks(self, monkeypatch, scheme):
         # gamma shapes 1 + m / 2 = 0.005: some standard gamma draws underflow to 0
         monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 50 * 5)
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 50)
         config = SimConfig(d=1, prior_sample_size=-1.99, n_values=(5,), reps=3000, seed=0, scheme=scheme)
         for truth in TRUTH_ORDER:
             blocks = self.block_errors(config, truth, 5)
@@ -729,6 +751,7 @@ class TestBlockScoring:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_failed_draws_and_moment_hypers_across_blocks(self, monkeypatch, scheme):
         monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 7 * 3 * 3)
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 7)
         config = SimConfig(
             d=3, beta_inverse=BETA_INV_FAILING, n_values=(3,), reps=80, seed=3, scheme=scheme
         )
@@ -750,11 +773,35 @@ class TestBlockScoring:
 
         monkeypatch.setattr(montecarlo, "fit_stack", recorded)
         monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 7 * 6 * 3)
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 7)
         config = SimConfig(d=3, n_values=(6,), reps=20, seed=2, scheme=scheme)
         cell = run_cell(config, "A", 6)
         schemes = len({hyper_scheme for hyper_scheme, _ in config.plan.values()})
         assert sorted(fitted) == sorted([7, 7, 6] * schemes)
         assert cell.picks.dtype == np.int8 and cell.picks.shape == (len(config.plan), 20)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_block_joins_chunks_of_a_large_n(self, monkeypatch, scheme):
+        # two replicates' normals per chunk and at least 5 replicates per
+        # block: the stack `fit_stack` scores is the block, not the chunk
+        fitted = []
+
+        def recorded(s, n, hypers):
+            fitted.append(len(s))
+            return fit_stack(s, n, hypers)
+
+        monkeypatch.setattr(montecarlo, "fit_stack", recorded)
+        monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 2 * 6 * 3)
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 5)
+        config = SimConfig(
+            d=3, beta_inverse=BETA_INV_FAILING, n_values=(6,), reps=20, seed=3, scheme=scheme
+        )
+        schemes = len({hyper_scheme for hyper_scheme, _ in config.plan.values()})
+        for truth in TRUTH_ORDER:
+            fitted.clear()
+            cell = run_cell(config, truth, 6)
+            assert sorted(fitted) == sorted([6, 6, 6, 2] * schemes)
+            assert_same_cell(cell, run_cell_substack(config, truth, 6))
 
 
 class TestUnbuildableHypers:
@@ -811,6 +858,7 @@ class TestUnbuildableHypers:
 
         monkeypatch.setattr(montecarlo, "draw_scatters", undrawn)
         monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 4 * 5 * 3)  # blocks of 4 and 2 replicates
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 4)
         config = SimConfig(d=3, n_values=(5,), reps=6, seed=4, scheme=scheme)
         cell = run_cell(config, "A", 5)
         assert cell.failures == config.reps
