@@ -236,9 +236,10 @@ def _json_array(chunks: Iterable[List[str]], pad: str) -> Iterator[str]:
 
 
 def _item_format(stack) -> Callable[[np.ndarray], List[str]]:
-    """The `fits` items of a `regression._Stack`'s subsets at given rows: the
-    text of each one's `RegressionFit.to_jsonable()`, from one template whose
-    named slots are filled from the stack's columns. Its fits have no errors.
+    """The `fits` items of a `regression._Stack`'s subsets, of any sizes, at
+    given rows: the text of each one's `RegressionFit.to_jsonable()`, from one
+    template whose named slots (a subset's list and k too) are filled from the
+    stack's columns. Its fits have no errors.
     Where every subset's A MAP is symmetric, bit for bit, a mirrored entry
     reuses the text of its twin above the diagonal."""
     reports, columns = {}, {}
@@ -253,28 +254,31 @@ def _item_format(stack) -> Callable[[np.ndarray], List[str]]:
         columns.update((name, v) for name, v in values.items() if v is not None)
         map_ = np.array([f"{_HOLE}{structure}map{j}" for j in index.ravel().tolist()])
         slots = (None if v is None else _HOLE + name for name, v in values.items())
-        reports[structure] = dict(
-            zip(_REPORT_KEYS, (structure, map_.reshape(index.shape).tolist(), *slots, fit.k))
-        )
-    size = len(stack.labels[0])  # every subset of a stack has the same size
-    item = {"reports": reports, "subset": [_HOLE + f"label{j}" for j in range(size)]}
-    text = _json_text(item, _ITEM_PAD)
+        reports[structure] = dict(zip(_REPORT_KEYS, (
+            structure, map_.reshape(index.shape).tolist(), *slots, _HOLE + structure + "k"
+        )))
+    text = _json_text({"reports": reports, "subset": _HOLE + "subset"}, _ITEM_PAD)
     template = _SLOT.sub("%s", text.replace("%", "%%"))
-    # a row's values are its distinct floats' texts, then its labels' texts
+    # a row's values are its distinct floats' texts, its subset's text, then its ks' texts
     names = _SLOT.findall(text)
     floats = [name for name in dict.fromkeys(names) if name in columns]
-    at = {name: i for i, name in enumerate(floats + [f"label{j}" for j in range(size)])}
+    at = {name: i for i, name in enumerate(floats + ["subset", *(s + "k" for s in stack.fits)])}
     fill = operator.itemgetter(*map(at.__getitem__, names))
     block = np.column_stack([columns[name] for name in floats])
     # json.dumps writes a finite float as repr does, and NaN and the infinities
     float_text = float.__repr__ if np.isfinite(block).all() else json.dumps
     labels = stack.labels
+    ks = np.column_stack([np.broadcast_to(fit.k, len(labels)) for fit in stack.fits.values()])
     label_text = {x: _LABEL_TEXT[type(x)](x) for x in set(chain.from_iterable(labels))}
+    pad = _ITEM_PAD + "    "  # a subset's labels' indent, as json.dumps writes its list
+    head, sep, tail = "[" + pad, "," + pad, pad[:-2] + "]"
 
     def items(rows: np.ndarray) -> List[str]:
         texts = map(float_text, block[rows].ravel().tolist())
-        subsets = (tuple(map(label_text.__getitem__, labels[i])) for i in rows.tolist())
-        values = map(tuple.__add__, zip(*[texts] * len(floats)), subsets)
+        subsets = map(labels.__getitem__, rows.tolist())
+        subsets = (head + sep.join(map(label_text.__getitem__, s)) + tail if s else "[]" for s in subsets)
+        k_texts = map(int.__repr__, ks[rows].ravel().tolist())
+        values = zip(*[texts] * len(floats), subsets, *[k_texts] * len(stack.fits))
         return list(map(template.__mod__, map(fill, values)))
 
     return items
@@ -474,9 +478,9 @@ def _cmd_regress(args) -> dict:
     # the table and the fits' JSON are text read from each stack's columns and
     # written in rank order, in chunks: no per-subset objects, no whole text
     if args.enumerate_subsets:
-        stacks, order = _rank_subsets(data, hypers, names or None, criterion=args.criterion)
+        stacks, order = _rank_subsets(data, hypers, names or None, criterion=args.criterion, lean=True)
     else:
-        stacks = [_fit_subsets(data, hypers, None, [tuple(names or range(data.d2))])]
+        stacks = [_fit_subsets(data, hypers, [None], [tuple(names or range(data.d2))])]
         order = np.zeros(1, dtype=int)
     head = "| covariates | structure | log evidence | pcBIC |\n|---|---|---|---|"
     tables = _in_order(stacks, order, list(map(_table_format, stacks)))

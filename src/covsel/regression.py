@@ -24,8 +24,8 @@ subset slices it, so scoring a subset costs nothing that grows with n.
 """
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations, islice
+from dataclasses import dataclass, field, replace
+from itertools import chain, combinations, groupby, islice
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,8 +74,8 @@ __all__ = [
 # the criteria defined for the regression model; the Kashyap criterion is not
 REGRESSION_CRITERIA = ("evidence", "bic", "pcbic")
 
-# the most covariate subsets scored as one stack: at the cap of 20 candidates
-# one size has 184 756 subsets, whose gathered blocks would take 100s of MB
+# the most covariate subsets scored as one stack, whatever their sizes: the
+# 2^20 subsets of the cap of 20 candidates would gather 100s of MB of blocks
 _MAX_STACK = 1024
 
 
@@ -175,20 +175,21 @@ def residual_stats(data: RegressionData, gamma: np.ndarray) -> SuffStats:
 
 
 class EffectiveStats(NamedTuple):
-    """What a stack of r covariate subsets of size k and one (nu, Lambda)
-    give every structure, one entry per subset along the leading axis."""
+    """What a stack of r covariate subsets and one (nu, Lambda) give every structure,
+    one entry per subset along the leading axis (`_fit_subsets` joins `gamma_hat` as a list)."""
 
     gamma_hat: np.ndarray  # the coefficients' posterior means, (r, d1, k)
     scatter: np.ndarray  # the effective scatters R, (r, d1, d1)
     shrink: np.ndarray  # (gamma_hat - nu) Lambda (gamma_hat - nu)^T, (r, d1, d1)
     log_det_lam: np.ndarray  # log|Lambda|, (r,)
     log_det_post_lam: np.ndarray  # log|X^T X + Lambda|, (r,)
+    cols: np.ndarray  # each subset's column count k, (r,)
 
 
 def effective_stats(data: RegressionData, rh: RegressionHyper, subsets=None) -> EffectiveStats:
-    """Coefficient estimates and effective residual scatters R of a stack
-    of covariate subsets: `subsets` is an (r, k) array of column indices,
-    by default the one subset of every column.
+    """Coefficient estimates and effective residual scatters R of a stack of
+    covariate subsets of one size, as their Gram blocks stack: `subsets` is
+    an (r, k) array of column indices, by default the one of every column.
 
     R adds the prior-shrinkage penalty (gamma_hat - nu) Lambda (...)^T to
     the raw residual scatter; it is exactly the rate update each structure
@@ -222,6 +223,7 @@ def effective_stats(data: RegressionData, rh: RegressionHyper, subsets=None) -> 
         shrink=shrink / 2 + shrink.swapaxes(-1, -2) / 2,
         log_det_lam=chol_log_det(lam),
         log_det_post_lam=factor_log_det(c),
+        cols=np.full(len(idx), idx.shape[1]),
     )
 
 
@@ -313,11 +315,11 @@ class RegressionFit:
 # _Stack is a plain class: a NamedTuple's class creation would add about
 # 0.25 ms to the import of every command
 class _Stack:
-    """The fits of a stack of covariate subsets of one size, kept as arrays:
-    their labels, and each structure's StackFit and coefficient means (r, d1, k)."""
+    """The fits of a stack of covariate subsets of any sizes, kept as arrays:
+    their labels, and each structure's StackFit and coefficient means."""
 
     def __init__(
-        self, labels: List[Tuple], fits: Dict[str, StackFit], gamma_hats: Dict[str, np.ndarray]
+        self, labels: List[Tuple], fits: Dict[str, StackFit], gamma_hats: Dict[str, Sequence]
     ):
         self.labels, self.fits, self.gamma_hats = labels, fits, gamma_hats
 
@@ -355,20 +357,20 @@ def fit_regression(data: RegressionData, hypers: Dict[str, RegressionHyper]) -> 
     """Fit every provided structure's regression model on the same data:
     a batch of one of the covariate-subset scorer, with every column,
     labelled as the subset of every column index."""
-    stack = _fit_subsets(data, hypers, None, [tuple(range(data.d2))])
+    stack = _fit_subsets(data, hypers, [None], [tuple(range(data.d2))])
     return stack.regression_fits(np.zeros(1, dtype=int))[0]
 
 
 def _fit_subsets(
-    data: RegressionData, hypers: Dict[str, RegressionHyper], subsets, labels: List[Tuple]
+    data: RegressionData, hypers: Dict[str, RegressionHyper], blocks, labels: List[Tuple]
 ) -> _Stack:
-    """Fit every provided structure's regression model to a stack of
-    covariate subsets of one size (see `effective_stats`), named `labels`.
+    """Fit every provided structure's regression model to a stack of covariate
+    subsets named `labels`: `blocks` has one (r_k, k) array of their columns per size.
 
     The coefficient estimate and the effective scatter depend only on
-    (nu, Lambda), not on the variance structure, so they are computed
-    once per distinct (nu, Lambda) and shared. The kernel fits each
-    structure with them as its coefficient block (see `fit_structure`):
+    (nu, Lambda), not on the variance structure, so they are computed once
+    per distinct (nu, Lambda) and size, joined and shared. The kernel fits
+    each structure with them as its coefficient block (see `fit_structure`):
     criteria use the joint MAP, with k = structure parameters + d1*d2
     coefficients, and the Kashyap criterion is reported as missing. A subset that
     a structure cannot fit raises the reason: the lowest such subset, and
@@ -384,7 +386,9 @@ def _fit_subsets(
             raise ConfigError(f"key {structure!r} holds a structure-{rh.cov.structure} prior")
         key = (rh.nu.shape, rh.nu.tobytes(), rh.lam.tobytes())
         if key not in shared:
-            shared[key] = effective_stats(data, rh, subsets)
+            effs = [effective_stats(data, rh, block) for block in blocks]
+            gammas, *rest = zip(*effs)  # each field's parts, one per size
+            shared[key] = EffectiveStats([g for gs in gammas for g in gs], *map(np.concatenate, rest))
         eff = shared[key]
         gamma_hats[structure] = eff.gamma_hat
         fits[structure] = fit_structure(rh.cov, eff.scatter, data.n, coef=eff)
@@ -429,7 +433,7 @@ def enumerate_covariates(
     """Fit every covariate subset, slicing nu and Lambda to the subset.
 
     Each subset's statistics are a slice of the data's Gram matrix; the
-    subsets of one size are scored as stacks of at most _MAX_STACK.
+    subsets are scored in stacks of at most _MAX_STACK, of mixed sizes.
     Subsets are identified by canonical (sorted) column labels so the
     output is invariant to the order candidates are supplied in. Sorted
     by the best value of `criterion` across structures, descending.
@@ -446,10 +450,12 @@ def _rank_subsets(
     include_empty: bool = False,
     criterion: str = "evidence",
     max_candidates: int = 20,
+    lean: bool = False,
 ) -> Tuple[List[_Stack], np.ndarray]:
     """`enumerate_covariates` with each stack's fits kept as arrays: the
     stacks, and the rank order of their subsets as indices into the subsets
-    of all stacks, in stack order (see `_in_order`)."""
+    of all stacks, in stack order (see `_in_order`). A stack holds the next
+    _MAX_STACK subsets, of any sizes; `lean` ones keep only what `regress` writes."""
     d2 = data.d2
     _check_criterion(criterion)
     if d2 > max_candidates:
@@ -463,17 +469,19 @@ def _rank_subsets(
     order = sorted(range(d2), key=labels.__getitem__)
     rank = np.argsort(order)
     by_rank = np.fromiter((labels[i] for i in order), dtype=object, count=d2)
+    sizes = range(0 if include_empty else 1, d2 + 1)
+    combos = chain.from_iterable(combinations(range(d2), size) for size in sizes)
     stacks, values = [], []
-    for size in range(0 if include_empty else 1, d2 + 1):
-        combos = combinations(range(d2), size)
-        while block := list(islice(combos, _MAX_STACK)):
-            block = np.array(block, dtype=int)
-            subsets = list(map(tuple, by_rank[np.sort(rank[block], axis=1)].tolist()))
-            stacks.append(_fit_subsets(data, hypers, block, subsets))
-            values.append(criterion_matrix(stacks[-1].fits, criterion, len(block)))
-    if not stacks:
-        return stacks, np.zeros(0, dtype=int)
-    values = np.concatenate(values)
+    while chunk := list(islice(combos, _MAX_STACK)):
+        blocks = [np.array(list(block), dtype=int) for _, block in groupby(chunk, len)]
+        subsets = [tuple(s) for b in blocks for s in by_rank[np.sort(rank[b], axis=1)].tolist()]
+        stack = _fit_subsets(data, hypers, blocks, subsets)
+        values.append(criterion_matrix(stack.fits, criterion, len(chunk)))
+        if lean:  # every subset is valid, or _fit_subsets has raised
+            stack.gamma_hats = {}
+            stack.fits = {s: replace(f, log_prior=None, valid=None) for s, f in stack.fits.items()}
+        stacks.append(stack)
+    values = np.concatenate([np.zeros((0, 3)), *values])  # no rows where there are no subsets
     j = simplest_best(values)
     if (j < 0).any():
         raise EmptyDatasetError(

@@ -231,17 +231,18 @@ class StackFit:
     """One structure's closed-form fit of every replicate in a stack.
 
     Arrays have a leading replicate axis of length r; `map` is (r, d, d)
-    for A, (r, d) for D and (r,) for C. BIC, pcBIC and KIC are None at
-    n = 0, where log n is undefined. A replicate that could not be fit
-    has False in `valid`, the reason in `errors`, and NaN entries, except
-    in `log_evidence`: the evidence is defined without a mode, so it is
+    for A, (r, d) for D and (r,) for C, and `k` an int, or (r,) with a
+    regression's coefficient block. BIC, pcBIC and KIC are None at n = 0,
+    where log n is undefined. A replicate that could not be fit has False
+    in `valid`, the reason in `errors`, and NaN entries, except in
+    `log_evidence`: the evidence is defined without a mode, so it is
     filled wherever the posterior is proper, even for a non-regular prior.
     `report` and `defined` are where a failure surfaces, as its error.
     """
 
     structure: str
     dim: int
-    k: int
+    k: int | np.ndarray
     map: np.ndarray
     log_lik: np.ndarray
     log_evidence: np.ndarray
@@ -274,7 +275,7 @@ class StackFit:
             structure=self.structure,
             map_array=self.map[i],
             dim=self.dim,
-            k=self.k,
+            k=int(self.k[i]) if np.ndim(self.k) else self.k,
             **{name: None if v is None else float(v[i]) for name, v in values.items()},
         )
 
@@ -300,44 +301,52 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef=None) -> StackFit:
     Its one criteria step is the only place that forms BIC, pcBIC and KIC.
 
     `coef` is a regression's coefficient block, the `regression.EffectiveStats`
-    of the stack; `s` is then its effective scatters R. The d x d2 coefficients,
-    profiled out of the joint mode, tilt the posterior of H by |H|^{d2/2}, as d2
-    observations with zero scatter would. The block adds tr(H shrink) to the
-    log-likelihood (at the raw residuals R - shrink), the coefficients'
-    matrix-normal terms to the log prior and flexibility, the covariate factor
-    (d/2) log(|Lambda| / |X^T X + Lambda|) to the evidence and d d2 to k; KIC is None.
+    of the stack, whose subsets' sizes d2 are `coef.cols`; `s` is then its
+    effective scatters R. The d x d2 coefficients, profiled out of the joint
+    mode, tilt the posterior of H by |H|^{d2/2}, as d2 observations with zero
+    scatter would. The block adds tr(H shrink) to the log-likelihood (at the
+    raw residuals R - shrink), the coefficients' matrix-normal terms to the log
+    prior and flexibility, the covariate factor (d/2) log(|Lambda| / |X^T X + Lambda|)
+    to the evidence and d d2 to k (one per subset); KIC is None.
 
     A replicate that cannot be fit gets its reason in `errors`: an improper
-    posterior, a non-regular prior (every replicate) or an overflowing mode,
-    in that precedence; its outputs come from finite stand-ins and are blanked
-    in one final mask. A hyper of another dimension raises DimensionMismatchError.
+    posterior, a non-regular prior (every replicate, or each subset of too few
+    columns) or an overflowing mode, in that precedence; its outputs come from
+    finite stand-ins and are blanked in one final mask. A hyper of another
+    dimension raises DimensionMismatchError.
     """
     r, d, structure = s.shape[0], s.shape[-1], h.structure
     log_evidence, errors, post = _evidence(h, s, n)
     fam, stat, alpha_post, rate_post, chol, log_rate_post, lz_prior, lz_post = post
     axes, power = fam.axes, fam.power
-    coef_cols = 0 if coef is None else coef.gamma_hat.shape[-1]
-    mult = alpha_post + coef_cols * fam.per_obs - power
-    if mult <= 0:
-        shape = "shape" if structure == "A" else "gamma shape"
-        bound = "(d+1)/2" if structure == "A" else "1"
-        error = NonRegularPriorError(f"posterior mode undefined: {shape} {mult + power} <= {bound}")
-        errors = {i: errors.get(i, error) for i in range(r)}
-        mult = 1.0  # a finite stand-in, masked below
+    cols = 0 if coef is None else coef.cols
+    mult = alpha_post + cols * fam.per_obs - power  # one per subset with a coefficient block
+    low = (range(r) if mult <= 0 else ()) if coef is None else np.flatnonzero(mult <= 0).tolist()
+    if low:
+        shape, bound = ("shape", "(d+1)/2") if structure == "A" else ("gamma shape", "1")
+        alphas = np.broadcast_to(mult + power, r).tolist()  # each replicate's mode shape
+        reasons = {a: NonRegularPriorError(f"posterior mode undefined: {shape} {a} <= {bound}")
+                   for a in set(alphas)}
+        errors = {**{i: reasons[alphas[i]] for i in low}, **errors}
+        mult = np.where(mult > 0, mult, 1.0)  # a finite stand-in, masked below
     # the mode; it overflows where the posterior rate is too close to singular
+    per_row = mult if coef is None else mult.reshape((-1,) + (1,) * len(axes))
     with np.errstate(over="ignore", invalid="ignore"):
         if structure == "A":
             inv = np.linalg.inv(chol)
-            theta = mult * np.einsum("rki,rkj->rij", inv, inv)
+            theta = per_row * np.einsum("rki,rkj->rij", inv, inv)
         else:
-            theta = mult / rate_post
+            theta = per_row / rate_post
     for i in np.flatnonzero(~np.isfinite(theta).all(axis=axes)):
         reason = "posterior mode is not finite: the posterior rate is too close to singular"
         errors.setdefault(int(i), SupportError(reason))
         theta[i] = 1.0  # a finite stand-in, masked below
     # log|theta| as the densities read it (log eta for C); A's from the Cholesky factor
-    if structure == "A":
+    if structure == "A" and coef is None:
         log_x = d * math.log(mult) - log_rate_post
+    elif structure == "A":  # math.log of each distinct multiplier: np.log may move a last bit
+        distinct, at = np.unique(mult, return_inverse=True)
+        log_x = d * np.array([math.log(v) for v in distinct.tolist()])[at] - log_rate_post
     else:
         log_x = _log_det(structure, theta)
     log_det_h = fam.det_scale * log_x
@@ -347,7 +356,7 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef=None) -> StackFit:
         log_post = _log_density_at(fam, lz_post, alpha_post, rate_post, theta, log_x)
         log_lik = _log_lik(axes, n, d, log_det_h, theta, stat)
         flex = log_post - log_prior
-    k = fam.k
+    k = fam.k + d * cols
     if coef is not None:
         # the coefficients' matrix-normal densities at gamma_hat, under the prior
         # (mean nu) and the posterior (mean gamma_hat); their normalizers differ
@@ -357,11 +366,10 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef=None) -> StackFit:
         if n:  # the log-likelihood at R; at the raw residuals R - shrink it gains tr(H shrink)
             log_lik = log_lik + quad
         # not `_log_lik` of d2 rows: its terms add in another order (pcBIC's last bits)
-        coef_prior = d / 2 * coef.log_det_lam + coef_cols / 2 * log_det_h - quad
-        log_prior = log_prior - d * coef_cols / 2 * LOG_PI + coef_prior
+        coef_prior = d / 2 * coef.log_det_lam + cols / 2 * log_det_h - quad
+        log_prior = log_prior - d * cols / 2 * LOG_PI + coef_prior
         log_evidence = log_evidence + lam_factor
         flex = flex - lam_factor + quad
-        k += d * coef_cols
     out = {
         "map": theta,
         "log_lik": log_lik,

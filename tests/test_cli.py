@@ -717,12 +717,12 @@ _FLOATS = st.floats() | st.sampled_from(
 @st.composite
 def _stacks(draw):
     """A regression stack of A, D and C fits with arbitrary values: non-finite
-    ones, criteria that are None (as at n = 0), and int or str subset labels of
-    one size, the empty subset included."""
+    ones, criteria that are None (as at n = 0), k as an int or one per subset,
+    and int or str subset labels of mixed sizes, the empty subset included."""
     from covsel.regression import _Stack
     from covsel.structures import StackFit
 
-    r, size = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    r = draw(st.integers(1, 4))
     floats = _FLOATS | st.floats(-1e6, 1e6)
 
     def column(*shape):
@@ -733,12 +733,14 @@ def _stacks(draw):
         return None if draw(st.booleans()) else column(r)
 
     label = st.integers(0, 2**70) | st.text(max_size=3)
-    labels = [tuple(draw(st.lists(label, min_size=size, max_size=size))) for _ in range(r)]
+    labels = [tuple(draw(st.lists(label, max_size=3))) for _ in range(r)]
+    ks = st.integers(0, 40)
     fits = {}
     for structure in draw(st.permutations("ADC")):
         d = draw(st.integers(1, 3))
+        k = draw(ks | st.lists(ks, min_size=r, max_size=r).map(np.array))
         fits[structure] = StackFit(
-            structure=structure, dim=d, k=draw(st.integers(0, 40)),
+            structure=structure, dim=d, k=k,
             map=column(r, *(d,) * "CDA".index(structure)),
             log_lik=column(r), log_evidence=column(r),
             flexibility=column(r), log_prior=column(r),
@@ -845,14 +847,49 @@ class TestRegressColumns:
 
         rng = np.random.default_rng(5)
         data = RegressionData(rng.standard_normal((20, 2)), rng.standard_normal((20, 3)))
-        subsets = np.array([[0, 2], [1, 2]])
-        stack = _fit_subsets(data, standard_hypers(2, 3), subsets, [(0, 2), (1, 2)])
+        blocks = [np.array([[1]]), np.array([[0, 2]])]  # subsets of two sizes
+        stack = _fit_subsets(data, standard_hypers(2, 3), blocks, [(1,), (0, 2)])
         assert sorted(stack.fits) == ["A", "C", "D"]
         calls = []
         json_text = cli._json_text
         monkeypatch.setattr(cli, "_json_text", lambda *a: calls.append(a) or json_text(*a))
         assert len(cli._item_format(stack)(np.arange(len(stack.labels)))) == 2
         assert len(calls) <= 1
+
+    def test_ten_candidates_are_scored_and_written_as_one_chunk(self, tmp_path, monkeypatch):
+        # 1 023 subsets of sizes 1 to 10 fit in one stack: one kernel call per
+        # structure, one statistics call per size and one item template
+        from covsel import regression
+
+        rng = np.random.default_rng(14)
+        data = tmp_path / "data.csv"
+        y, x = rng.standard_normal((30, 3)), rng.standard_normal((30, 10))
+        rows = [",".join(map(repr, row)) for row in np.hstack([y, x]).tolist()]
+        xnames = [f"x{j}" for j in range(10)]
+        data.write_text("\n".join([",".join(["y0", "y1", "y2", *xnames])] + rows))
+        calls = []
+        for name in ("effective_stats", "fit_structure", "simplest_best"):
+            original = getattr(regression, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(regression, name, counted)
+        json_text = cli._json_text
+
+        def counted_text(doc, pad="\n"):
+            calls.append("template" if pad == cli._ITEM_PAD else "document")
+            return json_text(doc, pad)
+
+        monkeypatch.setattr(cli, "_json_text", counted_text)
+        argv = ["regress", str(data), "--response", "y0", "y1", "y2", "--covariates", *xnames]
+        assert run(argv + ["--enumerate", "--json", str(tmp_path / "fits.json")]) == 0
+        assert calls.count("effective_stats") == 10
+        assert calls.count("fit_structure") == 3
+        assert calls.count("simplest_best") == 1
+        assert calls.count("template") <= 1
+        assert len(json.loads((tmp_path / "fits.json").read_text())["fits"]) == 1023
 
     @pytest.mark.parametrize("size", [1, 7])
     def test_chunks_write_the_one_chunk_output(self, tmp_path, capsys, monkeypatch, size):
@@ -879,7 +916,7 @@ class TestRegressColumns:
 
         rng = np.random.default_rng(12)
         data = RegressionData(rng.standard_normal((20, 3)), rng.standard_normal((20, 2)))
-        stack = _fit_subsets(data, standard_hypers(3, 2), np.array([[0], [1]]), [(0,), (1,)])
+        stack = _fit_subsets(data, standard_hypers(3, 2), [np.array([[0], [1]])], [(0,), (1,)])
         fit = stack.fits["A"]
         maps = fit.map.copy()
         assert np.array_equal(maps, maps.swapaxes(-1, -2))

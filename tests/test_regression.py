@@ -1,7 +1,7 @@
 """Conjugate multivariate regression.
 
 The package computes everything from the Gram matrix of [X Y] and scores
-the covariate subsets of one size as one stack. Two implementations it
+the covariate subsets in stacks of mixed sizes. Two implementations it
 replaced are kept here as oracles, so that the stacked Gram path is the
 package's only one: the n-row implementation (coefficients, residual and
 effective scatters, joint mode, evidence and flexibility on the raw
@@ -12,8 +12,9 @@ with scalar half-precision arithmetic.
 
 import inspect
 import math
+import warnings
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ from covsel.regression import (
 )
 from covsel.specialfn import LOG_PI, chol_log_det, cholesky_pd
 from covsel.structures import (
+    _REPORT_FIELDS,
     fit_structure,
     flexibility,
     log_evidence,
@@ -732,7 +734,7 @@ def subset_report(structure, rh, n, eff):
     the structure-only evidence, flexibility and log prior."""
     gamma_hat, r, shrink, log_det_lam, log_det_post_lam = eff
     d1, d2 = gamma_hat.shape
-    block = EffectiveStats(*(np.asarray(v)[None] for v in eff))
+    block = EffectiveStats(*(np.asarray(v)[None] for v in eff), cols=np.array([d2]))
     rep = fit_structure(rh.cov, r[None], n, coef=block).report(0)
     theta, stats = rep.map, SuffStats(n=n, d=d1, s=r)
     quad = theta_trace_product(theta, shrink)
@@ -868,8 +870,9 @@ class TestSharedStatistics:
         monkeypatch.setattr(regression, "effective_stats", counted)
         monkeypatch.setattr(regression, "_MAX_STACK", 4)
         chunked = enumerate_covariates(data, hypers, include_empty=True)
-        # sizes 0..5 have 1, 5, 10, 10, 5, 1 subsets: 1, 2, 3, 3, 2, 1 chunks of
-        # at most 4, each scored once for each of two distinct (nu, Lambda)
+        # the 32 subsets of sizes 0..5 (1, 5, 10, 10, 5, 1 of each) make 8 chunks
+        # of 4, holding 2, 2, 1, 1, 1, 1, 2, 2 sizes: each size of a chunk is
+        # scored once for each of two distinct (nu, Lambda)
         assert len(calls) == 2 * 12
         assert all(len(args[2]) <= 4 for args in calls)
         assert_same_fits(chunked, whole, rtol=0.0)
@@ -928,6 +931,150 @@ class TestSharedStatistics:
         for r in eff.scatter:
             np.testing.assert_allclose(r, data.y.T @ data.y, rtol=1e-12)
         np.testing.assert_array_equal(eff.shrink, np.zeros((2, 3, 3)))
+
+
+def enumeration(d2, include_empty):
+    """Every covariate subset in enumeration order: size first, then `combinations` order."""
+    sizes = range(0 if include_empty else 1, d2 + 1)
+    return [c for size in sizes for c in combinations(range(d2), size)]
+
+
+def size_blocks(subsets):
+    """Subsets in enumeration order as `_fit_subsets` takes them: one array per size."""
+    return [np.array(list(group), dtype=int) for _, group in groupby(subsets, len)]
+
+
+def fit_stack_of(data, hypers, subsets):
+    return regression._fit_subsets(data, hypers, size_blocks(subsets), list(subsets))
+
+
+def subset_bits(stack, i):
+    """Subset i's coefficients, and each structure's six report values, MAP
+    and k, as exact bits."""
+    out = []
+    for structure, fit in stack.fits.items():
+        rep = fit.report(i)
+        values = [getattr(rep, field) for field in _REPORT_FIELDS]
+        out.append((
+            structure, rep.k, type(rep.k), rep.map_array.tobytes(),
+            [None if v is None else v.hex() for v in values],
+            np.asarray(stack.gamma_hats[structure][i]).tobytes(),
+        ))
+    return out
+
+
+@st.composite
+def stack_mate_cases(draw):
+    """Data with d2 <= 6 candidates, a diagonal or dense Lambda shared by every
+    structure and a nonzero nu on one structure only, all subsets in
+    enumeration order (the empty one or not) and random chunk boundaries."""
+    d1, d2, n = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = toy_data(rng, n=n, d1=d1, d2=d2)
+    if draw(st.booleans()):
+        g = rng.standard_normal((d2, d2 + 2))
+        lam = g @ g.T / (d2 + 2) + 0.2 * np.eye(d2)
+    else:
+        lam = np.diag(rng.uniform(0.2, 3.0, d2))
+    hypers = standard_hypers(d1, d2, alpha=d1 + 1.0, lam=lam)  # a mode at every size, n = 0 too
+    structure = draw(st.sampled_from("ADC"))
+    hypers[structure] = RegressionHyper(rng.standard_normal((d1, d2)), lam, hypers[structure].cov)
+    subsets = enumeration(d2, draw(st.booleans()))
+    cuts = draw(st.sets(st.integers(1, max(1, len(subsets) - 1)), max_size=6)) - {len(subsets)}
+    return data, hypers, subsets, [0, *sorted(cuts), len(subsets)]
+
+
+class TestStackMates:
+    """A subset's fit does not depend on the subsets scored beside it, so a
+    stack may hold subsets of any sizes and break anywhere."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=stack_mate_cases())
+    def test_alone_in_its_size_and_in_mixed_chunks_bit_for_bit(self, case):
+        data, hypers, subsets, bounds = case
+        chunked, by_size = [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            stack = fit_stack_of(data, hypers, subsets[lo:hi])
+            chunked += [subset_bits(stack, i) for i in range(hi - lo)]
+        for _, group in groupby(subsets, len):
+            group = list(group)
+            stack = fit_stack_of(data, hypers, group)
+            by_size += [subset_bits(stack, i) for i in range(len(group))]
+        for i, subset in enumerate(subsets):
+            alone = subset_bits(fit_stack_of(data, hypers, [subset]), 0)
+            assert chunked[i] == by_size[i] == alone, subset
+
+    def test_lean_stacks_keep_only_what_regress_writes(self):
+        data = toy_data(np.random.default_rng(41), n=15, d1=2, d2=4)
+        hypers = standard_hypers(2, 4)
+        full, order = regression._rank_subsets(data, hypers, include_empty=True)
+        lean, lean_order = regression._rank_subsets(data, hypers, include_empty=True, lean=True)
+        np.testing.assert_array_equal(lean_order, order)
+        assert [stack.labels for stack in lean] == [stack.labels for stack in full]
+        for stack, whole in zip(lean, full):
+            assert stack.gamma_hats == {}
+            for structure, fit in stack.fits.items():
+                assert fit.log_prior is None and fit.valid is None
+                want = whole.fits[structure]
+                for field in ("map", "log_lik", "log_evidence", "flexibility", "bic", "pc_bic", "k"):
+                    np.testing.assert_array_equal(getattr(fit, field), getattr(want, field))
+
+
+def per_size_failure(data, hypers, subsets):
+    """The error the stacks of one size each raise first, in enumeration order."""
+    for _, group in groupby(subsets, len):
+        try:
+            fit_stack_of(data, hypers, list(group))
+        except CovselError as exc:
+            return exc
+    return None
+
+
+class TestMixedChunkFailure:
+    """With no rows and a small alpha, A (alpha 0.6) and D (alpha 0.4) have no
+    mode for the subsets of at most one covariate, and one for larger ones."""
+
+    data = RegressionData(np.empty((0, 2)), np.empty((0, 3)))
+    nu, lam = np.zeros((2, 3)), np.eye(3)
+    a = RegressionHyper(nu, lam, WishartHyper(0.6, np.eye(2)))
+    d = RegressionHyper(nu, lam, GammaVecHyper(0.4, np.ones(2)))
+    c = RegressionHyper(nu, lam, GammaHyper(2.0, 1.0, 2))
+
+    @pytest.mark.parametrize("include_empty", [False, True], ids=["", "empty"])
+    @pytest.mark.parametrize("order", ["CAD", "CDA", "ADC"])
+    def test_raises_what_the_one_size_stacks_raise(self, order, include_empty):
+        hypers = {s: {"A": self.a, "D": self.d, "C": self.c}[s] for s in order}
+        subsets = enumeration(3, include_empty)
+        want = per_size_failure(self.data, hypers, subsets)
+        assert isinstance(want, NonRegularPriorError)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(want)) as got:
+                fit_stack_of(self.data, hypers, subsets)
+            with pytest.raises(type(want)) as enumerated:
+                enumerate_covariates(self.data, hypers, include_empty=include_empty)
+        assert str(got.value) == str(enumerated.value) == str(want)
+
+    @pytest.mark.parametrize("include_empty", [False, True], ids=["", "empty"])
+    def test_each_subset_fails_as_in_its_one_size_stack(self, include_empty):
+        subsets = enumeration(3, include_empty)
+        blocks = size_blocks(subsets)
+        effs = [effective_stats(self.data, self.a, block) for block in blocks]
+        joined = EffectiveStats(None, *map(np.concatenate, list(zip(*effs))[1:]))
+        for rh in (self.a, self.d, self.c):
+            want, start = {}, 0
+            for eff in effs:
+                fit = fit_structure(rh.cov, eff.scatter, 0, coef=eff)
+                want.update({start + i: (type(e), str(e)) for i, e in fit.errors.items()})
+                start += len(eff.scatter)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = fit_structure(rh.cov, joined.scatter, 0, coef=joined)
+            assert {i: (type(e), str(e)) for i, e in fit.errors.items()} == want
+            failed = [i for i, subset in enumerate(subsets) if len(subset) <= 1]
+            assert sorted(want) == (failed if rh is not self.c else [])
+            k = [param_count(rh.cov.structure, 2) + 2 * len(subset) for subset in subsets]
+            np.testing.assert_array_equal(fit.k, k)
 
 
 class TestFitFailure:
