@@ -77,6 +77,7 @@ from .montecarlo import (
     mcnemar,
     oracle_hyper,
     run_cell,
+    run_row,
 )
 from .regression import (
     RegressionData,

@@ -34,7 +34,7 @@ from .montecarlo import (
     TRUTH_ORDER,
     confusion_table,
     render_confusion_markdown,
-    run_cell,
+    run_row,
 )
 from .precision import FullPrecision
 from .priors import (
@@ -404,7 +404,7 @@ def _cmd_simulate(args) -> dict:
     doc_tables = []
     for config in configs:
         for n in config.n_values:
-            cells = [run_cell(config, truth, n) for truth in TRUTH_ORDER]
+            cells = run_row(config, n)
             table = confusion_table(cells)
             print(render_confusion_markdown(table))
             entry = table.to_jsonable()

@@ -3,19 +3,21 @@
 The protocol per replicate: draw one half-precision from the true
 structure's prior, generate an n-row Gaussian sample from it, score all
 three structures under each criterion, and record which structure each
-criterion selected. A cell draws its replicates in blocks and scores
-each block's stack of scatter matrices as it is drawn. Hyperparameters for
-scoring come from one of three schemes: the generating ones plus their
-matched projections ("oracle"), method-of-moments estimates from the
-replicate's own data ("empirical-bayes"), or the mclust default
-regularization ("mclust-default"). Criterion differences are tested with McNemar's
+criterion selected. A sweep runs a row (the truths' cells at one n) at a
+time, each round of their blocks of scatters scored as one stack as it
+is drawn. Hyperparameters for scoring come from one of three schemes:
+the generating ones plus their matched projections ("oracle"),
+method-of-moments estimates from the replicate's own data
+("empirical-bayes"), or the mclust default regularization
+("mclust-default"). Criterion differences are tested with McNemar's
 procedure on the paired decisions.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
+from itertools import islice, tee
+from operator import methodcaller
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -51,6 +53,7 @@ __all__ = [
     "scatters_from",
     "draw_scatters",
     "run_cell",
+    "run_row",
     "mcnemar",
     "confusion_table",
     "render_confusion_markdown",
@@ -164,23 +167,24 @@ _BLOCK_REPS = 1024
 
 
 def draw_scatters(
-    h: Hyper, n: int, rngs: Iterable
+    h: Hyper, n: int, rngs: Iterable, lockstep: int = 1
 ) -> Iterator[Tuple[np.ndarray, Dict[int, CovselError]]]:
     """`scatters_from` with one stream per replicate, yielded a block of at
-    least _BLOCK_REPS replicates (the last block, what is left) at a time:
-    the block's scatters and the errors of its failed replicates, indexed
-    within it. Each generator in `rngs`, any iterable, draws only its
+    least _BLOCK_REPS / lockstep replicates (the last block, what is left) at
+    a time: the block's scatters and the errors of its failed replicates,
+    indexed within it. Each generator in `rngs`, any iterable, draws only its
     replicate's standard variates of `h` (those of `sample_prior(h, 1, rng)`,
     in its order), then n rows z of standard normals (those of
-    `gaussian_rows`), before the next is asked for, so one generator
-    re-seeded per item serves (`_cell_rngs`). The normals are drawn a chunk
-    of at most _BLOCK_NORMALS at a time, and W = z^T z is one batched
-    product per chunk; per block, `_prior_transform` places the variates."""
+    `gaussian_rows`), before the next is asked for, so one generator re-seeded
+    per item serves (`_row_rngs`). The normals are drawn a chunk of at most
+    _BLOCK_NORMALS / lockstep at a time, and W = z^T z is one batched product
+    per chunk; per block, `_prior_transform` places the variates. `run_row`
+    draws `lockstep` generators side by side, which share the budgets."""
     _check_one_rate(h)
-    rngs, z = iter(rngs), np.empty((max(1, _BLOCK_NORMALS // max(n * h.dim, 1)), n, h.dim))
+    rngs, z = iter(rngs), np.empty((max(1, _BLOCK_NORMALS // lockstep // max(n * h.dim, 1)), n, h.dim))
     while True:
         x, w = [], []
-        while len(x) < _BLOCK_REPS:
+        while len(x) < max(1, _BLOCK_REPS // lockstep):
             drawn = len(x)
             for i, rng in enumerate(islice(rngs, len(z))):
                 x.append(_standard_prior(h, None, rng))
@@ -306,19 +310,18 @@ def _pcg64_seeds(rows: np.ndarray) -> np.ndarray:
     return np.stack([lo | (hi << 32) for lo, hi in zip(out[::2], out[1::2])], axis=1)
 
 
-def _streams(rows: np.ndarray) -> Iterator[np.random.Generator]:
-    """The streams default_rng(SeedSequence(row)) of the rows of a (r, k)
-    uint32 array, in order, through one shared generator: it is set to each
+def _seeded(seeds: Iterable[np.ndarray]) -> Iterator[np.random.Generator]:
+    """The streams default_rng(SeedSequence(row)) of rows whose `_pcg64_seeds`
+    come in chunks, in order, through one shared generator: it is set to each
     row's stream from its start and yielded. Use each before asking for the
     next. PCG64 takes its seed (s, t) as inc = 2 t + 1 and state =
-    (inc + s) M + inc, modulo 2^128. The seeds are computed 4096 rows at a
-    time, so that only one chunk's are held as Python ints."""
+    (inc + s) M + inc, modulo 2^128, one chunk's Python ints at a time."""
     gen = np.random.Generator(np.random.PCG64(0))
     pcg = {"state": 0, "inc": 0}
     # has_uint32 = 0: no half of an earlier replicate's 64-bit draw is left buffered
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for start in range(0, len(rows), 4096):
-        for s_hi, s_lo, t_hi, t_lo in _pcg64_seeds(rows[start : start + 4096]).tolist():
+    for chunk in seeds:
+        for s_hi, s_lo, t_hi, t_lo in chunk.tolist():
             inc = ((t_hi << 64 | t_lo) << 1 | 1) & _MASK128
             pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
             pcg["inc"] = inc
@@ -326,61 +329,87 @@ def _streams(rows: np.ndarray) -> Iterator[np.random.Generator]:
             yield gen
 
 
+def _row_rngs(config: SimConfig, n: int, truths: Sequence[str]) -> List[Iterator[np.random.Generator]]:
+    """The replicates' streams of each (truth, n) cell of a row, each that of
+    SeedSequence((seed, truth index, n, stream_key, rep)). A cell's four ints
+    are coded once, as SeedSequence codes an int: 32-bit words, low word first,
+    0 as one zero word; each row adds its rep. The rows are built and hashed
+    4096 at a time, in one `_pcg64_seeds` pass for all truths' replicates, and
+    each truth pops its part, so no chunk's seeds outlive their last taker."""
+    keys = [map(int, (config.seed, TRUTH_ORDER.index(t), n, config.stream_key)) for t in truths]
+    words = [[(v >> s) & _MASK32 for v in k for s in range(0, v.bit_length() or 1, 32)] for k in keys]
+
+    def seeds():
+        for start in range(0, config.reps, step := 4096 // len(words)):
+            reps = np.arange(start, min(start + step, config.reps))
+            rows = np.empty((len(words), len(reps), len(words[0]) + 1), dtype=np.uint32)
+            rows[..., :-1], rows[..., -1] = np.expand_dims(words, 1), reps
+            yield _pcg64_seeds(rows.reshape(-1, rows.shape[-1])).reshape(len(words), len(reps), 4)
+
+    parts = tee((dict(enumerate(chunk)) for chunk in seeds()), len(words))
+    return [_seeded(map(methodcaller("pop", j), part)) for j, part in enumerate(parts)]
+
+
 def _cell_rngs(config: SimConfig, truth: str, n: int) -> Iterator[np.random.Generator]:
-    """The replicates' streams of a (truth, n) cell, each that of
-    SeedSequence((seed, truth index, n, stream_key, rep)).
-    The cell's four ints are coded once, as SeedSequence codes an int:
-    32-bit words, low word first, 0 as one zero word; each row adds its rep.
-    One generator serves every replicate in turn (see `_streams`)."""
-    key = map(int, (config.seed, TRUTH_ORDER.index(truth), n, config.stream_key))
-    words = [(v >> s) & _MASK32 for v in key for s in range(0, v.bit_length() or 1, 32)]
-    rows = np.empty((config.reps, len(words) + 1), dtype=np.uint32)
-    rows[:, :-1], rows[:, -1] = words, np.arange(config.reps)
-    return _streams(rows)
+    """The replicates' streams of one (truth, n) cell: a row of one truth."""
+    return _row_rngs(config, n, (truth,))[0]
 
 
 def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
-    """Run all replicates of one (truth, n) cell. Deterministic given the
-    seed; generation consumes the same RNG draws in every scheme, so cells
-    run under different schemes with equal seeds are paired.
+    """Run all replicates of one (truth, n) cell: a row of one truth."""
+    return run_row(config, n, (truth,))[0]
 
-    Each block of `draw_scatters` is scored as it is drawn: each
-    hyperparameter scheme builds its hyperparameters for the block's stack
-    of scatters at once and fits the stack once, and every criterion label
-    picks by `simplest_best` on the `criterion_matrix` of those shared fits.
-    A replicate that cannot be drawn, whose hyperparameters cannot be
-    built, or for which some label has no structure left, counts as a
-    failure; only CovselError counts, anything else propagates.
-    """
-    gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
+
+def run_row(config: SimConfig, n: int, truths: Sequence[str] = TRUTH_ORDER) -> List[CellDecisions]:
+    """Run all replicates of the (truth, n) cells of a row, one CellDecisions
+    per truth. Deterministic given the seed; generation consumes the same RNG
+    draws in every scheme, so cells run under different schemes with equal
+    seeds are paired.
+
+    Each round of the truths' `draw_scatters` blocks is joined into one stack
+    and scored as it is drawn: each hyperparameter scheme builds its
+    hyperparameters for it at once and fits it once (the oracle, once per
+    matched family, compared bit for bit; a fit does not depend on its
+    stack-mates), and every criterion label picks by `simplest_best` on the
+    `criterion_matrix` of those fits. A replicate that cannot be drawn, whose
+    hyperparameters cannot be built, or for which some label has no structure
+    left, fails; only CovselError counts, anything else propagates."""
     plan = config.plan
     schemes = {scheme for scheme, _ in plan.values()}
-    hypers = {"oracle": matched_family(gen)} if "oracle" in schemes else {}
+    gens = [oracle_hyper(t, config.d, config.beta_inverse, config.prior_sample_size) for t in truths]
+    families = {}  # the oracle's matched families by their bits, and which truths have each
+    for j, family in enumerate(map(matched_family, gens) if "oracle" in schemes else ()):
+        key = tuple((h.alpha, np.asarray(h.rate).tobytes()) for h in family)
+        families.setdefault(key, (family, np.zeros(len(truths), dtype=bool)))[1][j] = True
     to_truth = np.array([*map(TRUTH_ORDER.index, SIMPLEST_FIRST), -1], dtype=np.int8)  # -1 stays -1
+    draws = [draw_scatters(g, n, r, len(truths)) for g, r in zip(gens, _row_rngs(config, n, truths))]
     blocks = []
-    for s, failed in draw_scatters(gen, n, _cell_rngs(config, truth, n)):
+    for drawn in zip(*draws, strict=True):
+        s = np.concatenate([s for s, _ in drawn])
+        b = len(s) // len(truths)  # each truth's block, of one size (see `draw_scatters`)
+        failed = {j * b + i: exc for j, (_, errors) in enumerate(drawn) for i, exc in errors.items()}
         s[list(failed)] = np.eye(config.d)  # finite stand-ins, which the final mask drops
-        for scheme in schemes - {"oracle"}:
-            hypers[scheme], errors = moment_hypers(scheme, s, n, config.prior_sample_size)
-            failed.update(errors)
-        fits = {scheme: fit_stack(s, n, hypers[scheme]) for scheme in schemes}
-        best = [simplest_best(criterion_matrix(fits[sch], c, len(s))) for sch, c in plan.values()]
-        picks = to_truth[np.stack(best)]  # small integers as each block's picks are made
+        picks = np.empty((len(plan), len(s)), dtype=np.int8)
+        for scheme in schemes:
+            if scheme == "oracle":  # a stack of each family's truths' rows
+                stacks = [(slice(None) if m.all() else np.repeat(m, b), h) for h, m in families.values()]
+            else:
+                hypers, errors = moment_hypers(scheme, s, n, config.prior_sample_size)
+                failed.update(errors)
+                stacks = [(slice(None), hypers)]
+            for rows, hypers in stacks:
+                fits = fit_stack(stack := s[rows], n, hypers)
+                for row, (sch, c) in zip(picks, plan.values()):
+                    if sch == scheme:
+                        row[rows] = to_truth[simplest_best(criterion_matrix(fits, c, len(stack)))]
         picks[:, list(failed)] = -1
-        blocks.append(picks)
-    picks = np.concatenate(blocks, axis=1)
+        blocks.append(picks.reshape(len(plan), len(truths), b))
+    picks = np.concatenate(blocks, axis=2)
     excluded = (picks < 0).any(axis=0)
     picks[:, excluded] = -1
-    return CellDecisions(
-        truth=truth,
-        n=n,
-        beta_inverse=config.beta_inverse,
-        scheme=config.scheme,
-        reps=config.reps,
-        labels=tuple(plan),
-        picks=picks,
-        failures=int(excluded.sum()),
-    )
+    shared = dict(n=n, beta_inverse=config.beta_inverse, scheme=config.scheme, reps=config.reps)
+    cells = zip(truths, picks.swapaxes(0, 1), excluded.sum(axis=1).tolist())
+    return [CellDecisions(truth=t, labels=tuple(plan), picks=p, failures=f, **shared) for t, p, f in cells]
 
 
 @dataclass(frozen=True)
@@ -494,7 +523,7 @@ class ConfusionTable:
                     "second": c.second,
                     "scope": c.scope,
                     "better": c.better,
-                    **asdict(c.test),
+                    **vars(c.test),
                     "significant": c.significant,
                 }
                 for c in self.comparisons

@@ -362,7 +362,7 @@ def fit_regression(data: RegressionData, hypers: Dict[str, RegressionHyper]) -> 
 
 
 def _fit_subsets(
-    data: RegressionData, hypers: Dict[str, RegressionHyper], blocks, labels: List[Tuple]
+    data: RegressionData, hypers: Dict[str, RegressionHyper], blocks, labels: List[Tuple], lean=False
 ) -> _Stack:
     """Fit every provided structure's regression model to a stack of covariate
     subsets named `labels`: `blocks` has one (r_k, k) array of their columns per size.
@@ -388,7 +388,8 @@ def _fit_subsets(
         if key not in shared:
             effs = [effective_stats(data, rh, block) for block in blocks]
             gammas, *rest = zip(*effs)  # each field's parts, one per size
-            shared[key] = EffectiveStats([g for gs in gammas for g in gs], *map(np.concatenate, rest))
+            joined = None if lean else [g for gs in gammas for g in gs]
+            shared[key] = EffectiveStats(joined, *map(np.concatenate, rest))
         eff = shared[key]
         gamma_hats[structure] = eff.gamma_hat
         fits[structure] = fit_structure(rh.cov, eff.scatter, data.n, coef=eff)
@@ -396,7 +397,7 @@ def _fit_subsets(
     if failed:
         i, _, fit = min(failed)
         raise fit.errors[i]
-    return _Stack(labels, fits, gamma_hats)
+    return _Stack(labels, fits, {} if lean else gamma_hats)
 
 
 def standard_hypers(
@@ -475,10 +476,9 @@ def _rank_subsets(
     while chunk := list(islice(combos, _MAX_STACK)):
         blocks = [np.array(list(block), dtype=int) for _, block in groupby(chunk, len)]
         subsets = [tuple(s) for b in blocks for s in by_rank[np.sort(rank[b], axis=1)].tolist()]
-        stack = _fit_subsets(data, hypers, blocks, subsets)
+        stack = _fit_subsets(data, hypers, blocks, subsets, lean)
         values.append(criterion_matrix(stack.fits, criterion, len(chunk)))
         if lean:  # every subset is valid, or _fit_subsets has raised
-            stack.gamma_hats = {}
             stack.fits = {s: replace(f, log_prior=None, valid=None) for s, f in stack.fits.items()}
         stacks.append(stack)
     values = np.concatenate([np.zeros((0, 3)), *values])  # no rows where there are no subsets

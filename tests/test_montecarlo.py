@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import covsel.montecarlo as montecarlo
 import covsel.priors as priors
+import covsel.structures as structures
 from covsel.asymptotics import second_moment_matrix
+from covsel.cli import main
 from covsel.data import SuffStats
 from covsel.errors import ConfigError, SupportError
 from covsel.montecarlo import (
@@ -23,6 +27,7 @@ from covsel.montecarlo import (
     oracle_hyper,
     render_confusion_markdown,
     run_cell,
+    run_row,
     scatters_from,
 )
 from covsel.precision import from_array
@@ -379,17 +384,21 @@ class TestCellStreams:
 
 
 class TestSeeding:
-    """`_cell_rngs` computes numpy's SeedSequence -> PCG64 seeding itself, for a
-    whole cell at once. Every stream must start where numpy's own does; this
-    fails if a numpy release changes either algorithm."""
+    """`_row_rngs` computes numpy's SeedSequence -> PCG64 seeding itself, for
+    4 096 seed rows of a row's truths at once. Every stream must start where
+    numpy's own does; this fails if a numpy release changes either algorithm."""
 
     @pytest.mark.parametrize("k", range(1, 10))  # short of, at and past the pool of 4 words
     def test_rows_of_any_length(self, k):
         rng = np.random.default_rng(k)
         rows = rng.integers(0, 2**32, size=(200, k), dtype=np.uint32)
         rows[0], rows[1], rows[2] = 0, 2**32 - 1, np.arange(k)
-        assert sum(1 for _ in montecarlo._streams(rows)) == len(rows)
-        for row, g in zip(rows, montecarlo._streams(rows)):
+
+        def streams():  # two chunks of seeds, as `_row_rngs` hands them on
+            return montecarlo._seeded(map(montecarlo._pcg64_seeds, (rows[:150], rows[150:])))
+
+        assert sum(1 for _ in streams()) == len(rows)
+        for row, g in zip(rows, streams()):
             assert g.bit_generator.state == np.random.PCG64(np.random.SeedSequence(row)).state
 
     @pytest.mark.parametrize(
@@ -804,6 +813,158 @@ class TestBlockScoring:
             assert_same_cell(cell, run_cell_substack(config, truth, 6))
 
 
+class TestRunRow:
+    """`run_row` joins the truths' blocks of one n into one stack per scheme
+    (and per oracle family). Each truth's cell must be its sub-stack oracle's
+    and its own `run_cell`'s, byte for byte."""
+
+    @staticmethod
+    def check_row(config, n, truths=TRUTH_ORDER):
+        cells = run_row(config, n, truths)
+        assert [cell.truth for cell in cells] == list(truths)
+        for cell in cells:
+            assert_same_cell(cell, run_cell_substack(config, cell.truth, n))
+            assert_same_cell(cell, run_cell(config, cell.truth, n))
+        return cells
+
+    @staticmethod
+    def fitted(monkeypatch):
+        sizes = []
+
+        def recorded(s, n, hypers):
+            sizes.append(len(s))
+            return fit_stack(s, n, hypers)
+
+        monkeypatch.setattr(montecarlo, "fit_stack", recorded)
+        return sizes
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_cells_of_a_row(self, monkeypatch, scheme):
+        sizes = self.fitted(monkeypatch)
+        config = SimConfig(d=3, n_values=(5,), reps=40, seed=21, scheme=scheme)
+        run_row(config, 5)
+        schemes = len({hyper_scheme for hyper_scheme, _ in config.plan.values()})
+        assert sizes == [3 * 40] * schemes  # one stack per scheme: the oracle's family is shared
+        cells = self.check_row(config, 5)
+        assert sum(cell.failures for cell in cells) == 0
+
+    @pytest.mark.parametrize(
+        "scheme, kwargs, n, failing",
+        [(scheme, dict(d=3, beta_inverse=BETA_INV_FAILING, reps=12, seed=10), 3, "A") for scheme in SCHEMES]
+        # gamma shapes 1 + m / 2 = 0.005, which the moment schemes but mclust's refuse
+        + [
+            (scheme, dict(d=1, prior_sample_size=-1.99, reps=40, seed=4), 5, "C")
+            for scheme in ("oracle", "mclust-default")
+        ],
+    )
+    def test_failed_draws_in_one_truth(self, scheme, kwargs, n, failing):
+        config = SimConfig(n_values=(n,), scheme=scheme, **kwargs)
+        drawn = {}
+        for truth in TRUTH_ORDER:
+            h = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
+            drawn[truth] = draw_whole(h, n, montecarlo._cell_rngs(config, truth, n))[1]
+        assert [truth for truth, errors in drawn.items() if errors] == [failing]
+        for cell in self.check_row(config, n):
+            assert cell.failures >= len(drawn[cell.truth])
+
+    @pytest.mark.parametrize(
+        "kwargs, n",
+        [
+            (dict(d=3, prior_sample_size=0.7), 4),
+            (dict(d=20, beta_inverse=7.3), 25),
+        ],
+    )
+    def test_split_oracle_families(self, monkeypatch, kwargs, n):
+        # A's and D's matched families are equal bit for bit and C's differs
+        # in a last bit: A and D share a stack and C gets its own
+        config = SimConfig(n_values=(n,), reps=30, seed=8, **kwargs)
+        families = [
+            matched_family(oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size))
+            for truth in TRUTH_ORDER
+        ]
+        bits = [[(h.alpha, np.asarray(h.rate).tobytes()) for h in family] for family in families]
+        assert bits[0] == bits[1] != bits[2]
+        sizes = self.fitted(monkeypatch)
+        run_row(config, n)
+        assert sizes == [2 * 30, 30]
+        self.check_row(config, n)
+        # apart, as A and C are in this order: A's stack is not one slice of the row
+        sizes.clear()
+        self.check_row(config, n, ("A", "C", "D"))
+        assert sizes[:2] == [2 * 30, 30]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_rows_across_blocks(self, monkeypatch, scheme):
+        # the truths share the budgets: blocks of 7 replicates per truth, and
+        # each round of blocks is one stack of as many as one cell's block
+        sizes = self.fitted(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 3 * 7 * 3 * 3)
+        monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 3 * 7)
+        config = SimConfig(
+            d=3, beta_inverse=BETA_INV_FAILING, n_values=(3,), reps=20, seed=3, scheme=scheme
+        )
+        run_row(config, 3)
+        schemes = len({hyper_scheme for hyper_scheme, _ in config.plan.values()})
+        assert sorted(sizes) == sorted([21, 21, 18] * schemes)
+        self.check_row(config, 3)
+
+    def test_a_row_takes_its_seeds_in_chunks(self, monkeypatch):
+        # 5 000 replicates of three truths are four passes of at most 4 096
+        # rows, 1 365 replicates of each truth; every stream is still its own
+        passes = []
+        seeds = montecarlo._pcg64_seeds
+
+        def counted(rows):
+            passes.append(len(rows))
+            return seeds(rows)
+
+        monkeypatch.setattr(montecarlo, "_pcg64_seeds", counted)
+        config = SimConfig(d=2, beta_inverse=3.0, n_values=(6,), reps=5000, seed=12)
+        streams = montecarlo._row_rngs(config, 6, TRUTH_ORDER)
+        states = [[] for _ in TRUTH_ORDER]
+        for _ in range(5):  # the truths take turns, 1 000 streams at a time
+            for got, rngs in zip(states, streams):
+                got.extend(g.bit_generator.state for g in islice(rngs, 1000))
+        assert all(next(rngs, None) is None for rngs in streams)
+        for truth, got in zip(TRUTH_ORDER, states):
+            assert len(got) == config.reps
+            for rep in (0, 1364, 1365, 4999):
+                assert got[rep] == rep_rng(config, truth, 6, rep).bit_generator.state, (truth, rep)
+        assert passes == [3 * 1365] * 3 + [3 * 905]
+
+    def test_records(self, tmp_path):
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--table", "vs-mclust", "--d", "3", "--n", "3", "6", "--reps", "20"]
+        argv += ["--beta-inv", str(BETA_INV_FAILING), "--seed", "3", "--records", "--json", str(out)]
+        assert main(argv) == 0
+        tables = json.loads(out.read_text())["tables"]
+        config = SimConfig(
+            d=3, beta_inverse=BETA_INV_FAILING, n_values=(3, 6), reps=20, seed=3, scheme="vs-mclust"
+        )
+        for table, n in zip(tables, config.n_values):
+            want = {truth: selections(run_cell_substack(config, truth, n)) for truth in TRUTH_ORDER}
+            assert table["records"] == want
+            assert table["exclusions"] > 0
+
+    def test_sim_oracle_counts(self, tmp_path, monkeypatch):
+        # the benchmark's sim-oracle command: one kernel call per structure per
+        # n, and one seed pass per n
+        calls = []
+        for module, name in ((structures, "fit_structure"), (montecarlo, "_pcg64_seeds")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        argv = ["simulate", "--table", "oracle", "--d", "5", "--beta-inv", "2", "--n", "5", "10"]
+        argv += ["--reps", "100", "--seed", "1", "--json", str(tmp_path / "sim.json")]
+        assert main(argv) == 0
+        assert calls.count("fit_structure") == 6
+        assert calls.count("_pcg64_seeds") == 2
+
+
 class TestUnbuildableHypers:
     """Replicates whose empirical-Bayes or mclust hyperparameters cannot be
     built fail alone; every other replicate is ranked as a batch of one."""
@@ -826,8 +987,8 @@ class TestUnbuildableHypers:
         draw = montecarlo.draw_scatters
         drawn = []
 
-        def patched(h, n, rngs):
-            for s, errors in draw(h, n, rngs):
+        def patched(h, n, rngs, lockstep=1):
+            for s, errors in draw(h, n, rngs, lockstep):
                 assert errors == {}
                 drawn.append(self.spoiled(s))
                 yield drawn[-1], errors
@@ -852,8 +1013,8 @@ class TestUnbuildableHypers:
     def test_no_replicate_drawn(self, monkeypatch, scheme):
         draw = montecarlo.draw_scatters
 
-        def undrawn(h, n, rngs):
-            for s, _ in draw(h, n, rngs):
+        def undrawn(h, n, rngs, lockstep=1):
+            for s, _ in draw(h, n, rngs, lockstep):
                 yield np.full_like(s, np.nan), {i: SupportError("undrawable") for i in range(len(s))}
 
         monkeypatch.setattr(montecarlo, "draw_scatters", undrawn)
