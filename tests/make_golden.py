@@ -53,6 +53,20 @@ COMMANDS = {
     ],
     "simulate-eb": _SIM + ["--table", "eb"],
     "simulate-vs-mclust": _SIM + ["--table", "vs-mclust"],
+    # rows that span several blocks of scatters
+    "simulate-vs-mclust-several-blocks": [
+        "simulate", "--table", "vs-mclust", "--d", "3", "--n", "4", "--reps", "1500", "--seed", "11",
+    ],
+    # C's matched family differs from A's and D's in a last bit, so it is scored apart
+    "simulate-oracle-split-family": [
+        "simulate", "--table", "oracle", "--d", "20", "--beta-inv", "7.3", "--n", "25",
+        "--reps", "400", "--seed", "1",
+    ],
+    # hundreds of failed replicates, spread over several blocks
+    "simulate-oracle-failing-draws-several-blocks": [
+        "simulate", "--table", "oracle", "--d", "3", "--n", "2", "5", "--reps", "1200",
+        "--beta-inv", "2.5e-308", "--seed", "3",
+    ],
     "rates-nested-A-vs-C": _RATES + ["--pair", "A-vs-C", "--truth", "C"],
     "rates-nested-D-vs-C": _RATES + ["--pair", "D-vs-C", "--truth", "C"],
     "rates-full-A-vs-C": _RATES + ["--pair", "A-vs-C", "--truth", "A"],
