@@ -4,8 +4,8 @@ The protocol per replicate: draw one half-precision from the true
 structure's prior, generate an n-row Gaussian sample from it, score all
 three structures under each criterion, and record which structure each
 criterion selected. A sweep runs a row (the truths' cells at one n) at a
-time, each round of their blocks of scatters scored as one stack as it
-is drawn. Hyperparameters for scoring come from one of three schemes:
+time, each block of their scatters scored as one stack as it is
+drawn. Hyperparameters for scoring come from one of three schemes:
 the generating ones plus their matched projections ("oracle"),
 method-of-moments estimates from the replicate's own data
 ("empirical-bayes"), or the mclust default regularization
@@ -16,8 +16,7 @@ procedure on the paired decisions.
 import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice, tee
-from operator import methodcaller
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -159,42 +158,35 @@ def _scatter_factor(structure: str, draws: np.ndarray) -> Tuple[np.ndarray, Dict
         return np.linalg.inv(chol), {**errors, **chol_errors}
 
 
-# the standard normals a chunk of a cell's replicates holds at most (1 MB),
-# so that its memory is bounded whatever n is, and the replicates a block
-# of scatters holds at least, so that a large n still scores in batches
+# the standard normals a draw holds at most (1 MB), so that its memory is
+# bounded whatever n is, and the replicates of a row's block, scored as one
+# stack as it is drawn, so that a large n still scores in batches
 _BLOCK_NORMALS = 2**17
 _BLOCK_REPS = 1024
 
 
-def draw_scatters(
-    h: Hyper, n: int, rngs: Iterable, lockstep: int = 1
-) -> Iterator[Tuple[np.ndarray, Dict[int, CovselError]]]:
-    """`scatters_from` with one stream per replicate, yielded a block of at
-    least _BLOCK_REPS / lockstep replicates (the last block, what is left) at
-    a time: the block's scatters and the errors of its failed replicates,
-    indexed within it. Each generator in `rngs`, any iterable, draws only its
+def draw_scatters(h: Hyper, n: int, rngs: Iterable) -> Tuple[np.ndarray, Dict[int, CovselError]]:
+    """`scatters_from` with one stream per replicate: the scatters of every
+    generator in `rngs`, any iterable, as one stack, and the errors of its
+    failed replicates, indexed in it. Each generator draws only its
     replicate's standard variates of `h` (those of `sample_prior(h, 1, rng)`,
     in its order), then n rows z of standard normals (those of
-    `gaussian_rows`), before the next is asked for, so one generator re-seeded
-    per item serves (`_row_rngs`). The normals are drawn a chunk of at most
-    _BLOCK_NORMALS / lockstep at a time, and W = z^T z is one batched product
-    per chunk; per block, `_prior_transform` places the variates. `run_row`
-    draws `lockstep` generators side by side, which share the budgets."""
+    `gaussian_rows`), before the next is asked for, so one generator
+    re-seeded per item serves (`_seeded`). The normals are drawn a chunk of
+    at most _BLOCK_NORMALS at a time, and W = z^T z is one batched product
+    per chunk; `_prior_transform` places the variates of the whole stack."""
     _check_one_rate(h)
-    rngs, z = iter(rngs), np.empty((max(1, _BLOCK_NORMALS // lockstep // max(n * h.dim, 1)), n, h.dim))
-    while True:
-        x, w = [], []
-        while len(x) < max(1, _BLOCK_REPS // lockstep):
-            drawn = len(x)
-            for i, rng in enumerate(islice(rngs, len(z))):
-                x.append(_standard_prior(h, None, rng))
-                rng.standard_normal(out=z[i])
-            if len(x) == drawn:  # the streams have ended
-                break
-            w.append(z[: len(x) - drawn].swapaxes(-1, -2) @ z[: len(x) - drawn])
-        if not x:
-            return
-        yield scatters_from(h.structure, _prior_transform(h, np.array(x)), np.concatenate(w))
+    rngs, z = iter(rngs), np.empty((max(1, _BLOCK_NORMALS // max(n * h.dim, 1)), n, h.dim))
+    x, w, drawn = [], [], -1
+    while len(x) > drawn:  # until the streams have ended
+        drawn = len(x)
+        for i, rng in enumerate(islice(rngs, len(z))):
+            x.append(_standard_prior(h, None, rng))
+            rng.standard_normal(out=z[i])
+        w.append(z[: len(x) - drawn].swapaxes(-1, -2) @ z[: len(x) - drawn])
+    if not x:
+        return np.empty((0, h.dim, h.dim)), {}
+    return scatters_from(h.structure, _prior_transform(h, np.array(x)), np.concatenate(w))
 
 
 @dataclass(frozen=True)
@@ -310,49 +302,39 @@ def _pcg64_seeds(rows: np.ndarray) -> np.ndarray:
     return np.stack([lo | (hi << 32) for lo, hi in zip(out[::2], out[1::2])], axis=1)
 
 
-def _seeded(seeds: Iterable[np.ndarray]) -> Iterator[np.random.Generator]:
+def _seeded(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     """The streams default_rng(SeedSequence(row)) of rows whose `_pcg64_seeds`
-    come in chunks, in order, through one shared generator: it is set to each
+    are `seeds`, in order, through one shared generator: it is set to each
     row's stream from its start and yielded. Use each before asking for the
     next. PCG64 takes its seed (s, t) as inc = 2 t + 1 and state =
-    (inc + s) M + inc, modulo 2^128, one chunk's Python ints at a time."""
+    (inc + s) M + inc, modulo 2^128, in Python ints."""
     gen = np.random.Generator(np.random.PCG64(0))
     pcg = {"state": 0, "inc": 0}
     # has_uint32 = 0: no half of an earlier replicate's 64-bit draw is left buffered
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for chunk in seeds:
-        for s_hi, s_lo, t_hi, t_lo in chunk.tolist():
-            inc = ((t_hi << 64 | t_lo) << 1 | 1) & _MASK128
-            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            pcg["inc"] = inc
-            gen.bit_generator.state = state
-            yield gen
+    for s_hi, s_lo, t_hi, t_lo in seeds.tolist():
+        inc = ((t_hi << 64 | t_lo) << 1 | 1) & _MASK128
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        gen.bit_generator.state = state
+        yield gen
 
 
-def _row_rngs(config: SimConfig, n: int, truths: Sequence[str]) -> List[Iterator[np.random.Generator]]:
-    """The replicates' streams of each (truth, n) cell of a row, each that of
-    SeedSequence((seed, truth index, n, stream_key, rep)). A cell's four ints
-    are coded once, as SeedSequence codes an int: 32-bit words, low word first,
-    0 as one zero word; each row adds its rep. The rows are built and hashed
-    4096 at a time, in one `_pcg64_seeds` pass for all truths' replicates, and
-    each truth pops its part, so no chunk's seeds outlive their last taker."""
+def _row_seeds(config: SimConfig, n: int, truths: Sequence[str]) -> Iterator[np.ndarray]:
+    """The `_pcg64_seeds` of the replicates' streams of each (truth, n) cell
+    of a row, each stream that of SeedSequence((seed, truth index, n,
+    stream_key, rep)), a block at a time: a (t, b, 4) array of the next
+    b = _BLOCK_REPS // t replicates of each of the t truths (the last block,
+    what is left), from one `_pcg64_seeds` pass. A cell's four ints are
+    coded once, as SeedSequence codes an int: 32-bit words, low word first,
+    0 as one zero word; each row adds its rep."""
     keys = [map(int, (config.seed, TRUTH_ORDER.index(t), n, config.stream_key)) for t in truths]
     words = [[(v >> s) & _MASK32 for v in k for s in range(0, v.bit_length() or 1, 32)] for k in keys]
-
-    def seeds():
-        for start in range(0, config.reps, step := 4096 // len(words)):
-            reps = np.arange(start, min(start + step, config.reps))
-            rows = np.empty((len(words), len(reps), len(words[0]) + 1), dtype=np.uint32)
-            rows[..., :-1], rows[..., -1] = np.expand_dims(words, 1), reps
-            yield _pcg64_seeds(rows.reshape(-1, rows.shape[-1])).reshape(len(words), len(reps), 4)
-
-    parts = tee((dict(enumerate(chunk)) for chunk in seeds()), len(words))
-    return [_seeded(map(methodcaller("pop", j), part)) for j, part in enumerate(parts)]
-
-
-def _cell_rngs(config: SimConfig, truth: str, n: int) -> Iterator[np.random.Generator]:
-    """The replicates' streams of one (truth, n) cell: a row of one truth."""
-    return _row_rngs(config, n, (truth,))[0]
+    for start in range(0, config.reps, step := _BLOCK_REPS // len(words)):
+        reps = np.arange(start, min(start + step, config.reps))
+        rows = np.empty((len(words), len(reps), len(words[0]) + 1), dtype=np.uint32)
+        rows[..., :-1], rows[..., -1] = np.expand_dims(words, 1), reps
+        yield _pcg64_seeds(rows.reshape(-1, rows.shape[-1])).reshape(len(words), len(reps), 4)
 
 
 def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
@@ -366,8 +348,9 @@ def run_row(config: SimConfig, n: int, truths: Sequence[str] = TRUTH_ORDER) -> L
     draws in every scheme, so cells run under different schemes with equal
     seeds are paired.
 
-    Each round of the truths' `draw_scatters` blocks is joined into one stack
-    and scored as it is drawn: each hyperparameter scheme builds its
+    The row is drawn and scored a block at a time (`_row_seeds`): each
+    truth's part of a block is one `draw_scatters` stack, and the parts are
+    joined into one stack. Each hyperparameter scheme builds its
     hyperparameters for it at once and fits it once (the oracle, once per
     matched family, compared bit for bit; a fit does not depend on its
     stack-mates), and every criterion label picks by `simplest_best` on the
@@ -382,11 +365,10 @@ def run_row(config: SimConfig, n: int, truths: Sequence[str] = TRUTH_ORDER) -> L
         key = tuple((h.alpha, np.asarray(h.rate).tobytes()) for h in family)
         families.setdefault(key, (family, np.zeros(len(truths), dtype=bool)))[1][j] = True
     to_truth = np.array([*map(TRUTH_ORDER.index, SIMPLEST_FIRST), -1], dtype=np.int8)  # -1 stays -1
-    draws = [draw_scatters(g, n, r, len(truths)) for g, r in zip(gens, _row_rngs(config, n, truths))]
     blocks = []
-    for drawn in zip(*draws, strict=True):
-        s = np.concatenate([s for s, _ in drawn])
-        b = len(s) // len(truths)  # each truth's block, of one size (see `draw_scatters`)
+    for seeds in _row_seeds(config, n, truths):
+        drawn = [draw_scatters(g, n, _seeded(part)) for g, part in zip(gens, seeds)]
+        s, b = np.concatenate([s for s, _ in drawn]), seeds.shape[1]
         failed = {j * b + i: exc for j, (_, errors) in enumerate(drawn) for i, exc in errors.items()}
         s[list(failed)] = np.eye(config.d)  # finite stand-ins, which the final mask drops
         picks = np.empty((len(plan), len(s)), dtype=np.int8)

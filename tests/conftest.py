@@ -79,28 +79,24 @@ def best_structures(fits: Dict[str, StackFit], criterion: str) -> List[Optional[
     return [SIMPLEST_FIRST[j] if j >= 0 else None for j in picks]
 
 
-def draw_whole(h: Hyper, n: int, rngs):
-    """The blocks of `montecarlo.draw_scatters` joined into one stack, each
-    error at its replicate's index in it: the whole-cell draw that
-    `run_cell` scored before it scored each block as it was drawn."""
-    s, errors = [np.empty((0, h.dim, h.dim))], {}
-    for block, block_errors in montecarlo.draw_scatters(h, n, rngs):
-        start = sum(map(len, s))
-        errors.update((start + i, exc) for i, exc in block_errors.items())
-        s.append(block)
-    return np.concatenate(s), errors
+def cell_rngs(config, truth: str, n: int):
+    """The streams of one (truth, n) cell's replicates, in order, as `run_cell`
+    draws them: each block of `montecarlo._row_seeds` turned into its streams
+    by `montecarlo._seeded`."""
+    for seeds in montecarlo._row_seeds(config, n, (truth,)):
+        yield from montecarlo._seeded(seeds[0])
 
 
 def run_cell_substack(config, truth: str, n: int) -> CellDecisions:
     """`montecarlo.run_cell` as it was before a failed draw was scored at a
     stand-in scatter and before each block was scored as it was drawn, kept
-    as its oracle: the whole cell is drawn (`draw_whole`), the drawn
+    as its oracle: the whole cell is drawn as one stack, the drawn
     replicates are copied into a sub-stack, scored, and their picks and
     hyperparameter failures mapped back by index; a cell with no drawn
     replicate scores nothing. It draws through `montecarlo.draw_scatters`,
     so a test's patch of it applies."""
     gen = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
-    scatters, failed = draw_whole(gen, n, montecarlo._cell_rngs(config, truth, n))
+    scatters, failed = montecarlo.draw_scatters(gen, n, cell_rngs(config, truth, n))
     drawn = np.flatnonzero([rep not in failed for rep in range(config.reps)])
     plan = config.plan
     schemes = {scheme for scheme, _ in plan.values()}
@@ -145,7 +141,7 @@ def selections(cell: CellDecisions) -> Dict[str, List[Optional[str]]]:
 
 def rep_rng(config, truth: str, n: int, rep: int) -> np.random.Generator:
     """The stream of one `simulate` replicate, seeded from its whole key tuple:
-    the oracle of `montecarlo._cell_rngs`, which codes a cell's words once."""
+    the oracle of `montecarlo._row_seeds`, which codes a cell's words once."""
     key = (config.seed, TRUTH_ORDER.index(truth), int(n), int(round(config.beta_inverse * 1e6)))
     return np.random.default_rng(np.random.SeedSequence((*key, rep)))
 

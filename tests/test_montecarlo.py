@@ -1,7 +1,6 @@
 import json
 import math
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -44,8 +43,8 @@ from covsel.structures import CRITERIA, fit_stack
 from conftest import (
     assert_same_cell,
     best_structures,
+    cell_rngs,
     draw_scatters_loop,
-    draw_whole,
     rep_rng,
     run_cell_substack,
     sample_prior_loop,
@@ -249,7 +248,7 @@ class TestDrawScatters:
             s = rows.T @ rows
             expected[rep] = (s + s.T) / 2
         rngs = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
-        scatters, errors = draw_whole(h, n, rngs)
+        scatters, errors = draw_scatters(h, n, rngs)
         assert errors == {}
         largest = np.abs(expected).max(axis=(-2, -1))
         assert np.all(np.abs(scatters - expected).max(axis=(-2, -1)) <= 1e-14 * largest)
@@ -264,13 +263,13 @@ class TestDrawScatters:
         # and one is so small that the scatter of its rows overflows
         config = SimConfig(d=1, prior_sample_size=-1.99, n_values=(5,), reps=300, seed=0)
         h = oracle_hyper("D", 1, config.beta_inverse, config.prior_sample_size)
-        scatters, errors = draw_whole(h, 5, [rep_rng(config, "D", 5, r) for r in range(300)])
+        scatters, errors = draw_scatters(h, 5, [rep_rng(config, "D", 5, r) for r in range(300)])
         messages = {str(exc) for exc in errors.values()}
         assert all(isinstance(exc, SupportError) for exc in errors.values())
         assert any("overflows" in m for m in messages) and any("positive" in m for m in messages)
         assert np.isnan(scatters[list(errors)]).all()
         ok = [r for r in range(300) if r not in errors]
-        alone, none = draw_whole(h, 5, [rep_rng(config, "D", 5, r) for r in ok])
+        alone, none = draw_scatters(h, 5, [rep_rng(config, "D", 5, r) for r in ok])
         assert none == {}
         np.testing.assert_array_equal(alone, scatters[ok])
 
@@ -295,7 +294,8 @@ class TestDrawScatters:
     def test_no_generator_gives_an_empty_stack(self, truth):
         h = oracle_hyper(truth, 3, 2.0)
         for rngs in ([], iter(())):
-            assert list(draw_scatters(h, 4, rngs)) == []
+            s, errors = draw_scatters(h, 4, rngs)
+            assert s.shape == (0, 3, 3) and errors == {}
 
     @pytest.mark.parametrize("truth", TRUTH_ORDER)
     @pytest.mark.parametrize("beta_inverse", [2.0, BETA_INV_FAILING])
@@ -306,26 +306,27 @@ class TestDrawScatters:
         monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 7)
         config = SimConfig(d=d, beta_inverse=beta_inverse, n_values=(n,), reps=20, seed=5)
         h = oracle_hyper(truth, d, beta_inverse)
-        scatters, errors = draw_whole(h, n, montecarlo._cell_rngs(config, truth, n))
+        scatters, errors = draw_scatters(h, n, cell_rngs(config, truth, n))
         oracles = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
         want, want_errors = draw_scatters_loop(h, n, oracles)
         assert scatters.tobytes() == want.tobytes()
         assert {i: str(e) for i, e in errors.items()} == {i: str(e) for i, e in want_errors.items()}
         if beta_inverse == BETA_INV_FAILING:
             assert len({i // 7 for i in errors}) > 1  # failures in more than one block
-        # each block is yielded alone, its errors indexed within it
-        blocks = list(draw_scatters(h, n, montecarlo._cell_rngs(config, truth, n)))
-        assert [len(s) for s, _ in blocks] == [7, 7, 6]
-        for k, (s, block_errors) in enumerate(blocks):
+        # each block of `_row_seeds` is drawn alone, its errors indexed within it
+        blocks = [seeds[0] for seeds in montecarlo._row_seeds(config, n, (truth,))]
+        assert [len(seeds) for seeds in blocks] == [7, 7, 6]
+        for k, seeds in enumerate(blocks):
+            s, block_errors = draw_scatters(h, n, montecarlo._seeded(seeds))
             assert s.tobytes() == want[7 * k : 7 * k + 7].tobytes()
             assert sorted(block_errors) == [i - 7 * k for i in sorted(errors) if i // 7 == k]
-        assert list(draw_scatters(h, n, iter(()))) == []
 
     @pytest.mark.parametrize("truth", TRUTH_ORDER)
     @pytest.mark.parametrize("beta_inverse", [2.0, BETA_INV_FAILING])
-    def test_chunks_join_into_blocks(self, monkeypatch, truth, beta_inverse):
-        # chunks of 3 replicates' normals, blocks of at least 7: a cell of 20
-        # is blocks of 9, 9 and 2, each the per-replicate oracles' scatters
+    def test_chunks_of_normals_within_a_block(self, monkeypatch, truth, beta_inverse):
+        # chunks of 3 replicates' normals and blocks of 7: a cell of 20 is
+        # blocks of 7, 7 and 6, each drawn in chunks that do not divide it,
+        # and each the per-replicate oracles' scatters
         d, n = 3, 4
         monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 3 * n * d)
         monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 7)
@@ -333,19 +334,22 @@ class TestDrawScatters:
         h = oracle_hyper(truth, d, beta_inverse)
         oracles = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
         want, want_errors = draw_scatters_loop(h, n, oracles)
-        blocks = list(draw_scatters(h, n, montecarlo._cell_rngs(config, truth, n)))
-        assert [len(s) for s, _ in blocks] == [9, 9, 2]
+        seeds = montecarlo._row_seeds(config, n, (truth,))
+        blocks = [draw_scatters(h, n, montecarlo._seeded(block[0])) for block in seeds]
+        assert [len(s) for s, _ in blocks] == [7, 7, 6]
         for k, (s, block_errors) in enumerate(blocks):
-            assert s.tobytes() == want[9 * k : 9 * k + 9].tobytes()
-            assert sorted(block_errors) == [i - 9 * k for i in sorted(want_errors) if i // 9 == k]
+            assert s.tobytes() == want[7 * k : 7 * k + 7].tobytes()
+            assert sorted(block_errors) == [i - 7 * k for i in sorted(want_errors) if i // 7 == k]
         if beta_inverse == BETA_INV_FAILING:
-            assert len({i // 9 for i in want_errors}) > 1  # failures in more than one block
+            assert len({i // 7 for i in want_errors}) > 1  # failures in more than one block
+        whole, whole_errors = draw_scatters(h, n, cell_rngs(config, truth, n))  # 7 chunks
+        assert whole.tobytes() == want.tobytes() and sorted(whole_errors) == sorted(want_errors)
 
     def test_takes_any_iterable(self):
         config = SimConfig(d=3, n_values=(4,), reps=6, seed=2)
         h = oracle_hyper("A", 3, 2.0)
-        listed = draw_whole(h, 4, [rep_rng(config, "A", 4, r) for r in range(6)])[0]
-        lazy = draw_whole(h, 4, (rep_rng(config, "A", 4, r) for r in range(6)))[0]
+        listed = draw_scatters(h, 4, [rep_rng(config, "A", 4, r) for r in range(6)])[0]
+        lazy = draw_scatters(h, 4, (rep_rng(config, "A", 4, r) for r in range(6)))[0]
         assert lazy.tobytes() == listed.tobytes()
 
 
@@ -365,17 +369,17 @@ class TestCellStreams:
     def test_equal_to_the_per_replicate_oracles(self, seed, truth, n, beta_inverse):
         config = SimConfig(d=3, beta_inverse=beta_inverse, n_values=(n,), reps=40, seed=seed)
         h = oracle_hyper(truth, config.d, config.beta_inverse)
-        rngs = montecarlo._cell_rngs(config, truth, n)
+        rngs = cell_rngs(config, truth, n)
         oracles = [rep_rng(config, truth, n, rep) for rep in range(config.reps)]
         assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in oracles]
         finals = []
 
         def recorded():
-            for g in montecarlo._cell_rngs(config, truth, n):  # a fresh pass
+            for g in cell_rngs(config, truth, n):  # a fresh pass
                 yield g
                 finals.append(g.bit_generator.state)  # as the next replicate is asked for
 
-        scatters, errors = draw_whole(h, n, recorded())
+        scatters, errors = draw_scatters(h, n, recorded())
         want, want_errors = draw_scatters_loop(h, n, oracles)
         assert scatters.tobytes() == want.tobytes()
         assert {i: str(e) for i, e in errors.items()} == {i: str(e) for i, e in want_errors.items()}
@@ -384,8 +388,9 @@ class TestCellStreams:
 
 
 class TestSeeding:
-    """`_row_rngs` computes numpy's SeedSequence -> PCG64 seeding itself, for
-    4 096 seed rows of a row's truths at once. Every stream must start where
+    """`_row_seeds` computes numpy's SeedSequence -> PCG64 seeding itself, for
+    a block of seed rows of a row's truths at once, and `_seeded` sets the
+    streams from them. Every stream must start where
     numpy's own does; this fails if a numpy release changes either algorithm."""
 
     @pytest.mark.parametrize("k", range(1, 10))  # short of, at and past the pool of 4 words
@@ -394,8 +399,8 @@ class TestSeeding:
         rows = rng.integers(0, 2**32, size=(200, k), dtype=np.uint32)
         rows[0], rows[1], rows[2] = 0, 2**32 - 1, np.arange(k)
 
-        def streams():  # two chunks of seeds, as `_row_rngs` hands them on
-            return montecarlo._seeded(map(montecarlo._pcg64_seeds, (rows[:150], rows[150:])))
+        def streams():  # one pass of seeds, as `_row_seeds` makes a block's
+            return montecarlo._seeded(montecarlo._pcg64_seeds(rows))
 
         assert sum(1 for _ in streams()) == len(rows)
         for row, g in zip(rows, streams()):
@@ -407,14 +412,14 @@ class TestSeeding:
     )
     def test_every_replicate_of_a_cell(self, seed, reps):
         config = SimConfig(d=3, beta_inverse=0.7, n_values=(4,), reps=reps, seed=seed)
-        assert sum(1 for _ in montecarlo._cell_rngs(config, "D", 4)) == reps
-        for rep, g in enumerate(montecarlo._cell_rngs(config, "D", 4)):
+        assert sum(1 for _ in cell_rngs(config, "D", 4)) == reps
+        for rep, g in enumerate(cell_rngs(config, "D", 4)):
             oracle = np.random.PCG64(np.random.SeedSequence((seed, 1, 4, 700_000, rep)))
             assert g.bit_generator.state == oracle.state, rep
 
     def test_a_cell_yields_its_streams_in_order(self):
         config = SimConfig(d=2, beta_inverse=3.0, n_values=(6,), reps=25, seed=12)
-        got = [g.bit_generator.state for g in montecarlo._cell_rngs(config, "C", 6)]
+        got = [g.bit_generator.state for g in cell_rngs(config, "C", 6)]
         want = [rep_rng(config, "C", 6, rep).bit_generator.state for rep in range(config.reps)]
         assert got == want  # exactly reps streams, rep 0 first
 
@@ -422,7 +427,7 @@ class TestSeeding:
         # a uint32 draw leaves the other half of a 64-bit output buffered in
         # the shared generator; the next replicate must not start with it
         config = SimConfig(d=3, n_values=(5,), reps=4, seed=9)
-        streams = montecarlo._cell_rngs(config, "A", 5)
+        streams = cell_rngs(config, "A", 5)
         for rep, g in enumerate(streams):
             fresh = rep_rng(config, "A", 5, rep)
             want = fresh.integers(0, 2**32, size=3, dtype=np.uint32), fresh.standard_normal(3)
@@ -438,7 +443,7 @@ class TestRunCell:
         for truth in TRUTH_ORDER:
             h = oracle_hyper(truth, 1, config.beta_inverse, config.prior_sample_size)
             rngs = [rep_rng(config, truth, 5, rep) for rep in range(config.reps)]
-            _, errors = draw_whole(h, 5, rngs)
+            _, errors = draw_scatters(h, 5, rngs)
             cell = run_cell(config, truth, 5)
             assert errors and cell.failures >= len(errors)
             for picks in selections(cell).values():
@@ -727,7 +732,7 @@ class TestStandInScatters:
         )
         for truth in TRUTH_ORDER:
             h = oracle_hyper(truth, 3, config.beta_inverse, config.prior_sample_size)
-            _, errors = draw_whole(h, 3, montecarlo._cell_rngs(config, truth, 3))
+            _, errors = draw_scatters(h, 3, cell_rngs(config, truth, 3))
             cell = run_cell(config, truth, 3)
             assert errors
             assert_same_cell(cell, run_cell_substack(config, truth, 3))
@@ -736,7 +741,7 @@ class TestStandInScatters:
 
 
 class TestBlockScoring:
-    """`run_cell` scores each block of `draw_scatters` as it is drawn. With a
+    """`run_cell` scores each block of `_row_seeds` as it is drawn. With a
     few replicates per block, its cell must be that of the whole-stack
     oracle, wherever failed draws and failed moment hyperparameters fall
     (and where every draw fails: `TestUnbuildableHypers.test_no_replicate_drawn`)."""
@@ -744,7 +749,8 @@ class TestBlockScoring:
     @staticmethod
     def block_errors(config, truth, n):
         h = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
-        return [errors for _, errors in draw_scatters(h, n, montecarlo._cell_rngs(config, truth, n))]
+        blocks = montecarlo._row_seeds(config, n, (truth,))
+        return [draw_scatters(h, n, montecarlo._seeded(seeds[0]))[1] for seeds in blocks]
 
     @pytest.mark.parametrize("scheme", ["oracle", "mclust-default"])  # the schemes admitting m <= 0
     def test_failed_draws_across_blocks(self, monkeypatch, scheme):
@@ -791,8 +797,8 @@ class TestBlockScoring:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_a_block_joins_chunks_of_a_large_n(self, monkeypatch, scheme):
-        # two replicates' normals per chunk and at least 5 replicates per
-        # block: the stack `fit_stack` scores is the block, not the chunk
+        # two replicates' normals per chunk and 5 replicates per block: the
+        # stack `fit_stack` scores is the block, not the chunk
         fitted = []
 
         def recorded(s, n, hypers):
@@ -809,13 +815,13 @@ class TestBlockScoring:
         for truth in TRUTH_ORDER:
             fitted.clear()
             cell = run_cell(config, truth, 6)
-            assert sorted(fitted) == sorted([6, 6, 6, 2] * schemes)
+            assert fitted == [5] * 4 * schemes
             assert_same_cell(cell, run_cell_substack(config, truth, 6))
 
 
 class TestRunRow:
-    """`run_row` joins the truths' blocks of one n into one stack per scheme
-    (and per oracle family). Each truth's cell must be its sub-stack oracle's
+    """`run_row` joins the truths' parts of each block of one n into one stack
+    per scheme (and per oracle family). Each truth's cell must be its sub-stack oracle's
     and its own `run_cell`'s, byte for byte."""
 
     @staticmethod
@@ -862,7 +868,7 @@ class TestRunRow:
         drawn = {}
         for truth in TRUTH_ORDER:
             h = oracle_hyper(truth, config.d, config.beta_inverse, config.prior_sample_size)
-            drawn[truth] = draw_whole(h, n, montecarlo._cell_rngs(config, truth, n))[1]
+            drawn[truth] = draw_scatters(h, n, cell_rngs(config, truth, n))[1]
         assert [truth for truth, errors in drawn.items() if errors] == [failing]
         for cell in self.check_row(config, n):
             assert cell.failures >= len(drawn[cell.truth])
@@ -895,8 +901,8 @@ class TestRunRow:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_rows_across_blocks(self, monkeypatch, scheme):
-        # the truths share the budgets: blocks of 7 replicates per truth, and
-        # each round of blocks is one stack of as many as one cell's block
+        # the truths share a block: 21 // 3 = 7 replicates of each truth, one
+        # stack of as many replicates as one cell's block
         sizes = self.fitted(monkeypatch)
         monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 3 * 7 * 3 * 3)
         monkeypatch.setattr(montecarlo, "_BLOCK_REPS", 3 * 7)
@@ -908,9 +914,10 @@ class TestRunRow:
         assert sorted(sizes) == sorted([21, 21, 18] * schemes)
         self.check_row(config, 3)
 
-    def test_a_row_takes_its_seeds_in_chunks(self, monkeypatch):
-        # 5 000 replicates of three truths are four passes of at most 4 096
-        # rows, 1 365 replicates of each truth; every stream is still its own
+    def test_a_row_takes_its_seeds_in_blocks(self, monkeypatch):
+        # 5 000 replicates of three truths are 14 blocks of 1 024 // 3 = 341
+        # replicates of each truth and one of 226, one seed pass each; every
+        # stream is still its own
         passes = []
         seeds = montecarlo._pcg64_seeds
 
@@ -920,17 +927,31 @@ class TestRunRow:
 
         monkeypatch.setattr(montecarlo, "_pcg64_seeds", counted)
         config = SimConfig(d=2, beta_inverse=3.0, n_values=(6,), reps=5000, seed=12)
-        streams = montecarlo._row_rngs(config, 6, TRUTH_ORDER)
         states = [[] for _ in TRUTH_ORDER]
-        for _ in range(5):  # the truths take turns, 1 000 streams at a time
-            for got, rngs in zip(states, streams):
-                got.extend(g.bit_generator.state for g in islice(rngs, 1000))
-        assert all(next(rngs, None) is None for rngs in streams)
+        for block in montecarlo._row_seeds(config, 6, TRUTH_ORDER):
+            assert block.shape[0] == len(TRUTH_ORDER)
+            for got, part in zip(states, block):
+                got.extend(g.bit_generator.state for g in montecarlo._seeded(part))
         for truth, got in zip(TRUTH_ORDER, states):
             assert len(got) == config.reps
-            for rep in (0, 1364, 1365, 4999):
+            for rep in (0, 340, 341, 4773, 4774, 4999):
                 assert got[rep] == rep_rng(config, truth, 6, rep).bit_generator.state, (truth, rep)
-        assert passes == [3 * 1365] * 3 + [3 * 905]
+        assert passes == [3 * 341] * 14 + [3 * 226]
+
+    @pytest.mark.parametrize("scheme", ["oracle", "vs-mclust"])
+    def test_no_stack_exceeds_a_block(self, monkeypatch, scheme):
+        # at d = 5, n = 5 a chunk of normals holds 5 242 replicates, more
+        # than a block: a row scores stacks of 3 * 341 and a cell of 1 024
+        sizes = self.fitted(monkeypatch)
+        config = SimConfig(d=5, n_values=(5,), reps=2000, seed=6, scheme=scheme)
+        schemes = len({hyper_scheme for hyper_scheme, _ in config.plan.values()})
+        run_row(config, 5)
+        assert sorted(sizes) == sorted([1023] * 5 * schemes + [885] * schemes)
+        sizes.clear()
+        run_cell(config, "D", 5)
+        assert sorted(sizes) == sorted([1024, 976] * schemes)
+        self.check_row(config, 5)
+        assert max(sizes) <= montecarlo._BLOCK_REPS
 
     def test_records(self, tmp_path):
         out = tmp_path / "sim.json"
@@ -987,11 +1008,11 @@ class TestUnbuildableHypers:
         draw = montecarlo.draw_scatters
         drawn = []
 
-        def patched(h, n, rngs, lockstep=1):
-            for s, errors in draw(h, n, rngs, lockstep):
-                assert errors == {}
-                drawn.append(self.spoiled(s))
-                yield drawn[-1], errors
+        def patched(h, n, rngs):
+            s, errors = draw(h, n, rngs)
+            assert errors == {}
+            drawn.append(self.spoiled(s))
+            return drawn[-1], errors
 
         monkeypatch.setattr(montecarlo, "draw_scatters", patched)
         cell = run_cell(config, "D", 5)
@@ -1013,9 +1034,9 @@ class TestUnbuildableHypers:
     def test_no_replicate_drawn(self, monkeypatch, scheme):
         draw = montecarlo.draw_scatters
 
-        def undrawn(h, n, rngs, lockstep=1):
-            for s, _ in draw(h, n, rngs, lockstep):
-                yield np.full_like(s, np.nan), {i: SupportError("undrawable") for i in range(len(s))}
+        def undrawn(h, n, rngs):
+            s, _ = draw(h, n, rngs)
+            return np.full_like(s, np.nan), {i: SupportError("undrawable") for i in range(len(s))}
 
         monkeypatch.setattr(montecarlo, "draw_scatters", undrawn)
         monkeypatch.setattr(montecarlo, "_BLOCK_NORMALS", 4 * 5 * 3)  # blocks of 4 and 2 replicates
