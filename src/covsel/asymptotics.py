@@ -31,7 +31,7 @@ from .priors import (
     sample_prior,
 )
 from .montecarlo import _scatter_factor, scatters_from
-from .specialfn import chol_log_det
+from .specialfn import chol_log_det, factor_log_det
 from .structures import _defined_evidence, fit_structure, log_partition_hessian_logdet, param_count
 
 __all__ = [
@@ -65,7 +65,7 @@ def log_rate_constant(pair: str, d: int) -> float:
     return -(param_count(full, d) - param_count(nested, d)) / 2
 
 
-def linear_rate_constant(pair: str, v: np.ndarray):
+def linear_rate_constant(pair: str, v: np.ndarray, log_det_full=None):
     """The n-slope 1/2 (log|P_nested(v)| - log|P_full(v)|) of the evidence
     ratio when the full structure is true.
 
@@ -74,7 +74,8 @@ def linear_rate_constant(pair: str, v: np.ndarray):
     (tr v / d) I: Hadamard's ratio for A-vs-D, AM/GM ratios for the C pairs.
     The constant is scale-invariant in v, nonnegative, and zero exactly
     when v already satisfies the nested structure. A stack (..., d, d)
-    gives one constant per matrix.
+    gives one constant per matrix. A caller that holds log|P_full(v)|
+    already, from a factor of v, hands it in as `log_det_full`.
     """
     full, nested = _split_pair(pair)
     v = np.asarray(v, dtype=float)
@@ -82,7 +83,7 @@ def linear_rate_constant(pair: str, v: np.ndarray):
         v = np.diag(v)
     if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ConfigError(f"{pair} needs square second-moment matrices, got shape {v.shape}")
-    log_full = _log_det_part(full, v)
+    log_full = _log_det_part(full, v) if log_det_full is None else log_det_full
     rate = 0.5 * (_log_det_part(nested, v) - log_full)
     return float(rate) if np.ndim(rate) == 0 else rate
 
@@ -229,7 +230,9 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
     at V = (2 theta)^{-1}, and the slope of the mean log ratio estimates
     their mean, so the target is the mean over every theta the study drew
     (a fixed theta is every draw). V is the scatter theta makes of W = I, by
-    the factor of its scatters; a fixed theta's factor and rate are formed once.
+    the factor of its scatters, and for an A truth log|V| = 2 sum log diag C^{-1}
+    comes from that factor C^{-1} too; a fixed theta's factor and rate are
+    formed once.
     """
     full, nested = _split_pair(config.pair)
     triple = matched_family(config.hyper)
@@ -248,7 +251,8 @@ def rate_study(config: RateStudyConfig) -> RateStudyResult:
                 v, errors = scatters_from(config.truth, draws, np.eye(config.hyper.dim), factor)
                 if errors:
                     raise errors[min(errors)]
-                rate = linear_rate_constant(config.pair, v)
+                log_det = factor_log_det(factor[0]) if full == "A" else None
+                rate = linear_rate_constant(config.pair, v, log_det)
             draw_rates.append(rate)
         vals = _defined_evidence(h_full, s, n) - _defined_evidence(h_nested, s, n)
         scale = np.log(n) if nested_true else float(n)

@@ -16,6 +16,7 @@ procedure on the paired decisions.
 import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
@@ -28,14 +29,14 @@ from .priors import (
     Hyper,
     _check_one_rate,
     _hyper,
+    _draw_in_place,
     _prior_transform,
-    _standard_prior,
     matched_family,
     moment_hypers,
     sample_half_precision,
     shape_for_sample_size,
 )
-from .specialfn import cholesky_pd, cholesky_stack
+from .specialfn import cholesky_pd, cholesky_stack, tril_inverse
 from .structures import CRITERIA, SIMPLEST_FIRST, criterion_matrix, fit_stack, simplest_best
 
 __all__ = [
@@ -155,7 +156,7 @@ def _scatter_factor(structure: str, draws: np.ndarray) -> Tuple[np.ndarray, Dict
             return r[:, :, None] * r[:, None, :], errors
         m = np.where(bad[:, None, None], np.eye(x.shape[-1]), 2 * x)
         chol, chol_errors = cholesky_stack(m, "a drawn half-precision")
-        return np.linalg.inv(chol), {**errors, **chol_errors}
+        return tril_inverse(chol), {**errors, **chol_errors}
 
 
 # the standard normals a draw holds at most (1 MB), so that its memory is
@@ -170,23 +171,26 @@ def draw_scatters(h: Hyper, n: int, rngs: Iterable) -> Tuple[np.ndarray, Dict[in
     generator in `rngs`, any iterable, as one stack, and the errors of its
     failed replicates, indexed in it. Each generator draws only its
     replicate's standard variates of `h` (those of `sample_prior(h, 1, rng)`,
-    in its order), then n rows z of standard normals (those of
-    `gaussian_rows`), before the next is asked for, so one generator
-    re-seeded per item serves (`_seeded`). The normals are drawn a chunk of
-    at most _BLOCK_NORMALS at a time, and W = z^T z is one batched product
-    per chunk; `_prior_transform` places the variates of the whole stack."""
+    in its order, into one buffer, `_draw_in_place`), then n rows z of
+    standard normals (those of `gaussian_rows`), before the next is asked
+    for, so one generator re-seeded per item serves (`_seeded`). The
+    normals are drawn a chunk of at most _BLOCK_NORMALS at a time, and
+    W = z^T z is one batched product per chunk; `_prior_transform` places
+    the variates of the whole stack."""
     _check_one_rate(h)
+    shape, draw = _draw_in_place(h)
     rngs, z = iter(rngs), np.empty((max(1, _BLOCK_NORMALS // max(n * h.dim, 1)), n, h.dim))
-    x, w, drawn = [], [], -1
-    while len(x) > drawn:  # until the streams have ended
-        drawn = len(x)
+    x, w = [], []
+    while not x or len(x[-1]) == len(z):  # until a chunk comes up short: the streams have ended
+        chunk, i = np.empty((len(z), *shape)), -1
         for i, rng in enumerate(islice(rngs, len(z))):
-            x.append(_standard_prior(h, None, rng))
+            chunk[i] = draw(rng)
             rng.standard_normal(out=z[i])
-        w.append(z[: len(x) - drawn].swapaxes(-1, -2) @ z[: len(x) - drawn])
-    if not x:
+        x.append(chunk[: i + 1])
+        w.append(z[: i + 1].swapaxes(-1, -2) @ z[: i + 1])
+    if not len(x := np.concatenate(x)):
         return np.empty((0, h.dim, h.dim)), {}
-    return scatters_from(h.structure, _prior_transform(h, np.array(x)), np.concatenate(w))
+    return scatters_from(h.structure, _prior_transform(h, x), np.concatenate(w))
 
 
 @dataclass(frozen=True)
@@ -337,6 +341,14 @@ def _row_seeds(config: SimConfig, n: int, truths: Sequence[str]) -> Iterator[np.
         yield _pcg64_seeds(rows.reshape(-1, rows.shape[-1])).reshape(len(words), len(reps), 4)
 
 
+@lru_cache(maxsize=32)
+def _truth_hypers(truth: str, d: int, beta_inverse: float, m: float, oracle: bool):
+    """A truth's generating hyper and, for the oracle scheme, its matched family
+    (else None), built once per sweep: `run_row` asks for them at every n."""
+    gen = oracle_hyper(truth, d, beta_inverse, m)
+    return gen, matched_family(gen) if oracle else None
+
+
 def run_cell(config: SimConfig, truth: str, n: int) -> CellDecisions:
     """Run all replicates of one (truth, n) cell: a row of one truth."""
     return run_row(config, n, (truth,))[0]
@@ -359,9 +371,10 @@ def run_row(config: SimConfig, n: int, truths: Sequence[str] = TRUTH_ORDER) -> L
     left, fails; only CovselError counts, anything else propagates."""
     plan = config.plan
     schemes = {scheme for scheme, _ in plan.values()}
-    gens = [oracle_hyper(t, config.d, config.beta_inverse, config.prior_sample_size) for t in truths]
+    sweep = (config.d, config.beta_inverse, config.prior_sample_size, "oracle" in schemes)
+    gens, oracle_families = zip(*(_truth_hypers(t, *sweep) for t in truths))
     families = {}  # the oracle's matched families by their bits, and which truths have each
-    for j, family in enumerate(map(matched_family, gens) if "oracle" in schemes else ()):
+    for j, family in enumerate(oracle_families if "oracle" in schemes else ()):
         key = tuple((h.alpha, np.asarray(h.rate).tobytes()) for h in family)
         families.setdefault(key, (family, np.zeros(len(truths), dtype=bool)))[1][j] = True
     to_truth = np.array([*map(TRUTH_ORDER.index, SIMPLEST_FIRST), -1], dtype=np.int8)  # -1 stays -1

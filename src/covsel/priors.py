@@ -21,7 +21,7 @@ kernel in `structures` broadcasts such rates against its scatters.
 import math
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .specialfn import (
     factor_log_det,
     log_mv_gamma,
     symmetrize,
+    tril_inverse,
 )
 
 __all__ = [
@@ -112,7 +113,7 @@ class WishartHyper:
     def _bartlett_scale(self) -> np.ndarray:
         """F = L^{-T}, L the Cholesky factor of 2B, so F F^T = (2B)^{-1}:
         factored once per hyper, on its first `sample_prior`."""
-        return np.linalg.inv(cholesky_pd(2 * self.rate)).T
+        return tril_inverse(cholesky_pd(2 * self.rate)).T
 
 
 @dataclass(frozen=True)
@@ -485,29 +486,55 @@ def sample_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
     return _prior_transform(h, _standard_prior(h, size, rng))
 
 
-def _standard_prior(h: Hyper, size: Optional[int], rng: np.random.Generator) -> np.ndarray:
+def _standard_prior(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarray:
     """The half of `sample_prior` that consumes the stream: `size` draws of
-    the prior's standard variates or, where `size` is None, one draw in
-    numpy's scalar form without the leading axis (the per-replicate draw of
-    `montecarlo.draw_scatters`). For D and C these are standard gamma
+    the prior's standard variates. For D and C these are standard gamma
     draws, (size, d) and (size,). For A they are the Bartlett variates in
     stream order, flat, (size, d(d+1)/2): for each column j of the factor,
     its chi-square with 2 alpha - j degrees of freedom, then its d - 1 - j
     normals below the diagonal. Each of those is one generator call for
     the whole stack, so one draw consumes the stream as a scalar loop over
-    the lower triangle, column by column. (2 alpha > d - 1 holds by
-    `WishartHyper`.)"""
-    shape = () if size is None else (size,)
+    the lower triangle, column by column: `_draw_in_place` draws one that
+    way. (2 alpha > d - 1 holds by `WishartHyper`.)"""
     if h.structure != "A":
-        return rng.standard_gamma(h.alpha, size=(*shape, h.dim) if h.structure == "D" else size)
+        return rng.standard_gamma(h.alpha, size=(size, h.dim) if h.structure == "D" else size)
     d, nu = h.dim, 2 * h.alpha
-    x, p = np.empty((d * (d + 1) // 2, *shape)), 0  # a row per variate, filled by one call
+    x, p = np.empty((d * (d + 1) // 2, size)), 0  # a row per variate, filled by one call
     for j in range(d):
         x[p] = rng.chisquare(nu - j, size=size)
         if j < d - 1:  # the last column has no normals
-            x[p + 1 : p + d - j] = rng.standard_normal((*shape, d - 1 - j)).T
+            x[p + 1 : p + d - j] = rng.standard_normal((size, d - 1 - j)).T
         p += d - j
     return x.T
+
+
+def _draw_in_place(h: Hyper) -> Tuple[Tuple[int, ...], Callable]:
+    """One draw's shape, (d(d+1)/2,) for A, (d,) for D and () for C, and a
+    function that draws `_standard_prior(h, 1, rng)[0]` from a generator:
+    the same draws in the same order, made in place. For A it fills one
+    buffer, a scalar chi-square per column and then its normals into a view
+    built once; for D one gamma call fills a buffer, and for C it returns
+    a float (numpy's gamma is its standard gamma times the scale 1). A
+    buffer is reused, so each draw is to be copied before the next."""
+    d, alpha, nu = h.dim, h.alpha, 2 * h.alpha
+    if h.structure == "C":
+        return (), lambda rng: rng.gamma(alpha)
+    if h.structure == "D":
+        buffer = np.empty(d)
+        return (d,), lambda rng: rng.standard_gamma(alpha, out=buffer)
+    buffer, columns, p = np.empty(d * (d + 1) // 2), [], 0
+    for j in range(d - 1):
+        columns.append((nu - j, p, buffer[p + 1 : p + d - j]))
+        p += d - j
+
+    def draw(rng):
+        for df, at, normals in columns:
+            buffer[at] = rng.chisquare(df)
+            rng.standard_normal(out=normals)
+        buffer[p] = rng.chisquare(nu - d + 1)  # the last column has no normals
+        return buffer
+
+    return buffer.shape, draw
 
 
 @lru_cache

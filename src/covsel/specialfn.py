@@ -20,6 +20,7 @@ __all__ = [
     "factor_log_det",
     "cholesky_pd",
     "cholesky_stack",
+    "tril_inverse",
 ]
 
 LOG_PI = float(np.log(np.pi))
@@ -118,3 +119,21 @@ def chol_log_det(s: np.ndarray):
     """
     ld = factor_log_det(cholesky_pd(s))
     return float(ld) if ld.ndim == 0 else ld
+
+
+def tril_inverse(chol: np.ndarray) -> np.ndarray:
+    """L^{-1} for a lower triangular L with a positive diagonal, such as a
+    Cholesky factor, or for each of a stack (..., d, d): by forward
+    substitution, row i of the inverse from rows 0, ..., i - 1, one
+    vectorised step per row for the whole stack, where a general LU solve
+    would factor each matrix again. The diagonal is exactly 1 / L_ii and the
+    upper triangle +0, as is an entry whose terms are all zero. An entry that
+    overflows is inf or NaN; callers that allow it ignore the warning."""
+    d = chol.shape[-1]
+    recip = 1 / np.diagonal(chol, axis1=-2, axis2=-1)
+    inv = np.zeros(chol.shape)
+    inv.reshape(*chol.shape[:-2], d * d)[..., :: d + 1] = recip
+    for i in range(1, d):
+        s = np.einsum("...k,...kj->...j", chol[..., i, :i], inv[..., :i, :i])
+        inv[..., i, :i] = (0.0 - s) * recip[..., i, None]  # 0 - s: a zero s gives +0
+    return inv

@@ -43,7 +43,7 @@ from .priors import (
     log_prior_density,
     shape_for_sample_size,
 )
-from .specialfn import LOG_PI, chol_log_det, cholesky_stack, factor_log_det
+from .specialfn import LOG_PI, chol_log_det, cholesky_stack, factor_log_det, tril_inverse
 
 __all__ = [
     "FitReport",
@@ -333,7 +333,7 @@ def fit_structure(h: Hyper, s: np.ndarray, n: int, coef=None) -> StackFit:
     per_row = mult if coef is None else mult.reshape((-1,) + (1,) * len(axes))
     with np.errstate(over="ignore", invalid="ignore"):
         if structure == "A":
-            inv = np.linalg.inv(chol)
+            inv = tril_inverse(chol)
             theta = per_row * np.einsum("rki,rkj->rij", inv, inv)
         else:
             theta = per_row / rate_post

@@ -33,6 +33,7 @@ from covsel.specialfn import LOG_PI
 from covsel.structures import (
     _CRITERION_FIELD,
     _defined_evidence,
+    _evidence,
     SIMPLEST_FIRST,
     StackFit,
     criterion_matrix,
@@ -150,8 +151,9 @@ def sample_prior_loop(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarr
     """The column-by-column sampler that `priors.sample_prior` replaced, kept as
     its oracle. For A, a zero Bartlett factor gets, column by column, the
     square root of its chi-square and then the normals below its diagonal,
-    each drawn for the whole stack, and the draw is F a a^T F^T for
-    F = L^{-T}, 2B = L L^T. For D and C, standard gamma draws over the rate."""
+    each drawn for the whole stack, and the draw is F a a^T F^T for the
+    hyper's F = L^{-T}, 2B = L L^T (held to `bartlett_scale_lapack` apart).
+    For D and C, standard gamma draws over the rate."""
     if h.structure != "A":
         x = rng.standard_gamma(h.alpha, size=(size, h.dim) if h.structure == "D" else size)
         return x / h.rate if h.structure == "D" else x * (1.0 / h.rate)
@@ -160,8 +162,14 @@ def sample_prior_loop(h: Hyper, size: int, rng: np.random.Generator) -> np.ndarr
     for j in range(d):
         a[:, j, j] = np.sqrt(rng.chisquare(nu - j, size=size))
         a[:, j + 1 :, j] = rng.standard_normal(size=(size, d - 1 - j))
-    fa = np.linalg.inv(np.linalg.cholesky(2 * h.rate)).T @ a
+    fa = h._bartlett_scale @ a
     return fa @ fa.swapaxes(-1, -2)
+
+
+def bartlett_scale_lapack(rate: np.ndarray) -> np.ndarray:
+    """`WishartHyper._bartlett_scale` as LAPACK's general inverse formed it,
+    kept as its oracle: F = L^{-T} for the Cholesky factor L of 2B."""
+    return np.linalg.inv(np.linalg.cholesky(2 * rate)).T
 
 
 def draw_scatters_loop(h: Hyper, n: int, rngs):
@@ -174,6 +182,22 @@ def draw_scatters_loop(h: Hyper, n: int, rngs):
         z = rng.standard_normal((n, h.dim))
         w[i] = z.T @ z
     return scatters_from(h.structure, np.array(draws), w)
+
+
+def scatter_factor_lapack(draws: np.ndarray) -> np.ndarray:
+    """`montecarlo._scatter_factor`'s A factor as LAPACK's general inverse
+    formed it, kept as its oracle: C^{-1} for 2 theta = C C^T, each draw
+    positive definite."""
+    return np.linalg.inv(np.linalg.cholesky(2 * draws))
+
+
+def a_mode_lapack(h: Hyper, s: np.ndarray, n: int) -> np.ndarray:
+    """The A mode as `structures.fit_structure` formed it by LAPACK's general
+    inverse, kept as its oracle: (alpha_post - (d+1)/2) C^{-T} C^{-1} for the
+    Cholesky factor C of each posterior rate."""
+    fam, _, alpha_post, _, chol = _evidence(h, s, n)[2][:5]
+    inv = np.linalg.inv(chol)
+    return (alpha_post - fam.power) * np.einsum("rki,rkj->rij", inv, inv)
 
 
 def draw_per_n(h: Hyper, n: int, reps: int, seed: int, theta=None):

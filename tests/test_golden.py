@@ -7,9 +7,14 @@ of a `rates` study, whose CSV goes to --out and must hold its rows."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import covsel
 import make_golden
 from make_golden import COMMANDS, RECORD, STDOUT, mismatches, output, rates_csv_matches
 
@@ -53,6 +58,22 @@ def test_command_matches_record(name, record):
     else:
         bad = mismatches(got, want, name, TOL)
     assert bad == []
+
+
+@pytest.mark.parametrize("name", [name for name in COMMANDS if "failing-draws" in name])
+def test_failing_draws_warn_nothing(name, record):
+    # a fresh interpreter with every RuntimeWarning an error prints the record's text
+    src = str(Path(covsel.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "covsel.cli", *COMMANDS[name]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert proc.stdout == record[name][STDOUT]
 
 
 def test_mismatches_reads_tolerance_and_types():

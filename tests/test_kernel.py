@@ -57,7 +57,7 @@ from covsel.structures import (
     simplest_best,
 )
 
-from conftest import best_structures, stack_hypers
+from conftest import a_mode_lapack, best_structures, stack_hypers
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -284,6 +284,27 @@ class TestInvariance:
         rotated = np.einsum("ij,rjk,lk->ril", q, s, q)
         rotated = (rotated + np.swapaxes(rotated, 1, 2)) / 2
         self.assert_same(fit_stack(rotated, n, hypers), fit_stack(s, n, hypers), ("A", "C"))
+
+
+class TestAModeAgainstLapack:
+    """The A mode, from `tril_inverse` of each posterior rate's factor, against
+    `a_mode_lapack`, the general inverse it replaced: within 1e-12 of each
+    mode's largest entry, on valid replicates."""
+
+    @PROPERTY
+    @given(case=cases, spread=st.floats(0.0, 6.0))
+    def test_mode_matches_the_lapack_inverse(self, case, spread):
+        rng, d, n, r, near = case
+        if near:
+            s = ill_conditioned_scatters(rng, r, d, spread)
+        else:
+            s = random_scatters(rng, r, n, d, False)
+        h = random_triple(rng, d).a
+        fit = fit_structure(h, s, n)
+        want = a_mode_lapack(h, s, n)[fit.valid]
+        got = fit.map[fit.valid]
+        scale = np.abs(want).max(axis=(-2, -1), initial=0.0)
+        assert np.all(np.abs(got - want).max(axis=(-2, -1), initial=0.0) <= 1e-12 * scale)
 
 
 class TestClosedFormHessian:

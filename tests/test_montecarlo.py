@@ -29,7 +29,7 @@ from covsel.montecarlo import (
     run_row,
     scatters_from,
 )
-from covsel.precision import from_array
+from covsel.precision import IsoPrecision, from_array
 from covsel.priors import (
     GammaHyper,
     GammaVecHyper,
@@ -37,6 +37,7 @@ from covsel.priors import (
     empirical_bayes,
     matched_family,
     mclust_default,
+    sample_prior,
 )
 from covsel.structures import CRITERIA, fit_stack
 
@@ -48,6 +49,7 @@ from conftest import (
     rep_rng,
     run_cell_substack,
     sample_prior_loop,
+    scatter_factor_lapack,
     selections,
 )
 
@@ -257,6 +259,55 @@ class TestDrawScatters:
             assert best_structures(fit_stack(scatters, n, family), crit) == best_structures(
                 fit_stack(expected, n, family), crit
             )
+
+    @pytest.mark.parametrize(
+        "h, n, fails",
+        [
+            (oracle_hyper("A", 1, 2.0), 3, False),  # d = 1: no column has normals
+            (oracle_hyper("A", 5, 2.0), 4, False),
+            # shapes just above (d - 1)/2: the last column's gamma has shape 0.02 < 1,
+            # and many draws are numerically singular
+            (WishartHyper(1.52, np.diag([1.0, 2.0, 0.5, 3.0])), 2, True),
+            (WishartHyper(1.02, np.array([[2, 0.6, 0.1], [0.6, 1, 0.3], [0.1, 0.3, 0.7]])), 5, True),
+            (oracle_hyper("D", 4, 2.0), 6, False),
+            (oracle_hyper("C", 3, 2.0), 2, False),
+            # shape 0.005: some draws underflow to 0, and some scatters overflow
+            (oracle_hyper("D", 1, 2.0, -1.99), 5, True),
+            (oracle_hyper("A", 3, BETA_INV_FAILING), 5, True),
+        ],
+    )
+    def test_in_place_draws_equal_a_sample_prior_per_replicate(self, h, n, fails):
+        """Each replicate's variates, drawn in place, are a whole
+        `sample_prior(h, 1, rng)`, and its normals those of `gaussian_rows`
+        (its rows at 2 theta = I): the scatters, the errors and each stream's
+        final state, byte for byte."""
+
+        def streams():
+            return [np.random.default_rng(np.random.SeedSequence((17, rep))) for rep in range(300)]
+
+        rngs, oracles = streams(), streams()
+        got, errors = draw_scatters(h, n, rngs)
+        draws, w = [], np.empty((len(oracles), h.dim, h.dim))
+        for i, rng in enumerate(oracles):
+            draws.append(sample_prior(h, 1, rng)[0])
+            z = gaussian_rows(IsoPrecision(0.5, h.dim), n, rng)
+            w[i] = z.T @ z
+        want, want_errors = scatters_from(h.structure, np.array(draws), w)
+        assert got.tobytes() == want.tobytes()
+        assert {i: str(e) for i, e in errors.items()} == {i: str(e) for i, e in want_errors.items()}
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracles]
+        assert bool(errors) == fails
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_scatter_factor_matches_the_lapack_inverse(self, d):
+        g = np.random.default_rng(d).standard_normal((d, d + 2))
+        h = WishartHyper((d - 1) / 2 + 0.3, g @ g.T / d + 0.3 * np.eye(d))
+        draws = sample_prior(h, 200, np.random.default_rng(d))
+        factor, errors = montecarlo._scatter_factor("A", draws)
+        want = scatter_factor_lapack(draws)
+        assert errors == {}
+        scale = np.abs(want).max(axis=(-2, -1))
+        assert np.all(np.abs(factor - want).max(axis=(-2, -1)) <= 1e-12 * scale)
 
     def test_a_failed_draw_fails_alone(self):
         # shape 0.005: some gamma draws underflow to 0, outside the support,

@@ -44,7 +44,13 @@ from covsel.priors import (
 from covsel.specialfn import log_mv_gamma
 from covsel.structures import flexibility, param_count
 
-from conftest import sample_prior_loop, stack_hypers, theta_log_det, theta_trace_product
+from conftest import (
+    bartlett_scale_lapack,
+    sample_prior_loop,
+    stack_hypers,
+    theta_log_det,
+    theta_trace_product,
+)
 
 
 def random_stats(rng, n, d):
@@ -531,14 +537,15 @@ class TestSampler:
 def bartlett_loop(h, rng):
     """The element-by-element Bartlett sampler that `sample_prior`'s A draw
     replaced, kept as its oracle: one scalar draw at a time, column by
-    column, the chi-square first."""
+    column, the chi-square first, scaled by the hyper's F (which
+    `test_bartlett_scale_matches_lapack` holds to LAPACK's inverse)."""
     d, nu = h.dim, 2 * h.alpha
     a = np.zeros((d, d))
     for j in range(d):
         a[j, j] = np.sqrt(rng.chisquare(nu - j))
         for i in range(j + 1, d):
             a[i, j] = rng.standard_normal()
-    fa = np.linalg.inv(np.linalg.cholesky(2 * h.rate)).T @ a
+    fa = h._bartlett_scale @ a
     return fa @ fa.T
 
 
@@ -558,6 +565,16 @@ class TestSamplerOracles:
                 draw = sample_half_precision(h, new).matrix
             np.testing.assert_array_equal(draw, bartlett_loop(h, old))
         assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bartlett_scale_matches_lapack(self, d):
+        # within 1e-12 of F's largest entry; a diagonal rate's F bit for bit
+        g = np.random.default_rng(d).standard_normal((d, d + 2))
+        h = WishartHyper((d - 1) / 2 + 0.5, g @ g.T / d + 0.3 * np.eye(d))
+        want = bartlett_scale_lapack(h.rate)
+        assert np.abs(h._bartlett_scale - want).max() <= 1e-12 * np.abs(want).max()
+        diagonal = WishartHyper(d, np.diag(np.linspace(0.3, 7.0, d)))
+        assert diagonal._bartlett_scale.tobytes() == bartlett_scale_lapack(diagonal.rate).tobytes()
 
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("size", [1, 7, 400])

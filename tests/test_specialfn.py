@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from covsel.errors import AsymmetricMatrixError, NotPositiveDefiniteError
-from covsel.specialfn import chol_log_det, cholesky_stack, log_mv_gamma, symmetrize
+from covsel.specialfn import chol_log_det, cholesky_stack, log_mv_gamma, symmetrize, tril_inverse
 
 
 def random_pd(rng, d, dof=None):
@@ -141,3 +142,74 @@ class TestCholeskyStack:
         assert list(cholesky_stack(m)[1]) == [40]
         # the whole stack, then both halves at each of log2(64) = 6 levels
         assert len(calls) == 13 and sum(calls) == 64 + 2 * (32 + 16 + 8 + 4 + 2 + 1)
+
+
+def conditioned_factors(seed, r, d, log_cond):
+    """Cholesky factors of r random d x d positive definite matrices whose
+    eigenvalues span 10^log_cond, at scales from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    m = np.empty((r, d, d))
+    for i in range(r):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        eigenvalues = np.logspace(0, log_cond, d) * 10 ** rng.uniform(-3, 3)
+        m[i] = (q * eigenvalues) @ q.T
+    return np.linalg.cholesky((m + m.swapaxes(-1, -2)) / 2)
+
+
+def assert_inverse_close(got, chol, rtol=1e-12):
+    """Each matrix of `got` within rtol of LAPACK's inverse of its factor,
+    relative to the inverse's largest entry."""
+    want = np.linalg.inv(chol)
+    scale = np.abs(want).max(axis=(-2, -1), initial=0.0)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want).max(axis=(-2, -1), initial=0.0) <= rtol * scale)
+
+
+class TestTrilInverse:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        r=st.integers(0, 6),
+        d=st.integers(1, 8),
+        log_cond=st.floats(0.0, 12.0),
+    )
+    def test_matches_lapack_inverse(self, seed, r, d, log_cond):
+        chol = conditioned_factors(seed, r, d, log_cond)
+        inv = tril_inverse(chol)
+        assert_inverse_close(inv, chol)
+        assert np.all(np.triu(inv, 1) == 0) and not np.signbit(np.triu(inv, 1)).any()
+        assert np.diagonal(inv, axis1=-2, axis2=-1).tobytes() == (
+            1 / np.diagonal(chol, axis1=-2, axis2=-1)
+        ).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_one_matrix_and_stacks_of_any_shape(self, d):
+        chol = conditioned_factors(d, 6, d, 4.0)
+        inv = tril_inverse(chol)
+        assert tril_inverse(chol[2]).tobytes() == inv[2].tobytes()
+        assert tril_inverse(chol.reshape(2, 3, d, d)).tobytes() == inv.tobytes()
+        for rows in ([0], [1, 2, 3], [0, 2, 4], [5, 0]):  # stack-mates move no bit
+            assert tril_inverse(chol[rows]).tobytes() == inv[rows].tobytes()
+
+    @pytest.mark.parametrize("d", [0, 1, 3, 8])
+    def test_empty_stack(self, d):
+        inv = tril_inverse(np.empty((0, d, d)))
+        assert inv.shape == (0, d, d)
+        assert tril_inverse(np.empty((3, 0, 0))).shape == (3, 0, 0)
+
+    def test_identity_stand_ins_of_cholesky_stack(self):
+        rng = np.random.default_rng(8)
+        m = np.stack([random_pd(rng, 4) for _ in range(5)])
+        m[[1, 3]] = np.diag([1.0, -1.0, 1.0, 1.0])  # not positive definite
+        chol, errors = cholesky_stack(m)
+        assert sorted(errors) == [1, 3]
+        inv = tril_inverse(chol)
+        assert inv[[1, 3]].tobytes() == np.broadcast_to(np.eye(4), (2, 4, 4)).tobytes()
+        assert_inverse_close(inv, chol)
+
+    def test_diagonal_factor_is_lapacks_bit_for_bit(self):
+        # the Cholesky factor of simulate's generating rate beta I, and of any diagonal
+        chol = np.linalg.cholesky(np.diag([0.5, 1.0, 3.0, 7.3]))[None] * [[[1.0]], [[2.5]]]
+        inv = tril_inverse(chol)
+        assert inv.tobytes() == np.linalg.inv(chol).tobytes()
+        assert not np.signbit(inv).any()
